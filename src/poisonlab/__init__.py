@@ -54,6 +54,7 @@ from .core import (
     Sample,
     ball_enumerate,
     bayes_loss,
+    corruption_limit,
     dist_tv,
     draw_sample,
     full_alphabet,

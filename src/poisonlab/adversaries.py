@@ -28,6 +28,7 @@ from .core import (
     Sample,
     Scalar,
     ball_enumerate,
+    corruption_limit,
 )
 
 Predictor = Callable[[Sample, int], float]
@@ -44,7 +45,7 @@ class AttackBudget:
             raise ValueError("eta must lie in [0, 1)")
 
     def max_corruptions(self, n: int) -> int:
-        return math.floor(self.eta * n)
+        return corruption_limit(self.eta, n)
 
 
 def brute_force_attack(predictor: Predictor, sample: Sample, target: Example,
@@ -146,7 +147,9 @@ class HardBiasDistribution:
         atoms += [(u, grid_weight) for u in scheme.grid()]
         atoms.append((scheme.endpoint, Fraction(1, 4)))
         self.atoms = tuple(atoms)
-        assert sum(w for _, w in self.atoms) == 1
+        total = sum(w for _, w in self.atoms)
+        if total != 1:
+            raise ValueError(f"hard distribution weights sum to {total}, not 1")
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(u for u, _ in self.atoms)

@@ -386,6 +386,19 @@ def dist_tv(u: BiasVector, v: BiasVector) -> Scalar:
     return sum(abs(a - b) for a, b in zip(u.coords, v.coords)) / u.dimension
 
 
+def corruption_limit(eta: Scalar, n: int) -> int:
+    """floor(eta * n) in exact arithmetic, capped at n: the number of rows a
+    budget-eta attacker may rewrite in a sample of n rows.
+
+    Float budgets are converted exactly, so 0.7 (just below 7/10) allows 6 of
+    10 rows, never the 7 that the rounded float product 0.7 * 10 == 7.0 would.
+    """
+    k = math.floor(Fraction(eta) * n)
+    if k < 0:
+        raise ValueError("eta must be nonnegative")
+    return min(k, n)
+
+
 def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
                    cap: int = 10_000_000, max_corruptions: int | None = 3) -> list[Sample]:
     """All samples within normalized Hamming distance eta of `sample`.
@@ -398,9 +411,7 @@ def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
     None to disable) keeps casual calls at oracle scale.
     """
     n = len(sample)
-    k = min(math.floor(eta * n), n)
-    if k < 0:
-        raise ValueError("eta must be nonnegative")
+    k = corruption_limit(eta, n)
     if max_corruptions is not None and k > max_corruptions:
         raise PreconditionError(
             f"ball radius allows {k} corruptions > max_corruptions={max_corruptions}")

@@ -1,6 +1,14 @@
 """Experiment harness: Monte Carlo adversarial risk, exact desk-scale
 evaluators, bound-verification experiments, and deterministic parameter sweeps.
 
+The exact evaluators share one engine. It calls the +1-probability oracle once
+per (atom sequence, point), zero-weight sequences included, into a table with
+one axis per sample row. A radius-k Hamming ball's max or min is k rounds of
+the radius-1 operator, an elementwise max/min over the per-axis reductions (a
+radius-(j+1) ball is the union of radius-j balls around radius-1 neighbours),
+weighted by the exact sequence weights. Cost: (2d)^n * d oracle calls plus
+k * n * (2d)^n array operations, not one validated `Sample` per ball member.
+
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
 a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
@@ -15,20 +23,24 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .core import (
     MINUS,
     PLUS,
     BiasVector,
     BudgetViolationError,
     EnumerationTooLargeError,
+    Example,
     HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
     RandomSource,
     Sample,
     Scalar,
-    ball_enumerate,
+    ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
     bayes_loss,
+    corruption_limit,
     draw_example,
     draw_sample_with,
     full_alphabet,
@@ -117,9 +129,10 @@ class ExcessEstimate:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not math.isnan(self.mean):
-            assert self.ci_low <= self.mean <= self.ci_high
-            assert self.excess_ci_low <= self.excess <= self.excess_ci_high
+        if not math.isnan(self.mean) and not (
+                self.ci_low <= self.mean <= self.ci_high
+                and self.excess_ci_low <= self.excess <= self.excess_ci_high):
+            raise ValueError(f"mean {self.mean} or excess {self.excess} lies outside its CI")
 
 
 def _estimate_from_scores(scores: Sequence[float], bayes: float, trials: int,
@@ -145,6 +158,7 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = Fraction(eta)
+    allowed = Fraction(corruption_limit(budget, n), n)
     bayes = float(bayes_loss(dist))
     scores: list[float] = []
     for t in range(trials):
@@ -153,9 +167,9 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
         target = draw_example(dist, gen)
         corrupted = adversary.attack(clean, target, gen)
         moved = hamming_distance(clean, corrupted)
-        if moved > budget:
-            raise BudgetViolationError(
-                f"adversary {adversary.name} moved {moved} > eta={budget} on trial {t}")
+        if moved > allowed:
+            raise BudgetViolationError(f"adversary {adversary.name} moved {moved} > "
+                                       f"{allowed} allowed by eta={budget} on trial {t}")
         p = learner.prediction_prob(corrupted, target.point, gen)
         scores.append(1.0 - p if target.label == PLUS else float(p))
     meta = {"learner": learner.name, "adversary": adversary.name,
@@ -170,19 +184,52 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 PredictionOracle = Callable[[Sample, int], float]
 
 
-def _enumerate_samples(dist: ProductBiasDistribution, n: int, cap: int):
-    """All atom sequences of length n with their product weights; zero-weight
-    sequences are skipped."""
-    atoms = dist.atoms()
+def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int,
+                  cap: int) -> np.ndarray:
+    """The oracle at every atom sequence and point: a (2d,)*n + (d,) array, axis
+    j indexing row j's atom in `dist.atoms()` order, zero-weight rows included."""
+    atoms = [ex for ex, _ in dist.atoms()]
     if len(atoms) ** n > cap:
         raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {cap}")
-    for combo in product(atoms, repeat=n):
-        weight = 1
-        for _, prob in combo:
-            weight = weight * prob
-        if weight == 0:
-            continue
-        yield Sample.from_examples([ex for ex, _ in combo]), weight
+    seqs = np.array(list(product(range(len(atoms)), repeat=n)))
+    points = np.array([ex.point for ex in atoms])[seqs]
+    labels = np.array([ex.label for ex in atoms])[seqs]
+    table = np.array([[float(p_oracle(sample, x)) for x in range(dist.dimension)]
+                      for sample in map(Sample, points, labels)])
+    return table.reshape((len(atoms),) * n + (dist.dimension,))
+
+
+def _ball_extremum(table: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
+    """np.maximum or np.minimum of the table over every radius-k Hamming ball."""
+    for _ in range(k):
+        prev = table
+        for axis in range(prev.ndim - 1):
+            table = op(table, op.reduce(prev, axis=axis, keepdims=True))
+    return table
+
+
+def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, public: bool,
+               atoms=None) -> float:
+    """Expected ball-extremal error under `dist` over the test atoms (example, q),
+    by default those of `dist`: the worst error, floored at 0, for private coins;
+    1 - min p for a +1 target and max p for a -1 target for public coins."""
+    k = corruption_limit(eta, table.ndim - 1)
+    if public:
+        value = {PLUS: 1.0 - _ball_extremum(table, k, np.minimum),
+                 MINUS: _ball_extremum(table, k, np.maximum)}
+    else:
+        worst = {PLUS: _ball_extremum(1.0 - table, k, np.maximum),
+                 MINUS: _ball_extremum(table, k, np.maximum)}
+        value = {y: np.where(v > 0.0, v, 0.0) for y, v in worst.items()}
+    weights: list[Scalar] = [1]  # in table row order, multiplied left to right
+    for _ in range(table.ndim - 1):
+        weights = [w * q for w in weights for _, q in dist.atoms()]
+    live = [(i, w) for i, w in enumerate(weights) if w != 0]
+    acc = []
+    for example, q in dist.atoms() if atoms is None else atoms:
+        column = value[example.label][..., example.point].reshape(-1).tolist()
+        acc.extend(float(w * q) * column[i] for i, w in live)
+    return math.fsum(acc)
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -190,27 +237,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball."""
-    alphabet = full_alphabet(dist.dimension)
-    p_cache: dict[bytes, float] = {}
-
-    def prob(s: Sample, x: int) -> float:
-        key = s.key() + bytes([x])
-        if key not in p_cache:
-            p_cache[key] = float(p_oracle(s, x))
-        return p_cache[key]
-
-    acc = []
-    for sample, w in _enumerate_samples(dist, n, cap):
-        ball = ball_enumerate(sample, eta, alphabet, max_corruptions=None)
-        for (example, q) in dist.atoms():
-            worst = 0.0
-            for corrupted in ball:
-                p = prob(corrupted, example.point)
-                err = 1.0 - p if example.label == PLUS else p
-                if err > worst:
-                    worst = err
-            acc.append(float(w * q) * worst)
-    return math.fsum(acc)
+    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, eta, public=False)
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -222,35 +249,14 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
     over the ball, so the inner expectation over r is a ball-extremum measure
     (1 - min p for a +1 target, max p for a -1 target).
     """
-    alphabet = full_alphabet(dist.dimension)
-    p_cache: dict[bytes, float] = {}
-
-    def prob(s: Sample, x: int) -> float:
-        key = s.key() + bytes([x])
-        if key not in p_cache:
-            p_cache[key] = float(p_oracle(s, x))
-        return p_cache[key]
-
-    acc = []
-    for sample, w in _enumerate_samples(dist, n, cap):
-        ball = ball_enumerate(sample, eta, alphabet, max_corruptions=None)
-        for (example, q) in dist.atoms():
-            probs = [prob(corrupted, example.point) for corrupted in ball]
-            value = 1.0 - min(probs) if example.label == PLUS else max(probs)
-            acc.append(float(w * q) * value)
-    return math.fsum(acc)
+    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, eta, public=True)
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                           n: int, cap: int = 100_000) -> float:
-    """Exact clean risk (no corruption) of the learner's prediction law."""
-    acc = []
-    for sample, w in _enumerate_samples(dist, n, cap):
-        for (example, q) in dist.atoms():
-            p = float(p_oracle(sample, example.point))
-            err = 1.0 - p if example.label == PLUS else p
-            acc.append(float(w * q) * err)
-    return math.fsum(acc)
+    """Exact clean risk (no corruption) of the learner's prediction law: the
+    public-coin risk over radius-0 balls."""
+    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, 0, public=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +281,25 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int
     oblivious model: L_{2 eta}(sample-ball) + exp(-n eta / 3) >= the oblivious
     loss restricted to grid-scheme outputs.
 
-    Single-point domain. The left side enumerates every sample and its
-    2-eta-ball exactly; the right side takes, per test label, the worst of
-    the candidate biases {u, scheme(-1, u), scheme(+1, u)} (a subset of the
-    eta-ball around u, so the restriction can only lower the right side).
+    Single-point domain. The left side is the exact private risk over every
+    2-eta-ball; the right side takes, per test label, the worst of the clean
+    risks at the candidate biases {u, scheme(-1, u), scheme(+1, u)} (a subset
+    of the eta-ball around u, so the restriction can only lower the right
+    side). Both sides share one oracle table; only the weights change.
     """
     eta = Fraction(eta)
     uf = Fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
-    left = exhaustive_adversarial_loss(p_oracle, dist, 2 * eta, n, cap=cap)
+    table = _oracle_table(p_oracle, dist, n, cap)
+    left = _ball_risk(table, dist, 2 * eta, public=False)
     guard = math.exp(-n * float(eta) / 3.0)
     scheme, _ = build_scheme_1d(eta)
     candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}
-
-    def mean_error(bias: Fraction, y: int) -> float:
-        shifted = ProductBiasDistribution(BiasVector([bias]))
-        acc = []
-        for sample, w in _enumerate_samples(shifted, n, cap):
-            p = float(p_oracle(sample, 0))
-            err = 1.0 - p if y == PLUS else p
-            acc.append(float(w) * err)
-        return math.fsum(acc)
-
     right_terms = []
     for y in (PLUS, MINUS):
         weight = float(Fraction(1, 2) + y * uf)
-        worst = max(mean_error(c, y) for c in candidates)
+        worst = max(_ball_risk(table, ProductBiasDistribution(BiasVector([c])), 0, public=True,
+                               atoms=[(Example(0, y), 1)]) for c in candidates)
         right_terms.append(weight * worst)
     right = math.fsum(right_terms)
     slack = left + guard - right

@@ -192,51 +192,6 @@ def _vc_restrict(hclass: HypothesisClass, sample: Sample, subset: np.ndarray) ->
     return restrict_dedupe(hclass, pts).representatives
 
 
-def vc_learner_predict(hclass: HypothesisClass, sample: Sample, x: int,
-                       config: VcLearnerConfig, rng: RandomSource) -> int:
-    """Split-and-subsample prediction at x.
-
-    The sample splits into halves S1 (first floor(n/2) rows) and S2. A
-    uniform k-subset of S1 picks the anchor points; the class restricted to
-    those points (deduplicated, smallest-index representatives) is then fed,
-    with S2, to the coupled exponential mechanism at the same eta. The subset
-    draw and the threshold draw come from independent child streams.
-    """
-    n = len(sample)
-    if n * Fraction(config.eta) < 1:
-        raise PreconditionError(f"need n >= 1/eta, got n={n}, eta={config.eta}")
-    n1, _ = _split_sizes(n)
-    k = config.subsample_size
-    if k > n1:
-        raise PreconditionError(f"subsample size {k} exceeds first-half size {n1}")
-    subset = _draw_subset(n1, k, rng.child("subsample").generator())
-    sub = _vc_restrict(hclass, sample, subset)
-    s2 = sample.slice(slice(n1, n))
-    r = float(rng.child("threshold").generator().random())
-    return coupled_predict(sub, s2, x, ExpMechanismConfig(config.eta), r)
-
-
-def majority_subsample_predict(sample: Sample, k: int, x: int, rng: RandomSource) -> int:
-    """Majority label among a uniform k-subset of the examples at point x.
-
-    Ties fall to a fair coin from a dedicated child stream, as does the case
-    of no examples at x. If fewer than k examples sit at x, all of them vote.
-    """
-    if k < 1:
-        raise ValueError("subsample size must be >= 1")
-    if k > len(sample):
-        raise PreconditionError(f"subsample size {k} exceeds sample size {len(sample)}")
-    at_x = np.flatnonzero(sample.points == x)
-    if len(at_x) == 0:
-        return PLUS if rng.child("vote-coin").generator().random() < 0.5 else MINUS
-    if len(at_x) > k:
-        at_x = rng.child("subset").generator().choice(at_x, size=k, replace=False)
-    vote = int(sample.labels[at_x].sum())
-    if vote == 0:
-        return PLUS if rng.child("vote-coin").generator().random() < 0.5 else MINUS
-    return PLUS if vote > 0 else MINUS
-
-
 PredictionOracle = Callable[[Sample, int], float]
 
 

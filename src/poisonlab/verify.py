@@ -126,7 +126,7 @@ def check_ball_oracle(rng: RandomSource):
         got = {tuple(b.examples()) for b in ball}
         if len(got) != len(ball):
             return False, "duplicate samples in ball"
-        want = _ball_reference(s, math.floor(eta * n), alphabet)
+        want = _ball_reference(s, math.floor(Fraction(eta) * n), alphabet)
         if got != want:
             return False, f"ball mismatch at n={n}, eta={eta:.3f}"
         if ball[0] != s:

@@ -10,6 +10,7 @@ from poisonlab.adversaries import (
     GreedyFlipAdversary,
     HardBiasDistribution,
     IdentityAdversary,
+    PoisoningScheme1D,
     brute_force_attack,
     build_scheme_1d,
     greedy_flip_attack,
@@ -147,6 +148,15 @@ def test_hard_distribution_frozen_weights():
         Fraction(2 * i, 64) for i in range(-3, 4)) + (Fraction(7, 64),)
     assert hard.weights() == (Fraction(1, 4),) + (Fraction(1, 14),) * 7 + (Fraction(1, 4),)
     assert sum(hard.weights()) == 1
+
+
+def test_hard_distribution_rejects_weights_not_summing_to_one():
+    class ShortGrid(PoisoningScheme1D):
+        def grid(self):
+            return super().grid()[1:]
+
+    with pytest.raises(ValueError, match="sum to"):
+        HardBiasDistribution(ShortGrid(Fraction(1, 16), 1, Fraction(1, 16)))
 
 
 def test_hard_distribution_sampling_law():

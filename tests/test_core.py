@@ -19,6 +19,7 @@ from poisonlab.core import (
     RandomSource,
     Sample,
     ball_enumerate,
+    corruption_limit,
     bayes_loss,
     dist_tv,
     draw_sample,
@@ -227,7 +228,15 @@ def test_ball_enumerate_matches_reference():
         got = [tuple(b.examples()) for b in ball]
         assert len(set(got)) == len(got), "duplicates"
         assert got[0] == tuple(s.examples()), "clean sample must come first"
-        assert set(got) == _reference_ball(s, math.floor(eta * n), full_alphabet(d))
+        assert set(got) == _reference_ball(s, math.floor(Fraction(eta) * n), full_alphabet(d))
+
+
+def test_corruption_limit_floors_exactly():
+    assert corruption_limit(0.7, 10) == 6  # the double 0.7 lies just below 7/10
+    assert corruption_limit(Fraction(7, 10), 10) == 7
+    assert corruption_limit(2, 5) == 5
+    with pytest.raises(ValueError):
+        corruption_limit(-0.1, 5)
 
 
 def test_ball_enumerate_size_formula():

@@ -1,15 +1,19 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poisonlab.adversaries import (
     AttackBudget,
     GreedyFlipAdversary,
     IdentityAdversary,
     build_scheme_1d,
+    greedy_flip_attack,
     lift_scheme,
 )
 from poisonlab.core import (
@@ -17,13 +21,17 @@ from poisonlab.core import (
     PLUS,
     BiasVector,
     BudgetViolationError,
+    EnumerationTooLargeError,
     Example,
     HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
     RandomSource,
     Sample,
+    ball_enumerate,
     bayes_loss,
+    full_alphabet,
+    hamming_distance,
 )
 from poisonlab.experiments import (
     ExcessEstimate,
@@ -54,6 +62,8 @@ from poisonlab.learners import (
     ExpMechanismConfig,
     ExpMechanismLearner,
     MajorityVoteLearner,
+    VcLearnerConfig,
+    VcSubsampleLearner,
 )
 
 SEED = 59204
@@ -108,9 +118,12 @@ def test_score_ci_dispatch():
 
 
 def test_excess_estimate_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExcessEstimate(mean=0.5, ci_low=0.6, ci_high=0.7, bayes=0.1, excess=0.4,
                        excess_ci_low=0.5, excess_ci_high=0.6, trials=10, seed=1)
+    with pytest.raises(ValueError):
+        ExcessEstimate(mean=0.5, ci_low=0.4, ci_high=0.6, bayes=0.1, excess=0.4,
+                       excess_ci_low=0.45, excess_ci_high=0.5, trials=10, seed=1)
     nan = float("nan")
     ExcessEstimate(mean=nan, ci_low=nan, ci_high=nan, bayes=nan, excess=nan,
                    excess_ci_low=nan, excess_ci_high=nan, trials=0, seed=1)
@@ -150,59 +163,158 @@ def test_mc_loss_budget_violation_is_fatal():
                             Fraction(1, 8), 5, RandomSource(SEED, 3))
 
 
-def _reference_adversarial_loss(p_oracle, dist, eta, n):
-    """Independent recursion: enumerate samples position by position, then take
-    the worst error over a recursively built corruption ball."""
+def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
+    """Independent evaluator: every sample of positive weight, every member of
+    its `ball_enumerate` ball and every test atom, summed as the engine sums."""
     atoms = dist.atoms()
-    k = math.floor(Fraction(eta) * n)
-
-    def ball(sample_rows):
-        out = set()
-
-        def rec(i, changed, acc):
-            if changed > k:
-                return
-            if i == n:
-                out.add(tuple(acc))
-                return
-            for a, _ in atoms:
-                rec(i + 1, changed + (a != sample_rows[i]), acc + [a])
-            # alphabet atoms with zero mass still count as corruption targets
-        rec(0, 0, [])
-        return out
-
-    total = Fraction(0)
-    acc = 0.0
-    for rows in product([a for a, _ in atoms], repeat=n):
-        w = Fraction(1)
-        for a in rows:
-            w *= dict(dist.atoms())[a]
+    alphabet = full_alphabet(dist.dimension)
+    total = 0
+    acc = []
+    for rows in product(atoms, repeat=n):
+        w = 1
+        for _, q in rows:
+            w = w * q
         if w == 0:
             continue
         total += w
-        for (x, y), wa in dist.atoms():
-            if wa == 0:
-                continue
-            worst = 0.0
-            for alt in ball(list(rows)):
-                p = p_oracle(Sample.from_examples(alt), x)
-                worst = max(worst, 1.0 - p if y == PLUS else p)
-            acc += float(w * wa) * worst
-    assert total == 1
-    return acc
+        ball = ball_enumerate(Sample.from_examples([a for a, _ in rows]), eta, alphabet,
+                              max_corruptions=None)
+        for (x, y), q in atoms:
+            probs = [float(p_oracle(b, x)) for b in ball]
+            if public:
+                value = 1.0 - min(probs) if y == PLUS else max(probs)
+            else:
+                value = max([0.0] + [1.0 - p if y == PLUS else p for p in probs])
+            acc.append(float(w * q) * value)
+    assert total == pytest.approx(1, abs=1e-12)
+    return math.fsum(acc)
+
+
+def _random_reference_cases(rng, count):
+    """(d, n, eta, bias) cells over d in {1, 2}, eta in {0, 1/3, 1/2, 1} and
+    Fraction or float biases, u = +-1/2 (zero-weight sequences) included."""
+    cases = []
+    for _ in range(count):
+        d = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 4 if d == 1 else 3))
+        eta = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)][int(rng.integers(0, 4))]
+        coords = [Fraction(int(rng.integers(-2, 3)), 4) for _ in range(d)]
+        if rng.random() < 0.5:
+            coords = [float(c) for c in coords]
+        cases.append((d, n, eta, coords))
+    return cases
 
 
 def test_exhaustive_adversarial_loss_matches_reference():
     rng = np.random.default_rng(SEED + 4)
-    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
-    for _ in range(6):
-        u = Fraction(int(rng.integers(-2, 3)), 4)
+    learners = {d: ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(Fraction(1, 4)))
+                for d in (1, 2)}
+    seen = set()
+    for d, n, eta, coords in _random_reference_cases(rng, 40):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        oracle = learners[d].prediction_prob
+        for public, engine in ((False, exhaustive_adversarial_loss),
+                               (True, exhaustive_public_loss)):
+            got = engine(oracle, dist, eta, n)
+            assert got == _reference_adversarial_loss(oracle, dist, eta, n, public), \
+                (d, n, eta, coords, public)
+        seen.add((d, eta, type(coords[0]), any(abs(c) == 0.5 for c in coords)))
+    assert {(d, eta) for d, eta, _, _ in seen} == {
+        (d, eta) for d in (1, 2) for eta in (0, Fraction(1, 3), Fraction(1, 2), 1)}
+    assert {(kind, edge) for _, _, kind, edge in seen} == {
+        (kind, edge) for kind in (Fraction, float) for edge in (False, True)}
+
+
+def test_exhaustive_losses_match_reference_on_order_dependent_oracle():
+    # the subsample rule reads the first half and the second half differently
+    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 5), 1))
+    sample = Sample([0] * 5, [MINUS, MINUS, PLUS, PLUS, PLUS])
+    assert vc.mean_prediction_prob(sample, 0) != vc.mean_prediction_prob(
+        sample.slice([2, 3, 0, 1, 4]), 0)
+    for u in (Fraction(1, 4), Fraction(-1, 2), 0.25):
         dist = ProductBiasDistribution(BiasVector([u]))
-        eta = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)][int(rng.integers(0, 4))]
-        n = int(rng.integers(1, 4))
-        got = exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
-        want = _reference_adversarial_loss(learner.prediction_prob, dist, eta, n)
-        assert got == pytest.approx(want, abs=1e-12)
+        for eta in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+            for public, engine in ((False, exhaustive_adversarial_loss),
+                                   (True, exhaustive_public_loss)):
+                got = engine(vc.mean_prediction_prob, dist, eta, 5)
+                want = _reference_adversarial_loss(vc.mean_prediction_prob, dist, eta, 5, public)
+                assert got == want, (u, eta, public)
+
+
+def test_exhaustive_losses_floor_only_private_errors():
+    # the next double above 1 makes 1 - p negative: the private worst error is
+    # floored at 0.0, the public ball measure and the clean risk are not
+    above_one = math.nextafter(1.0, 2.0)
+    oracle = lambda sample, x: above_one  # noqa: E731
+    for u in (Fraction(1, 2), Fraction(1, 4), 0.5):
+        dist = ProductBiasDistribution(BiasVector([u]))
+        for eta in (Fraction(0), Fraction(1, 2)):
+            for public, engine in ((False, exhaustive_adversarial_loss),
+                                   (True, exhaustive_public_loss)):
+                assert engine(oracle, dist, eta, 2) == \
+                    _reference_adversarial_loss(oracle, dist, eta, 2, public)
+    all_plus = ProductBiasDistribution(BiasVector([Fraction(1, 2)]))
+    assert exhaustive_adversarial_loss(oracle, all_plus, Fraction(1, 2), 2) == 0.0
+    assert exhaustive_public_loss(oracle, all_plus, Fraction(1, 2), 2) == 1.0 - above_one
+    assert exhaustive_clean_loss(oracle, all_plus, 2) == 1.0 - above_one
+
+
+def test_exhaustive_engine_calls_oracle_once_per_sequence_and_point():
+    calls = Counter()
+
+    def oracle(sample, x):
+        calls[(sample.key(), x)] += 1
+        return 0.5
+
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(0)]))
+    exhaustive_adversarial_loss(oracle, dist, Fraction(1, 2), 2)
+    assert len(calls) == 4 ** 2 * 2 and set(calls.values()) == {1}
+    calls.clear()
+    equivalence_check(oracle, Fraction(1, 4), Fraction(1, 4), 3)
+    assert len(calls) == 2 ** 3 and set(calls.values()) == {1}
+
+
+def test_exhaustive_enumeration_cap():
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    with pytest.raises(EnumerationTooLargeError):
+        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 8, cap=255)
+    with pytest.raises(EnumerationTooLargeError):
+        equivalence_check(learner.prediction_prob, Fraction(1, 4), Fraction(1, 4), 8, cap=255)
+
+
+BUDGETS = st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),
+                    st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=BUDGETS, n=st.integers(min_value=1, max_value=40))
+@example(eta=0.7, n=10)
+def test_greedy_attack_never_trips_the_budget_check(eta, n):
+    k = min(math.floor(Fraction(eta) * n), n)
+    budget = AttackBudget(eta)
+    assert budget.max_corruptions(n) == k
+    # every label is +1, so the greedy attacker rewrites exactly k rows
+    clean = Sample([0] * n, [PLUS] * n)
+    assert hamming_distance(clean, greedy_flip_attack(clean, Example(0, PLUS), budget)) * n == k
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 2)]))
+    est = mc_adversarial_loss(ConstantLearner(MINUS), GreedyFlipAdversary(budget), dist, n, eta,
+                              2, RandomSource(SEED, 8))
+    assert est.mean == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta=BUDGETS, n=st.integers(min_value=1, max_value=6))
+@example(eta=0.7, n=10)
+def test_ball_radius_is_the_exact_floor(eta, n):
+    k = min(math.floor(Fraction(eta) * n), n)
+    clean = Sample([0] * n, [MINUS] * n)
+    ball = ball_enumerate(clean, eta, full_alphabet(1), max_corruptions=None)
+    assert max(int(hamming_distance(clean, b) * n) for b in ball) == k
+    # the engine's ball around the all -1 sample holds at most k +1 rows
+    plus_share = lambda sample, x: int((sample.labels == PLUS).sum()) / n  # noqa: E731
+    dist = ProductBiasDistribution(BiasVector([Fraction(-1, 2)]))
+    assert exhaustive_adversarial_loss(plus_share, dist, eta, n, cap=2 ** 10) == k / n
 
 
 def test_exhaustive_clean_loss_closed_form():
