@@ -57,6 +57,22 @@ def label_from_01(b: int) -> int:
     return 2 * b - 1
 
 
+def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray:
+    """`values` as a read-only int8 array of -1/+1, checked before the cast.
+
+    Any dtype but a signed or unsigned integer (float, complex, bool, object)
+    raises `error`, as does any value other than MINUS or PLUS, so nothing
+    is truncated or wrapped into a valid sign. An int8 input is not copied.
+    """
+    if values.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {values.dtype}")
+    if ((values != PLUS) & (values != MINUS)).any():
+        raise error(f"{what} must be -1 or +1")
+    out = values.astype(np.int8, copy=False)
+    out.setflags(write=False)
+    return out
+
+
 class Example(NamedTuple):
     """One labeled example: a domain point index and a -1/+1 label."""
 
@@ -75,21 +91,21 @@ class Sample:
     __slots__ = ("points", "labels")
 
     def __init__(self, points: Sequence[int], labels: Sequence[int]):
-        pts = np.asarray(points, dtype=np.int64)
-        labs = np.asarray(labels, dtype=np.int8)
+        pts = np.asarray(points)
+        labs = np.asarray(labels)
         if pts.ndim != 1 or labs.ndim != 1 or len(pts) != len(labs):
             raise DimensionMismatchError("points and labels must be equal-length 1-D sequences")
         if len(pts) == 0:
             raise ValueError("a sample holds at least one example")
-        if pts.size and pts.min() < 0:
+        if pts.dtype.kind not in "iu":
+            raise DomainMismatchError(f"point indices must be integers, got dtype {pts.dtype}")
+        # after the cast, so that uint64 indices beyond int64 (now negative) fail too
+        pts = pts.astype(np.int64, copy=False)
+        if pts.min() < 0:
             raise DomainMismatchError("negative point index")
-        bad = ~np.isin(labs, (-1, 1))
-        if bad.any():
-            raise DomainMismatchError("labels must be -1 or +1")
         pts.setflags(write=False)
-        labs.setflags(write=False)
         self.points = pts
-        self.labels = labs
+        self.labels = _signs(labs, DomainMismatchError, "labels")
 
     @classmethod
     def from_examples(cls, examples: Iterable[Example]) -> "Sample":
@@ -140,13 +156,10 @@ class Hypothesis:
     __slots__ = ("values",)
 
     def __init__(self, values: Sequence[int]):
-        v = np.asarray(values, dtype=np.int8)
+        v = np.asarray(values)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("hypothesis values must be a nonempty 1-D sequence")
-        if (~np.isin(v, (-1, 1))).any():
-            raise ValueError("hypothesis values must be -1 or +1")
-        v.setflags(write=False)
-        self.values = v
+        self.values = _signs(v, ValueError, "hypothesis values")
 
     @property
     def domain_size(self) -> int:
@@ -179,18 +192,16 @@ class HypothesisClass:
     __slots__ = ("values",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        v = np.asarray(rows, dtype=np.int8)
+        v = np.asarray(rows)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("a hypothesis class is a nonempty 2-D table")
-        if (~np.isin(v, (-1, 1))).any():
-            raise ValueError("hypothesis values must be -1 or +1")
+        v = _signs(v, ValueError, "hypothesis values")
         seen = set()
         for row in v:
             k = row.tobytes()
             if k in seen:
                 raise ValueError("duplicate hypothesis in class")
             seen.add(k)
-        v.setflags(write=False)
         self.values = v
 
     @classmethod

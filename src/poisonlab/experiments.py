@@ -578,7 +578,11 @@ class SweepGrid:
 
 def run_cell(grid: SweepGrid, cell: SweepCell) -> ExcessEstimate:
     """One sweep cell; stream id is a stable hash of the cell parameters, so
-    results do not depend on execution order or worker count."""
+    results do not depend on execution order or worker count.
+
+    A cell outside a learner's or attacker's parameter regime
+    (`PreconditionError`, `EnumerationTooLargeError`) becomes an error row;
+    any other exception, such as an unknown learner id, propagates."""
     stream = stable_stream_id("sweep", str(cell.eta), cell.d, cell.n, cell.learner,
                               cell.adversary, grid.trials, str(grid.bias))
     rng = RandomSource(grid.seed, stream)
@@ -591,7 +595,7 @@ def run_cell(grid: SweepGrid, cell: SweepCell) -> ExcessEstimate:
         adversary = make_adversary(cell.adversary, cell.eta, learner, cell.d)
         return mc_adversarial_loss(learner, adversary, dist, cell.n, cell.eta,
                                    grid.trials, rng, metadata=meta)
-    except (PreconditionError, EnumerationTooLargeError, ValueError) as exc:
+    except (PreconditionError, EnumerationTooLargeError) as exc:
         nan = float("nan")
         meta.update({"learner": cell.learner, "adversary": cell.adversary,
                      "n": cell.n, "eta": str(cell.eta), "d": cell.d,

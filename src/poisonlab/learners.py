@@ -185,10 +185,14 @@ def _draw_subset(n1: int, k: int, gen: np.random.Generator) -> np.ndarray:
     return np.sort(gen.choice(n1, size=k, replace=False))
 
 
-def _vc_restrict(hclass: HypothesisClass, sample: Sample, subset: np.ndarray) -> HypothesisClass:
+def _subset_points(sample: Sample, subset: np.ndarray) -> tuple[int, ...]:
+    """The distinct points of the subset's rows, sorted: all its restriction sees."""
+    return tuple(sorted(set(sample.points[subset].tolist())))
+
+
+def _vc_restrict(hclass: HypothesisClass, pts: tuple[int, ...]) -> HypothesisClass:
     from .analysis import restrict_dedupe  # deferred: analysis depends only on core
 
-    pts = tuple(sorted(set(sample.points[subset].tolist())))
     return restrict_dedupe(hclass, pts).representatives
 
 
@@ -312,6 +316,7 @@ class VcSubsampleLearner(Learner):
     def __init__(self, hclass: HypothesisClass, config: VcLearnerConfig):
         self.hclass = hclass
         self.config = config
+        self._mechanism = ExpMechanismConfig(config.eta)
 
     def _check(self, sample: Sample) -> tuple[int, int]:
         n = len(sample)
@@ -330,21 +335,31 @@ class VcSubsampleLearner(Learner):
         if gen is None:
             raise ValueError("the subsample rule needs a generator for its subset draw")
         subset = _draw_subset(n1, k, gen)
-        sub = _vc_restrict(self.hclass, sample, subset)
+        sub = _vc_restrict(self.hclass, _subset_points(sample, subset))
         s2 = sample.slice(slice(n1, len(sample)))
-        return predict_prob(sub, s2, x, ExpMechanismConfig(self.config.eta))
+        return predict_prob(sub, s2, x, self._mechanism)
 
     def mean_prediction_prob(self, sample: Sample, x: int, limit: int = 2000) -> float:
-        """Exact +1 probability, averaged over every subset draw (small n only)."""
+        """Exact +1 probability, averaged over every subset draw (small n only).
+
+        Subsets that cover the same points share one restriction and one
+        prediction, computed once per call; the average still adds one term
+        per subset in `combinations` order, so its value does not depend on
+        the sharing.
+        """
         n1, k = self._check(sample)
         total = math.comb(n1, k)
         if total > limit:
             raise EnumerationTooLargeError(f"{total} subsets exceed limit {limit}")
         s2 = sample.slice(slice(n1, len(sample)))
+        probs: dict[tuple[int, ...], float] = {}
         acc = 0.0
         for subset in combinations(range(n1), k):
-            sub = _vc_restrict(self.hclass, sample, np.array(subset))
-            acc += predict_prob(sub, s2, x, ExpMechanismConfig(self.config.eta))
+            pts = _subset_points(sample, np.array(subset))
+            if pts not in probs:
+                probs[pts] = predict_prob(_vc_restrict(self.hclass, pts), s2, x,
+                                          self._mechanism)
+            acc += probs[pts]
         return acc / total
 
 

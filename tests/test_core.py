@@ -56,6 +56,39 @@ def test_sample_rejects_bad_labels():
         Sample([0], [2])
 
 
+def test_sample_validates_before_the_integer_cast():
+    # a cast first would wrap 257 to +1, truncate 1.5 to +1 and 0.7 to point 0,
+    # and overflow on the list [257]
+    for points, labels in [(np.array([0]), np.array([257])), ([0], [257]), ([0], [1.5]),
+                           ([0.7], [PLUS]), ([0], [1.0]), ([0], [True]), ([0], [1 + 0j]),
+                           ([0], np.array([1], dtype=object)), ([True], [PLUS]),
+                           (np.array([2 ** 63], dtype=np.uint64), [PLUS]),
+                           ([0], np.array([255], dtype=np.uint8))]:
+        with pytest.raises(DomainMismatchError):
+            Sample(points, labels)
+    s = Sample(np.array([3], dtype=np.uint8), np.array([1], dtype=np.uint8))
+    assert s.points.dtype == np.int64 and s.labels.dtype == np.int8
+    assert list(s.examples()) == [Example(3, PLUS)]
+
+
+def test_sample_keeps_integer_arrays_of_its_own_dtype_uncopied():
+    pts = np.array([0, 1], dtype=np.int64)
+    labs = np.array([PLUS, MINUS], dtype=np.int8)
+    s = Sample(pts, labs)
+    assert s.points is pts and s.labels is labs
+    assert not s.points.flags.writeable and not s.labels.flags.writeable
+
+
+def test_hypotheses_validate_before_the_integer_cast():
+    for bad in (np.array([257, -1]), [1.0, -1.0], [0.5, 1], [True, False]):
+        with pytest.raises(ValueError, match="hypothesis values must be"):
+            Hypothesis(bad)
+        with pytest.raises(ValueError, match="hypothesis values must be"):
+            HypothesisClass([bad])
+    assert Hypothesis(np.array([1, -1])).values.tolist() == [1, -1]
+    assert HypothesisClass(np.array([[1, -1]], dtype=np.int64)).values.dtype == np.int8
+
+
 def test_sample_rejects_empty():
     with pytest.raises(ValueError):
         Sample([], [])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poisonlab import experiments
 from poisonlab.adversaries import (
     AttackBudget,
     GreedyFlipAdversary,
@@ -459,6 +460,54 @@ def test_run_cell_records_infeasible_combinations():
     assert math.isnan(est.mean)
     assert "PreconditionError" in est.metadata["error"]
     assert est.trials == 0
+
+
+def test_run_cell_raises_programming_errors():
+    grid = SweepGrid(etas=(Fraction(1, 8),), dims=(1,), sizes=(8,), learners=("nope",),
+                     trials=5)
+    with pytest.raises(ValueError, match="unknown learner"):
+        run_cell(grid, grid.cells()[0])
+
+
+def test_run_cell_raises_plain_value_errors_from_the_estimate(monkeypatch):
+    grid = SweepGrid(etas=(Fraction(1, 8),), dims=(1,), sizes=(8,), trials=5)
+    cell = grid.cells()[0]
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug inside the trial loop")
+
+    monkeypatch.setattr(experiments, "mc_adversarial_loss", broken)
+    with pytest.raises(ValueError, match="bug inside the trial loop"):
+        run_cell(grid, cell)
+    monkeypatch.undo()
+    # a mean outside its own CI is an invariant violation of ExcessEstimate
+    monkeypatch.setattr(experiments, "score_ci", lambda scores: (0.9, 0.1, 0.2))
+    with pytest.raises(ValueError, match="lies outside its CI"):
+        run_cell(grid, cell)
+
+
+# repr of (mean, ci_low, ci_high) per (learner, adversary): a change to any
+# drawn number or arithmetic step of the Monte Carlo path moves them, so only
+# a deliberate stream-layout change, recorded in CHANGES.md, may update them
+STREAM_LOCK = {
+    ("exp-mech", "identity"): ("0.31578381066273337", "0.24849495555847564", "0.38307266576699106"),
+    ("exp-mech", "greedy"): ("0.42163317361661756", "0.361333690755775", "0.48193265647746014"),
+    ("coupled", "identity"): ("0.3520891407698556", "0.2855019794197141", "0.41867630211999707"),
+    ("coupled", "greedy"): ("0.4941188465172043", "0.42245335023653213", "0.5657843427978764"),
+    ("vc", "identity"): ("0.5055834330353439", "0.3853706469523447", "0.6257962191183432"),
+    ("vc", "greedy"): ("0.40465188724070755", "0.30498015454217503", "0.50432361993924"),
+    ("majority", "identity"): ("0.2875", "0.14763837308288172", "0.4273616269171182"),
+    ("majority", "greedy"): ("0.3", "0.1650099831014641", "0.4349900168985359"),
+}
+
+
+def test_run_cell_stream_lock():
+    grid = SweepGrid(etas=(Fraction(1, 16),), dims=(2,), sizes=(64,),
+                     learners=("exp-mech", "coupled", "vc", "majority"),
+                     adversaries=("identity", "greedy"), trials=40)
+    got = {(cell.learner, cell.adversary): run_cell(grid, cell) for cell in grid.cells()}
+    assert {key: (repr(e.mean), repr(e.ci_low), repr(e.ci_high))
+            for key, e in got.items()} == STREAM_LOCK
 
 
 def test_run_cell_stream_depends_only_on_cell():

@@ -238,6 +238,46 @@ def test_vc_learner_split_and_exactness():
     assert mean == pytest.approx(math.fsum(acc) / len(acc), abs=1e-12)
 
 
+def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
+    from poisonlab import analysis
+
+    restrict_dedupe = analysis.restrict_dedupe
+    calls = []
+
+    def counted(hclass, pts):
+        calls.append(tuple(pts))
+        return restrict_dedupe(hclass, pts)
+
+    # eta < 1/(4d) for the rule; k = 1 of n1 = 4 rows, then k = 2 of n1 = 8
+    for d, n, eta in [(1, 8, Fraction(1, 8)), (2, 16, Fraction(1, 16))]:
+        hc = HypothesisClass.full(d)
+        learner = VcSubsampleLearner(hc, VcLearnerConfig(eta, d))
+        n1, k = n // 2, learner.config.subsample_size
+        gen = np.random.default_rng(SEED + d)
+        for _ in range(6):
+            s = Sample(gen.integers(0, d, size=n), gen.choice((MINUS, PLUS), size=n))
+            tail = s.slice(slice(n1, None))
+            for x in range(d):
+                want, point_sets = 0.0, set()
+                for subset in combinations(range(n1), k):
+                    pts = tuple(sorted(set(s.points[list(subset)].tolist())))
+                    point_sets.add(pts)
+                    want += predict_prob(restrict_dedupe(hc, pts).representatives, tail, x,
+                                         ExpMechanismConfig(eta))
+                want /= math.comb(n1, k)
+                calls.clear()
+                monkeypatch.setattr(analysis, "restrict_dedupe", counted)
+                got = learner.mean_prediction_prob(s, x)
+                monkeypatch.undo()
+                assert got == want
+                assert sorted(calls) == sorted(point_sets)
+                calls.clear()
+                monkeypatch.setattr(analysis, "restrict_dedupe", counted)
+                learner.prediction_prob(s, x, gen)
+                monkeypatch.undo()
+                assert len(calls) == 1
+
+
 def test_vc_learner_requires_min_sample():
     config = VcLearnerConfig(Fraction(1, 8), 1)
     learner = VcSubsampleLearner(HypothesisClass.full(1), config)
