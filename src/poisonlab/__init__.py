@@ -19,7 +19,6 @@ from .adversaries import (
     build_scheme_1d,
     greedy_flip_attack,
     identity_scheme,
-    lift_scheme,
     maximal_coupling_draw,
 )
 from .analysis import (

@@ -10,6 +10,8 @@ moves a coordinate by exactly eta or not at all.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,7 +149,8 @@ class HardBiasDistribution:
         atoms += [(u, grid_weight) for u in scheme.grid()]
         atoms.append((scheme.endpoint, Fraction(1, 4)))
         self.atoms = tuple(atoms)
-        total = sum(w for _, w in self.atoms)
+        self._cumulative = tuple(itertools.accumulate(w for _, w in self.atoms))
+        total = self._cumulative[-1]
         if total != 1:
             raise ValueError(f"hard distribution weights sum to {total}, not 1")
 
@@ -158,14 +161,10 @@ class HardBiasDistribution:
         return tuple(w for _, w in self.atoms)
 
     def sample(self, gen: np.random.Generator) -> Fraction:
-        """Inverse-CDF draw over the fixed ascending atom order."""
-        r = gen.random()
-        cum = Fraction(0)
-        for u, w in self.atoms:
-            cum += w
-            if r < cum:
-                return u
-        return self.atoms[-1][0]
+        """Inverse-CDF draw over the fixed ascending atom order: the first
+        atom whose exact cumulative weight exceeds the uniform (the weights
+        sum to exactly 1, so one always does)."""
+        return self.atoms[bisect.bisect_right(self._cumulative, Fraction(gen.random()))][0]
 
 
 def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistribution]:
@@ -218,10 +217,6 @@ class PoisoningSchemeD:
         if not 0 <= i < self.dimension:
             raise ValueError(f"coordinate {i} outside dimension {self.dimension}")
         return u.replace(i, self.inner.apply(label, u.coords[i]))
-
-
-def lift_scheme(inner: PoisoningScheme1D, dimension: int) -> PoisoningSchemeD:
-    return PoisoningSchemeD(inner, dimension)
 
 
 class _IdentityInner:

@@ -207,8 +207,16 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     prediction_prob - 1/2 at every queried point (the learner's internal
     randomness rides on the trial's generator). Trials are split over a fixed
     number of child streams and aggregated with fsum, so the result is
-    identical under any parallel schedule of the chunks; learners exposing
-    `batch_prediction_probs` are evaluated one vectorized chunk at a time.
+    identical under any parallel schedule of the chunks.
+
+    A learner exposing `batch_prediction_probs` declares itself exchangeable:
+    it depends on a sample only through its (point, label) histogram. For
+    such a learner a chunk draws its trials' histograms directly, as one
+    `multinomial(n, ., size=trials)` call over the 2d atoms in the order
+    (0, +1), (0, -1), (1, +1), ..., and scores the whole chunk at once; the
+    law of each trial is that of an i.i.d. size-n sample, but no rows are
+    drawn. Other learners draw every sample row by row and see it through
+    `prediction_prob`, so the two paths consume their streams differently.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -220,6 +228,7 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     chunks = max(1, min(chunks, trials))
     per_point: list[list[float]] = [[] for _ in query]
     batched = hasattr(learner, "batch_prediction_probs")
+    atom_probs = [float(w) for _, w in dist.atoms()]
     base = trials // chunks
     for c in range(chunks):
         size = base + (1 if c < trials % chunks else 0)
@@ -227,11 +236,9 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
             continue
         gen = rng.child("estimate-F", c).generator()
         if batched:
-            pts_mat = gen.integers(0, d, size=(size, n))
-            labs_mat = np.where(gen.random((size, n)) < dist._pplus[pts_mat], 1, -1).astype(np.int8)
+            histograms = gen.multinomial(n, atom_probs, size=size).reshape(size, d, 2)
             for qi, x in enumerate(query):
-                probs = learner.batch_prediction_probs(pts_mat, labs_mat, x)
-                per_point[qi].extend(float(p) - 0.5 for p in probs)
+                per_point[qi].extend((learner.batch_prediction_probs(histograms, x) - 0.5).tolist())
         else:
             for _ in range(size):
                 s = draw_sample_with(dist, n, gen)

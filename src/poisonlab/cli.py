@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .adversaries import build_scheme_1d, lift_scheme
+from .adversaries import PoisoningSchemeD, build_scheme_1d
 from .core import (
     BiasVector,
+    HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
     RandomSource,
@@ -361,10 +362,10 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     if not d * eta < 1:
         raise ConfigError(f"curve requires d * eta < 1, got {d} * {eta}")
     inner, _hard = build_scheme_1d(d * eta)
-    scheme = lift_scheme(inner, d)
+    scheme = PoisoningSchemeD(inner, d)
     coord = cfg.bias if ns.bias is not None else inner.endpoint
     u = BiasVector([coord] * d)
-    learner = make_learner(cfg.learners[0], _full_class(d), eta, max(cfg.sizes), u.coords)
+    learner = make_learner(cfg.learners[0], HypothesisClass.full(d), eta, max(cfg.sizes), u.coords)
     stream = stable_stream_id("curve", str(eta), d, cfg.learners[0], cfg.trials, str(coord))
     rng = RandomSource(cfg.seed, stream)
     report = learning_curve_experiment(learner, u, scheme, cfg.sizes, cfg.trials, rng)
@@ -386,12 +387,6 @@ def cmd_curve(ns: argparse.Namespace) -> int:
                                     passed=excess >= threshold))
     emit(rows, cfg)
     return 0
-
-
-def _full_class(d: int):
-    from .core import HypothesisClass
-
-    return HypothesisClass.full(d)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from .adversaries import (
     IdentityAdversary,
     PoisoningSchemeD,
     build_scheme_1d,
-    lift_scheme,
 )
 from .analysis import estimate_F, oblivious_excess
 
@@ -357,16 +356,18 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
 
     Draws u from the product of hard distributions `trials_outer` times and
     evaluates the oblivious excess with F values estimated by `estimate_F`.
-    The hard distribution has finite support, so each required (coordinate,
-    shifted bias) pair is estimated once with `trials_f` trials and cached;
-    the CI combines the outer sampling variance with the propagated standard
-    errors of the cached estimates (the excess is linear in F).
+    The hard distribution has finite support, so the excess of each distinct
+    u is computed once, and each required (coordinate, shifted bias) pair is
+    estimated once with `trials_f` trials and cached; trials still enter the
+    mean and the coefficient sums one by one, in trial order. The CI
+    combines the outer sampling variance with the propagated standard errors
+    of the cached estimates (the excess is linear in F).
     """
     eta = Fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
     inner, hard = build_scheme_1d(d * eta)
-    scheme = lift_scheme(inner, d)
+    scheme = PoisoningSchemeD(inner, d)
     threshold = lower_bound_threshold(eta, d)
 
     cache: dict[tuple, tuple[float, float]] = {}
@@ -380,20 +381,32 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
             cache[key] = (table.values[0], table.std_errors[0])
         return cache[key]
 
-    excesses: list[float] = []
-    for t in range(trials_outer):
-        gen = rng.child("outer", t).generator()
-        u = BiasVector([hard.sample(gen) for _ in range(d)])
+    # per distinct u: its excess and its (F key, coefficient) contributions
+    per_u: dict[tuple, tuple[float, list[tuple[tuple, float]]]] = {}
+
+    def evaluate(u: BiasVector) -> tuple[float, list[tuple[tuple, float]]]:
         terms = []
+        contributions = []
         for i in range(d):
             for y in (PLUS, MINUS):
                 shifted = scheme.apply(i, y, u)
                 fv, _ = f_oracle(i, shifted)
                 coef = float((Fraction(1, 2) + y * u.coords[i]) / d)
                 terms.append(coef * (0.5 - y * fv))
-                key = (i, shifted.key())
-                coef_acc[key] = coef_acc.get(key, 0.0) + (-y) * coef
-        excesses.append(math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u))))
+                contributions.append(((i, shifted.key()), (-y) * coef))
+        excess = math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u)))
+        return excess, contributions
+
+    excesses: list[float] = []
+    for t in range(trials_outer):
+        gen = rng.child("outer", t).generator()
+        coords = tuple(hard.sample(gen) for _ in range(d))
+        if coords not in per_u:
+            per_u[coords] = evaluate(BiasVector(coords))
+        excess, contributions = per_u[coords]
+        excesses.append(excess)
+        for key, c in contributions:
+            coef_acc[key] = coef_acc.get(key, 0.0) + c
 
     mean = math.fsum(excesses) / trials_outer
     outer_var = (math.fsum((v - mean) ** 2 for v in excesses) / (trials_outer - 1) / trials_outer

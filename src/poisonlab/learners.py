@@ -283,15 +283,36 @@ class ExpMechanismLearner(Learner):
         idx = int(gen.choice(self.hclass.size, p=p / p.sum()))
         return int(self.hclass.values[idx, x])
 
-    def batch_prediction_probs(self, points_mat: np.ndarray, labels_mat: np.ndarray,
-                               x: int) -> np.ndarray:
-        """Vectorized prediction_prob over a (trials, n) batch of samples."""
+    def batch_prediction_probs(self, histograms: np.ndarray, x: int) -> np.ndarray:
+        """prediction_prob at x for a batch of samples given as histograms.
+
+        `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows of
+        sample t reading (i, +1) and (i, -1). The mechanism is exchangeable:
+        it sees a sample only through this histogram, so a learner exposing
+        this method promises that row order never matters. Points past the
+        histogram's second axis have count 0; that axis may not exceed the
+        class domain. A hypothesis disagrees with the (i, -1) rows where it
+        reads +1 and with the (i, +1) rows where it reads -1, which gives the
+        same integer counts as the per-row comparison of `prediction_prob`.
+        """
+        if not 0 <= x < self.hclass.domain_size:
+            raise DomainMismatchError(
+                f"point {x} outside domain of size {self.hclass.domain_size}")
+        if (histograms.ndim != 3 or histograms.shape[2] != 2
+                or not np.issubdtype(histograms.dtype, np.integer)):
+            raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
+        d = histograms.shape[1]
+        if d > self.hclass.domain_size:
+            raise DomainMismatchError(
+                f"histograms over {d} points exceed the class domain {self.hclass.domain_size}")
+        hist = histograms.astype(np.int64, copy=False)
+        n = hist.sum(axis=(1, 2))
+        if n.size and (n.min() < 1 or hist.min() < 0):
+            raise ValueError("histogram counts must be nonnegative with at least one row")
         vals = self.hclass.values
         m = vals.shape[0]
-        trials, n = points_mat.shape
-        counts = np.empty((m, trials), dtype=np.int64)
-        for j in range(m):
-            counts[j] = np.count_nonzero(vals[j][points_mat] != labels_mat, axis=1)
+        plus_votes = (vals[:, :d] == PLUS).astype(np.int64)  # (m, d)
+        counts = plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T  # (m, trials)
         t = self.config.temperature(m)
         scores = (-t / n) * counts.astype(np.float64)
         shifted = scores - scores.max(axis=0, keepdims=True)

@@ -11,11 +11,11 @@ from poisonlab.adversaries import (
     HardBiasDistribution,
     IdentityAdversary,
     PoisoningScheme1D,
+    PoisoningSchemeD,
     brute_force_attack,
     build_scheme_1d,
     greedy_flip_attack,
     identity_scheme,
-    lift_scheme,
     maximal_coupling_draw,
 )
 from poisonlab.core import (
@@ -173,7 +173,7 @@ def test_hard_distribution_sampling_law():
 
 def test_lifted_scheme_touches_one_coordinate():
     inner, _ = build_scheme_1d(Fraction(1, 32))
-    scheme = lift_scheme(inner, 4)
+    scheme = PoisoningSchemeD(inner, 4)
     assert scheme.dimension == 4
     assert scheme.eta == Fraction(1, 32) / 4
     u = BiasVector([Fraction(0), Fraction(2, 32), Fraction(1, 4), Fraction(-2, 32)])

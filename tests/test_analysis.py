@@ -5,7 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from poisonlab.adversaries import build_scheme_1d, identity_scheme, lift_scheme
+from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d, identity_scheme
 from poisonlab.analysis import (
     FTable,
     constant_f_oracle,
@@ -24,6 +24,7 @@ from poisonlab.core import (
     MINUS,
     PLUS,
     BiasVector,
+    DomainMismatchError,
     HypothesisClass,
     PreconditionError,
     RandomSource,
@@ -188,21 +189,56 @@ def test_estimate_f_reproducible_and_chunk_invariant():
     assert a.values == b.values and a.std_errors == b.std_errors
 
 
-def test_estimate_f_scalar_path_matches_batch_path():
-    # same learner exercised with and without the vectorized fast path
-    class Unbatched:
-        def __init__(self, inner):
-            self.inner = inner
-            self.name = inner.name
+class _Unbatched:
+    """The same learner without `batch_prediction_probs`: estimate_F's scalar path."""
 
-        def prediction_prob(self, sample, x, gen=None):
-            return self.inner.prediction_prob(sample, x)
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
 
-    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
-    u = BiasVector([Fraction(1, 8)])
-    fast = estimate_F(learner, u, 3, 500, RandomSource(SEED, 4))
-    slow = estimate_F(Unbatched(learner), u, 3, 500, RandomSource(SEED, 4))
-    assert fast.values == pytest.approx(slow.values, abs=1e-12)
+    def prediction_prob(self, sample, x, gen=None):
+        return self.inner.prediction_prob(sample, x)
+
+
+def _exact_f_by_histograms(learner, u: BiasVector, n: int, x: int) -> float:
+    """Exact F at x: every (point, label) histogram of n rows, weighted by its
+    exact multinomial probability, scored by `prediction_prob` on one sample
+    with that histogram."""
+    d = u.dimension
+    probs = [(Fraction(1, 2) + y * Fraction(c)) / d for c in u.coords for y in (PLUS, MINUS)]
+    atoms = [(i, y) for i in range(d) for y in (PLUS, MINUS)]
+    terms = []
+    for counts in product(range(n + 1), repeat=2 * d):
+        if sum(counts) != n:
+            continue
+        weight = Fraction(math.factorial(n))
+        for p, c in zip(probs, counts):
+            weight *= p ** c / math.factorial(c)
+        rows = [atom for atom, c in zip(atoms, counts) for _ in range(c)]
+        s = Sample([i for i, _ in rows], [y for _, y in rows])
+        terms.append(float(weight) * (learner.prediction_prob(s, x) - 0.5))
+    return math.fsum(terms)
+
+
+def test_estimate_f_paths_match_exact_histogram_f():
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
+    n = 4
+    batched = estimate_F(learner, u, n, 4000, RandomSource(SEED, 4))
+    scalar = estimate_F(_Unbatched(learner), u, n, 4000, RandomSource(SEED, 4))
+    for x in range(2):
+        exact = _exact_f_by_histograms(learner, u, n, x)
+        assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
+        for table in (batched, scalar):
+            assert abs(table.value(x) - exact) <= 4.5 * table.std_error(x)
+
+
+def test_estimate_f_rejects_a_bias_outside_the_class_domain():
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
+    u = BiasVector([Fraction(1, 8), Fraction(1, 8)])
+    for which in (learner, _Unbatched(learner)):
+        with pytest.raises(DomainMismatchError):
+            estimate_F(which, u, 8, 40, RandomSource(SEED, 8), points=[0])
 
 
 def test_ftable_accessors():
@@ -232,7 +268,7 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
     # the grid scheme moves mass one step toward the wrong label, so a
     # Bayes-respecting F cannot fall below the clean optimum
     inner, hard = build_scheme_1d(Fraction(1, 64))
-    scheme = lift_scheme(inner, 1)
+    scheme = PoisoningSchemeD(inner, 1)
 
     def bayes_f(i, ub):
         c = ub.coords[i]

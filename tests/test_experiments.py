@@ -13,9 +13,9 @@ from poisonlab.adversaries import (
     AttackBudget,
     GreedyFlipAdversary,
     IdentityAdversary,
+    PoisoningSchemeD,
     build_scheme_1d,
     greedy_flip_attack,
-    lift_scheme,
 )
 from poisonlab.core import (
     MINUS,
@@ -395,6 +395,16 @@ def test_lower_bound_experiment_smoke():
     assert again.mean == report.mean and again.ci_high == report.ci_high
 
 
+def test_lower_bound_experiment_stream_lock():
+    # the smoke configuration's exact report, drawn as per-chunk histograms
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
+    report = lower_bound_experiment(learner, Fraction(1, 64), 1, 32,
+                                    trials_outer=300, trials_f=500,
+                                    rng=RandomSource(SEED, 5))
+    assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
+        "0.06330085540745974", "0.061067667256968446", "0.06553404355795102")
+
+
 def test_upper_bound_experiment_smoke():
     report = upper_bound_experiment(Fraction(1, 8), 1, 16, trials=60,
                                     rng=RandomSource(SEED, 6))
@@ -410,7 +420,7 @@ def test_upper_bound_experiment_smoke():
 def test_learning_curve_experiment_smoke():
     eta = Fraction(1, 16)
     inner, _ = build_scheme_1d(eta)
-    scheme = lift_scheme(inner, 1)
+    scheme = PoisoningSchemeD(inner, 1)
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
     report = learning_curve_experiment(learner, BiasVector([inner.endpoint]),
                                        scheme, (4, 8), 300, RandomSource(SEED, 7))

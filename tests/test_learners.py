@@ -7,6 +7,7 @@ import pytest
 
 from poisonlab.core import (
     MINUS,
+    DomainMismatchError,
     Example,
     PLUS,
     BiasVector,
@@ -332,18 +333,50 @@ def test_mc_oracle_reproducible():
     assert 0.0 <= a <= 1.0
 
 
+def _sample_from_histogram(hist, gen):
+    """A Sample whose (point, label) counts are `hist` (shape (d, 2)), rows shuffled."""
+    rows = [(i, label) for i in range(hist.shape[0])
+            for label, c in zip((PLUS, MINUS), hist[i]) for _ in range(int(c))]
+    order = gen.permutation(len(rows))
+    return Sample([rows[k][0] for k in order], [rows[k][1] for k in order])
+
+
 def test_batch_prediction_matches_scalar():
-    hc = HypothesisClass.full(2)
-    learner = ExpMechanismLearner(hc, ExpMechanismConfig(Fraction(1, 8)))
+    # the histogram scorer against prediction_prob on a sample with that histogram
     rng = np.random.default_rng(SEED + 7)
-    n, trials = 6, 40
-    pts = rng.integers(0, 2, size=(trials, n))
-    labs = rng.choice((-1, 1), size=(trials, n)).astype(np.int8)
-    for x in range(2):
-        batch = learner.batch_prediction_probs(pts, labs, x)
-        for t in range(trials):
-            scalar = learner.prediction_prob(Sample(pts[t], labs[t]), x)
-            assert batch[t] == pytest.approx(scalar, abs=1e-12)
+    for hc in (HypothesisClass([[PLUS], [MINUS]]), HypothesisClass.full(2)):
+        learner = ExpMechanismLearner(hc, ExpMechanismConfig(Fraction(1, 8)))
+        d, trials = hc.domain_size, 40
+        sizes = rng.integers(1, 9, size=trials)
+        hists = np.stack([rng.multinomial(n, [1 / (2 * d)] * (2 * d)) for n in sizes])
+        hists = hists.reshape(trials, d, 2)
+        for x in range(d):
+            batch = learner.batch_prediction_probs(hists, x)
+            assert batch.shape == (trials,)
+            for t in range(trials):
+                scalar = learner.prediction_prob(_sample_from_histogram(hists[t], rng), x)
+                assert batch[t] == pytest.approx(scalar, abs=1e-12)
+
+
+def test_batch_prediction_rejects_points_outside_the_domain():
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
+    one_point = np.array([[[2, 1]], [[0, 3]]])
+    for x in (-1, 1):
+        with pytest.raises(DomainMismatchError):
+            learner.batch_prediction_probs(one_point, x)
+    two_points = np.array([[[2, 1], [1, 0]]])
+    with pytest.raises(DomainMismatchError):
+        learner.batch_prediction_probs(two_points, 0)
+    for malformed in (one_point.astype(float), -one_point, np.zeros((1, 1, 2), dtype=int),
+                      one_point[:, :, :1]):
+        with pytest.raises(ValueError):
+            learner.batch_prediction_probs(malformed, 0)
+    # a histogram over fewer points than the domain leaves the rest empty
+    wide = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    got = wide.batch_prediction_probs(one_point, 1)
+    want = [wide.prediction_prob(Sample([0, 0, 0], [PLUS, PLUS, MINUS]), 1),
+            wide.prediction_prob(Sample([0, 0, 0], [MINUS] * 3), 1)]
+    assert got.tolist() == pytest.approx(want, abs=1e-12)
 
 
 def test_learner_predict_uses_prob():
