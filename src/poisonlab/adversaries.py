@@ -31,6 +31,7 @@ from .core import (
     Scalar,
     ball_enumerate,
     corruption_limit,
+    takes_trials,
 )
 
 Predictor = Callable[[Sample, int], float]
@@ -81,22 +82,26 @@ def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget,
     target's label, then arbitrary other rows; rows that already read
     (target point, opposite label) are never touched, so a fully poisoned
     sample is a fixed point. Ascending index within each phase keeps the
-    attack deterministic.
+    attack deterministic. A batch takes an Example of (trials,) point and
+    label arrays and rewrites every trial at once, each phase's rows chosen
+    by a cumulative count against the budget.
     """
-    n = len(sample)
-    limit = budget.max_corruptions(n)
+    limit = budget.max_corruptions(len(sample))
     if limit == 0:
         return sample
-    x, y = target.point, target.label
-    poisoned = Example(x, -y)
-    if alphabet is not None and poisoned not in alphabet:
+    x = np.expand_dims(target.point, -1)  # (1,) for one sample, (trials, 1) for a batch
+    y = np.expand_dims(target.label, -1)
+    poisoned = set(zip(x.ravel().tolist(), (-y).ravel().tolist()))
+    if alphabet is not None and not poisoned <= set(alphabet):
         raise ValueError("alphabet does not admit the poisoned example")
-    at_target_with_y = np.flatnonzero((sample.points == x) & (sample.labels == y)).tolist()
-    elsewhere = np.flatnonzero(sample.points != x).tolist()
-    chosen = (at_target_with_y + elsewhere)[:limit]
-    if not chosen:
+    matching = (sample.points == x) & (sample.labels == y)
+    elsewhere = sample.points != x
+    chosen = matching & (matching.cumsum(axis=-1) <= limit)
+    room = limit - chosen.sum(axis=-1, keepdims=True)
+    chosen |= elsewhere & (elsewhere.cumsum(axis=-1) <= room)
+    if not chosen.any():
         return sample
-    return sample.replace_many(chosen, [poisoned] * len(chosen))
+    return Sample(np.where(chosen, x, sample.points), np.where(chosen, -y, sample.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +284,31 @@ def maximal_coupling_draw(dist_a: ProductBiasDistribution, dist_b: ProductBiasDi
 
 
 class Adversary:
+    """Corrupts a sample knowing the test example. An `attack` marked
+    `takes_trials` also takes a (trials, n) `Sample` with an Example of
+    (trials,) point and label arrays, and corrupts every trial at once."""
+
     name = "adversary"
 
     def attack(self, sample: Sample, target: Example, gen: np.random.Generator) -> Sample:
         raise NotImplementedError
 
+    def attack_trials(self, samples: Sample, targets: Example,
+                      gen: np.random.Generator | None = None) -> Sample:
+        """The corrupted batch: one call when `attack` takes trials; otherwise
+        the row-by-row default, which attacks one sample at a time, in trial
+        order, and stacks the results."""
+        if getattr(type(self).attack, "takes_trials", False):
+            return self.attack(samples, targets, gen)
+        rows = [self.attack(s, Example(x, y), gen)
+                for s, x, y in zip(samples.rows(), targets.point.tolist(), targets.label.tolist())]
+        return Sample(np.stack([r.points for r in rows]), np.stack([r.labels for r in rows]))
+
 
 class IdentityAdversary(Adversary):
     name = "identity"
 
+    @takes_trials
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return sample
 
@@ -298,6 +319,7 @@ class GreedyFlipAdversary(Adversary):
     def __init__(self, budget: AttackBudget):
         self.budget = budget
 
+    @takes_trials
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return greedy_flip_attack(sample, target, self.budget)
 

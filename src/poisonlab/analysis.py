@@ -283,10 +283,6 @@ def exact_f_value(p_oracle: Callable[[Sample], float], u: Scalar, n: int) -> flo
 FOracle = Callable[[int, BiasVector], tuple[float, float]]
 
 
-def constant_f_oracle(value: float) -> FOracle:
-    return lambda i, u: (float(value), 0.0)
-
-
 def oblivious_excess(f_oracle: FOracle, u: BiasVector, scheme) -> tuple[float, float]:
     """Excess of the oblivious poisoned loss at bias u under the given scheme.
 

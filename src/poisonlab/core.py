@@ -73,6 +73,14 @@ def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray
     return out
 
 
+def takes_trials(method):
+    """Mark a learner's `prediction_prob` or an adversary's `attack` as taking a
+    (trials, n) `Sample` with per-trial points or targets in one call. The
+    harness hands an unmarked method one sample at a time."""
+    method.takes_trials = True
+    return method
+
+
 class Example(NamedTuple):
     """One labeled example: a domain point index and a -1/+1 label."""
 
@@ -86,6 +94,10 @@ class Sample:
     Order matters: the Hamming distance between samples is positional, so two
     samples with the same multiset of examples in different orders are
     distinct objects at distance > 0.
+
+    A batch of equal-size samples is one `Sample` of (trials, n) arrays,
+    validated once as a whole; `len` is then n, the size of each sample, and
+    `rows()` yields the trials as one-sample `Sample`s.
     """
 
     __slots__ = ("points", "labels")
@@ -93,9 +105,10 @@ class Sample:
     def __init__(self, points: Sequence[int], labels: Sequence[int]):
         pts = np.asarray(points)
         labs = np.asarray(labels)
-        if pts.ndim != 1 or labs.ndim != 1 or len(pts) != len(labs):
-            raise DimensionMismatchError("points and labels must be equal-length 1-D sequences")
-        if len(pts) == 0:
+        if pts.ndim not in (1, 2) or pts.shape != labs.shape:
+            raise DimensionMismatchError(
+                "points and labels must be equal-shape 1-D sequences or (trials, n) arrays")
+        if pts.size == 0:
             raise ValueError("a sample holds at least one example")
         if pts.dtype.kind not in "iu":
             raise DomainMismatchError(f"point indices must be integers, got dtype {pts.dtype}")
@@ -113,7 +126,31 @@ class Sample:
         return cls([e.point for e in exs], [e.label for e in exs])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.shape[-1]
+
+    @property
+    def batched(self) -> bool:
+        """True for a batch of samples held as (trials, n) arrays."""
+        return self.points.ndim == 2
+
+    def rows(self) -> Iterator["Sample"]:
+        """The samples of a batch, in trial order."""
+        for pts, labs in zip(self.points, self.labels):
+            yield Sample(pts, labs)
+
+    def histograms(self, domain_size: int) -> np.ndarray:
+        """(trials, domain_size, 2) counts of a batch, a one-sample `Sample`
+        counting as one trial: [t, i, 0] counts the rows of trial t reading
+        (i, +1) and [t, i, 1] those reading (i, -1)."""
+        pts = np.atleast_2d(self.points)
+        if int(pts.max()) >= domain_size:
+            raise DomainMismatchError(
+                f"sample contains points outside a domain of size {domain_size}")
+        trials = pts.shape[0]
+        minus = np.atleast_2d(self.labels) == MINUS
+        cell = (np.arange(trials)[:, None] * domain_size + pts) * 2 + minus
+        return np.bincount(cell.ravel(), minlength=trials * domain_size * 2).reshape(
+            trials, domain_size, 2)
 
     def example(self, i: int) -> Example:
         return Example(int(self.points[i]), int(self.labels[i]))
@@ -131,7 +168,8 @@ class Sample:
         return Sample(pts, labs)
 
     def slice(self, index) -> "Sample":
-        return Sample(self.points[index], self.labels[index])
+        """The rows selected by `index`, in every trial of a batch."""
+        return Sample(self.points[..., index], self.labels[..., index])
 
     def key(self) -> bytes:
         """Hashable identity, used for caching per-sample computations."""
@@ -146,6 +184,8 @@ class Sample:
         return hash(self.key())
 
     def __repr__(self) -> str:
+        if self.batched:
+            return f"Sample(trials={self.points.shape[0]}, n={len(self)})"
         items = ", ".join(f"({p},{l:+d})" for p, l in zip(self.points, self.labels))
         return f"Sample[{items}]"
 
@@ -381,12 +421,17 @@ def bayes_loss(dist: ProductBiasDistribution) -> Scalar:
     return sum(min(half - u, half + u) for u in dist.bias.coords) / d
 
 
-def hamming_distance(a: Sample, b: Sample) -> Fraction:
-    """Normalized positional Hamming distance between equal-length samples."""
-    if len(a) != len(b):
+def hamming_distance(a: Sample, b: Sample) -> Fraction | np.ndarray:
+    """Normalized positional Hamming distance between equal-length samples.
+
+    For two batches of equal shape, the per-trial numerators instead: an
+    integer array of the rows each trial moved, to compare against
+    `corruption_limit` without leaving integer arithmetic.
+    """
+    if a.points.shape != b.points.shape:
         raise DimensionMismatchError("samples must have equal length")
-    diff = int(np.count_nonzero((a.points != b.points) | (a.labels != b.labels)))
-    return Fraction(diff, len(a))
+    diff = np.count_nonzero((a.points != b.points) | (a.labels != b.labels), axis=-1)
+    return diff if a.batched else Fraction(int(diff), len(a))
 
 
 def dist_tv(u: BiasVector, v: BiasVector) -> Scalar:
@@ -450,16 +495,25 @@ def draw_sample(dist: ProductBiasDistribution, n: int, rng: RandomSource) -> Sam
     return draw_sample_with(dist, n, rng.generator())
 
 
-def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Generator) -> Sample:
+def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Generator,
+                     trials: int | None = None) -> Sample:
+    """n i.i.d. examples from gen, or a (trials, n) batch of such samples:
+    every point index first, then every label coin, in row-major order."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    pts = gen.integers(0, dist.dimension, size=n)
-    labs = np.where(gen.random(n) < dist._pplus[pts], PLUS, MINUS).astype(np.int8)
+    shape = n if trials is None else (trials, n)
+    pts = gen.integers(0, dist.dimension, size=shape)
+    labs = np.where(gen.random(shape) < dist._pplus[pts], PLUS, MINUS).astype(np.int8)
     return Sample(pts, labs)
 
 
-def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator) -> Example:
-    """One test example drawn from the distribution (same law as draw_sample rows)."""
-    p = int(gen.integers(0, dist.dimension))
-    y = PLUS if gen.random() < dist._pplus[p] else MINUS
-    return Example(p, y)
+def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
+                 trials: int | None = None) -> Example:
+    """One test example drawn from the distribution (same law as draw_sample
+    rows), or one per trial as an Example of (trials,) point and label arrays."""
+    if trials is None:
+        p = int(gen.integers(0, dist.dimension))
+        y = PLUS if gen.random() < dist._pplus[p] else MINUS
+        return Example(p, y)
+    pts = gen.integers(0, dist.dimension, size=trials)
+    return Example(pts, np.where(gen.random(trials) < dist._pplus[pts], PLUS, MINUS))

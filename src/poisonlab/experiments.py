@@ -9,6 +9,12 @@ radius-(j+1) ball is the union of radius-j balls around radius-1 neighbours),
 weighted by the exact sequence weights. Cost: (2d)^n * d oracle calls plus
 k * n * (2d)^n array operations, not one validated `Sample` per ball member.
 
+The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
+its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
+budget-checked and scored by one call per layer. A learner or adversary whose
+method sees one sample at a time goes through its base class's row-by-row
+default within the same chunk.
+
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
 a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
@@ -69,6 +75,11 @@ from .adversaries import (
 from .analysis import estimate_F, oblivious_excess
 
 Z95 = 1.959963984540054
+
+# trials per chunk of mc_adversarial_loss: large enough that a chunk's numpy
+# calls outweigh their fixed cost, small enough that a chunk's arrays stay a
+# small share of the process's memory at the sample sizes of the sweeps
+TRIAL_CHUNK = 64
 
 
 def normal_ci(values: Sequence[float], clip01: bool = True) -> tuple[float, float, float]:
@@ -153,24 +164,33 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     corrupt the sample knowing both, verifies the corruption stayed inside the
     eta-ball (a violation is a hard failure, not a warning), and scores the
     learner's conditional error probability at the test example.
+
+    Trials run in chunks of TRIAL_CHUNK; chunk c draws from
+    `rng.child("trials", c)`, first its (chunk, n) sample rows, then its test
+    examples, then whatever the adversary and the learner draw. Each layer
+    sees the whole chunk in one call (`Adversary.attack_trials`,
+    `Learner.trial_probs`), and scores are kept in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = Fraction(eta)
-    allowed = Fraction(corruption_limit(budget, n), n)
+    limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
     scores: list[float] = []
-    for t in range(trials):
-        gen = rng.child("trial", t).generator()
-        clean = draw_sample_with(dist, n, gen)
-        target = draw_example(dist, gen)
-        corrupted = adversary.attack(clean, target, gen)
+    for c, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+        gen = rng.child("trials", c).generator()
+        size = min(TRIAL_CHUNK, trials - start)
+        clean = draw_sample_with(dist, n, gen, trials=size)
+        targets = draw_example(dist, gen, trials=size)
+        corrupted = adversary.attack_trials(clean, targets, gen)
         moved = hamming_distance(clean, corrupted)
-        if moved > allowed:
-            raise BudgetViolationError(f"adversary {adversary.name} moved {moved} > "
-                                       f"{allowed} allowed by eta={budget} on trial {t}")
-        p = learner.prediction_prob(corrupted, target.point, gen)
-        scores.append(1.0 - p if target.label == PLUS else float(p))
+        over = np.flatnonzero(moved > limit)
+        if over.size:
+            raise BudgetViolationError(
+                f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
+                f"allowed by eta={budget} on trial {start + int(over[0])}")
+        p = learner.trial_probs(corrupted, targets.point, gen)
+        scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,
             "n": n, "eta": str(budget), "d": dist.dimension, "stream": rng.stream}
     meta.update(metadata or {})

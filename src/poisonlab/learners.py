@@ -30,6 +30,7 @@ from .core import (
     RandomSource,
     Sample,
     Scalar,
+    takes_trials,
 )
 
 
@@ -181,8 +182,11 @@ def _split_sizes(n: int) -> tuple[int, int]:
     return n // 2, n - n // 2
 
 
-def _draw_subset(n1: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    return np.sort(gen.choice(n1, size=k, replace=False))
+def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) -> np.ndarray:
+    """Each trial's uniform k-subset of range(n1), unordered: the positions of
+    its k smallest of n1 uniforms, drawn in trial order, so trial t of a batch
+    gets the subset that the t-th of `trials` one-trial draws would get."""
+    return np.argpartition(gen.random((trials, n1)), k - 1, axis=1)[:, :k]
 
 
 def _subset_points(sample: Sample, subset: np.ndarray) -> tuple[int, ...]:
@@ -214,27 +218,6 @@ def public_transform(oracle: PredictionOracle, sample: Sample, x: int, r: float)
     return PLUS if r <= p else MINUS
 
 
-class MonteCarloPredictionOracle:
-    """+1-probability oracle for black-box learners, by inner resampling.
-
-    Each (sample, point) query runs `inner_draws` fresh predictions on child
-    streams keyed by the query, so repeated queries are consistent and the
-    whole oracle is deterministic given its RandomSource.
-    """
-
-    def __init__(self, learner: "Learner", rng: RandomSource, inner_draws: int = 4096):
-        if inner_draws < 1:
-            raise ValueError("inner_draws must be >= 1")
-        self.learner = learner
-        self.rng = rng
-        self.inner_draws = inner_draws
-
-    def __call__(self, sample: Sample, x: int) -> float:
-        gen = self.rng.child("mc-oracle", sample.key(), x).generator()
-        hits = sum(self.learner.predict(sample, x, gen) == PLUS for _ in range(self.inner_draws))
-        return hits / self.inner_draws
-
-
 # ---------------------------------------------------------------------------
 # learner adapters used by the estimation and experiment layers
 
@@ -247,6 +230,9 @@ class Learner:
     exponential mechanism needs none; the subsample rule draws its subset).
     `predict` samples an actual label; the default thresholds a fresh
     uniform, which has the correct marginal law for any rule here.
+
+    A `prediction_prob` marked `takes_trials` also takes a (trials, n)
+    `Sample` with one point per trial and returns one probability per trial.
     """
 
     name = "learner"
@@ -259,9 +245,17 @@ class Learner:
         p = self.prediction_prob(sample, x, gen)
         return PLUS if gen.random() <= p else MINUS
 
-    def expected_prediction(self, sample: Sample, x: int,
-                            gen: np.random.Generator | None = None) -> float:
-        return 2.0 * self.prediction_prob(sample, x, gen) - 1.0
+    def trial_probs(self, samples: Sample, points: np.ndarray,
+                    gen: np.random.Generator | None = None) -> np.ndarray:
+        """prediction_prob of every trial of a batch, each at its own point.
+
+        One call when `prediction_prob` takes trials; otherwise the row-by-row
+        default, which asks it about one sample at a time, in trial order.
+        """
+        if getattr(type(self).prediction_prob, "takes_trials", False):
+            return self.prediction_prob(samples, points, gen)
+        return np.array([float(self.prediction_prob(s, x, gen))
+                         for s, x in zip(samples.rows(), points.tolist())])
 
 
 class ExpMechanismLearner(Learner):
@@ -271,7 +265,11 @@ class ExpMechanismLearner(Learner):
         self.hclass = hclass
         self.config = config
 
-    def prediction_prob(self, sample: Sample, x: int, gen=None) -> float:
+    @takes_trials
+    def prediction_prob(self, sample: Sample, x, gen=None):
+        """A batch is scored through its histograms (`batch_prediction_probs`)."""
+        if sample.batched:
+            return self.batch_prediction_probs(sample.histograms(self.hclass.domain_size), x)
         return predict_prob(self.hclass, sample, x, self.config)
 
     # exact already; the alias lets attackers ask for the averaged oracle
@@ -283,8 +281,9 @@ class ExpMechanismLearner(Learner):
         idx = int(gen.choice(self.hclass.size, p=p / p.sum()))
         return int(self.hclass.values[idx, x])
 
-    def batch_prediction_probs(self, histograms: np.ndarray, x: int) -> np.ndarray:
-        """prediction_prob at x for a batch of samples given as histograms.
+    def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
+        """prediction_prob at x for a batch of samples given as histograms; x is
+        one point for every sample or a (trials,) array of one point each.
 
         `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows of
         sample t reading (i, +1) and (i, -1). The mechanism is exchangeable:
@@ -295,7 +294,14 @@ class ExpMechanismLearner(Learner):
         reads +1 and with the (i, +1) rows where it reads -1, which gives the
         same integer counts as the per-row comparison of `prediction_prob`.
         """
-        if not 0 <= x < self.hclass.domain_size:
+        per_trial = not isinstance(x, (int, np.integer))
+        lo = hi = x
+        if per_trial:
+            x = np.asarray(x)
+            if x.shape != histograms.shape[:1]:
+                raise ValueError("give one point, or one point per histogram")
+            lo, hi = x.min(), x.max()
+        if not 0 <= lo <= hi < self.hclass.domain_size:
             raise DomainMismatchError(
                 f"point {x} outside domain of size {self.hclass.domain_size}")
         if (histograms.ndim != 3 or histograms.shape[2] != 2
@@ -318,6 +324,8 @@ class ExpMechanismLearner(Learner):
         shifted = scores - scores.max(axis=0, keepdims=True)
         w = np.exp(shifted)
         probs = w / w.sum(axis=0, keepdims=True)
+        if per_trial:
+            return np.where(vals[:, x] == PLUS, probs, 0.0).sum(axis=0)
         return probs[vals[:, x] == PLUS].sum(axis=0)
 
 
@@ -349,16 +357,39 @@ class VcSubsampleLearner(Learner):
             raise PreconditionError(f"subsample size {k} exceeds first-half size {n1}")
         return n1, k
 
-    def prediction_prob(self, sample: Sample, x: int,
-                        gen: np.random.Generator | None = None) -> float:
-        """Draws the subset from gen; the threshold coin is integrated out."""
+    @takes_trials
+    def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
+        """Draws each trial's subset from gen; the threshold coin is integrated out.
+
+        For a batch, the class is restricted once per distinct point set the
+        subsets cover, and the second halves of the trials covering it are
+        scored against that restriction as histograms. A batch draws its
+        subsets in trial order, so it agrees with one-sample calls on the same
+        generator.
+        """
         n1, k = self._check(sample)
         if gen is None:
             raise ValueError("the subsample rule needs a generator for its subset draw")
-        subset = _draw_subset(n1, k, gen)
-        sub = _vc_restrict(self.hclass, _subset_points(sample, subset))
-        s2 = sample.slice(slice(n1, len(sample)))
-        return predict_prob(sub, s2, x, self._mechanism)
+        if not sample.batched:
+            sub = _vc_restrict(self.hclass, _subset_points(sample, _draw_subsets(n1, k, gen)[0]))
+            return predict_prob(sub, sample.slice(slice(n1, None)), x, self._mechanism)
+        head = sample.points[:, :n1]
+        trials, domain = head.shape[0], self.hclass.domain_size
+        if int(head.max()) >= domain:
+            raise DomainMismatchError("sample contains points outside the class domain")
+        covered = np.zeros((trials, domain), dtype=bool)
+        covered[np.arange(trials)[:, None],
+                np.take_along_axis(head, _draw_subsets(n1, k, gen, trials), axis=1)] = True
+        hist = sample.slice(slice(n1, None)).histograms(domain)
+        xs = np.broadcast_to(np.asarray(x), (trials,))
+        probs = np.empty(trials)
+        point_sets, which = np.unique(covered, axis=0, return_inverse=True)
+        for g, row in enumerate(point_sets):
+            sel = which.reshape(-1) == g
+            sub = _vc_restrict(self.hclass, tuple(np.flatnonzero(row).tolist()))
+            probs[sel] = ExpMechanismLearner(sub, self._mechanism).batch_prediction_probs(
+                hist[sel], xs[sel])
+        return probs
 
     def mean_prediction_prob(self, sample: Sample, x: int, limit: int = 2000) -> float:
         """Exact +1 probability, averaged over every subset draw (small n only).
@@ -392,22 +423,28 @@ class MajorityVoteLearner(Learner):
             raise ValueError("subsample size must be >= 1")
         self.k = k
 
-    def prediction_prob(self, sample: Sample, x: int,
-                        gen: np.random.Generator | None = None) -> float:
-        """Draws the subset from gen; tie and empty cases return 1/2 exactly."""
-        if self.k > len(sample):
-            raise PreconditionError(f"need n >= {self.k} rows, got {len(sample)}")
-        at_x = np.flatnonzero(sample.points == x)
-        if len(at_x) == 0:
-            return 0.5
-        if len(at_x) > self.k:
+    @takes_trials
+    def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
+        """Votes with a uniform k-subset of the rows at x; tie and empty cases
+        return 1/2 exactly.
+
+        A trial with more than k rows at x keeps the rows holding its k
+        smallest of n uniforms. Only such trials draw, in trial order, so a
+        batch agrees with one-sample calls on the same generator.
+        """
+        n = len(sample)
+        if self.k > n:
+            raise PreconditionError(f"need n >= {self.k} rows, got {n}")
+        votes = np.atleast_2d(sample.points) == np.reshape(x, (-1, 1))
+        thin = np.count_nonzero(votes, axis=1) > self.k
+        if thin.any():
             if gen is None:
                 raise ValueError("majority vote needs a generator to thin its votes")
-            at_x = gen.choice(at_x, size=self.k, replace=False)
-        vote = int(sample.labels[at_x].sum())
-        if vote == 0:
-            return 0.5
-        return 1.0 if vote > 0 else 0.0
+            keys = np.where(votes[thin], gen.random((int(thin.sum()), n)), np.inf)
+            votes[thin] = keys <= np.partition(keys, self.k - 1, axis=1)[:, self.k - 1:self.k]
+        tally = np.where(votes, np.atleast_2d(sample.labels), 0).sum(axis=1)
+        probs = np.where(tally > 0, 1.0, np.where(tally < 0, 0.0, 0.5))
+        return probs if sample.batched else float(probs[0])
 
 
 class ConstantLearner(Learner):

@@ -257,10 +257,8 @@ def check_subsample_law(rng: RandomSource):
 
     n1, k, draws = 6, 2, 6000
     counts = {c: 0 for c in combinations(range(n1), k)}
-    gen = rng.generator()
-    for _ in range(draws):
-        subset = tuple(sorted(int(v) for v in gen.choice(n1, size=k, replace=False)))
-        counts[subset] += 1
+    for subset in learners._draw_subsets(n1, k, rng.generator(), draws).tolist():
+        counts[tuple(sorted(subset))] += 1
     total = math.comb(n1, k)
     expect = draws / total
     sigma = math.sqrt(draws * (1 / total) * (1 - 1 / total))
@@ -581,6 +579,36 @@ def acceptance_public_domination(rng: RandomSource = None, sizes=(2, 4, 8),
     return True, f"public <= private in all {cells} cells; max gap {worst:.3e}"
 
 
+def check_batched_trials(rng: RandomSource):
+    """One chunk of every sweep learner against identity and greedy: the
+    batched attack and scores against the one-sample path, row by row, with
+    the learner's draws on generators in the same state."""
+    eta, d, n = Fraction(1, 16), 2, 64
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    worst = 0.0
+    for learner_id in ("exp-mech", "coupled", "vc", "majority"):
+        learner = experiments.make_learner(learner_id, HypothesisClass.full(d), eta, n,
+                                           dist.bias.coords)
+        for adversary_id in ("identity", "greedy"):
+            adversary = experiments.make_adversary(adversary_id, eta, learner, d)
+            source = rng.child(learner_id, adversary_id)
+            gen = source.generator()
+            clean = core.draw_sample_with(dist, n, gen, trials=experiments.TRIAL_CHUNK)
+            targets = core.draw_example(dist, gen, trials=experiments.TRIAL_CHUNK)
+            batch = adversary.attack_trials(clean, targets, gen)
+            pairs = list(zip(clean.rows(), targets.point.tolist(), targets.label.tolist()))
+            rows = [adversary.attack(s, Example(x, y), gen) for s, x, y in pairs]
+            if list(batch.rows()) != rows:
+                return False, f"{learner_id}/{adversary_id}: batched attack differs from rows"
+            probs = learner.trial_probs(batch, targets.point, source.child("score").generator())
+            gen = source.child("score").generator()
+            one = [learner.prediction_prob(s, x, gen) for s, (_, x, _) in zip(rows, pairs)]
+            worst = max(worst, float(np.max(np.abs(probs - one))))
+    ok = worst <= 1e-12
+    return ok, (f"attacks equal row by row; max |batched - one-sample score| = {worst:.1e} "
+                f"over 8 cells of {experiments.TRIAL_CHUNK} trials (<= 1e-12 required)")
+
+
 def check_sweep_deterministic(rng: RandomSource):
     grid = experiments.SweepGrid(etas=(Fraction(1, 8),), dims=(1,), sizes=(16,),
                                  trials=40, seed=rng.seed)
@@ -632,6 +660,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("experiments.monotone-budget", check_monotone_budget),
     ("experiments.equivalence", acceptance_equivalence),
     ("experiments.public-domination", acceptance_public_domination),
+    ("experiments.batched-trials", check_batched_trials),
     ("experiments.sweep-deterministic", check_sweep_deterministic),
 ]
 

@@ -245,3 +245,34 @@ def test_adversary_adapters():
     adversary = BruteForceAdversary(learner.prediction_prob, budget, full_alphabet(2))
     assert adversary.attack(s, target, gen) == brute_force_attack(
         learner.prediction_prob, s, target, budget, full_alphabet(2))
+
+
+def test_batched_greedy_matches_each_row():
+    rng = np.random.default_rng(SEED + 2)
+    for _ in range(60):
+        trials, n, d = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        batch = Sample(rng.integers(0, d, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+        targets = Example(rng.integers(0, d, size=trials), rng.choice((-1, 1), size=trials))
+        budget = AttackBudget(float(rng.uniform(0, 0.95)))
+        out = greedy_flip_attack(batch, targets, budget)
+        assert out.batched and out.points.shape == (trials, n)
+        want = [greedy_flip_attack(s, Example(x, y), budget)
+                for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
+        assert list(out.rows()) == want
+        moved = hamming_distance(batch, out)
+        assert moved.tolist() == [int(hamming_distance(s, w) * n)
+                                  for s, w in zip(batch.rows(), want)]
+
+
+def test_attack_trials_row_default_for_one_sample_adversaries():
+    # brute force sees one sample at a time; identity and greedy take the batch
+    rng = np.random.default_rng(SEED + 3)
+    batch = Sample(rng.integers(0, 2, size=(5, 4)), rng.choice((-1, 1), size=(5, 4)))
+    targets = Example(rng.integers(0, 2, size=5), rng.choice((-1, 1), size=5))
+    pairs = list(zip(batch.rows(), targets.point.tolist(), targets.label.tolist()))
+    budget = AttackBudget(Fraction(1, 2))
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    for adversary in (IdentityAdversary(), GreedyFlipAdversary(budget),
+                      BruteForceAdversary(learner.prediction_prob, budget, full_alphabet(2))):
+        out = adversary.attack_trials(batch, targets)
+        assert list(out.rows()) == [adversary.attack(s, Example(x, y)) for s, x, y in pairs]

@@ -8,7 +8,6 @@ import pytest
 from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d, identity_scheme
 from poisonlab.analysis import (
     FTable,
-    constant_f_oracle,
     cover_radius,
     estimate_F,
     exact_f_value,
@@ -251,7 +250,7 @@ def test_ftable_accessors():
 def test_oblivious_excess_hand_value():
     # identity scheme, constant F = c: excess = u(1 - 2c) at positive scalar u
     u = BiasVector([Fraction(1, 4)])
-    value, err = oblivious_excess(constant_f_oracle(0.3), u, identity_scheme(1))
+    value, err = oblivious_excess(lambda i, ub: (0.3, 0.0), u, identity_scheme(1))
     assert value == pytest.approx(0.25 * (1 - 2 * 0.3), abs=1e-15)
     assert err == 0.0
 

@@ -31,6 +31,8 @@ from poisonlab.core import (
     Sample,
     ball_enumerate,
     bayes_loss,
+    draw_example,
+    draw_sample_with,
     full_alphabet,
     hamming_distance,
 )
@@ -162,6 +164,59 @@ def test_mc_loss_budget_violation_is_fatal():
     with pytest.raises(BudgetViolationError):
         mc_adversarial_loss(ConstantLearner(PLUS), Violator(), dist, 8,
                             Fraction(1, 8), 5, RandomSource(SEED, 3))
+
+
+def test_mc_loss_budget_violation_names_the_global_trial():
+    class LateViolator(IdentityAdversary):
+        """Sees one sample at a time and oversteps on one trial of the second chunk."""
+
+        calls = 0
+
+        def attack(self, sample, target, gen=None):
+            self.calls += 1
+            if self.calls <= experiments.TRIAL_CHUNK + 5:
+                return sample
+            rows = [Example(target.point, -target.label)] * len(sample)
+            return sample.replace_many(range(len(sample)), rows)
+
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    violator = LateViolator()
+    with pytest.raises(BudgetViolationError,
+                       match=rf"on trial {experiments.TRIAL_CHUNK + 5}$"):
+        mc_adversarial_loss(ConstantLearner(PLUS), violator, dist, 8,
+                            Fraction(1, 8), 3 * experiments.TRIAL_CHUNK, RandomSource(SEED, 3))
+    assert violator.calls == 2 * experiments.TRIAL_CHUNK
+
+
+def _one_sample_loss(learner, adversary, dist, n, trials, rng):
+    """Reference Monte Carlo risk through the one-sample path: per trial a fresh
+    generator, one drawn sample and test example, one attack, one score.
+    Returns the mean and its standard error."""
+    scores = []
+    for t in range(trials):
+        gen = rng.child("reference", t).generator()
+        clean = draw_sample_with(dist, n, gen)
+        target = draw_example(dist, gen)
+        corrupted = adversary.attack(clean, target, gen)
+        assert hamming_distance(clean, corrupted) <= Fraction(1, 16)
+        p = learner.prediction_prob(corrupted, target.point, gen)
+        scores.append(1.0 - p if target.label == PLUS else p)
+    return float(np.mean(scores)), float(np.std(scores, ddof=1) / math.sqrt(trials))
+
+
+def test_batched_mc_loss_agrees_with_the_one_sample_path():
+    # the STREAM_LOCK cells: eta 1/16, d 2, n 64, bias 1/4
+    eta, d, n = Fraction(1, 16), 2, 64
+    bias = BiasVector([Fraction(1, 4)] * d)
+    dist = ProductBiasDistribution(bias)
+    for learner_id, adversary_id in STREAM_LOCK:
+        learner = make_learner(learner_id, HypothesisClass.full(d), eta, n, bias.coords)
+        adversary = make_adversary(adversary_id, eta, learner, d)
+        rng = RandomSource(SEED, 9).child(learner_id, adversary_id)
+        est = mc_adversarial_loss(learner, adversary, dist, n, eta, 2000, rng)
+        ref_mean, ref_se = _one_sample_loss(learner, adversary, dist, n, 4000, rng)
+        se = math.hypot((est.ci_high - est.ci_low) / (2 * experiments.Z95), ref_se)
+        assert abs(est.mean - ref_mean) <= 4.5 * se, (learner_id, adversary_id, est.mean, ref_mean)
 
 
 def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
@@ -500,14 +555,14 @@ def test_run_cell_raises_plain_value_errors_from_the_estimate(monkeypatch):
 # drawn number or arithmetic step of the Monte Carlo path moves them, so only
 # a deliberate stream-layout change, recorded in CHANGES.md, may update them
 STREAM_LOCK = {
-    ("exp-mech", "identity"): ("0.31578381066273337", "0.24849495555847564", "0.38307266576699106"),
-    ("exp-mech", "greedy"): ("0.42163317361661756", "0.361333690755775", "0.48193265647746014"),
-    ("coupled", "identity"): ("0.3520891407698556", "0.2855019794197141", "0.41867630211999707"),
-    ("coupled", "greedy"): ("0.4941188465172043", "0.42245335023653213", "0.5657843427978764"),
-    ("vc", "identity"): ("0.5055834330353439", "0.3853706469523447", "0.6257962191183432"),
-    ("vc", "greedy"): ("0.40465188724070755", "0.30498015454217503", "0.50432361993924"),
-    ("majority", "identity"): ("0.2875", "0.14763837308288172", "0.4273616269171182"),
-    ("majority", "greedy"): ("0.3", "0.1650099831014641", "0.4349900168985359"),
+    ("exp-mech", "identity"): ("0.35906834400032966", "0.285943962631292", "0.4321927253693673"),
+    ("exp-mech", "greedy"): ("0.403024637123684", "0.33846347205613536", "0.4675858021912327"),
+    ("coupled", "identity"): ("0.38293737667108463", "0.3071437220303641", "0.45873103131180515"),
+    ("coupled", "greedy"): ("0.5325257095863464", "0.45921522204818777", "0.605836197124505"),
+    ("vc", "identity"): ("0.5157487176453938", "0.41521999106997587", "0.6162774442208117"),
+    ("vc", "greedy"): ("0.46931995508255425", "0.35583288764431614", "0.5828070225207923"),
+    ("majority", "identity"): ("0.3", "0.18074845229746528", "0.45430018818144935"),
+    ("majority", "greedy"): ("0.35", "0.20876956353401244", "0.4912304364659875"),
 }
 
 

@@ -26,7 +26,6 @@ from poisonlab.learners import (
     ExpMechanismConfig,
     ExpMechanismLearner,
     MajorityVoteLearner,
-    MonteCarloPredictionOracle,
     VcLearnerConfig,
     VcSubsampleLearner,
     coupled_predict,
@@ -323,16 +322,6 @@ def test_public_transform_threshold():
     assert public_transform(lambda *_: 0.7, s, 0, r=0.71) == MINUS
 
 
-def test_mc_oracle_reproducible():
-    config = VcLearnerConfig(Fraction(1, 8), 1)
-    learner = VcSubsampleLearner(HypothesisClass.full(1), config)
-    s = Sample([0] * 9, [PLUS] * 6 + [MINUS] * 3)
-    a = MonteCarloPredictionOracle(learner, RandomSource(SEED, 6), inner_draws=256)(s, 0)
-    b = MonteCarloPredictionOracle(learner, RandomSource(SEED, 6), inner_draws=256)(s, 0)
-    assert a == b
-    assert 0.0 <= a <= 1.0
-
-
 def _sample_from_histogram(hist, gen):
     """A Sample whose (point, label) counts are `hist` (shape (d, 2)), rows shuffled."""
     rows = [(i, label) for i in range(hist.shape[0])
@@ -384,4 +373,72 @@ def test_learner_predict_uses_prob():
     s = Sample([0], [PLUS])
     gen = RandomSource(SEED, 8).generator()
     assert all(learner.predict(s, 0, gen) == PLUS for _ in range(5))
-    assert learner.expected_prediction(s, 0) == 1.0
+
+
+def test_batched_prediction_prob_matches_each_row():
+    # the subsample and majority rules draw from the generator: the batch and
+    # the rows draw the same subsets when their generators start in one state
+    rng = np.random.default_rng(SEED + 9)
+    eta = Fraction(1, 16)
+    for d in (1, 2, 3):
+        hc = HypothesisClass.full(d)
+        rules = [ExpMechanismLearner(hc, ExpMechanismConfig(eta)),
+                 CoupledExpMechanismLearner(hc, ExpMechanismConfig(eta)),
+                 MajorityVoteLearner(5)]
+        if 4 * d * eta < 1:
+            rules.append(VcSubsampleLearner(hc, VcLearnerConfig(eta, d)))
+        for learner in rules:
+            for trials, n in ((1, 16), (7, 16), (40, 24)):
+                batch = Sample(rng.integers(0, d, size=(trials, n)),
+                               rng.choice((-1, 1), size=(trials, n)))
+                xs = rng.integers(0, d, size=trials)
+                got = learner.prediction_prob(batch, xs, RandomSource(SEED, d).generator())
+                gen = RandomSource(SEED, d).generator()
+                want = [learner.prediction_prob(s, x, gen)
+                        for s, x in zip(batch.rows(), xs.tolist())]
+                assert got.shape == (trials,)
+                assert got.tolist() == pytest.approx(want, abs=1e-12), (learner.name, d, trials)
+
+
+def test_majority_thins_only_trials_with_more_than_k_votes():
+    learner = MajorityVoteLearner(2)
+    batch = Sample([[0, 0, 1, 1], [0, 0, 0, 1]], [[PLUS, PLUS, MINUS, MINUS]] * 2)
+    assert learner.prediction_prob(batch, np.array([0, 1])).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="generator"):
+        learner.prediction_prob(batch, np.array([0, 0]))
+    # the generator draws one row of n uniforms per thinned trial only
+    gen, ref = RandomSource(SEED, 9).generator(), RandomSource(SEED, 9).generator()
+    learner.prediction_prob(batch, np.array([0, 0]), gen)
+    ref.random((1, 4))
+    assert gen.random() == ref.random()
+
+
+def test_trial_probs_row_default_for_one_sample_learners():
+    batch = Sample([[0, 1], [1, 1], [2, 0]], [[PLUS, MINUS]] * 3)
+    xs = np.array([0, 1, 2])
+    bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0)))
+    assert bayes.trial_probs(batch, xs).tolist() == [1.0, 0.0, 0.5]
+    assert ConstantLearner(MINUS).trial_probs(batch, xs).tolist() == [0.0, 0.0, 0.0]
+    exp = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
+    assert exp.trial_probs(batch, xs).tolist() == pytest.approx(
+        [exp.prediction_prob(s, x) for s, x in zip(batch.rows(), xs.tolist())], abs=1e-12)
+
+
+def test_batched_subset_draws_average_to_the_exact_rules():
+    # identical trials: the batch mean over drawn subsets against the exact
+    # average over every subset (subsample rule) and a hypergeometric sum (vote)
+    trials = 4000
+    vc = VcSubsampleLearner(HypothesisClass.full(2), VcLearnerConfig(Fraction(1, 16), 2))
+    s = Sample([0, 1, 1, 0, 1, 1, 0, 1] + [0, 1] * 4, [PLUS, MINUS, PLUS, MINUS] * 4)
+    vote = Sample([0, 1, 0, 0, 0, 1, 0], [PLUS, MINUS, MINUS, PLUS, PLUS, MINUS, MINUS])
+    # k = 3 of the five rows at 0 (three +1): the vote is +1 with
+    # probability (C(3,2) C(2,1) + C(3,3)) / C(5,3) = 7/10
+    for learner, sample, exact in ((vc, s, vc.mean_prediction_prob(s, 1)),
+                                   (MajorityVoteLearner(3), vote, 0.7)):
+        batch = Sample(np.tile(sample.points, (trials, 1)), np.tile(sample.labels, (trials, 1)))
+        x = 1 if learner is vc else 0
+        gen = RandomSource(SEED, 10).generator()
+        probs = learner.prediction_prob(batch, np.full(trials, x), gen)
+        se = probs.std(ddof=1) / math.sqrt(trials)
+        assert se > 0
+        assert abs(probs.mean() - exact) <= 4.5 * se, (learner.name, probs.mean(), exact)
