@@ -176,6 +176,11 @@ def uniform_cover_bound(d: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # F-statistic estimation
 
+# class size times trials per scoring call of estimate_F's histogram path: the
+# scorer's (class size, trials) arrays stay near 8 MB for any class, and the
+# small classes of the lower-bound experiments score every trial in one call
+SCORE_BUDGET = 2 ** 20
+
 
 @dataclass(frozen=True)
 class FTable:
@@ -205,18 +210,22 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
 
     Each trial draws one fresh size-n sample from D_u and records
     prediction_prob - 1/2 at every queried point (the learner's internal
-    randomness rides on the trial's generator). Trials are split over a fixed
-    number of child streams and aggregated with fsum, so the result is
-    identical under any parallel schedule of the chunks.
+    randomness rides on the trial's chunk generator). Trials are split over a
+    fixed number of chunks, chunk c drawn from the child stream
+    ("estimate-F", c), and aggregated in chunk order with fsum, so the result
+    does not depend on how the chunks are scheduled.
 
     A learner exposing `batch_prediction_probs` declares itself exchangeable:
     it depends on a sample only through its (point, label) histogram. For
     such a learner a chunk draws its trials' histograms directly, as one
     `multinomial(n, ., size=trials)` call over the 2d atoms in the order
-    (0, +1), (0, -1), (1, +1), ..., and scores the whole chunk at once; the
-    law of each trial is that of an i.i.d. size-n sample, but no rows are
-    drawn. Other learners draw every sample row by row and see it through
-    `prediction_prob`, so the two paths consume their streams differently.
+    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. The chunks' histograms
+    are stacked and scored by one call per query point, or one per slice of
+    at most SCORE_BUDGET // class size trials. Every other learner draws
+    each chunk as one (trials, n) batch of rows and scores it through
+    `Learner.trial_probs`, one call per query point; order-dependent rules
+    such as the subsample rule see the rows. The two paths consume their
+    streams differently, with the same law.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -226,24 +235,26 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     if not query or min(query) < 0 or max(query) >= d:
         raise DomainMismatchError("query points must lie inside the domain")
     chunks = max(1, min(chunks, trials))
+    base, extra = divmod(trials, chunks)
+    sizes = [base + (c < extra) for c in range(chunks)]
     per_point: list[list[float]] = [[] for _ in query]
-    batched = hasattr(learner, "batch_prediction_probs")
-    atom_probs = [float(w) for _, w in dist.atoms()]
-    base = trials // chunks
-    for c in range(chunks):
-        size = base + (1 if c < trials % chunks else 0)
-        if size == 0:
-            continue
-        gen = rng.child("estimate-F", c).generator()
-        if batched:
-            histograms = gen.multinomial(n, atom_probs, size=size).reshape(size, d, 2)
+    if hasattr(learner, "batch_prediction_probs"):
+        atom_probs = [float(w) for _, w in dist.atoms()]
+        histograms = np.concatenate([
+            rng.child("estimate-F", c).generator().multinomial(n, atom_probs, size=size)
+            for c, size in enumerate(sizes)]).reshape(trials, d, 2)
+        step = max(1, SCORE_BUDGET // learner.hclass.size)
+        for qi, x in enumerate(query):
+            for lo in range(0, trials, step):
+                probs = learner.batch_prediction_probs(histograms[lo:lo + step], x)
+                per_point[qi].extend((probs - 0.5).tolist())
+    else:
+        for c, size in enumerate(sizes):
+            gen = rng.child("estimate-F", c).generator()
+            samples = draw_sample_with(dist, n, gen, trials=size)
             for qi, x in enumerate(query):
-                per_point[qi].extend((learner.batch_prediction_probs(histograms, x) - 0.5).tolist())
-        else:
-            for _ in range(size):
-                s = draw_sample_with(dist, n, gen)
-                for qi, x in enumerate(query):
-                    per_point[qi].append(float(learner.prediction_prob(s, x, gen)) - 0.5)
+                probs = learner.trial_probs(samples, np.full(size, x), gen)
+                per_point[qi].extend((probs - 0.5).tolist())
     values = []
     errors = []
     for vals in per_point:
@@ -283,29 +294,34 @@ def exact_f_value(p_oracle: Callable[[Sample], float], u: Scalar, n: int) -> flo
 FOracle = Callable[[int, BiasVector], tuple[float, float]]
 
 
-def oblivious_excess(f_oracle: FOracle, u: BiasVector, scheme) -> tuple[float, float]:
+def oblivious_excess(f_oracle: FOracle, u: BiasVector,
+                     scheme) -> tuple[float, float, list[tuple[tuple, float]]]:
     """Excess of the oblivious poisoned loss at bias u under the given scheme.
 
     The loss averages, over test atoms (i, y), the error mass
     (1/2 + y u_i)(1/2 - y F_i(u')) at the poisoned bias u' = scheme(i, y, u);
     the Bayes loss of the clean distribution is subtracted. The second return
     value is the propagated standard error (the loss is linear in the F
-    values, which are assumed independent across oracle queries).
+    values, which are assumed independent across oracle queries). The third
+    lists, per oracle query in order, its key (i, u'.key()) and the excess's
+    coefficient on that F value, -y (1/2 + y u_i) / d.
     """
     d = u.dimension
     if scheme.dimension != d:
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
     terms = []
     var = 0.0
+    coefficients = []
     for i in range(d):
         for y in (PLUS, MINUS):
             shifted = scheme.apply(i, y, u)
             fv, fse = f_oracle(i, shifted)
-            coef = (Fraction(1, 2) + y * Fraction(u.coords[i])) / d
-            terms.append(float(coef) * (0.5 - y * fv))
-            var += (float(coef) * fse) ** 2
+            coef = float((Fraction(1, 2) + y * Fraction(u.coords[i])) / d)
+            terms.append(coef * (0.5 - y * fv))
+            var += (coef * fse) ** 2
+            coefficients.append(((i, shifted.key()), -y * coef))
     base = bayes_loss(ProductBiasDistribution(u))
-    return math.fsum(terms) - float(base), math.sqrt(var)
+    return math.fsum(terms) - float(base), math.sqrt(var), coefficients
 
 
 # ---------------------------------------------------------------------------

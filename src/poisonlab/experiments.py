@@ -374,10 +374,11 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
                            f_chunks: int = 16) -> LowerBoundReport:
     """Mean oblivious excess of the learner under lifted grid poisoning.
 
-    Draws u from the product of hard distributions `trials_outer` times and
-    evaluates the oblivious excess with F values estimated by `estimate_F`.
-    The hard distribution has finite support, so the excess of each distinct
-    u is computed once, and each required (coordinate, shifted bias) pair is
+    Draws u from the product of hard distributions `trials_outer` times, in
+    trial order from one ("outer",) stream, and evaluates the oblivious excess
+    (`oblivious_excess`) with F values estimated by `estimate_F`. The hard
+    distribution has finite support, so the excess of each distinct u is
+    computed once, and each required (coordinate, shifted bias) pair is
     estimated once with `trials_f` trials and cached; trials still enter the
     mean and the coefficient sums one by one, in trial order. The CI
     combines the outer sampling variance with the propagated standard errors
@@ -401,29 +402,15 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
             cache[key] = (table.values[0], table.std_errors[0])
         return cache[key]
 
-    # per distinct u: its excess and its (F key, coefficient) contributions
-    per_u: dict[tuple, tuple[float, list[tuple[tuple, float]]]] = {}
-
-    def evaluate(u: BiasVector) -> tuple[float, list[tuple[tuple, float]]]:
-        terms = []
-        contributions = []
-        for i in range(d):
-            for y in (PLUS, MINUS):
-                shifted = scheme.apply(i, y, u)
-                fv, _ = f_oracle(i, shifted)
-                coef = float((Fraction(1, 2) + y * u.coords[i]) / d)
-                terms.append(coef * (0.5 - y * fv))
-                contributions.append(((i, shifted.key()), (-y) * coef))
-        excess = math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u)))
-        return excess, contributions
-
+    # per distinct u: its excess, its standard error and its F coefficients
+    per_u: dict[tuple, tuple[float, float, list[tuple[tuple, float]]]] = {}
     excesses: list[float] = []
-    for t in range(trials_outer):
-        gen = rng.child("outer", t).generator()
+    gen = rng.child("outer").generator()
+    for _ in range(trials_outer):
         coords = tuple(hard.sample(gen) for _ in range(d))
         if coords not in per_u:
-            per_u[coords] = evaluate(BiasVector(coords))
-        excess, contributions = per_u[coords]
+            per_u[coords] = oblivious_excess(f_oracle, BiasVector(coords), scheme)
+        excess, _, contributions = per_u[coords]
         excesses.append(excess)
         for key, c in contributions:
             coef_acc[key] = coef_acc.get(key, 0.0) + c
@@ -528,7 +515,7 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
                 cache[key] = (table.values[0], table.std_errors[0])
             return cache[key]
 
-        value, err = oblivious_excess(f_oracle, u, scheme)
+        value, err, _ = oblivious_excess(f_oracle, u, scheme)
         points.append((n, value, err))
     excesses = tuple(p[1] for p in points)
     return CurveReport(u=u, sizes=tuple(p[0] for p in points), excesses=excesses,

@@ -456,7 +456,7 @@ def check_oblivious_zero(rng: RandomSource):
     def bayes_f(i, ub):
         return (0.5 if ub.coords[i] > 0 else -0.5), 0.0
 
-    value, err = analysis.oblivious_excess(bayes_f, u, scheme)
+    value, err, _ = analysis.oblivious_excess(bayes_f, u, scheme)
     ok = abs(value) <= 1e-15 and err == 0.0
     return ok, f"identity scheme + Bayes F gives excess {value:.2e}"
 

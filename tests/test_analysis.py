@@ -5,6 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from poisonlab import analysis
 from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d, identity_scheme
 from poisonlab.analysis import (
     FTable,
@@ -26,12 +27,15 @@ from poisonlab.core import (
     DomainMismatchError,
     HypothesisClass,
     PreconditionError,
+    ProductBiasDistribution,
     RandomSource,
     Sample,
     ball_enumerate,
+    draw_sample_with,
     full_alphabet,
 )
-from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
+from poisonlab.experiments import make_learner
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, Learner
 
 SEED = 77031
 
@@ -188,8 +192,9 @@ def test_estimate_f_reproducible_and_chunk_invariant():
     assert a.values == b.values and a.std_errors == b.std_errors
 
 
-class _Unbatched:
-    """The same learner without `batch_prediction_probs`: estimate_F's scalar path."""
+class _Unbatched(Learner):
+    """The same learner without `batch_prediction_probs`: estimate_F's row path,
+    through `Learner.trial_probs`' row-by-row default."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -240,6 +245,86 @@ def test_estimate_f_rejects_a_bias_outside_the_class_domain():
             estimate_F(which, u, 8, 40, RandomSource(SEED, 8), points=[0])
 
 
+# estimate_F of the full 2-point class at u = (1/8, -1/4), n = 64, 1003
+# trials over 16 chunks, recorded when each chunk was scored by its own call
+ESTIMATE_F_PIN = ("(0.07169469705129915, -0.14180721567698942)",
+                  "(0.0015414519148407397, 0.0014435626593026084)")
+
+
+def _record_calls(monkeypatch, cls, name) -> list:
+    """Wrap cls.name so that every call appends its positional arguments."""
+    calls = []
+    original = getattr(cls, name)
+
+    def recorded(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+def _full_class_f(size: int, rng: RandomSource) -> FTable:
+    learner = ExpMechanismLearner(HypothesisClass.full(size), ExpMechanismConfig(Fraction(1, 4)))
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
+    return estimate_F(learner, u, 64, 1003, rng, chunks=16)
+
+
+def test_estimate_f_histogram_path_pin():
+    table = _full_class_f(2, RandomSource(SEED, 9))
+    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+
+
+def test_estimate_f_scores_all_histograms_in_one_call_per_point(monkeypatch):
+    calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
+    table = _full_class_f(2, RandomSource(SEED, 9))
+    assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
+    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+
+
+def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
+    # 2^11 hypotheses: 2^20 // 2^11 = 512 trials a scoring call, so two per point
+    calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
+    sliced = _full_class_f(11, RandomSource(SEED, 10))
+    assert [(len(hist), x) for hist, x in calls] == [(512, 0), (491, 0), (512, 1), (491, 1)]
+    calls.clear()
+    monkeypatch.setattr(analysis, "SCORE_BUDGET", 2 ** 40)
+    assert _full_class_f(11, RandomSource(SEED, 10)) == sliced
+    assert [len(hist) for hist, _ in calls] == [1003, 1003]
+
+
+def _row_learners(d: int, eta: Fraction, n: int, u: BiasVector):
+    return [make_learner(which, HypothesisClass.full(d), eta, n, u.coords)
+            for which in ("vc", "majority")]
+
+
+def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch):
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
+    for learner in _row_learners(2, Fraction(1, 16), 32, u):
+        calls = _record_calls(monkeypatch, type(learner), "trial_probs")
+        estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), chunks=16)
+        sizes = [7] * 4 + [6] * 12
+        assert [(len(s.points), x.tolist()) for s, x, _ in calls] == [
+            (size, [x] * size) for size in sizes for x in (0, 1)]
+        assert all(s.points.shape[1] == 32 for s, _, _ in calls)
+        monkeypatch.undo()
+
+
+def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
+    n = 32
+    dist = ProductBiasDistribution(u)
+    for learner in _row_learners(2, Fraction(1, 16), n, u):
+        table = estimate_F(learner, u, n, 3000, RandomSource(SEED, 12))
+        gen = RandomSource(SEED, 13).generator()
+        ref = np.array([[learner.prediction_prob(s, x, gen) - 0.5 for x in (0, 1)]
+                        for s in (draw_sample_with(dist, n, gen) for _ in range(1500))])
+        for x in (0, 1):
+            sigma = math.hypot(table.std_error(x), ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
+            assert abs(ref[:, x].mean()) > 2.25 * sigma  # a sign error lands beyond 4.5 sigma
+            assert abs(table.value(x) - ref[:, x].mean()) <= 4.5 * sigma
+
+
 def test_ftable_accessors():
     t = FTable(u=BiasVector([Fraction(0), Fraction(0)]), points=(0, 1),
                values=(0.1, -0.2), std_errors=(0.01, 0.02), n=4, trials=100)
@@ -250,15 +335,17 @@ def test_ftable_accessors():
 def test_oblivious_excess_hand_value():
     # identity scheme, constant F = c: excess = u(1 - 2c) at positive scalar u
     u = BiasVector([Fraction(1, 4)])
-    value, err = oblivious_excess(lambda i, ub: (0.3, 0.0), u, identity_scheme(1))
+    value, err, coefficients = oblivious_excess(lambda i, ub: (0.3, 0.0), u, identity_scheme(1))
     assert value == pytest.approx(0.25 * (1 - 2 * 0.3), abs=1e-15)
     assert err == 0.0
+    # d(excess)/dF at each query: -(1/2 + 1/4) for y = +1, +(1/2 - 1/4) for y = -1
+    assert coefficients == [((0, (Fraction(1, 4),)), -0.75), ((0, (Fraction(1, 4),)), 0.25)]
 
 
 def test_oblivious_excess_error_propagation():
     u = BiasVector([Fraction(1, 4)])
     oracle = lambda i, ub: (0.3, 0.02)
-    _, err = oblivious_excess(oracle, u, identity_scheme(1))
+    _, err, _ = oblivious_excess(oracle, u, identity_scheme(1))
     # coefficients 3/4 and 1/4: err = 0.02 * sqrt(9/16 + 1/16)
     assert err == pytest.approx(0.02 * math.sqrt(10) / 4, abs=1e-15)
 
@@ -274,7 +361,7 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
         return (0.5 if c > 0 else -0.5 if c < 0 else 0.0), 0.0
 
     for v in hard.values():
-        value, _ = oblivious_excess(bayes_f, BiasVector([v]), scheme)
+        value, _, _ = oblivious_excess(bayes_f, BiasVector([v]), scheme)
         assert value >= -1e-15
 
 

@@ -199,6 +199,17 @@ def test_main_curve_emits_bounds(capsys):
     assert float(rows[0]["bound_value"]) == pytest.approx(math.sqrt(1 / 16) / 36)
 
 
+@pytest.mark.parametrize("learner", ["vc", "majority"])
+def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
+    base = ["curve", "--eta", "1/16", "--learner", learner, "--n", "16,32",
+            "--trials", "100", "--format", "json"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(base + ["--out", str(a), "--workers", "1"]) == 0
+    assert main(base + ["--out", str(b), "--workers", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert [row["learner"] for row in json.loads(a.read_text())] == [learner, learner]
+
+
 def test_main_error_rows_from_infeasible_cells(capsys):
     # vc learner cannot run at eta = 1/4, d = 2: the row records the error
     assert main(["sweep", "--eta", "1/4", "--d", "2", "--n", "8",
