@@ -19,7 +19,6 @@ from .adversaries import (
     build_scheme_1d,
     greedy_flip_attack,
     identity_scheme,
-    maximal_coupling_draw,
 )
 from .analysis import (
     FTable,
@@ -54,7 +53,6 @@ from .core import (
     ball_enumerate,
     bayes_loss,
     corruption_limit,
-    dist_tv,
     draw_sample,
     full_alphabet,
     hamming_distance,
@@ -98,14 +96,11 @@ from .learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
-    coupled_predict,
     exp_mechanism_dist,
     exp_mechanism_log_dist,
-    exp_mechanism_sample,
     flip_bound,
     flip_probability,
     predict_prob,
-    public_transform,
 )
 from .verify import run_checks
 

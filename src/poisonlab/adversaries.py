@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,17 +24,13 @@ from .core import (
     PLUS,
     BiasVector,
     Example,
+    PredictionOracle,
     PreconditionError,
-    ProductBiasDistribution,
-    RandomSource,
     Sample,
     Scalar,
     ball_enumerate,
     corruption_limit,
-    takes_trials,
 )
-
-Predictor = Callable[[Sample, int], float]
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class AttackBudget:
         return corruption_limit(self.eta, n)
 
 
-def brute_force_attack(predictor: Predictor, sample: Sample, target: Example,
+def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Example,
                        budget: AttackBudget, alphabet: Sequence[Example],
                        cap: int = 10_000_000, max_corruptions: int | None = 3) -> Sample:
     """Exact worst-case corruption: argmax of the learner's error probability
@@ -236,79 +232,25 @@ def identity_scheme(dimension: int) -> PoisoningSchemeD:
     return PoisoningSchemeD(_IdentityInner(), dimension)
 
 
-def maximal_coupling_draw(dist_a: ProductBiasDistribution, dist_b: ProductBiasDistribution,
-                          rng: RandomSource) -> tuple[Example, Example]:
-    """One draw from a maximal coupling of two product bias distributions.
-
-    A single shared uniform is inverted against the overlap measure
-    min(p, q) first and the two excess measures past it, over the fixed
-    canonical atom order. The draws agree with probability exactly 1 - TV and
-    each marginal is exact.
-    """
-    if dist_a.dimension != dist_b.dimension:
-        raise ValueError("distributions must share a domain")
-    atoms = [ex for ex, _ in dist_a.atoms()]
-    p = [w for _, w in dist_a.atoms()]
-    q = [w for _, w in dist_b.atoms()]
-    overlap = [min(a, b) for a, b in zip(p, q)]
-    total_overlap = sum(overlap)
-    r = rng.generator().random()
-    if r < total_overlap:
-        cum = 0
-        for ex, w in zip(atoms, overlap):
-            cum += w
-            if r < cum:
-                return ex, ex
-        return atoms[-1], atoms[-1]
-
-    def invert_excess(measure, v):
-        cum = 0
-        chosen = None
-        for ex, w in zip(atoms, measure):
-            cum += w
-            if v < cum and w > 0:
-                chosen = ex
-                break
-        if chosen is None:
-            chosen = next(ex for ex, w in reversed(list(zip(atoms, measure))) if w > 0)
-        return chosen
-
-    v = r - total_overlap
-    excess_a = [a - o for a, o in zip(p, overlap)]
-    excess_b = [b - o for b, o in zip(q, overlap)]
-    return invert_excess(excess_a, v), invert_excess(excess_b, v)
-
-
 # ---------------------------------------------------------------------------
 # adversary adapters used by the Monte Carlo harness
 
 
 class Adversary:
-    """Corrupts a sample knowing the test example. An `attack` marked
-    `takes_trials` also takes a (trials, n) `Sample` with an Example of
-    (trials,) point and label arrays, and corrupts every trial at once."""
+    """Corrupts a sample knowing the test example: given one `Sample` and an
+    Example, or a (trials, n) `Sample` and an Example of (trials,) point and
+    label arrays, it returns the corrupted sample or batch of the same shape."""
 
     name = "adversary"
 
-    def attack(self, sample: Sample, target: Example, gen: np.random.Generator) -> Sample:
+    def attack(self, sample: Sample, target: Example,
+               gen: np.random.Generator | None = None) -> Sample:
         raise NotImplementedError
-
-    def attack_trials(self, samples: Sample, targets: Example,
-                      gen: np.random.Generator | None = None) -> Sample:
-        """The corrupted batch: one call when `attack` takes trials; otherwise
-        the row-by-row default, which attacks one sample at a time, in trial
-        order, and stacks the results."""
-        if getattr(type(self).attack, "takes_trials", False):
-            return self.attack(samples, targets, gen)
-        rows = [self.attack(s, Example(x, y), gen)
-                for s, x, y in zip(samples.rows(), targets.point.tolist(), targets.label.tolist())]
-        return Sample(np.stack([r.points for r in rows]), np.stack([r.labels for r in rows]))
 
 
 class IdentityAdversary(Adversary):
     name = "identity"
 
-    @takes_trials
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return sample
 
@@ -319,7 +261,6 @@ class GreedyFlipAdversary(Adversary):
     def __init__(self, budget: AttackBudget):
         self.budget = budget
 
-    @takes_trials
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return greedy_flip_attack(sample, target, self.budget)
 
@@ -327,8 +268,9 @@ class GreedyFlipAdversary(Adversary):
 class BruteForceAdversary(Adversary):
     name = "brute-force"
 
-    def __init__(self, predictor: Predictor, budget: AttackBudget, alphabet: Sequence[Example],
-                 cap: int = 10_000_000, max_corruptions: int | None = 3):
+    def __init__(self, predictor: PredictionOracle, budget: AttackBudget,
+                 alphabet: Sequence[Example], cap: int = 10_000_000,
+                 max_corruptions: int | None = 3):
         self.predictor = predictor
         self.budget = budget
         self.alphabet = list(alphabet)
@@ -336,6 +278,13 @@ class BruteForceAdversary(Adversary):
         self.max_corruptions = max_corruptions
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
+        """The worst sample of each ball. The search asks the oracle about one
+        sample at a time, so a batch is searched one trial at a time, in
+        trial order, and the results are stacked."""
+        if sample.batched:
+            rows = [self.attack(s, Example(x, y)) for s, x, y in
+                    zip(sample.rows(), target.point.tolist(), target.label.tolist())]
+            return Sample(np.stack([r.points for r in rows]), np.stack([r.labels for r in rows]))
         return brute_force_attack(self.predictor, sample, target, self.budget,
                                   self.alphabet, cap=self.cap,
                                   max_corruptions=self.max_corruptions)

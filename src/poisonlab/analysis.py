@@ -32,7 +32,13 @@ from .core import (
     draw_sample_with,
     hamming_distance,
 )
-from .learners import ExpMechanismConfig, exp_mechanism_log_dist, predict_prob
+from .learners import (
+    ExpMechanismConfig,
+    exp_mechanism_log_dist,
+    flip_bound,
+    flip_probability,
+    one_per_trial,
+)
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,16 @@ class FTable:
         return self.std_errors[self.points.index(point)]
 
 
+def _mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
+    """The fsum mean of the values and the unbiased estimate of that mean's
+    variance, sum of squared deviations / (t - 1) / t; 0.0 for one value."""
+    t = len(values)
+    mean = math.fsum(values) / t
+    if t == 1:
+        return mean, 0.0
+    return mean, math.fsum((v - mean) ** 2 for v in values) / (t - 1) / t
+
+
 def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
                points: Sequence[int] | None = None, chunks: int = 16) -> FTable:
     """Monte Carlo estimate of the learner's F values at bias vector u.
@@ -222,10 +238,11 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     (0, +1), (0, -1), (1, +1), ...; no rows are drawn. The chunks' histograms
     are stacked and scored by one call per query point, or one per slice of
     at most SCORE_BUDGET // class size trials. Every other learner draws
-    each chunk as one (trials, n) batch of rows and scores it through
-    `Learner.trial_probs`, one call per query point; order-dependent rules
-    such as the subsample rule see the rows. The two paths consume their
-    streams differently, with the same law.
+    each chunk as one (trials, n) batch of rows and scores it with one
+    `prediction_prob` call per query point, which must return one
+    probability per trial; order-dependent rules such as the subsample rule
+    see the rows. The two paths consume their streams differently, with the
+    same law.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -253,20 +270,12 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
             gen = rng.child("estimate-F", c).generator()
             samples = draw_sample_with(dist, n, gen, trials=size)
             for qi, x in enumerate(query):
-                probs = learner.trial_probs(samples, np.full(size, x), gen)
+                probs = one_per_trial(
+                    learner, learner.prediction_prob(samples, np.full(size, x), gen), size)
                 per_point[qi].extend((probs - 0.5).tolist())
-    values = []
-    errors = []
-    for vals in per_point:
-        mean = math.fsum(vals) / trials
-        if trials > 1:
-            var = math.fsum((v - mean) ** 2 for v in vals) / (trials - 1)
-            errors.append(math.sqrt(var / trials))
-        else:
-            errors.append(0.0)
-        values.append(mean)
-    return FTable(u=u, points=query, values=tuple(values), std_errors=tuple(errors),
-                  n=n, trials=trials)
+    moments = [_mean_and_variance(vals) for vals in per_point]
+    return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
+                  std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
 
 
 def exact_f_value(p_oracle: Callable[[Sample], float], u: Scalar, n: int) -> float:
@@ -360,10 +369,8 @@ def stability_certificate(hclass: HypothesisClass, a: Sample, b: Sample,
     lb = exp_mechanism_log_dist(hclass, b, config)
     gaps = tuple(float(g) for g in (la - lb))
     max_gap = max(abs(g) for g in gaps)
-    flip_bound_value = 2.0 * ratio_bound
-    flips = tuple(
-        abs(predict_prob(hclass, a, x, config) - predict_prob(hclass, b, x, config))
-        for x in range(hclass.domain_size))
+    flip_bound_value = flip_bound(config, hclass.size)
+    flips = tuple(flip_probability(hclass, a, b, x, config) for x in range(hclass.domain_size))
     max_flip = max(flips)
     return StabilityReport(
         eta=config.eta, temperature=t, distance=dist,

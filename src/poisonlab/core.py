@@ -12,7 +12,7 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -71,14 +71,6 @@ def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray
     out = values.astype(np.int8, copy=False)
     out.setflags(write=False)
     return out
-
-
-def takes_trials(method):
-    """Mark a learner's `prediction_prob` or an adversary's `attack` as taking a
-    (trials, n) `Sample` with per-trial points or targets in one call. The
-    harness hands an unmarked method one sample at a time."""
-    method.takes_trials = True
-    return method
 
 
 class Example(NamedTuple):
@@ -188,6 +180,11 @@ class Sample:
             return f"Sample(trials={self.points.shape[0]}, n={len(self)})"
         items = ", ".join(f"({p},{l:+d})" for p, l in zip(self.points, self.labels))
         return f"Sample[{items}]"
+
+
+# a learner's +1 probability at a point given one sample, as the exact
+# evaluators and the ball-search attacker consume it
+PredictionOracle = Callable[[Sample, int], float]
 
 
 class Hypothesis:
@@ -432,14 +429,6 @@ def hamming_distance(a: Sample, b: Sample) -> Fraction | np.ndarray:
         raise DimensionMismatchError("samples must have equal length")
     diff = np.count_nonzero((a.points != b.points) | (a.labels != b.labels), axis=-1)
     return diff if a.batched else Fraction(int(diff), len(a))
-
-
-def dist_tv(u: BiasVector, v: BiasVector) -> Scalar:
-    """Distance between bias vectors: (1/d) * l1 norm, equal to the TV
-    distance between the induced product distributions."""
-    if u.dimension != v.dimension:
-        raise DimensionMismatchError("bias vectors must share a dimension")
-    return sum(abs(a - b) for a, b in zip(u.coords, v.coords)) / u.dimension
 
 
 def corruption_limit(eta: Scalar, n: int) -> int:

@@ -11,9 +11,8 @@ k * n * (2d)^n array operations, not one validated `Sample` per ball member.
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
-budget-checked and scored by one call per layer. A learner or adversary whose
-method sees one sample at a time goes through its base class's row-by-row
-default within the same chunk.
+budget-checked and scored by one call per layer, `Adversary.attack` and
+`Learner.prediction_prob` each taking the whole batch.
 
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
@@ -27,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .core import (
     EnumerationTooLargeError,
     Example,
     HypothesisClass,
+    PredictionOracle,
     PreconditionError,
     ProductBiasDistribution,
     RandomSource,
@@ -62,6 +62,7 @@ from .learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
+    one_per_trial,
 )
 from .adversaries import (
     Adversary,
@@ -72,7 +73,7 @@ from .adversaries import (
     PoisoningSchemeD,
     build_scheme_1d,
 )
-from .analysis import estimate_F, oblivious_excess
+from .analysis import _mean_and_variance, estimate_F, oblivious_excess
 
 Z95 = 1.959963984540054
 
@@ -84,13 +85,8 @@ TRIAL_CHUNK = 64
 
 def normal_ci(values: Sequence[float], clip01: bool = True) -> tuple[float, float, float]:
     """Mean and normal-approximation 95% CI from per-trial scores."""
-    t = len(values)
-    mean = math.fsum(values) / t
-    if t > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (t - 1)
-        half = Z95 * math.sqrt(var / t)
-    else:
-        half = 0.0
+    mean, var = _mean_and_variance(values)
+    half = Z95 * math.sqrt(var)
     lo, hi = mean - half, mean + half
     if clip01:
         lo, hi = max(0.0, lo), min(1.0, hi)
@@ -168,8 +164,10 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     Trials run in chunks of TRIAL_CHUNK; chunk c draws from
     `rng.child("trials", c)`, first its (chunk, n) sample rows, then its test
     examples, then whatever the adversary and the learner draw. Each layer
-    sees the whole chunk in one call (`Adversary.attack_trials`,
-    `Learner.trial_probs`), and scores are kept in trial order.
+    sees the whole chunk in one call (`adversary.attack`,
+    `learner.prediction_prob`), and scores are kept in trial order. A
+    learner that does not return one probability per trial raises
+    ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -182,14 +180,14 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
         size = min(TRIAL_CHUNK, trials - start)
         clean = draw_sample_with(dist, n, gen, trials=size)
         targets = draw_example(dist, gen, trials=size)
-        corrupted = adversary.attack_trials(clean, targets, gen)
+        corrupted = adversary.attack(clean, targets, gen)
         moved = hamming_distance(clean, corrupted)
         over = np.flatnonzero(moved > limit)
         if over.size:
             raise BudgetViolationError(
                 f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
                 f"allowed by eta={budget} on trial {start + int(over[0])}")
-        p = learner.trial_probs(corrupted, targets.point, gen)
+        p = one_per_trial(learner, learner.prediction_prob(corrupted, targets.point, gen), size)
         scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,
             "n": n, "eta": str(budget), "d": dist.dimension, "stream": rng.stream}
@@ -199,8 +197,6 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 
 # ---------------------------------------------------------------------------
 # exact evaluators at desk scale
-
-PredictionOracle = Callable[[Sample, int], float]
 
 
 def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int,
@@ -415,9 +411,7 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
         for key, c in contributions:
             coef_acc[key] = coef_acc.get(key, 0.0) + c
 
-    mean = math.fsum(excesses) / trials_outer
-    outer_var = (math.fsum((v - mean) ** 2 for v in excesses) / (trials_outer - 1) / trials_outer
-                 if trials_outer > 1 else 0.0)
+    mean, outer_var = _mean_and_variance(excesses)
     f_var = math.fsum((acc / trials_outer * cache[key][1]) ** 2
                       for key, acc in coef_acc.items())
     half = Z95 * math.sqrt(outer_var + f_var)

@@ -4,9 +4,13 @@ The central rule is the exponential mechanism: pick hypothesis h with
 probability proportional to exp(-t * empirical_loss(h)). Its prediction at a
 point is Rao-Blackwellizable (the +1 probability mass is an exact partial
 sum), which the harness exploits everywhere. The other rules here are the
-coupled thresholding variant, the split-and-subsample rule for classes of
-bounded VC dimension, a subsampled majority vote, and the thresholding
-transform that turns private-coin learners into public-coin ones.
+coupled thresholding variant (the same prediction law under its own name),
+the split-and-subsample rule for classes of bounded VC dimension, a
+subsampled majority vote, and Bayes and constant baselines.
+
+Every learner speaks one protocol, `Learner.prediction_prob`: the +1
+probability given one `Sample` at one point, or given a (trials, n) batch at
+one point per trial, with the learner's coins drawn from the generator.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +29,9 @@ from .core import (
     DomainMismatchError,
     EnumerationTooLargeError,
     HypothesisClass,
-    Hypothesis,
     PreconditionError,
-    RandomSource,
     Sample,
     Scalar,
-    takes_trials,
 )
 
 
@@ -103,14 +104,6 @@ def exp_mechanism_log_dist(hclass: HypothesisClass, sample: Sample,
     return shifted - math.log(np.exp(shifted).sum())
 
 
-def exp_mechanism_sample(hclass: HypothesisClass, sample: Sample,
-                         config: ExpMechanismConfig, rng: RandomSource) -> Hypothesis:
-    """Draw one hypothesis from the mechanism."""
-    p = exp_mechanism_dist(hclass, sample, config)
-    idx = int(rng.generator().choice(hclass.size, p=p / p.sum()))
-    return hclass.hypothesis(idx)
-
-
 def predict_prob(hclass: HypothesisClass, sample: Sample, x: int,
                  config: ExpMechanismConfig) -> float:
     """Probability that the mechanism's drawn hypothesis labels x as +1.
@@ -124,21 +117,10 @@ def predict_prob(hclass: HypothesisClass, sample: Sample, x: int,
     return float(p[hclass.values[:, x] == PLUS].sum())
 
 
-def coupled_predict(hclass: HypothesisClass, sample: Sample, x: int,
-                    config: ExpMechanismConfig, r: float) -> int:
-    """Threshold the shared uniform r against the +1 mass: +1 iff r <= p_plus.
-
-    Running this with the same r on two nearby samples makes the two
-    predictions disagree with probability exactly |p_plus - p_plus'|.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    return PLUS if r <= predict_prob(hclass, sample, x, config) else MINUS
-
-
 def flip_probability(hclass: HypothesisClass, a: Sample, b: Sample, x: int,
                      config: ExpMechanismConfig) -> float:
-    """P(coupled predictions at x differ) for samples a and b under a shared r."""
+    """P(coupled predictions at x differ) for samples a and b under a shared
+    uniform r, each predicting +1 iff r <= its +1 probability."""
     return abs(predict_prob(hclass, a, x, config) - predict_prob(hclass, b, x, config))
 
 
@@ -200,62 +182,37 @@ def _vc_restrict(hclass: HypothesisClass, pts: tuple[int, ...]) -> HypothesisCla
     return restrict_dedupe(hclass, pts).representatives
 
 
-PredictionOracle = Callable[[Sample, int], float]
-
-
-def public_transform(oracle: PredictionOracle, sample: Sample, x: int, r: float) -> int:
-    """Public-coin learner from a +1-probability oracle: +1 iff r <= oracle(S, x).
-
-    Monotone in both arguments by construction: raising the oracle value or
-    lowering r can only move the output toward +1. The output's law over
-    uniform r matches the private learner's prediction law exactly.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    p = oracle(sample, x)
-    if not -1e-12 <= p <= 1 + 1e-12:
-        raise ValueError(f"oracle returned {p}, not a probability")
-    return PLUS if r <= p else MINUS
-
-
 # ---------------------------------------------------------------------------
 # learner adapters used by the estimation and experiment layers
 
 
 class Learner:
-    """Minimal interface the harness consumes.
+    """The one interface the harness consumes.
 
-    `prediction_prob` returns P(prediction = +1 | sample), conditioning on
-    whatever internal randomness the learner draws from `gen` (the
-    exponential mechanism needs none; the subsample rule draws its subset).
-    `predict` samples an actual label; the default thresholds a fresh
-    uniform, which has the correct marginal law for any rule here.
-
-    A `prediction_prob` marked `takes_trials` also takes a (trials, n)
-    `Sample` with one point per trial and returns one probability per trial.
+    `prediction_prob(sample, x, gen)` returns P(prediction = +1 | sample),
+    conditioning on whatever internal randomness the learner draws from
+    `gen` (the exponential mechanism needs none; the subsample rule draws its
+    subset). Given a one-sample `Sample` and a point it returns a float;
+    given a (trials, n) `Sample` and a (trials,) array of points it returns
+    a (trials,) array, trial t scored at its own point, drawing its coins in
+    trial order so that the batch agrees with one-sample calls on a
+    generator in the same state.
     """
 
     name = "learner"
 
-    def prediction_prob(self, sample: Sample, x: int,
-                        gen: np.random.Generator | None = None) -> float:
+    def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         raise NotImplementedError
 
-    def predict(self, sample: Sample, x: int, gen: np.random.Generator) -> int:
-        p = self.prediction_prob(sample, x, gen)
-        return PLUS if gen.random() <= p else MINUS
 
-    def trial_probs(self, samples: Sample, points: np.ndarray,
-                    gen: np.random.Generator | None = None) -> np.ndarray:
-        """prediction_prob of every trial of a batch, each at its own point.
-
-        One call when `prediction_prob` takes trials; otherwise the row-by-row
-        default, which asks it about one sample at a time, in trial order.
-        """
-        if getattr(type(self).prediction_prob, "takes_trials", False):
-            return self.prediction_prob(samples, points, gen)
-        return np.array([float(self.prediction_prob(s, x, gen))
-                         for s, x in zip(samples.rows(), points.tolist())])
+def one_per_trial(learner: Learner, probs, trials: int) -> np.ndarray:
+    """`probs`, returned by `learner.prediction_prob` for a batch of `trials`
+    samples, as a float array; anything but one probability per trial (say,
+    the scalar of a learner written for one sample at a time) is an error."""
+    if np.shape(probs) != (trials,):
+        raise ValueError(f"learner {learner.name!r} returned shape {np.shape(probs)} for a "
+                         f"batch of {trials} trials; give one probability per trial")
+    return np.asarray(probs, dtype=np.float64)
 
 
 class ExpMechanismLearner(Learner):
@@ -265,7 +222,6 @@ class ExpMechanismLearner(Learner):
         self.hclass = hclass
         self.config = config
 
-    @takes_trials
     def prediction_prob(self, sample: Sample, x, gen=None):
         """A batch is scored through its histograms (`batch_prediction_probs`)."""
         if sample.batched:
@@ -275,11 +231,6 @@ class ExpMechanismLearner(Learner):
     # exact already; the alias lets attackers ask for the averaged oracle
     def mean_prediction_prob(self, sample: Sample, x: int) -> float:
         return self.prediction_prob(sample, x)
-
-    def predict(self, sample: Sample, x: int, gen: np.random.Generator) -> int:
-        p = exp_mechanism_dist(self.hclass, sample, self.config)
-        idx = int(gen.choice(self.hclass.size, p=p / p.sum()))
-        return int(self.hclass.values[idx, x])
 
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
         """prediction_prob at x for a batch of samples given as histograms; x is
@@ -330,13 +281,12 @@ class ExpMechanismLearner(Learner):
 
 
 class CoupledExpMechanismLearner(ExpMechanismLearner):
-    """Same prediction law; `predict` thresholds a shared uniform instead of
-    sampling a hypothesis, matching the coupled rule's semantics."""
+    """The coupled rule: it predicts +1 iff a shared uniform falls at or
+    below the mechanism's +1 probability, so its prediction law, the only
+    thing the harness scores, is the mechanism's. It keeps its own name,
+    which selects it and enters the stream hash of its sweep cells."""
 
     name = "coupled"
-
-    def predict(self, sample: Sample, x: int, gen: np.random.Generator) -> int:
-        return PLUS if gen.random() <= self.prediction_prob(sample, x) else MINUS
 
 
 class VcSubsampleLearner(Learner):
@@ -357,7 +307,6 @@ class VcSubsampleLearner(Learner):
             raise PreconditionError(f"subsample size {k} exceeds first-half size {n1}")
         return n1, k
 
-    @takes_trials
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         """Draws each trial's subset from gen; the threshold coin is integrated out.
 
@@ -423,7 +372,6 @@ class MajorityVoteLearner(Learner):
             raise ValueError("subsample size must be >= 1")
         self.k = k
 
-    @takes_trials
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         """Votes with a uniform k-subset of the rows at x; tie and empty cases
         return 1/2 exactly.
@@ -456,8 +404,9 @@ class ConstantLearner(Learner):
         self.label = label
         self.name = f"constant{label:+d}"
 
-    def prediction_prob(self, sample: Sample, x: int, gen=None) -> float:
-        return 1.0 if self.label == PLUS else 0.0
+    def prediction_prob(self, sample: Sample, x, gen=None):
+        p = 1.0 if self.label == PLUS else 0.0
+        return np.full(sample.points.shape[0], p) if sample.batched else p
 
 
 class BayesLearner(Learner):
@@ -467,11 +416,9 @@ class BayesLearner(Learner):
 
     def __init__(self, coords: Sequence[Scalar]):
         self.coords = tuple(coords)
+        self._probs = np.array([1.0 if u > 0 else 0.0 if u < 0 else 0.5 for u in self.coords])
 
-    def prediction_prob(self, sample: Sample, x: int, gen=None) -> float:
-        u = self.coords[x]
-        if u > 0:
-            return 1.0
-        if u < 0:
-            return 0.0
-        return 0.5
+    def prediction_prob(self, sample: Sample, x, gen=None):
+        """The sign of the bias at x, read off a table built once; the sample is ignored."""
+        p = self._probs[x]
+        return p if sample.batched else float(p)

@@ -29,7 +29,6 @@ from .core import (
     Sample,
     ball_enumerate,
     bayes_loss,
-    dist_tv,
     full_alphabet,
     hamming_distance,
     population_loss,
@@ -267,24 +266,6 @@ def check_subsample_law(rng: RandomSource):
     return ok, f"max |count - {expect:.0f}| = {worst:.0f} over {total} subsets (4.5 sigma = {4.5*sigma:.0f})"
 
 
-def check_public_monotone(rng: RandomSource):
-    gen = rng.generator()
-    for _ in range(200):
-        p1, p2 = sorted(gen.random(2))
-        r = float(gen.random())
-        s = Sample([0], [PLUS])
-        lo = learners.public_transform(lambda *_: float(p1), s, 0, r)
-        hi = learners.public_transform(lambda *_: float(p2), s, 0, r)
-        if lo == PLUS and hi == MINUS:
-            return False, "raising the oracle value flipped +1 to -1"
-        r1, r2 = sorted(gen.random(2))
-        a = learners.public_transform(lambda *_: float(p1), s, 0, float(r1))
-        b = learners.public_transform(lambda *_: float(p1), s, 0, float(r2))
-        if a == MINUS and b == PLUS:
-            return False, "raising r flipped -1 to +1"
-    return True, "monotone in oracle value and in r on 200 random quadruples"
-
-
 # ---------------------------------------------------------------------------
 # adversary invariants
 
@@ -359,34 +340,6 @@ def check_hard_distribution(rng: RandomSource):
         if values[0] != -scheme.endpoint or values[-1] != scheme.endpoint:
             return False, "endpoints missing"
     return True, "mass 1, span within [sqrt(eta)/2, sqrt(eta)], endpoints present"
-
-
-def check_coupling(rng: RandomSource):
-    ua = BiasVector([Fraction(0)])
-    ub = BiasVector([Fraction(1, 16)])
-    da, db = ProductBiasDistribution(ua), ProductBiasDistribution(ub)
-    tv = dist_tv(ua, ub)
-    draws = 20_000
-    agree = 0
-    count_a_plus = 0
-    count_b_plus = 0
-    for t in range(draws):
-        za, zb = adversaries.maximal_coupling_draw(da, db, rng.child("mc", t))
-        agree += za == zb
-        count_a_plus += za.label == PLUS
-        count_b_plus += zb.label == PLUS
-    sigma = math.sqrt(draws * float(tv) * (1 - float(tv)))
-    if abs(agree - draws * (1 - float(tv))) > 4.5 * sigma:
-        return False, f"agreement rate off: {agree}/{draws} vs 1-TV={1-float(tv)}"
-    for count, dist in ((count_a_plus, da), (count_b_plus, db)):
-        p = float(dist.atom_probability(0, PLUS))
-        s = math.sqrt(draws * p * (1 - p))
-        if abs(count - draws * p) > 4.5 * s:
-            return False, "marginal +1 frequency off"
-    za, zb = adversaries.maximal_coupling_draw(da, da, rng.child("same"))
-    if za != zb:
-        return False, "identical distributions must agree surely"
-    return True, f"agreement within 4.5 sigma of 1-TV and exact marginals at {draws} draws"
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +432,14 @@ def check_stability_certificate(rng: RandomSource):
 
 def check_budget_guard(rng: RandomSource):
     class Violator(adversaries.Adversary):
+        """Rewrites every row of every trial to (target point, opposite label)."""
+
         name = "violator"
 
         def attack(self, sample, target, gen=None):
-            return sample.replace_many(range(len(sample)),
-                                       [Example(target.point, -target.label)] * len(sample))
+            x, y = np.expand_dims(target.point, -1), np.expand_dims(target.label, -1)
+            return Sample(np.broadcast_to(x, sample.points.shape),
+                          np.broadcast_to(-y, sample.labels.shape))
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
@@ -595,12 +551,13 @@ def check_batched_trials(rng: RandomSource):
             gen = source.generator()
             clean = core.draw_sample_with(dist, n, gen, trials=experiments.TRIAL_CHUNK)
             targets = core.draw_example(dist, gen, trials=experiments.TRIAL_CHUNK)
-            batch = adversary.attack_trials(clean, targets, gen)
+            batch = adversary.attack(clean, targets, gen)
             pairs = list(zip(clean.rows(), targets.point.tolist(), targets.label.tolist()))
             rows = [adversary.attack(s, Example(x, y), gen) for s, x, y in pairs]
             if list(batch.rows()) != rows:
                 return False, f"{learner_id}/{adversary_id}: batched attack differs from rows"
-            probs = learner.trial_probs(batch, targets.point, source.child("score").generator())
+            probs = learner.prediction_prob(batch, targets.point,
+                                            source.child("score").generator())
             gen = source.child("score").generator()
             one = [learner.prediction_prob(s, x, gen) for s, (_, x, _) in zip(rows, pairs)]
             worst = max(worst, float(np.max(np.abs(probs - one))))
@@ -642,12 +599,10 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("learners.flip-bound", acceptance_flip_bound),
     ("learners.flip-chain", check_flip_chain),
     ("learners.subsample-law", check_subsample_law),
-    ("learners.public-monotone", check_public_monotone),
     ("adversaries.attack-membership", check_attack_membership),
     ("adversaries.brute-dominates", check_brute_dominates),
     ("adversaries.scheme-budget", check_scheme_budget),
     ("adversaries.hard-distribution", check_hard_distribution),
-    ("adversaries.coupling", check_coupling),
     ("analysis.growth-bound", acceptance_growth_bound),
     ("analysis.vc-known", check_vc_known),
     ("analysis.cover-basics", check_cover_basics),

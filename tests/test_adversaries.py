@@ -16,7 +16,6 @@ from poisonlab.adversaries import (
     build_scheme_1d,
     greedy_flip_attack,
     identity_scheme,
-    maximal_coupling_draw,
 )
 from poisonlab.core import (
     MINUS,
@@ -24,11 +23,9 @@ from poisonlab.core import (
     BiasVector,
     Example,
     HypothesisClass,
-    ProductBiasDistribution,
     RandomSource,
     Sample,
     ball_enumerate,
-    dist_tv,
     full_alphabet,
     hamming_distance,
 )
@@ -191,48 +188,6 @@ def test_identity_scheme_is_identity():
     assert scheme.eta == 0
 
 
-def test_coupling_agreement_matches_tv():
-    ua, ub = BiasVector([Fraction(0)]), BiasVector([Fraction(1, 8)])
-    da, db = ProductBiasDistribution(ua), ProductBiasDistribution(ub)
-    tv = float(dist_tv(ua, ub))
-    draws = 20_000
-    agree = sum(
-        int(za == zb)
-        for za, zb in (maximal_coupling_draw(da, db, RandomSource(SEED, 12).child(t))
-                       for t in range(draws)))
-    sigma = math.sqrt(draws * tv * (1 - tv))
-    assert abs(agree - draws * (1 - tv)) <= 4.5 * sigma
-
-
-def test_coupling_marginals():
-    ua = BiasVector([Fraction(1, 4), Fraction(0)])
-    ub = BiasVector([Fraction(-1, 8), Fraction(1, 2)])
-    da, db = ProductBiasDistribution(ua), ProductBiasDistribution(ub)
-    draws = 20_000
-    for side, dist in ((0, da), (1, db)):
-        counts: dict = {}
-        for t in range(draws):
-            z = maximal_coupling_draw(da, db, RandomSource(SEED, 13).child(t))[side]
-            counts[z] = counts.get(z, 0) + 1
-        for (x, y), w in [(atom, w) for atom, w in dist.atoms()]:
-            p = float(w)
-            got = counts.get(Example(x, y), 0)
-            assert abs(got - draws * p) <= 4.5 * math.sqrt(draws * p * (1 - p)) + 1e-9
-
-
-def test_coupling_identical_and_disjoint():
-    da = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
-    for t in range(50):
-        za, zb = maximal_coupling_draw(da, da, RandomSource(SEED, 14).child(t))
-        assert za == zb
-    dplus = ProductBiasDistribution(BiasVector([Fraction(1, 2)]))
-    dminus = ProductBiasDistribution(BiasVector([Fraction(-1, 2)]))
-    for t in range(50):
-        za, zb = maximal_coupling_draw(dplus, dminus, RandomSource(SEED, 15).child(t))
-        assert za != zb  # TV = 1: the coupling can never agree
-        assert za.label == PLUS and zb.label == MINUS
-
-
 def test_adversary_adapters():
     s = Sample([0, 0, 1], [PLUS, PLUS, MINUS])
     target = Example(0, PLUS)
@@ -264,8 +219,8 @@ def test_batched_greedy_matches_each_row():
                                   for s, w in zip(batch.rows(), want)]
 
 
-def test_attack_trials_row_default_for_one_sample_adversaries():
-    # brute force sees one sample at a time; identity and greedy take the batch
+def test_batch_attack_matches_each_row():
+    # every attacker takes the batch; brute force searches it one trial at a time
     rng = np.random.default_rng(SEED + 3)
     batch = Sample(rng.integers(0, 2, size=(5, 4)), rng.choice((-1, 1), size=(5, 4)))
     targets = Example(rng.integers(0, 2, size=5), rng.choice((-1, 1), size=5))
@@ -274,5 +229,6 @@ def test_attack_trials_row_default_for_one_sample_adversaries():
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
     for adversary in (IdentityAdversary(), GreedyFlipAdversary(budget),
                       BruteForceAdversary(learner.prediction_prob, budget, full_alphabet(2))):
-        out = adversary.attack_trials(batch, targets)
+        out = adversary.attack(batch, targets)
+        assert out.points.shape == (5, 4)
         assert list(out.rows()) == [adversary.attack(s, Example(x, y)) for s, x, y in pairs]

@@ -193,8 +193,8 @@ def test_estimate_f_reproducible_and_chunk_invariant():
 
 
 class _Unbatched(Learner):
-    """The same learner without `batch_prediction_probs`: estimate_F's row path,
-    through `Learner.trial_probs`' row-by-row default."""
+    """The same learner without `batch_prediction_probs`: estimate_F's row
+    path, which scores each chunk's batch of rows through `prediction_prob`."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -301,7 +301,7 @@ def _row_learners(d: int, eta: Fraction, n: int, u: BiasVector):
 def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch):
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     for learner in _row_learners(2, Fraction(1, 16), 32, u):
-        calls = _record_calls(monkeypatch, type(learner), "trial_probs")
+        calls = _record_calls(monkeypatch, type(learner), "prediction_prob")
         estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), chunks=16)
         sizes = [7] * 4 + [6] * 12
         assert [(len(s.points), x.tolist()) for s, x, _ in calls] == [

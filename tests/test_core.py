@@ -21,7 +21,6 @@ from poisonlab.core import (
     ball_enumerate,
     corruption_limit,
     bayes_loss,
-    dist_tv,
     draw_sample,
     full_alphabet,
     hamming_distance,
@@ -194,22 +193,6 @@ def test_bayes_loss_is_min_over_all_hypotheses():
         best = min(population_loss(Hypothesis(list(signs)), dist)
                    for signs in __import__("itertools").product((-1, 1), repeat=d))
         assert bayes_loss(dist) == best
-
-
-def test_dist_tv_hand_value_and_direct_sum():
-    a = BiasVector([Fraction(0), Fraction(1, 4)])
-    b = BiasVector([Fraction(1, 8), Fraction(1, 4)])
-    assert dist_tv(a, b) == Fraction(1, 16)
-    # direct definition: half the L1 gap over atoms
-    da, db = ProductBiasDistribution(a), ProductBiasDistribution(b)
-    direct = sum(abs(da.atom_probability(x, y) - db.atom_probability(x, y))
-                 for x in range(2) for y in (MINUS, PLUS)) / 2
-    assert dist_tv(a, b) == direct
-
-
-def test_dist_tv_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        dist_tv(BiasVector([Fraction(0)]), BiasVector([Fraction(0), Fraction(0)]))
 
 
 def test_hamming_distance_hand_values():

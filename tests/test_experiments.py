@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisonlab import experiments
+from poisonlab.analysis import estimate_F
 from poisonlab.adversaries import (
     AttackBudget,
     GreedyFlipAdversary,
@@ -64,6 +65,7 @@ from poisonlab.learners import (
     ConstantLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
+    Learner,
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
@@ -156,9 +158,12 @@ def test_mc_loss_constant_wrong_is_one():
 
 def test_mc_loss_budget_violation_is_fatal():
     class Violator(IdentityAdversary):
+        """Rewrites every row of every trial to (target point, opposite label)."""
+
         def attack(self, sample, target, gen=None):
-            rows = [Example(target.point, -target.label)] * len(sample)
-            return sample.replace_many(range(len(sample)), rows)
+            x, y = np.expand_dims(target.point, -1), np.expand_dims(target.label, -1)
+            return Sample(np.broadcast_to(x, sample.points.shape),
+                          np.broadcast_to(-y, sample.labels.shape))
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     with pytest.raises(BudgetViolationError):
@@ -168,16 +173,17 @@ def test_mc_loss_budget_violation_is_fatal():
 
 def test_mc_loss_budget_violation_names_the_global_trial():
     class LateViolator(IdentityAdversary):
-        """Sees one sample at a time and oversteps on one trial of the second chunk."""
+        """Flips every label of trial 5 of the second chunk it sees."""
 
         calls = 0
 
         def attack(self, sample, target, gen=None):
             self.calls += 1
-            if self.calls <= experiments.TRIAL_CHUNK + 5:
+            if self.calls == 1:
                 return sample
-            rows = [Example(target.point, -target.label)] * len(sample)
-            return sample.replace_many(range(len(sample)), rows)
+            labels = sample.labels.copy()
+            labels[5] = -labels[5]
+            return Sample(sample.points, labels)
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     violator = LateViolator()
@@ -185,7 +191,26 @@ def test_mc_loss_budget_violation_names_the_global_trial():
                        match=rf"on trial {experiments.TRIAL_CHUNK + 5}$"):
         mc_adversarial_loss(ConstantLearner(PLUS), violator, dist, 8,
                             Fraction(1, 8), 3 * experiments.TRIAL_CHUNK, RandomSource(SEED, 3))
-    assert violator.calls == 2 * experiments.TRIAL_CHUNK
+    assert violator.calls == 2  # one call per chunk, the second one fatal
+
+
+class _OneSampleLearner(Learner):
+    """Written to a one-sample contract: one float, whatever the sample's shape."""
+
+    name = "one-sample"
+
+    def prediction_prob(self, sample, x, gen=None):
+        return 0.5
+
+
+def test_a_scalar_for_a_batch_is_rejected():
+    # np.where would broadcast the scalar over the chunk without this check
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    with pytest.raises(ValueError, match="one probability per trial"):
+        mc_adversarial_loss(_OneSampleLearner(), IdentityAdversary(), dist, 8,
+                            Fraction(1, 8), 10, RandomSource(SEED, 3))
+    with pytest.raises(ValueError, match="one probability per trial"):
+        estimate_F(_OneSampleLearner(), dist.bias, 8, 10, RandomSource(SEED, 3))
 
 
 def _one_sample_loss(learner, adversary, dist, n, trials, rng):

@@ -28,16 +28,13 @@ from poisonlab.learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
-    coupled_predict,
     empirical_loss_counts,
     empirical_losses,
     exp_mechanism_dist,
     exp_mechanism_log_dist,
-    exp_mechanism_sample,
     flip_bound,
     flip_probability,
     predict_prob,
-    public_transform,
 )
 
 SEED = 8251
@@ -136,23 +133,6 @@ def test_mechanism_loss_guarantee_closed_form():
     assert expected <= math.log(2) / 2
 
 
-def test_mechanism_sampling_law():
-    hc = HypothesisClass([[PLUS, PLUS, PLUS, PLUS],
-                          [PLUS, PLUS, PLUS, MINUS],
-                          [PLUS, MINUS, MINUS, MINUS]])
-    s = Sample([0, 1, 2, 3], [PLUS, PLUS, PLUS, PLUS])
-    config = ExpMechanismConfig(Fraction(1, 4))
-    rng = RandomSource(SEED, 3)
-    draws = 20_000
-    counts = np.zeros(3)
-    for t in range(draws):
-        h = exp_mechanism_sample(hc, s, config, rng.child(t))
-        counts[[tuple(r.values) for r in hc].index(tuple(h.values))] += 1
-    for i, target in enumerate(SOFTMAX_COUNTS_013):
-        sigma = math.sqrt(draws * target * (1 - target))
-        assert abs(counts[i] - draws * target) <= 4.5 * sigma
-
-
 def test_predict_prob_is_plus_mass():
     hc = HypothesisClass.full(2)
     s = Sample([0, 0, 1], [PLUS, PLUS, MINUS])
@@ -161,17 +141,6 @@ def test_predict_prob_is_plus_mass():
     for x in range(2):
         direct = sum(float(p[i]) for i in range(hc.size) if hc.hypothesis(i)(x) == PLUS)
         assert predict_prob(hc, s, x, config) == pytest.approx(direct, abs=1e-15)
-
-
-def test_coupled_predict_threshold_rule():
-    hc = TWO_CONSTS
-    s = Sample([0] * 8, [PLUS] * 8)
-    config = ExpMechanismConfig(Fraction(1, 4))
-    p = predict_prob(hc, s, 0, config)
-    assert coupled_predict(hc, s, 0, config, r=p - 1e-9) == PLUS
-    assert coupled_predict(hc, s, 0, config, r=p + 1e-9) == MINUS
-    with pytest.raises(ValueError):
-        coupled_predict(hc, s, 0, config, r=1.5)
 
 
 def test_flip_probability_frozen_oracle():
@@ -316,12 +285,6 @@ def test_constant_and_bayes_learners():
     assert bayes.prediction_prob(s, 2) == 0.5
 
 
-def test_public_transform_threshold():
-    s = Sample([0], [PLUS])
-    assert public_transform(lambda *_: 0.7, s, 0, r=0.69) == PLUS
-    assert public_transform(lambda *_: 0.7, s, 0, r=0.71) == MINUS
-
-
 def _sample_from_histogram(hist, gen):
     """A Sample whose (point, label) counts are `hist` (shape (d, 2)), rows shuffled."""
     rows = [(i, label) for i in range(hist.shape[0])
@@ -368,23 +331,19 @@ def test_batch_prediction_rejects_points_outside_the_domain():
     assert got.tolist() == pytest.approx(want, abs=1e-12)
 
 
-def test_learner_predict_uses_prob():
-    learner = ConstantLearner(PLUS)
-    s = Sample([0], [PLUS])
-    gen = RandomSource(SEED, 8).generator()
-    assert all(learner.predict(s, 0, gen) == PLUS for _ in range(5))
-
-
 def test_batched_prediction_prob_matches_each_row():
-    # the subsample and majority rules draw from the generator: the batch and
-    # the rows draw the same subsets when their generators start in one state
+    # every learner takes the batch; the subsample and majority rules draw
+    # from the generator: the batch and the rows draw the same subsets when
+    # their generators start in one state
     rng = np.random.default_rng(SEED + 9)
     eta = Fraction(1, 16)
     for d in (1, 2, 3):
         hc = HypothesisClass.full(d)
         rules = [ExpMechanismLearner(hc, ExpMechanismConfig(eta)),
                  CoupledExpMechanismLearner(hc, ExpMechanismConfig(eta)),
-                 MajorityVoteLearner(5)]
+                 MajorityVoteLearner(5),
+                 ConstantLearner(MINUS),
+                 BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0))[:d])]
         if 4 * d * eta < 1:
             rules.append(VcSubsampleLearner(hc, VcLearnerConfig(eta, d)))
         for learner in rules:
@@ -400,6 +359,18 @@ def test_batched_prediction_prob_matches_each_row():
                 assert got.tolist() == pytest.approx(want, abs=1e-12), (learner.name, d, trials)
 
 
+def test_trial_probs_row_default_for_one_sample_learners():
+    # the rules that read one point's labels take a batch through prediction_prob
+    batch = Sample([[0, 1], [1, 1], [2, 0]], [[PLUS, MINUS]] * 3)
+    xs = np.array([0, 1, 2])
+    bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0)))
+    assert bayes.prediction_prob(batch, xs).tolist() == [1.0, 0.0, 0.5]
+    assert ConstantLearner(MINUS).prediction_prob(batch, xs).tolist() == [0.0, 0.0, 0.0]
+    exp = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
+    assert exp.prediction_prob(batch, xs).tolist() == pytest.approx(
+        [exp.prediction_prob(s, x) for s, x in zip(batch.rows(), xs.tolist())], abs=1e-12)
+
+
 def test_majority_thins_only_trials_with_more_than_k_votes():
     learner = MajorityVoteLearner(2)
     batch = Sample([[0, 0, 1, 1], [0, 0, 0, 1]], [[PLUS, PLUS, MINUS, MINUS]] * 2)
@@ -411,17 +382,6 @@ def test_majority_thins_only_trials_with_more_than_k_votes():
     learner.prediction_prob(batch, np.array([0, 0]), gen)
     ref.random((1, 4))
     assert gen.random() == ref.random()
-
-
-def test_trial_probs_row_default_for_one_sample_learners():
-    batch = Sample([[0, 1], [1, 1], [2, 0]], [[PLUS, MINUS]] * 3)
-    xs = np.array([0, 1, 2])
-    bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0)))
-    assert bayes.trial_probs(batch, xs).tolist() == [1.0, 0.0, 0.5]
-    assert ConstantLearner(MINUS).trial_probs(batch, xs).tolist() == [0.0, 0.0, 0.0]
-    exp = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
-    assert exp.trial_probs(batch, xs).tolist() == pytest.approx(
-        [exp.prediction_prob(s, x) for s, x in zip(batch.rows(), xs.tolist())], abs=1e-12)
 
 
 def test_batched_subset_draws_average_to_the_exact_rules():

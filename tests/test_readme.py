@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import re
 from pathlib import Path
+
+from poisonlab.verify import REGISTRY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +19,10 @@ def test_library_quick_start_prints_its_documented_line():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().strip() == documented[2:]
+
+
+def test_every_check_named_in_the_readme_exists():
+    named = [name for arg in re.findall(r"--check (\S+)", README.read_text())
+             for name in arg.split(",")]
+    assert named
+    assert set(named) <= {name for name, _ in REGISTRY}
