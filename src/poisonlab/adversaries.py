@@ -31,6 +31,7 @@ from .core import (
     ball_enumerate,
     corruption_limit,
 )
+from .learners import one_per_trial
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,31 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     """Exact worst-case corruption: argmax of the learner's error probability
     at the target over the whole budget ball.
 
-    `predictor(S', x)` must return the +1-prediction probability; the error
-    probability at target (x, y) is then (1 - y * (2p - 1)) / 2. Ties keep the
-    first maximizer in the ball's canonical enumeration order, so the clean
-    sample itself wins when nothing strictly improves.
+    `predictor` is a `PredictionOracle` returning the +1-prediction
+    probability; the error probability at target (x, y) is then
+    (1 - y * (2p - 1)) / 2. Ties keep the first maximizer in the ball's
+    canonical enumeration order, so the clean sample itself wins when nothing
+    strictly improves. A batch takes an Example of (trials,) point and label
+    arrays: each trial's ball is enumerated, every member of every ball is
+    scored by one oracle call at its trial's point, and each trial keeps its
+    own ball's first maximizer.
     """
-    ball = ball_enumerate(sample, budget.eta, alphabet, cap=cap, max_corruptions=max_corruptions)
-    best = sample
-    best_err = -1.0
-    for candidate in ball:
-        p = predictor(candidate, target.point)
-        err = 1.0 - p if target.label == PLUS else p
-        if err > best_err:
-            best = candidate
-            best_err = err
-    return best
+    rows = list(sample.rows()) if sample.batched else [sample]
+    balls = [ball_enumerate(s, budget.eta, alphabet, cap=cap, max_corruptions=max_corruptions)
+             for s in rows]
+    sizes = [len(ball) for ball in balls]
+    members = Sample(np.stack([m.points for ball in balls for m in ball]),
+                     np.stack([m.labels for ball in balls for m in ball]))
+    p = one_per_trial(predictor, predictor(members, np.repeat(target.point, sizes)),
+                      sum(sizes))
+    err = np.where(np.repeat(target.label, sizes) == PLUS, 1.0 - p, p)
+    # a NaN error, or one at or below -1, never wins: member 0, the clean sample, stays
+    err = np.where(err > -1.0, err, -np.inf)
+    best = [ball[int(np.argmax(e))]
+            for ball, e in zip(balls, np.split(err, np.cumsum(sizes)[:-1]))]
+    if not sample.batched:
+        return best[0]
+    return Sample(np.stack([b.points for b in best]), np.stack([b.labels for b in best]))
 
 
 def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget,
@@ -278,13 +289,8 @@ class BruteForceAdversary(Adversary):
         self.max_corruptions = max_corruptions
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
-        """The worst sample of each ball. The search asks the oracle about one
-        sample at a time, so a batch is searched one trial at a time, in
-        trial order, and the results are stacked."""
-        if sample.batched:
-            rows = [self.attack(s, Example(x, y)) for s, x, y in
-                    zip(sample.rows(), target.point.tolist(), target.label.tolist())]
-            return Sample(np.stack([r.points for r in rows]), np.stack([r.labels for r in rows]))
+        """The worst sample of each ball; a batch is searched with one oracle
+        call over every member of every trial's ball (`brute_force_attack`)."""
         return brute_force_attack(self.predictor, sample, target, self.budget,
                                   self.alphabet, cap=self.cap,
                                   max_corruptions=self.max_corruptions)

@@ -182,9 +182,12 @@ class Sample:
         return f"Sample[{items}]"
 
 
-# a learner's +1 probability at a point given one sample, as the exact
-# evaluators and the ball-search attacker consume it
-PredictionOracle = Callable[[Sample, int], float]
+# a learner's +1 probability with its coins averaged out, as the exact
+# evaluators and the ball-search attacker consume it: what
+# `Learner.prediction_prob` takes, minus the generator. Given one `Sample` and
+# a point it returns a float; given a (trials, n) batch and one point, or a
+# (trials,) array of points, it returns one probability per row.
+PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 
 class Hypothesis:

@@ -1,13 +1,15 @@
 """Experiment harness: Monte Carlo adversarial risk, exact desk-scale
 evaluators, bound-verification experiments, and deterministic parameter sweeps.
 
-The exact evaluators share one engine. It calls the +1-probability oracle once
-per (atom sequence, point), zero-weight sequences included, into a table with
-one axis per sample row. A radius-k Hamming ball's max or min is k rounds of
-the radius-1 operator, an elementwise max/min over the per-axis reductions (a
-radius-(j+1) ball is the union of radius-j balls around radius-1 neighbours),
-weighted by the exact sequence weights. Cost: (2d)^n * d oracle calls plus
-k * n * (2d)^n array operations, not one validated `Sample` per ball member.
+The exact evaluators share one engine. Every atom sequence, zero-weight ones
+included, is one row of a single (2d)^n-row batch, and the +1-probability
+oracle scores that batch once per point into a table with one axis per sample
+row. A radius-k Hamming ball's max or min is k rounds of the radius-1
+operator, an elementwise max/min over the per-axis reductions (a radius-(j+1)
+ball is the union of radius-j balls around radius-1 neighbours), weighted by
+the exact sequence weights, each computed once per atom-count vector. Cost: d
+oracle calls over the batch plus k * n * (2d)^n array operations, not one
+validated `Sample` per ball member.
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
@@ -25,7 +27,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -202,16 +203,22 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int,
                   cap: int) -> np.ndarray:
     """The oracle at every atom sequence and point: a (2d,)*n + (d,) array, axis
-    j indexing row j's atom in `dist.atoms()` order, zero-weight rows included."""
+    j indexing row j's atom in `dist.atoms()` order, zero-weight rows included.
+    Every sequence is one row of a single batch, scored by one call per point."""
     atoms = [ex for ex, _ in dist.atoms()]
     if len(atoms) ** n > cap:
         raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {cap}")
-    seqs = np.array(list(product(range(len(atoms)), repeat=n)))
-    points = np.array([ex.point for ex in atoms])[seqs]
-    labels = np.array([ex.label for ex in atoms])[seqs]
-    table = np.array([[float(p_oracle(sample, x)) for x in range(dist.dimension)]
-                      for sample in map(Sample, points, labels)])
+    seqs = _sequences(len(atoms), n)
+    batch = Sample(np.array([ex.point for ex in atoms])[seqs],
+                   np.array([ex.label for ex in atoms])[seqs])
+    table = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
+                      for x in range(dist.dimension)], axis=-1)
     return table.reshape((len(atoms),) * n + (dist.dimension,))
+
+
+def _sequences(a: int, n: int) -> np.ndarray:
+    """Every length-n sequence over range(a), one per row in row-major order."""
+    return np.indices((a,) * n).reshape(n, -1).T
 
 
 def _ball_extremum(table: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
@@ -227,8 +234,16 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
                atoms=None) -> float:
     """Expected ball-extremal error under `dist` over the test atoms (example, q),
     by default those of `dist`: the worst error, floored at 0, for private coins;
-    1 - min p for a +1 target and max p for a -1 target for public coins."""
-    k = corruption_limit(eta, table.ndim - 1)
+    1 - min p for a +1 target and max p for a -1 target for public coins.
+
+    A sequence's weight is the product of its atoms' probabilities, taken left
+    to right. Exact probabilities make it depend only on the sequence's atom
+    counts, so it is computed once per count vector, with the sorted sequence
+    standing for its class; a float probability makes the order matter, so
+    then every sequence stands for itself. The fsum adds one term
+    float(w * q) * value per live (nonzero-weight) sequence and test atom."""
+    n = table.ndim - 1
+    k = corruption_limit(eta, n)
     if public:
         value = {PLUS: 1.0 - _ball_extremum(table, k, np.minimum),
                  MINUS: _ball_extremum(table, k, np.maximum)}
@@ -236,15 +251,27 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
         worst = {PLUS: _ball_extremum(1.0 - table, k, np.maximum),
                  MINUS: _ball_extremum(table, k, np.maximum)}
         value = {y: np.where(v > 0.0, v, 0.0) for y, v in worst.items()}
-    weights: list[Scalar] = [1]  # in table row order, multiplied left to right
-    for _ in range(table.ndim - 1):
-        weights = [w * q for w in weights for _, q in dist.atoms()]
-    live = [(i, w) for i, w in enumerate(weights) if w != 0]
+    probs = [q for _, q in dist.atoms()]
+    seqs = _sequences(len(probs), n)
+    if all(isinstance(q, (Fraction, int)) for q in probs):
+        rep = np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n)
+    else:
+        rep = np.arange(len(seqs))
+    classes, inverse = np.unique(rep, return_inverse=True)
+    weights = []
+    for seq in seqs[classes].tolist():
+        w: Scalar = 1
+        for a in seq:
+            w = w * probs[a]
+        weights.append(w)
+    live = np.array([w != 0 for w in weights])[inverse]
+    which = inverse[live]
     acc = []
     for example, q in dist.atoms() if atoms is None else atoms:
-        column = value[example.label][..., example.point].reshape(-1).tolist()
-        acc.extend(float(w * q) * column[i] for i, w in live)
-    return math.fsum(acc)
+        coef = np.array([float(w * q) for w in weights])
+        column = value[example.label][..., example.point].reshape(-1)
+        acc.append(coef[which] * column[live])
+    return math.fsum(np.concatenate(acc).tolist())
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,

@@ -171,9 +171,9 @@ def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) ->
     return np.argpartition(gen.random((trials, n1)), k - 1, axis=1)[:, :k]
 
 
-def _subset_points(sample: Sample, subset: np.ndarray) -> tuple[int, ...]:
-    """The distinct points of the subset's rows, sorted: all its restriction sees."""
-    return tuple(sorted(set(sample.points[subset].tolist())))
+def _one_row(sample: Sample) -> Sample:
+    """A one-sample `Sample` as a batch of one trial."""
+    return Sample(sample.points[None], sample.labels[None])
 
 
 def _vc_restrict(hclass: HypothesisClass, pts: tuple[int, ...]) -> HypothesisClass:
@@ -205,13 +205,16 @@ class Learner:
         raise NotImplementedError
 
 
-def one_per_trial(learner: Learner, probs, trials: int) -> np.ndarray:
-    """`probs`, returned by `learner.prediction_prob` for a batch of `trials`
-    samples, as a float array; anything but one probability per trial (say,
-    the scalar of a learner written for one sample at a time) is an error."""
+def one_per_trial(source, probs, trials: int) -> np.ndarray:
+    """`probs`, returned by a learner's `prediction_prob` or by a
+    `PredictionOracle` for a batch of `trials` samples, as a float array;
+    anything but one probability per trial (say, the scalar of a learner or
+    oracle written for one sample at a time) is an error naming `source`."""
     if np.shape(probs) != (trials,):
-        raise ValueError(f"learner {learner.name!r} returned shape {np.shape(probs)} for a "
-                         f"batch of {trials} trials; give one probability per trial")
+        who = (f"learner {source.name!r}" if isinstance(source, Learner)
+               else f"oracle {getattr(source, '__qualname__', source)!r}")
+        raise ValueError(f"{who} returned shape {np.shape(probs)} for a batch of {trials} "
+                         f"trials; give one probability per trial")
     return np.asarray(probs, dtype=np.float64)
 
 
@@ -229,7 +232,7 @@ class ExpMechanismLearner(Learner):
         return predict_prob(self.hclass, sample, x, self.config)
 
     # exact already; the alias lets attackers ask for the averaged oracle
-    def mean_prediction_prob(self, sample: Sample, x: int) -> float:
+    def mean_prediction_prob(self, sample: Sample, x):
         return self.prediction_prob(sample, x)
 
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
@@ -296,13 +299,16 @@ class VcSubsampleLearner(Learner):
         self.hclass = hclass
         self.config = config
         self._mechanism = ExpMechanismConfig(config.eta)
+        # both read exact fractions, so they are worked out once
+        self._min_n = config.min_sample_size()
+        self._k = config.subsample_size
 
     def _check(self, sample: Sample) -> tuple[int, int]:
         n = len(sample)
-        if n * Fraction(self.config.eta) < 1:
+        if n < self._min_n:
             raise PreconditionError(f"need n >= 1/eta, got n={n}, eta={self.config.eta}")
         n1, _ = _split_sizes(n)
-        k = self.config.subsample_size
+        k = self._k
         if k > n1:
             raise PreconditionError(f"subsample size {k} exceeds first-half size {n1}")
         return n1, k
@@ -310,58 +316,77 @@ class VcSubsampleLearner(Learner):
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         """Draws each trial's subset from gen; the threshold coin is integrated out.
 
-        For a batch, the class is restricted once per distinct point set the
-        subsets cover, and the second halves of the trials covering it are
-        scored against that restriction as histograms. A batch draws its
-        subsets in trial order, so it agrees with one-sample calls on the same
-        generator.
+        A one-sample call is a one-row batch. The class is restricted once per
+        distinct point set the subsets cover, and the second halves of the
+        trials covering it are scored against that restriction as
+        histograms. A batch draws its subsets in trial order, so it agrees
+        with one-sample calls on the same generator.
         """
+        if not sample.batched:
+            return float(self.prediction_prob(_one_row(sample), x, gen)[0])
         n1, k = self._check(sample)
         if gen is None:
             raise ValueError("the subsample rule needs a generator for its subset draw")
-        if not sample.batched:
-            sub = _vc_restrict(self.hclass, _subset_points(sample, _draw_subsets(n1, k, gen)[0]))
-            return predict_prob(sub, sample.slice(slice(n1, None)), x, self._mechanism)
-        head = sample.points[:, :n1]
-        trials, domain = head.shape[0], self.hclass.domain_size
-        if int(head.max()) >= domain:
-            raise DomainMismatchError("sample contains points outside the class domain")
-        covered = np.zeros((trials, domain), dtype=bool)
-        covered[np.arange(trials)[:, None],
-                np.take_along_axis(head, _draw_subsets(n1, k, gen, trials), axis=1)] = True
-        hist = sample.slice(slice(n1, None)).histograms(domain)
-        xs = np.broadcast_to(np.asarray(x), (trials,))
-        probs = np.empty(trials)
-        point_sets, which = np.unique(covered, axis=0, return_inverse=True)
-        for g, row in enumerate(point_sets):
-            sel = which.reshape(-1) == g
-            sub = _vc_restrict(self.hclass, tuple(np.flatnonzero(row).tolist()))
-            probs[sel] = ExpMechanismLearner(sub, self._mechanism).batch_prediction_probs(
-                hist[sel], xs[sel])
-        return probs
+        head, hist, xs = self._split(sample, x)
+        trials = len(head)
+        picked = np.take_along_axis(head, _draw_subsets(n1, k, gen, trials), axis=1)
+        return self._scores(picked, np.arange(trials), hist, xs)
 
-    def mean_prediction_prob(self, sample: Sample, x: int, limit: int = 2000) -> float:
+    def mean_prediction_prob(self, sample: Sample, x, limit: int = 2000):
         """Exact +1 probability, averaged over every subset draw (small n only).
 
-        Subsets that cover the same points share one restriction and one
-        prediction, computed once per call; the average still adds one term
-        per subset in `combinations` order, so its value does not depend on
-        the sharing.
+        A `PredictionOracle`: a one-sample call is a one-row batch. Every
+        (trial, subset) pair is grouped by the points its subset covers, the
+        class is restricted once per distinct point set, and each trial is
+        scored once per point set it meets. Each trial then adds one term per
+        subset in `combinations` order, so its value does not depend on the
+        grouping.
         """
+        if not sample.batched:
+            return float(self.mean_prediction_prob(_one_row(sample), x, limit)[0])
         n1, k = self._check(sample)
         total = math.comb(n1, k)
         if total > limit:
             raise EnumerationTooLargeError(f"{total} subsets exceed limit {limit}")
-        s2 = sample.slice(slice(n1, len(sample)))
-        probs: dict[tuple[int, ...], float] = {}
-        acc = 0.0
-        for subset in combinations(range(n1), k):
-            pts = _subset_points(sample, np.array(subset))
-            if pts not in probs:
-                probs[pts] = predict_prob(_vc_restrict(self.hclass, pts), s2, x,
-                                          self._mechanism)
-            acc += probs[pts]
-        return acc / total
+        head, hist, xs = self._split(sample, x)
+        trials = len(head)
+        subsets = np.array(list(combinations(range(n1), k)))
+        terms = self._scores(head[:, subsets].reshape(-1, k), np.repeat(np.arange(trials), total),
+                             hist, xs).reshape(trials, total)
+        # cumsum adds a trial's terms one at a time, in subset order
+        return np.cumsum(terms, axis=1)[:, -1] / total
+
+    def _split(self, sample: Sample, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A batch's first-half points, its second halves' histograms and one
+        point per trial."""
+        n1, _ = _split_sizes(len(sample))
+        head = sample.points[:, :n1]
+        domain = self.hclass.domain_size
+        if int(head.max()) >= domain:
+            raise DomainMismatchError("sample contains points outside the class domain")
+        hist = sample.slice(slice(n1, None)).histograms(domain)
+        return head, hist, np.broadcast_to(np.asarray(x), (len(head),))
+
+    def _scores(self, picked: np.ndarray, owner: np.ndarray, hist: np.ndarray,
+                xs: np.ndarray) -> np.ndarray:
+        """For each subset j, the +1 probability at xs[t] of the mechanism
+        trained on hist[t], t = owner[j], over the class restricted to the
+        points picked[j] holds. Each distinct point set is restricted once and
+        scores, in one call, every trial that meets it, once."""
+        covered = np.zeros((len(picked), self.hclass.domain_size), dtype=bool)
+        covered[np.arange(len(picked))[:, None], picked] = True
+        # one byte string per subset, so that np.unique groups 1-D keys
+        keys = np.packbits(covered, axis=1)
+        _, first, which = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1),
+                                    return_index=True, return_inverse=True)
+        probs = np.empty(len(picked))
+        for g, j in enumerate(first.tolist()):
+            sel = which == g
+            owners, back = np.unique(owner[sel], return_inverse=True)
+            sub = _vc_restrict(self.hclass, tuple(np.flatnonzero(covered[j]).tolist()))
+            probs[sel] = ExpMechanismLearner(sub, self._mechanism).batch_prediction_probs(
+                hist[owners], xs[owners])[back]
+        return probs
 
 
 class MajorityVoteLearner(Learner):
@@ -420,5 +445,7 @@ class BayesLearner(Learner):
 
     def prediction_prob(self, sample: Sample, x, gen=None):
         """The sign of the bias at x, read off a table built once; the sample is ignored."""
+        if not 0 <= np.min(x) <= np.max(x) < len(self.coords):
+            raise DomainMismatchError(f"point {x} outside domain of size {len(self.coords)}")
         p = self._probs[x]
         return p if sample.batched else float(p)

@@ -95,12 +95,29 @@ def test_brute_force_matches_exhaustive_argmax():
         assert err(out) == best
 
 
+def _tied(sample, x):
+    """An oracle under which every sample ties: 1/2 for one sample or each of a batch."""
+    return np.full(sample.points.shape[:-1], 0.5)
+
+
 def test_brute_force_prefers_first_maximizer():
     # all corruptions tie for a constant predictor: the clean sample must win
     s = Sample([0, 0], [PLUS, PLUS])
-    out = brute_force_attack(lambda s_, x_: 0.5, s, Example(0, PLUS),
+    out = brute_force_attack(_tied, s, Example(0, PLUS),
                              AttackBudget(Fraction(1, 2)), full_alphabet(1))
     assert out == s
+
+
+def test_batched_brute_force_keeps_each_clean_sample_under_ties():
+    rng = np.random.default_rng(SEED + 4)
+    batch = Sample(rng.integers(0, 2, size=(6, 4)), rng.choice((-1, 1), size=(6, 4)))
+    targets = Example(rng.integers(0, 2, size=6), rng.choice((-1, 1), size=6))
+    budget = AttackBudget(Fraction(1, 2))
+    out = brute_force_attack(_tied, batch, targets, budget, full_alphabet(2))
+    assert list(out.rows()) == [
+        brute_force_attack(_tied, s, Example(x, y), budget, full_alphabet(2))
+        for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
+    assert out == batch
 
 
 def test_scheme_frozen_grid_at_eta_1_64():
@@ -220,7 +237,7 @@ def test_batched_greedy_matches_each_row():
 
 
 def test_batch_attack_matches_each_row():
-    # every attacker takes the batch; brute force searches it one trial at a time
+    # every attacker takes the batch; brute force scores every ball in one oracle call
     rng = np.random.default_rng(SEED + 3)
     batch = Sample(rng.integers(0, 2, size=(5, 4)), rng.choice((-1, 1), size=(5, 4)))
     targets = Example(rng.integers(0, 2, size=5), rng.choice((-1, 1), size=5))

@@ -15,6 +15,7 @@ from poisonlab.adversaries import (
     GreedyFlipAdversary,
     IdentityAdversary,
     PoisoningSchemeD,
+    brute_force_attack,
     build_scheme_1d,
     greedy_flip_attack,
 )
@@ -322,11 +323,25 @@ def test_exhaustive_losses_match_reference_on_order_dependent_oracle():
                 assert got == want, (u, eta, public)
 
 
+def test_exhaustive_losses_match_reference_on_float_and_mixed_biases():
+    # a float atom probability makes a sequence's weight depend on its order,
+    # so these cells weight every sequence on its own, as the reference does
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
+    for coords in ([0.1, 0.3], [0.1, Fraction(1, 3)], [0.37, -0.11]):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        eta = Fraction(1, 3)
+        for public, engine in ((False, exhaustive_adversarial_loss),
+                               (True, exhaustive_public_loss)):
+            got = engine(learner.prediction_prob, dist, eta, 3)
+            want = _reference_adversarial_loss(learner.prediction_prob, dist, eta, 3, public)
+            assert got == want, (coords, public)
+
+
 def test_exhaustive_losses_floor_only_private_errors():
     # the next double above 1 makes 1 - p negative: the private worst error is
     # floored at 0.0, the public ball measure and the clean risk are not
     above_one = math.nextafter(1.0, 2.0)
-    oracle = lambda sample, x: above_one  # noqa: E731
+    oracle = lambda sample, x: np.full(sample.points.shape[:-1], above_one)  # noqa: E731
     for u in (Fraction(1, 2), Fraction(1, 4), 0.5):
         dist = ProductBiasDistribution(BiasVector([u]))
         for eta in (Fraction(0), Fraction(1, 2)):
@@ -342,17 +357,36 @@ def test_exhaustive_losses_floor_only_private_errors():
 
 def test_exhaustive_engine_calls_oracle_once_per_sequence_and_point():
     calls = Counter()
+    batches = []
 
     def oracle(sample, x):
-        calls[(sample.key(), x)] += 1
-        return 0.5
+        batches.append(x)
+        for row in sample.rows():
+            calls[(row.key(), x)] += 1
+        return np.full(sample.points.shape[0], 0.5)
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(0)]))
     exhaustive_adversarial_loss(oracle, dist, Fraction(1, 2), 2)
     assert len(calls) == 4 ** 2 * 2 and set(calls.values()) == {1}
+    assert batches == [0, 1]  # one call per point over the whole table
     calls.clear()
+    batches.clear()
     equivalence_check(oracle, Fraction(1, 4), Fraction(1, 4), 3)
     assert len(calls) == 2 ** 3 and set(calls.values()) == {1}
+    assert batches == [0]
+
+
+def test_exact_engine_and_ball_search_reject_a_scalar_oracle():
+    # an oracle written for one sample at a time must not be broadcast over a batch
+    oracle = lambda sample, x: 0.5  # noqa: E731
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    with pytest.raises(ValueError, match="one probability per trial"):
+        exhaustive_adversarial_loss(oracle, dist, Fraction(1, 2), 2)
+    with pytest.raises(ValueError, match="one probability per trial"):
+        equivalence_check(oracle, Fraction(1, 4), Fraction(1, 4), 2)
+    with pytest.raises(ValueError, match="one probability per trial"):
+        brute_force_attack(oracle, Sample([0, 0], [PLUS, MINUS]), Example(0, PLUS),
+                           AttackBudget(Fraction(1, 2)), full_alphabet(1))
 
 
 def test_exhaustive_enumeration_cap():
@@ -393,7 +427,7 @@ def test_ball_radius_is_the_exact_floor(eta, n):
     ball = ball_enumerate(clean, eta, full_alphabet(1), max_corruptions=None)
     assert max(int(hamming_distance(clean, b) * n) for b in ball) == k
     # the engine's ball around the all -1 sample holds at most k +1 rows
-    plus_share = lambda sample, x: int((sample.labels == PLUS).sum()) / n  # noqa: E731
+    plus_share = lambda sample, x: (sample.labels == PLUS).sum(axis=-1) / n  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(-1, 2)]))
     assert exhaustive_adversarial_loss(plus_share, dist, eta, n, cap=2 ** 10) == k / n
 

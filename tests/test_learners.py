@@ -285,6 +285,20 @@ def test_constant_and_bayes_learners():
     assert bayes.prediction_prob(s, 2) == 0.5
 
 
+def test_bayes_learner_rejects_points_outside_its_domain():
+    # a negative index must not wrap around to the last coordinate
+    bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4)))
+    s = Sample([0], [PLUS])
+    batch = Sample([[0], [1]], [[PLUS], [PLUS]])
+    for x in (-1, 2):
+        with pytest.raises(DomainMismatchError):
+            bayes.prediction_prob(s, x)
+    for xs in ([0, -1], [2, 0]):
+        with pytest.raises(DomainMismatchError):
+            bayes.prediction_prob(batch, np.array(xs))
+    assert bayes.prediction_prob(batch, np.array([1, 0])).tolist() == [0.0, 1.0]
+
+
 def _sample_from_histogram(hist, gen):
     """A Sample whose (point, label) counts are `hist` (shape (d, 2)), rows shuffled."""
     rows = [(i, label) for i in range(hist.shape[0])
