@@ -100,7 +100,6 @@ from .learners import (
     exp_mechanism_log_dist,
     flip_bound,
     flip_probability,
-    predict_prob,
 )
 from .verify import run_checks
 

@@ -49,8 +49,7 @@ class AttackBudget:
 
 
 def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Example,
-                       budget: AttackBudget, alphabet: Sequence[Example],
-                       cap: int = 10_000_000, max_corruptions: int | None = 3) -> Sample:
+                       budget: AttackBudget, alphabet: Sequence[Example]) -> Sample:
     """Exact worst-case corruption: argmax of the learner's error probability
     at the target over the whole budget ball.
 
@@ -61,11 +60,11 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     strictly improves. A batch takes an Example of (trials,) point and label
     arrays: each trial's ball is enumerated, every member of every ball is
     scored by one oracle call at its trial's point, and each trial keeps its
-    own ball's first maximizer.
+    own ball's first maximizer. Balls keep `ball_enumerate`'s default limits,
+    at most 3 corruptions and 10^7 members.
     """
     rows = list(sample.rows()) if sample.batched else [sample]
-    balls = [ball_enumerate(s, budget.eta, alphabet, cap=cap, max_corruptions=max_corruptions)
-             for s in rows]
+    balls = [ball_enumerate(s, budget.eta, alphabet) for s in rows]
     sizes = [len(ball) for ball in balls]
     members = Sample(np.stack([m.points for ball in balls for m in ball]),
                      np.stack([m.labels for ball in balls for m in ball]))
@@ -280,17 +279,12 @@ class BruteForceAdversary(Adversary):
     name = "brute-force"
 
     def __init__(self, predictor: PredictionOracle, budget: AttackBudget,
-                 alphabet: Sequence[Example], cap: int = 10_000_000,
-                 max_corruptions: int | None = 3):
+                 alphabet: Sequence[Example]):
         self.predictor = predictor
         self.budget = budget
         self.alphabet = list(alphabet)
-        self.cap = cap
-        self.max_corruptions = max_corruptions
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         """The worst sample of each ball; a batch is searched with one oracle
         call over every member of every trial's ball (`brute_force_attack`)."""
-        return brute_force_attack(self.predictor, sample, target, self.budget,
-                                  self.alphabet, cap=self.cap,
-                                  max_corruptions=self.max_corruptions)
+        return brute_force_attack(self.predictor, sample, target, self.budget, self.alphabet)

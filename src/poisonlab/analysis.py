@@ -187,6 +187,9 @@ def uniform_cover_bound(d: int, n: int) -> float:
 # small classes of the lower-bound experiments score every trial in one call
 SCORE_BUDGET = 2 ** 20
 
+# chunks of estimate_F's trials, each drawn from its own child stream
+F_CHUNKS = 16
+
 
 @dataclass(frozen=True)
 class FTable:
@@ -221,15 +224,15 @@ def _mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
 
 
 def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
-               points: Sequence[int] | None = None, chunks: int = 16) -> FTable:
+               points: Sequence[int] | None = None) -> FTable:
     """Monte Carlo estimate of the learner's F values at bias vector u.
 
     Each trial draws one fresh size-n sample from D_u and records
     prediction_prob - 1/2 at every queried point (the learner's internal
-    randomness rides on the trial's chunk generator). Trials are split over a
-    fixed number of chunks, chunk c drawn from the child stream
-    ("estimate-F", c), and aggregated in chunk order with fsum, so the result
-    does not depend on how the chunks are scheduled.
+    randomness rides on the trial's chunk generator). Trials are split over
+    F_CHUNKS chunks (fewer if there are fewer trials), chunk c drawn from the
+    child stream ("estimate-F", c), and aggregated in chunk order with fsum,
+    so the result does not depend on how the chunks are scheduled.
 
     A learner exposing `batch_prediction_probs` declares itself exchangeable:
     it depends on a sample only through its (point, label) histogram. For
@@ -251,7 +254,7 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     query = tuple(points) if points is not None else tuple(range(d))
     if not query or min(query) < 0 or max(query) >= d:
         raise DomainMismatchError("query points must lie inside the domain")
-    chunks = max(1, min(chunks, trials))
+    chunks = min(F_CHUNKS, trials)
     base, extra = divmod(trials, chunks)
     sizes = [base + (c < extra) for c in range(chunks)]
     per_point: list[list[float]] = [[] for _ in query]
@@ -353,12 +356,13 @@ class StabilityReport:
 
 
 def stability_certificate(hclass: HypothesisClass, a: Sample, b: Sample,
-                          config: ExpMechanismConfig, tol: float = 1e-9) -> StabilityReport:
+                          config: ExpMechanismConfig) -> StabilityReport:
     """Check the mechanism's stability guarantees on a concrete sample pair.
 
     Requires d_H(a, b) <= eta. Verifies the selection-probability ratio bound
     |log p_a(h) - log p_b(h)| <= 2 t eta for every hypothesis and the coupled
-    flip bound |p_plus(a, x) - p_plus(b, x)| <= 4 t eta at every domain point.
+    flip bound |p_plus(a, x) - p_plus(b, x)| <= 4 t eta at every domain point,
+    each up to a float slack of 1e-9.
     """
     dist = hamming_distance(a, b)
     if dist > config.eta:
@@ -375,6 +379,6 @@ def stability_certificate(hclass: HypothesisClass, a: Sample, b: Sample,
     return StabilityReport(
         eta=config.eta, temperature=t, distance=dist,
         log_ratio_bound=ratio_bound, log_gaps=gaps, max_abs_log_gap=max_gap,
-        claim_ok=max_gap <= ratio_bound + tol,
+        claim_ok=max_gap <= ratio_bound + 1e-9,
         flip_bound=flip_bound_value, flip_probs=flips, max_flip=max_flip,
-        flip_ok=max_flip <= flip_bound_value + tol)
+        flip_ok=max_flip <= flip_bound_value + 1e-9)

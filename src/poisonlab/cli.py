@@ -324,35 +324,32 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _grid_rows(cfg: RunConfig) -> list[dict]:
+def _grid_command(ns: argparse.Namespace, single: Sequence[str],
+                  overrides: dict[str, str] | None = None) -> int:
+    """The body of run, sweep and attack-eval: one row per grid cell; exit
+    code 1 when every cell errored."""
+    cfg = resolve_config(ns, overrides)
+    _require_single(cfg, single)
     grid = SweepGrid(etas=cfg.etas, dims=cfg.dims, sizes=cfg.sizes,
                      learners=cfg.learners, adversaries=cfg.adversaries,
                      trials=cfg.trials, seed=cfg.seed, bias=cfg.bias)
-    results = run_sweep(grid, workers=cfg.workers)
-    return [estimate_to_row(est, cfg.command, cfg.config_hash) for est in results]
+    rows = [estimate_to_row(est, cfg.command, cfg.config_hash)
+            for est in run_sweep(grid, workers=cfg.workers)]
+    emit(rows, cfg)
+    return 0 if any(not row["error"] for row in rows) else 1
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    cfg = resolve_config(ns)
-    _require_single(cfg, ("eta", "d", "n", "learner", "adversary"))
-    rows = _grid_rows(cfg)
-    emit(rows, cfg)
-    return 0 if any(not row["error"] for row in rows) else 1
+    return _grid_command(ns, ("eta", "d", "n", "learner", "adversary"))
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = resolve_config(ns)
-    rows = _grid_rows(cfg)
-    emit(rows, cfg)
-    return 0 if any(not row["error"] for row in rows) else 1
+    return _grid_command(ns, ())
 
 
 def cmd_attack_eval(ns: argparse.Namespace) -> int:
-    cfg = resolve_config(ns, overrides={"adversary": ",".join(ADVERSARY_IDS)})
-    _require_single(cfg, ("eta", "d", "n", "learner"))
-    rows = _grid_rows(cfg)
-    emit(rows, cfg)
-    return 0 if any(not row["error"] for row in rows) else 1
+    return _grid_command(ns, ("eta", "d", "n", "learner"),
+                         overrides={"adversary": ",".join(ADVERSARY_IDS)})
 
 
 def cmd_curve(ns: argparse.Namespace) -> int:

@@ -74,7 +74,7 @@ from .adversaries import (
     PoisoningSchemeD,
     build_scheme_1d,
 )
-from .analysis import _mean_and_variance, estimate_F, oblivious_excess
+from .analysis import FOracle, _mean_and_variance, estimate_F, oblivious_excess
 
 Z95 = 1.959963984540054
 
@@ -84,14 +84,11 @@ Z95 = 1.959963984540054
 TRIAL_CHUNK = 64
 
 
-def normal_ci(values: Sequence[float], clip01: bool = True) -> tuple[float, float, float]:
-    """Mean and normal-approximation 95% CI from per-trial scores."""
+def normal_ci(values: Sequence[float]) -> tuple[float, float, float]:
+    """Mean and normal-approximation 95% CI from per-trial scores, clipped to [0, 1]."""
     mean, var = _mean_and_variance(values)
     half = Z95 * math.sqrt(var)
-    lo, hi = mean - half, mean + half
-    if clip01:
-        lo, hi = max(0.0, lo), min(1.0, hi)
-    return mean, lo, hi
+    return mean, max(0.0, mean - half), min(1.0, mean + half)
 
 
 def wilson_ci(successes: int, trials: int) -> tuple[float, float, float]:
@@ -318,7 +315,7 @@ class EquivalenceReport:
 
 
 def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int,
-                      tol: float = 1e-9, cap: int = 100_000) -> EquivalenceReport:
+                      cap: int = 100_000) -> EquivalenceReport:
     """Exact check that doubling the sample-ball budget dominates the
     oblivious model: L_{2 eta}(sample-ball) + exp(-n eta / 3) >= the oblivious
     loss restricted to grid-scheme outputs.
@@ -327,7 +324,8 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int
     2-eta-ball; the right side takes, per test label, the worst of the clean
     risks at the candidate biases {u, scheme(-1, u), scheme(+1, u)} (a subset
     of the eta-ball around u, so the restriction can only lower the right
-    side). Both sides share one oracle table; only the weights change.
+    side). Both sides share one oracle table; only the weights change. It
+    holds when the slack left + guard - right is at least -1e-9.
     """
     eta = Fraction(eta)
     uf = Fraction(u)
@@ -346,7 +344,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int
     right = math.fsum(right_terms)
     slack = left + guard - right
     return EquivalenceReport(u=uf, eta=eta, n=n, left_loss=left, guard=guard,
-                             right_restricted=right, slack=slack, holds=slack >= -tol)
+                             right_restricted=right, slack=slack, holds=slack >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +374,25 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 # lower bound experiment
 
 
+def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
+                     *labels) -> tuple[FOracle, dict[tuple, tuple[float, float]]]:
+    """An F oracle for `oblivious_excess` and the cache it fills: the value and
+    standard error at each (coordinate i, bias u) key come from one
+    `estimate_F` of `trials_f` size-n trials at point i, on the stream
+    rng.child(*labels, i, repr(u.key()))."""
+    cache: dict[tuple, tuple[float, float]] = {}
+
+    def f_oracle(i: int, shifted: BiasVector) -> tuple[float, float]:
+        key = (i, shifted.key())
+        if key not in cache:
+            table = estimate_F(learner, shifted, n, trials_f,
+                               rng.child(*labels, i, repr(key[1])), points=[i])
+            cache[key] = (table.values[0], table.std_errors[0])
+        return cache[key]
+
+    return f_oracle, cache
+
+
 @dataclass(frozen=True)
 class LowerBoundReport:
     eta: Fraction
@@ -393,8 +410,7 @@ class LowerBoundReport:
 
 
 def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
-                           trials_outer: int, trials_f: int, rng: RandomSource,
-                           f_chunks: int = 16) -> LowerBoundReport:
+                           trials_outer: int, trials_f: int, rng: RandomSource) -> LowerBoundReport:
     """Mean oblivious excess of the learner under lifted grid poisoning.
 
     Draws u from the product of hard distributions `trials_outer` times, in
@@ -402,7 +418,8 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     (`oblivious_excess`) with F values estimated by `estimate_F`. The hard
     distribution has finite support, so the excess of each distinct u is
     computed once, and each required (coordinate, shifted bias) pair is
-    estimated once with `trials_f` trials and cached; trials still enter the
+    estimated once with `trials_f` trials on the stream ("F", coordinate,
+    bias) and cached (`_cached_f_oracle`); trials still enter the
     mean and the coefficient sums one by one, in trial order. The CI
     combines the outer sampling variance with the propagated standard errors
     of the cached estimates (the excess is linear in F).
@@ -414,16 +431,8 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     scheme = PoisoningSchemeD(inner, d)
     threshold = lower_bound_threshold(eta, d)
 
-    cache: dict[tuple, tuple[float, float]] = {}
+    f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     coef_acc: dict[tuple, float] = {}
-
-    def f_oracle(i: int, shifted: BiasVector) -> tuple[float, float]:
-        key = (i, shifted.key())
-        if key not in cache:
-            table = estimate_F(learner, shifted, n, trials_f,
-                               rng.child("F", i, repr(key[1])), points=[i], chunks=f_chunks)
-            cache[key] = (table.values[0], table.std_errors[0])
-        return cache[key]
 
     # per distinct u: its excess, its standard error and its F coefficients
     per_u: dict[tuple, tuple[float, float, list[tuple[tuple, float]]]] = {}
@@ -467,15 +476,14 @@ class UpperBoundReport:
 UPPER_BIAS_GRID = (Fraction(-1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4), Fraction(1, 2))
 
 
-def upper_bound_experiment(eta: Scalar, d: int, n: int, trials: int, rng: RandomSource,
-                           adversary_id: str = "greedy",
-                           bias_grid: Sequence[Scalar] = UPPER_BIAS_GRID) -> UpperBoundReport:
+def upper_bound_experiment(eta: Scalar, d: int, n: int, trials: int,
+                           rng: RandomSource) -> UpperBoundReport:
     """Poisoned excess of the split-and-subsample rule over a bias grid.
 
     The class is the full sign-pattern class on d points (VC dimension d);
-    each grid point u = (v, ..., v) gets its own Monte Carlo run against the
-    chosen adversary. Passes when every cell's excess CI upper end clears the
-    rate bound 36 sqrt(eta d) log(e/(eta d)).
+    each point v of UPPER_BIAS_GRID gives u = (v, ..., v) its own Monte Carlo
+    run against the greedy attacker. Passes when every cell's excess CI
+    upper end clears the rate bound 36 sqrt(eta d) log(e/(eta d)).
     """
     eta = Fraction(eta)
     hclass = HypothesisClass.full(d)
@@ -483,10 +491,10 @@ def upper_bound_experiment(eta: Scalar, d: int, n: int, trials: int, rng: Random
     learner = VcSubsampleLearner(hclass, config)
     bound = vc_excess_bound(eta, d)
     cells = []
-    for idx, v in enumerate(bias_grid):
+    adversary = GreedyFlipAdversary(AttackBudget(eta))
+    for idx, v in enumerate(UPPER_BIAS_GRID):
         u = BiasVector([v] * d)
         dist = ProductBiasDistribution(u)
-        adversary = make_adversary(adversary_id, eta, learner, d)
         est = mc_adversarial_loss(learner, adversary, dist, n, eta, trials,
                                   rng.child("bias", idx),
                                   metadata={"experiment": "upper-bound", "bias": str(v)})
@@ -517,25 +525,18 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
                               rng: RandomSource) -> CurveReport:
     """Oblivious excess at a fixed bias across sample sizes.
 
-    F is re-estimated per size at the scheme's shifted points; the report
-    records the fraction of sizes whose excess clears sqrt(d eta)/36, the
-    quantity the recurring-excess argument tracks.
+    F is re-estimated per size at the scheme's shifted points, each
+    (coordinate, bias) key once on the stream ("curve", n, coordinate, bias)
+    (`_cached_f_oracle`). The report records the fraction of sizes whose
+    excess clears sqrt(d eta)/36, the quantity the recurring-excess argument
+    tracks.
     """
     d = scheme.dimension
     overall_eta = scheme.inner.eta / d if scheme.inner.eta else Fraction(0)
     threshold = curve_threshold(overall_eta, d) if overall_eta else 0.0
     points: list[tuple[int, float, float]] = []
     for n in sizes:
-        cache: dict[tuple, tuple[float, float]] = {}
-
-        def f_oracle(i: int, shifted: BiasVector, _n=n) -> tuple[float, float]:
-            key = (i, shifted.key())
-            if key not in cache:
-                table = estimate_F(learner, shifted, _n, trials_f,
-                                   rng.child("curve", _n, i, repr(key[1])), points=[i])
-                cache[key] = (table.values[0], table.std_errors[0])
-            return cache[key]
-
+        f_oracle, _ = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
         value, err, _ = oblivious_excess(f_oracle, u, scheme)
         points.append((n, value, err))
     excesses = tuple(p[1] for p in points)

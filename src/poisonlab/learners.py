@@ -10,7 +10,11 @@ subsampled majority vote, and Bayes and constant baselines.
 
 Every learner speaks one protocol, `Learner.prediction_prob`: the +1
 probability given one `Sample` at one point, or given a (trials, n) batch at
-one point per trial, with the learner's coins drawn from the generator.
+one point per trial, with the learner's coins drawn from the generator. A
+one-sample call is a one-row batch. Every number of the mechanism, its loss
+counts, selection law, log-probabilities, +1 and flip probabilities, comes
+from one histogram scorer (`_loss_counts`, `_softmax`), so a sample scores
+the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -39,37 +43,73 @@ from .core import (
 class ExpMechanismConfig:
     """Temperature policy for the exponential mechanism.
 
-    The default temperature is t = sqrt(log(m) / eta), which balances the
+    The temperature is t = sqrt(log(m) / eta), which balances the
     mechanism's excess on the empirical loss (log(m)/t) against its
-    sensitivity to sample corruption (flip probability <= 4 t eta). A
-    positive `temperature_override` replaces the rule entirely.
+    sensitivity to sample corruption (flip probability <= 4 t eta).
     """
 
     eta: Scalar
-    temperature_override: float | None = None
 
     def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if self.temperature_override is not None and self.temperature_override < 0:
-            raise ValueError("temperature override must be nonnegative")
 
     def temperature(self, m: int) -> float:
         if m < 1:
             raise ValueError("class size must be >= 1")
-        if self.temperature_override is not None:
-            return float(self.temperature_override)
         if m == 1:
             return 0.0
         return math.sqrt(math.log(m) / float(self.eta))
 
 
+def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disagreement counts (m, trials) of every hypothesis with every sample
+    of a batch, and each sample's row count (trials,). `histograms[t, i, 0]`
+    and `histograms[t, i, 1]` count the rows of sample t reading (i, +1) and
+    (i, -1); points past the second axis, which may not exceed the class
+    domain, count 0. A hypothesis disagrees with the (i, -1) rows where it
+    reads +1 and with the (i, +1) rows where it reads -1."""
+    if (histograms.ndim != 3 or histograms.shape[2] != 2
+            or not np.issubdtype(histograms.dtype, np.integer)):
+        raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
+    d = histograms.shape[1]
+    if d > hclass.domain_size:
+        raise DomainMismatchError(
+            f"histograms over {d} points exceed the class domain {hclass.domain_size}")
+    hist = histograms.astype(np.int64, copy=False)
+    n = hist.sum(axis=(1, 2))
+    if n.size and (n.min() < 1 or hist.min() < 0):
+        raise ValueError("histogram counts must be nonnegative with at least one row")
+    plus_votes = (hclass.values[:, :d] == PLUS).astype(np.int64)  # (m, d)
+    counts = plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T
+    return counts, n
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums of an (m, trials) array, each adding the rows one at a time
+    in row order. numpy reduces several columns so, but adds a lone column
+    pairwise from 8 rows on, so one column takes a cumulative sum instead."""
+    return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else a.sum(axis=0)
+
+
+def _softmax(hclass: HypothesisClass, histograms: np.ndarray,
+             config: ExpMechanismConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mechanism on every sample of a batch given as histograms: the
+    scores -t * loss shifted by their maximum, (m, trials), their
+    exponentials, and each sample's total weight. The max shift keeps the
+    weights finite for any temperature. A total adds the class's rows in row
+    order (`_sum_rows`), so a sample's numbers do not depend on the batch it
+    is scored in."""
+    counts, n = _loss_counts(hclass, histograms)
+    scores = (-config.temperature(hclass.size) / n) * counts.astype(np.float64)
+    shifted = scores - scores.max(axis=0, keepdims=True)
+    w = np.exp(shifted)
+    return shifted, w, _sum_rows(w)
+
+
 def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray:
     """Disagreement counts of every hypothesis on the sample (ints, length m)."""
-    if int(sample.points.max()) >= hclass.domain_size:
-        raise DomainMismatchError("sample contains points outside the class domain")
-    table = hclass.values[:, sample.points]  # (m, n)
-    return np.count_nonzero(table != sample.labels, axis=1)
+    return _loss_counts(hclass, sample.histograms(hclass.domain_size))[0][:, 0]
 
 
 def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list[Fraction]:
@@ -77,55 +117,30 @@ def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list[Fraction]:
     return [Fraction(int(c), n) for c in empirical_loss_counts(hclass, sample)]
 
 
-def _mechanism_scores(hclass: HypothesisClass, sample: Sample, config: ExpMechanismConfig) -> np.ndarray:
-    counts = empirical_loss_counts(hclass, sample)
-    t = config.temperature(hclass.size)
-    return (-t / len(sample)) * counts.astype(np.float64)
-
-
 def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,
                        config: ExpMechanismConfig) -> np.ndarray:
-    """Selection probabilities of the mechanism, in class row order.
-
-    Computed as a max-shifted softmax of -t * loss, so the weights stay
-    finite for any temperature.
-    """
-    scores = _mechanism_scores(hclass, sample, config)
-    shifted = scores - scores.max()
-    w = np.exp(shifted)
-    return w / w.sum()
+    """Selection probabilities of the mechanism, in class row order."""
+    _, w, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
+    return w[:, 0] / total[0]
 
 
 def exp_mechanism_log_dist(hclass: HypothesisClass, sample: Sample,
                            config: ExpMechanismConfig) -> np.ndarray:
     """log of exp_mechanism_dist, evaluated without leaving log space."""
-    scores = _mechanism_scores(hclass, sample, config)
-    shifted = scores - scores.max()
-    return shifted - math.log(np.exp(shifted).sum())
-
-
-def predict_prob(hclass: HypothesisClass, sample: Sample, x: int,
-                 config: ExpMechanismConfig) -> float:
-    """Probability that the mechanism's drawn hypothesis labels x as +1.
-
-    This is the exact partial sum of selection probabilities over the
-    hypotheses voting +1 at x; no sampling is involved.
-    """
-    if not 0 <= x < hclass.domain_size:
-        raise DomainMismatchError(f"point {x} outside domain of size {hclass.domain_size}")
-    p = exp_mechanism_dist(hclass, sample, config)
-    return float(p[hclass.values[:, x] == PLUS].sum())
+    shifted, _, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
+    return shifted[:, 0] - math.log(total[0])
 
 
 def flip_probability(hclass: HypothesisClass, a: Sample, b: Sample, x: int,
                      config: ExpMechanismConfig) -> float:
     """P(coupled predictions at x differ) for samples a and b under a shared
     uniform r, each predicting +1 iff r <= its +1 probability."""
-    return abs(predict_prob(hclass, a, x, config) - predict_prob(hclass, b, x, config))
+    learner = ExpMechanismLearner(hclass, config)
+    return abs(learner.prediction_prob(a, x) - learner.prediction_prob(b, x))
 
 
 def flip_bound(config: ExpMechanismConfig, m: int) -> float:
-    """The coupling's stability bound 4 t eta = 4 sqrt(eta log m) at default t."""
+    """The coupling's stability bound 4 t eta = 4 sqrt(eta log m)."""
     return 4.0 * config.temperature(m) * float(config.eta)
 
 
@@ -160,6 +175,10 @@ class VcLearnerConfig:
         return math.ceil(1 / Fraction(self.eta))
 
 
+# most first-half subsets VcSubsampleLearner.mean_prediction_prob enumerates
+SUBSET_LIMIT = 2000
+
+
 def _split_sizes(n: int) -> tuple[int, int]:
     return n // 2, n - n // 2
 
@@ -192,11 +211,11 @@ class Learner:
     `prediction_prob(sample, x, gen)` returns P(prediction = +1 | sample),
     conditioning on whatever internal randomness the learner draws from
     `gen` (the exponential mechanism needs none; the subsample rule draws its
-    subset). Given a one-sample `Sample` and a point it returns a float;
-    given a (trials, n) `Sample` and a (trials,) array of points it returns
-    a (trials,) array, trial t scored at its own point, drawing its coins in
-    trial order so that the batch agrees with one-sample calls on a
-    generator in the same state.
+    subset). Given a (trials, n) `Sample` and a (trials,) array of points it
+    returns a (trials,) array, trial t scored at its own point, drawing its
+    coins in trial order. A one-sample `Sample` and a point is a one-row
+    batch returned as a float, so the batch agrees with one-sample calls on
+    a generator in the same state.
     """
 
     name = "learner"
@@ -226,27 +245,24 @@ class ExpMechanismLearner(Learner):
         self.config = config
 
     def prediction_prob(self, sample: Sample, x, gen=None):
-        """A batch is scored through its histograms (`batch_prediction_probs`)."""
-        if sample.batched:
-            return self.batch_prediction_probs(sample.histograms(self.hclass.domain_size), x)
-        return predict_prob(self.hclass, sample, x, self.config)
+        """The sample's histograms are scored by `batch_prediction_probs`; one
+        sample is a one-row batch."""
+        probs = self.batch_prediction_probs(sample.histograms(self.hclass.domain_size), x)
+        return probs if sample.batched else float(probs[0])
 
     # exact already; the alias lets attackers ask for the averaged oracle
     def mean_prediction_prob(self, sample: Sample, x):
         return self.prediction_prob(sample, x)
 
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
-        """prediction_prob at x for a batch of samples given as histograms; x is
-        one point for every sample or a (trials,) array of one point each.
+        """prediction_prob at x for a batch of samples given as (trials,
+        points, 2) histograms (see `_loss_counts`); x is one point for every
+        sample or a (trials,) array of one point each.
 
-        `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows of
-        sample t reading (i, +1) and (i, -1). The mechanism is exchangeable:
-        it sees a sample only through this histogram, so a learner exposing
-        this method promises that row order never matters. Points past the
-        histogram's second axis have count 0; that axis may not exceed the
-        class domain. A hypothesis disagrees with the (i, -1) rows where it
-        reads +1 and with the (i, +1) rows where it reads -1, which gives the
-        same integer counts as the per-row comparison of `prediction_prob`.
+        The mechanism is exchangeable: it sees a sample only through this
+        histogram, so a learner exposing this method promises that row order
+        never matters. The +1 probability is the exact partial sum of the
+        selection probabilities of the hypotheses reading +1 at x.
         """
         per_trial = not isinstance(x, (int, np.integer))
         lo = hi = x
@@ -258,29 +274,9 @@ class ExpMechanismLearner(Learner):
         if not 0 <= lo <= hi < self.hclass.domain_size:
             raise DomainMismatchError(
                 f"point {x} outside domain of size {self.hclass.domain_size}")
-        if (histograms.ndim != 3 or histograms.shape[2] != 2
-                or not np.issubdtype(histograms.dtype, np.integer)):
-            raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
-        d = histograms.shape[1]
-        if d > self.hclass.domain_size:
-            raise DomainMismatchError(
-                f"histograms over {d} points exceed the class domain {self.hclass.domain_size}")
-        hist = histograms.astype(np.int64, copy=False)
-        n = hist.sum(axis=(1, 2))
-        if n.size and (n.min() < 1 or hist.min() < 0):
-            raise ValueError("histogram counts must be nonnegative with at least one row")
-        vals = self.hclass.values
-        m = vals.shape[0]
-        plus_votes = (vals[:, :d] == PLUS).astype(np.int64)  # (m, d)
-        counts = plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T  # (m, trials)
-        t = self.config.temperature(m)
-        scores = (-t / n) * counts.astype(np.float64)
-        shifted = scores - scores.max(axis=0, keepdims=True)
-        w = np.exp(shifted)
-        probs = w / w.sum(axis=0, keepdims=True)
-        if per_trial:
-            return np.where(vals[:, x] == PLUS, probs, 0.0).sum(axis=0)
-        return probs[vals[:, x] == PLUS].sum(axis=0)
+        _, w, total = _softmax(self.hclass, histograms, self.config)
+        plus = self.hclass.values[:, x] == PLUS  # (m, trials) or (m,)
+        return _sum_rows(np.where(plus if per_trial else plus[:, None], w / total, 0.0))
 
 
 class CoupledExpMechanismLearner(ExpMechanismLearner):
@@ -332,7 +328,7 @@ class VcSubsampleLearner(Learner):
         picked = np.take_along_axis(head, _draw_subsets(n1, k, gen, trials), axis=1)
         return self._scores(picked, np.arange(trials), hist, xs)
 
-    def mean_prediction_prob(self, sample: Sample, x, limit: int = 2000):
+    def mean_prediction_prob(self, sample: Sample, x):
         """Exact +1 probability, averaged over every subset draw (small n only).
 
         A `PredictionOracle`: a one-sample call is a one-row batch. Every
@@ -343,11 +339,11 @@ class VcSubsampleLearner(Learner):
         grouping.
         """
         if not sample.batched:
-            return float(self.mean_prediction_prob(_one_row(sample), x, limit)[0])
+            return float(self.mean_prediction_prob(_one_row(sample), x)[0])
         n1, k = self._check(sample)
         total = math.comb(n1, k)
-        if total > limit:
-            raise EnumerationTooLargeError(f"{total} subsets exceed limit {limit}")
+        if total > SUBSET_LIMIT:
+            raise EnumerationTooLargeError(f"{total} subsets exceed limit {SUBSET_LIMIT}")
         head, hist, xs = self._split(sample, x)
         trials = len(head)
         subsets = np.array(list(combinations(range(n1), k)))

@@ -267,7 +267,7 @@ def _record_calls(monkeypatch, cls, name) -> list:
 def _full_class_f(size: int, rng: RandomSource) -> FTable:
     learner = ExpMechanismLearner(HypothesisClass.full(size), ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
-    return estimate_F(learner, u, 64, 1003, rng, chunks=16)
+    return estimate_F(learner, u, 64, 1003, rng)
 
 
 def test_estimate_f_histogram_path_pin():
@@ -302,7 +302,7 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     for learner in _row_learners(2, Fraction(1, 16), 32, u):
         calls = _record_calls(monkeypatch, type(learner), "prediction_prob")
-        estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), chunks=16)
+        estimate_F(learner, u, 32, 100, RandomSource(SEED, 11))
         sizes = [7] * 4 + [6] * 12
         assert [(len(s.points), x.tolist()) for s, x, _ in calls] == [
             (size, [x] * size) for size in sizes for x in (0, 1)]

@@ -210,12 +210,15 @@ def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
     assert [row["learner"] for row in json.loads(a.read_text())] == [learner, learner]
 
 
-def test_main_error_rows_from_infeasible_cells(capsys):
-    # vc learner cannot run at eta = 1/4, d = 2: the row records the error
-    assert main(["sweep", "--eta", "1/4", "--d", "2", "--n", "8",
+@pytest.mark.parametrize("command", ["run", "sweep", "attack-eval"])
+def test_main_error_rows_from_infeasible_cells(capsys, command):
+    # vc learner cannot run at eta = 1/4, d = 2: each row records the error,
+    # and a command whose every cell errored exits with 1
+    assert main([command, "--eta", "1/4", "--d", "2", "--n", "8",
                  "--learner", "vc", "--trials", "5"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0]["mean"] == "" and "PreconditionError" in rows[0]["error"]
+    assert len(rows) == (3 if command == "attack-eval" else 1)
+    assert all(row["mean"] == "" and "PreconditionError" in row["error"] for row in rows)
 
 
 def test_main_verify_subset_and_fault(capsys):

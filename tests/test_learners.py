@@ -8,6 +8,7 @@ import pytest
 from poisonlab.core import (
     MINUS,
     DomainMismatchError,
+    EnumerationTooLargeError,
     Example,
     PLUS,
     BiasVector,
@@ -20,6 +21,7 @@ from poisonlab.core import (
     sample_loss,
 )
 from poisonlab.learners import (
+    SUBSET_LIMIT,
     BayesLearner,
     ConstantLearner,
     CoupledExpMechanismLearner,
@@ -34,7 +36,6 @@ from poisonlab.learners import (
     exp_mechanism_log_dist,
     flip_bound,
     flip_probability,
-    predict_prob,
 )
 
 SEED = 8251
@@ -67,7 +68,6 @@ def test_temperature_formula():
     config = ExpMechanismConfig(Fraction(1, 4))
     assert config.temperature(3) == pytest.approx(T_M3_ETA14, abs=1e-15)
     assert config.temperature(1) == 0.0
-    assert ExpMechanismConfig(Fraction(1, 4), temperature_override=7.0).temperature(3) == 7.0
 
 
 def test_empirical_losses_match_sample_loss():
@@ -95,7 +95,8 @@ def test_mechanism_dist_frozen_oracle():
 
 def test_mechanism_two_point_sigmoid():
     s = Sample([0], [PLUS])
-    config = ExpMechanismConfig(Fraction(1, 2), temperature_override=1.0)
+    config = ExpMechanismConfig(math.log(2))  # t = sqrt(log(2) / eta) = 1 exactly
+    assert config.temperature(2) == 1.0
     p = exp_mechanism_dist(TWO_CONSTS, s, config)
     assert p[1] == pytest.approx(SIGMOID_1, abs=1e-15)
     assert p[0] == pytest.approx(1 - SIGMOID_1, abs=1e-15)
@@ -118,15 +119,13 @@ def test_mechanism_uniform_at_m1_or_t0():
     s = Sample([0, 0], [PLUS, MINUS])
     single = HypothesisClass([[PLUS]])
     assert exp_mechanism_dist(single, s, ExpMechanismConfig(0.3))[0] == 1.0
-    config = ExpMechanismConfig(0.3, temperature_override=0.0)
-    p = exp_mechanism_dist(TWO_CONSTS, s, config)
-    assert p == pytest.approx([0.5, 0.5], abs=0)
 
 
 def test_mechanism_loss_guarantee_closed_form():
     # losses 0 and 1, t = 2: E[L] = 1/(1+e^2), bound = log(2)/2
     s = Sample([0], [PLUS])
-    config = ExpMechanismConfig(0.5, temperature_override=2.0)
+    config = ExpMechanismConfig(math.log(2) / 4)  # t = 2 exactly
+    assert config.temperature(2) == 2.0
     p = exp_mechanism_dist(TWO_CONSTS, s, config)
     expected = float(p[1])
     assert expected == pytest.approx(0.11920292202211756, abs=1e-15)
@@ -140,7 +139,8 @@ def test_predict_prob_is_plus_mass():
     p = exp_mechanism_dist(hc, s, config)
     for x in range(2):
         direct = sum(float(p[i]) for i in range(hc.size) if hc.hypothesis(i)(x) == PLUS)
-        assert predict_prob(hc, s, x, config) == pytest.approx(direct, abs=1e-15)
+        assert ExpMechanismLearner(hc, config).prediction_prob(s, x) == pytest.approx(
+            direct, abs=1e-15)
 
 
 def test_flip_probability_frozen_oracle():
@@ -148,8 +148,9 @@ def test_flip_probability_frozen_oracle():
     s2 = s.replace_many([0, 1], [Example(0, MINUS), Example(0, MINUS)])
     config = ExpMechanismConfig(Fraction(1, 4))
     assert config.temperature(2) == pytest.approx(T_SQRT4LOG2, abs=1e-15)
-    assert predict_prob(TWO_CONSTS, s, 0, config) == pytest.approx(P_PLUS_CLEAN, abs=1e-15)
-    assert predict_prob(TWO_CONSTS, s2, 0, config) == pytest.approx(P_PLUS_FLIP2, abs=1e-15)
+    learner = ExpMechanismLearner(TWO_CONSTS, config)
+    assert learner.prediction_prob(s, 0) == pytest.approx(P_PLUS_CLEAN, abs=1e-15)
+    assert learner.prediction_prob(s2, 0) == pytest.approx(P_PLUS_FLIP2, abs=1e-15)
     flip = flip_probability(TWO_CONSTS, s, s2, 0, config)
     assert flip == pytest.approx(P_PLUS_CLEAN - P_PLUS_FLIP2, abs=1e-15)
     assert flip <= flip_bound(config, 2)
@@ -203,7 +204,7 @@ def test_vc_learner_split_and_exactness():
 
         restricted = restrict_dedupe(hc, restriction_points).representatives
         tail = s.slice(slice(n1, None))
-        acc.append(predict_prob(restricted, tail, 0, ExpMechanismConfig(eta)))
+        acc.append(ExpMechanismLearner(restricted, ExpMechanismConfig(eta)).prediction_prob(tail, 0))
     assert mean == pytest.approx(math.fsum(acc) / len(acc), abs=1e-12)
 
 
@@ -231,8 +232,8 @@ def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
                 for subset in combinations(range(n1), k):
                     pts = tuple(sorted(set(s.points[list(subset)].tolist())))
                     point_sets.add(pts)
-                    want += predict_prob(restrict_dedupe(hc, pts).representatives, tail, x,
-                                         ExpMechanismConfig(eta))
+                    want += ExpMechanismLearner(restrict_dedupe(hc, pts).representatives,
+                                                ExpMechanismConfig(eta)).prediction_prob(tail, x)
                 want /= math.comb(n1, k)
                 calls.clear()
                 monkeypatch.setattr(analysis, "restrict_dedupe", counted)
@@ -245,6 +246,16 @@ def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
                 learner.prediction_prob(s, x, gen)
                 monkeypatch.undo()
                 assert len(calls) == 1
+
+
+def test_vc_mean_prediction_prob_refuses_more_subsets_than_its_limit():
+    # n = 64: n1 = 32 first-half rows and k = 4, so C(32, 4) = 35,960 subsets
+    learner = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 64), 1))
+    assert learner.config.subsample_size == 4 and math.comb(32, 4) > SUBSET_LIMIT
+    for sample in (Sample([0] * 64, [PLUS] * 64), Sample(np.zeros((2, 64), dtype=int),
+                                                         np.ones((2, 64), dtype=int))):
+        with pytest.raises(EnumerationTooLargeError, match="35960 subsets exceed limit 2000"):
+            learner.mean_prediction_prob(sample, 0)
 
 
 def test_vc_learner_requires_min_sample():
@@ -348,7 +359,10 @@ def test_batch_prediction_rejects_points_outside_the_domain():
 def test_batched_prediction_prob_matches_each_row():
     # every learner takes the batch; the subsample and majority rules draw
     # from the generator: the batch and the rows draw the same subsets when
-    # their generators start in one state
+    # their generators start in one state. A row scores exactly as in the
+    # batch: the mechanisms' one-sample call is a one-row batch of the same
+    # scorer, which adds in row order for any batch size (at d = 3 a 1-D sum
+    # of the 8 hypotheses' weights would add pairwise and differ)
     rng = np.random.default_rng(SEED + 9)
     eta = Fraction(1, 16)
     for d in (1, 2, 3):
@@ -370,7 +384,7 @@ def test_batched_prediction_prob_matches_each_row():
                 want = [learner.prediction_prob(s, x, gen)
                         for s, x in zip(batch.rows(), xs.tolist())]
                 assert got.shape == (trials,)
-                assert got.tolist() == pytest.approx(want, abs=1e-12), (learner.name, d, trials)
+                assert got.tolist() == want, (learner.name, d, trials)
 
 
 def test_trial_probs_row_default_for_one_sample_learners():
