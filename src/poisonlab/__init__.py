@@ -26,7 +26,6 @@ from .analysis import (
     StabilityReport,
     cover_radius,
     estimate_F,
-    exact_f_value,
     oblivious_excess,
     restrict_dedupe,
     sauer_bound,
@@ -57,7 +56,6 @@ from .core import (
     full_alphabet,
     hamming_distance,
     population_loss,
-    sample_loss,
     stable_stream_id,
 )
 from .experiments import (
@@ -72,6 +70,7 @@ from .experiments import (
     UpperBoundReport,
     curve_threshold,
     equivalence_check,
+    exact_F,
     exhaustive_adversarial_loss,
     exhaustive_clean_loss,
     exhaustive_public_loss,

@@ -80,8 +80,7 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     return Sample(np.stack([b.points for b in best]), np.stack([b.labels for b in best]))
 
 
-def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget,
-                       alphabet: Sequence[Example] | None = None) -> Sample:
+def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) -> Sample:
     """Heuristic corruption: rewrite rows to (target point, opposite label).
 
     Preference order: first examples already at the target point carrying the
@@ -97,9 +96,6 @@ def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget,
         return sample
     x = np.expand_dims(target.point, -1)  # (1,) for one sample, (trials, 1) for a batch
     y = np.expand_dims(target.label, -1)
-    poisoned = set(zip(x.ravel().tolist(), (-y).ravel().tolist()))
-    if alphabet is not None and not poisoned <= set(alphabet):
-        raise ValueError("alphabet does not admit the poisoned example")
     matching = (sample.points == x) & (sample.labels == y)
     elsewhere = sample.points != x
     chosen = matching & (matching.cumsum(axis=-1) <= limit)
@@ -184,19 +180,13 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     Budgets above 1/16 are capped at 1/16 (the construction needs the grid
     span (2m+1)*eta to fit inside [sqrt(eta)/2, sqrt(eta)], which forces
     eta <= 1/16); the scheme records both budgets. m is the largest integer
-    with (2m+1)^2 * eta <= 1.
+    with (2m+1)^2 * eta <= 1, that is with 2m+1 <= isqrt(floor(1/eta)).
     """
     requested = Fraction(eta)
     if requested <= 0:
         raise ValueError("eta must be positive")
     effective = min(requested, Fraction(1, 16))
-    root = math.isqrt(math.floor(1 / effective))
-    odd = root if root % 2 == 1 else root - 1
-    m = (odd - 1) // 2
-    while (2 * (m + 1) + 1) ** 2 * effective <= 1:
-        m += 1
-    while m >= 1 and (2 * m + 1) ** 2 * effective > 1:
-        m -= 1
+    m = (math.isqrt(math.floor(1 / effective)) - 1) // 2
     if m < 1 or 4 * (2 * m + 1) ** 2 * effective < 1:
         raise AssertionError(f"no valid grid size for eta={effective}")  # unreachable for eta <= 1/16
     scheme = PoisoningScheme1D(effective, m, requested)

@@ -206,12 +206,6 @@ class FTable:
     n: int
     trials: int
 
-    def value(self, point: int) -> float:
-        return self.values[self.points.index(point)]
-
-    def std_error(self, point: int) -> float:
-        return self.std_errors[self.points.index(point)]
-
 
 def _mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
     """The fsum mean of the values and the unbiased estimate of that mean's
@@ -281,59 +275,37 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
                   std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
 
 
-def exact_f_value(p_oracle: Callable[[Sample], float], u: Scalar, n: int) -> float:
-    """Exact F at a scalar bias for a single-point domain: the expectation of
-    p_plus - 1/2 over all 2^n label sequences, weighted by D_u^n."""
-    if n > 14:
-        raise PreconditionError("exact enumeration limited to n <= 14")
-    p_plus = Fraction(1, 2) + Fraction(u)
-    p_minus = 1 - p_plus
-    acc = 0.0
-    for mask in range(2 ** n):
-        labels = [PLUS if (mask >> i) & 1 else MINUS for i in range(n)]
-        k = sum(1 for l in labels if l == PLUS)
-        weight = float(p_plus ** k * p_minus ** (n - k))
-        if weight == 0.0:
-            continue
-        s = Sample([0] * n, labels)
-        acc += weight * (float(p_oracle(s)) - 0.5)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # oblivious (distribution-level) poisoned loss
 
-FOracle = Callable[[int, BiasVector], tuple[float, float]]
+FOracle = Callable[[int, BiasVector], float]
 
 
 def oblivious_excess(f_oracle: FOracle, u: BiasVector,
-                     scheme) -> tuple[float, float, list[tuple[tuple, float]]]:
+                     scheme) -> tuple[float, dict[tuple, Fraction]]:
     """Excess of the oblivious poisoned loss at bias u under the given scheme.
 
     The loss averages, over test atoms (i, y), the error mass
     (1/2 + y u_i)(1/2 - y F_i(u')) at the poisoned bias u' = scheme(i, y, u);
-    the Bayes loss of the clean distribution is subtracted. The second return
-    value is the propagated standard error (the loss is linear in the F
-    values, which are assumed independent across oracle queries). The third
-    lists, per oracle query in order, its key (i, u'.key()) and the excess's
-    coefficient on that F value, -y (1/2 + y u_i) / d.
+    the Bayes loss of the clean distribution is subtracted. The excess is
+    linear in the F values: the second return value maps each F key
+    (i, u'.key()) to its exact coefficient, the sum of -y (1/2 + y u_i) / d
+    over the test atoms that query that key.
     """
     d = u.dimension
     if scheme.dimension != d:
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
     terms = []
-    var = 0.0
-    coefficients = []
+    coefficients: dict[tuple, Fraction] = {}
     for i in range(d):
         for y in (PLUS, MINUS):
             shifted = scheme.apply(i, y, u)
-            fv, fse = f_oracle(i, shifted)
-            coef = float((Fraction(1, 2) + y * Fraction(u.coords[i])) / d)
-            terms.append(coef * (0.5 - y * fv))
-            var += (coef * fse) ** 2
-            coefficients.append(((i, shifted.key()), -y * coef))
+            mass = (Fraction(1, 2) + y * Fraction(u.coords[i])) / d
+            terms.append(float(mass) * (0.5 - y * f_oracle(i, shifted)))
+            key = (i, shifted.key())
+            coefficients[key] = coefficients.get(key, 0) - y * mass
     base = bayes_loss(ProductBiasDistribution(u))
-    return math.fsum(terms) - float(base), math.sqrt(var), coefficients
+    return math.fsum(terms) - float(base), coefficients
 
 
 # ---------------------------------------------------------------------------

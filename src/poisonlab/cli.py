@@ -41,7 +41,6 @@ from .experiments import (
     Z95,
     ExcessEstimate,
     SweepGrid,
-    curve_threshold,
     learning_curve_experiment,
     make_learner,
     run_sweep,
@@ -367,7 +366,6 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     rng = RandomSource(cfg.seed, stream)
     report = learning_curve_experiment(learner, u, scheme, cfg.sizes, cfg.trials, rng)
     bayes = float(bayes_loss(ProductBiasDistribution(u)))
-    threshold = curve_threshold(eta, d)
     rows = []
     for n, excess, se in zip(report.sizes, report.excesses, report.std_errors):
         half = Z95 * se
@@ -380,8 +378,8 @@ def cmd_curve(ns: argparse.Namespace) -> int:
                       "d": d, "stream": stream, "bias": str(coord)})
         rows.append(estimate_to_row(est, "curve", cfg.config_hash,
                                     bound_name="recurring-threshold",
-                                    bound_value=threshold,
-                                    passed=excess >= threshold))
+                                    bound_value=report.threshold,
+                                    passed=excess >= report.threshold))
     emit(rows, cfg)
     return 0
 
@@ -402,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--inject-fault", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 
-    def add_common(p, include=("eta", "d", "n", "trials", "seed", "learner",
-                               "adversary", "bias", "out", "format", "workers")):
+    def add_common(p):
         helps = {
             "eta": "corruption rate(s), exact fractions, comma separated (default 1/64)",
             "d": "domain size(s), comma separated (default 1)",
@@ -417,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
             "format": "csv or json (default csv)",
             "workers": "parallel worker processes (default 1)",
         }
-        for key in include:
-            p.add_argument(f"--{key}", help=helps[key])
+        for key, text in helps.items():
+            p.add_argument(f"--{key}", help=text)
         p.add_argument("--config", help="key=value config file; flags take precedence")
 
     run = sub.add_parser("run", help="one Monte Carlo cell")

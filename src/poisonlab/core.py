@@ -12,7 +12,7 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -43,12 +43,6 @@ class BudgetViolationError(RuntimeError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated parameter regime."""
-
-
-def label_to_01(y: int) -> int:
-    if y not in LABELS:
-        raise ValueError(f"label must be -1 or +1, got {y!r}")
-    return (1 + y) // 2
 
 
 def label_from_01(b: int) -> int:
@@ -111,11 +105,6 @@ class Sample:
         pts.setflags(write=False)
         self.points = pts
         self.labels = _signs(labs, DomainMismatchError, "labels")
-
-    @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "Sample":
-        exs = list(examples)
-        return cls([e.point for e in exs], [e.label for e in exs])
 
     def __len__(self) -> int:
         return self.points.shape[-1]

@@ -24,6 +24,7 @@ a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,7 +75,7 @@ from .adversaries import (
     PoisoningSchemeD,
     build_scheme_1d,
 )
-from .analysis import FOracle, _mean_and_variance, estimate_F, oblivious_excess
+from .analysis import FOracle, FTable, _mean_and_variance, estimate_F, oblivious_excess
 
 Z95 = 1.959963984540054
 
@@ -196,6 +197,8 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 # ---------------------------------------------------------------------------
 # exact evaluators at desk scale
 
+_TABLE_CAP = 100_000  # default limit on the sequences an oracle table enumerates
+
 
 def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int,
                   cap: int) -> np.ndarray:
@@ -272,7 +275,7 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                                eta: Scalar, n: int, cap: int = 100_000) -> float:
+                                eta: Scalar, n: int, cap: int = _TABLE_CAP) -> float:
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball."""
@@ -280,7 +283,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                           eta: Scalar, n: int, cap: int = 100_000) -> float:
+                           eta: Scalar, n: int, cap: int = _TABLE_CAP) -> float:
     """Exact adversarial risk of the thresholded public-coin learner.
 
     With the coin r public, the adversary corrupts after seeing r; the rule
@@ -292,10 +295,24 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                          n: int, cap: int = 100_000) -> float:
+                          n: int, cap: int = _TABLE_CAP) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
     public-coin risk over radius-0 balls."""
     return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, 0, public=True)
+
+
+def _table_f(table: np.ndarray, u: BiasVector, x: int) -> float:
+    """Exact F at point x under D_u^n, read off an oracle table: the radius-0
+    public-coin risk of a -1 test label at x is E[p(S, x)], less 1/2."""
+    return _ball_risk(table, ProductBiasDistribution(u), 0, public=True,
+                      atoms=[(Example(x, MINUS), 1)]) - 0.5
+
+
+def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
+    """Exact F at point x: E[p(S, x)] - 1/2 over every size-n sample S of D_u,
+    the exact engine's table weighted at radius 0 (`exhaustive_clean_loss`'s
+    weighting, at one test atom)."""
+    return _table_f(_oracle_table(p_oracle, ProductBiasDistribution(u), n, _TABLE_CAP), u, x)
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +332,19 @@ class EquivalenceReport:
 
 
 def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int,
-                      cap: int = 100_000) -> EquivalenceReport:
+                      cap: int = _TABLE_CAP) -> EquivalenceReport:
     """Exact check that doubling the sample-ball budget dominates the
     oblivious model: L_{2 eta}(sample-ball) + exp(-n eta / 3) >= the oblivious
     loss restricted to grid-scheme outputs.
 
     Single-point domain. The left side is the exact private risk over every
-    2-eta-ball; the right side takes, per test label, the worst of the clean
-    risks at the candidate biases {u, scheme(-1, u), scheme(+1, u)} (a subset
-    of the eta-ball around u, so the restriction can only lower the right
-    side). Both sides share one oracle table; only the weights change. It
-    holds when the slack left + guard - right is at least -1e-9.
+    2-eta-ball. The right side is the oblivious loss
+    sum_y (1/2 + y u) max_c (1/2 - y F_c) over the candidate biases
+    c in {u, scheme(-1, u), scheme(+1, u)} (a subset of the eta-ball around u,
+    so the restriction can only lower the right side), with each exact F_c a
+    radius-0 weighting (`_table_f`). Both sides share one oracle table; only
+    the weights change. It holds when the slack left + guard - right is at
+    least -1e-9.
     """
     eta = Fraction(eta)
     uf = Fraction(u)
@@ -335,13 +354,9 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int
     guard = math.exp(-n * float(eta) / 3.0)
     scheme, _ = build_scheme_1d(eta)
     candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}
-    right_terms = []
-    for y in (PLUS, MINUS):
-        weight = float(Fraction(1, 2) + y * uf)
-        worst = max(_ball_risk(table, ProductBiasDistribution(BiasVector([c])), 0, public=True,
-                               atoms=[(Example(0, y), 1)]) for c in candidates)
-        right_terms.append(weight * worst)
-    right = math.fsum(right_terms)
+    fs = [_table_f(table, BiasVector([c]), 0) for c in candidates]
+    right = math.fsum(float(Fraction(1, 2) + y * uf) * max(0.5 - y * f for f in fs)
+                      for y in (PLUS, MINUS))
     slack = left + guard - right
     return EquivalenceReport(u=uf, eta=eta, n=n, left_loss=left, guard=guard,
                              right_restricted=right, slack=slack, holds=slack >= -1e-9)
@@ -375,22 +390,30 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 
 
 def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
-                     *labels) -> tuple[FOracle, dict[tuple, tuple[float, float]]]:
-    """An F oracle for `oblivious_excess` and the cache it fills: the value and
-    standard error at each (coordinate i, bias u) key come from one
-    `estimate_F` of `trials_f` size-n trials at point i, on the stream
-    rng.child(*labels, i, repr(u.key()))."""
-    cache: dict[tuple, tuple[float, float]] = {}
+                     *labels) -> tuple[FOracle, dict[tuple, FTable]]:
+    """An F oracle for `oblivious_excess` and the cache it fills: the F value
+    at each (coordinate i, bias u) key comes from one `estimate_F` of
+    `trials_f` size-n trials at point i, on the stream
+    rng.child(*labels, i, repr(u.key())), and the cache keeps its table."""
+    cache: dict[tuple, FTable] = {}
 
-    def f_oracle(i: int, shifted: BiasVector) -> tuple[float, float]:
+    def f_oracle(i: int, shifted: BiasVector) -> float:
         key = (i, shifted.key())
         if key not in cache:
-            table = estimate_F(learner, shifted, n, trials_f,
-                               rng.child(*labels, i, repr(key[1])), points=[i])
-            cache[key] = (table.values[0], table.std_errors[0])
-        return cache[key]
+            cache[key] = estimate_F(learner, shifted, n, trials_f,
+                                    rng.child(*labels, i, repr(key[1])), points=[i])
+        return cache[key].values[0]
 
     return f_oracle, cache
+
+
+def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:
+    """Variance of the linear form sum_k c_k F_k in the cached F estimates.
+    Each key is one estimate, independent of the others, so the variance is
+    sum_k (c_k se_k)^2; test atoms that read the same estimate have their
+    coefficients summed into c_k first (`oblivious_excess`)."""
+    return math.fsum((float(c) * cache[key].std_errors[0]) ** 2
+                     for key, c in coefficients.items())
 
 
 @dataclass(frozen=True)
@@ -416,40 +439,36 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     Draws u from the product of hard distributions `trials_outer` times, in
     trial order from one ("outer",) stream, and evaluates the oblivious excess
     (`oblivious_excess`) with F values estimated by `estimate_F`. The hard
-    distribution has finite support, so the excess of each distinct u is
-    computed once, and each required (coordinate, shifted bias) pair is
-    estimated once with `trials_f` trials on the stream ("F", coordinate,
-    bias) and cached (`_cached_f_oracle`); trials still enter the
-    mean and the coefficient sums one by one, in trial order. The CI
-    combines the outer sampling variance with the propagated standard errors
-    of the cached estimates (the excess is linear in F).
+    distribution has finite support, so the draws are counted and the excess
+    of each distinct u is computed once; each required (coordinate, shifted
+    bias) pair is estimated once with `trials_f` trials on the stream ("F",
+    coordinate, bias) and cached (`_cached_f_oracle`). The mean is over the
+    draws. The CI combines the outer sampling variance with the propagated
+    variance of the cached estimates (`_f_variance`), whose coefficients are
+    the per-u coefficients weighted by count, over trials_outer. The
+    threshold is taken at the scheme's budget, d * eta capped at 1/16 and
+    spread over the d coordinates.
     """
     eta = Fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
     inner, hard = build_scheme_1d(d * eta)
     scheme = PoisoningSchemeD(inner, d)
-    threshold = lower_bound_threshold(eta, d)
+    threshold = lower_bound_threshold(scheme.eta, d)
 
     f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
-    coef_acc: dict[tuple, float] = {}
-
-    # per distinct u: its excess, its standard error and its F coefficients
-    per_u: dict[tuple, tuple[float, float, list[tuple[tuple, float]]]] = {}
-    excesses: list[float] = []
     gen = rng.child("outer").generator()
-    for _ in range(trials_outer):
-        coords = tuple(hard.sample(gen) for _ in range(d))
-        if coords not in per_u:
-            per_u[coords] = oblivious_excess(f_oracle, BiasVector(coords), scheme)
-        excess, _, contributions = per_u[coords]
-        excesses.append(excess)
-        for key, c in contributions:
-            coef_acc[key] = coef_acc.get(key, 0.0) + c
+    draws = Counter(tuple(hard.sample(gen) for _ in range(d)) for _ in range(trials_outer))
+    excesses: list[float] = []
+    coefficients: dict[tuple, Fraction] = {}
+    for coords, count in draws.items():
+        excess, per_key = oblivious_excess(f_oracle, BiasVector(coords), scheme)
+        excesses += [excess] * count  # fsum's mean and variance ignore the order
+        for key, c in per_key.items():
+            coefficients[key] = coefficients.get(key, 0) + count * c
 
     mean, outer_var = _mean_and_variance(excesses)
-    f_var = math.fsum((acc / trials_outer * cache[key][1]) ** 2
-                      for key, acc in coef_acc.items())
+    f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
     half = Z95 * math.sqrt(outer_var + f_var)
     return LowerBoundReport(
         eta=eta, dimension=d, n=n, trials_outer=trials_outer, trials_f=trials_f,
@@ -527,22 +546,21 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
 
     F is re-estimated per size at the scheme's shifted points, each
     (coordinate, bias) key once on the stream ("curve", n, coordinate, bias)
-    (`_cached_f_oracle`). The report records the fraction of sizes whose
-    excess clears sqrt(d eta)/36, the quantity the recurring-excess argument
-    tracks.
+    (`_cached_f_oracle`); a size's standard error propagates those estimates'
+    errors through the excess (`_f_variance`). The report records the
+    fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
+    budget eta, the quantity the recurring-excess argument tracks.
     """
-    d = scheme.dimension
-    overall_eta = scheme.inner.eta / d if scheme.inner.eta else Fraction(0)
-    threshold = curve_threshold(overall_eta, d) if overall_eta else 0.0
-    points: list[tuple[int, float, float]] = []
+    threshold = curve_threshold(scheme.eta, scheme.dimension)
+    excesses, std_errors = [], []
     for n in sizes:
-        f_oracle, _ = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-        value, err, _ = oblivious_excess(f_oracle, u, scheme)
-        points.append((n, value, err))
-    excesses = tuple(p[1] for p in points)
-    return CurveReport(u=u, sizes=tuple(p[0] for p in points), excesses=excesses,
-                       std_errors=tuple(p[2] for p in points), threshold=threshold,
-                       fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(points))
+        f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
+        excess, coefficients = oblivious_excess(f_oracle, u, scheme)
+        excesses.append(excess)
+        std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
+    return CurveReport(u=u, sizes=tuple(sizes), excesses=tuple(excesses),
+                       std_errors=tuple(std_errors), threshold=threshold,
+                       fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(excesses))
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +611,11 @@ class SweepCell(NamedTuple):
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian sweep description. Cell sample sizes come from `sizes` when
-    given, else from the rule n = ceil(size_rule_c / eta)."""
+    given, else from the rule n = ceil(4 / eta)."""
 
     etas: tuple
     dims: tuple
     sizes: tuple | None = None
-    size_rule_c: int = 4
     learners: tuple = ("exp-mech",)
     adversaries: tuple = ("greedy",)
     trials: int = 10_000
@@ -609,7 +626,7 @@ class SweepGrid:
         out = []
         for eta in self.etas:
             eta = Fraction(eta)
-            ns = self.sizes if self.sizes else (math.ceil(self.size_rule_c / eta),)
+            ns = self.sizes if self.sizes else (math.ceil(4 / eta),)
             for d in self.dims:
                 for n in ns:
                     for learner in self.learners:

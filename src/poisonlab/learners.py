@@ -107,8 +107,17 @@ def _softmax(hclass: HypothesisClass, histograms: np.ndarray,
     return shifted, w, _sum_rows(w)
 
 
+def _one_sample(*samples: Sample) -> None:
+    """The one-sample helpers below score one sample; a (trials, n) batch,
+    which would be scored as its first trial alone, raises ValueError."""
+    if any(s.batched for s in samples):
+        raise ValueError("give one sample, not a (trials, n) batch; "
+                         "score batches with batch_prediction_probs")
+
+
 def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray:
     """Disagreement counts of every hypothesis on the sample (ints, length m)."""
+    _one_sample(sample)
     return _loss_counts(hclass, sample.histograms(hclass.domain_size))[0][:, 0]
 
 
@@ -120,6 +129,7 @@ def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list[Fraction]:
 def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,
                        config: ExpMechanismConfig) -> np.ndarray:
     """Selection probabilities of the mechanism, in class row order."""
+    _one_sample(sample)
     _, w, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
     return w[:, 0] / total[0]
 
@@ -127,6 +137,7 @@ def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,
 def exp_mechanism_log_dist(hclass: HypothesisClass, sample: Sample,
                            config: ExpMechanismConfig) -> np.ndarray:
     """log of exp_mechanism_dist, evaluated without leaving log space."""
+    _one_sample(sample)
     shifted, _, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
     return shifted[:, 0] - math.log(total[0])
 
@@ -135,6 +146,7 @@ def flip_probability(hclass: HypothesisClass, a: Sample, b: Sample, x: int,
                      config: ExpMechanismConfig) -> float:
     """P(coupled predictions at x differ) for samples a and b under a shared
     uniform r, each predicting +1 iff r <= its +1 probability."""
+    _one_sample(a, b)
     learner = ExpMechanismLearner(hclass, config)
     return abs(learner.prediction_prob(a, x) - learner.prediction_prob(b, x))
 

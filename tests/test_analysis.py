@@ -11,7 +11,6 @@ from poisonlab.analysis import (
     FTable,
     cover_radius,
     estimate_F,
-    exact_f_value,
     oblivious_excess,
     restrict_dedupe,
     sauer_bound,
@@ -25,6 +24,7 @@ from poisonlab.core import (
     PLUS,
     BiasVector,
     DomainMismatchError,
+    EnumerationTooLargeError,
     HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
@@ -34,7 +34,7 @@ from poisonlab.core import (
     draw_sample_with,
     full_alphabet,
 )
-from poisonlab.experiments import make_learner
+from poisonlab.experiments import _f_variance, exact_F, make_learner
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, Learner
 
 SEED = 77031
@@ -157,22 +157,46 @@ def test_uniform_cover_bound_formula():
     assert uniform_cover_bound(2, 64) > 1  # vacuous at desk scale, by design
 
 
-def test_exact_f_value_frozen_oracle():
+def test_exact_f_frozen_oracle():
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
-    got = exact_f_value(lambda s: learner.prediction_prob(s, 0), Fraction(1, 8), 2)
+    got = exact_F(learner.prediction_prob, BiasVector([Fraction(1, 8)]), 2, 0)
     assert got == pytest.approx(EXACT_F_2CONST, abs=1e-15)
-    with pytest.raises(PreconditionError):
-        exact_f_value(lambda s: 0.5, Fraction(0), 15)
+    # 2^17 sequences exceed the engine's cap
+    with pytest.raises(EnumerationTooLargeError):
+        exact_F(learner.prediction_prob, BiasVector([Fraction(0)]), 17, 0)
 
 
-def test_exact_f_value_symmetry():
+def test_exact_f_symmetry():
     # F(-u) = -F(u) for the label-symmetric two-constant mechanism
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 8)))
-    oracle = lambda s: learner.prediction_prob(s, 0)
-    plus = exact_f_value(oracle, Fraction(1, 4), 5)
-    minus = exact_f_value(oracle, Fraction(-1, 4), 5)
+    plus = exact_F(learner.prediction_prob, BiasVector([Fraction(1, 4)]), 5, 0)
+    minus = exact_F(learner.prediction_prob, BiasVector([Fraction(-1, 4)]), 5, 0)
     assert plus == pytest.approx(-minus, abs=1e-12)
-    assert exact_f_value(oracle, Fraction(0), 5) == pytest.approx(0.0, abs=1e-12)
+    assert exact_F(learner.prediction_prob, BiasVector([Fraction(0)]), 5, 0) == pytest.approx(
+        0.0, abs=1e-12)
+
+
+def test_exact_f_matches_an_exact_rational_sum_at_n14():
+    # the label count k has weight C(14, k) (1/4)^k (3/4)^(14 - k) at u = -1/4;
+    # summing each float p_k times its weight in exact arithmetic bounds the
+    # engine's rounding, which a plain float sum over 2^14 sequences exceeds
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
+    n, u = 14, Fraction(-1, 4)
+    exact = -Fraction(1, 2)
+    for k in range(n + 1):
+        s = Sample([0] * n, [PLUS] * k + [MINUS] * (n - k))
+        weight = math.comb(n, k) * (Fraction(1, 2) + u) ** k * (Fraction(1, 2) - u) ** (n - k)
+        exact += weight * Fraction(learner.prediction_prob(s, 0))
+    got = exact_F(learner.prediction_prob, BiasVector([u]), n, 0)
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 15)
+
+
+def test_exact_f_matches_the_histogram_reference_at_d2():
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
+    for x in range(2):
+        assert exact_F(learner.prediction_prob, u, 4, x) == pytest.approx(
+            _exact_f_by_histograms(learner, u, 4, x), abs=1e-14)
 
 
 def test_estimate_f_agrees_with_exact():
@@ -234,7 +258,7 @@ def test_estimate_f_paths_match_exact_histogram_f():
         exact = _exact_f_by_histograms(learner, u, n, x)
         assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
         for table in (batched, scalar):
-            assert abs(table.value(x) - exact) <= 4.5 * table.std_error(x)
+            assert abs(table.values[x] - exact) <= 4.5 * table.std_errors[x]
 
 
 def test_estimate_f_rejects_a_bias_outside_the_class_domain():
@@ -320,34 +344,28 @@ def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
         ref = np.array([[learner.prediction_prob(s, x, gen) - 0.5 for x in (0, 1)]
                         for s in (draw_sample_with(dist, n, gen) for _ in range(1500))])
         for x in (0, 1):
-            sigma = math.hypot(table.std_error(x), ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
+            sigma = math.hypot(table.std_errors[x], ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
             assert abs(ref[:, x].mean()) > 2.25 * sigma  # a sign error lands beyond 4.5 sigma
-            assert abs(table.value(x) - ref[:, x].mean()) <= 4.5 * sigma
-
-
-def test_ftable_accessors():
-    t = FTable(u=BiasVector([Fraction(0), Fraction(0)]), points=(0, 1),
-               values=(0.1, -0.2), std_errors=(0.01, 0.02), n=4, trials=100)
-    assert t.value(1) == -0.2
-    assert t.std_error(0) == 0.01
+            assert abs(table.values[x] - ref[:, x].mean()) <= 4.5 * sigma
 
 
 def test_oblivious_excess_hand_value():
     # identity scheme, constant F = c: excess = u(1 - 2c) at positive scalar u
     u = BiasVector([Fraction(1, 4)])
-    value, err, coefficients = oblivious_excess(lambda i, ub: (0.3, 0.0), u, identity_scheme(1))
+    value, coefficients = oblivious_excess(lambda i, ub: 0.3, u, identity_scheme(1))
     assert value == pytest.approx(0.25 * (1 - 2 * 0.3), abs=1e-15)
-    assert err == 0.0
-    # d(excess)/dF at each query: -(1/2 + 1/4) for y = +1, +(1/2 - 1/4) for y = -1
-    assert coefficients == [((0, (Fraction(1, 4),)), -0.75), ((0, (Fraction(1, 4),)), 0.25)]
+    # d(excess)/dF: -(1/2 + 1/4) for y = +1 plus +(1/2 - 1/4) for y = -1,
+    # both atoms reading the one key
+    assert coefficients == {(0, (Fraction(1, 4),)): Fraction(-1, 2)}
 
 
 def test_oblivious_excess_error_propagation():
     u = BiasVector([Fraction(1, 4)])
-    oracle = lambda i, ub: (0.3, 0.02)
-    _, err, _ = oblivious_excess(oracle, u, identity_scheme(1))
-    # coefficients 3/4 and 1/4: err = 0.02 * sqrt(9/16 + 1/16)
-    assert err == pytest.approx(0.02 * math.sqrt(10) / 4, abs=1e-15)
+    _, coefficients = oblivious_excess(lambda i, ub: 0.3, u, identity_scheme(1))
+    table = FTable(u=u, points=(0,), values=(0.3,), std_errors=(0.02,), n=4, trials=100)
+    # both test atoms read one estimate: err = |-3/4 + 1/4| * 0.02, not 0.02 * sqrt(9/16 + 1/16)
+    err = math.sqrt(_f_variance(coefficients, {(0, u.key()): table}))
+    assert err == pytest.approx(0.01, abs=1e-15)
 
 
 def test_oblivious_excess_nonnegative_for_bayes_f():
@@ -358,10 +376,10 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
 
     def bayes_f(i, ub):
         c = ub.coords[i]
-        return (0.5 if c > 0 else -0.5 if c < 0 else 0.0), 0.0
+        return 0.5 if c > 0 else -0.5 if c < 0 else 0.0
 
     for v in hard.values():
-        value, _, _ = oblivious_excess(bayes_f, BiasVector([v]), scheme)
+        value, _ = oblivious_excess(bayes_f, BiasVector([v]), scheme)
         assert value >= -1e-15
 
 

@@ -199,6 +199,16 @@ def test_main_curve_emits_bounds(capsys):
     assert float(rows[0]["bound_value"]) == pytest.approx(math.sqrt(1 / 16) / 36)
 
 
+def test_main_curve_bound_is_the_schemes_threshold(capsys):
+    # eta = 1/8 runs the grid scheme at its 1/16 cap: the threshold is
+    # sqrt(1/16)/36, not sqrt(1/8)/36
+    assert main(["curve", "--eta", "1/8", "--d", "1", "--n", "16,32", "--trials", "200"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [float(r["bound_value"]) for r in rows] == [0.25 / 36] * 2
+    assert all(r["passed"] == ("true" if float(r["excess"]) >= 0.25 / 36 else "false")
+               for r in rows)
+
+
 @pytest.mark.parametrize("learner", ["vc", "majority"])
 def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
     base = ["curve", "--eta", "1/16", "--learner", learner, "--n", "16,32",

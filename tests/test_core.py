@@ -25,7 +25,6 @@ from poisonlab.core import (
     full_alphabet,
     hamming_distance,
     label_from_01,
-    label_to_01,
     population_loss,
     sample_loss,
     stable_stream_id,
@@ -34,11 +33,11 @@ from poisonlab.core import (
 SEED = 20260825
 
 
-def test_label_codec_roundtrip():
-    assert label_to_01(PLUS) == 1
-    assert label_to_01(MINUS) == 0
-    for y in (MINUS, PLUS):
-        assert label_from_01(label_to_01(y)) == y
+def test_label_from_01_maps_bits_to_signs():
+    assert label_from_01(1) == PLUS
+    assert label_from_01(0) == MINUS
+    with pytest.raises(ValueError):
+        label_from_01(2)
 
 
 def test_sample_basic():

@@ -257,8 +257,8 @@ def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
         if w == 0:
             continue
         total += w
-        ball = ball_enumerate(Sample.from_examples([a for a, _ in rows]), eta, alphabet,
-                              max_corruptions=None)
+        ball = ball_enumerate(Sample([a.point for a, _ in rows], [a.label for a, _ in rows]),
+                              eta, alphabet, max_corruptions=None)
         for (x, y), q in atoms:
             probs = [float(p_oracle(b, x)) for b in ball]
             if public:
@@ -541,6 +541,39 @@ def test_learning_curve_experiment_smoke():
     assert report.threshold == pytest.approx(math.sqrt(1 / 16) / 36, abs=1e-15)
     assert 0.0 <= report.fraction_at_least <= 1.0
     assert all(abs(e) <= 1.0 for e in report.excesses)
+
+
+def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
+    # at an off-grid bias both test labels of coordinate i read one estimate of
+    # F_i, so its error enters once, times -(1/2 + u_i)/d + (1/2 - u_i)/d
+    eta, d, n, trials = Fraction(1, 128), 2, 16, 400
+    inner, _ = build_scheme_1d(d * eta)
+    scheme = PoisoningSchemeD(inner, d)
+    u = BiasVector([inner.endpoint, Fraction(-1, 4)])
+    assert all(scheme.apply(i, y, u) == u for i in range(d) for y in (PLUS, MINUS))
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    rng = RandomSource(SEED, 8)
+    report = learning_curve_experiment(learner, u, scheme, (n,), trials, rng)
+    se = [estimate_F(learner, u, n, trials, rng.child("curve", n, i, repr(u.key())),
+                     points=[i]).std_errors[0] for i in range(d)]
+    coords = [float(c) for c in u.coords]
+    summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
+    per_atom = math.sqrt(math.fsum(((0.5 + c) ** 2 + (0.5 - c) ** 2) / d ** 2 * s ** 2
+                                   for c, s in zip(coords, se)))
+    assert report.std_errors[0] == pytest.approx(summed, rel=1e-12)
+    assert report.std_errors[0] < per_atom / 2
+
+
+def test_thresholds_read_the_capped_scheme_budget():
+    # d * eta = 1/8 runs the scheme at 1/16, and the thresholds follow it
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 8)))
+    report = lower_bound_experiment(learner, Fraction(1, 8), 1, 8, trials_outer=20,
+                                    trials_f=20, rng=RandomSource(SEED, 9))
+    assert report.threshold == lower_bound_threshold(Fraction(1, 16), 1) == 1 / 64
+    inner, _ = build_scheme_1d(Fraction(1, 8))
+    curve = learning_curve_experiment(learner, BiasVector([inner.endpoint]),
+                                      PoisoningSchemeD(inner, 1), (8,), 20, RandomSource(SEED, 9))
+    assert curve.threshold == curve_threshold(Fraction(1, 16), 1)
 
 
 def test_make_learner_ids():

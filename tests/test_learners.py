@@ -83,6 +83,26 @@ def test_empirical_losses_match_sample_loss():
             assert losses[i] == Fraction(int(counts[i]), n)
 
 
+_ONE_SAMPLE_HELPERS = {
+    "empirical_loss_counts": lambda hc, s, c: empirical_loss_counts(hc, s),
+    "empirical_losses": lambda hc, s, c: empirical_losses(hc, s),
+    "exp_mechanism_dist": exp_mechanism_dist,
+    "exp_mechanism_log_dist": exp_mechanism_log_dist,
+    "flip_probability": lambda hc, s, c: flip_probability(hc, s, s, 0, c),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(_ONE_SAMPLE_HELPERS))
+def test_one_sample_helpers_reject_a_batch(helper):
+    # scored as one sample, a batch would read as its first trial alone
+    hc = HypothesisClass.full(2)
+    config = ExpMechanismConfig(Fraction(1, 4))
+    batch = Sample([[0, 1, 1], [1, 1, 0]], [[1, -1, 1], [1, 1, 1]])
+    with pytest.raises(ValueError, match="not a \\(trials, n\\) batch"):
+        _ONE_SAMPLE_HELPERS[helper](hc, batch, config)
+    _ONE_SAMPLE_HELPERS[helper](hc, next(batch.rows()), config)
+
+
 def test_mechanism_dist_frozen_oracle():
     # three hypotheses on domain {0,1,2,3} with disagreement counts 0, 1, 3
     hc = HypothesisClass([[PLUS, PLUS, PLUS, PLUS],
