@@ -121,55 +121,26 @@ def vc_dimension(hclass: HypothesisClass, max_domain: int = 20, max_size: int = 
     return vc
 
 
-def _exact_weights(weights: Sequence[Scalar]) -> tuple[np.ndarray, int] | None:
-    """Integer numerators and common denominator, if all weights are exact."""
-    fracs = []
-    for w in weights:
-        if isinstance(w, Fraction):
-            fracs.append(w)
-        elif isinstance(w, int):
-            fracs.append(Fraction(w))
-        else:
-            return None
-    denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    nums = np.array([f.numerator * (denom // f.denominator) for f in fracs], dtype=np.int64)
-    return nums, denom
-
-
 def cover_radius(hclass: HypothesisClass, cover: HypothesisClass,
-                 marginal: Sequence[Scalar] | None = None) -> Scalar:
+                 marginal: Sequence[Scalar] | None = None) -> Fraction:
     """Worst-case distance from the class to the cover: max over h of the
     minimal disagreement mass min_{h'} P_x[h(x) != h'(x)].
 
-    Exact (a Fraction) whenever the marginal is exact; the default marginal is
-    uniform on the domain.
+    Exact: the marginal (default uniform on the domain) is converted with
+    `Fraction`, which keeps a float's binary value, and must sum to 1 exactly.
     """
     n = hclass.domain_size
     if cover.domain_size != n:
         raise DimensionMismatchError("class and cover must share a domain")
-    if marginal is None:
-        marginal = [Fraction(1, n)] * n
-    if len(marginal) != n:
+    weights = [Fraction(1, n)] * n if marginal is None else [Fraction(w) for w in marginal]
+    if len(weights) != n:
         raise DimensionMismatchError("marginal length must match the domain size")
-    exact = _exact_weights(marginal)
-    if exact is not None:
-        nums, denom = exact
-        if nums.sum() != denom:
-            raise ValueError("marginal must sum to 1")
-        radius_num = 0
-        for j in range(hclass.size):
-            neq = cover.values != hclass.values[j]
-            masses = neq @ nums
-            radius_num = max(radius_num, int(masses.min()))
-        return Fraction(radius_num, denom)
-    w = np.asarray([float(x) for x in marginal])
-    if abs(w.sum() - 1.0) > 1e-9:
+    if sum(weights) != 1:
         raise ValueError("marginal must sum to 1")
-    radius = 0.0
-    for j in range(hclass.size):
-        masses = (cover.values != hclass.values[j]) @ w
-        radius = max(radius, float(masses.min()))
-    return radius
+    denom = math.lcm(*(w.denominator for w in weights))
+    nums = np.array([w.numerator * (denom // w.denominator) for w in weights], dtype=np.int64)
+    radius = max(int(((cover.values != row) @ nums).min()) for row in hclass.values)
+    return Fraction(radius, denom)
 
 
 def uniform_cover_bound(d: int, n: int) -> float:
@@ -289,7 +260,7 @@ def oblivious_excess(f_oracle: FOracle, u: BiasVector,
     (1/2 + y u_i)(1/2 - y F_i(u')) at the poisoned bias u' = scheme(i, y, u);
     the Bayes loss of the clean distribution is subtracted. The excess is
     linear in the F values: the second return value maps each F key
-    (i, u'.key()) to its exact coefficient, the sum of -y (1/2 + y u_i) / d
+    (i, u'.coords) to its exact coefficient, the sum of -y (1/2 + y u_i) / d
     over the test atoms that query that key.
     """
     d = u.dimension
@@ -300,9 +271,9 @@ def oblivious_excess(f_oracle: FOracle, u: BiasVector,
     for i in range(d):
         for y in (PLUS, MINUS):
             shifted = scheme.apply(i, y, u)
-            mass = (Fraction(1, 2) + y * Fraction(u.coords[i])) / d
+            mass = (Fraction(1, 2) + y * u.coords[i]) / d
             terms.append(float(mass) * (0.5 - y * f_oracle(i, shifted)))
-            key = (i, shifted.key())
+            key = (i, shifted.coords)
             coefficients[key] = coefficients.get(key, 0) - y * mass
     base = bayes_loss(ProductBiasDistribution(u))
     return math.fsum(terms) - float(base), coefficients

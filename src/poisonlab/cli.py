@@ -352,17 +352,20 @@ def cmd_attack_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_curve(ns: argparse.Namespace) -> int:
-    cfg = resolve_config(ns, overrides={"n": "16,32,64,128"})
+    overrides = {"n": "16,32,64,128"}
+    cfg = resolve_config(ns, overrides)
     _require_single(cfg, ("eta", "d", "learner"))
     eta, d = cfg.etas[0], cfg.dims[0]
     if not d * eta < 1:
         raise ConfigError(f"curve requires d * eta < 1, got {d} * {eta}")
     inner, _hard = build_scheme_1d(d * eta)
     scheme = PoisoningSchemeD(inner, d)
-    coord = cfg.bias if ns.bias is not None else inner.endpoint
-    u = BiasVector([coord] * d)
+    # a bias that neither a flag nor the file sets is the scheme's endpoint,
+    # resolved again so that the config hash names the bias the run uses
+    cfg = resolve_config(ns, {**overrides, "bias": str(inner.endpoint)})
+    u = BiasVector([cfg.bias] * d)
     learner = make_learner(cfg.learners[0], HypothesisClass.full(d), eta, max(cfg.sizes), u.coords)
-    stream = stable_stream_id("curve", str(eta), d, cfg.learners[0], cfg.trials, str(coord))
+    stream = stable_stream_id("curve", str(eta), d, cfg.learners[0], cfg.trials, str(cfg.bias))
     rng = RandomSource(cfg.seed, stream)
     report = learning_curve_experiment(learner, u, scheme, cfg.sizes, cfg.trials, rng)
     bayes = float(bayes_loss(ProductBiasDistribution(u)))
@@ -375,7 +378,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
             excess_ci_high=excess + half, trials=cfg.trials, seed=cfg.seed,
             metadata={"experiment": "curve", "learner": learner.name,
                       "adversary": "oblivious-grid", "n": n, "eta": str(eta),
-                      "d": d, "stream": stream, "bias": str(coord)})
+                      "d": d, "stream": stream, "bias": str(cfg.bias)})
         rows.append(estimate_to_row(est, "curve", cfg.config_hash,
                                     bound_name="recurring-threshold",
                                     bound_value=report.threshold,
@@ -409,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
             "seed": f"base seed (default {DEFAULT_SEED})",
             "learner": f"learner id(s): {', '.join(LEARNER_IDS)}",
             "adversary": f"adversary id(s): {', '.join(ADVERSARY_IDS)}",
-            "bias": "per-coordinate bias of the test distribution (default 1/4)",
+            "bias": "per-coordinate bias of the test distribution "
+                    "(default 1/4; curve: the grid scheme's endpoint)",
             "out": "output path (default: stdout)",
             "format": "csv or json (default csv)",
             "workers": "parallel worker processes (default 1)",

@@ -263,10 +263,12 @@ class HypothesisClass:
 
 
 class BiasVector:
-    """Per-point label biases u with |u_i| <= 1/2.
+    """Per-point label biases u with |u_i| <= 1/2, held as exact Fractions.
 
-    Coordinates may be exact Fractions (scheme grids, hard distributions) or
-    floats; arithmetic on them preserves whatever exactness they carry.
+    Each coordinate is converted once with `Fraction`, which is exact for
+    int, float and Fraction input: the float 0.1 is stored as Fraction(0.1),
+    its binary value, not 1/10. The bound is checked exactly before the
+    conversion, so NaN, infinities and 0.5 + 1e-13 are rejected.
     """
 
     __slots__ = ("coords",)
@@ -276,9 +278,9 @@ class BiasVector:
         if not cs:
             raise ValueError("bias vector needs at least one coordinate")
         for c in cs:
-            if abs(c) > Fraction(1, 2) + 1e-12:
+            if not abs(c) <= Fraction(1, 2):
                 raise ValueError(f"bias coordinate {c} outside [-1/2, 1/2]")
-        self.coords = cs
+        self.coords = tuple(Fraction(c) for c in cs)
 
     @property
     def dimension(self) -> int:
@@ -288,9 +290,6 @@ class BiasVector:
         cs = list(self.coords)
         cs[i] = value
         return BiasVector(cs)
-
-    def key(self) -> tuple:
-        return tuple(self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiasVector):
@@ -311,25 +310,21 @@ class ProductBiasDistribution:
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
-        # float view used only by the sampler
-        self._pplus = np.array([float(Fraction(1, 2) + u) if isinstance(u, Fraction)
-                                else 0.5 + float(u) for u in bias.coords])
+        # float view used only by the sampler: the correctly rounded 1/2 + u_i
+        self._pplus = np.array([float(Fraction(1, 2) + u) for u in bias.coords])
 
     @property
     def dimension(self) -> int:
         return self.bias.dimension
 
-    def atom_probability(self, point: int, label: int) -> Scalar:
+    def atom_probability(self, point: int, label: int) -> Fraction:
         if not 0 <= point < self.dimension:
             raise DomainMismatchError(f"point {point} outside domain of size {self.dimension}")
         if label not in LABELS:
             raise ValueError("label must be -1 or +1")
-        u = self.bias.coords[point]
-        d = self.dimension
-        half = Fraction(1, 2) if isinstance(u, (Fraction, int)) else 0.5
-        return (half + label * u) / d
+        return (Fraction(1, 2) + label * self.bias.coords[point]) / self.dimension
 
-    def atoms(self) -> list[tuple[Example, Scalar]]:
+    def atoms(self) -> list[tuple[Example, Fraction]]:
         return [(Example(i, y), self.atom_probability(i, y))
                 for i in range(self.dimension) for y in (PLUS, MINUS)]
 
@@ -389,25 +384,19 @@ def sample_loss(h: Hypothesis, sample: Sample) -> Fraction:
     return Fraction(disagreements, len(sample))
 
 
-def population_loss(h: Hypothesis, dist: ProductBiasDistribution) -> Scalar:
-    """Expected 0/1 loss of h under the product bias distribution.
-
-    P(err | point i) = 1/2 - h(i) * u_i, averaged over the uniform point.
-    Exact when the bias coordinates are exact.
-    """
-    d = dist.dimension
-    if h.domain_size != d:
+def population_loss(h: Hypothesis, dist: ProductBiasDistribution) -> Fraction:
+    """Expected 0/1 loss of h under the product bias distribution, exactly:
+    P(err | point i) = 1/2 - h(i) * u_i, averaged over the uniform point."""
+    if h.domain_size != dist.dimension:
         raise DimensionMismatchError("hypothesis domain and distribution dimension differ")
-    half = Fraction(1, 2) if all(isinstance(u, (Fraction, int)) for u in dist.bias.coords) else 0.5
-    total = sum(half - int(h.values[i]) * dist.bias.coords[i] for i in range(d))
-    return total / d
+    return sum(Fraction(1, 2) - s * u
+               for s, u in zip(h.values.tolist(), dist.bias.coords)) / dist.dimension
 
 
-def bayes_loss(dist: ProductBiasDistribution) -> Scalar:
-    """Best achievable loss over all labelings: average of min(1/2 - u_i, 1/2 + u_i)."""
-    d = dist.dimension
-    half = Fraction(1, 2) if all(isinstance(u, (Fraction, int)) for u in dist.bias.coords) else 0.5
-    return sum(min(half - u, half + u) for u in dist.bias.coords) / d
+def bayes_loss(dist: ProductBiasDistribution) -> Fraction:
+    """Best achievable loss over all labelings, exactly: the average of
+    min(1/2 - u_i, 1/2 + u_i) = 1/2 - |u_i|."""
+    return sum(Fraction(1, 2) - abs(u) for u in dist.bias.coords) / dist.dimension
 
 
 def hamming_distance(a: Sample, b: Sample) -> Fraction | np.ndarray:

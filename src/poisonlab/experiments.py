@@ -7,9 +7,9 @@ oracle scores that batch once per point into a table with one axis per sample
 row. A radius-k Hamming ball's max or min is k rounds of the radius-1
 operator, an elementwise max/min over the per-axis reductions (a radius-(j+1)
 ball is the union of radius-j balls around radius-1 neighbours), weighted by
-the exact sequence weights, each computed once per atom-count vector. Cost: d
-oracle calls over the batch plus k * n * (2d)^n array operations, not one
-validated `Sample` per ball member.
+the exact weight prod_a q_a ** c_a of each atom-count vector c. Cost: d oracle
+calls over the batch plus k * n * (2d)^n array operations, not one validated
+`Sample` per ball member.
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
@@ -197,17 +197,17 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 # ---------------------------------------------------------------------------
 # exact evaluators at desk scale
 
-_TABLE_CAP = 100_000  # default limit on the sequences an oracle table enumerates
+_TABLE_CAP = 100_000  # the most sequences an oracle table enumerates
 
 
-def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int,
-                  cap: int) -> np.ndarray:
+def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
+                  n: int) -> np.ndarray:
     """The oracle at every atom sequence and point: a (2d,)*n + (d,) array, axis
     j indexing row j's atom in `dist.atoms()` order, zero-weight rows included.
     Every sequence is one row of a single batch, scored by one call per point."""
     atoms = [ex for ex, _ in dist.atoms()]
-    if len(atoms) ** n > cap:
-        raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {cap}")
+    if len(atoms) ** n > _TABLE_CAP:
+        raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
     seqs = _sequences(len(atoms), n)
     batch = Sample(np.array([ex.point for ex in atoms])[seqs],
                    np.array([ex.label for ex in atoms])[seqs])
@@ -236,11 +236,9 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
     by default those of `dist`: the worst error, floored at 0, for private coins;
     1 - min p for a +1 target and max p for a -1 target for public coins.
 
-    A sequence's weight is the product of its atoms' probabilities, taken left
-    to right. Exact probabilities make it depend only on the sequence's atom
-    counts, so it is computed once per count vector, with the sorted sequence
-    standing for its class; a float probability makes the order matter, so
-    then every sequence stands for itself. The fsum adds one term
+    A sequence's weight depends only on its atom counts c: it is the exact
+    prod_a q_a ** c_a, computed once per count vector, with the sorted
+    sequence standing for its class. The fsum adds one term
     float(w * q) * value per live (nonzero-weight) sequence and test atom."""
     n = table.ndim - 1
     k = corruption_limit(eta, n)
@@ -253,17 +251,11 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
         value = {y: np.where(v > 0.0, v, 0.0) for y, v in worst.items()}
     probs = [q for _, q in dist.atoms()]
     seqs = _sequences(len(probs), n)
-    if all(isinstance(q, (Fraction, int)) for q in probs):
-        rep = np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n)
-    else:
-        rep = np.arange(len(seqs))
-    classes, inverse = np.unique(rep, return_inverse=True)
-    weights = []
-    for seq in seqs[classes].tolist():
-        w: Scalar = 1
-        for a in seq:
-            w = w * probs[a]
-        weights.append(w)
+    classes, inverse = np.unique(
+        np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n),
+        return_inverse=True)
+    counts = (seqs[classes][:, :, None] == np.arange(len(probs))).sum(axis=1)
+    weights = [math.prod(q ** c for q, c in zip(probs, row)) for row in counts.tolist()]
     live = np.array([w != 0 for w in weights])[inverse]
     which = inverse[live]
     acc = []
@@ -275,15 +267,15 @@ def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, pu
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                                eta: Scalar, n: int, cap: int = _TABLE_CAP) -> float:
+                                eta: Scalar, n: int) -> float:
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball."""
-    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, eta, public=False)
+    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, eta, public=False)
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                           eta: Scalar, n: int, cap: int = _TABLE_CAP) -> float:
+                           eta: Scalar, n: int) -> float:
     """Exact adversarial risk of the thresholded public-coin learner.
 
     With the coin r public, the adversary corrupts after seeing r; the rule
@@ -291,14 +283,14 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
     over the ball, so the inner expectation over r is a ball-extremum measure
     (1 - min p for a +1 target, max p for a -1 target).
     """
-    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, eta, public=True)
+    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, eta, public=True)
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                          n: int, cap: int = _TABLE_CAP) -> float:
+                          n: int) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
     public-coin risk over radius-0 balls."""
-    return _ball_risk(_oracle_table(p_oracle, dist, n, cap), dist, 0, public=True)
+    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, 0, public=True)
 
 
 def _table_f(table: np.ndarray, u: BiasVector, x: int) -> float:
@@ -312,7 +304,7 @@ def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
     """Exact F at point x: E[p(S, x)] - 1/2 over every size-n sample S of D_u,
     the exact engine's table weighted at radius 0 (`exhaustive_clean_loss`'s
     weighting, at one test atom)."""
-    return _table_f(_oracle_table(p_oracle, ProductBiasDistribution(u), n, _TABLE_CAP), u, x)
+    return _table_f(_oracle_table(p_oracle, ProductBiasDistribution(u), n), u, x)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,8 @@ class EquivalenceReport:
     holds: bool
 
 
-def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int,
-                      cap: int = _TABLE_CAP) -> EquivalenceReport:
+def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
+                      n: int) -> EquivalenceReport:
     """Exact check that doubling the sample-ball budget dominates the
     oblivious model: L_{2 eta}(sample-ball) + exp(-n eta / 3) >= the oblivious
     loss restricted to grid-scheme outputs.
@@ -349,7 +341,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar, n: int
     eta = Fraction(eta)
     uf = Fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
-    table = _oracle_table(p_oracle, dist, n, cap)
+    table = _oracle_table(p_oracle, dist, n)
     left = _ball_risk(table, dist, 2 * eta, public=False)
     guard = math.exp(-n * float(eta) / 3.0)
     scheme, _ = build_scheme_1d(eta)
@@ -394,11 +386,11 @@ def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
     """An F oracle for `oblivious_excess` and the cache it fills: the F value
     at each (coordinate i, bias u) key comes from one `estimate_F` of
     `trials_f` size-n trials at point i, on the stream
-    rng.child(*labels, i, repr(u.key())), and the cache keeps its table."""
+    rng.child(*labels, i, repr(u.coords)), and the cache keeps its table."""
     cache: dict[tuple, FTable] = {}
 
     def f_oracle(i: int, shifted: BiasVector) -> float:
-        key = (i, shifted.key())
+        key = (i, shifted.coords)
         if key not in cache:
             cache[key] = estimate_F(learner, shifted, n, trials_f,
                                     rng.child(*labels, i, repr(key[1])), points=[i])

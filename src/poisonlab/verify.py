@@ -77,9 +77,9 @@ def check_bayes_brute(rng: RandomSource):
         dist = ProductBiasDistribution(BiasVector(coords))
         best = min(population_loss(core.Hypothesis(list(signs)), dist)
                    for signs in iproduct((-1, 1), repeat=d))
-        worst = max(worst, abs(float(best) - float(bayes_loss(dist))))
-    ok = worst <= 1e-12
-    return ok, f"max |bayes - brute min over 2^d| = {worst:.2e}"
+        worst = max(worst, abs(best - bayes_loss(dist)))
+    ok = worst == 0
+    return ok, f"max |bayes - brute min over 2^d| = {float(worst):.2e}"
 
 
 def check_hamming_metric(rng: RandomSource):

@@ -364,7 +364,7 @@ def test_oblivious_excess_error_propagation():
     _, coefficients = oblivious_excess(lambda i, ub: 0.3, u, identity_scheme(1))
     table = FTable(u=u, points=(0,), values=(0.3,), std_errors=(0.02,), n=4, trials=100)
     # both test atoms read one estimate: err = |-3/4 + 1/4| * 0.02, not 0.02 * sqrt(9/16 + 1/16)
-    err = math.sqrt(_f_variance(coefficients, {(0, u.key()): table}))
+    err = math.sqrt(_f_variance(coefficients, {(0, u.coords): table}))
     assert err == pytest.approx(0.01, abs=1e-15)
 
 

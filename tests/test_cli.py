@@ -209,6 +209,24 @@ def test_main_curve_bound_is_the_schemes_threshold(capsys):
                for r in rows)
 
 
+def test_main_curve_takes_its_bias_from_any_source(tmp_path, capsys):
+    # a config-file bias is run, not only hashed; a bias no source sets is the
+    # scheme's endpoint (3/16 at eta = 1/16, d = 1), and the hash names it
+    base = ["curve", "--eta", "1/16", "--d", "1", "--n", "16", "--trials", "100"]
+    path = tmp_path / "curve.cfg"
+    path.write_text("bias = 1/8\n")
+    outputs = []
+    for extra in (["--config", str(path)], ["--bias", "1/8"], [], ["--bias", "3/16"]):
+        assert main(base + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    from_file, from_flag, default, endpoint = outputs
+    assert from_file == from_flag
+    assert default == endpoint
+    rows = [next(csv.DictReader(io.StringIO(out))) for out in (from_file, default)]
+    assert [r["bias"] for r in rows] == ["1/8", "3/16"]
+    assert rows[0]["config_hash"] != rows[1]["config_hash"]
+
+
 @pytest.mark.parametrize("learner", ["vc", "majority"])
 def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
     base = ["curve", "--eta", "1/16", "--learner", learner, "--n", "16,32",

@@ -155,6 +155,34 @@ def test_bias_vector_bounds():
         BiasVector([Fraction(3, 4)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1e-13, -0.5 - 1e-13,
+                                 np.float64("nan")])
+def test_bias_vector_rejects_non_finite_and_barely_out_of_range(bad):
+    # the bound is checked exactly: no tolerance lets 0.5 + 1e-13 through
+    # with a negative atom probability, and NaN fails the comparison
+    with pytest.raises(ValueError, match="outside"):
+        BiasVector([Fraction(0), bad])
+
+
+def test_bias_vector_stores_floats_exactly():
+    u = BiasVector([0.1, 0, Fraction(1, 3)])
+    assert u.coords == (Fraction(0.1), Fraction(0), Fraction(1, 3))
+    assert all(type(c) is Fraction for c in u.coords)
+    assert u.coords[0] != Fraction(1, 10)
+    # the sampler's probability is the correctly rounded 1/2 + u_i, which
+    # for a float coordinate is the float sum 0.5 + u_i bit for bit
+    pplus = ProductBiasDistribution(u)._pplus
+    assert pplus.tolist() == [0.5 + 0.1, 0.5, float(Fraction(5, 6))]
+
+
+def test_float_bias_losses_are_exact():
+    dist = ProductBiasDistribution(BiasVector([0.1, -0.3]))
+    q = Fraction(0.1)
+    assert dist.atom_probability(0, MINUS) == (Fraction(1, 2) - q) / 2
+    assert bayes_loss(dist) == (1 - q - Fraction(0.3)) / 2
+    assert population_loss(Hypothesis([PLUS, MINUS]), dist) == bayes_loss(dist)
+
+
 def test_bias_vector_replace():
     u = BiasVector([Fraction(0), Fraction(1, 4)])
     v = u.replace(0, Fraction(-1, 8))

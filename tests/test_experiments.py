@@ -322,8 +322,8 @@ def test_exhaustive_losses_match_reference_on_order_dependent_oracle():
 
 
 def test_exhaustive_losses_match_reference_on_float_and_mixed_biases():
-    # a float atom probability makes a sequence's weight depend on its order,
-    # so these cells weight every sequence on its own, as the reference does
+    # a float coordinate is held as the exact Fraction of its binary value, so
+    # these cells weight each atom-count vector exactly, as the reference does
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
     for coords in ([0.1, 0.3], [0.1, Fraction(1, 3)], [0.37, -0.11]):
         dist = ProductBiasDistribution(BiasVector(coords))
@@ -388,12 +388,13 @@ def test_exact_engine_and_ball_search_reject_a_scalar_oracle():
 
 
 def test_exhaustive_enumeration_cap():
+    # 2^17 sequences exceed the engine's one limit of 100,000
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     with pytest.raises(EnumerationTooLargeError):
-        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 8, cap=255)
+        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 17)
     with pytest.raises(EnumerationTooLargeError):
-        equivalence_check(learner.prediction_prob, Fraction(1, 4), Fraction(1, 4), 8, cap=255)
+        equivalence_check(learner.prediction_prob, Fraction(1, 4), Fraction(1, 4), 17)
 
 
 BUDGETS = st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),
@@ -427,7 +428,7 @@ def test_ball_radius_is_the_exact_floor(eta, n):
     # the engine's ball around the all -1 sample holds at most k +1 rows
     plus_share = lambda sample, x: (sample.labels == PLUS).sum(axis=-1) / n  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(-1, 2)]))
-    assert exhaustive_adversarial_loss(plus_share, dist, eta, n, cap=2 ** 10) == k / n
+    assert exhaustive_adversarial_loss(plus_share, dist, eta, n) == k / n
 
 
 def test_exhaustive_clean_loss_closed_form():
@@ -554,7 +555,7 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 8)
     report = learning_curve_experiment(learner, u, scheme, (n,), trials, rng)
-    se = [estimate_F(learner, u, n, trials, rng.child("curve", n, i, repr(u.key())),
+    se = [estimate_F(learner, u, n, trials, rng.child("curve", n, i, repr(u.coords)),
                      points=[i]).std_errors[0] for i in range(d)]
     coords = [float(c) for c in u.coords]
     summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
