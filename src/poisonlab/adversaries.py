@@ -10,7 +10,7 @@ moves a coordinate by exactly eta or not at all.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,8 +156,7 @@ class HardBiasDistribution:
         atoms += [(u, grid_weight) for u in scheme.grid()]
         atoms.append((scheme.endpoint, Fraction(1, 4)))
         self.atoms = tuple(atoms)
-        self._cumulative = tuple(itertools.accumulate(w for _, w in self.atoms))
-        total = self._cumulative[-1]
+        total = sum(w for _, w in self.atoms)
         if total != 1:
             raise ValueError(f"hard distribution weights sum to {total}, not 1")
 
@@ -167,11 +166,28 @@ class HardBiasDistribution:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def sample(self, gen: np.random.Generator) -> Fraction:
-        """Inverse-CDF draw over the fixed ascending atom order: the first
+    @functools.cached_property
+    def _upper(self) -> np.ndarray:
+        """Each exact cumulative weight c rounded up to the next float, so
+        that c <= r exactly when the rounded value is <= r, for every float r."""
+        return np.array([_ceil_float(c) for c in itertools.accumulate(self.weights())])
+
+    def sample_indices(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """An array of the given shape of atom indices, one uniform each in C
+        order, by inverse CDF over the fixed ascending atom order: the first
         atom whose exact cumulative weight exceeds the uniform (the weights
         sum to exactly 1, so one always does)."""
-        return self.atoms[bisect.bisect_right(self._cumulative, Fraction(gen.random()))][0]
+        return np.searchsorted(self._upper, gen.random(shape), side="right")
+
+    def sample(self, gen: np.random.Generator) -> Fraction:
+        """One bias drawn with one uniform (`sample_indices`)."""
+        return self.atoms[int(self.sample_indices(gen, 1)[0])][0]
+
+
+def _ceil_float(c: Fraction) -> float:
+    """The least float that is >= c."""
+    f = float(c)
+    return f if f >= c else math.nextafter(f, math.inf)
 
 
 def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistribution]:

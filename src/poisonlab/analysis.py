@@ -138,7 +138,11 @@ def cover_radius(hclass: HypothesisClass, cover: HypothesisClass,
     if sum(weights) != 1:
         raise ValueError("marginal must sum to 1")
     denom = math.lcm(*(w.denominator for w in weights))
-    nums = np.array([w.numerator * (denom // w.denominator) for w in weights], dtype=np.int64)
+    ints = [w.numerator * (denom // w.denominator) for w in weights]
+    # int64 holds every disagreement sum unless the numerators' absolute sum
+    # overflows it (a common denominator of 2^63 or more); then they stay Python ints
+    fits = sum(abs(v) for v in ints) <= np.iinfo(np.int64).max
+    nums = np.array(ints, dtype=np.int64 if fits else object)
     radius = max(int(((cover.values != row) @ nums).min()) for row in hclass.values)
     return Fraction(radius, denom)
 

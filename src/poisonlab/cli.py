@@ -441,9 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with every "--flag -1/8" pair written "--flag=-1/8". argparse
+    reads a token that starts with "-" as an option unless it is a plain
+    decimal, so a negative fraction would lose its flag; no option name
+    starts with "-" and a digit, so the two forms mean the same."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return ns.func(ns)
     except (ConfigError, PreconditionError) as exc:

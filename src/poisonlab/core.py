@@ -251,6 +251,12 @@ class HypothesisClass:
     def domain_size(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def is_full(self) -> bool:
+        """Whether the class holds every sign pattern on its domain; its rows
+        are distinct, so it does exactly when it has 2^N of them."""
+        return self.size == 2 ** self.domain_size
+
     def hypothesis(self, i: int) -> Hypothesis:
         return Hypothesis(self.values[i])
 

@@ -24,7 +24,6 @@ a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,7 +74,14 @@ from .adversaries import (
     PoisoningSchemeD,
     build_scheme_1d,
 )
-from .analysis import FOracle, FTable, _mean_and_variance, estimate_F, oblivious_excess
+from .analysis import (
+    FOracle,
+    FTable,
+    _mean_and_variance,
+    estimate_F,
+    oblivious_excess,
+    vc_dimension,
+)
 
 Z95 = 1.959963984540054
 
@@ -381,18 +387,39 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 # lower bound experiment
 
 
+def _f_key(learner: Learner, i: int, coords: tuple[Fraction, ...]) -> tuple:
+    """The F key of coordinate i at the bias `coords`: (i, coords). A
+    per-point learner's F at i depends on u_i alone, so its key sets every
+    other coordinate to 0, and every bias that agrees at i shares one
+    estimate. At d = 1 the two rules agree."""
+    if learner.per_point:
+        coords = tuple(c if j == i else Fraction(0) for j, c in enumerate(coords))
+    return i, coords
+
+
+def _fold(learner: Learner, coefficients: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
+    """`oblivious_excess`'s coefficients summed under the learner's F keys
+    (`_f_key`), one term per estimate."""
+    folded: dict[tuple, Fraction] = {}
+    for (i, coords), c in coefficients.items():
+        key = _f_key(learner, i, coords)
+        folded[key] = folded.get(key, 0) + c
+    return folded
+
+
 def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
                      *labels) -> tuple[FOracle, dict[tuple, FTable]]:
     """An F oracle for `oblivious_excess` and the cache it fills: the F value
-    at each (coordinate i, bias u) key comes from one `estimate_F` of
-    `trials_f` size-n trials at point i, on the stream
-    rng.child(*labels, i, repr(u.coords)), and the cache keeps its table."""
+    of coordinate i at the bias u comes from one `estimate_F` of `trials_f`
+    size-n trials at point i per key (i, v) = `_f_key(learner, i, u.coords)`,
+    run at the bias v on the stream rng.child(*labels, i, repr(v)), and the
+    cache keeps its table under that key."""
     cache: dict[tuple, FTable] = {}
 
     def f_oracle(i: int, shifted: BiasVector) -> float:
-        key = (i, shifted.coords)
+        key = _f_key(learner, i, shifted.coords)
         if key not in cache:
-            cache[key] = estimate_F(learner, shifted, n, trials_f,
+            cache[key] = estimate_F(learner, BiasVector(key[1]), n, trials_f,
                                     rng.child(*labels, i, repr(key[1])), points=[i])
         return cache[key].values[0]
 
@@ -402,8 +429,10 @@ def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
 def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:
     """Variance of the linear form sum_k c_k F_k in the cached F estimates.
     Each key is one estimate, independent of the others, so the variance is
-    sum_k (c_k se_k)^2; test atoms that read the same estimate have their
-    coefficients summed into c_k first (`oblivious_excess`)."""
+    sum_k (c_k se_k)^2; the coefficients of everything that reads one
+    estimate are summed into its c_k first (`oblivious_excess`, `_fold`), and
+    a key with no estimate of its own, such as an unfolded one, raises
+    KeyError rather than counting a shared estimate twice."""
     return math.fsum((float(c) * cache[key].std_errors[0]) ** 2
                      for key, c in coefficients.items())
 
@@ -428,18 +457,21 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
                            trials_outer: int, trials_f: int, rng: RandomSource) -> LowerBoundReport:
     """Mean oblivious excess of the learner under lifted grid poisoning.
 
-    Draws u from the product of hard distributions `trials_outer` times, in
-    trial order from one ("outer",) stream, and evaluates the oblivious excess
-    (`oblivious_excess`) with F values estimated by `estimate_F`. The hard
-    distribution has finite support, so the draws are counted and the excess
-    of each distinct u is computed once; each required (coordinate, shifted
-    bias) pair is estimated once with `trials_f` trials on the stream ("F",
-    coordinate, bias) and cached (`_cached_f_oracle`). The mean is over the
-    draws. The CI combines the outer sampling variance with the propagated
-    variance of the cached estimates (`_f_variance`), whose coefficients are
-    the per-u coefficients weighted by count, over trials_outer. The
-    threshold is taken at the scheme's budget, d * eta capped at 1/16 and
-    spread over the d coordinates.
+    Draws u from the product of hard distributions `trials_outer` times
+    with one call on the ("outer",) stream, d * trials_outer uniforms in
+    trial order (`HardBiasDistribution.sample_indices`), and evaluates the
+    oblivious excess (`oblivious_excess`) with F values estimated by
+    `estimate_F`. The hard distribution has finite support, so the draws are
+    counted and the excess of each distinct u is computed once. Each F key
+    (`_f_key`: (coordinate, shifted bias), or (i, u_i) for a per-point
+    learner) is estimated once with `trials_f` trials on the stream ("F",
+    coordinate, key bias) and cached (`_cached_f_oracle`). The mean is over
+    the draws. The CI combines the outer sampling variance with the
+    propagated variance of the cached estimates (`_f_variance`), whose
+    coefficients are the per-u coefficients summed under each F key and
+    weighted by count, over trials_outer. The threshold is taken at the
+    scheme's budget, d * eta capped at 1/16 and spread over the d
+    coordinates.
     """
     eta = Fraction(eta)
     if not d * eta < 1:
@@ -450,13 +482,15 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
 
     f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
-    draws = Counter(tuple(hard.sample(gen) for _ in range(d)) for _ in range(trials_outer))
+    draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
+                              return_counts=True)
+    values = hard.values()
     excesses: list[float] = []
     coefficients: dict[tuple, Fraction] = {}
-    for coords, count in draws.items():
-        excess, per_key = oblivious_excess(f_oracle, BiasVector(coords), scheme)
+    for row, count in zip(draws.tolist(), counts.tolist()):
+        excess, per_key = oblivious_excess(f_oracle, BiasVector([values[j] for j in row]), scheme)
         excesses += [excess] * count  # fsum's mean and variance ignore the order
-        for key, c in per_key.items():
+        for key, c in _fold(learner, per_key).items():
             coefficients[key] = coefficients.get(key, 0) + count * c
 
     mean, outer_var = _mean_and_variance(excesses)
@@ -536,10 +570,11 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
                               rng: RandomSource) -> CurveReport:
     """Oblivious excess at a fixed bias across sample sizes.
 
-    F is re-estimated per size at the scheme's shifted points, each
-    (coordinate, bias) key once on the stream ("curve", n, coordinate, bias)
+    F is re-estimated per size at the scheme's shifted points, each F key
+    (`_f_key`) once on the stream ("curve", n, coordinate, key bias)
     (`_cached_f_oracle`); a size's standard error propagates those estimates'
-    errors through the excess (`_f_variance`). The report records the
+    errors through the excess, the coefficients summed under each key
+    (`_fold`, `_f_variance`). The report records the
     fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
     budget eta, the quantity the recurring-excess argument tracks.
     """
@@ -549,7 +584,7 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
         f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
         excess, coefficients = oblivious_excess(f_oracle, u, scheme)
         excesses.append(excess)
-        std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
+        std_errors.append(math.sqrt(_f_variance(_fold(learner, coefficients), cache)))
     return CurveReport(u=u, sizes=tuple(sizes), excesses=tuple(excesses),
                        std_errors=tuple(std_errors), threshold=threshold,
                        fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(excesses))
@@ -569,7 +604,8 @@ def make_learner(learner_id: str, hclass: HypothesisClass, eta: Fraction, n: int
     if learner_id == "coupled":
         return CoupledExpMechanismLearner(hclass, ExpMechanismConfig(eta))
     if learner_id == "vc":
-        return VcSubsampleLearner(hclass, VcLearnerConfig(eta, hclass.domain_size))
+        vc_dim = hclass.domain_size if hclass.is_full else vc_dimension(hclass)
+        return VcSubsampleLearner(hclass, VcLearnerConfig(eta, vc_dim))
     if learner_id == "majority":
         return MajorityVoteLearner(min(n, math.ceil(1 / eta)))
     if learner_id == "bayes":

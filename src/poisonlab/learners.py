@@ -228,9 +228,14 @@ class Learner:
     coins in trial order. A one-sample `Sample` and a point is a one-row
     batch returned as a float, so the batch agrees with one-sample calls on
     a generator in the same state.
+
+    `per_point` declares that the +1 probability at a point x depends on a
+    sample only through its rows at x, so that F at x under D_u depends on
+    u_x alone. No caller sets it; a learner derives it from its class.
     """
 
     name = "learner"
+    per_point = False
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         raise NotImplementedError
@@ -261,6 +266,13 @@ class ExpMechanismLearner(Learner):
         sample is a one-row batch."""
         probs = self.batch_prediction_probs(sample.histograms(self.hclass.domain_size), x)
         return probs if sample.batched else float(probs[0])
+
+    @property
+    def per_point(self) -> bool:
+        """On the full class the loss is a sum over points, so the mechanism
+        picks each coordinate of h independently and P(h(x) = +1) reads only
+        the counts of (x, +1) and (x, -1)."""
+        return self.hclass.is_full
 
     # exact already; the alias lets attackers ask for the averaged oracle
     def mean_prediction_prob(self, sample: Sample, x):

@@ -402,6 +402,30 @@ def check_estimate_f_range(rng: RandomSource):
     return True, f"reproducible, F = {a.values[0]:+.4f} within range"
 
 
+def check_per_point_f(rng: RandomSource):
+    """Exact F of exp-mech on full(2) is the same at u and at the bias of its
+    F key (u with the other coordinate set to 0); a 3-hypothesis class on 2
+    points is not declared per-point, and its F at point 0 moves with u_1."""
+    eta = Fraction(1, 16)
+    config = ExpMechanismConfig(eta)
+    grid = adversaries.build_scheme_1d(eta)[1].values()
+    full = ExpMechanismLearner(HypothesisClass.full(2), config)
+    worst = 0.0
+    for n in (2, 3, 4, 5):
+        for u in (BiasVector(c) for c in iproduct(grid[::2], grid[1::2])):
+            for i in range(2):
+                _, canonical = experiments._f_key(full, i, u.coords)
+                worst = max(worst, abs(
+                    experiments.exact_F(full.prediction_prob, u, n, i)
+                    - experiments.exact_F(full.prediction_prob, BiasVector(canonical), n, i)))
+    three = ExpMechanismLearner(HypothesisClass([[1, 1], [1, -1], [-1, -1]]), config)
+    moved = abs(experiments.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
+                - experiments.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
+    ok = full.per_point and worst <= 1e-15 and not three.per_point and moved > 1e-3
+    return ok, (f"full(2): |F(u) - F(key)| <= {worst:.1e} (n 2-5, 6 biases); "
+                f"3-hypothesis class not per-point, F_0 moves {moved:.3f} with u_1")
+
+
 def check_oblivious_zero(rng: RandomSource):
     u = BiasVector([Fraction(1, 4), Fraction(-3, 8)])
     scheme = adversaries.identity_scheme(2)
@@ -607,6 +631,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("analysis.vc-known", check_vc_known),
     ("analysis.cover-basics", check_cover_basics),
     ("analysis.estimate-f", check_estimate_f_range),
+    ("analysis.per-point-f", check_per_point_f),
     ("analysis.oblivious-zero", check_oblivious_zero),
     ("analysis.stability-certificate", check_stability_certificate),
     ("experiments.budget-guard", check_budget_guard),

@@ -1,5 +1,8 @@
+import bisect
+import itertools
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -183,6 +186,36 @@ def test_hard_distribution_sampling_law():
     for v, w in zip(hard.values(), hard.weights()):
         sigma = math.sqrt(draws * float(w) * (1 - float(w)))
         assert abs(counts[v] - draws * float(w)) <= 4.5 * sigma
+
+
+def test_hard_distribution_batch_draw_is_the_exact_inverse_cdf():
+    # one uniform per index, in C order, against the exact Fraction cumulative
+    # weights: the rounded-up thresholds pick the same atom for every uniform
+    for eta in (Fraction(1, 16), Fraction(1, 64), Fraction(1, 100), Fraction(1, 256),
+                Fraction(3, 1000)):
+        _, hard = build_scheme_1d(eta)
+        cumulative = list(itertools.accumulate(hard.weights()))
+        for d, seed in product((1, 2, 3), range(3)):
+            drawn = hard.sample_indices(RandomSource(SEED, seed).generator(), (500, d))
+            uniforms = RandomSource(SEED, seed).generator().random(500 * d)
+            exact = [bisect.bisect_right(cumulative, Fraction(r)) for r in uniforms.tolist()]
+            assert drawn.reshape(-1).tolist() == exact
+    # at the float nearest each cumulative weight and at its two neighbours
+    # the rounded-up thresholds break ties as the exact weights do
+    class Uniforms:
+        def __init__(self, values):
+            self.values = np.array(values)
+
+        def random(self, shape):
+            return self.values.reshape(shape)
+
+    for eta in (Fraction(1, 64), Fraction(1, 100)):
+        _, hard = build_scheme_1d(eta)
+        cumulative = list(itertools.accumulate(hard.weights()))
+        near = [r for c in cumulative[:-1]
+                for r in (math.nextafter(float(c), 0), float(c), math.nextafter(float(c), 1))]
+        assert hard.sample_indices(Uniforms(near), len(near)).tolist() == [
+            bisect.bisect_right(cumulative, Fraction(r)) for r in near]
 
 
 def test_lifted_scheme_touches_one_coordinate():

@@ -151,6 +151,13 @@ def test_cover_radius_weighted():
     assert r2 == Fraction(1, 4)  # worst rows differ only on the light point
 
 
+def test_cover_radius_with_a_common_denominator_past_int64():
+    tiny = Fraction(1, 3 ** 40)  # 3^40 > 2^63
+    pair = HypothesisClass([[PLUS, PLUS], [MINUS, MINUS]])
+    # each mixed row is tiny away from one constant and 1 - tiny from the other
+    assert cover_radius(HypothesisClass.full(2), pair, marginal=(tiny, 1 - tiny)) == tiny
+
+
 def test_uniform_cover_bound_formula():
     assert uniform_cover_bound(2, 64) == pytest.approx((13 * 2 / 64) * math.log(2 * math.e * 64 / 2),
                                                        abs=1e-12)
@@ -415,3 +422,27 @@ def test_stability_certificate_over_balls():
         for other in ball_enumerate(s, config.eta, full_alphabet(d)):
             report = stability_certificate(hc, s, other, config)
             assert report.claim_ok and report.flip_ok
+
+
+def test_per_point_f_depends_on_its_own_coordinate_only():
+    # exp-mech on the full class: F_i at u equals F_i at u with every other
+    # coordinate set to 0, on the exact table engine (4^n <= 1024 sequences)
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
+    assert learner.per_point
+    grid = build_scheme_1d(Fraction(1, 16))[1].values()  # -3/16, -1/8, 0, 1/8, 3/16
+    for n in (2, 3, 4, 5):
+        for coords in product(grid, (Fraction(-1, 8), Fraction(3, 16))):
+            u = BiasVector(coords)
+            for i in range(2):
+                canonical = BiasVector([c if j == i else 0 for j, c in enumerate(coords)])
+                assert abs(exact_F(learner.prediction_prob, u, n, i)
+                           - exact_F(learner.prediction_prob, canonical, n, i)) <= 1e-15
+
+
+def test_a_class_short_of_full_is_not_per_point():
+    three = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
+    learner = ExpMechanismLearner(three, ExpMechanismConfig(Fraction(1, 16)))
+    assert not three.is_full and not learner.per_point
+    eta = Fraction(1, 16)
+    at = [exact_F(learner.prediction_prob, BiasVector([eta, v]), 4, 0) for v in (-eta, eta)]
+    assert abs(at[0] - at[1]) > 1e-3

@@ -227,6 +227,16 @@ def test_main_curve_takes_its_bias_from_any_source(tmp_path, capsys):
     assert rows[0]["config_hash"] != rows[1]["config_hash"]
 
 
+def test_main_takes_a_negative_bias_as_two_words(capsys):
+    base = ["curve", "--eta", "1/16", "--d", "2", "--n", "16", "--trials", "300"]
+    outputs = []
+    for extra in (["--bias", "-1/8"], ["--bias=-1/8"]):
+        assert main(base + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert next(csv.DictReader(io.StringIO(outputs[0])))["bias"] == "-1/8"
+
+
 @pytest.mark.parametrize("learner", ["vc", "majority"])
 def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
     base = ["curve", "--eta", "1/16", "--learner", learner, "--n", "16,32",

@@ -555,14 +555,88 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 8)
     report = learning_curve_experiment(learner, u, scheme, (n,), trials, rng)
-    se = [estimate_F(learner, u, n, trials, rng.child("curve", n, i, repr(u.coords)),
-                     points=[i]).std_errors[0] for i in range(d)]
+    # the full class is per-point: F_i is estimated at u with every other
+    # coordinate set to 0, on that canonical vector's stream
+    canonical = [tuple(c if j == i else Fraction(0) for j, c in enumerate(u.coords))
+                 for i in range(d)]
+    se = [estimate_F(learner, BiasVector(v), n, trials, rng.child("curve", n, i, repr(v)),
+                     points=[i]).std_errors[0] for i, v in enumerate(canonical)]
     coords = [float(c) for c in u.coords]
     summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
     per_atom = math.sqrt(math.fsum(((0.5 + c) ** 2 + (0.5 - c) ** 2) / d ** 2 * s ** 2
                                    for c, s in zip(coords, se)))
     assert report.std_errors[0] == pytest.approx(summed, rel=1e-12)
     assert report.std_errors[0] < per_atom / 2
+
+
+def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
+    eta, coords = Fraction(1, 64), (Fraction(1, 8), Fraction(-3, 16))
+    hc = HypothesisClass.full(2)
+    for lid in ("exp-mech", "coupled"):
+        learner = make_learner(lid, hc, eta, 64, coords)
+        assert experiments._f_key(learner, 1, coords) == (1, (Fraction(0), Fraction(-3, 16)))
+    three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
+                                ExpMechanismConfig(eta))
+    others = [make_learner(lid, hc, eta, 64, coords) for lid in ("vc", "majority", "bayes")]
+    for learner in others + [three, ConstantLearner(PLUS)]:
+        assert experiments._f_key(learner, 1, coords) == (1, coords)
+
+
+def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
+    # d = 2, per-point: the F variance is sum over canonical keys (i, u_i) of
+    # (summed coefficient * se)^2, each se that of estimate_F at the canonical
+    # vector on its own stream
+    eta, d, n, outer, trials = Fraction(1, 128), 2, 32, 200, 100
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    rng = RandomSource(SEED, 14)
+    seen = []
+    original = experiments._f_variance
+    monkeypatch.setattr(experiments, "_f_variance",
+                        lambda coefficients, cache: seen.append((coefficients, cache))
+                        or original(coefficients, cache))
+    report = lower_bound_experiment(learner, eta, d, n, outer, trials, rng)
+
+    inner, hard = build_scheme_1d(d * eta)
+    scheme = PoisoningSchemeD(inner, d)
+    gen = rng.child("outer").generator()
+    expected: dict = {}
+    for _ in range(outer):
+        u = BiasVector([hard.sample(gen) for _ in range(d)])
+        _, per_key = experiments.oblivious_excess(lambda i, v: 0.0, u, scheme)
+        for (i, coords), c in per_key.items():
+            key = (i, tuple(v if j == i else Fraction(0) for j, v in enumerate(coords)))
+            expected[key] = expected.get(key, 0) + c / outer
+    [(coefficients, cache)] = seen
+    assert coefficients == expected and len(expected) == report.f_points == 16
+    se = {(i, v): estimate_F(learner, BiasVector(v), n, trials, rng.child("F", i, repr(v)),
+                             points=[i]).std_errors[0] for i, v in expected}
+    assert {key: table.std_errors[0] for key, table in cache.items()} == se
+    variance = math.fsum((float(c) * se[key]) ** 2 for key, c in expected.items())
+    assert original(coefficients, cache) == variance
+
+
+def test_f_variance_rejects_a_key_with_no_estimate_of_its_own():
+    # the unfolded key of a bias whose other coordinate is not 0 reads no
+    # cached estimate: it raises instead of counting a shared one again
+    eta, d = Fraction(1, 128), 2
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    inner, _ = build_scheme_1d(d * eta)
+    u = BiasVector([inner.endpoint, -inner.endpoint])
+    f_oracle, cache = experiments._cached_f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
+    _, coefficients = experiments.oblivious_excess(f_oracle, u, PoisoningSchemeD(inner, d))
+    assert len(cache) == 2
+    experiments._f_variance(experiments._fold(learner, coefficients), cache)
+    with pytest.raises(KeyError):
+        experiments._f_variance(coefficients, cache)
+
+
+def test_make_learner_vc_reads_the_class_vc_dimension():
+    thresholds = HypothesisClass([[MINUS, MINUS, MINUS], [PLUS, MINUS, MINUS],
+                                  [PLUS, PLUS, MINUS], [PLUS, PLUS, PLUS]])
+    learner = make_learner("vc", thresholds, Fraction(1, 16), 64, (0, 0, 0))
+    assert learner.config.vc_dim == 1
+    assert make_learner("vc", HypothesisClass.full(3), Fraction(1, 16), 64,
+                        (0, 0, 0)).config.vc_dim == 3
 
 
 def test_thresholds_read_the_capped_scheme_budget():
