@@ -274,13 +274,23 @@ def oblivious_excess(f_oracle: FOracle, u: BiasVector,
     coefficients: dict[tuple, Fraction] = {}
     for i in range(d):
         for y in (PLUS, MINUS):
-            shifted = scheme.apply(i, y, u)
-            mass = (Fraction(1, 2) + y * u.coords[i]) / d
-            terms.append(float(mass) * (0.5 - y * f_oracle(i, shifted)))
-            key = (i, shifted.coords)
-            coefficients[key] = coefficients.get(key, 0) - y * mass
+            term, key, c = _excess_term(f_oracle, u, scheme, i, y)
+            terms.append(term)
+            coefficients[key] = coefficients.get(key, 0) + c
     base = bayes_loss(ProductBiasDistribution(u))
     return math.fsum(terms) - float(base), coefficients
+
+
+def _excess_term(f_oracle: FOracle, u: BiasVector, scheme, i: int,
+                 y: int) -> tuple[float, tuple, Fraction]:
+    """The oblivious excess's term of test atom (i, y) at bias u: the error
+    mass float(m) * (1/2 - y F_i(u')) at u' = scheme(i, y, u), where
+    m = (1/2 + y u_i) / d, with the F key (i, u'.coords) it reads and that
+    key's exact coefficient -y m. The term reads u only through u_i and the
+    F value at u'."""
+    shifted = scheme.apply(i, y, u)
+    mass = (Fraction(1, 2) + y * u.coords[i]) / u.dimension
+    return float(mass) * (0.5 - y * f_oracle(i, shifted)), (i, shifted.coords), -y * mass
 
 
 # ---------------------------------------------------------------------------

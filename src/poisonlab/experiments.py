@@ -77,6 +77,7 @@ from .adversaries import (
 from .analysis import (
     FOracle,
     FTable,
+    _excess_term,
     _mean_and_variance,
     estimate_F,
     oblivious_excess,
@@ -459,20 +460,26 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
 
     Draws u from the product of hard distributions `trials_outer` times
     with one call on the ("outer",) stream, d * trials_outer uniforms in
-    trial order (`HardBiasDistribution.sample_indices`), and evaluates the
-    oblivious excess (`oblivious_excess`) with F values estimated by
-    `estimate_F`. The hard distribution has finite support, so the draws are
-    counted and the excess of each distinct u is computed once. Each F key
-    (`_f_key`: (coordinate, shifted bias), or (i, u_i) for a per-point
-    learner) is estimated once with `trials_f` trials on the stream ("F",
-    coordinate, key bias) and cached (`_cached_f_oracle`). The mean is over
-    the draws. The CI combines the outer sampling variance with the
-    propagated variance of the cached estimates (`_f_variance`), whose
-    coefficients are the per-u coefficients summed under each F key and
-    weighted by count, over trials_outer. The threshold is taken at the
-    scheme's budget, d * eta capped at 1/16 and spread over the d
-    coordinates.
+    trial order (`HardBiasDistribution.sample_indices`). The hard
+    distribution has finite support, so the draws are counted and each
+    distinct u is handled once. Its oblivious excess is the fsum of 2d
+    terms, one per test atom (i, y) (`analysis._excess_term`, the rule of
+    `oblivious_excess`), minus its Bayes loss. The terms form a table built
+    on first use: a per-point learner's term depends on u only through u_i,
+    so it is indexed by (i, y, atom index of u_i) and built at the vector
+    with u_i at i and 0 elsewhere, whose shifted bias is already the F key
+    (`_f_key`) of every u it stands for; any other learner's is indexed by
+    (i, y, drawn row) and built at u. Each F key is estimated once with
+    `trials_f` trials on the stream ("F", coordinate, key bias) and cached
+    (`_cached_f_oracle`). The mean is over the draws. The CI combines the
+    outer sampling variance with the propagated variance of the cached
+    estimates (`_f_variance`): each table entry's exact coefficient, times
+    the number of draws that read it, summed under its F key, over
+    trials_outer. The threshold is taken at the scheme's budget, d * eta
+    capped at 1/16 and spread over the d coordinates.
     """
+    if trials_outer < 1:
+        raise ValueError("trials_outer must be >= 1")
     eta = Fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
@@ -485,13 +492,26 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
                               return_counts=True)
     values = hard.values()
+    table: dict[tuple, tuple[float, tuple, Fraction]] = {}
+    uses: dict[tuple, int] = {}
     excesses: list[float] = []
-    coefficients: dict[tuple, Fraction] = {}
     for row, count in zip(draws.tolist(), counts.tolist()):
-        excess, per_key = oblivious_excess(f_oracle, BiasVector([values[j] for j in row]), scheme)
+        u = BiasVector([values[a] for a in row])
+        terms = []
+        for i, a in enumerate(row):
+            for y in (PLUS, MINUS):
+                index = (i, y, a if learner.per_point else tuple(row))
+                if index not in table:
+                    at = (BiasVector([values[a] if j == i else 0 for j in range(d)])
+                          if learner.per_point else u)
+                    table[index] = _excess_term(f_oracle, at, scheme, i, y)
+                terms.append(table[index][0])
+                uses[index] = uses.get(index, 0) + count
+        excess = math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u)))
         excesses += [excess] * count  # fsum's mean and variance ignore the order
-        for key, c in _fold(learner, per_key).items():
-            coefficients[key] = coefficients.get(key, 0) + count * c
+    coefficients: dict[tuple, Fraction] = {}
+    for index, (_, key, c) in table.items():
+        coefficients[key] = coefficients.get(key, 0) + uses[index] * c
 
     mean, outer_var = _mean_and_variance(excesses)
     f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
@@ -578,6 +598,9 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
     budget eta, the quantity the recurring-excess argument tracks.
     """
+    sizes = tuple(sizes)
+    if not sizes:
+        raise ValueError("sizes must not be empty")
     threshold = curve_threshold(scheme.eta, scheme.dimension)
     excesses, std_errors = [], []
     for n in sizes:
@@ -585,7 +608,7 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
         excess, coefficients = oblivious_excess(f_oracle, u, scheme)
         excesses.append(excess)
         std_errors.append(math.sqrt(_f_variance(_fold(learner, coefficients), cache)))
-    return CurveReport(u=u, sizes=tuple(sizes), excesses=tuple(excesses),
+    return CurveReport(u=u, sizes=sizes, excesses=tuple(excesses),
                        std_errors=tuple(std_errors), threshold=threshold,
                        fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(excesses))
 

@@ -600,6 +600,56 @@ def check_sweep_deterministic(rng: RandomSource):
     return True, "repeated sweep bit-identical"
 
 
+def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trials_f: int,
+                          rng: RandomSource) -> tuple[float, float, float, int]:
+    """`lower_bound_experiment`'s (mean, ci_low, ci_high, f_points) by a
+    per-draw reference loop without its term table: the same outer draw on
+    the ("outer",) stream, then `oblivious_excess` at each distinct drawn u
+    with one cached F oracle, its coefficients folded under the learner's F
+    keys (`_fold`) and weighted by the draw's count."""
+    inner, hard = adversaries.build_scheme_1d(d * Fraction(eta))
+    scheme = adversaries.PoisoningSchemeD(inner, d)
+    f_oracle, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
+    gen = rng.child("outer").generator()
+    draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
+                              return_counts=True)
+    values = hard.values()
+    excesses: list[float] = []
+    coefficients: dict[tuple, Fraction] = {}
+    for row, count in zip(draws.tolist(), counts.tolist()):
+        excess, per_key = analysis.oblivious_excess(
+            f_oracle, BiasVector([values[a] for a in row]), scheme)
+        excesses += [excess] * count
+        for key, c in experiments._fold(learner, per_key).items():
+            coefficients[key] = coefficients.get(key, 0) + count * c
+    mean, outer_var = analysis._mean_and_variance(excesses)
+    f_var = experiments._f_variance(
+        {key: c / trials_outer for key, c in coefficients.items()}, cache)
+    half = experiments.Z95 * math.sqrt(outer_var + f_var)
+    return mean, mean - half, mean + half, len(cache)
+
+
+def check_lower_bound_table(rng: RandomSource):
+    """The lower bound's term table gives the per-draw loop's report to the
+    last bit, for a per-point learner (exp-mech on full(2)) and for one that
+    is not (exp-mech on a 3-hypothesis class)."""
+    eta, d, n, outer, trials = Fraction(1, 128), 2, 16, 60, 20
+    config = ExpMechanismConfig(eta)
+    details = []
+    for name, hclass in (("full(2)", HypothesisClass.full(2)),
+                         ("3-hypothesis", HypothesisClass([[PLUS, PLUS], [PLUS, MINUS],
+                                                           [MINUS, MINUS]]))):
+        learner = ExpMechanismLearner(hclass, config)
+        report = experiments.lower_bound_experiment(learner, eta, d, n, outer, trials,
+                                                    rng.child(name))
+        got = (report.mean, report.ci_low, report.ci_high, report.f_points)
+        want = _per_draw_lower_bound(learner, eta, d, n, outer, trials, rng.child(name))
+        if repr(got) != repr(want):
+            return False, f"{name}: table {got} != per-draw {want}"
+        details.append(f"{name} {report.f_points} F keys")
+    return True, f"mean and CI repr-equal to the per-draw loop ({', '.join(details)})"
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -642,6 +692,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("experiments.public-domination", acceptance_public_domination),
     ("experiments.batched-trials", check_batched_trials),
     ("experiments.sweep-deterministic", check_sweep_deterministic),
+    ("experiments.lower-bound-table", check_lower_bound_table),
 ]
 
 

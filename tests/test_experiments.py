@@ -71,6 +71,7 @@ from poisonlab.learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
 )
+from poisonlab.verify import _per_draw_lower_bound
 
 SEED = 59204
 
@@ -628,6 +629,78 @@ def test_f_variance_rejects_a_key_with_no_estimate_of_its_own():
     experiments._f_variance(experiments._fold(learner, coefficients), cache)
     with pytest.raises(KeyError):
         experiments._f_variance(coefficients, cache)
+
+
+THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
+
+
+@pytest.mark.parametrize("learner_id,d", [("exp-mech", 2), ("exp-mech", 3), ("coupled", 2),
+                                          ("majority", 2), ("three", 2)])
+def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
+    # the term table against oblivious_excess at every distinct drawn u, with
+    # the same cached F oracle, folded and weighted by count
+    eta, n, outer, trials = Fraction(1, 64 * d), 32, 300, 40
+    if learner_id == "three":
+        learner = ExpMechanismLearner(THREE, ExpMechanismConfig(eta))
+    else:
+        learner = make_learner(learner_id, HypothesisClass.full(d), eta, n, (0,) * d)
+    report = lower_bound_experiment(learner, eta, d, n, outer, trials, RandomSource(SEED, 16))
+    mean, ci_low, ci_high, f_points = _per_draw_lower_bound(learner, eta, d, n, outer, trials,
+                                                            RandomSource(SEED, 16))
+    assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
+        repr(mean), repr(ci_low), repr(ci_high))
+    assert report.f_points == f_points
+
+
+def _count_scheme_maps(monkeypatch) -> list:
+    calls = []
+    original = PoisoningSchemeD.apply
+    monkeypatch.setattr(PoisoningSchemeD, "apply",
+                        lambda self, i, y, u: calls.append(i) or original(self, i, y, u))
+    return calls
+
+
+@pytest.mark.parametrize("outer", [200, 2000])
+def test_lower_bound_builds_each_per_point_term_once(monkeypatch, outer):
+    # d = 2 at eta = 1/128: 9 atoms per coordinate, so 2 coordinates x 2
+    # labels x 9 atoms = 36 scheme maps however many biases are drawn
+    eta, d = Fraction(1, 128), 2
+    assert len(build_scheme_1d(d * eta)[1].values()) == 9
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    calls = _count_scheme_maps(monkeypatch)
+    report = lower_bound_experiment(learner, eta, d, 16, outer, 10, RandomSource(SEED, 17))
+    assert len(calls) == 2 * d * 9 == 36
+    assert report.f_points == 16
+
+
+def test_lower_bound_builds_the_terms_of_each_distinct_draw_otherwise(monkeypatch):
+    eta, d, outer = Fraction(1, 128), 2, 200
+    learner = ExpMechanismLearner(THREE, ExpMechanismConfig(eta))
+    calls = _count_scheme_maps(monkeypatch)
+    rng = RandomSource(SEED, 18)
+    lower_bound_experiment(learner, eta, d, 16, outer, 10, rng)
+    hard = build_scheme_1d(d * eta)[1]
+    distinct = np.unique(hard.sample_indices(rng.child("outer").generator(), (outer, d)), axis=0)
+    assert len(distinct) > 9
+    assert len(calls) == 2 * d * len(distinct)
+
+
+@pytest.mark.parametrize("outer", [0, -3])
+def test_lower_bound_rejects_fewer_than_one_outer_trial(monkeypatch, outer):
+    monkeypatch.setattr(experiments, "estimate_F",
+                        lambda *args, **kwargs: pytest.fail("estimate_F ran"))
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
+    with pytest.raises(ValueError, match="trials_outer must be >= 1"):
+        lower_bound_experiment(learner, Fraction(1, 64), 1, 32, outer, 20, RandomSource(SEED, 5))
+
+
+def test_learning_curve_rejects_empty_sizes():
+    eta = Fraction(1, 16)
+    inner, _ = build_scheme_1d(eta)
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
+    with pytest.raises(ValueError, match="sizes"):
+        learning_curve_experiment(learner, BiasVector([inner.endpoint]),
+                                  PoisoningSchemeD(inner, 1), (), 20, RandomSource(SEED, 7))
 
 
 def test_make_learner_vc_reads_the_class_vc_dimension():
