@@ -162,7 +162,8 @@ def uniform_cover_bound(d: int, n: int) -> float:
 # small classes of the lower-bound experiments score every trial in one call
 SCORE_BUDGET = 2 ** 20
 
-# chunks of estimate_F's trials, each drawn from its own child stream
+# trial batches of estimate_F's row path, drawn in order from its one
+# generator, so a batch's (trials, n) rows stay a small share of memory
 F_CHUNKS = 16
 
 
@@ -182,14 +183,20 @@ class FTable:
     trials: int
 
 
-def _mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
+def _mean_and_variance(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """The fsum mean of the values and the unbiased estimate of that mean's
-    variance, sum of squared deviations / (t - 1) / t; 0.0 for one value."""
+    variance, sum of squared deviations / (t - 1) / t; 0.0 for one value.
+
+    Takes an array or any sequence of floats. Each squared deviation is
+    `np.float_power(dev, 2.0)`, which calls C `pow` per element as Python's
+    `dev ** 2` does; `np.square` and `dev * dev` differ from it in the last
+    bit on some values."""
+    values = np.asarray(values, dtype=float)
     t = len(values)
-    mean = math.fsum(values) / t
+    mean = math.fsum(values.tolist()) / t
     if t == 1:
         return mean, 0.0
-    return mean, math.fsum((v - mean) ** 2 for v in values) / (t - 1) / t
+    return mean, math.fsum(np.float_power(values - mean, 2.0).tolist()) / (t - 1) / t
 
 
 def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
@@ -197,24 +204,24 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     """Monte Carlo estimate of the learner's F values at bias vector u.
 
     Each trial draws one fresh size-n sample from D_u and records
-    prediction_prob - 1/2 at every queried point (the learner's internal
-    randomness rides on the trial's chunk generator). Trials are split over
-    F_CHUNKS chunks (fewer if there are fewer trials), chunk c drawn from the
-    child stream ("estimate-F", c), and aggregated in chunk order with fsum,
-    so the result does not depend on how the chunks are scheduled.
+    prediction_prob - 1/2 at every queried point. Every draw, and the
+    learner's internal randomness, comes from one generator per call, on the
+    child stream ("estimate-F",). Each point's mean and std error are taken
+    over its trials in trial order with fsum.
 
     A learner exposing `batch_prediction_probs` declares itself exchangeable:
     it depends on a sample only through its (point, label) histogram. For
-    such a learner a chunk draws its trials' histograms directly, as one
+    such a learner every trial's histogram is drawn at once, by one
     `multinomial(n, ., size=trials)` call over the 2d atoms in the order
-    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. The chunks' histograms
-    are stacked and scored by one call per query point, or one per slice of
-    at most SCORE_BUDGET // class size trials. Every other learner draws
-    each chunk as one (trials, n) batch of rows and scores it with one
-    `prediction_prob` call per query point, which must return one
-    probability per trial; order-dependent rules such as the subsample rule
-    see the rows. The two paths consume their streams differently, with the
-    same law.
+    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. The histograms are
+    scored by one call per query point, or one per slice of at most
+    SCORE_BUDGET // class size trials. Every other learner draws its trials
+    as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
+    batches of rows, in sequence from the one generator, and scores each
+    batch with one `prediction_prob` call per query point, which must return
+    one probability per trial; order-dependent rules such as the subsample
+    rule see the rows. The two paths consume the generator differently, with
+    the same law.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -223,29 +230,26 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     query = tuple(points) if points is not None else tuple(range(d))
     if not query or min(query) < 0 or max(query) >= d:
         raise DomainMismatchError("query points must lie inside the domain")
-    chunks = min(F_CHUNKS, trials)
-    base, extra = divmod(trials, chunks)
-    sizes = [base + (c < extra) for c in range(chunks)]
-    per_point: list[list[float]] = [[] for _ in query]
+    gen = rng.child("estimate-F").generator()
+    per_point: list[list[np.ndarray]] = [[] for _ in query]
     if hasattr(learner, "batch_prediction_probs"):
         atom_probs = [float(w) for _, w in dist.atoms()]
-        histograms = np.concatenate([
-            rng.child("estimate-F", c).generator().multinomial(n, atom_probs, size=size)
-            for c, size in enumerate(sizes)]).reshape(trials, d, 2)
+        histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
         step = max(1, SCORE_BUDGET // learner.hclass.size)
         for qi, x in enumerate(query):
             for lo in range(0, trials, step):
                 probs = learner.batch_prediction_probs(histograms[lo:lo + step], x)
-                per_point[qi].extend((probs - 0.5).tolist())
+                per_point[qi].append(probs - 0.5)
     else:
-        for c, size in enumerate(sizes):
-            gen = rng.child("estimate-F", c).generator()
+        chunks = min(F_CHUNKS, trials)
+        base, extra = divmod(trials, chunks)
+        for size in (base + (c < extra) for c in range(chunks)):
             samples = draw_sample_with(dist, n, gen, trials=size)
             for qi, x in enumerate(query):
                 probs = one_per_trial(
                     learner, learner.prediction_prob(samples, np.full(size, x), gen), size)
-                per_point[qi].extend((probs - 0.5).tolist())
-    moments = [_mean_and_variance(vals) for vals in per_point]
+                per_point[qi].append(probs - 0.5)
+    moments = [_mean_and_variance(np.concatenate(parts)) for parts in per_point]
     return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
                   std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
 

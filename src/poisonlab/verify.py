@@ -700,8 +700,10 @@ def run_checks(seed: int = 1729, names: list[str] | None = None,
                inject_fault: str | None = None) -> list[CheckResult]:
     """Run the registry (or a named subset) and collect results.
 
-    `inject_fault` forces the named check to report failure; it exists so the
-    failure-reporting path itself can be exercised end to end.
+    A check that raises fails with a detail naming the exception, and the
+    checks after it still run. `inject_fault` forces the named check to
+    report failure; it exists so the failure-reporting path itself can be
+    exercised end to end.
     """
     known = {name for name, _ in REGISTRY}
     if inject_fault is not None and inject_fault not in known:
@@ -715,7 +717,10 @@ def run_checks(seed: int = 1729, names: list[str] | None = None,
         if names is not None and name not in names:
             continue
         rng = RandomSource(seed, core.stable_stream_id("verify", name))
-        passed, detail = fn(rng)
+        try:
+            passed, detail = fn(rng)
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         if inject_fault == name:
             passed, detail = False, "injected fault"
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail))

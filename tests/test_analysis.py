@@ -277,9 +277,34 @@ def test_estimate_f_rejects_a_bias_outside_the_class_domain():
 
 
 # estimate_F of the full 2-point class at u = (1/8, -1/4), n = 64, 1003
-# trials over 16 chunks, recorded when each chunk was scored by its own call
-ESTIMATE_F_PIN = ("(0.07169469705129915, -0.14180721567698942)",
-                  "(0.0015414519148407397, 0.0014435626593026084)")
+# trials, every histogram drawn by one multinomial call from one generator
+ESTIMATE_F_PIN = ("(0.07113580643283285, -0.14306113584707583)",
+                  "(0.0015411041578597027, 0.001363557227809297)")
+
+
+def _scalar_moments(vals: list) -> tuple[float, float]:
+    """The moment rule as one Python float at a time: the reference that
+    `_mean_and_variance`'s array pass must match bit for bit."""
+    t = len(vals)
+    mean = math.fsum(vals) / t
+    if t == 1:
+        return mean, 0.0
+    return mean, math.fsum((v - mean) ** 2 for v in vals) / (t - 1) / t
+
+
+def test_mean_and_variance_matches_the_scalar_rule_bit_for_bit():
+    gen = np.random.default_rng(SEED + 14)
+    for scale in (1e-3, 1e-1, 1e1, 1e3, 1e5):
+        vals = np.concatenate([gen.standard_normal(20000) * scale, [0.0, -0.0]])
+        assert repr(analysis._mean_and_variance(vals)) == repr(_scalar_moments(vals.tolist()))
+        # the variance of (x, -x) is exactly the square of x, so any square
+        # rounded apart from Python's x ** 2 shows; a numpy square (np.square,
+        # x * x, x ** 2) does that for about 1 value in 1200
+        for x in (gen.standard_normal(3000) * scale).tolist():
+            pair = np.array([x, -x])
+            assert repr(analysis._mean_and_variance(pair)) == repr(_scalar_moments([x, -x]))
+    for vals in ([0.0, -0.0, -0.0], (gen.random(501) - 0.5).tolist(), [0.25], [-0.0]):
+        assert repr(analysis._mean_and_variance(vals)) == repr(_scalar_moments(vals))
 
 
 def _record_calls(monkeypatch, cls, name) -> list:
@@ -324,6 +349,37 @@ def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
     assert [len(hist) for hist, _ in calls] == [1003, 1003]
 
 
+class _CountingGenerator:
+    """A generator that records the name of every method drawn from it."""
+
+    def __init__(self, gen: np.random.Generator, draws: list):
+        self._gen, self._draws = gen, draws
+
+    def __getattr__(self, name):
+        self._draws.append(name)
+        return getattr(self._gen, name)
+
+
+def _count_generators(monkeypatch) -> tuple[list, list]:
+    """Count the generators RandomSource builds and the methods drawn from them."""
+    built, draws = [], []
+    original = RandomSource.generator
+
+    def counted(self):
+        built.append(self)
+        return _CountingGenerator(original(self), draws)
+
+    monkeypatch.setattr(RandomSource, "generator", counted)
+    return built, draws
+
+
+def test_estimate_f_histogram_path_draws_every_trial_in_one_call(monkeypatch):
+    built, draws = _count_generators(monkeypatch)
+    table = _full_class_f(2, RandomSource(SEED, 9))
+    assert len(built) == 1 and draws == ["multinomial"]
+    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+
+
 def _row_learners(d: int, eta: Fraction, n: int, u: BiasVector):
     return [make_learner(which, HypothesisClass.full(d), eta, n, u.coords)
             for which in ("vc", "majority")]
@@ -339,6 +395,25 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
             (size, [x] * size) for size in sizes for x in (0, 1)]
         assert all(s.points.shape[1] == 32 for s, _, _ in calls)
         monkeypatch.undo()
+
+
+def test_estimate_f_row_path_draws_its_batches_from_one_generator(monkeypatch):
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
+    learner = make_learner("vc", HypothesisClass.full(2), Fraction(1, 16), 32, u.coords)
+    plain = estimate_F(learner, u, 32, 100, RandomSource(SEED, 11))
+    built, _ = _count_generators(monkeypatch)
+    batches = []
+    original = analysis.draw_sample_with
+
+    def recorded(dist, n, gen, trials=None):
+        batches.append((gen, trials))
+        return original(dist, n, gen, trials=trials)
+
+    monkeypatch.setattr(analysis, "draw_sample_with", recorded)
+    assert estimate_F(learner, u, 32, 100, RandomSource(SEED, 11)) == plain
+    assert len(built) == 1
+    assert [trials for _, trials in batches] == [7] * 4 + [6] * 12
+    assert len({id(gen) for gen, _ in batches}) == 1
 
 
 def test_estimate_f_row_path_agrees_with_a_one_sample_reference():

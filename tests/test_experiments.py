@@ -510,14 +510,14 @@ def test_lower_bound_experiment_smoke():
 
 
 def test_lower_bound_experiment_stream_lock():
-    # the smoke configuration's exact report: F from per-chunk histograms, the
-    # outer biases from one ("outer",) stream
+    # the smoke configuration's exact report: each F estimate's histograms from
+    # one multinomial call on one generator, the outer biases from one ("outer",) stream
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
     report = lower_bound_experiment(learner, Fraction(1, 64), 1, 32,
                                     trials_outer=300, trials_f=500,
                                     rng=RandomSource(SEED, 5))
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
-        "0.06067533819366313", "0.05871339186949023", "0.06263728451783603")
+        "0.0611376703005768", "0.05936388242294737", "0.06291145817820623")
 
 
 def test_upper_bound_experiment_smoke():

@@ -3,6 +3,8 @@ isolated, reruns deterministic."""
 
 import pytest
 
+from poisonlab import verify
+from poisonlab.cli import main
 from poisonlab.verify import REGISTRY, run_checks
 
 FAST_SUBSET = [
@@ -47,3 +49,19 @@ def test_injected_fault_marks_only_its_target():
 def test_unknown_check_name_rejected():
     with pytest.raises(ValueError):
         run_checks(names=["core.no-such-check"])
+
+
+def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def raises(rng):
+        raise KeyError("missing key")
+
+    registry = [REGISTRY[0], ("core.raises", raises), REGISTRY[1]]
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+    results = run_checks()
+    assert [r.name for r in results] == [name for name, _ in registry]
+    assert [r.passed for r in results] == [True, False, True]
+    assert results[1].detail == "raised KeyError: 'missing key'"
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL core.raises: raised KeyError: 'missing key'" in out
+    assert out.splitlines()[-2:] == ["3 checks, 2 passed, 1 failed", "failed: core.raises"]
