@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands:
-    verify       run the named invariant checks, one pass/fail line each
+    verify       run the named invariant checks, one pass/fail line each,
+                 ending in the check's wall time
     run          one Monte Carlo cell (single eta/d/n/learner/adversary)
     sweep        cartesian grid of cells, optionally in parallel workers
     attack-eval  one cell evaluated against every shipped adversary
@@ -315,7 +316,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     names = list(_parse_list(ns.check, str)) if ns.check else None
     results = run_checks(seed=seed, names=names, inject_fault=ns.inject_fault)
     for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail} [{res.seconds:.3f} s]")
     failed = [res.name for res in results if not res.passed]
     print(f"{len(results)} checks, {len(results) - len(failed)} passed, {len(failed)} failed")
     if failed:

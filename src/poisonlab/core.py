@@ -175,7 +175,12 @@ class Sample:
 # evaluators and the ball-search attacker consume it: what
 # `Learner.prediction_prob` takes, minus the generator. Given one `Sample` and
 # a point it returns a float; given a (trials, n) batch and one point, or a
-# (trials,) array of points, it returns one probability per row.
+# (trials,) array of points, it returns one probability per row. The exact
+# evaluators score an oracle on one of two state spaces: a bound method of a
+# learner that declares `per_point` on the count states (a, b) of each point
+# x, one `batch_prediction_probs` histogram each; any other oracle (a plain
+# function, a wrapper, the subsample rule's averaged oracle, a class short of
+# full) on every one of the (2d)^n atom sequences.
 PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 

@@ -1,15 +1,29 @@
 """Experiment harness: Monte Carlo adversarial risk, exact desk-scale
 evaluators, bound-verification experiments, and deterministic parameter sweeps.
 
-The exact evaluators share one engine. Every atom sequence, zero-weight ones
-included, is one row of a single (2d)^n-row batch, and the +1-probability
-oracle scores that batch once per point into a table with one axis per sample
-row. A radius-k Hamming ball's max or min is k rounds of the radius-1
-operator, an elementwise max/min over the per-axis reductions (a radius-(j+1)
-ball is the union of radius-j balls around radius-1 neighbours), weighted by
-the exact weight prod_a q_a ** c_a of each atom-count vector c. Cost: d oracle
-calls over the batch plus k * n * (2d)^n array operations, not one validated
-`Sample` per ball member.
+The exact evaluators (`exhaustive_*`, `exact_F`, `equivalence_check`) share
+one engine with two state spaces, chosen by the oracle. A bound method of a
+learner that declares `Learner.per_point` (the exponential mechanisms on a
+full class) is scored on count states: at each point x, every (a, b) =
+(#(x, +1), #(x, -1)) of a size-n sample, n + 1 states at d = 1 and
+(n + 1)(n + 2) / 2 at d >= 2, by one `batch_prediction_probs` call on their
+histograms. A radius-k ball's max or min is k rounds of a max/min filter over
+unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that reads only
+the counts at x. Each state weighs w * its number of sequences, w the exact
+weight of one sequence in it; the terms float(w * q) * value are summed
+exactly and rounded once, so at d = 1 every value is the sequence table's to
+the bit, and at d >= 2 within an ulp or two. The weights of each (p_+, p_-,
+q, n) are built once (`_count_coefficients`).
+
+Every other oracle is scored on the sequence table: every atom sequence,
+zero-weight ones included, is one row of a single (2d)^n-row batch, scored
+once per point into a table with one axis per sample row. A radius-k Hamming
+ball's max or min is k rounds of the radius-1 operator, an elementwise
+max/min over the per-axis reductions (a radius-(j+1) ball is the union of
+radius-j balls around radius-1 neighbours), weighted by the exact weight
+prod_a q_a ** c_a of each atom-count vector c and added by fsum. Cost: d
+oracle calls over the batch plus k * n * (2d)^n array operations. Both spaces
+stop at 100,000 states (`_TABLE_CAP`).
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
@@ -23,6 +37,7 @@ a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -204,23 +219,69 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 # ---------------------------------------------------------------------------
 # exact evaluators at desk scale
 
-_TABLE_CAP = 100_000  # the most sequences an oracle table enumerates
+_TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enumerates
+_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
 
 
-def _oracle_table(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
-                  n: int) -> np.ndarray:
-    """The oracle at every atom sequence and point: a (2d,)*n + (d,) array, axis
-    j indexing row j's atom in `dist.atoms()` order, zero-weight rows included.
-    Every sequence is one row of a single batch, scored by one call per point."""
-    atoms = [ex for ex, _ in dist.atoms()]
-    if len(atoms) ** n > _TABLE_CAP:
-        raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
-    seqs = _sequences(len(atoms), n)
-    batch = Sample(np.array([ex.point for ex in atoms])[seqs],
-                   np.array([ex.label for ex in atoms])[seqs])
-    table = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
-                      for x in range(dist.dimension)], axis=-1)
-    return table.reshape((len(atoms),) * n + (dist.dimension,))
+def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
+    """The oracle scored on the count states of each point (`_CountTable`)
+    when it is a bound method of a learner that declares `per_point`, and
+    on every atom sequence (`_SequenceTable`) otherwise."""
+    learner = getattr(p_oracle, "__self__", None)
+    if isinstance(learner, Learner) and learner.per_point:
+        return _CountTable(learner, dist, n)
+    return _SequenceTable(p_oracle, dist, n)
+
+
+class _SequenceTable:
+    """The oracle at every atom sequence and point: `p` is a (2d,)*n + (d,)
+    array, axis j indexing row j's atom in `dist.atoms()` order, zero-weight
+    rows included. Every sequence is one row of a single batch, scored by one
+    call per point."""
+
+    def __init__(self, p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
+        atoms = [ex for ex, _ in dist.atoms()]
+        if len(atoms) ** n > _TABLE_CAP:
+            raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
+        seqs = _sequences(len(atoms), n)
+        batch = Sample(np.array([ex.point for ex in atoms])[seqs],
+                       np.array([ex.label for ex in atoms])[seqs])
+        table = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
+                          for x in range(dist.dimension)], axis=-1)
+        self.n = n
+        self.p = table.reshape((len(atoms),) * n + (dist.dimension,))
+
+    @staticmethod
+    def extremum(values: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
+        """np.maximum or np.minimum of the values over every radius-k Hamming ball."""
+        for _ in range(k):
+            prev = values
+            for axis in range(prev.ndim - 1):
+                values = op(values, op.reduce(prev, axis=axis, keepdims=True))
+        return values
+
+    def expectation(self, value: dict, dist: ProductBiasDistribution, atoms) -> float:
+        """sum over the test atoms (example, q) of E[value at the example]:
+        one term float(w * q) * value per live (nonzero-weight) sequence and
+        test atom, added by fsum. A sequence's weight depends only on its atom
+        counts c: it is the exact prod_a q_a ** c_a, computed once per count
+        vector, with the sorted sequence standing for its class."""
+        probs = [q for _, q in dist.atoms()]
+        n = self.n
+        seqs = _sequences(len(probs), n)
+        classes, inverse = np.unique(
+            np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n),
+            return_inverse=True)
+        counts = (seqs[classes][:, :, None] == np.arange(len(probs))).sum(axis=1)
+        weights = [math.prod(q ** c for q, c in zip(probs, row)) for row in counts.tolist()]
+        live = np.array([w != 0 for w in weights])[inverse]
+        which = inverse[live]
+        acc = []
+        for example, q in atoms:
+            coef = np.array([float(w * q) for w in weights])
+            column = value[example.label][..., example.point].reshape(-1)
+            acc.append(coef[which] * column[live])
+        return math.fsum(np.concatenate(acc).tolist())
 
 
 def _sequences(a: int, n: int) -> np.ndarray:
@@ -228,49 +289,121 @@ def _sequences(a: int, n: int) -> np.ndarray:
     return np.indices((a,) * n).reshape(n, -1).T
 
 
-def _ball_extremum(table: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
-    """np.maximum or np.minimum of the table over every radius-k Hamming ball."""
-    for _ in range(k):
-        prev = table
-        for axis in range(prev.ndim - 1):
-            table = op(table, op.reduce(prev, axis=axis, keepdims=True))
-    return table
+class _CountTable:
+    """A per-point learner at every count state of every point: `p` is an
+    (S, d) array, row s the +1 probability at x of a sample holding a rows of
+    (x, +1) and b rows of (x, -1), state s of `_count_states`. Point x's
+    states are scored by one `batch_prediction_probs` call on (S, d, 2)
+    histograms, with the r = n - a - b other rows at (x + 1, +1); a
+    per-point rule reads only a, b and n, so any placement of them gives its
+    value, and this one matches the sequence table most often in the last
+    bit."""
+
+    def __init__(self, learner: Learner, dist: ProductBiasDistribution, n: int):
+        d = dist.dimension
+        a, b, self.moves = _count_states(n, d == 1)
+        self.n = n
+        self.p = np.empty((len(a), d))
+        for x in range(d):
+            hist = np.zeros((len(a), d, 2), dtype=np.int64)
+            hist[:, x, 0], hist[:, x, 1] = a, b
+            hist[:, (x + 1) % d, 0] += n - a - b  # none at d = 1
+            self.p[:, x] = one_per_trial(learner, learner.batch_prediction_probs(hist, x), len(a))
+
+    def extremum(self, values: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
+        """np.maximum or np.minimum of the values over every radius-k Hamming
+        ball: k rounds of op over each state and its neighbours one row move
+        away. Rewriting one row moves a state by at most one unit row move, and
+        each unit move is one rewritten row, so the states k moves away are
+        those of the samples in the ball; a rule that reads only the counts at
+        x takes its extremum over them."""
+        for _ in range(k):
+            values = op.reduce(values[self.moves], axis=1)
+        return values
+
+    def expectation(self, value: dict, dist: ProductBiasDistribution, atoms) -> float:
+        """sum over the test atoms (example, q) of E[value at the example]:
+        one term float(w * q) * value per live state (`_count_coefficients`)
+        times the state's number of sequences, summed exactly and rounded
+        once. That is the correctly rounded sum of the same terms that the
+        sequence table adds with fsum, one per sequence."""
+        total = 0
+        for (x, y), q in atoms:
+            live, coef, mults = _count_coefficients(
+                dist.atom_probability(x, PLUS), dist.atom_probability(x, MINUS), q, self.n)
+            for m, t in zip(mults, (coef * value[y][live, x]).tolist()):
+                num, den = t.as_integer_ratio()  # den = 2^j, j <= 1074
+                total += m * (num << (1075 - den.bit_length()))
+        return total / _SCALE
 
 
-def _ball_risk(table: np.ndarray, dist: ProductBiasDistribution, eta: Scalar, public: bool,
+@functools.lru_cache(maxsize=32)
+def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The count states (a, b) of one point in a size-n sample, a then b
+    ascending: (a, n - a) when the point is the whole domain (`single`), else
+    every a + b <= n. Also, per state, its own index and its neighbours' one
+    unit row move away, a (S, moves + 1) array: a row goes (x, +1) <-> (x, -1),
+    and unless `single`, also to or from another point. A move off the state
+    space stands for the state itself. The number of states is bounded by
+    `_TABLE_CAP`, as the sequences of the table engine are."""
+    size = n + 1 if single else (n + 1) * (n + 2) // 2
+    if size > _TABLE_CAP:
+        raise EnumerationTooLargeError(f"{size} count states exceed cap {_TABLE_CAP}")
+    grid = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    a, b = np.nonzero(grid == n if single else grid <= n)
+    steps = [(1, -1), (-1, 1)] + ([] if single else [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    index = np.full((n + 3, n + 3), -1)  # offset by one, so a - 1 and b - 1 stay in range
+    own = np.arange(size)
+    index[a + 1, b + 1] = own
+    near = [index[a + 1 + da, b + 1 + db] for da, db in steps]
+    moves = np.stack([own] + [np.where(s >= 0, s, own) for s in near], axis=1)
+    return _read_only(a, b, moves)
+
+
+@functools.lru_cache(maxsize=256)
+def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
+                        n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The live (nonzero-weight) count states of one point whose atoms weigh
+    p_plus and p_minus, each with float(w * q) and its number of sequences,
+    as (state indices, floats, integers). w is the exact weight of one
+    sequence in the state, p_plus^a p_minus^b (1 - p_plus - p_minus)^r with
+    the r other rows pooled, and the state holds n! / (a! b! r!) sequences.
+    A pure function of exact values, so each is built once."""
+    single = p_plus + p_minus == 1
+    a, b, _ = _count_states(n, single)
+    powers = [[base ** j for j in range(n + 1)] for base in (p_plus, p_minus, 1 - p_plus - p_minus)]
+    live, coef, mults = [], [], []
+    for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+        w = powers[0][i] * powers[1][j] * powers[2][n - i - j]
+        if w:
+            live.append(s)
+            coef.append(float(w * q))
+            mults.append(math.comb(n, i) * math.comb(n - i, j))
+    return (*_read_only(np.array(live, dtype=np.intp), np.array(coef)), tuple(mults))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached result is shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _ball_risk(table, dist: ProductBiasDistribution, eta: Scalar, public: bool,
                atoms=None) -> float:
-    """Expected ball-extremal error under `dist` over the test atoms (example, q),
-    by default those of `dist`: the worst error, floored at 0, for private coins;
-    1 - min p for a +1 target and max p for a -1 target for public coins.
-
-    A sequence's weight depends only on its atom counts c: it is the exact
-    prod_a q_a ** c_a, computed once per count vector, with the sorted
-    sequence standing for its class. The fsum adds one term
-    float(w * q) * value per live (nonzero-weight) sequence and test atom."""
-    n = table.ndim - 1
-    k = corruption_limit(eta, n)
+    """Expected ball-extremal error of an engine's table under `dist` over the
+    test atoms (example, q), by default those of `dist`: the worst error,
+    floored at 0, for private coins; 1 - min p for a +1 target and max p for
+    a -1 target for public coins."""
+    k = corruption_limit(eta, table.n)
     if public:
-        value = {PLUS: 1.0 - _ball_extremum(table, k, np.minimum),
-                 MINUS: _ball_extremum(table, k, np.maximum)}
+        value = {PLUS: 1.0 - table.extremum(table.p, k, np.minimum),
+                 MINUS: table.extremum(table.p, k, np.maximum)}
     else:
-        worst = {PLUS: _ball_extremum(1.0 - table, k, np.maximum),
-                 MINUS: _ball_extremum(table, k, np.maximum)}
+        worst = {PLUS: table.extremum(1.0 - table.p, k, np.maximum),
+                 MINUS: table.extremum(table.p, k, np.maximum)}
         value = {y: np.where(v > 0.0, v, 0.0) for y, v in worst.items()}
-    probs = [q for _, q in dist.atoms()]
-    seqs = _sequences(len(probs), n)
-    classes, inverse = np.unique(
-        np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n),
-        return_inverse=True)
-    counts = (seqs[classes][:, :, None] == np.arange(len(probs))).sum(axis=1)
-    weights = [math.prod(q ** c for q, c in zip(probs, row)) for row in counts.tolist()]
-    live = np.array([w != 0 for w in weights])[inverse]
-    which = inverse[live]
-    acc = []
-    for example, q in dist.atoms() if atoms is None else atoms:
-        coef = np.array([float(w * q) for w in weights])
-        column = value[example.label][..., example.point].reshape(-1)
-        acc.append(coef[which] * column[live])
-    return math.fsum(np.concatenate(acc).tolist())
+    return table.expectation(value, dist, dist.atoms() if atoms is None else atoms)
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -278,7 +411,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball."""
-    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, eta, public=False)
+    return _ball_risk(_engine(p_oracle, dist, n), dist, eta, public=False)
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -290,19 +423,19 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
     over the ball, so the inner expectation over r is a ball-extremum measure
     (1 - min p for a +1 target, max p for a -1 target).
     """
-    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, eta, public=True)
+    return _ball_risk(_engine(p_oracle, dist, n), dist, eta, public=True)
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                           n: int) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
     public-coin risk over radius-0 balls."""
-    return _ball_risk(_oracle_table(p_oracle, dist, n), dist, 0, public=True)
+    return _ball_risk(_engine(p_oracle, dist, n), dist, 0, public=True)
 
 
-def _table_f(table: np.ndarray, u: BiasVector, x: int) -> float:
-    """Exact F at point x under D_u^n, read off an oracle table: the radius-0
-    public-coin risk of a -1 test label at x is E[p(S, x)], less 1/2."""
+def _table_f(table, u: BiasVector, x: int) -> float:
+    """Exact F at point x under D_u^n, read off an engine's table: the
+    radius-0 public-coin risk of a -1 test label at x is E[p(S, x)], less 1/2."""
     return _ball_risk(table, ProductBiasDistribution(u), 0, public=True,
                       atoms=[(Example(x, MINUS), 1)]) - 0.5
 
@@ -311,7 +444,8 @@ def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
     """Exact F at point x: E[p(S, x)] - 1/2 over every size-n sample S of D_u,
     the exact engine's table weighted at radius 0 (`exhaustive_clean_loss`'s
     weighting, at one test atom)."""
-    return _table_f(_oracle_table(p_oracle, ProductBiasDistribution(u), n), u, x)
+    dist = ProductBiasDistribution(u)
+    return _table_f(_engine(p_oracle, dist, n), u, x)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +482,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     eta = Fraction(eta)
     uf = Fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
-    table = _oracle_table(p_oracle, dist, n)
+    table = _engine(p_oracle, dist, n)
     left = _ball_risk(table, dist, 2 * eta, public=False)
     guard = math.exp(-n * float(eta) / 3.0)
     scheme, _ = build_scheme_1d(eta)

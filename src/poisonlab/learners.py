@@ -229,9 +229,14 @@ class Learner:
     batch returned as a float, so the batch agrees with one-sample calls on
     a generator in the same state.
 
-    `per_point` declares that the +1 probability at a point x depends on a
-    sample only through its rows at x, so that F at x under D_u depends on
-    u_x alone. No caller sets it; a learner derives it from its class.
+    `per_point` declares that the +1 probability at a point x reads only the
+    sample size n and the counts of (x, +1) and (x, -1), so that F at x under
+    D_u depends on u_x alone. A learner that declares it also has
+    `batch_prediction_probs(histograms, x)`, which scores (trials, points, 2)
+    histograms, the function its `prediction_prob` calls. The exact
+    evaluators score such a learner's bound methods on those counts alone
+    (`experiments._CountTable`). No caller sets it; a learner derives it
+    from its class.
     """
 
     name = "learner"

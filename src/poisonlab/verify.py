@@ -9,7 +9,8 @@ verify command's output is stable byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable
@@ -403,26 +404,27 @@ def check_estimate_f_range(rng: RandomSource):
 
 
 def check_per_point_f(rng: RandomSource):
-    """Exact F of exp-mech on full(2) is the same at u and at the bias of its
-    F key (u with the other coordinate set to 0); a 3-hypothesis class on 2
-    points is not declared per-point, and its F at point 0 moves with u_1."""
+    """Exact F of exp-mech on full(2), which declares `per_point`, is the same
+    on the count engine, which reads only the counts at the point, as on the
+    sequence table of the same learner behind an undeclared wrapper; a
+    3-hypothesis class on 2 points is not declared per-point, and its F at
+    point 0 moves with u_1."""
     eta = Fraction(1, 16)
     config = ExpMechanismConfig(eta)
     grid = adversaries.build_scheme_1d(eta)[1].values()
     full = ExpMechanismLearner(HypothesisClass.full(2), config)
+    wrapped = lambda s, x: full.prediction_prob(s, x)  # noqa: E731
     worst = 0.0
     for n in (2, 3, 4, 5):
         for u in (BiasVector(c) for c in iproduct(grid[::2], grid[1::2])):
             for i in range(2):
-                _, canonical = experiments._f_key(full, i, u.coords)
-                worst = max(worst, abs(
-                    experiments.exact_F(full.prediction_prob, u, n, i)
-                    - experiments.exact_F(full.prediction_prob, BiasVector(canonical), n, i)))
+                worst = max(worst, abs(experiments.exact_F(wrapped, u, n, i)
+                                       - experiments.exact_F(full.prediction_prob, u, n, i)))
     three = ExpMechanismLearner(HypothesisClass([[1, 1], [1, -1], [-1, -1]]), config)
     moved = abs(experiments.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
                 - experiments.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
     ok = full.per_point and worst <= 1e-15 and not three.per_point and moved > 1e-3
-    return ok, (f"full(2): |F(u) - F(key)| <= {worst:.1e} (n 2-5, 6 biases); "
+    return ok, (f"full(2): |F_table(u) - F_count(u)| <= {worst:.1e} (n 2-5, 6 biases); "
                 f"3-hypothesis class not per-point, F_0 moves {moved:.3f} with u_1")
 
 
@@ -519,22 +521,27 @@ def check_monotone_budget(rng: RandomSource):
     return ok, f"losses {['%.4f' % l for l in losses]} nondecreasing in eta"
 
 
+def _criteria_cells(sizes=(2, 4, 8), etas=(Fraction(1, 4), Fraction(1, 2)), grid_points=11):
+    """The exact cells of criteria 8/9: (n, eta, u, exp-mech on full(1) at
+    eta) over the sizes, the budgets and a grid of biases from -1/2 to 1/2."""
+    for n in sizes:
+        for eta in etas:
+            learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
+            for j in range(grid_points):
+                yield n, eta, Fraction(-1, 2) + Fraction(j, grid_points - 1), learner
+
+
 def acceptance_equivalence(rng: RandomSource = None, sizes=(2, 4, 8),
                            etas=(Fraction(1, 4), Fraction(1, 2)), grid_points: int = 11):
     """Sample-ball-at-2eta vs restricted oblivious-at-eta, exact, all cells."""
     worst = math.inf
     cells = 0
-    for n in sizes:
-        for eta in etas:
-            for j in range(grid_points):
-                u = Fraction(-1, 2) + Fraction(j, grid_points - 1)
-                hclass = HypothesisClass.full(1)
-                learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
-                report = experiments.equivalence_check(learner.prediction_prob, u, eta, n)
-                worst = min(worst, report.slack)
-                cells += 1
-                if not report.holds:
-                    return False, f"violated at n={n}, eta={eta}, u={u}: slack {report.slack:.3e}"
+    for n, eta, u, learner in _criteria_cells(sizes, etas, grid_points):
+        report = experiments.equivalence_check(learner.prediction_prob, u, eta, n)
+        worst = min(worst, report.slack)
+        cells += 1
+        if not report.holds:
+            return False, f"violated at n={n}, eta={eta}, u={u}: slack {report.slack:.3e}"
     return True, f"holds in all {cells} cells; min slack {worst:.4f}"
 
 
@@ -543,20 +550,53 @@ def acceptance_public_domination(rng: RandomSource = None, sizes=(2, 4, 8),
     """Public-coin thresholded risk never exceeds the private-coin risk, exactly."""
     worst = -math.inf
     cells = 0
-    for n in sizes:
-        for eta in etas:
-            for j in range(grid_points):
-                u = Fraction(-1, 2) + Fraction(j, grid_points - 1)
-                dist = ProductBiasDistribution(BiasVector([u]))
-                hclass = HypothesisClass.full(1)
-                learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
-                pub = experiments.exhaustive_public_loss(learner.prediction_prob, dist, eta, n)
-                priv = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
-                worst = max(worst, pub - priv)
-                cells += 1
-                if pub > priv + 1e-9:
-                    return False, f"public {pub} > private {priv} at n={n}, eta={eta}, u={u}"
+    for n, eta, u, learner in _criteria_cells(sizes, etas, grid_points):
+        dist = ProductBiasDistribution(BiasVector([u]))
+        pub = experiments.exhaustive_public_loss(learner.prediction_prob, dist, eta, n)
+        priv = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
+        worst = max(worst, pub - priv)
+        cells += 1
+        if pub > priv + 1e-9:
+            return False, f"public {pub} > private {priv} at n={n}, eta={eta}, u={u}"
     return True, f"public <= private in all {cells} cells; max gap {worst:.3e}"
+
+
+def _exact_cell(p_oracle, u: Fraction, eta: Fraction, n: int) -> tuple[float, ...]:
+    """One criteria cell's exact values: private, public, and the
+    equivalence check's left, right and slack."""
+    dist = ProductBiasDistribution(BiasVector([u]))
+    report = experiments.equivalence_check(p_oracle, u, eta, n)
+    return (experiments.exhaustive_adversarial_loss(p_oracle, dist, eta, n),
+            experiments.exhaustive_public_loss(p_oracle, dist, eta, n),
+            report.left_loss, report.right_restricted, report.slack)
+
+
+def check_count_engine(rng: RandomSource):
+    """The count engine (a per-point learner's bound method) against the
+    sequence table (the same learner behind an undeclared wrapper): bit for
+    bit on criteria 8/9's 66 cells, and within 2 ulp on full(2) (n <= 6) and
+    full(3) (n <= 4) at 3 biases and 3 budgets, private and public."""
+    cells = 0
+    for n, eta, u, learner in _criteria_cells():
+        count = _exact_cell(learner.prediction_prob, u, eta, n)
+        table = _exact_cell(lambda s, x: learner.prediction_prob(s, x), u, eta, n)
+        if count != table:
+            return False, f"d=1, n={n}, eta={eta}, u={u}: count {count} != table {table}"
+        cells += 1
+    biases = ([Fraction(1, 4), Fraction(-1, 8), Fraction(3, 8)],
+              [Fraction(0), Fraction(1, 2), Fraction(-1, 2)], [0.1, 0.3, -0.2])
+    worst, differ, graded = 0.0, 0, 0
+    for d, sizes in ((2, range(1, 7)), (3, range(1, 5))):
+        learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(Fraction(1, 4)))
+        wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
+        for n, coords, eta in iproduct(sizes, biases, (0, Fraction(1, 4), Fraction(1, 2))):
+            dist = ProductBiasDistribution(BiasVector(coords[:d]))
+            for loss in (experiments.exhaustive_adversarial_loss, experiments.exhaustive_public_loss):
+                count, table = loss(learner.prediction_prob, dist, eta, n), loss(wrapped, dist, eta, n)
+                ulps = abs(count - table) / math.ulp(max(count, table))
+                worst, differ, graded = max(worst, ulps), differ + (count != table), graded + 1
+    return worst <= 2, (f"d=1: {cells} cells bit-identical (private, public, left, right, slack); "
+                        f"d=2,3: {differ} of {graded} differ, by <= {worst:.0f} ulp")
 
 
 def check_batched_trials(rng: RandomSource):
@@ -656,9 +696,13 @@ def check_lower_bound_table(rng: RandomSource):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; `seconds`, its wall time, is left out of equality
+    so that reruns compare equal."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)
 
 
 REGISTRY: list[tuple[str, Callable]] = [
@@ -690,6 +734,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("experiments.monotone-budget", check_monotone_budget),
     ("experiments.equivalence", acceptance_equivalence),
     ("experiments.public-domination", acceptance_public_domination),
+    ("experiments.count-engine", check_count_engine),
     ("experiments.batched-trials", check_batched_trials),
     ("experiments.sweep-deterministic", check_sweep_deterministic),
     ("experiments.lower-bound-table", check_lower_bound_table),
@@ -717,11 +762,13 @@ def run_checks(seed: int = 1729, names: list[str] | None = None,
         if names is not None and name not in names:
             continue
         rng = RandomSource(seed, core.stable_stream_id("verify", name))
+        start = time.perf_counter()
         try:
             passed, detail = fn(rng)
         except Exception as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
         if inject_fault == name:
             passed, detail = False, "injected fault"
-        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail, seconds=seconds))
     return results

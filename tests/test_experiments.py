@@ -44,6 +44,7 @@ from poisonlab.experiments import (
     SweepGrid,
     curve_threshold,
     equivalence_check,
+    exact_F,
     exhaustive_adversarial_loss,
     exhaustive_clean_loss,
     exhaustive_public_loss,
@@ -64,6 +65,7 @@ from poisonlab.experiments import (
 from poisonlab.learners import (
     BayesLearner,
     ConstantLearner,
+    CoupledExpMechanismLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,
@@ -71,7 +73,7 @@ from poisonlab.learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
 )
-from poisonlab.verify import _per_draw_lower_bound
+from poisonlab.verify import _criteria_cells, _per_draw_lower_bound
 
 SEED = 59204
 
@@ -389,13 +391,136 @@ def test_exact_engine_and_ball_search_reject_a_scalar_oracle():
 
 
 def test_exhaustive_enumeration_cap():
-    # 2^17 sequences exceed the engine's one limit of 100,000
+    # 2^17 sequences exceed the sequence table's limit of 100,000; an
+    # undeclared wrapper keeps the per-point learner on the table
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
+    oracle = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     with pytest.raises(EnumerationTooLargeError):
-        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 17)
+        exhaustive_adversarial_loss(oracle, dist, Fraction(1, 4), 17)
     with pytest.raises(EnumerationTooLargeError):
-        equivalence_check(learner.prediction_prob, Fraction(1, 4), Fraction(1, 4), 17)
+        equivalence_check(oracle, Fraction(1, 4), Fraction(1, 4), 17)
+
+
+def test_count_engine_enumeration_cap():
+    # the same limit bounds count states: (n + 1)(n + 2) / 2 of them at d >= 2
+    # and n + 1 at d = 1; the cap is checked before any state is scored
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
+    assert 446 * 447 // 2 <= experiments._TABLE_CAP < 447 * 448 // 2
+    with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
+        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 446)
+    with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
+        exact_F(learner.prediction_prob, dist.bias, 446, 0)
+    one = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
+    with pytest.raises(EnumerationTooLargeError, match="100001 count states"):
+        equivalence_check(one.prediction_prob, Fraction(1, 4), Fraction(1, 4), 100_000)
+
+
+def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
+    eta = Fraction(1, 8)
+    full = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    coupled = CoupledExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
+                                ExpMechanismConfig(eta))
+    for oracle, counted in ((full.prediction_prob, True), (full.mean_prediction_prob, True),
+                            (coupled.prediction_prob, True),
+                            (lambda s, x: full.prediction_prob(s, x), False),
+                            (three.prediction_prob, False)):
+        engine = experiments._engine(oracle, dist, 2)
+        assert isinstance(engine, experiments._CountTable) == counted
+        assert isinstance(engine, experiments._SequenceTable) != counted
+    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 5), 1))
+    one = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    assert isinstance(experiments._engine(vc.mean_prediction_prob, one, 5),
+                      experiments._SequenceTable)
+
+
+class _ScrambledCountRule(Learner):
+    """A per-point rule that is not monotone in anything: its +1
+    probability at x is a scrambled function of n and the counts of (x, +1)
+    and (x, -1), so a ball's extremum may sit at any state it reaches."""
+
+    name = "scrambled"
+    per_point = True
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def prediction_prob(self, sample, x, gen=None):
+        probs = self.batch_prediction_probs(sample.histograms(self.d), x)
+        return probs if sample.batched else float(probs[0])
+
+    def batch_prediction_probs(self, histograms, x):
+        a, b = histograms[:, x, 0], histograms[:, x, 1]
+        return ((3 * a + 5 * b + a * b + histograms.sum(axis=(1, 2))) % 7) / 6
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
+def test_count_engine_takes_the_ball_extremum_of_any_per_point_rule(d, n):
+    # every unit row move of a count state matters to some rule; the sequence
+    # table sees the same rule through an undeclared wrapper
+    rule = _ScrambledCountRule(d)
+    wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
+    for coords in ([Fraction(1, 4), Fraction(-1, 8), 0.3], [Fraction(1, 2), 0, Fraction(-1, 2)]):
+        dist = ProductBiasDistribution(BiasVector(coords[:d]))
+        for eta in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            for loss in (exhaustive_adversarial_loss, exhaustive_public_loss):
+                count, table = loss(rule.prediction_prob, dist, eta, n), loss(wrapped, dist, eta, n)
+                assert abs(count - table) <= 2 * math.ulp(table), (coords, eta, loss)
+                assert count == table or d > 1
+
+
+def _count_state_reference(learner, u: BiasVector, n: int) -> tuple[Fraction, Fraction]:
+    """Exact F at point 0 and the exact clean risk, summed in `Fraction`s:
+    every count state (a, b, r) of each point x, weighted by its multinomial
+    probability n! / (a! b! r!) q_+^a q_-^b (1 - 1/d)^r, is scored by one
+    `prediction_prob` call on one sample in it, the r other rows at
+    (x - 1, -1)."""
+    d = u.dimension
+    f, clean = -Fraction(1, 2), Fraction(0)
+    for x, ux in enumerate(u.coords):
+        q_plus, q_minus = (Fraction(1, 2) + ux) / d, (Fraction(1, 2) - ux) / d
+        for a in range(n + 1):
+            for b in range(n + 1 - a) if d > 1 else (n - a,):
+                r = n - a - b
+                weight = (math.comb(n, a) * math.comb(n - a, b) * q_plus ** a * q_minus ** b
+                          * (1 - Fraction(1, d)) ** r)
+                s = Sample([x] * (a + b) + [(x - 1) % d] * r, [PLUS] * a + [MINUS] * (b + r))
+                p = Fraction(learner.prediction_prob(s, x))
+                clean += weight * (q_plus * (1 - p) + q_minus * p)
+                if x == 0:
+                    f += weight * p
+    return f, clean
+
+
+@pytest.mark.parametrize("d, n, coords", [(1, 64, [Fraction(1, 8)]),
+                                          (2, 12, [Fraction(1, 8), Fraction(-1, 4)])])
+def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coords):
+    # 2^64 and 4^12 (about 1.7e7) sequences are out of the table's reach; the
+    # count engine has n + 1 and 91 states, and its sums are rounded once
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(Fraction(1, 16)))
+    u = BiasVector(coords)
+    f, clean = _count_state_reference(learner, u, n)
+    assert abs(Fraction(exact_F(learner.prediction_prob, u, n, 0)) - f) <= Fraction(1, 10 ** 15)
+    got = exhaustive_clean_loss(learner.prediction_prob, ProductBiasDistribution(u), n)
+    assert abs(Fraction(got) - clean) <= Fraction(1, 10 ** 15)
+    assert abs(f) > 0.01 and 0.3 < clean < 0.5
+
+
+def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
+    # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it
+    # for an oracle in [0, 1]: criterion 9's two sides are equal floats, on
+    # the count engine and on the sequence table (an undeclared wrapper)
+    cells = 0
+    for n, eta, u, learner in _criteria_cells():
+        dist = ProductBiasDistribution(BiasVector([u]))
+        for oracle in (learner.prediction_prob, lambda s, x: learner.prediction_prob(s, x)):
+            assert (exhaustive_public_loss(oracle, dist, eta, n)
+                    == exhaustive_adversarial_loss(oracle, dist, eta, n)), (n, eta, u)
+        cells += 1
+    assert cells == 66
 
 
 BUDGETS = st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),

@@ -1,6 +1,8 @@
 """The self-verification registry itself: every probe green, fault injection
 isolated, reruns deterministic."""
 
+import re
+
 import pytest
 
 from poisonlab import verify
@@ -65,3 +67,18 @@ def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL core.raises: raised KeyError: 'missing key'" in out
     assert out.splitlines()[-2:] == ["3 checks, 2 passed, 1 failed", "failed: core.raises"]
+
+
+def test_every_verify_line_ends_in_its_checks_duration(capsys):
+    results = run_checks(names=FAST_SUBSET, inject_fault="core.hamming-metric")
+    assert all(r.seconds > 0 for r in results)
+    assert main(["verify", "--check", ",".join(FAST_SUBSET),
+                 "--inject-fault", "core.hamming-metric"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(FAST_SUBSET) + 2
+    for line, res in zip(lines, results):
+        text, seconds = re.fullmatch(r"(.*) \[(\d+\.\d{3}) s\]", line).groups()
+        assert text == f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
+        assert float(seconds) < 60
+    assert lines[-2:] == [f"{len(FAST_SUBSET)} checks, {len(FAST_SUBSET) - 1} passed, 1 failed",
+                          "failed: core.hamming-metric"]
