@@ -26,7 +26,6 @@ from .analysis import (
     StabilityReport,
     cover_radius,
     estimate_F,
-    oblivious_excess,
     restrict_dedupe,
     sauer_bound,
     sauer_bound_growth,

@@ -2,8 +2,9 @@
 
 Restriction/dedup of hypothesis classes, the binomial-sum growth bound, brute
 force VC dimension, exact covering radii, Monte Carlo estimation of the
-F-statistic (the learner's expected +-1 output, halved), the oblivious
-poisoned loss it plugs into, and the mechanism stability certificate.
+F-statistic (the learner's expected +-1 output, halved; the oblivious excess
+that is linear in it is tabulated in `experiments`), and the mechanism
+stability certificate.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    MINUS,
-    PLUS,
     BiasVector,
     DimensionMismatchError,
     DomainMismatchError,
@@ -28,7 +27,6 @@ from .core import (
     RandomSource,
     Sample,
     Scalar,
-    bayes_loss,
     draw_sample_with,
     hamming_distance,
 )
@@ -252,49 +250,6 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     moments = [_mean_and_variance(np.concatenate(parts)) for parts in per_point]
     return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
                   std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
-
-
-# ---------------------------------------------------------------------------
-# oblivious (distribution-level) poisoned loss
-
-FOracle = Callable[[int, BiasVector], float]
-
-
-def oblivious_excess(f_oracle: FOracle, u: BiasVector,
-                     scheme) -> tuple[float, dict[tuple, Fraction]]:
-    """Excess of the oblivious poisoned loss at bias u under the given scheme.
-
-    The loss averages, over test atoms (i, y), the error mass
-    (1/2 + y u_i)(1/2 - y F_i(u')) at the poisoned bias u' = scheme(i, y, u);
-    the Bayes loss of the clean distribution is subtracted. The excess is
-    linear in the F values: the second return value maps each F key
-    (i, u'.coords) to its exact coefficient, the sum of -y (1/2 + y u_i) / d
-    over the test atoms that query that key.
-    """
-    d = u.dimension
-    if scheme.dimension != d:
-        raise DimensionMismatchError("scheme and bias vector dimensions differ")
-    terms = []
-    coefficients: dict[tuple, Fraction] = {}
-    for i in range(d):
-        for y in (PLUS, MINUS):
-            term, key, c = _excess_term(f_oracle, u, scheme, i, y)
-            terms.append(term)
-            coefficients[key] = coefficients.get(key, 0) + c
-    base = bayes_loss(ProductBiasDistribution(u))
-    return math.fsum(terms) - float(base), coefficients
-
-
-def _excess_term(f_oracle: FOracle, u: BiasVector, scheme, i: int,
-                 y: int) -> tuple[float, tuple, Fraction]:
-    """The oblivious excess's term of test atom (i, y) at bias u: the error
-    mass float(m) * (1/2 - y F_i(u')) at u' = scheme(i, y, u), where
-    m = (1/2 + y u_i) / d, with the F key (i, u'.coords) it reads and that
-    key's exact coefficient -y m. The term reads u only through u_i and the
-    F value at u'."""
-    shifted = scheme.apply(i, y, u)
-    mass = (Fraction(1, 2) + y * u.coords[i]) / u.dimension
-    return float(mass) * (0.5 - y * f_oracle(i, shifted)), (i, shifted.coords), -y * mass
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .core import (
     PLUS,
     BiasVector,
     BudgetViolationError,
+    DimensionMismatchError,
     EnumerationTooLargeError,
     Example,
     HypothesisClass,
@@ -90,12 +91,9 @@ from .adversaries import (
     build_scheme_1d,
 )
 from .analysis import (
-    FOracle,
     FTable,
-    _excess_term,
     _mean_and_variance,
     estimate_F,
-    oblivious_excess,
     vc_dimension,
 )
 
@@ -522,52 +520,72 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 # lower bound experiment
 
 
-def _f_key(learner: Learner, i: int, coords: tuple[Fraction, ...]) -> tuple:
-    """The F key of coordinate i at the bias `coords`: (i, coords). A
-    per-point learner's F at i depends on u_i alone, so its key sets every
-    other coordinate to 0, and every bias that agrees at i shares one
-    estimate. At d = 1 the two rules agree."""
-    if learner.per_point:
-        coords = tuple(c if j == i else Fraction(0) for j, c in enumerate(coords))
-    return i, coords
-
-
-def _fold(learner: Learner, coefficients: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
-    """`oblivious_excess`'s coefficients summed under the learner's F keys
-    (`_f_key`), one term per estimate."""
-    folded: dict[tuple, Fraction] = {}
-    for (i, coords), c in coefficients.items():
-        key = _f_key(learner, i, coords)
-        folded[key] = folded.get(key, 0) + c
-    return folded
-
-
 def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
-                     *labels) -> tuple[FOracle, dict[tuple, FTable]]:
-    """An F oracle for `oblivious_excess` and the cache it fills: the F value
-    of coordinate i at the bias u comes from one `estimate_F` of `trials_f`
-    size-n trials at point i per key (i, v) = `_f_key(learner, i, u.coords)`,
-    run at the bias v on the stream rng.child(*labels, i, repr(v)), and the
-    cache keeps its table under that key."""
+                     *labels) -> tuple[Callable[[tuple], float], dict[tuple, FTable]]:
+    """The F value of each F key (i, v) and the cache it fills: one
+    `estimate_F` of `trials_f` size-n trials at point i per key, run at the
+    bias v on the stream rng.child(*labels, i, repr(v)); the cache keeps its
+    table under the key."""
     cache: dict[tuple, FTable] = {}
 
-    def f_oracle(i: int, shifted: BiasVector) -> float:
-        key = _f_key(learner, i, shifted.coords)
+    def f_value(key: tuple) -> float:
         if key not in cache:
-            cache[key] = estimate_F(learner, BiasVector(key[1]), n, trials_f,
-                                    rng.child(*labels, i, repr(key[1])), points=[i])
+            i, v = key
+            cache[key] = estimate_F(learner, BiasVector(v), n, trials_f,
+                                    rng.child(*labels, i, repr(v)), points=[i])
         return cache[key].values[0]
 
-    return f_oracle, cache
+    return f_value, cache
+
+
+def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fraction],
+                  rows: Sequence[Sequence[int]], counts: Sequence[int],
+                  f_value: Callable[[tuple], float]
+                  ) -> tuple[list[float], dict[tuple, Fraction]]:
+    """The oblivious excess of each bias row, u = (values[a] for a in row),
+    and the exact coefficient of each F key in their count-weighted sum.
+
+    A row's excess is the fsum over test atoms (i, y), in the order (0, +1),
+    (0, -1), (1, +1), ..., of float(m) * (1/2 - y F) at the poisoned bias
+    u' = scheme(i, y, u), m = (1/2 + y u_i) / d, minus the Bayes loss at u;
+    the atom adds count * -y m to the coefficient of its F key. Each term is
+    built once. A per-point learner's F at i reads u_i alone, so its term is
+    indexed by (i, y, a) and built at the vector with values[a] at i and 0
+    elsewhere, whose u' is the F key (i, u') of every row it stands for; any
+    other learner's is indexed by (i, y, row) and built at u.
+    """
+    d = scheme.dimension
+    table: dict[tuple, tuple[float, tuple, Fraction]] = {}
+    uses: dict[tuple, int] = {}
+    excesses: list[float] = []
+    for row, count in zip(rows, counts):
+        u = BiasVector([values[a] for a in row])
+        terms = []
+        for i, a in enumerate(row):
+            for y in (PLUS, MINUS):
+                index = (i, y, a if per_point else tuple(row))
+                if index not in table:
+                    at = (BiasVector([values[a] if j == i else 0 for j in range(d)])
+                          if per_point else u)
+                    key = (i, scheme.apply(i, y, at).coords)
+                    mass = (Fraction(1, 2) + y * at.coords[i]) / d
+                    table[index] = float(mass) * (0.5 - y * f_value(key)), key, -y * mass
+                terms.append(table[index][0])
+                uses[index] = uses.get(index, 0) + count
+        excesses.append(math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u))))
+    coefficients: dict[tuple, Fraction] = {}
+    for index, (_, key, c) in table.items():
+        coefficients[key] = coefficients.get(key, 0) + uses[index] * c
+    return excesses, coefficients
 
 
 def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:
     """Variance of the linear form sum_k c_k F_k in the cached F estimates.
     Each key is one estimate, independent of the others, so the variance is
     sum_k (c_k se_k)^2; the coefficients of everything that reads one
-    estimate are summed into its c_k first (`oblivious_excess`, `_fold`), and
-    a key with no estimate of its own, such as an unfolded one, raises
-    KeyError rather than counting a shared estimate twice."""
+    estimate are summed into its c_k first (`_excess_table`), and a key with
+    no estimate of its own raises KeyError rather than counting a shared
+    estimate twice."""
     return math.fsum((float(c) * cache[key].std_errors[0]) ** 2
                      for key, c in coefficients.items())
 
@@ -595,22 +613,15 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     Draws u from the product of hard distributions `trials_outer` times
     with one call on the ("outer",) stream, d * trials_outer uniforms in
     trial order (`HardBiasDistribution.sample_indices`). The hard
-    distribution has finite support, so the draws are counted and each
-    distinct u is handled once. Its oblivious excess is the fsum of 2d
-    terms, one per test atom (i, y) (`analysis._excess_term`, the rule of
-    `oblivious_excess`), minus its Bayes loss. The terms form a table built
-    on first use: a per-point learner's term depends on u only through u_i,
-    so it is indexed by (i, y, atom index of u_i) and built at the vector
-    with u_i at i and 0 elsewhere, whose shifted bias is already the F key
-    (`_f_key`) of every u it stands for; any other learner's is indexed by
-    (i, y, drawn row) and built at u. Each F key is estimated once with
-    `trials_f` trials on the stream ("F", coordinate, key bias) and cached
-    (`_cached_f_oracle`). The mean is over the draws. The CI combines the
-    outer sampling variance with the propagated variance of the cached
-    estimates (`_f_variance`): each table entry's exact coefficient, times
-    the number of draws that read it, summed under its F key, over
-    trials_outer. The threshold is taken at the scheme's budget, d * eta
-    capped at 1/16 and spread over the d coordinates.
+    distribution has finite support, so the draws are counted and the
+    distinct ones go through the term table (`_excess_table`) once. Each F
+    key is estimated once with `trials_f` trials on the stream ("F",
+    coordinate, key bias) and cached (`_cached_f_oracle`). The mean is over
+    the draws. The CI combines the outer sampling variance with the
+    propagated variance of the cached estimates (`_f_variance`), each key's
+    count-weighted coefficient over trials_outer. The threshold is taken at
+    the scheme's budget, d * eta capped at 1/16 and spread over the d
+    coordinates.
     """
     if trials_outer < 1:
         raise ValueError("trials_outer must be >= 1")
@@ -621,33 +632,14 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     scheme = PoisoningSchemeD(inner, d)
     threshold = lower_bound_threshold(scheme.eta, d)
 
-    f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
+    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
                               return_counts=True)
-    values = hard.values()
-    table: dict[tuple, tuple[float, tuple, Fraction]] = {}
-    uses: dict[tuple, int] = {}
-    excesses: list[float] = []
-    for row, count in zip(draws.tolist(), counts.tolist()):
-        u = BiasVector([values[a] for a in row])
-        terms = []
-        for i, a in enumerate(row):
-            for y in (PLUS, MINUS):
-                index = (i, y, a if learner.per_point else tuple(row))
-                if index not in table:
-                    at = (BiasVector([values[a] if j == i else 0 for j in range(d)])
-                          if learner.per_point else u)
-                    table[index] = _excess_term(f_oracle, at, scheme, i, y)
-                terms.append(table[index][0])
-                uses[index] = uses.get(index, 0) + count
-        excess = math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u)))
-        excesses += [excess] * count  # fsum's mean and variance ignore the order
-    coefficients: dict[tuple, Fraction] = {}
-    for index, (_, key, c) in table.items():
-        coefficients[key] = coefficients.get(key, 0) + uses[index] * c
-
-    mean, outer_var = _mean_and_variance(excesses)
+    excesses, coefficients = _excess_table(learner.per_point, scheme, hard.values(),
+                                           draws.tolist(), counts.tolist(), f_value)
+    # fsum's mean and variance ignore the order of the draws
+    mean, outer_var = _mean_and_variance(np.repeat(excesses, counts))
     f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
     half = Z95 * math.sqrt(outer_var + f_var)
     return LowerBoundReport(
@@ -724,24 +716,26 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
                               rng: RandomSource) -> CurveReport:
     """Oblivious excess at a fixed bias across sample sizes.
 
-    F is re-estimated per size at the scheme's shifted points, each F key
-    (`_f_key`) once on the stream ("curve", n, coordinate, key bias)
-    (`_cached_f_oracle`); a size's standard error propagates those estimates'
-    errors through the excess, the coefficients summed under each key
-    (`_fold`, `_f_variance`). The report records the
-    fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
+    Each size runs the term table (`_excess_table`) on the one row u, whose
+    F keys are estimated once each on the stream ("curve", n, coordinate,
+    key bias) (`_cached_f_oracle`); a size's standard error propagates those
+    estimates' errors through the excess (`_f_variance`). The report records
+    the fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
     budget eta, the quantity the recurring-excess argument tracks.
     """
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("sizes must not be empty")
+    if u.dimension != scheme.dimension:
+        raise DimensionMismatchError("scheme and bias vector dimensions differ")
     threshold = curve_threshold(scheme.eta, scheme.dimension)
     excesses, std_errors = [], []
     for n in sizes:
-        f_oracle, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-        excess, coefficients = oblivious_excess(f_oracle, u, scheme)
+        f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
+        [excess], coefficients = _excess_table(learner.per_point, scheme, u.coords,
+                                               [range(u.dimension)], [1], f_value)
         excesses.append(excess)
-        std_errors.append(math.sqrt(_f_variance(_fold(learner, coefficients), cache)))
+        std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
     return CurveReport(u=u, sizes=sizes, excesses=tuple(excesses),
                        std_errors=tuple(std_errors), threshold=threshold,
                        fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(excesses))

@@ -432,10 +432,11 @@ def check_oblivious_zero(rng: RandomSource):
     u = BiasVector([Fraction(1, 4), Fraction(-3, 8)])
     scheme = adversaries.identity_scheme(2)
 
-    def bayes_f(i, ub):
-        return 0.5 if ub.coords[i] > 0 else -0.5
+    def bayes_f(key):
+        i, v = key
+        return 0.5 if v[i] > 0 else -0.5
 
-    value, _ = analysis.oblivious_excess(bayes_f, u, scheme)
+    [value], _ = experiments._excess_table(False, scheme, u.coords, [range(2)], [1], bayes_f)
     ok = abs(value) <= 1e-15
     return ok, f"identity scheme + Bayes F gives excess {value:.2e}"
 
@@ -640,16 +641,35 @@ def check_sweep_deterministic(rng: RandomSource):
     return True, "repeated sweep bit-identical"
 
 
+def _per_draw_excess(per_point: bool, u: BiasVector, scheme,
+                     f_value) -> tuple[float, dict[tuple, Fraction]]:
+    """The oblivious excess at u and each F key's coefficient, without a
+    table: every term is built at u, and a per-point learner's key (i, u') has
+    its other coordinates set to 0."""
+    d = u.dimension
+    terms = []
+    coefficients: dict[tuple, Fraction] = {}
+    for i in range(d):
+        for y in (PLUS, MINUS):
+            shifted = scheme.apply(i, y, u).coords
+            if per_point:
+                shifted = tuple(c if j == i else Fraction(0) for j, c in enumerate(shifted))
+            key = (i, shifted)
+            mass = (Fraction(1, 2) + y * u.coords[i]) / d
+            terms.append(float(mass) * (0.5 - y * f_value(key)))
+            coefficients[key] = coefficients.get(key, 0) - y * mass
+    return math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u))), coefficients
+
+
 def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trials_f: int,
                           rng: RandomSource) -> tuple[float, float, float, int]:
     """`lower_bound_experiment`'s (mean, ci_low, ci_high, f_points) by a
     per-draw reference loop without its term table: the same outer draw on
-    the ("outer",) stream, then `oblivious_excess` at each distinct drawn u
-    with one cached F oracle, its coefficients folded under the learner's F
-    keys (`_fold`) and weighted by the draw's count."""
+    the ("outer",) stream, then `_per_draw_excess` at each distinct drawn u
+    with one cached F oracle, its coefficients weighted by the draw's count."""
     inner, hard = adversaries.build_scheme_1d(d * Fraction(eta))
     scheme = adversaries.PoisoningSchemeD(inner, d)
-    f_oracle, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
+    f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
                               return_counts=True)
@@ -657,10 +677,10 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     excesses: list[float] = []
     coefficients: dict[tuple, Fraction] = {}
     for row, count in zip(draws.tolist(), counts.tolist()):
-        excess, per_key = analysis.oblivious_excess(
-            f_oracle, BiasVector([values[a] for a in row]), scheme)
+        excess, per_key = _per_draw_excess(
+            learner.per_point, BiasVector([values[a] for a in row]), scheme, f_value)
         excesses += [excess] * count
-        for key, c in experiments._fold(learner, per_key).items():
+        for key, c in per_key.items():
             coefficients[key] = coefficients.get(key, 0) + count * c
     mean, outer_var = analysis._mean_and_variance(excesses)
     f_var = experiments._f_variance(
@@ -669,12 +689,31 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     return mean, mean - half, mean + half, len(cache)
 
 
+def _per_draw_curve(learner, u: BiasVector, scheme, n: int, trials_f: int,
+                    rng: RandomSource) -> tuple[float, float]:
+    """`learning_curve_experiment`'s (excess, std error) at one size n by
+    `_per_draw_excess` at u, on the curve's ("curve", n) F streams."""
+    f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "curve", n)
+    excess, coefficients = _per_draw_excess(learner.per_point, u, scheme, f_value)
+    return excess, math.sqrt(experiments._f_variance(coefficients, cache))
+
+
+def _curve_biases(inner, d: int) -> tuple[BiasVector, BiasVector]:
+    """An off-grid bias, 1/5 then the grid point 2 eta that the scheme moves,
+    and the endpoint bias, which it leaves in place."""
+    return (BiasVector([Fraction(1, 5)] + [2 * inner.eta] * (d - 1)),
+            BiasVector([inner.endpoint] * d))
+
+
 def check_lower_bound_table(rng: RandomSource):
     """The lower bound's term table gives the per-draw loop's report to the
     last bit, for a per-point learner (exp-mech on full(2)) and for one that
-    is not (exp-mech on a 3-hypothesis class)."""
+    is not (exp-mech on a 3-hypothesis class), and so does the curve at the
+    two `_curve_biases`."""
     eta, d, n, outer, trials = Fraction(1, 128), 2, 16, 60, 20
     config = ExpMechanismConfig(eta)
+    inner, _ = adversaries.build_scheme_1d(d * eta)
+    scheme = adversaries.PoisoningSchemeD(inner, d)
     details = []
     for name, hclass in (("full(2)", HypothesisClass.full(2)),
                          ("3-hypothesis", HypothesisClass([[PLUS, PLUS], [PLUS, MINUS],
@@ -686,8 +725,16 @@ def check_lower_bound_table(rng: RandomSource):
         want = _per_draw_lower_bound(learner, eta, d, n, outer, trials, rng.child(name))
         if repr(got) != repr(want):
             return False, f"{name}: table {got} != per-draw {want}"
+        for u in _curve_biases(inner, d):
+            curve = experiments.learning_curve_experiment(learner, u, scheme, [n], trials,
+                                                          rng.child(name, "curve"))
+            got = (curve.excesses[0], curve.std_errors[0])
+            want = _per_draw_curve(learner, u, scheme, n, trials, rng.child(name, "curve"))
+            if repr(got) != repr(want):
+                return False, f"{name}: curve at {u} {got} != per-draw {want}"
         details.append(f"{name} {report.f_points} F keys")
-    return True, f"mean and CI repr-equal to the per-draw loop ({', '.join(details)})"
+    return True, (f"lower-bound mean and CI, and the curve at 2 biases, repr-equal to the "
+                  f"per-draw loop ({', '.join(details)})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from poisonlab.analysis import (
     FTable,
     cover_radius,
     estimate_F,
-    oblivious_excess,
     restrict_dedupe,
     sauer_bound,
     sauer_bound_growth,
@@ -34,7 +33,7 @@ from poisonlab.core import (
     draw_sample_with,
     full_alphabet,
 )
-from poisonlab.experiments import _f_variance, exact_F, make_learner
+from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, Learner
 
 SEED = 77031
@@ -432,10 +431,18 @@ def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
             assert abs(table.values[x] - ref[:, x].mean()) <= 4.5 * sigma
 
 
+def _one_row_excess(scheme, u: BiasVector, f_value):
+    """The term table's excess and coefficients at the one bias u, every term
+    built at u."""
+    [value], coefficients = _excess_table(False, scheme, u.coords, [range(u.dimension)], [1],
+                                          f_value)
+    return value, coefficients
+
+
 def test_oblivious_excess_hand_value():
     # identity scheme, constant F = c: excess = u(1 - 2c) at positive scalar u
     u = BiasVector([Fraction(1, 4)])
-    value, coefficients = oblivious_excess(lambda i, ub: 0.3, u, identity_scheme(1))
+    value, coefficients = _one_row_excess(identity_scheme(1), u, lambda key: 0.3)
     assert value == pytest.approx(0.25 * (1 - 2 * 0.3), abs=1e-15)
     # d(excess)/dF: -(1/2 + 1/4) for y = +1 plus +(1/2 - 1/4) for y = -1,
     # both atoms reading the one key
@@ -444,7 +451,7 @@ def test_oblivious_excess_hand_value():
 
 def test_oblivious_excess_error_propagation():
     u = BiasVector([Fraction(1, 4)])
-    _, coefficients = oblivious_excess(lambda i, ub: 0.3, u, identity_scheme(1))
+    _, coefficients = _one_row_excess(identity_scheme(1), u, lambda key: 0.3)
     table = FTable(u=u, points=(0,), values=(0.3,), std_errors=(0.02,), n=4, trials=100)
     # both test atoms read one estimate: err = |-3/4 + 1/4| * 0.02, not 0.02 * sqrt(9/16 + 1/16)
     err = math.sqrt(_f_variance(coefficients, {(0, u.coords): table}))
@@ -457,12 +464,12 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
     inner, hard = build_scheme_1d(Fraction(1, 64))
     scheme = PoisoningSchemeD(inner, 1)
 
-    def bayes_f(i, ub):
-        c = ub.coords[i]
-        return 0.5 if c > 0 else -0.5 if c < 0 else 0.0
+    def bayes_f(key):
+        i, v = key
+        return 0.5 if v[i] > 0 else -0.5 if v[i] < 0 else 0.0
 
     for v in hard.values():
-        value, _ = oblivious_excess(bayes_f, BiasVector([v]), scheme)
+        value, _ = _one_row_excess(scheme, BiasVector([v]), bayes_f)
         assert value >= -1e-15
 
 

@@ -18,12 +18,14 @@ from poisonlab.adversaries import (
     brute_force_attack,
     build_scheme_1d,
     greedy_flip_attack,
+    identity_scheme,
 )
 from poisonlab.core import (
     MINUS,
     PLUS,
     BiasVector,
     BudgetViolationError,
+    DimensionMismatchError,
     EnumerationTooLargeError,
     Example,
     HypothesisClass,
@@ -73,7 +75,12 @@ from poisonlab.learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
 )
-from poisonlab.verify import _criteria_cells, _per_draw_lower_bound
+from poisonlab.verify import (
+    _criteria_cells,
+    _curve_biases,
+    _per_draw_curve,
+    _per_draw_lower_bound,
+)
 
 SEED = 59204
 
@@ -645,6 +652,36 @@ def test_lower_bound_experiment_stream_lock():
         "0.0611376703005768", "0.05936388242294737", "0.06291145817820623")
 
 
+@pytest.mark.parametrize("learner_id,want", [
+    # exp-mech on full(2): per-point, F estimated on histograms
+    ("exp-mech", (("0.11439636057901126", "0.11382773277895475"),
+                  ("0.006388361960061711", "0.004959829028635268"))),
+    # majority at d = 2: not per-point, F estimated on rows
+    ("majority", (("0.11479166666666674", "0.10031250000000003"),
+                  ("0.012147153981592464", "0.010169580320080389"))),
+])
+def test_learning_curve_experiment_stream_lock(learner_id, want):
+    # an on-grid bias, so the scheme moves both coordinates
+    eta, d = Fraction(1, 64), 2
+    inner, _ = build_scheme_1d(d * eta)
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 16)])
+    learner = make_learner(learner_id, HypothesisClass.full(d), eta, 32, u.coords)
+    report = learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), (32, 64), 300,
+                                       RandomSource(SEED, 18))
+    assert (tuple(map(repr, report.excesses)), tuple(map(repr, report.std_errors))) == want
+
+
+def test_learning_curve_rejects_a_bias_of_another_dimension():
+    # a per-point learner builds its terms at u_i alone; the curve still
+    # rejects a u whose dimension is not the scheme's
+    eta = Fraction(1, 64)
+    inner, _ = build_scheme_1d(2 * eta)
+    learner = make_learner("exp-mech", HypothesisClass.full(2), eta, 32, (0, 0))
+    with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+        learning_curve_experiment(learner, BiasVector([Fraction(1, 8)]),
+                                  PoisoningSchemeD(inner, 2), (32,), 50, RandomSource(SEED, 20))
+
+
 def test_upper_bound_experiment_smoke():
     report = upper_bound_experiment(Fraction(1, 8), 1, 16, trials=60,
                                     rng=RandomSource(SEED, 6))
@@ -698,14 +735,22 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
 def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
     eta, coords = Fraction(1, 64), (Fraction(1, 8), Fraction(-3, 16))
     hc = HypothesisClass.full(2)
+    scheme = identity_scheme(2)
+
+    def keys(learner) -> set:
+        _, coefficients = experiments._excess_table(learner.per_point, scheme, coords,
+                                                    [range(2)], [1], lambda key: 0.0)
+        return set(coefficients)
+
     for lid in ("exp-mech", "coupled"):
         learner = make_learner(lid, hc, eta, 64, coords)
-        assert experiments._f_key(learner, 1, coords) == (1, (Fraction(0), Fraction(-3, 16)))
+        assert keys(learner) == {(0, (Fraction(1, 8), Fraction(0))),
+                                 (1, (Fraction(0), Fraction(-3, 16)))}
     three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
                                 ExpMechanismConfig(eta))
     others = [make_learner(lid, hc, eta, 64, coords) for lid in ("vc", "majority", "bayes")]
     for learner in others + [three, ConstantLearner(PLUS)]:
-        assert experiments._f_key(learner, 1, coords) == (1, coords)
+        assert keys(learner) == {(0, coords), (1, coords)}
 
 
 def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
@@ -727,8 +772,10 @@ def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
     gen = rng.child("outer").generator()
     expected: dict = {}
     for _ in range(outer):
-        u = BiasVector([hard.sample(gen) for _ in range(d)])
-        _, per_key = experiments.oblivious_excess(lambda i, v: 0.0, u, scheme)
+        u = [hard.sample(gen) for _ in range(d)]
+        # every term built at u (not per-point), its keys folded here by hand
+        _, per_key = experiments._excess_table(False, scheme, u, [range(d)], [1],
+                                               lambda key: 0.0)
         for (i, coords), c in per_key.items():
             key = (i, tuple(v if j == i else Fraction(0) for j, v in enumerate(coords)))
             expected[key] = expected.get(key, 0) + c / outer
@@ -748,12 +795,13 @@ def test_f_variance_rejects_a_key_with_no_estimate_of_its_own():
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     inner, _ = build_scheme_1d(d * eta)
     u = BiasVector([inner.endpoint, -inner.endpoint])
-    f_oracle, cache = experiments._cached_f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
-    _, coefficients = experiments.oblivious_excess(f_oracle, u, PoisoningSchemeD(inner, d))
-    assert len(cache) == 2
-    experiments._f_variance(experiments._fold(learner, coefficients), cache)
+    f_value, cache = experiments._cached_f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
+    _, coefficients = experiments._excess_table(learner.per_point, PoisoningSchemeD(inner, d),
+                                                u.coords, [range(d)], [1], f_value)
+    assert len(cache) == 2 and set(coefficients) == set(cache)
+    experiments._f_variance(coefficients, cache)
     with pytest.raises(KeyError):
-        experiments._f_variance(coefficients, cache)
+        experiments._f_variance({(0, u.coords): Fraction(-1, 2)}, cache)
 
 
 THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
@@ -762,8 +810,9 @@ THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
 @pytest.mark.parametrize("learner_id,d", [("exp-mech", 2), ("exp-mech", 3), ("coupled", 2),
                                           ("majority", 2), ("three", 2)])
 def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
-    # the term table against oblivious_excess at every distinct drawn u, with
-    # the same cached F oracle, folded and weighted by count
+    # the term table against the per-draw loop at every distinct drawn u, with
+    # the same cached F oracle, weighted by count; and the curve, on the same
+    # table, against the loop at an off-grid bias and at the endpoint bias
     eta, n, outer, trials = Fraction(1, 64 * d), 32, 300, 40
     if learner_id == "three":
         learner = ExpMechanismLearner(THREE, ExpMechanismConfig(eta))
@@ -775,6 +824,16 @@ def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
         repr(mean), repr(ci_low), repr(ci_high))
     assert report.f_points == f_points
+
+    inner, _ = build_scheme_1d(d * eta)
+    scheme = PoisoningSchemeD(inner, d)
+    for u in _curve_biases(inner, d):
+        curve = learning_curve_experiment(learner, u, scheme, [n], trials,
+                                          RandomSource(SEED, 19))
+        excess, std_error = _per_draw_curve(learner, u, scheme, n, trials,
+                                            RandomSource(SEED, 19))
+        assert (repr(curve.excesses[0]), repr(curve.std_errors[0])) == (
+            repr(excess), repr(std_error))
 
 
 def _count_scheme_maps(monkeypatch) -> list:
