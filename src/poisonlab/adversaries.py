@@ -71,7 +71,7 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     p = one_per_trial(predictor, predictor(members, np.repeat(target.point, sizes)),
                       sum(sizes))
     err = np.where(np.repeat(target.label, sizes) == PLUS, 1.0 - p, p)
-    # a NaN error, or one at or below -1, never wins: member 0, the clean sample, stays
+    # an error at or below -1 never wins: member 0, the clean sample, stays
     err = np.where(err > -1.0, err, -np.inf)
     best = [ball[int(np.argmax(e))]
             for ball, e in zip(balls, np.split(err, np.cumsum(sizes)[:-1]))]

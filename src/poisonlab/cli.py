@@ -361,9 +361,9 @@ def cmd_curve(ns: argparse.Namespace) -> int:
         raise ConfigError(f"curve requires d * eta < 1, got {d} * {eta}")
     inner, _hard = build_scheme_1d(d * eta)
     scheme = PoisoningSchemeD(inner, d)
-    # a bias that neither a flag nor the file sets is the scheme's endpoint,
-    # resolved again so that the config hash names the bias the run uses
-    cfg = resolve_config(ns, {**overrides, "bias": str(inner.endpoint)})
+    # a bias no flag or file sets is the largest grid point 2m eta, which the
+    # scheme moves; resolved again so that the config hash names it
+    cfg = resolve_config(ns, {**overrides, "bias": str(max(inner.grid()))})
     u = BiasVector([cfg.bias] * d)
     learner = make_learner(cfg.learners[0], HypothesisClass.full(d), eta, max(cfg.sizes), u.coords)
     stream = stable_stream_id("curve", str(eta), d, cfg.learners[0], cfg.trials, str(cfg.bias))
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
             "learner": f"learner id(s): {', '.join(LEARNER_IDS)}",
             "adversary": f"adversary id(s): {', '.join(ADVERSARY_IDS)}",
             "bias": "per-coordinate bias of the test distribution "
-                    "(default 1/4; curve: the grid scheme's endpoint)",
+                    "(default 1/4; curve: the grid scheme's largest grid point)",
             "out": "output path (default: stdout)",
             "format": "csv or json (default csv)",
             "workers": "parallel worker processes (default 1)",

@@ -2,26 +2,28 @@
 evaluators, bound-verification experiments, and deterministic parameter sweeps.
 
 The exact evaluators (`exhaustive_*`, `exact_F`, `equivalence_check`) share
-one engine with two state spaces, chosen by the oracle. A bound method of a
-learner that declares `Learner.per_point` (the exponential mechanisms on a
-full class) is scored on count states: at each point x, every (a, b) =
-(#(x, +1), #(x, -1)) of a size-n sample, n + 1 states at d = 1 and
-(n + 1)(n + 2) / 2 at d >= 2, by one `batch_prediction_probs` call on their
-histograms. A radius-k ball's max or min is k rounds of a max/min filter over
-unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that reads only
-the counts at x. Each state weighs w * its number of sequences, w the exact
-weight of one sequence in it; the terms float(w * q) * value are summed
-exactly and rounded once, so at d = 1 every value is the sequence table's to
-the bit, and at d >= 2 within an ulp or two. The weights of each (p_+, p_-,
-q, n) are built once (`_count_coefficients`).
+one risk rule (`_ExactTable.risk`) over two state spaces, chosen by the
+oracle: the error at each state is maximized over the radius-k ball and
+floored at 0, and the weighted terms are summed exactly and rounded once.
+The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
+0) and F (a -1 target at radius 0) are the same rule.
+
+A bound method of a learner that declares `Learner.per_point` (the
+exponential mechanisms on a full class) is scored on count states: at each
+point x, every (a, b) = (#(x, +1), #(x, -1)) of a size-n sample, n + 1
+states at d = 1 and (n + 1)(n + 2) / 2 at d >= 2, by one
+`batch_prediction_probs` call on their histograms. A radius-1 ball is a
+state's unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that
+reads only the counts at x. A state weighs w * its number of sequences, w
+the exact weight of one sequence in it (`_count_coefficients`). At d = 1
+every value is the sequence table's to the bit, at d >= 2 within 2 ulp.
 
 Every other oracle is scored on the sequence table: every atom sequence,
 zero-weight ones included, is one row of a single (2d)^n-row batch, scored
-once per point into a table with one axis per sample row. A radius-k Hamming
-ball's max or min is k rounds of the radius-1 operator, an elementwise
-max/min over the per-axis reductions (a radius-(j+1) ball is the union of
-radius-j balls around radius-1 neighbours), weighted by the exact weight
-prod_a q_a ** c_a of each atom-count vector c and added by fsum. Cost: d
+once per point. A radius-1 ball's maximum is an elementwise maximum over the
+per-axis reductions of the table's (2d,)*n view (a radius-(j+1) ball is the
+union of radius-j balls around radius-1 neighbours), and a sequence weighs
+prod_a q_a ** c_a, its atom-count class c found once per table. Cost: d
 oracle calls over the batch plus k * n * (2d)^n array operations. Both spaces
 stop at 100,000 states (`_TABLE_CAP`).
 
@@ -218,10 +220,9 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 # exact evaluators at desk scale
 
 _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enumerates
-_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
 
 
-def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
+def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -> _ExactTable:
     """The oracle scored on the count states of each point (`_CountTable`)
     when it is a bound method of a learner that declares `per_point`, and
     on every atom sequence (`_SequenceTable`) otherwise."""
@@ -231,71 +232,94 @@ def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
     return _SequenceTable(p_oracle, dist, n)
 
 
-class _SequenceTable:
-    """The oracle at every atom sequence and point: `p` is a (2d,)*n + (d,)
-    array, axis j indexing row j's atom in `dist.atoms()` order, zero-weight
-    rows included. Every sequence is one row of a single batch, scored by one
-    call per point."""
+class _ExactTable:
+    """The risk rule of both state spaces. A space holds the oracle's +1
+    probability at each of its states as an (S, d) array `p`, for samples of
+    size `n`, and gives its radius-1 ball maximum, `ball_step(values)` of an
+    (S, d) array, and its live (nonzero-weight) states under a distribution
+    with atom probabilities `probs` (by example), `weights(probs, x, q)`:
+    (state indices, float(w * q), numbers of sequences), w the exact weight
+    of one sequence in the state and q that of a test atom at x."""
+
+    def risk(self, dist: ProductBiasDistribution, eta: Scalar, atoms=None) -> float:
+        """Expected worst error over the radius-k balls, k = floor(eta n),
+        under `dist` and over the test atoms (example, q), by default those
+        of `dist`. The error at a state is 1 - p for a +1 target and p for a
+        -1 target; k rounds of `ball_step` take its maximum over the ball,
+        floored at 0. The terms float(w * q) * maximum, one per live state
+        and test atom, times the state's number of sequences, are summed
+        exactly in integers, whatever their order, and rounded once."""
+        k = corruption_limit(eta, self.n)
+        worst = {PLUS: 1.0 - self.p, MINUS: self.p}
+        for _ in range(k):
+            worst = {y: self.ball_step(v) for y, v in worst.items()}
+        probs = dict(dist.atoms())
+        terms, mults = [], []
+        for (x, y), q in probs.items() if atoms is None else atoms:
+            live, coef, m = self.weights(probs, x, q)
+            terms.append(coef * np.maximum(worst[y][live, x], 0.0))
+            mults.extend(m)
+        # each term is i * 2^(e - 53), i an integer: summed in units of 2^(low - 53)
+        mantissas, exponents = np.frexp(np.concatenate(terms))
+        exponents = exponents.tolist()
+        low = min(min(exponents), 0)
+        ints = np.ldexp(mantissas, 53).astype(np.int64).tolist()
+        total = sum(m * (i << (e - low)) for m, i, e in zip(mults, ints, exponents))
+        return total / (1 << (53 - low))
+
+
+class _SequenceTable(_ExactTable):
+    """The oracle at every atom sequence: state s is the s-th length-n
+    sequence over `dist.atoms()` in row-major order, zero-weight ones
+    included, all scored as one batch by one call per point. Each sequence's
+    atom-count class, and each class's count of every atom, are found once."""
 
     def __init__(self, p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
         atoms = [ex for ex, _ in dist.atoms()]
         if len(atoms) ** n > _TABLE_CAP:
             raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
-        seqs = _sequences(len(atoms), n)
+        self.n = n
+        self.axes = (len(atoms),) * n
+        seqs = np.indices(self.axes).reshape(n, -1).T
         batch = Sample(np.array([ex.point for ex in atoms])[seqs],
                        np.array([ex.label for ex in atoms])[seqs])
-        table = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
-                          for x in range(dist.dimension)], axis=-1)
-        self.n = n
-        self.p = table.reshape((len(atoms),) * n + (dist.dimension,))
+        self.p = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
+                           for x in range(dist.dimension)], axis=-1)
+        classes, self.classes = np.unique(
+            np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), self.axes), return_inverse=True)
+        self.counts = (seqs[classes][:, :, None] == np.arange(len(atoms))).sum(axis=1).tolist()
+        self.class_weights: dict[tuple[Fraction, ...], list[Fraction]] = {}
 
-    @staticmethod
-    def extremum(values: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
-        """np.maximum or np.minimum of the values over every radius-k Hamming ball."""
-        for _ in range(k):
-            prev = values
-            for axis in range(prev.ndim - 1):
-                values = op(values, op.reduce(prev, axis=axis, keepdims=True))
-        return values
+    def ball_step(self, values: np.ndarray) -> np.ndarray:
+        """An elementwise maximum over the reductions along each row's axis
+        of the (2d,)*n + (d,) view: row j rewritten to any atom."""
+        out = view = values.reshape(self.axes + values.shape[-1:])
+        for axis in range(self.n):
+            out = np.maximum(out, view.max(axis=axis, keepdims=True))
+        return out.reshape(values.shape)
 
-    def expectation(self, value: dict, dist: ProductBiasDistribution, atoms) -> float:
-        """sum over the test atoms (example, q) of E[value at the example]:
-        one term float(w * q) * value per live (nonzero-weight) sequence and
-        test atom, added by fsum. A sequence's weight depends only on its atom
-        counts c: it is the exact prod_a q_a ** c_a, computed once per count
-        vector, with the sorted sequence standing for its class."""
-        probs = [q for _, q in dist.atoms()]
-        n = self.n
-        seqs = _sequences(len(probs), n)
-        classes, inverse = np.unique(
-            np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), (len(probs),) * n),
-            return_inverse=True)
-        counts = (seqs[classes][:, :, None] == np.arange(len(probs))).sum(axis=1)
-        weights = [math.prod(q ** c for q, c in zip(probs, row)) for row in counts.tolist()]
-        live = np.array([w != 0 for w in weights])[inverse]
-        which = inverse[live]
-        acc = []
-        for example, q in atoms:
-            coef = np.array([float(w * q) for w in weights])
-            column = value[example.label][..., example.point].reshape(-1)
-            acc.append(coef[which] * column[live])
-        return math.fsum(np.concatenate(acc).tolist())
+    def weights(self, probs: dict[Example, Fraction], x: int,
+                q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+        """One sequence each, weighing prod_a q_a ** c_a for its class's atom
+        counts c, whatever x is; the class weights of each distribution are
+        built once."""
+        key = tuple(probs.values())
+        if key not in self.class_weights:
+            self.class_weights[key] = [math.prod(map(pow, key, c)) for c in self.counts]
+        ws = self.class_weights[key]
+        live = np.flatnonzero(np.array([w != 0 for w in ws])[self.classes])
+        coef = np.array([float(w * q) for w in ws])[self.classes[live]]
+        return live, coef, (1,) * len(live)
 
 
-def _sequences(a: int, n: int) -> np.ndarray:
-    """Every length-n sequence over range(a), one per row in row-major order."""
-    return np.indices((a,) * n).reshape(n, -1).T
-
-
-class _CountTable:
-    """A per-point learner at every count state of every point: `p` is an
-    (S, d) array, row s the +1 probability at x of a sample holding a rows of
-    (x, +1) and b rows of (x, -1), state s of `_count_states`. Point x's
-    states are scored by one `batch_prediction_probs` call on (S, d, 2)
-    histograms, with the r = n - a - b other rows at (x + 1, +1); a
-    per-point rule reads only a, b and n, so any placement of them gives its
-    value, and this one matches the sequence table most often in the last
-    bit."""
+class _CountTable(_ExactTable):
+    """A per-point learner at every count state of every point: row s of `p`
+    is the +1 probability at x of a sample holding a rows of (x, +1) and b
+    rows of (x, -1), state s of `_count_states`. Point x's states are scored
+    by one `batch_prediction_probs` call on (S, d, 2) histograms, with the
+    r = n - a - b other rows at (x + 1, +1); a per-point rule reads only a,
+    b and n, so any placement of them gives its value, and this one matches
+    the sequence table most often in the last bit."""
 
     def __init__(self, learner: Learner, dist: ProductBiasDistribution, n: int):
         d = dist.dimension
@@ -308,31 +332,18 @@ class _CountTable:
             hist[:, (x + 1) % d, 0] += n - a - b  # none at d = 1
             self.p[:, x] = one_per_trial(learner, learner.batch_prediction_probs(hist, x), len(a))
 
-    def extremum(self, values: np.ndarray, k: int, op: np.ufunc) -> np.ndarray:
-        """np.maximum or np.minimum of the values over every radius-k Hamming
-        ball: k rounds of op over each state and its neighbours one row move
-        away. Rewriting one row moves a state by at most one unit row move, and
-        each unit move is one rewritten row, so the states k moves away are
-        those of the samples in the ball; a rule that reads only the counts at
-        x takes its extremum over them."""
-        for _ in range(k):
-            values = op.reduce(values[self.moves], axis=1)
-        return values
+    def ball_step(self, values: np.ndarray) -> np.ndarray:
+        """The maximum over each state and its neighbours one unit row move
+        away. Rewriting one row moves a state by at most one unit row move,
+        and each unit move is one rewritten row, so the states k moves away
+        are those of the samples in the ball; a rule that reads only the
+        counts at x takes its maximum over them."""
+        return values[self.moves].max(axis=1)
 
-    def expectation(self, value: dict, dist: ProductBiasDistribution, atoms) -> float:
-        """sum over the test atoms (example, q) of E[value at the example]:
-        one term float(w * q) * value per live state (`_count_coefficients`)
-        times the state's number of sequences, summed exactly and rounded
-        once. That is the correctly rounded sum of the same terms that the
-        sequence table adds with fsum, one per sequence."""
-        total = 0
-        for (x, y), q in atoms:
-            live, coef, mults = _count_coefficients(
-                dist.atom_probability(x, PLUS), dist.atom_probability(x, MINUS), q, self.n)
-            for m, t in zip(mults, (coef * value[y][live, x]).tolist()):
-                num, den = t.as_integer_ratio()  # den = 2^j, j <= 1074
-                total += m * (num << (1075 - den.bit_length()))
-        return total / _SCALE
+    def weights(self, probs: dict[Example, Fraction], x: int,
+                q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+        """`_count_coefficients` at point x's atom probabilities."""
+        return _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,55 +398,39 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _ball_risk(table, dist: ProductBiasDistribution, eta: Scalar, public: bool,
-               atoms=None) -> float:
-    """Expected ball-extremal error of an engine's table under `dist` over the
-    test atoms (example, q), by default those of `dist`: the worst error,
-    floored at 0, for private coins; 1 - min p for a +1 target and max p for
-    a -1 target for public coins."""
-    k = corruption_limit(eta, table.n)
-    if public:
-        value = {PLUS: 1.0 - table.extremum(table.p, k, np.minimum),
-                 MINUS: table.extremum(table.p, k, np.maximum)}
-    else:
-        worst = {PLUS: table.extremum(1.0 - table.p, k, np.maximum),
-                 MINUS: table.extremum(table.p, k, np.maximum)}
-        value = {y: np.where(v > 0.0, v, 0.0) for y, v in worst.items()}
-    return table.expectation(value, dist, dist.atoms() if atoms is None else atoms)
-
-
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                                 eta: Scalar, n: int) -> float:
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
-    supremum of the error probability over the corruption ball."""
-    return _ball_risk(_engine(p_oracle, dist, n), dist, eta, public=False)
+    supremum of the error probability over the corruption ball, floored at 0
+    (`_ExactTable.risk`)."""
+    return _engine(p_oracle, dist, n).risk(dist, eta)
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                            eta: Scalar, n: int) -> float:
     """Exact adversarial risk of the thresholded public-coin learner.
 
-    With the coin r public, the adversary corrupts after seeing r; the rule
-    errs for some ball element iff r falls past the extremal +1-probability
-    over the ball, so the inner expectation over r is a ball-extremum measure
-    (1 - min p for a +1 target, max p for a -1 target).
+    With the coin r public, the adversary corrupts after seeing r. The rule
+    predicts +1 iff r < p, so the inner expectation over r is 1 - min p over
+    the ball for a +1 target and max p for a -1 target. As fl(1 - x) is
+    monotone, 1 - min p is max (1 - p) for the same floats, so this is the
+    private risk to the bit: a visible coupled coin costs the learner nothing.
     """
-    return _ball_risk(_engine(p_oracle, dist, n), dist, eta, public=True)
+    return _engine(p_oracle, dist, n).risk(dist, eta)
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                           n: int) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
-    public-coin risk over radius-0 balls."""
-    return _ball_risk(_engine(p_oracle, dist, n), dist, 0, public=True)
+    private, and so the public-coin, risk over radius-0 balls."""
+    return _engine(p_oracle, dist, n).risk(dist, 0)
 
 
-def _table_f(table, u: BiasVector, x: int) -> float:
+def _table_f(table: _ExactTable, u: BiasVector, x: int) -> float:
     """Exact F at point x under D_u^n, read off an engine's table: the
-    radius-0 public-coin risk of a -1 test label at x is E[p(S, x)], less 1/2."""
-    return _ball_risk(table, ProductBiasDistribution(u), 0, public=True,
-                      atoms=[(Example(x, MINUS), 1)]) - 0.5
+    radius-0 risk of a -1 test label at x is E[p(S, x)], less 1/2."""
+    return table.risk(ProductBiasDistribution(u), 0, atoms=[(Example(x, MINUS), 1)]) - 0.5
 
 
 def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
@@ -481,7 +476,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     uf = Fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
     table = _engine(p_oracle, dist, n)
-    left = _ball_risk(table, dist, 2 * eta, public=False)
+    left = table.risk(dist, 2 * eta)
     guard = math.exp(-n * float(eta) / 3.0)
     scheme, _ = build_scheme_1d(eta)
     candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}

@@ -250,13 +250,17 @@ def one_per_trial(source, probs, trials: int) -> np.ndarray:
     """`probs`, returned by a learner's `prediction_prob` or by a
     `PredictionOracle` for a batch of `trials` samples, as a float array;
     anything but one probability per trial (say, the scalar of a learner or
-    oracle written for one sample at a time) is an error naming `source`."""
-    if np.shape(probs) != (trials,):
-        who = (f"learner {source.name!r}" if isinstance(source, Learner)
-               else f"oracle {getattr(source, '__qualname__', source)!r}")
-        raise ValueError(f"{who} returned shape {np.shape(probs)} for a batch of {trials} "
-                         f"trials; give one probability per trial")
-    return np.asarray(probs, dtype=np.float64)
+    oracle written for one sample at a time), or a NaN among them, is an
+    error naming `source`."""
+    shape = np.shape(probs)
+    if shape == (trials,):
+        probs = np.asarray(probs, dtype=np.float64)
+        if not np.isnan(probs).any():
+            return probs
+    who = (f"learner {source.name!r}" if isinstance(source, Learner)
+           else f"oracle {getattr(source, '__qualname__', source)!r}")
+    raise ValueError(f"{who} returned {'NaN' if shape == (trials,) else f'shape {shape}'} "
+                     f"for a batch of {trials} trials; give one probability per trial")
 
 
 class ExpMechanismLearner(Learner):

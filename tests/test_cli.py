@@ -19,7 +19,10 @@ from poisonlab.cli import (
     render_json,
     resolve_config,
 )
-from poisonlab.experiments import ExcessEstimate
+from poisonlab.adversaries import identity_scheme
+from poisonlab.core import BiasVector, HypothesisClass, RandomSource
+from poisonlab.experiments import Z95, ExcessEstimate, learning_curve_experiment
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
 
 
 def _config(**kw):
@@ -211,20 +214,34 @@ def test_main_curve_bound_is_the_schemes_threshold(capsys):
 
 def test_main_curve_takes_its_bias_from_any_source(tmp_path, capsys):
     # a config-file bias is run, not only hashed; a bias no source sets is the
-    # scheme's endpoint (3/16 at eta = 1/16, d = 1), and the hash names it
+    # scheme's largest grid point (1/8 at eta = 1/16, d = 1), and the hash
+    # names it
     base = ["curve", "--eta", "1/16", "--d", "1", "--n", "16", "--trials", "100"]
     path = tmp_path / "curve.cfg"
-    path.write_text("bias = 1/8\n")
+    path.write_text("bias = -1/8\n")
     outputs = []
-    for extra in (["--config", str(path)], ["--bias", "1/8"], [], ["--bias", "3/16"]):
+    for extra in (["--config", str(path)], ["--bias", "-1/8"], [], ["--bias", "1/8"]):
         assert main(base + extra) == 0
         outputs.append(capsys.readouterr().out)
-    from_file, from_flag, default, endpoint = outputs
+    from_file, from_flag, default, grid_point = outputs
     assert from_file == from_flag
-    assert default == endpoint
+    assert default == grid_point
     rows = [next(csv.DictReader(io.StringIO(out))) for out in (from_file, default)]
-    assert [r["bias"] for r in rows] == ["1/8", "3/16"]
+    assert [r["bias"] for r in rows] == ["-1/8", "1/8"]
     assert rows[0]["config_hash"] != rows[1]["config_hash"]
+
+
+def test_main_curve_default_bias_is_poisoned(capsys):
+    # the scheme moves its grid points, so the default-bias excess is not the
+    # identity scheme's (no poisoning) at that bias: 0.16 against 0.08 here
+    assert main(["curve", "--eta", "1/32", "--d", "2", "--n", "32,64", "--trials", "400"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["bias"] for r in rows] == ["1/8", "1/8"]
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 32)))
+    clean = learning_curve_experiment(learner, BiasVector([Fraction(1, 8)] * 2),
+                                      identity_scheme(2), (32, 64), 400, RandomSource(1729, 0))
+    for row, excess, se in zip(rows, clean.excesses, clean.std_errors):
+        assert float(row["excess_ci_low"]) > excess + Z95 * se
 
 
 def test_main_takes_a_negative_bias_as_two_words(capsys):

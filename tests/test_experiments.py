@@ -345,22 +345,24 @@ def test_exhaustive_losses_match_reference_on_float_and_mixed_biases():
             assert got == want, (coords, public)
 
 
-def test_exhaustive_losses_floor_only_private_errors():
-    # the next double above 1 makes 1 - p negative: the private worst error is
-    # floored at 0.0, the public ball measure and the clean risk are not
+def test_exhaustive_losses_floor_every_error_at_zero():
+    # the next double above 1 makes 1 - p negative: the worst error is
+    # floored at 0.0 under one rule, so the private, public and clean risks
+    # are the private reference's floats
     above_one = math.nextafter(1.0, 2.0)
     oracle = lambda sample, x: np.full(sample.points.shape[:-1], above_one)  # noqa: E731
     for u in (Fraction(1, 2), Fraction(1, 4), 0.5):
         dist = ProductBiasDistribution(BiasVector([u]))
         for eta in (Fraction(0), Fraction(1, 2)):
-            for public, engine in ((False, exhaustive_adversarial_loss),
-                                   (True, exhaustive_public_loss)):
-                assert engine(oracle, dist, eta, 2) == \
-                    _reference_adversarial_loss(oracle, dist, eta, 2, public)
+            want = _reference_adversarial_loss(oracle, dist, eta, 2)
+            assert exhaustive_adversarial_loss(oracle, dist, eta, 2) == want
+            assert exhaustive_public_loss(oracle, dist, eta, 2) == want
+        assert exhaustive_clean_loss(oracle, dist, 2) == _reference_adversarial_loss(
+            oracle, dist, 0, 2)
     all_plus = ProductBiasDistribution(BiasVector([Fraction(1, 2)]))
     assert exhaustive_adversarial_loss(oracle, all_plus, Fraction(1, 2), 2) == 0.0
-    assert exhaustive_public_loss(oracle, all_plus, Fraction(1, 2), 2) == 1.0 - above_one
-    assert exhaustive_clean_loss(oracle, all_plus, 2) == 1.0 - above_one
+    assert exhaustive_public_loss(oracle, all_plus, Fraction(1, 2), 2) == 0.0
+    assert exhaustive_clean_loss(oracle, all_plus, 2) == 0.0
 
 
 def test_exhaustive_engine_calls_oracle_once_per_sequence_and_point():
@@ -517,9 +519,9 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
 
 
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
-    # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it
-    # for an oracle in [0, 1]: criterion 9's two sides are equal floats, on
-    # the count engine and on the sequence table (an undeclared wrapper)
+    # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it:
+    # criterion 9's two sides are equal floats, on the count engine and on
+    # the sequence table (an undeclared wrapper)
     cells = 0
     for n, eta, u, learner in _criteria_cells():
         dist = ProductBiasDistribution(BiasVector([u]))
@@ -528,6 +530,44 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
                     == exhaustive_adversarial_loss(oracle, dist, eta, n)), (n, eta, u)
         cells += 1
     assert cells == 66
+    # at eta = 1/4096 exp-mech scores one ulp above 1, and all three risks
+    # still floor the error there at 0
+    tiny = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4096)))
+    assert tiny.prediction_prob(Sample([0] * 9 + [1] * 2, [PLUS] * 11), 0) > 1.0
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(1, 2)]))
+    for n in (11, 24):
+        private = exhaustive_adversarial_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n)
+        assert exhaustive_public_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n) == private
+        assert exhaustive_clean_loss(tiny.prediction_prob, dist, n) == private
+        assert 0 < private < 1e-3
+
+
+class _NanCountRule(_ScrambledCountRule):
+    """A per-point rule of +1 probability 1/2, but NaN at every sample
+    holding exactly one (x, +1) row; x may be one point or one per row."""
+
+    name = "nan-rule"
+
+    def batch_prediction_probs(self, histograms, x):
+        plus = histograms[np.arange(len(histograms)), x, 0]
+        return np.where(plus == 1, np.nan, 0.5)
+
+
+def test_a_nan_probability_raises_naming_its_oracle():
+    # a ball maximum over a NaN is NaN, which no floor or sum should pass on
+    rule = _NanCountRule(1)
+    wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    for oracle, who in ((rule.prediction_prob, "learner 'nan-rule'"),
+                        (wrapped, "oracle '.*<lambda>'")):
+        for evaluate in (lambda: exhaustive_adversarial_loss(oracle, dist, Fraction(1, 3), 3),
+                         lambda: exhaustive_public_loss(oracle, dist, Fraction(1, 3), 3),
+                         lambda: exhaustive_clean_loss(oracle, dist, 3),
+                         lambda: exact_F(oracle, dist.bias, 3, 0)):
+            with pytest.raises(ValueError, match=f"{who} returned NaN for a batch"):
+                evaluate()
+    with pytest.raises(ValueError, match="learner 'nan-rule' returned NaN for a batch"):
+        mc_adversarial_loss(rule, IdentityAdversary(), dist, 3, 0, 64, RandomSource(SEED, 10))
 
 
 BUDGETS = st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),
