@@ -27,6 +27,7 @@ from .core import (
     RandomSource,
     Sample,
     Scalar,
+    _atom_ratios,
     draw_sample_with,
     hamming_distance,
 )
@@ -211,7 +212,11 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     it depends on a sample only through its (point, label) histogram. For
     such a learner every trial's histogram is drawn at once, by one
     `multinomial(n, ., size=trials)` call over the 2d atoms in the order
-    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. The histograms are
+    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. Each atom's float
+    weight is read off the bias, with no distribution built, as the quotient
+    of the integers (q + 2 y p) / (2 q d) at u_i = p/q (`_atom_ratios`):
+    Python's int / int is correctly rounded, so it is float() of the exact
+    weight (1/2 + y u_i) / d, the float of the distribution's atom. The histograms are
     scored by one call per query point, or one per slice of at most
     SCORE_BUDGET // class size trials. Every other learner draws its trials
     as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
@@ -223,15 +228,14 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dist = ProductBiasDistribution(u)
-    d = dist.dimension
+    d = u.dimension
     query = tuple(points) if points is not None else tuple(range(d))
     if not query or min(query) < 0 or max(query) >= d:
         raise DomainMismatchError("query points must lie inside the domain")
     gen = rng.child("estimate-F").generator()
     per_point: list[list[np.ndarray]] = [[] for _ in query]
     if hasattr(learner, "batch_prediction_probs"):
-        atom_probs = [float(w) for _, w in dist.atoms()]
+        atom_probs = [num / den for _, num, den in _atom_ratios(u)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
         step = max(1, SCORE_BUDGET // learner.hclass.size)
         for qi, x in enumerate(query):
@@ -239,6 +243,7 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
                 probs = learner.batch_prediction_probs(histograms[lo:lo + step], x)
                 per_point[qi].append(probs - 0.5)
     else:
+        dist = ProductBiasDistribution(u)
         chunks = min(F_CHUNKS, trials)
         base, extra = divmod(trials, chunks)
         for size in (base + (c < extra) for c in range(chunks)):

@@ -273,6 +273,14 @@ class HypothesisClass:
             yield self.hypothesis(i)
 
 
+def _bias_coordinate(c: Scalar) -> Fraction:
+    """c as an exact Fraction, its bound checked exactly before the
+    conversion, so NaN, infinities and 0.5 + 1e-13 are rejected."""
+    if not abs(c) <= Fraction(1, 2):
+        raise ValueError(f"bias coordinate {c} outside [-1/2, 1/2]")
+    return Fraction(c)
+
+
 class BiasVector:
     """Per-point label biases u with |u_i| <= 1/2, held as exact Fractions.
 
@@ -288,19 +296,20 @@ class BiasVector:
         cs = tuple(coords)
         if not cs:
             raise ValueError("bias vector needs at least one coordinate")
-        for c in cs:
-            if not abs(c) <= Fraction(1, 2):
-                raise ValueError(f"bias coordinate {c} outside [-1/2, 1/2]")
-        self.coords = tuple(Fraction(c) for c in cs)
+        self.coords = tuple(_bias_coordinate(c) for c in cs)
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
 
     def replace(self, i: int, value: Scalar) -> "BiasVector":
-        cs = list(self.coords)
-        cs[i] = value
-        return BiasVector(cs)
+        """u with coordinate i set to value, 0 <= i < d. Only the new
+        coordinate is checked and converted; the others already are."""
+        if not 0 <= i < self.dimension:
+            raise ValueError(f"coordinate {i} outside dimension {self.dimension}")
+        out = BiasVector.__new__(BiasVector)
+        out.coords = self.coords[:i] + (_bias_coordinate(value),) + self.coords[i + 1:]
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiasVector):
@@ -314,13 +323,32 @@ class BiasVector:
         return f"BiasVector({list(self.coords)})"
 
 
-class ProductBiasDistribution:
-    """Joint law on (point, label): point uniform on [d], then P(y=+1|i) = 1/2 + u_i."""
+def _atom_ratios(bias: BiasVector) -> Iterator[tuple[Example, int, int]]:
+    """Each atom (i, y) of the product distribution at `bias`, in the order
+    (0, +1), (0, -1), (1, +1), ..., with the numerator and denominator of
+    its probability (1/2 + y u_i) / d: (q + 2 y p) / (2 q d) for u_i = p/q,
+    in integers. Python's int / int is correctly rounded, so their quotient
+    is the float of the exact probability."""
+    d = bias.dimension
+    for i, u in enumerate(bias.coords):
+        p, q = u.numerator, u.denominator
+        for y in (PLUS, MINUS):
+            yield Example(i, y), q + 2 * y * p, 2 * q * d
 
-    __slots__ = ("bias", "_pplus")
+
+class ProductBiasDistribution:
+    """Joint law on (point, label): point uniform on [d], then P(y=+1|i) = 1/2 + u_i.
+
+    The exact atom table, (1/2 + y u_i) / d for the atoms (0, +1), (0, -1),
+    (1, +1), ..., is built once with the distribution, from integers
+    (`_atom_ratios`); `atoms` and `atom_probability` read it.
+    """
+
+    __slots__ = ("bias", "_atoms", "_pplus")
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
+        self._atoms = tuple((ex, Fraction(num, den)) for ex, num, den in _atom_ratios(bias))
         # float view used only by the sampler: the correctly rounded 1/2 + u_i
         self._pplus = np.array([float(Fraction(1, 2) + u) for u in bias.coords])
 
@@ -333,11 +361,11 @@ class ProductBiasDistribution:
             raise DomainMismatchError(f"point {point} outside domain of size {self.dimension}")
         if label not in LABELS:
             raise ValueError("label must be -1 or +1")
-        return (Fraction(1, 2) + label * self.bias.coords[point]) / self.dimension
+        return self._atoms[2 * point + (label == MINUS)][1]
 
     def atoms(self) -> list[tuple[Example, Fraction]]:
-        return [(Example(i, y), self.atom_probability(i, y))
-                for i in range(self.dimension) for y in (PLUS, MINUS)]
+        """Every (atom, exact probability), as a new list."""
+        return list(self._atoms)
 
 
 class RandomSource:

@@ -15,7 +15,7 @@ states at d = 1 and (n + 1)(n + 2) / 2 at d >= 2, by one
 `batch_prediction_probs` call on their histograms. A radius-1 ball is a
 state's unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that
 reads only the counts at x. A state weighs w * its number of sequences, w
-the exact weight of one sequence in it (`_count_coefficients`). At d = 1
+the exact weight of one sequence in it (`_count_weights`). At d = 1
 every value is the sequence table's to the bit, at d >= 2 within 2 ulp.
 
 Every other oracle is scored on the sequence table: every atom sequence,
@@ -374,21 +374,40 @@ def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
                         n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """The live (nonzero-weight) count states of one point whose atoms weigh
     p_plus and p_minus, each with float(w * q) and its number of sequences,
-    as (state indices, floats, integers). w is the exact weight of one
-    sequence in the state, p_plus^a p_minus^b (1 - p_plus - p_minus)^r with
-    the r other rows pooled, and the state holds n! / (a! b! r!) sequences.
-    A pure function of exact values, so each is built once."""
+    as (state indices, floats, integers). With w an integer over one
+    denominator (`_count_weights`), w * q is a quotient of integers, and
+    Python's int / int rounds it correctly to the float of the exact
+    product. A pure function of exact values, so each is built once."""
+    live, numerators, denominator, mults = _count_weights(p_plus, p_minus, n)
+    scale = denominator * q.denominator
+    return live, *_read_only(np.array([w * q.numerator / scale for w in numerators])), mults
+
+
+# a table at the state cap (d >= 2, n = 445) holds about 50 MB of integers
+@functools.lru_cache(maxsize=8)
+def _count_weights(p_plus: Fraction, p_minus: Fraction, n: int
+                   ) -> tuple[np.ndarray, tuple[int, ...], int, tuple[int, ...]]:
+    """The live count states of one point whose atoms weigh p_plus and
+    p_minus, each with the exact weight w of one sequence in it,
+    p_plus^a p_minus^b (1 - p_plus - p_minus)^r with the r other rows
+    pooled, and its number of sequences n! / (a! b! r!), as (state indices,
+    numerators of w, their common denominator D^n, integers); D is the
+    least common denominator of the three atom weights. Of
+    `_count_coefficients`' arguments only q is left out, so the exact
+    weights are built once for every test atom at the point."""
     single = p_plus + p_minus == 1
     a, b, _ = _count_states(n, single)
-    powers = [[base ** j for j in range(n + 1)] for base in (p_plus, p_minus, 1 - p_plus - p_minus)]
-    live, coef, mults = [], [], []
+    bases = (p_plus, p_minus, 1 - p_plus - p_minus)
+    den = math.lcm(*(c.denominator for c in bases))
+    powers = [[(c.numerator * (den // c.denominator)) ** j for j in range(n + 1)] for c in bases]
+    live, numerators, mults = [], [], []
     for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
         w = powers[0][i] * powers[1][j] * powers[2][n - i - j]
         if w:
             live.append(s)
-            coef.append(float(w * q))
+            numerators.append(w)
             mults.append(math.comb(n, i) * math.comb(n - i, j))
-    return (*_read_only(np.array(live, dtype=np.intp), np.array(coef)), tuple(mults))
+    return _read_only(np.array(live, dtype=np.intp))[0], tuple(numerators), den ** n, tuple(mults)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -547,31 +566,47 @@ def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     built once. A per-point learner's F at i reads u_i alone, so its term is
     indexed by (i, y, a) and built at the vector with values[a] at i and 0
     elsewhere, whose u' is the F key (i, u') of every row it stands for; any
-    other learner's is indexed by (i, y, row) and built at u.
+    other learner's is indexed by (i, y, row) and built at u. The Bayes
+    losses come from `_bayes_losses`, so only a learner that is not
+    per-point builds a bias vector per row.
     """
     d = scheme.dimension
+    zero = BiasVector([0] * d)
     table: dict[tuple, tuple[float, tuple, Fraction]] = {}
     uses: dict[tuple, int] = {}
     excesses: list[float] = []
-    for row, count in zip(rows, counts):
-        u = BiasVector([values[a] for a in row])
+    for row, count, bayes in zip(rows, counts, _bayes_losses(values, rows)):
+        u = None if per_point else BiasVector([values[a] for a in row])
         terms = []
         for i, a in enumerate(row):
             for y in (PLUS, MINUS):
                 index = (i, y, a if per_point else tuple(row))
                 if index not in table:
-                    at = (BiasVector([values[a] if j == i else 0 for j in range(d)])
-                          if per_point else u)
+                    at = zero.replace(i, values[a]) if per_point else u
                     key = (i, scheme.apply(i, y, at).coords)
                     mass = (Fraction(1, 2) + y * at.coords[i]) / d
                     table[index] = float(mass) * (0.5 - y * f_value(key)), key, -y * mass
                 terms.append(table[index][0])
                 uses[index] = uses.get(index, 0) + count
-        excesses.append(math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u))))
+        excesses.append(math.fsum(terms) - bayes)
     coefficients: dict[tuple, Fraction] = {}
     for index, (_, key, c) in table.items():
         coefficients[key] = coefficients.get(key, 0) + uses[index] * c
     return excesses, coefficients
+
+
+def _bayes_losses(values: Sequence[Fraction], rows: Sequence[Sequence[int]]) -> list[float]:
+    """float() of the exact Bayes loss at each row u = (values[a] for a in
+    row), the mean of 1/2 - |u_i|, with no distribution built at u.
+    `bayes_loss` of the 1-D distribution at each value gives its term, held
+    as an integer numerator over one common denominator D; a row's Bayes
+    loss is the sum of its numerators over D times its length. Python's
+    int / int is correctly rounded, so the quotient is the float of the
+    exact Fraction that `bayes_loss` gives at u."""
+    bayes = [bayes_loss(ProductBiasDistribution(BiasVector([v]))) for v in values]
+    denominator = math.lcm(*(b.denominator for b in bayes))
+    numerators = [b.numerator * (denominator // b.denominator) for b in bayes]
+    return [sum(numerators[a] for a in row) / (denominator * len(row)) for row in rows]
 
 
 def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:

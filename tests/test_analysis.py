@@ -380,6 +380,33 @@ def test_estimate_f_histogram_path_draws_every_trial_in_one_call(monkeypatch):
     assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
 
 
+@pytest.mark.parametrize("coords", [
+    [Fraction(1, 2)], [Fraction(-1, 2)], [0.1], [Fraction("-0.3")],
+    [Fraction(1, 2), -0.3], [Fraction(-1, 2), Fraction(1, 3)],
+    [0.1, Fraction(1, 2), Fraction(-1, 7)], [-0.45, 0.2, Fraction(3, 10)]])
+def test_estimate_f_histogram_weights_are_the_distributions_atom_floats(monkeypatch, coords):
+    # the weights come from integers without a distribution; each must be
+    # float() of the distribution's exact atom weight, zero-weight atoms included
+    weights = []
+    original = RandomSource.generator
+
+    class Recording:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def multinomial(self, n, pvals, size):
+            weights.append(list(pvals))
+            return self._gen.multinomial(n, pvals, size=size)
+
+    monkeypatch.setattr(RandomSource, "generator", lambda self: Recording(original(self)))
+    u = BiasVector(coords)
+    learner = ExpMechanismLearner(HypothesisClass.full(u.dimension),
+                                  ExpMechanismConfig(Fraction(1, 4)))
+    estimate_F(learner, u, 8, 5, RandomSource(SEED, 19))
+    want = [float(w) for _, w in ProductBiasDistribution(u).atoms()]
+    assert len(weights) == 1 and [repr(w) for w in weights[0]] == [repr(w) for w in want]
+
+
 def _row_learners(d: int, eta: Fraction, n: int, u: BiasVector):
     return [make_learner(which, HypothesisClass.full(d), eta, n, u.coords)
             for which in ("vc", "majority")]

@@ -190,6 +190,40 @@ def test_bias_vector_replace():
     assert u.coords == (Fraction(0), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("i", [-1, -2, 2, 5])
+def test_bias_vector_replace_rejects_a_coordinate_outside_the_dimension(i):
+    # a negative i would otherwise rewrite a coordinate counted from the end
+    u = BiasVector([Fraction(0), Fraction(1, 4)])
+    with pytest.raises(ValueError, match=f"^coordinate {i} outside dimension 2$"):
+        u.replace(i, Fraction(1, 8))
+    assert u.coords == (Fraction(0), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1e-13, -0.5 - 1e-13,
+                                 np.float64("nan")])
+def test_bias_vector_replace_checks_the_new_coordinate(bad):
+    u = BiasVector([Fraction(0), Fraction(1, 4)])
+    with pytest.raises(ValueError, match="outside"):
+        u.replace(1, bad)
+
+
+def test_bias_vector_replace_stores_an_exact_fraction():
+    u = BiasVector([Fraction(0), Fraction(1, 4)]).replace(1, 0.1)
+    assert u.coords == (Fraction(0), Fraction(0.1))
+    assert all(type(c) is Fraction for c in u.coords)
+    assert u == BiasVector([0, 0.1]) and hash(u) == hash(BiasVector([0, 0.1]))
+
+
+def test_atoms_returns_a_new_list():
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    atoms = dist.atoms()
+    atoms[0] = (Example(0, PLUS), Fraction(1))
+    atoms.pop()
+    assert dist.atoms() == [(Example(0, PLUS), Fraction(3, 8)), (Example(0, MINUS), Fraction(1, 8)),
+                            (Example(1, PLUS), Fraction(3, 16)), (Example(1, MINUS), Fraction(5, 16))]
+    assert dist.atom_probability(0, PLUS) == Fraction(3, 8)
+
+
 def test_atom_probabilities_product_form():
     # Pr[(i, y)] = (1/d)(1/2 + y u_i), hand-checked at d=2
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -518,6 +518,39 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
     assert abs(f) > 0.01 and 0.3 < clean < 0.5
 
 
+@pytest.mark.parametrize("p_plus, p_minus, n", [
+    (Fraction(19, 32), Fraction(13, 32), 40),  # d = 1
+    (Fraction(19, 64), Fraction(13, 64), 12),  # d = 2
+    ((Fraction(1, 2) + Fraction(0.1)) / 3, (Fraction(1, 2) - Fraction(0.1)) / 3, 9),  # float bias
+    (Fraction(1, 2), Fraction(0), 10),  # u = 1/2 at d = 2: states with b > 0 weigh 0
+])
+def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_minus, n):
+    a, b, _ = experiments._count_states(n, p_plus + p_minus == 1)
+    for q in (p_plus, p_minus, 1):
+        live, coef, mults = experiments._count_coefficients(p_plus, p_minus, q, n)
+        want = []
+        for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+            w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
+            if w:
+                want.append((s, float(w * q), math.comb(n, i) * math.comb(n - i, j)))
+        assert list(zip(live.tolist(), coef.tolist(), mults)) == want
+
+
+def test_count_weights_are_built_once_per_point():
+    # an exact cell's risks and F read q = p+, p- and 1 at each point; the
+    # weights depend on the point alone, so d = 2 builds two tables
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
+    u = BiasVector([Fraction(5, 32), Fraction(-7, 32)])
+    dist = ProductBiasDistribution(u)
+    experiments._count_weights.cache_clear()
+    experiments._count_coefficients.cache_clear()
+    exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 16), 20)
+    exhaustive_clean_loss(learner.prediction_prob, dist, 20)
+    exact_F(learner.prediction_prob, u, 20, 1)
+    assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 1
+    assert experiments._count_weights.cache_info().misses == 2
+
+
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
     # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it:
     # criterion 9's two sides are equal floats, on the count engine and on
@@ -874,6 +907,28 @@ def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
                                             RandomSource(SEED, 19))
         assert (repr(curve.excesses[0]), repr(curve.std_errors[0])) == (
             repr(excess), repr(std_error))
+
+
+def _bayes_rows(values, d: int) -> list[tuple[int, ...]]:
+    """Every row of d indices into values up to order. Both sides of the
+    Bayes-loss check sum exact terms, so a row's order cannot change them."""
+    return list(combinations_with_replacement(range(len(values)), d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bayes_losses_are_the_floats_of_exact_bayes_losses(d):
+    # the lower bound's supports at eta = 2^-4 ... 2^-12 (2^-4 ... 2^-10 at
+    # d = 4, whose 33-atom support at 2^-12 has 58,905 rows), and supports of
+    # decimal and float biases with denominators 10, 7, 3 and 2^55
+    supports = [build_scheme_1d(d * Fraction(1, 2 ** k))[1].values()
+                for k in range(4, 13 if d < 4 else 11)]
+    supports.append((Fraction("-0.3"), Fraction(0.1), Fraction(1, 7), Fraction(-1, 3),
+                     Fraction(1, 2), Fraction(0), Fraction(-0.45)))
+    for values in supports:
+        rows = _bayes_rows(values, d)
+        want = [float(bayes_loss(ProductBiasDistribution(BiasVector([values[a] for a in row]))))
+                for row in rows]
+        assert experiments._bayes_losses(values, rows) == want
 
 
 def _count_scheme_maps(monkeypatch) -> list:
