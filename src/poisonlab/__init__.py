@@ -99,8 +99,17 @@ from .learners import (
     flip_bound,
     flip_probability,
 )
-from .verify import run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["run_checks"]
+
+
+def __getattr__(name: str):
+    """`run_checks` loads `poisonlab.verify` on first access; only
+    `poisonlab verify` and callers of `run_checks` pay for it."""
+    if name == "run_checks":
+        from .verify import run_checks
+
+        return run_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

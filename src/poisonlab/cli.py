@@ -46,7 +46,6 @@ from .experiments import (
     make_learner,
     run_sweep,
 )
-from .verify import run_checks
 
 DEFAULT_SEED = 1729
 
@@ -87,12 +86,21 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"not an integer: {text!r}") from exc
 
 
+def _parse_seed(text: str) -> int:
+    """A seed in [0, 2**64): RandomSource keys Philox with 64 bits, so a
+    seed outside would alias one inside under another config hash."""
+    seed = _parse_int(text)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 CONVERTERS = {
     "eta": lambda s: _parse_list(s, parse_fraction),
     "d": lambda s: _parse_list(s, _parse_int),
     "n": lambda s: _parse_list(s, _parse_int),
     "trials": _parse_int,
-    "seed": _parse_int,
+    "seed": _parse_seed,
     "learner": lambda s: _parse_list(s, str),
     "adversary": lambda s: _parse_list(s, str),
     "bias": parse_fraction,
@@ -312,8 +320,14 @@ def emit(rows: Sequence[dict], cfg: RunConfig) -> None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    seed = _parse_int(ns.seed) if ns.seed is not None else DEFAULT_SEED
+    from .verify import REGISTRY, run_checks
+
+    seed = _parse_seed(ns.seed) if ns.seed is not None else DEFAULT_SEED
     names = list(_parse_list(ns.check, str)) if ns.check else None
+    requested = (names or []) + ([ns.inject_fault] if ns.inject_fault is not None else [])
+    unknown = set(requested) - {name for name, _ in REGISTRY}
+    if unknown:
+        raise ConfigError(f"unknown checks: {sorted(unknown)}")
     results = run_checks(seed=seed, names=names, inject_fault=ns.inject_fault)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail} [{res.seconds:.3f} s]")
@@ -417,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default 1/4; curve: the grid scheme's largest grid point)",
             "out": "output path (default: stdout)",
             "format": "csv or json (default csv)",
-            "workers": "parallel worker processes (default 1)",
+            "workers": "parallel worker processes (default 1); "
+                       "curve runs in one process and ignores it",
         }
         for key, text in helps.items():
             p.add_argument(f"--{key}", help=text)

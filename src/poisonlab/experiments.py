@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -883,5 +882,7 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ExcessEstimate]:
     cells = grid.cells()
     if workers <= 1:
         return [run_cell(grid, cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_star, [(grid, cell) for cell in cells]))

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import poisonlab
 from poisonlab.cli import (
     COLUMNS,
     ConfigError,
@@ -85,6 +91,22 @@ def test_resolve_validation():
         resolve_config(parser.parse_args(["run", "--d", "40"]))
     with pytest.raises(ConfigError):
         resolve_config(parser.parse_args(["run", "--workers", "0"]))
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_seeds_at_both_edges_are_accepted(seed, capsys):
+    assert resolve_config(build_parser().parse_args(["run", "--seed", seed])).seed == int(seed)
+    assert main(["verify", "--check", "core.atoms-sum", "--seed", seed]) == 0
+    assert "1 passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_beyond_either_edge_are_config_errors(seed, capsys):
+    # RandomSource keys Philox with 64 bits: -1 would run as 2**64 - 1
+    with pytest.raises(ConfigError, match="seed must lie in"):
+        resolve_config(build_parser().parse_args(["run", "--seed", seed]))
+    assert main(["verify", "--check", "core.atoms-sum", "--seed", seed]) == 2
+    assert "seed must lie in" in capsys.readouterr().err
 
 
 def test_config_hash_ignores_presentation_fields():
@@ -286,8 +308,39 @@ def test_main_verify_subset_and_fault(capsys):
     assert "FAIL core.atoms-sum: injected fault" in out
 
 
+@pytest.mark.parametrize("flag", ["--check", "--inject-fault"])
+def test_main_verify_unknown_check_is_a_config_error(capsys, flag):
+    assert main(["verify", flag, "core.nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown checks: ['core.nope']\n"
+
+
 def test_main_json_format(capsys):
     assert main(["run", "--eta", "1/8", "--n", "8", "--trials", "10",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list) and set(payload[0]) == set(COLUMNS)
+
+
+def test_import_loads_neither_verify_nor_the_process_pool():
+    # a fresh interpreter: this process has imported both already
+    script = textwrap.dedent("""
+        import sys
+        import poisonlab, poisonlab.cli
+        loaded = [m for m in ("poisonlab.verify", "concurrent.futures", "multiprocessing")
+                  if m in sys.modules]
+        assert not loaded, loaded
+        assert "run_checks" in poisonlab.__all__
+        assert poisonlab.run_checks is poisonlab.verify.run_checks
+        try:
+            poisonlab.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("poisonlab.no_such_name did not raise")
+    """)
+    src = str(Path(poisonlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
