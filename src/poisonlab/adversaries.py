@@ -198,6 +198,13 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     eta <= 1/16); the scheme records both budgets. m is the largest integer
     with (2m+1)^2 * eta <= 1, that is with 2m+1 <= isqrt(floor(1/eta)).
     """
+    scheme = _scheme_1d(eta)
+    return scheme, HardBiasDistribution(scheme)
+
+
+def _scheme_1d(eta: Scalar) -> PoisoningScheme1D:
+    """`build_scheme_1d`'s scheme alone, for callers with no use for the
+    hard distribution."""
     requested = Fraction(eta)
     if requested <= 0:
         raise ValueError("eta must be positive")
@@ -205,8 +212,7 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     m = (math.isqrt(math.floor(1 / effective)) - 1) // 2
     if m < 1 or 4 * (2 * m + 1) ** 2 * effective < 1:
         raise AssertionError(f"no valid grid size for eta={effective}")  # unreachable for eta <= 1/16
-    scheme = PoisoningScheme1D(effective, m, requested)
-    return scheme, HardBiasDistribution(scheme)
+    return PoisoningScheme1D(effective, m, requested)
 
 
 class PoisoningSchemeD:

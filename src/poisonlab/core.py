@@ -386,7 +386,11 @@ class RandomSource:
         self.stream = int(stream) & _MASK64
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        """A fresh Philox generator keyed by (seed, stream) as two uint64
+        words; a Python list of the two would become float64, rounding either
+        word to 53 bits, whenever exactly one of them is at least 2**63."""
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, *labels) -> "RandomSource":
         h = hashlib.blake2b(digest_size=8)

@@ -17,15 +17,21 @@ state's unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that
 reads only the counts at x. A state weighs w * its number of sequences, w
 the exact weight of one sequence in it (`_count_weights`). At d = 1
 every value is the sequence table's to the bit, at d >= 2 within 2 ulp.
+The scores read the learner, d and n alone, so a count table is built once
+per (learner, d, n) and kept for every distribution, budget and test atom
+weighed on it (`_count_table`, the 4 most recent tables).
 
-Every other oracle is scored on the sequence table: every atom sequence,
-zero-weight ones included, is one row of a single (2d)^n-row batch, scored
-once per point. A radius-1 ball's maximum is an elementwise maximum over the
-per-axis reductions of the table's (2d,)*n view (a radius-(j+1) ball is the
-union of radius-j balls around radius-1 neighbours), and a sequence weighs
-prod_a q_a ** c_a, its atom-count class c found once per table. Cost: d
-oracle calls over the batch plus k * n * (2d)^n array operations. Both spaces
-stop at 100,000 states (`_TABLE_CAP`).
+Every other oracle is scored on the sequence table, built anew per call:
+every atom sequence, zero-weight ones included, is one row of a single
+(2d)^n-row batch, scored once per point. A radius-1 ball's maximum is an
+elementwise maximum over the per-axis reductions of the table's (2d,)*n view
+(a radius-(j+1) ball is the union of radius-j balls around radius-1
+neighbours), and a sequence weighs prod_a q_a ** c_a, its atom-count class c
+found once per table. Cost: d oracle calls over the batch plus k * n * (2d)^n
+array operations. Either table keeps the ball maxima of the last 4 radii
+it built (`_ExactTable.ball_maxima`), so calls at one budget share them. Both
+spaces stop at 100,000 states (`_TABLE_CAP`); at the cap the kept count
+tables and their maxima hold under 60 MB at d = 2.
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
@@ -89,6 +95,7 @@ from .adversaries import (
     GreedyFlipAdversary,
     IdentityAdversary,
     PoisoningSchemeD,
+    _scheme_1d,
     build_scheme_1d,
 )
 from .analysis import (
@@ -222,13 +229,19 @@ _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enu
 
 
 def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -> _ExactTable:
-    """The oracle scored on the count states of each point (`_CountTable`)
-    when it is a bound method of a learner that declares `per_point`, and
-    on every atom sequence (`_SequenceTable`) otherwise."""
+    """The oracle scored on the count states of each point when it is a bound
+    method of a learner that declares `per_point`: that learner's table for
+    (dist.dimension, n), built once and kept (`_count_table`), since it reads
+    nothing else of the distribution. Any other oracle is scored anew on
+    every atom sequence of `dist` (`_SequenceTable`), as it makes no
+    per-point promise."""
     learner = getattr(p_oracle, "__self__", None)
     if isinstance(learner, Learner) and learner.per_point:
-        return _CountTable(learner, dist, n)
+        return _count_table(learner, dist.dimension, n)
     return _SequenceTable(p_oracle, dist, n)
+
+
+_RADII = 4  # ball radii whose maxima a table keeps
 
 
 class _ExactTable:
@@ -238,20 +251,42 @@ class _ExactTable:
     (S, d) array, and its live (nonzero-weight) states under a distribution
     with atom probabilities `probs` (by example), `weights(probs, x, q)`:
     (state indices, float(w * q), numbers of sequences), w the exact weight
-    of one sequence in the state and q that of a test atom at x."""
+    of one sequence in the state and q that of a test atom at x. It keeps
+    the ball maxima of the last `_RADII` radii built (`ball_maxima`)."""
+
+    def __init__(self, n: int, p: np.ndarray):
+        self.n = n
+        self.p, = _read_only(p)
+        self.maxima: dict[int, dict[int, np.ndarray]] = {}
+
+    def ball_maxima(self, k: int) -> dict[int, np.ndarray]:
+        """The error's maximum over each state's radius-k ball, by target
+        label: {+1: max (1 - p), -1: max p}, k rounds of `ball_step`. They
+        depend on the table and k alone, so those of the last `_RADII` radii
+        built are kept, and a new radius takes its rounds from the largest
+        kept radius below it; a maximum is exact, so the arrays are the same
+        either way."""
+        if k in self.maxima:
+            return self.maxima[k]
+        start = max((r for r in self.maxima if r < k), default=0)
+        worst = self.maxima[start] if start in self.maxima else {PLUS: 1.0 - self.p, MINUS: self.p}
+        for _ in range(k - start):
+            worst = {y: self.ball_step(v) for y, v in worst.items()}
+        _read_only(*worst.values())
+        self.maxima[k] = worst
+        if len(self.maxima) > _RADII:
+            del self.maxima[next(iter(self.maxima))]
+        return worst
 
     def risk(self, dist: ProductBiasDistribution, eta: Scalar, atoms=None) -> float:
         """Expected worst error over the radius-k balls, k = floor(eta n),
         under `dist` and over the test atoms (example, q), by default those
         of `dist`. The error at a state is 1 - p for a +1 target and p for a
-        -1 target; k rounds of `ball_step` take its maximum over the ball,
-        floored at 0. The terms float(w * q) * maximum, one per live state
-        and test atom, times the state's number of sequences, are summed
-        exactly in integers, whatever their order, and rounded once."""
-        k = corruption_limit(eta, self.n)
-        worst = {PLUS: 1.0 - self.p, MINUS: self.p}
-        for _ in range(k):
-            worst = {y: self.ball_step(v) for y, v in worst.items()}
+        -1 target; its maximum over the ball (`ball_maxima`) is floored at
+        0. The terms float(w * q) * maximum, one per live state and test
+        atom, times the state's number of sequences, are summed exactly in
+        integers, whatever their order, and rounded once."""
+        worst = self.ball_maxima(corruption_limit(eta, self.n))
         probs = dict(dist.atoms())
         terms, mults = [], []
         for (x, y), q in probs.items() if atoms is None else atoms:
@@ -277,13 +312,12 @@ class _SequenceTable(_ExactTable):
         atoms = [ex for ex, _ in dist.atoms()]
         if len(atoms) ** n > _TABLE_CAP:
             raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
-        self.n = n
         self.axes = (len(atoms),) * n
         seqs = np.indices(self.axes).reshape(n, -1).T
         batch = Sample(np.array([ex.point for ex in atoms])[seqs],
                        np.array([ex.label for ex in atoms])[seqs])
-        self.p = np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
-                           for x in range(dist.dimension)], axis=-1)
+        super().__init__(n, np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
+                                      for x in range(dist.dimension)], axis=-1))
         classes, self.classes = np.unique(
             np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), self.axes), return_inverse=True)
         self.counts = (seqs[classes][:, :, None] == np.arange(len(atoms))).sum(axis=1).tolist()
@@ -318,18 +352,18 @@ class _CountTable(_ExactTable):
     by one `batch_prediction_probs` call on (S, d, 2) histograms, with the
     r = n - a - b other rows at (x + 1, +1); a per-point rule reads only a,
     b and n, so any placement of them gives its value, and this one matches
-    the sequence table most often in the last bit."""
+    the sequence table most often in the last bit. The table depends on the
+    learner, d and n alone (`_count_table`)."""
 
-    def __init__(self, learner: Learner, dist: ProductBiasDistribution, n: int):
-        d = dist.dimension
+    def __init__(self, learner: Learner, d: int, n: int):
         a, b, self.moves = _count_states(n, d == 1)
-        self.n = n
-        self.p = np.empty((len(a), d))
+        p = np.empty((len(a), d))
         for x in range(d):
             hist = np.zeros((len(a), d, 2), dtype=np.int64)
             hist[:, x, 0], hist[:, x, 1] = a, b
             hist[:, (x + 1) % d, 0] += n - a - b  # none at d = 1
-            self.p[:, x] = one_per_trial(learner, learner.batch_prediction_probs(hist, x), len(a))
+            p[:, x] = one_per_trial(learner, learner.batch_prediction_probs(hist, x), len(a))
+        super().__init__(n, p)
 
     def ball_step(self, values: np.ndarray) -> np.ndarray:
         """The maximum over each state and its neighbours one unit row move
@@ -343,6 +377,15 @@ class _CountTable(_ExactTable):
                 q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
         """`_count_coefficients` at point x's atom probabilities."""
         return _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
+
+
+# Keyed by the learner object, which the cache holds, with d and n: a
+# learner's prediction law must not change once it is scored. At
+# the state cap, p holds S * d floats (about 1.6 MB at d = 2) and each kept
+# radius two more arrays of that size (about 3.2 MB), so 4 tables of
+# `_RADII` radii stay under 60 MB at d = 2 and 29 MB * d in general. A table
+# over the cap raises on every call, as lru_cache keeps no exception.
+_count_table = functools.lru_cache(maxsize=4)(_CountTable)
 
 
 @functools.lru_cache(maxsize=32)
@@ -496,7 +539,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     table = _engine(p_oracle, dist, n)
     left = table.risk(dist, 2 * eta)
     guard = math.exp(-n * float(eta) / 3.0)
-    scheme, _ = build_scheme_1d(eta)
+    scheme = _scheme_1d(eta)
     candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}
     fs = [_table_f(table, BiasVector([c]), 0) for c in candidates]
     right = math.fsum(float(Fraction(1, 2) + y * uf) * max(0.5 - y * f for f in fs)

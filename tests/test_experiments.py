@@ -551,6 +551,93 @@ def test_count_weights_are_built_once_per_point():
     assert experiments._count_weights.cache_info().misses == 2
 
 
+class _CountingRule(_ScrambledCountRule):
+    """The scrambled rule, counting its `batch_prediction_probs` calls by point."""
+
+    def __init__(self, d: int):
+        super().__init__(d)
+        self.calls = Counter()
+
+    def batch_prediction_probs(self, histograms, x):
+        self.calls[x] += 1
+        return super().batch_prediction_probs(histograms, x)
+
+
+def test_count_table_is_scored_once_per_learner_dimension_and_size():
+    # every exact evaluator at every bias reads one table per (learner, d, n)
+    one = _CountingRule(1)
+    for u in (Fraction(1, 4), Fraction(-3, 10), Fraction(0), 0.1):
+        dist = ProductBiasDistribution(BiasVector([u]))
+        equivalence_check(one.prediction_prob, u, Fraction(1, 4), 6)
+        exhaustive_adversarial_loss(one.prediction_prob, dist, Fraction(1, 3), 6)
+        exhaustive_public_loss(one.prediction_prob, dist, Fraction(1, 2), 6)
+        exhaustive_clean_loss(one.prediction_prob, dist, 6)
+        exact_F(one.prediction_prob, dist.bias, 6, 0)
+    assert one.calls == {0: 1}
+    two = _CountingRule(2)
+    for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.3, Fraction(1, 2)]):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        exhaustive_adversarial_loss(two.prediction_prob, dist, Fraction(1, 4), 5)
+        exhaustive_clean_loss(two.prediction_prob, dist, 5)
+        exact_F(two.prediction_prob, dist.bias, 5, 1)
+    assert two.calls == {0: 1, 1: 1}
+    # another n, another table
+    exhaustive_clean_loss(two.prediction_prob, dist, 4)
+    assert two.calls == {0: 2, 1: 2}
+
+
+def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
+    learners = [ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
+                for eta in (Fraction(1, 4), Fraction(1, 16))]
+    tables = {(i, n): experiments._engine(learner.prediction_prob, dist, n)
+              for i, learner in enumerate(learners) for n in (4, 5)}
+    assert len({id(t) for t in tables.values()}) == 4
+    assert experiments._engine(learners[0].mean_prediction_prob, dist, 4) is tables[0, 4]
+    for (i, n), table in tables.items():
+        fresh = experiments._CountTable(learners[i], 1, n)
+        assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1, 1)
+    assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
+    # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
+    rule = _ScrambledCountRule(2)
+    flat = experiments._engine(rule.prediction_prob, dist, 3)
+    wide = experiments._engine(rule.prediction_prob,
+                               ProductBiasDistribution(BiasVector([Fraction(1, 8), 0])), 3)
+    assert flat is not wide and flat.p.shape == (4, 1) and wide.p.shape == (10, 2)
+
+
+@pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
+def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
+    # a radius is built from the largest kept radius below it, and at most
+    # _RADII are kept; every order gives the fresh table's arrays to the bit
+    rule = _ScrambledCountRule(d)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)][:d]))
+    wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
+    for build in (lambda: experiments._CountTable(rule, d, n),
+                  lambda: experiments._SequenceTable(wrapped, dist, n)):
+        table = build()
+        for k in (2, 0, 1, 5, 3, 4, 2, 0):
+            eta = Fraction(k, n)
+            fresh = build()
+            assert table.risk(dist, eta) == fresh.risk(dist, eta), k
+            for y in (PLUS, MINUS):
+                assert np.array_equal(table.ball_maxima(k)[y], fresh.ball_maxima(k)[y])
+            assert len(table.maxima) <= experiments._RADII
+        assert list(table.maxima) == [5, 3, 4, 2, 0][-experiments._RADII:]
+
+
+def test_a_count_table_over_the_cap_raises_on_every_call():
+    # lru_cache keeps no exception, so nothing over the cap is ever kept
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
+    before = experiments._count_table.cache_info()
+    for _ in range(3):
+        with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
+            exhaustive_clean_loss(learner.prediction_prob, dist, 446)
+    after = experiments._count_table.cache_info()
+    assert (after.misses - before.misses, after.currsize) == (3, before.currsize)
+
+
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
     # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it:
     # criterion 9's two sides are equal floats, on the count engine and on
@@ -722,16 +809,16 @@ def test_lower_bound_experiment_stream_lock():
                                     trials_outer=300, trials_f=500,
                                     rng=RandomSource(SEED, 5))
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
-        "0.0611376703005768", "0.05936388242294737", "0.06291145817820623")
+        "0.06269163802380699", "0.060795898578179325", "0.06458737746943466")
 
 
 @pytest.mark.parametrize("learner_id,want", [
     # exp-mech on full(2): per-point, F estimated on histograms
-    ("exp-mech", (("0.11439636057901126", "0.11382773277895475"),
-                  ("0.006388361960061711", "0.004959829028635268"))),
+    ("exp-mech", (("0.10882911236814863", "0.10878190995915515"),
+                  ("0.006408604547513503", "0.004946272103295026"))),
     # majority at d = 2: not per-point, F estimated on rows
-    ("majority", (("0.11479166666666674", "0.10031250000000003"),
-                  ("0.012147153981592464", "0.010169580320080389"))),
+    ("majority", (("0.11234374999999996", "0.09859374999999992"),
+                  ("0.012135651412076861", "0.010493177675443386"))),
 ])
 def test_learning_curve_experiment_stream_lock(learner_id, want):
     # an on-grid bias, so the scheme moves both coordinates
@@ -1074,11 +1161,11 @@ def test_run_cell_raises_plain_value_errors_from_the_estimate(monkeypatch):
 # a deliberate stream-layout change, recorded in CHANGES.md, may update them
 STREAM_LOCK = {
     ("exp-mech", "identity"): ("0.35906834400032966", "0.285943962631292", "0.4321927253693673"),
-    ("exp-mech", "greedy"): ("0.403024637123684", "0.33846347205613536", "0.4675858021912327"),
-    ("coupled", "identity"): ("0.38293737667108463", "0.3071437220303641", "0.45873103131180515"),
+    ("exp-mech", "greedy"): ("0.4943235464095671", "0.4236309616665242", "0.5650161311526101"),
+    ("coupled", "identity"): ("0.35768733738026065", "0.2937625979730464", "0.4216120767874749"),
     ("coupled", "greedy"): ("0.5325257095863464", "0.45921522204818777", "0.605836197124505"),
-    ("vc", "identity"): ("0.5157487176453938", "0.41521999106997587", "0.6162774442208117"),
-    ("vc", "greedy"): ("0.46931995508255425", "0.35583288764431614", "0.5828070225207923"),
+    ("vc", "identity"): ("0.41982854658258206", "0.318244305525659", "0.5214127876395052"),
+    ("vc", "greedy"): ("0.38785348674718045", "0.30211736281424717", "0.47358961068011374"),
     ("majority", "identity"): ("0.3", "0.18074845229746528", "0.45430018818144935"),
     ("majority", "greedy"): ("0.35", "0.20876956353401244", "0.4912304364659875"),
 }
