@@ -156,11 +156,6 @@ def uniform_cover_bound(d: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # F-statistic estimation
 
-# class size times trials per scoring call of estimate_F's histogram path: the
-# scorer's (class size, trials) arrays stay near 8 MB for any class, and the
-# small classes of the lower-bound experiments score every trial in one call
-SCORE_BUDGET = 2 ** 20
-
 # trial batches of estimate_F's row path, drawn in order from its one
 # generator, so a batch's (trials, n) rows stay a small share of memory
 F_CHUNKS = 16
@@ -217,8 +212,8 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     of the integers (q + 2 y p) / (2 q d) at u_i = p/q (`_atom_ratios`):
     Python's int / int is correctly rounded, so it is float() of the exact
     weight (1/2 + y u_i) / d, the float of the distribution's atom. The histograms are
-    scored by one call per query point, or one per slice of at most
-    SCORE_BUDGET // class size trials. Every other learner draws its trials
+    scored by one call per query point, which bounds its own memory
+    (`learners.SCORE_BUDGET`). Every other learner draws its trials
     as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
     batches of rows, in sequence from the one generator, and scores each
     batch with one `prediction_prob` call per query point, which must return
@@ -237,11 +232,8 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     if hasattr(learner, "batch_prediction_probs"):
         atom_probs = [num / den for _, num, den in _atom_ratios(u)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
-        step = max(1, SCORE_BUDGET // learner.hclass.size)
         for qi, x in enumerate(query):
-            for lo in range(0, trials, step):
-                probs = learner.batch_prediction_probs(histograms[lo:lo + step], x)
-                per_point[qi].append(probs - 0.5)
+            per_point[qi].append(learner.batch_prediction_probs(histograms, x) - 0.5)
     else:
         dist = ProductBiasDistribution(u)
         chunks = min(F_CHUNKS, trials)

@@ -11,6 +11,8 @@ Subcommands:
 All randomness is derived from --seed (default 1729) through per-cell counter
 streams, so outputs are byte-identical across runs and worker counts. eta and
 bias are parsed exactly ("1/64" or "0.015625", never binary float rounding).
+One table (`OPTIONS`) declares every setting of the grid commands once: its
+flag, config-file key, default, help and the `SweepGrid` field it fills.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .adversaries import PoisoningSchemeD, build_scheme_1d
 from .core import (
@@ -95,32 +97,39 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-CONVERTERS = {
-    "eta": lambda s: _parse_list(s, parse_fraction),
-    "d": lambda s: _parse_list(s, _parse_int),
-    "n": lambda s: _parse_list(s, _parse_int),
-    "trials": _parse_int,
-    "seed": _parse_seed,
-    "learner": lambda s: _parse_list(s, str),
-    "adversary": lambda s: _parse_list(s, str),
-    "bias": parse_fraction,
-    "format": lambda s: s.strip(),
-    "out": lambda s: s,
-    "workers": _parse_int,
-}
+class Option(NamedTuple):
+    """One setting of run, sweep, attack-eval and curve: the `SweepGrid` field
+    it resolves into (None for the presentation settings, which change no
+    computed number), its parser, its default text and its --help text."""
 
-DEFAULTS = {
-    "eta": "1/64",
-    "d": "1",
-    "n": None,
-    "trials": "10000",
-    "seed": str(DEFAULT_SEED),
-    "learner": "exp-mech",
-    "adversary": "greedy",
-    "bias": "1/4",
-    "format": "csv",
-    "out": None,
-    "workers": "1",
+    field: str | None
+    convert: Callable[[str], Any]
+    default: str | None
+    help: str
+
+
+# Every setting, in --help order: it names its flag and config-file key
+OPTIONS = {
+    "eta": Option("etas", lambda s: _parse_list(s, parse_fraction), "1/64",
+                  "corruption rate(s), exact fractions, comma separated (default 1/64)"),
+    "d": Option("dims", lambda s: _parse_list(s, _parse_int), "1",
+                "domain size(s), comma separated (default 1)"),
+    "n": Option("sizes", lambda s: _parse_list(s, _parse_int), None,
+                "sample size(s), comma separated (default: ceil(4/eta))"),
+    "trials": Option("trials", _parse_int, "10000",
+                     "Monte Carlo trials per cell (default 10000)"),
+    "seed": Option("seed", _parse_seed, str(DEFAULT_SEED), f"base seed (default {DEFAULT_SEED})"),
+    "learner": Option("learners", lambda s: _parse_list(s, str), "exp-mech",
+                      f"learner id(s): {', '.join(LEARNER_IDS)}"),
+    "adversary": Option("adversaries", lambda s: _parse_list(s, str), "greedy",
+                        f"adversary id(s): {', '.join(ADVERSARY_IDS)}"),
+    "bias": Option("bias", parse_fraction, "1/4",
+                   "per-coordinate bias of the test distribution "
+                   "(default 1/4; curve: the grid scheme's largest grid point)"),
+    "out": Option(None, str, None, "output path (default: stdout)"),
+    "format": Option(None, lambda s: s.strip(), "csv", "csv or json (default csv)"),
+    "workers": Option(None, _parse_int, "1", "parallel worker processes (default 1); "
+                                            "curve runs in one process and ignores it"),
 }
 
 
@@ -136,9 +145,9 @@ def load_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONVERTERS:
+            if key not in OPTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                                  f"(known: {', '.join(sorted(CONVERTERS))})")
+                                  f"(known: {', '.join(sorted(OPTIONS))})")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value
@@ -148,96 +157,65 @@ def load_config_file(path: str) -> dict[str, str]:
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    etas: tuple[Fraction, ...]
-    dims: tuple[int, ...]
-    sizes: tuple[int, ...] | None
-    trials: int
-    seed: int
-    learners: tuple[str, ...]
-    adversaries: tuple[str, ...]
-    bias: Fraction
+    grid: SweepGrid
     out: str | None
     format: str
     workers: int
 
-    def hash_payload(self) -> dict:
-        """Statistical identity of the run; excludes out/format/workers, which
-        cannot change any computed number."""
-        return {
-            "command": self.command,
-            "eta": [str(e) for e in self.etas],
-            "d": list(self.dims),
-            "n": list(self.sizes) if self.sizes is not None else None,
-            "trials": self.trials,
-            "seed": self.seed,
-            "learner": list(self.learners),
-            "adversary": list(self.adversaries),
-            "bias": str(self.bias),
-        }
-
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.hash_payload(), sort_keys=True, separators=(",", ":"))
+        """The run's statistical identity: the command and every grid option
+        under its flag name, Fractions as strings and tuples as lists; out,
+        format and workers cannot change any computed number."""
+        payload = {key: _json_cell(getattr(self.grid, opt.field))
+                   for key, opt in OPTIONS.items() if opt.field}
+        blob = json.dumps({"command": self.command, **payload},
+                          sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def resolve_config(ns: argparse.Namespace, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Merge flags over config-file values over built-in defaults."""
-    file_values = load_config_file(ns.config) if getattr(ns, "config", None) else {}
-    defaults = dict(DEFAULTS)
-    defaults.update(overrides or {})
-
-    def pick(key: str):
-        flag = getattr(ns, key.replace("-", "_"), None)
-        raw = flag if flag is not None else file_values.get(key, defaults[key])
-        return CONVERTERS[key](raw) if raw is not None else None
-
-    cfg = RunConfig(
-        command=ns.command,
-        etas=pick("eta"),
-        dims=pick("d"),
-        sizes=pick("n"),
-        trials=pick("trials"),
-        seed=pick("seed"),
-        learners=pick("learner"),
-        adversaries=pick("adversary"),
-        bias=pick("bias"),
-        out=pick("out"),
-        format=pick("format"),
-        workers=pick("workers"),
-    )
-    for eta in cfg.etas:
+    """Each option from its flag, else the config file, else the command's
+    override, else its default."""
+    file_values = load_config_file(ns.config) if ns.config else {}
+    overrides = overrides or {}
+    values = {}
+    for key, opt in OPTIONS.items():
+        raw = next((v for v in (getattr(ns, key), file_values.get(key), overrides.get(key),
+                                opt.default) if v is not None), None)
+        values[key] = opt.convert(raw) if raw is not None else None
+    grid = SweepGrid(**{opt.field: values[key] for key, opt in OPTIONS.items() if opt.field})
+    cfg = RunConfig(ns.command, grid, values["out"], values["format"], values["workers"])
+    for eta in grid.etas:
         if not 0 < eta < 1:
             raise ConfigError(f"eta must lie in (0, 1), got {eta}")
-    for d in cfg.dims:
+    for d in grid.dims:
         if not 1 <= d <= 16:
             raise ConfigError(f"d must lie in [1, 16], got {d}")
-    if cfg.sizes is not None and any(n < 1 for n in cfg.sizes):
+    if grid.sizes is not None and any(n < 1 for n in grid.sizes):
         raise ConfigError("n must be >= 1")
-    if cfg.trials < 1:
+    if grid.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if abs(cfg.bias) > Fraction(1, 2):
-        raise ConfigError(f"bias must lie in [-1/2, 1/2], got {cfg.bias}")
-    for name in cfg.learners:
+    if abs(grid.bias) > Fraction(1, 2):
+        raise ConfigError(f"bias must lie in [-1/2, 1/2], got {grid.bias}")
+    for name in grid.learners:
         if name not in LEARNER_IDS:
             raise ConfigError(f"unknown learner {name!r} (known: {', '.join(LEARNER_IDS)})")
-    for name in cfg.adversaries:
+    for name in grid.adversaries:
         if name not in ADVERSARY_IDS:
             raise ConfigError(f"unknown adversary {name!r} (known: {', '.join(ADVERSARY_IDS)})")
     return cfg
 
 
-def _require_single(cfg: RunConfig, fields: Sequence[str]) -> None:
-    lens = {"eta": len(cfg.etas), "d": len(cfg.dims),
-            "n": len(cfg.sizes) if cfg.sizes is not None else 1,
-            "learner": len(cfg.learners), "adversary": len(cfg.adversaries)}
-    for field in fields:
-        if lens[field] != 1:
-            raise ConfigError(f"{cfg.command} takes a single --{field} value")
+def _require_single(cfg: RunConfig, keys: Sequence[str]) -> None:
+    for key in keys:
+        value = getattr(cfg.grid, OPTIONS[key].field)
+        if value is not None and len(value) != 1:
+            raise ConfigError(f"{cfg.command} takes a single --{key} value")
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +276,8 @@ def _json_cell(value):
         return None
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, tuple):
+        return [_json_cell(v) for v in value]
     return value
 
 
@@ -344,11 +324,8 @@ def _grid_command(ns: argparse.Namespace, single: Sequence[str],
     code 1 when every cell errored."""
     cfg = resolve_config(ns, overrides)
     _require_single(cfg, single)
-    grid = SweepGrid(etas=cfg.etas, dims=cfg.dims, sizes=cfg.sizes,
-                     learners=cfg.learners, adversaries=cfg.adversaries,
-                     trials=cfg.trials, seed=cfg.seed, bias=cfg.bias)
     rows = [estimate_to_row(est, cfg.command, cfg.config_hash)
-            for est in run_sweep(grid, workers=cfg.workers)]
+            for est in run_sweep(cfg.grid, workers=cfg.workers)]
     emit(rows, cfg)
     return 0 if any(not row["error"] for row in rows) else 1
 
@@ -370,7 +347,7 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     overrides = {"n": "16,32,64,128"}
     cfg = resolve_config(ns, overrides)
     _require_single(cfg, ("eta", "d", "learner"))
-    eta, d = cfg.etas[0], cfg.dims[0]
+    eta, d = cfg.grid.etas[0], cfg.grid.dims[0]
     if not d * eta < 1:
         raise ConfigError(f"curve requires d * eta < 1, got {d} * {eta}")
     inner, _hard = build_scheme_1d(d * eta)
@@ -378,22 +355,28 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     # a bias no flag or file sets is the largest grid point 2m eta, which the
     # scheme moves; resolved again so that the config hash names it
     cfg = resolve_config(ns, {**overrides, "bias": str(max(inner.grid()))})
-    u = BiasVector([cfg.bias] * d)
-    learner = make_learner(cfg.learners[0], HypothesisClass.full(d), eta, max(cfg.sizes), u.coords)
-    stream = stable_stream_id("curve", str(eta), d, cfg.learners[0], cfg.trials, str(cfg.bias))
-    rng = RandomSource(cfg.seed, stream)
-    report = learning_curve_experiment(learner, u, scheme, cfg.sizes, cfg.trials, rng)
+    grid = cfg.grid
+    [name] = grid.learners
+    u = BiasVector([grid.bias] * d)
+    stream = stable_stream_id("curve", str(eta), d, name, grid.trials, str(grid.bias))
+    rng = RandomSource(grid.seed, stream)
     bayes = float(bayes_loss(ProductBiasDistribution(u)))
+    hclass = HypothesisClass.full(d)
     rows = []
-    for n, excess, se in zip(report.sizes, report.excesses, report.std_errors):
+    for n in grid.sizes:
+        # built per size, as a sweep cell builds it: majority votes over
+        # min(n, ceil(1/eta)) rows
+        learner = make_learner(name, hclass, eta, n, u.coords)
+        report = learning_curve_experiment(learner, u, scheme, [n], grid.trials, rng)
+        [excess], [se] = report.excesses, report.std_errors
         half = Z95 * se
         est = ExcessEstimate(
             mean=excess + bayes, ci_low=excess + bayes - half, ci_high=excess + bayes + half,
             bayes=bayes, excess=excess, excess_ci_low=excess - half,
-            excess_ci_high=excess + half, trials=cfg.trials, seed=cfg.seed,
+            excess_ci_high=excess + half, trials=grid.trials, seed=grid.seed,
             metadata={"experiment": "curve", "learner": learner.name,
                       "adversary": "oblivious-grid", "n": n, "eta": str(eta),
-                      "d": d, "stream": stream, "bias": str(cfg.bias)})
+                      "d": d, "stream": stream, "bias": str(grid.bias)})
         rows.append(estimate_to_row(est, "curve", cfg.config_hash,
                                     bound_name="recurring-threshold",
                                     bound_value=report.threshold,
@@ -418,41 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--inject-fault", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 
-    def add_common(p):
-        helps = {
-            "eta": "corruption rate(s), exact fractions, comma separated (default 1/64)",
-            "d": "domain size(s), comma separated (default 1)",
-            "n": "sample size(s), comma separated (default: ceil(4/eta))",
-            "trials": "Monte Carlo trials per cell (default 10000)",
-            "seed": f"base seed (default {DEFAULT_SEED})",
-            "learner": f"learner id(s): {', '.join(LEARNER_IDS)}",
-            "adversary": f"adversary id(s): {', '.join(ADVERSARY_IDS)}",
-            "bias": "per-coordinate bias of the test distribution "
-                    "(default 1/4; curve: the grid scheme's largest grid point)",
-            "out": "output path (default: stdout)",
-            "format": "csv or json (default csv)",
-            "workers": "parallel worker processes (default 1); "
-                       "curve runs in one process and ignores it",
-        }
-        for key, text in helps.items():
-            p.add_argument(f"--{key}", help=text)
-        p.add_argument("--config", help="key=value config file; flags take precedence")
-
-    run = sub.add_parser("run", help="one Monte Carlo cell")
-    add_common(run)
-    run.set_defaults(func=cmd_run)
-
-    swp = sub.add_parser("sweep", help="cartesian grid of Monte Carlo cells")
-    add_common(swp)
-    swp.set_defaults(func=cmd_sweep)
-
-    atk = sub.add_parser("attack-eval", help="one cell against every adversary")
-    add_common(atk)
-    atk.set_defaults(func=cmd_attack_eval)
-
-    crv = sub.add_parser("curve", help="oblivious-poisoning excess vs sample size")
-    add_common(crv)
-    crv.set_defaults(func=cmd_curve)
+    for name, func, text in (("run", cmd_run, "one Monte Carlo cell"),
+                             ("sweep", cmd_sweep, "cartesian grid of Monte Carlo cells"),
+                             ("attack-eval", cmd_attack_eval, "one cell against every adversary"),
+                             ("curve", cmd_curve, "oblivious-poisoning excess vs sample size")):
+        grid_cmd = sub.add_parser(name, help=text)
+        for key, opt in OPTIONS.items():
+            grid_cmd.add_argument(f"--{key}", help=opt.help)
+        grid_cmd.add_argument("--config", help="key=value config file; flags take precedence")
+        grid_cmd.set_defaults(func=func)
 
     return parser
 

@@ -30,8 +30,11 @@ neighbours), and a sequence weighs prod_a q_a ** c_a, its atom-count class c
 found once per table. Cost: d oracle calls over the batch plus k * n * (2d)^n
 array operations. Either table keeps the ball maxima of the last 4 radii
 it built (`_ExactTable.ball_maxima`), so calls at one budget share them. Both
-spaces stop at 100,000 states (`_TABLE_CAP`); at the cap the kept count
-tables and their maxima hold under 60 MB at d = 2.
+spaces stop at 100,000 states (`_TABLE_CAP`). At the cap (d = 2, n = 445) the
+kept count tables and their maxima hold under 60 MB, and each of the 8 kept
+sets of exact state weights (`_count_weights`) about S * (n log2(D) / 8 + 130)
+bytes for S states and D the atoms' common denominator: 29 MB at D = 8,
+47 MB at D = 128 and 70 MB at D = 2000, so the cache can reach 8 times that.
 
 The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
 its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
@@ -425,7 +428,8 @@ def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
     return live, *_read_only(np.array([w * q.numerator / scale for w in numerators])), mults
 
 
-# a table at the state cap (d >= 2, n = 445) holds about 50 MB of integers
+# at the state cap (d >= 2, n = 445) an entry holds 29-70 MB of integers for
+# common denominators 8-2000, as the module docstring states
 @functools.lru_cache(maxsize=8)
 def _count_weights(p_plus: Fraction, p_minus: Fraction, n: int
                    ) -> tuple[np.ndarray, tuple[int, ...], int, tuple[int, ...]]:

@@ -62,6 +62,12 @@ class ExpMechanismConfig:
         return math.sqrt(math.log(m) / float(self.eta))
 
 
+# class size times samples per `_softmax` pass of the mechanism's batch scorer:
+# its (class size, samples) arrays stay near 8 MB for any class and batch, and
+# the small classes of the lower-bound experiments score a batch in one pass
+SCORE_BUDGET = 2 ** 20
+
+
 def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disagreement counts (m, trials) of every hypothesis with every sample
     of a batch, and each sample's row count (trials,). `histograms[t, i, 0]`
@@ -208,7 +214,7 @@ def _one_row(sample: Sample) -> Sample:
 
 
 def _vc_restrict(hclass: HypothesisClass, pts: tuple[int, ...]) -> HypothesisClass:
-    from .analysis import restrict_dedupe  # deferred: analysis depends only on core
+    from .analysis import restrict_dedupe  # deferred: analysis imports this module
 
     return restrict_dedupe(hclass, pts).representatives
 
@@ -295,7 +301,10 @@ class ExpMechanismLearner(Learner):
         The mechanism is exchangeable: it sees a sample only through this
         histogram, so a learner exposing this method promises that row order
         never matters. The +1 probability is the exact partial sum of the
-        selection probabilities of the hypotheses reading +1 at x.
+        selection probabilities of the hypotheses reading +1 at x. The batch
+        is scored in passes of at most SCORE_BUDGET // class size samples,
+        which give the values of one pass to the bit, since each sample's
+        sum is its own column (`_sum_rows`).
         """
         per_trial = not isinstance(x, (int, np.integer))
         lo = hi = x
@@ -307,9 +316,13 @@ class ExpMechanismLearner(Learner):
         if not 0 <= lo <= hi < self.hclass.domain_size:
             raise DomainMismatchError(
                 f"point {x} outside domain of size {self.hclass.domain_size}")
-        _, w, total = _softmax(self.hclass, histograms, self.config)
-        plus = self.hclass.values[:, x] == PLUS  # (m, trials) or (m,)
-        return _sum_rows(np.where(plus if per_trial else plus[:, None], w / total, 0.0))
+        step = max(1, SCORE_BUDGET // self.hclass.size)
+        parts = []
+        for lo in range(0, max(len(histograms), 1), step):
+            _, w, total = _softmax(self.hclass, histograms[lo:lo + step], self.config)
+            plus = self.hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
+            parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
+        return np.concatenate(parts)
 
 
 class CoupledExpMechanismLearner(ExpMechanismLearner):

@@ -181,11 +181,11 @@ def check_dist_simplex(rng: RandomSource):
     return True, "probability simplex and loss-monotonicity on 50 random instances"
 
 
-def acceptance_exp_loss_guarantee(rng: RandomSource, instances: int = 200):
+def acceptance_exp_loss_guarantee(rng: RandomSource):
     """Exact mechanism guarantee: E[L_S] <= min_h L_S(h) + log(m)/t."""
     gen = rng.generator()
     worst = math.inf
-    for _ in range(instances):
+    for _ in range(200):
         hclass, sample, config = _random_mechanism_instance(gen)
         p = learners.exp_mechanism_dist(hclass, sample, config)
         losses = learners.empirical_losses(hclass, sample)
@@ -195,7 +195,7 @@ def acceptance_exp_loss_guarantee(rng: RandomSource, instances: int = 200):
         slack = float(min(losses)) + slack_term - expected
         worst = min(worst, slack)
     ok = worst >= -1e-12
-    return ok, f"min slack over {instances} instances = {worst:.3e} (>= -1e-12 required)"
+    return ok, f"min slack over 200 instances = {worst:.3e} (>= -1e-12 required)"
 
 
 def _random_tiny_instance(gen):
@@ -211,11 +211,11 @@ def _random_tiny_instance(gen):
     return hclass, sample, ExpMechanismConfig(eta)
 
 
-def acceptance_ratio_stability(rng: RandomSource, instances: int = 100):
+def acceptance_ratio_stability(rng: RandomSource):
     """Selection-probability ratio bound over full corruption balls, in log space."""
     gen = rng.generator()
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
         t = config.temperature(hclass.size)
         bound = 2.0 * t * float(config.eta)
@@ -228,11 +228,11 @@ def acceptance_ratio_stability(rng: RandomSource, instances: int = 100):
     return ok, f"max log-ratio excursion past 2*t*eta = {worst:.3e} (<= 1e-9 required)"
 
 
-def acceptance_flip_bound(rng: RandomSource, instances: int = 100):
+def acceptance_flip_bound(rng: RandomSource):
     """Coupled prediction flip probability <= 4 sqrt(eta log m) over full balls."""
     gen = rng.generator()
     worst = -math.inf
-    for _ in range(instances):
+    for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
         bound = learners.flip_bound(config, hclass.size)
         for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)):
@@ -356,19 +356,19 @@ def check_hard_distribution(rng: RandomSource):
 # analysis invariants and exact acceptance checks
 
 
-def acceptance_growth_bound(rng: RandomSource, classes: int = 50, subsets: int = 20):
+def acceptance_growth_bound(rng: RandomSource):
     """Restriction sizes never exceed the binomial-sum growth bound."""
     gen = rng.generator()
-    for _ in range(classes):
+    for _ in range(50):
         hclass = _random_class(gen, max_domain=10, max_size=8)  # size <= 8 forces VC <= 3
         vc = analysis.vc_dimension(hclass)
-        for _ in range(subsets):
+        for _ in range(20):
             size = int(gen.integers(1, hclass.domain_size + 1))
             pts = tuple(sorted(set(int(p) for p in gen.integers(0, hclass.domain_size, size=size))))
             reps = analysis.restrict_dedupe(hclass, pts).representatives
             if reps.size > analysis.sauer_bound(len(pts), vc):
                 return False, f"|H_X| = {reps.size} > bound at |X|={len(pts)}, vc={vc}"
-    return True, f"{classes} classes x {subsets} subsets within the binomial-sum bound (exact)"
+    return True, "50 classes x 20 subsets within the binomial-sum bound (exact)"
 
 
 def check_vc_known(rng: RandomSource):
@@ -531,22 +531,22 @@ def check_monotone_budget(rng: RandomSource):
     return ok, f"losses {['%.4f' % l for l in losses]} nondecreasing in eta"
 
 
-def _criteria_cells(sizes=(2, 4, 8), etas=(Fraction(1, 4), Fraction(1, 2)), grid_points=11):
-    """The exact cells of criteria 8/9: (n, eta, u, exp-mech on full(1) at
-    eta) over the sizes, the budgets and a grid of biases from -1/2 to 1/2."""
-    for n in sizes:
-        for eta in etas:
+def _criteria_cells():
+    """The 66 exact cells of criteria 8/9: (n, eta, u, exp-mech on full(1) at
+    eta) for n in {2, 4, 8}, eta in {1/4, 1/2} and 11 biases u from -1/2 to
+    1/2."""
+    for n in (2, 4, 8):
+        for eta in (Fraction(1, 4), Fraction(1, 2)):
             learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
-            for j in range(grid_points):
-                yield n, eta, Fraction(-1, 2) + Fraction(j, grid_points - 1), learner
+            for j in range(11):
+                yield n, eta, Fraction(-1, 2) + Fraction(j, 10), learner
 
 
-def acceptance_equivalence(rng: RandomSource = None, sizes=(2, 4, 8),
-                           etas=(Fraction(1, 4), Fraction(1, 2)), grid_points: int = 11):
+def acceptance_equivalence(rng: RandomSource):
     """Sample-ball-at-2eta vs restricted oblivious-at-eta, exact, all cells."""
     worst = math.inf
     cells = 0
-    for n, eta, u, learner in _criteria_cells(sizes, etas, grid_points):
+    for n, eta, u, learner in _criteria_cells():
         report = experiments.equivalence_check(learner.prediction_prob, u, eta, n)
         worst = min(worst, report.slack)
         cells += 1
@@ -555,12 +555,11 @@ def acceptance_equivalence(rng: RandomSource = None, sizes=(2, 4, 8),
     return True, f"holds in all {cells} cells; min slack {worst:.4f}"
 
 
-def acceptance_public_domination(rng: RandomSource = None, sizes=(2, 4, 8),
-                                 etas=(Fraction(1, 4), Fraction(1, 2)), grid_points: int = 11):
+def acceptance_public_domination(rng: RandomSource):
     """Public-coin thresholded risk never exceeds the private-coin risk, exactly."""
     worst = -math.inf
     cells = 0
-    for n, eta, u, learner in _criteria_cells(sizes, etas, grid_points):
+    for n, eta, u, learner in _criteria_cells():
         dist = ProductBiasDistribution(BiasVector([u]))
         pub = experiments.exhaustive_public_loss(learner.prediction_prob, dist, eta, n)
         priv = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)

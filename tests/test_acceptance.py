@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from poisonlab import cli, verify
+from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
 from poisonlab.core import (
     BiasVector,
@@ -26,6 +27,8 @@ from poisonlab.core import (
 )
 from poisonlab.experiments import (
     Z95,
+    _excess_table,
+    exact_F,
     exhaustive_adversarial_loss,
     lower_bound_experiment,
     make_adversary,
@@ -56,7 +59,7 @@ def test_criterion_01_mechanism_loss_guarantee():
     """Exponential mechanism expected loss stays within log(m)/t of the best
     hypothesis on 200 random instances; slack floor -1e-12, 5 second budget."""
     start = time.perf_counter()
-    ok, detail = verify.acceptance_exp_loss_guarantee(_rng("loss-guarantee"), instances=200)
+    ok, detail = verify.acceptance_exp_loss_guarantee(_rng("loss-guarantee"))
     elapsed = time.perf_counter() - start
     _verdict(1, "mechanism loss guarantee", ok and elapsed < 5.0,
              f"{detail}; {elapsed:.2f}s of 5s budget")
@@ -67,7 +70,7 @@ def test_criterion_02_ratio_stability():
     corruption ball stays within 2*t*eta, tolerance 1e-9, on 100 random
     instances; 30 second budget."""
     start = time.perf_counter()
-    ok, detail = verify.acceptance_ratio_stability(_rng("ratio-stability"), instances=100)
+    ok, detail = verify.acceptance_ratio_stability(_rng("ratio-stability"))
     elapsed = time.perf_counter() - start
     _verdict(2, "mechanism ratio stability", ok and elapsed < 30.0,
              f"{detail}; {elapsed:.2f}s of 30s budget")
@@ -77,7 +80,7 @@ def test_criterion_03_coupled_flip_bound():
     """Coupled-threshold prediction flip probability across the corruption
     ball stays within 4*t*eta = 4*sqrt(eta log m); slack floor -1e-12."""
     start = time.perf_counter()
-    ok, detail = verify.acceptance_flip_bound(_rng("flip-bound"), instances=100)
+    ok, detail = verify.acceptance_flip_bound(_rng("flip-bound"))
     elapsed = time.perf_counter() - start
     _verdict(3, "coupled flip bound", ok, f"{detail}; {elapsed:.2f}s")
 
@@ -87,7 +90,7 @@ def test_criterion_04_growth_bound():
     within the binomial-sum growth bound on 20 random subsets each, exactly;
     10 second budget."""
     start = time.perf_counter()
-    ok, detail = verify.acceptance_growth_bound(_rng("growth"), classes=50, subsets=20)
+    ok, detail = verify.acceptance_growth_bound(_rng("growth"))
     elapsed = time.perf_counter() - start
     _verdict(4, "growth function bound", ok and elapsed < 10.0,
              f"{detail}; {elapsed:.2f}s of 10s budget")
@@ -96,18 +99,28 @@ def test_criterion_04_growth_bound():
 def test_criterion_05_lower_bound_1d():
     """Mean oblivious excess of the exponential mechanism under 1-d grid
     poisoning at eta=1/64, n=512 clears sqrt(d*eta)/16 = 1/128 within the
-    95% CI; at least 1e4 F trials per point and CI half-width <= 0.002."""
+    95% CI; at least 1e4 F trials per point and CI half-width <= 0.002. The
+    CI must also contain the exact mean excess: each support value's term
+    table with every F exact, weighted by the hard distribution."""
     start = time.perf_counter()
     eta = Fraction(1, 64)
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
     rep = lower_bound_experiment(learner, eta, 1, 512, trials_outer=10_000,
                                  trials_f=20_000, rng=_rng("lower-1d"))
     elapsed = time.perf_counter() - start
+    inner, hard = build_scheme_1d(eta)
+    values = hard.values()
+    excesses, _ = _excess_table(
+        True, PoisoningSchemeD(inner, 1), values, [[a] for a in range(len(values))],
+        [1] * len(values),
+        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), 512, key[0]))
+    exact = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
     half = rep.ci_high - rep.mean
     ok = (rep.passed and rep.threshold == 0.0078125
-          and half <= 0.002 and rep.trials_f >= 10_000)
+          and half <= 0.002 and rep.trials_f >= 10_000 and rep.ci_low <= exact <= rep.ci_high)
     _verdict(5, "1-d poisoning lower bound", ok,
              f"mean excess {rep.mean:.5f} >= {rep.threshold:.7f} - {half:.5f} (CI half), "
+             f"exact {exact:.6f} within CI [{rep.ci_low:.6f}, {rep.ci_high:.6f}], "
              f"{rep.f_points} F points x {rep.trials_f} trials; {elapsed:.1f}s")
 
 

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from poisonlab import analysis
+from poisonlab import analysis, learners
 from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d, identity_scheme
 from poisonlab.analysis import (
     FTable,
@@ -339,14 +339,24 @@ def test_estimate_f_scores_all_histograms_in_one_call_per_point(monkeypatch):
 
 
 def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
-    # 2^11 hypotheses: 2^20 // 2^11 = 512 trials a scoring call, so two per point
+    # 2^11 hypotheses: 2^20 // 2^11 = 512 trials a scoring pass, so one call
+    # and two passes per point
     calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
+    passes = []
+    softmax = learners._softmax
+
+    def recorded(hclass, histograms, config):
+        passes.append(len(histograms))
+        return softmax(hclass, histograms, config)
+
+    monkeypatch.setattr(learners, "_softmax", recorded)
     sliced = _full_class_f(11, RandomSource(SEED, 10))
-    assert [(len(hist), x) for hist, x in calls] == [(512, 0), (491, 0), (512, 1), (491, 1)]
-    calls.clear()
-    monkeypatch.setattr(analysis, "SCORE_BUDGET", 2 ** 40)
+    assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
+    assert passes == [512, 491, 512, 491]
+    passes.clear()
+    monkeypatch.setattr(learners, "SCORE_BUDGET", 2 ** 40)
     assert _full_class_f(11, RandomSource(SEED, 10)) == sliced
-    assert [len(hist) for hist, _ in calls] == [1003, 1003]
+    assert passes == [1003, 1003]
 
 
 class _CountingGenerator:

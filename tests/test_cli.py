@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 import poisonlab
 from poisonlab.cli import (
     COLUMNS,
+    OPTIONS,
     ConfigError,
     RunConfig,
     build_parser,
@@ -27,16 +29,14 @@ from poisonlab.cli import (
 )
 from poisonlab.adversaries import identity_scheme
 from poisonlab.core import BiasVector, HypothesisClass, RandomSource
-from poisonlab.experiments import Z95, ExcessEstimate, learning_curve_experiment
+from poisonlab.experiments import Z95, ExcessEstimate, SweepGrid, learning_curve_experiment
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
 
 
-def _config(**kw):
-    base = dict(command="run", etas=(Fraction(1, 64),), dims=(1,), sizes=(8,),
-                trials=100, seed=1729, learners=("exp-mech",), adversaries=("greedy",),
-                bias=Fraction(1, 4), out=None, format="csv", workers=1)
-    base.update(kw)
-    return RunConfig(**base)
+def _config(trials=100, out=None, format="csv", workers=1):
+    grid = SweepGrid(etas=(Fraction(1, 64),), dims=(1,), sizes=(8,), trials=trials, seed=1729,
+                     learners=("exp-mech",), adversaries=("greedy",), bias=Fraction(1, 4))
+    return RunConfig("run", grid, out, format, workers)
 
 
 def test_parse_fraction_exact():
@@ -74,9 +74,9 @@ def test_resolve_precedence(tmp_path):
     parser = build_parser()
     ns = parser.parse_args(["run", "--config", str(path), "--trials", "75"])
     cfg = resolve_config(ns)
-    assert cfg.etas == (Fraction(1, 8),)  # from file
-    assert cfg.trials == 75               # flag wins
-    assert cfg.seed == 1729               # builtin default
+    assert cfg.grid.etas == (Fraction(1, 8),)  # from file
+    assert cfg.grid.trials == 75               # flag wins
+    assert cfg.grid.seed == 1729               # builtin default
 
 
 def test_resolve_validation():
@@ -95,7 +95,7 @@ def test_resolve_validation():
 
 @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
 def test_seeds_at_both_edges_are_accepted(seed, capsys):
-    assert resolve_config(build_parser().parse_args(["run", "--seed", seed])).seed == int(seed)
+    assert resolve_config(build_parser().parse_args(["run", "--seed", seed])).grid.seed == int(seed)
     assert main(["verify", "--check", "core.atoms-sum", "--seed", seed]) == 0
     assert "1 passed" in capsys.readouterr().out
 
@@ -116,6 +116,21 @@ def test_config_hash_ignores_presentation_fields():
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
     assert len(a.config_hash) == 12
+
+
+def test_option_table_fills_every_grid_field_and_pins_the_hash():
+    # every SweepGrid field is some option's; the hash payload is the command
+    # plus each grid option under its flag name, as it was written by hand
+    assert sorted(o.field for o in OPTIONS.values() if o.field) == sorted(
+        f.name for f in dataclasses.fields(SweepGrid))
+    assert _config().config_hash == "5d14907faffd"
+    parser = build_parser()
+    pins = {("sweep",): "deb7cf1f997b", ("attack-eval",): "4c3280bf2f8c",
+            ("sweep", "--eta", "1/8,1/16", "--d", "1,2", "--n", "8,12",
+             "--learner", "exp-mech,vc", "--adversary", "identity,greedy", "--bias=-1/8",
+             "--seed", "7", "--trials", "15"): "6a51d0a83cfd"}
+    for argv, pin in pins.items():
+        assert resolve_config(parser.parse_args(argv)).config_hash == pin
 
 
 def _row(**kw):
@@ -274,6 +289,18 @@ def test_main_takes_a_negative_bias_as_two_words(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert next(csv.DictReader(io.StringIO(outputs[0])))["bias"] == "-1/8"
+
+
+def test_main_curve_sizes_majority_per_sample_size(capsys):
+    # majority votes over min(n, ceil(1/eta)) rows at each n, as in a sweep
+    # cell, so sizes below 1/eta run; each size's row is that of a lone size
+    base = ["curve", "--eta", "1/64", "--learner", "majority", "--trials", "50"]
+    assert main(base + ["--n", "16,32,64,128"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["n"] for r in rows] == ["16", "32", "64", "128"]
+    assert main(base + ["--n", "64,128"]) == 0
+    tail = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["excess"] for r in rows[2:]] == [r["excess"] for r in tail]
 
 
 @pytest.mark.parametrize("learner", ["vc", "majority"])

@@ -74,6 +74,7 @@ from poisonlab.learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
+    _softmax,
 )
 from poisonlab.verify import (
     _criteria_cells,
@@ -604,6 +605,24 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     wide = experiments._engine(rule.prediction_prob,
                                ProductBiasDistribution(BiasVector([Fraction(1, 8), 0])), 3)
     assert flat is not wide and flat.p.shape == (4, 1) and wide.p.shape == (10, 2)
+
+
+def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
+    # full(3) has 8 hypotheses, so a budget of 72 scores 9 of the 55 states
+    # of n = 9 a pass, the last pass one state; p is the one-pass table's
+    learner = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
+    whole = experiments._CountTable(learner, 3, 9)
+    passes = []
+
+    def recorded(hclass, histograms, config):
+        passes.append(hclass.size * len(histograms))
+        return _softmax(hclass, histograms, config)
+
+    monkeypatch.setattr("poisonlab.learners._softmax", recorded)
+    monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 72)
+    sliced = experiments._CountTable(learner, 3, 9)
+    assert passes == ([72] * 6 + [8]) * 3
+    assert sliced.p.tobytes() == whole.p.tobytes() and sliced.p.shape == (55, 3)
 
 
 @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
