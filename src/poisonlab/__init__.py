@@ -22,11 +22,9 @@ from .adversaries import (
 )
 from .analysis import (
     FTable,
-    RestrictionClass,
     StabilityReport,
     cover_radius,
     estimate_F,
-    restrict_dedupe,
     sauer_bound,
     sauer_bound_growth,
     stability_certificate,
@@ -42,7 +40,6 @@ from .core import (
     DomainMismatchError,
     EnumerationTooLargeError,
     Example,
-    Hypothesis,
     HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
@@ -55,6 +52,7 @@ from .core import (
     full_alphabet,
     hamming_distance,
     population_loss,
+    restrict_dedupe,
     stable_stream_id,
 )
 from .experiments import (

@@ -1,10 +1,10 @@
 """Class-structure analysis and the estimation layer of the harness.
 
-Restriction/dedup of hypothesis classes, the binomial-sum growth bound, brute
-force VC dimension, exact covering radii, Monte Carlo estimation of the
-F-statistic (the learner's expected +-1 output, halved; the oblivious excess
-that is linear in it is tabulated in `experiments`), and the mechanism
-stability certificate.
+The binomial-sum growth bound, brute force VC dimension, exact covering
+radii, Monte Carlo estimation of the F-statistic (the learner's expected +-1
+output, halved; the oblivious excess that is linear in it is tabulated in
+`experiments`), and the mechanism stability certificate. Class restriction
+(`restrict_dedupe`) lives in `core`, beside the class, and is bound here too.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     _atom_ratios,
     draw_sample_with,
     hamming_distance,
+    restrict_dedupe,  # noqa: F401  (kept bound as analysis.restrict_dedupe)
 )
 from .learners import (
     ExpMechanismConfig,
@@ -38,43 +39,6 @@ from .learners import (
     flip_probability,
     one_per_trial,
 )
-
-
-@dataclass(frozen=True)
-class RestrictionClass:
-    """A class deduplicated by behavior on a point set.
-
-    `representatives` keeps one full hypothesis per behavior, the one with the
-    smallest row index in the parent class; `representative_rows` are those
-    parent indices and `assignment[j]` maps parent row j to its
-    representative's position.
-    """
-
-    parent: HypothesisClass
-    points: tuple[int, ...]
-    representatives: HypothesisClass
-    representative_rows: tuple[int, ...]
-    assignment: tuple[int, ...]
-
-
-def restrict_dedupe(hclass: HypothesisClass, points: Sequence[int]) -> RestrictionClass:
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("restriction needs at least one point")
-    if min(pts) < 0 or max(pts) >= hclass.domain_size:
-        raise DomainMismatchError("restriction points outside the class domain")
-    patterns: dict[bytes, int] = {}
-    rep_rows: list[int] = []
-    assignment: list[int] = []
-    cols = hclass.values[:, pts]
-    for j in range(hclass.size):
-        key = cols[j].tobytes()
-        if key not in patterns:
-            patterns[key] = len(rep_rows)
-            rep_rows.append(j)
-        assignment.append(patterns[key])
-    reps = HypothesisClass(hclass.values[rep_rows])
-    return RestrictionClass(hclass, pts, reps, tuple(rep_rows), tuple(assignment))
 
 
 def sauer_bound(n: int, d: int) -> int:

@@ -1,4 +1,5 @@
-"""Finite-domain data model: samples, hypotheses, biased label distributions.
+"""Finite-domain data model: samples, hypothesis classes and their
+restriction, biased label distributions.
 
 Everything downstream (learners, attackers, experiments) speaks in terms of
 these types. Points are integers 0..N-1, labels are -1/+1, and losses are
@@ -43,12 +44,6 @@ class BudgetViolationError(RuntimeError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated parameter regime."""
-
-
-def label_from_01(b: int) -> int:
-    if b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    return 2 * b - 1
 
 
 def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray:
@@ -184,43 +179,12 @@ class Sample:
 PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 
-class Hypothesis:
-    """A -1/+1 labeling of the whole finite domain."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[int]):
-        v = np.asarray(values)
-        if v.ndim != 1 or len(v) == 0:
-            raise ValueError("hypothesis values must be a nonempty 1-D sequence")
-        self.values = _signs(v, ValueError, "hypothesis values")
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.values)
-
-    def __call__(self, point: int) -> int:
-        if not 0 <= point < len(self.values):
-            raise DomainMismatchError(f"point {point} outside domain of size {len(self.values)}")
-        return int(self.values[point])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hypothesis):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash(self.values.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Hypothesis({self.values.tolist()})"
-
-
 class HypothesisClass:
     """A finite set of distinct hypotheses over a common domain.
 
     The class table is an (m, N) int8 matrix; row order is the canonical
     hypothesis order used everywhere (mechanism distributions, tie breaks).
+    A hypothesis is one row, as `sample_loss` and `population_loss` take it.
     """
 
     __slots__ = ("values",)
@@ -244,9 +208,9 @@ class HypothesisClass:
         if domain_size > 16:
             raise EnumerationTooLargeError(
                 "full class only built for domains of <= 16 points")
-        rows = [[label_from_01((mask >> i) & 1) for i in range(domain_size)]
-                for mask in range(2 ** domain_size)]
-        return cls(rows)
+        # bit i of the row index gives column i
+        bits = np.arange(2 ** domain_size)[:, None] >> np.arange(domain_size) & 1
+        return cls(np.where(bits == 1, PLUS, MINUS))
 
     @property
     def size(self) -> int:
@@ -262,15 +226,23 @@ class HypothesisClass:
         are distinct, so it does exactly when it has 2^N of them."""
         return self.size == 2 ** self.domain_size
 
-    def hypothesis(self, i: int) -> Hypothesis:
-        return Hypothesis(self.values[i])
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[Hypothesis]:
-        for i in range(self.size):
-            yield self.hypothesis(i)
+def restrict_dedupe(hclass: HypothesisClass, points: Sequence[int]) -> HypothesisClass:
+    """The class deduplicated by its behavior on `points`: the first row of
+    each distinct labeling of the points, in row order."""
+    pts = tuple(points)
+    if not pts:
+        raise ValueError("restriction needs at least one point")
+    if min(pts) < 0 or max(pts) >= hclass.domain_size:
+        raise DomainMismatchError("restriction points outside the class domain")
+    seen: set[bytes] = set()
+    rows: list[int] = []
+    for j, labeling in enumerate(hclass.values[:, pts]):
+        key = labeling.tobytes()
+        if key not in seen:
+            seen.add(key)
+            rows.append(j)
+    return HypothesisClass(hclass.values[rows])
 
 
 def _bias_coordinate(c: Scalar) -> Fraction:
@@ -419,21 +391,34 @@ def stable_stream_id(*parts) -> int:
 # losses and distances
 
 
-def sample_loss(h: Hypothesis, sample: Sample) -> Fraction:
-    """Empirical 0/1 loss of h on the sample, as an exact rational."""
-    if sample.points.max() >= h.domain_size:
+def _labeling(h: Sequence[int]) -> np.ndarray:
+    """h, a -1/+1 labeling of the domain such as one row of a class, checked
+    by `_signs` before any cast."""
+    v = np.asarray(h)
+    if v.ndim != 1 or len(v) == 0:
+        raise ValueError("hypothesis values must be a nonempty 1-D sequence")
+    return _signs(v, ValueError, "hypothesis values")
+
+
+def sample_loss(h: Sequence[int], sample: Sample) -> Fraction:
+    """Empirical 0/1 loss on the sample, as an exact rational, of the
+    labeling h: one row of a class, h[i] the label of point i."""
+    values = _labeling(h)
+    if sample.points.max() >= len(values):
         raise DomainMismatchError("sample contains points outside the hypothesis domain")
-    disagreements = int(np.count_nonzero(h.values[sample.points] != sample.labels))
+    disagreements = int(np.count_nonzero(values[sample.points] != sample.labels))
     return Fraction(disagreements, len(sample))
 
 
-def population_loss(h: Hypothesis, dist: ProductBiasDistribution) -> Fraction:
-    """Expected 0/1 loss of h under the product bias distribution, exactly:
-    P(err | point i) = 1/2 - h(i) * u_i, averaged over the uniform point."""
-    if h.domain_size != dist.dimension:
+def population_loss(h: Sequence[int], dist: ProductBiasDistribution) -> Fraction:
+    """Expected 0/1 loss of the labeling h (one row of a class) under the
+    product bias distribution, exactly: P(err | point i) = 1/2 - h[i] * u_i,
+    averaged over the uniform point."""
+    values = _labeling(h)
+    if len(values) != dist.dimension:
         raise DimensionMismatchError("hypothesis domain and distribution dimension differ")
     return sum(Fraction(1, 2) - s * u
-               for s, u in zip(h.values.tolist(), dist.bias.coords)) / dist.dimension
+               for s, u in zip(values.tolist(), dist.bias.coords)) / dist.dimension
 
 
 def bayes_loss(dist: ProductBiasDistribution) -> Fraction:

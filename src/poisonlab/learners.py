@@ -14,7 +14,8 @@ one point per trial, with the learner's coins drawn from the generator. A
 one-sample call is a one-row batch. Every number of the mechanism, its loss
 counts, selection law, log-probabilities, +1 and flip probabilities, comes
 from one histogram scorer (`_loss_counts`, `_softmax`), so a sample scores
-the same alone as in any batch.
+the same alone as in any batch. The split-and-subsample rule restricts its
+class with `core.restrict_dedupe`; this module imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     PreconditionError,
     Sample,
     Scalar,
+    restrict_dedupe,
 )
 
 
@@ -211,12 +213,6 @@ def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) ->
 def _one_row(sample: Sample) -> Sample:
     """A one-sample `Sample` as a batch of one trial."""
     return Sample(sample.points[None], sample.labels[None])
-
-
-def _vc_restrict(hclass: HypothesisClass, pts: tuple[int, ...]) -> HypothesisClass:
-    from .analysis import restrict_dedupe  # deferred: analysis imports this module
-
-    return restrict_dedupe(hclass, pts).representatives
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +421,7 @@ class VcSubsampleLearner(Learner):
         for g, j in enumerate(first.tolist()):
             sel = which == g
             owners, back = np.unique(owner[sel], return_inverse=True)
-            sub = _vc_restrict(self.hclass, tuple(np.flatnonzero(covered[j]).tolist()))
+            sub = restrict_dedupe(self.hclass, tuple(np.flatnonzero(covered[j]).tolist()))
             probs[sel] = ExpMechanismLearner(sub, self._mechanism).batch_prediction_probs(
                 hist[owners], xs[owners])[back]
         return probs

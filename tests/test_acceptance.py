@@ -231,7 +231,7 @@ def test_criterion_10_sampled_cover_rate():
         radii = []
         for _ in range(200):
             pts = [int(p) for p in gen.integers(0, domain, size=64)]
-            cover = restrict_dedupe(hclass, pts).representatives
+            cover = restrict_dedupe(hclass, pts)
             radii.append(float(cover_radius(hclass, cover)))
         mean = statistics.fmean(radii)
         se = statistics.stdev(radii) / math.sqrt(len(radii))

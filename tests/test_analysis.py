@@ -60,11 +60,11 @@ def test_restrict_dedupe_hand_case():
                           [MINUS, MINUS, MINUS]])
     r = restrict_dedupe(hc, (0,))
     # behaviors on point 0: +, +, -, - : two classes, first representatives
-    assert r.representative_rows == (0, 2)
-    assert r.assignment == (0, 0, 1, 1)
-    assert r.representatives.size == 2
-    assert tuple(r.representatives.hypothesis(0).values) == (PLUS, PLUS, PLUS)
-    assert tuple(r.representatives.hypothesis(1).values) == (MINUS, PLUS, PLUS)
+    assert isinstance(r, HypothesisClass)
+    assert r.values.tolist() == hc.values[[0, 2]].tolist()
+    assert r.size == 2
+    assert tuple(r.values[0]) == (PLUS, PLUS, PLUS)
+    assert tuple(r.values[1]) == (MINUS, PLUS, PLUS)
 
 
 def test_restrict_dedupe_matches_reference():
@@ -78,12 +78,12 @@ def test_restrict_dedupe_matches_reference():
         for j in range(hc.size):
             behavior = tuple(int(hc.values[j, p]) for p in pts)
             seen.setdefault(behavior, j)
-        assert r.representative_rows == tuple(sorted(seen.values()))
-        assert r.representatives.size == len(seen)
+        assert r.values.tolist() == hc.values[sorted(seen.values())].tolist()
+        assert r.size == len(seen)
+        # every parent row keeps its behavior on the points in some representative
+        kept = {tuple(int(row[p]) for p in pts) for row in r.values}
         for j in range(hc.size):
-            behavior = tuple(int(hc.values[j, p]) for p in pts)
-            rep = r.representative_rows[r.assignment[j]]
-            assert tuple(int(hc.values[rep, p]) for p in pts) == behavior
+            assert tuple(int(hc.values[j, p]) for p in pts) in kept
 
 
 def test_sauer_bound_hand_values():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import poisonlab
+from poisonlab import verify
 from poisonlab.cli import (
     COLUMNS,
     OPTIONS,
@@ -325,17 +326,19 @@ def test_main_error_rows_from_infeasible_cells(capsys, command):
     assert all(row["mean"] == "" and "PreconditionError" in row["error"] for row in rows)
 
 
-def test_main_verify_subset_and_fault(capsys):
+def test_main_verify_subset_and_fault(monkeypatch, capsys):
     assert main(["verify", "--check", "core.atoms-sum"]) == 0
     out = capsys.readouterr().out
     assert "PASS core.atoms-sum" in out and "1 passed" in out
-    assert main(["verify", "--check", "core.atoms-sum",
-                 "--inject-fault", "core.atoms-sum"]) == 1
+    monkeypatch.setattr(verify, "REGISTRY", [
+        (name, (lambda rng: (False, "injected fault")) if name == "core.atoms-sum" else fn)
+        for name, fn in verify.REGISTRY])
+    assert main(["verify", "--check", "core.atoms-sum"]) == 1
     out = capsys.readouterr().out
     assert "FAIL core.atoms-sum: injected fault" in out
 
 
-@pytest.mark.parametrize("flag", ["--check", "--inject-fault"])
+@pytest.mark.parametrize("flag", ["--check"])
 def test_main_verify_unknown_check_is_a_config_error(capsys, flag):
     assert main(["verify", flag, "core.nope"]) == 2
     assert capsys.readouterr().err == "error: unknown checks: ['core.nope']\n"

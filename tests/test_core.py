@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poisonlab
 from poisonlab.core import (
     MINUS,
     PLUS,
@@ -12,7 +15,6 @@ from poisonlab.core import (
     DomainMismatchError,
     EnumerationTooLargeError,
     Example,
-    Hypothesis,
     HypothesisClass,
     PreconditionError,
     ProductBiasDistribution,
@@ -24,20 +26,12 @@ from poisonlab.core import (
     draw_sample,
     full_alphabet,
     hamming_distance,
-    label_from_01,
     population_loss,
     sample_loss,
     stable_stream_id,
 )
 
 SEED = 20260825
-
-
-def test_label_from_01_maps_bits_to_signs():
-    assert label_from_01(1) == PLUS
-    assert label_from_01(0) == MINUS
-    with pytest.raises(ValueError):
-        label_from_01(2)
 
 
 def test_sample_basic():
@@ -78,12 +72,17 @@ def test_sample_keeps_integer_arrays_of_its_own_dtype_uncopied():
 
 
 def test_hypotheses_validate_before_the_integer_cast():
+    # the losses take a labeling as one class row, checked as a class row is
+    sample = Sample([0, 1], [PLUS, PLUS])
+    dist = ProductBiasDistribution(BiasVector([0, 0]))
     for bad in (np.array([257, -1]), [1.0, -1.0], [0.5, 1], [True, False]):
         with pytest.raises(ValueError, match="hypothesis values must be"):
-            Hypothesis(bad)
+            sample_loss(bad, sample)
+        with pytest.raises(ValueError, match="hypothesis values must be"):
+            population_loss(bad, dist)
         with pytest.raises(ValueError, match="hypothesis values must be"):
             HypothesisClass([bad])
-    assert Hypothesis(np.array([1, -1])).values.tolist() == [1, -1]
+    assert sample_loss(np.array([1, -1]), sample) == Fraction(1, 2)
     assert HypothesisClass(np.array([[1, -1]], dtype=np.int64)).values.dtype == np.int8
 
 
@@ -117,11 +116,6 @@ def test_sample_is_positionally_ordered():
     assert hamming_distance(a, b) == 1
 
 
-def test_hypothesis_call():
-    h = Hypothesis([PLUS, MINUS, PLUS])
-    assert h(0) == PLUS and h(1) == MINUS and h(2) == PLUS
-
-
 def test_hypothesis_class_rejects_duplicates():
     with pytest.raises(ValueError):
         HypothesisClass([[PLUS, MINUS], [PLUS, MINUS]])
@@ -130,8 +124,30 @@ def test_hypothesis_class_rejects_duplicates():
 def test_hypothesis_class_full():
     hc = HypothesisClass.full(2)
     assert hc.size == 4
-    rows = {tuple(hc.hypothesis(i).values) for i in range(hc.size)}
+    rows = {tuple(hc.values[i]) for i in range(hc.size)}
     assert rows == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+
+def test_full_class_row_index_bits_give_its_columns():
+    for d in range(1, 6):
+        hc = HypothesisClass.full(d)
+        assert hc.values.dtype == np.int8 and hc.values.shape == (2 ** d, d)
+        for j in range(2 ** d):
+            assert hc.values[j].tolist() == [PLUS if (j >> i) & 1 else MINUS for i in range(d)]
+
+
+@pytest.mark.parametrize("module", ["core", "learners"])
+def test_module_never_imports_analysis(module):
+    # analysis imports learners and core; an import back, even one deferred
+    # into a function body, would make a cycle
+    path = Path(poisonlab.__file__).parent / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            assert not any(n.split(".")[-1] == "analysis" for n in names), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] == "analysis" for a in node.names), \
+                ast.unparse(node)
 
 
 def test_hypothesis_class_full_too_large():
@@ -141,12 +157,12 @@ def test_hypothesis_class_full_too_large():
 
 def test_sample_loss_hand_values():
     s = Sample([0, 1, 0, 1], [PLUS, PLUS, MINUS, MINUS])
-    assert sample_loss(Hypothesis([PLUS, PLUS]), s) == Fraction(1, 2)
-    assert sample_loss(Hypothesis([PLUS, MINUS]), s) == Fraction(1, 2)
-    assert sample_loss(Hypothesis([MINUS, MINUS]), s) == Fraction(1, 2)
+    assert sample_loss([PLUS, PLUS], s) == Fraction(1, 2)
+    assert sample_loss([PLUS, MINUS], s) == Fraction(1, 2)
+    assert sample_loss([MINUS, MINUS], s) == Fraction(1, 2)
     s2 = Sample([0, 0, 0], [PLUS, PLUS, PLUS])
-    assert sample_loss(Hypothesis([PLUS]), s2) == 0
-    assert sample_loss(Hypothesis([MINUS]), s2) == 1
+    assert sample_loss([PLUS], s2) == 0
+    assert sample_loss([MINUS], s2) == 1
 
 
 def test_bias_vector_bounds():
@@ -180,7 +196,7 @@ def test_float_bias_losses_are_exact():
     q = Fraction(0.1)
     assert dist.atom_probability(0, MINUS) == (Fraction(1, 2) - q) / 2
     assert bayes_loss(dist) == (1 - q - Fraction(0.3)) / 2
-    assert population_loss(Hypothesis([PLUS, MINUS]), dist) == bayes_loss(dist)
+    assert population_loss([PLUS, MINUS], dist) == bayes_loss(dist)
 
 
 def test_bias_vector_replace():
@@ -236,8 +252,8 @@ def test_atom_probabilities_product_form():
 
 def test_population_loss_hand_value():
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
-    assert population_loss(Hypothesis([PLUS, MINUS]), dist) == Fraction(5, 16)
-    assert population_loss(Hypothesis([MINUS, PLUS]), dist) == Fraction(11, 16)
+    assert population_loss([PLUS, MINUS], dist) == Fraction(5, 16)
+    assert population_loss([MINUS, PLUS], dist) == Fraction(11, 16)
 
 
 def test_bayes_loss_hand_value():
@@ -251,7 +267,7 @@ def test_bayes_loss_is_min_over_all_hypotheses():
         d = int(rng.integers(1, 7))
         u = BiasVector([Fraction(int(rng.integers(-8, 9)), 16) for _ in range(d)])
         dist = ProductBiasDistribution(u)
-        best = min(population_loss(Hypothesis(list(signs)), dist)
+        best = min(population_loss(signs, dist)
                    for signs in __import__("itertools").product((-1, 1), repeat=d))
         assert bayes_loss(dist) == best
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -39,6 +40,7 @@ from poisonlab.core import (
     draw_sample_with,
     full_alphabet,
     hamming_distance,
+    stable_stream_id,
 )
 from poisonlab.experiments import (
     ExcessEstimate,
@@ -829,6 +831,34 @@ def test_lower_bound_experiment_stream_lock():
                                     rng=RandomSource(SEED, 5))
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
         "0.06269163802380699", "0.060795898578179325", "0.06458737746943466")
+
+
+def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
+    # criterion 5's exact mean excess (every F exact, weighted by the hard
+    # distribution) against 400 Monte Carlo reports at seeds 0..399 on one
+    # stream. trials_f = 10 makes the F estimates' share of the CI large, so
+    # dropping that share or doubling it moves the coverage and the z spread
+    # well outside the gates: 95% +- 3.2 binomial sd and sd(z) within 15% of 1
+    eta, n = Fraction(1, 64), 512
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
+    inner, hard = build_scheme_1d(eta)
+    values = hard.values()
+    excesses, _ = experiments._excess_table(
+        True, PoisoningSchemeD(inner, 1), values, [[a] for a in range(len(values))],
+        [1] * len(values),
+        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+    exact = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
+    assert exact == pytest.approx(0.05823780657579342, rel=1e-12)
+    stream = stable_stream_id("calibration")
+    covered, zs = 0, []
+    for seed in range(400):
+        rep = lower_bound_experiment(learner, eta, 1, n, trials_outer=4000, trials_f=10,
+                                     rng=RandomSource(seed, stream))
+        half = rep.ci_high - rep.mean
+        covered += rep.ci_low <= exact <= rep.ci_high
+        zs.append((rep.mean - exact) / (half / experiments.Z95))
+    assert 366 <= covered <= 394, covered
+    assert 0.85 <= statistics.stdev(zs) <= 1.15, statistics.stdev(zs)
 
 
 @pytest.mark.parametrize("learner_id,want", [

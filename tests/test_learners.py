@@ -79,7 +79,7 @@ def test_empirical_losses_match_sample_loss():
         counts = empirical_loss_counts(hc, s)
         losses = empirical_losses(hc, s)
         for i in range(hc.size):
-            assert losses[i] == sample_loss(hc.hypothesis(i), s)
+            assert losses[i] == sample_loss(hc.values[i], s)
             assert losses[i] == Fraction(int(counts[i]), n)
 
 
@@ -158,7 +158,7 @@ def test_predict_prob_is_plus_mass():
     config = ExpMechanismConfig(Fraction(1, 8))
     p = exp_mechanism_dist(hc, s, config)
     for x in range(2):
-        direct = sum(float(p[i]) for i in range(hc.size) if hc.hypothesis(i)(x) == PLUS)
+        direct = sum(float(p[i]) for i in range(hc.size) if hc.values[i, x] == PLUS)
         assert ExpMechanismLearner(hc, config).prediction_prob(s, x) == pytest.approx(
             direct, abs=1e-15)
 
@@ -222,16 +222,16 @@ def test_vc_learner_split_and_exactness():
         restriction_points = tuple(sorted({e.point for e in sub.examples()}))
         from poisonlab.analysis import restrict_dedupe
 
-        restricted = restrict_dedupe(hc, restriction_points).representatives
+        restricted = restrict_dedupe(hc, restriction_points)
         tail = s.slice(slice(n1, None))
         acc.append(ExpMechanismLearner(restricted, ExpMechanismConfig(eta)).prediction_prob(tail, 0))
     assert mean == pytest.approx(math.fsum(acc) / len(acc), abs=1e-12)
 
 
 def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
-    from poisonlab import analysis
+    from poisonlab import learners
 
-    restrict_dedupe = analysis.restrict_dedupe
+    restrict_dedupe = learners.restrict_dedupe
     calls = []
 
     def counted(hclass, pts):
@@ -252,17 +252,17 @@ def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
                 for subset in combinations(range(n1), k):
                     pts = tuple(sorted(set(s.points[list(subset)].tolist())))
                     point_sets.add(pts)
-                    want += ExpMechanismLearner(restrict_dedupe(hc, pts).representatives,
+                    want += ExpMechanismLearner(restrict_dedupe(hc, pts),
                                                 ExpMechanismConfig(eta)).prediction_prob(tail, x)
                 want /= math.comb(n1, k)
                 calls.clear()
-                monkeypatch.setattr(analysis, "restrict_dedupe", counted)
+                monkeypatch.setattr(learners, "restrict_dedupe", counted)
                 got = learner.mean_prediction_prob(s, x)
                 monkeypatch.undo()
                 assert got == want
                 assert sorted(calls) == sorted(point_sets)
                 calls.clear()
-                monkeypatch.setattr(analysis, "restrict_dedupe", counted)
+                monkeypatch.setattr(learners, "restrict_dedupe", counted)
                 learner.prediction_prob(s, x, gen)
                 monkeypatch.undo()
                 assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""The self-verification registry itself: every probe green, fault injection
+"""The self-verification registry itself: every probe green, a failing check
 isolated, reruns deterministic."""
 
 import re
@@ -40,8 +40,16 @@ def test_subset_run_is_deterministic():
     assert [r.name for r in first] == FAST_SUBSET
 
 
-def test_injected_fault_marks_only_its_target():
-    results = run_checks(names=FAST_SUBSET, inject_fault="core.hamming-metric")
+def _fault_in(monkeypatch, target: str) -> None:
+    """Replace the registry's `target` check with one that fails."""
+    registry = [(name, (lambda rng: (False, "injected fault")) if name == target else fn)
+                for name, fn in REGISTRY]
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+
+
+def test_injected_fault_marks_only_its_target(monkeypatch):
+    _fault_in(monkeypatch, "core.hamming-metric")
+    results = run_checks(names=FAST_SUBSET)
     by_name = {r.name: r for r in results}
     assert not by_name["core.hamming-metric"].passed
     assert by_name["core.hamming-metric"].detail == "injected fault"
@@ -69,11 +77,11 @@ def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
     assert out.splitlines()[-2:] == ["3 checks, 2 passed, 1 failed", "failed: core.raises"]
 
 
-def test_every_verify_line_ends_in_its_checks_duration(capsys):
-    results = run_checks(names=FAST_SUBSET, inject_fault="core.hamming-metric")
+def test_every_verify_line_ends_in_its_checks_duration(monkeypatch, capsys):
+    _fault_in(monkeypatch, "core.hamming-metric")
+    results = run_checks(names=FAST_SUBSET)
     assert all(r.seconds > 0 for r in results)
-    assert main(["verify", "--check", ",".join(FAST_SUBSET),
-                 "--inject-fault", "core.hamming-metric"]) == 1
+    assert main(["verify", "--check", ",".join(FAST_SUBSET)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(FAST_SUBSET) + 2
     for line, res in zip(lines, results):
