@@ -607,38 +607,64 @@ def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
 
     A row's excess is the fsum over test atoms (i, y), in the order (0, +1),
     (0, -1), (1, +1), ..., of float(m) * (1/2 - y F) at the poisoned bias
-    u' = scheme(i, y, u), m = (1/2 + y u_i) / d, minus the Bayes loss at u;
-    the atom adds count * -y m to the coefficient of its F key. Each term is
-    built once. A per-point learner's F at i reads u_i alone, so its term is
-    indexed by (i, y, a) and built at the vector with values[a] at i and 0
-    elsewhere, whose u' is the F key (i, u') of every row it stands for; any
-    other learner's is indexed by (i, y, row) and built at u. The Bayes
-    losses come from `_bayes_losses`, so only a learner that is not
-    per-point builds a bias vector per row.
+    u' = scheme(i, y, u), m = (1/2 + y u_i) / d, minus the Bayes loss at u
+    (`_bayes_losses`); the atom adds count * -y m to the coefficient of its
+    F key (i, u'). The lifted scheme moves coordinate i alone, by the 1-D
+    map of (y, u_i), so the exact work is done once per (value, label):
+    one `scheme.inner.apply`, and m as an integer numerator over the common
+    denominator D of every value's mass, whose float is the correctly
+    rounded quotient m_num / D. Coordinate values are interned as integer
+    ids and F keys as tuples of them; each distinct key builds its tuple of
+    Fractions and queries `f_value` once, and its coefficient is summed as
+    an integer numerator, one Fraction over D at the end. A per-point
+    learner's F at i reads u_i alone, so its key has every other coordinate
+    0, the key of every row with u_i at i; any other learner's key keeps
+    the row's other coordinates.
     """
     d = scheme.dimension
-    zero = BiasVector([0] * d)
-    table: dict[tuple, tuple[float, tuple, Fraction]] = {}
+    values = BiasVector(values).coords
+    denominator = math.lcm(*(2 * d * v.denominator for v in values))
+    ids: dict[Fraction, int] = {}
+    support = [ids.setdefault(v, len(ids)) for v in values]
+    zero = ids.setdefault(Fraction(0), len(ids))
+    # per value, per label: (y, numerator of m over D, id of the poisoned value)
+    atoms = [[(y, (v.denominator + 2 * y * v.numerator) * (denominator // (2 * d * v.denominator)),
+               ids.setdefault(scheme.inner.apply(y, v), len(ids))) for y in (PLUS, MINUS)]
+             for v in values]
+    coordinates = list(ids)
+    key_ids: dict[tuple, int] = {}
+    keys: list[tuple] = []
+    fs: list[float] = []
+
+    def key_id(i: int, base: list[int], shifted: int) -> int:
+        ident = (i, *base[:i], shifted, *base[i + 1:])
+        if ident not in key_ids:
+            key_ids[ident] = len(keys)
+            keys.append((i, tuple(coordinates[j] for j in ident[1:])))
+            fs.append(f_value(keys[-1]))
+        return key_ids[ident]
+
+    # each slot's two terms and, per label, (key id, y, numerator of m); a
+    # per-point learner's slot is (i, a), any other learner's (i, row)
+    table: dict[tuple, tuple[list[float], list[tuple[int, int, int]]]] = {}
     uses: dict[tuple, int] = {}
     excesses: list[float] = []
     for row, count, bayes in zip(rows, counts, _bayes_losses(values, rows)):
-        u = None if per_point else BiasVector([values[a] for a in row])
-        terms = []
+        terms: list[float] = []
         for i, a in enumerate(row):
-            for y in (PLUS, MINUS):
-                index = (i, y, a if per_point else tuple(row))
-                if index not in table:
-                    at = zero.replace(i, values[a]) if per_point else u
-                    key = (i, scheme.apply(i, y, at).coords)
-                    mass = (Fraction(1, 2) + y * at.coords[i]) / d
-                    table[index] = float(mass) * (0.5 - y * f_value(key)), key, -y * mass
-                terms.append(table[index][0])
-                uses[index] = uses.get(index, 0) + count
+            slot = (i, a) if per_point else (i, tuple(row))
+            if slot not in table:
+                base = [zero] * d if per_point else [support[b] for b in row]
+                keyed = [(key_id(i, base, shifted), y, m) for y, m, shifted in atoms[a]]
+                table[slot] = [m / denominator * (0.5 - y * fs[k]) for k, y, m in keyed], keyed
+            terms += table[slot][0]
+            uses[slot] = uses.get(slot, 0) + count
         excesses.append(math.fsum(terms) - bayes)
-    coefficients: dict[tuple, Fraction] = {}
-    for index, (_, key, c) in table.items():
-        coefficients[key] = coefficients.get(key, 0) + uses[index] * c
-    return excesses, coefficients
+    weights = [0] * len(keys)
+    for slot, (_, keyed) in table.items():
+        for k, y, m in keyed:
+            weights[k] -= y * uses[slot] * m
+    return excesses, {key: Fraction(w, denominator) for key, w in zip(keys, weights)}
 
 
 def _bayes_losses(values: Sequence[Fraction], rows: Sequence[Sequence[int]]) -> list[float]:
@@ -653,6 +679,19 @@ def _bayes_losses(values: Sequence[Fraction], rows: Sequence[Sequence[int]]) -> 
     denominator = math.lcm(*(b.denominator for b in bayes))
     numerators = [b.numerator * (denominator // b.denominator) for b in bayes]
     return [sum(numerators[a] for a in row) / (denominator * len(row)) for row in rows]
+
+
+def _distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in ascending lexicographic
+    order, and how often each occurs: `np.unique(draws, axis=0,
+    return_counts=True)`, by one lexsort with the first column as the
+    primary key and a mask of the sorted rows that differ from the row
+    before. No row is packed into one integer, so nothing can overflow."""
+    ordered = draws[np.lexsort(draws.T[::-1])]
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)
+    return ordered[first], np.diff(first, append=len(ordered))
 
 
 def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:
@@ -690,17 +729,20 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     with one call on the ("outer",) stream, d * trials_outer uniforms in
     trial order (`HardBiasDistribution.sample_indices`). The hard
     distribution has finite support, so the draws are counted and the
-    distinct ones go through the term table (`_excess_table`) once. Each F
-    key is estimated once with `trials_f` trials on the stream ("F",
-    coordinate, key bias) and cached (`_cached_f_oracle`). The mean is over
-    the draws. The CI combines the outer sampling variance with the
+    distinct ones (`_distinct_rows`) go through the term table
+    (`_excess_table`) once, which maps each support value under each label
+    once. Each F key is estimated once with `trials_f` trials on the stream
+    ("F", coordinate, key bias) and cached (`_cached_f_oracle`). The mean is
+    over the draws. The CI combines the outer sampling variance with the
     propagated variance of the cached estimates (`_f_variance`), each key's
     count-weighted coefficient over trials_outer. The threshold is taken at
     the scheme's budget, d * eta capped at 1/16 and spread over the d
-    coordinates.
+    coordinates. n, trials_outer or trials_f below 1 raises ValueError
+    before anything is drawn.
     """
-    if trials_outer < 1:
-        raise ValueError("trials_outer must be >= 1")
+    for name, value in (("n", n), ("trials_outer", trials_outer), ("trials_f", trials_f)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     eta = Fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
@@ -710,8 +752,7 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
 
     f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
-    draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
-                              return_counts=True)
+    draws, counts = _distinct_rows(hard.sample_indices(gen, (trials_outer, d)))
     excesses, coefficients = _excess_table(learner.per_point, scheme, hard.values(),
                                            draws.tolist(), counts.tolist(), f_value)
     # fsum's mean and variance ignore the order of the draws
@@ -797,11 +838,16 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     key bias) (`_cached_f_oracle`); a size's standard error propagates those
     estimates' errors through the excess (`_f_variance`). The report records
     the fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
-    budget eta, the quantity the recurring-excess argument tracks.
+    budget eta, the quantity the recurring-excess argument tracks. A size
+    or trials_f below 1 raises ValueError before anything is drawn.
     """
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("sizes must not be empty")
+    if min(sizes) < 1:
+        raise ValueError("sizes must be >= 1")
+    if trials_f < 1:
+        raise ValueError("trials_f must be >= 1")
     if u.dimension != scheme.dimension:
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
     threshold = curve_threshold(scheme.eta, scheme.dimension)

@@ -14,7 +14,9 @@ from poisonlab.analysis import estimate_F
 from poisonlab.adversaries import (
     AttackBudget,
     GreedyFlipAdversary,
+    HardBiasDistribution,
     IdentityAdversary,
+    PoisoningScheme1D,
     PoisoningSchemeD,
     brute_force_attack,
     build_scheme_1d,
@@ -82,6 +84,7 @@ from poisonlab.verify import (
     _criteria_cells,
     _curve_biases,
     _per_draw_curve,
+    _per_draw_excess,
     _per_draw_lower_bound,
 )
 
@@ -833,6 +836,18 @@ def test_lower_bound_experiment_stream_lock():
         "0.06269163802380699", "0.060795898578179325", "0.06458737746943466")
 
 
+def test_lower_bound_benchmark_cell_stream_lock():
+    # the per-point d = 2 cell of the lower-bound benchmark at full size:
+    # 400 outer draws, 400 trials per F key, 16 F keys
+    eta = Fraction(1, 128)
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    report = lower_bound_experiment(learner, eta, 2, 512, trials_outer=400, trials_f=400,
+                                    rng=RandomSource(SEED, 24))
+    assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
+        "0.058872316393870854", "0.05766524675722737", "0.06007938603051434")
+    assert report.f_points == 16
+
+
 def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
     # criterion 5's exact mean excess (every F exact, weighted by the hard
     # distribution) against 400 Monte Carlo reports at seeds 0..399 on one
@@ -1045,6 +1060,51 @@ def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
             repr(excess), repr(std_error))
 
 
+# biases with denominators 7, 10, 2^55, 2 and 1, and 1-D schemes with
+# budgets 1/28 (1/7 and 0 on the grid) and 3/40 (-3/10 and 0 on the grid): a
+# wrong common denominator of the test-atom masses shows in a coefficient
+NON_DYADIC = (Fraction(1, 7), Fraction(-3, 10), Fraction(0.1), Fraction(1, 2), Fraction(-1, 2),
+              Fraction(0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("per_point", [True, False])
+def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, per_point):
+    def f_value(key):  # a distinct value per key, so no two keys can be swapped
+        i, coords = key
+        return float(sum(c * (j + 2) for j, c in enumerate(coords))) / 3 - i / 11
+
+    rows = list(product(range(len(NON_DYADIC)), repeat=d))
+    counts = [1 + r % 4 for r in range(len(rows))]
+    for scheme in (PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 28), 2, Fraction(1, 28)), d),
+                   PoisoningSchemeD(PoisoningScheme1D(Fraction(3, 40), 2, Fraction(3, 40)), d),
+                   identity_scheme(d)):
+        excesses, coefficients = experiments._excess_table(per_point, scheme, NON_DYADIC, rows,
+                                                           counts, f_value)
+        want_excesses, want_coefficients = [], {}
+        for row, count in zip(rows, counts):
+            u = BiasVector([NON_DYADIC[a] for a in row])
+            excess, per_key = _per_draw_excess(per_point, u, scheme, f_value)
+            want_excesses.append(excess)
+            for key, c in per_key.items():
+                want_coefficients[key] = want_coefficients.get(key, 0) + count * c
+        assert excesses == want_excesses
+        assert coefficients == want_coefficients
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_distinct_rows_are_those_of_numpy_unique(d):
+    gen = np.random.default_rng(d)
+    for atoms in (1, 2, 9, 33, 257):
+        for trials in (1, 7, 400):
+            draws = gen.integers(0, atoms, size=(trials, d)).astype(np.intp)
+            rows, counts = experiments._distinct_rows(draws)
+            want_rows, want_counts = np.unique(draws, axis=0, return_counts=True)
+            assert rows.tolist() == want_rows.tolist()
+            assert counts.tolist() == want_counts.tolist()
+            assert counts.sum() == trials
+
+
 def _bayes_rows(values, d: int) -> list[tuple[int, ...]]:
     """Every row of d indices into values up to order. Both sides of the
     Bayes-loss check sum exact terms, so a row's order cannot change them."""
@@ -1067,37 +1127,51 @@ def test_bayes_losses_are_the_floats_of_exact_bayes_losses(d):
         assert experiments._bayes_losses(values, rows) == want
 
 
-def _count_scheme_maps(monkeypatch) -> list:
-    calls = []
-    original = PoisoningSchemeD.apply
-    monkeypatch.setattr(PoisoningSchemeD, "apply",
-                        lambda self, i, y, u: calls.append(i) or original(self, i, y, u))
-    return calls
+def _count_maps_and_estimates(monkeypatch) -> tuple[list, list]:
+    """Record every 1-D scheme map and every F estimate the experiment runs."""
+    maps, estimates = [], []
+    original = PoisoningScheme1D.apply
+    monkeypatch.setattr(PoisoningScheme1D, "apply",
+                        lambda self, y, u: maps.append((y, u)) or original(self, y, u))
+    monkeypatch.setattr(experiments, "estimate_F",
+                        lambda *args, **kwargs: estimates.append((*kwargs["points"], args[1]))
+                        or estimate_F(*args, **kwargs))
+    return maps, estimates
 
 
 @pytest.mark.parametrize("outer", [200, 2000])
 def test_lower_bound_builds_each_per_point_term_once(monkeypatch, outer):
-    # d = 2 at eta = 1/128: 9 atoms per coordinate, so 2 coordinates x 2
-    # labels x 9 atoms = 36 scheme maps however many biases are drawn
+    # d = 2 at eta = 1/128: 9 atoms per coordinate, so 2 labels x 9 atoms =
+    # 18 scheme maps however many biases are drawn, and one F estimate per
+    # distinct key, (coordinate, poisoned value) with the other coordinate 0
     eta, d = Fraction(1, 128), 2
-    assert len(build_scheme_1d(d * eta)[1].values()) == 9
+    values = build_scheme_1d(d * eta)[1].values()
+    assert len(values) == 9
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
-    calls = _count_scheme_maps(monkeypatch)
+    maps, estimates = _count_maps_and_estimates(monkeypatch)
     report = lower_bound_experiment(learner, eta, d, 16, outer, 10, RandomSource(SEED, 17))
-    assert len(calls) == 2 * d * 9 == 36
-    assert report.f_points == 16
+    assert Counter(maps) == Counter((y, v) for v in values for y in (PLUS, MINUS))
+    assert len(maps) == 2 * 9 == 18
+    assert len(estimates) == len(set(estimates)) == report.f_points == 16
 
 
 def test_lower_bound_builds_the_terms_of_each_distinct_draw_otherwise(monkeypatch):
+    # a learner that is not per-point still maps each atom once per label;
+    # its F keys keep the drawn row's other coordinate, one estimate each
     eta, d, outer = Fraction(1, 128), 2, 200
     learner = ExpMechanismLearner(THREE, ExpMechanismConfig(eta))
-    calls = _count_scheme_maps(monkeypatch)
+    maps, estimates = _count_maps_and_estimates(monkeypatch)
     rng = RandomSource(SEED, 18)
-    lower_bound_experiment(learner, eta, d, 16, outer, 10, rng)
+    report = lower_bound_experiment(learner, eta, d, 16, outer, 10, rng)
     hard = build_scheme_1d(d * eta)[1]
     distinct = np.unique(hard.sample_indices(rng.child("outer").generator(), (outer, d)), axis=0)
     assert len(distinct) > 9
-    assert len(calls) == 2 * d * len(distinct)
+    assert len(maps) == 2 * len(hard.values()) == 18
+    scheme = PoisoningSchemeD(build_scheme_1d(d * eta)[0], d)
+    keys = {(i, scheme.apply(i, y, BiasVector([hard.values()[a] for a in row])))
+            for row in distinct.tolist() for i in range(d) for y in (PLUS, MINUS)}
+    assert len(estimates) == report.f_points == len(keys) > 16
+    assert set(estimates) == keys
 
 
 @pytest.mark.parametrize("outer", [0, -3])
@@ -1107,6 +1181,36 @@ def test_lower_bound_rejects_fewer_than_one_outer_trial(monkeypatch, outer):
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
     with pytest.raises(ValueError, match="trials_outer must be >= 1"):
         lower_bound_experiment(learner, Fraction(1, 64), 1, 32, outer, 20, RandomSource(SEED, 5))
+
+
+@pytest.mark.parametrize("n,trials_f,message", [(0, 20, "n must be >= 1"),
+                                                 (-3, 20, "n must be >= 1"),
+                                                 (32, 0, "trials_f must be >= 1"),
+                                                 (32, -1, "trials_f must be >= 1")])
+def test_lower_bound_rejects_fewer_than_one_row_or_f_trial(monkeypatch, n, trials_f, message):
+    monkeypatch.setattr(experiments, "estimate_F",
+                        lambda *args, **kwargs: pytest.fail("estimate_F ran"))
+    monkeypatch.setattr(HardBiasDistribution, "sample_indices",
+                        lambda *args, **kwargs: pytest.fail("the outer biases were drawn"))
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
+    with pytest.raises(ValueError, match=message):
+        lower_bound_experiment(learner, Fraction(1, 64), 1, n, 20, trials_f, RandomSource(SEED, 5))
+
+
+@pytest.mark.parametrize("sizes,trials_f,message", [((16, 0), 20, "sizes must be >= 1"),
+                                                    ((-3,), 20, "sizes must be >= 1"),
+                                                    ((16,), 0, "trials_f must be >= 1")])
+def test_learning_curve_rejects_fewer_than_one_row_or_f_trial(monkeypatch, sizes, trials_f,
+                                                              message):
+    monkeypatch.setattr(experiments, "estimate_F",
+                        lambda *args, **kwargs: pytest.fail("estimate_F ran"))
+    eta = Fraction(1, 16)
+    inner, _ = build_scheme_1d(eta)
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
+    with pytest.raises(ValueError, match=message):
+        learning_curve_experiment(learner, BiasVector([inner.endpoint]),
+                                  PoisoningSchemeD(inner, 1), sizes, trials_f,
+                                  RandomSource(SEED, 7))
 
 
 def test_learning_curve_rejects_empty_sizes():
