@@ -176,8 +176,9 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     of the integers (q + 2 y p) / (2 q d) at u_i = p/q (`_atom_ratios`):
     Python's int / int is correctly rounded, so it is float() of the exact
     weight (1/2 + y u_i) / d, the float of the distribution's atom. The histograms are
-    scored by one call per query point, which bounds its own memory
-    (`learners.SCORE_BUDGET`). Every other learner draws its trials
+    scored by one call per query point; exp-mech reads each one's counts at
+    the point on a full class (`learners._count_law`) and otherwise bounds
+    its own memory (`learners.SCORE_BUDGET`). Every other learner draws its trials
     as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
     batches of rows, in sequence from the one generator, and scores each
     batch with one `prediction_prob` call per query point, which must return

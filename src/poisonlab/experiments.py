@@ -12,14 +12,19 @@ A bound method of a learner that declares `Learner.per_point` (the
 exponential mechanisms on a full class) is scored on count states: at each
 point x, every (a, b) = (#(x, +1), #(x, -1)) of a size-n sample, n + 1
 states at d = 1 and (n + 1)(n + 2) / 2 at d >= 2, by one
-`batch_prediction_probs` call on their histograms. A radius-1 ball is a
-state's unit row moves (2 at d = 1, 6 at d >= 2), exact for any rule that
-reads only the counts at x. A state weighs w * its number of sequences, w
-the exact weight of one sequence in it (`_count_weights`). At d = 1
-every value is the sequence table's to the bit, at d >= 2 within 2 ulp.
-The scores read the learner, d and n alone, so a count table is built once
-per (learner, d, n) and kept for every distribution, budget and test atom
-weighed on it (`_count_table`, the 4 most recent tables).
+`batch_prediction_probs` call on their histograms, which the mechanisms
+score from (a, b, n) in closed form (`learners._count_law`), at any d in
+the same time. A radius-1 ball is a state's unit row moves (2 at d = 1, 6
+at d >= 2), exact for any rule that reads only the counts at x. A state
+weighs w * its number of sequences, w the exact weight of one sequence in
+it (`_count_weights`), the other points' rows pooled. Both state spaces
+read the same +1 probabilities, so at d = 1 every value is the sequence
+table's to the bit; at d >= 2 the pooled weights round apart from the
+table's per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify
+check `experiments.count-engine` grades (2 ulp allowed). The scores read the
+learner, d and n alone, so a count table is built once per (learner, d, n)
+and kept for every distribution, budget and test atom weighed on it
+(`_count_table`, the 4 most recent tables).
 
 Every other oracle is scored on the sequence table, built anew per call:
 every atom sequence, zero-weight ones included, is one row of a single
@@ -354,9 +359,10 @@ class _CountTable(_ExactTable):
     rows of (x, -1), state s of `_count_states`. Point x's states are scored
     by one `batch_prediction_probs` call on (S, d, 2) histograms, with the
     r = n - a - b other rows at (x + 1, +1); a per-point rule reads only a,
-    b and n, so any placement of them gives its value, and this one matches
-    the sequence table most often in the last bit. The table depends on the
-    learner, d and n alone (`_count_table`)."""
+    b and n, so any placement of them gives its value (exp-mech on a full
+    class reads them in closed form, `learners._count_law`, in time
+    independent of d). The table depends on the learner, d and n alone
+    (`_count_table`)."""
 
     def __init__(self, learner: Learner, d: int, n: int):
         a, b, self.moves = _count_states(n, d == 1)

@@ -14,8 +14,11 @@ one point per trial, with the learner's coins drawn from the generator. A
 one-sample call is a one-row batch. Every number of the mechanism, its loss
 counts, selection law, log-probabilities, +1 and flip probabilities, comes
 from one histogram scorer (`_loss_counts`, `_softmax`), so a sample scores
-the same alone as in any batch. The split-and-subsample rule restricts its
-class with `core.restrict_dedupe`; this module imports from `core` alone.
+the same alone as in any batch. On the full class the +1 probability at x
+reads only the counts at x, and is computed from them in closed form
+(`_count_law`), 2 weights a sample instead of 2^d; the class scorer stays
+its reference. The split-and-subsample rule restricts its class with
+`core.restrict_dedupe`; this module imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -64,19 +67,18 @@ class ExpMechanismConfig:
         return math.sqrt(math.log(m) / float(self.eta))
 
 
-# class size times samples per `_softmax` pass of the mechanism's batch scorer:
-# its (class size, samples) arrays stay near 8 MB for any class and batch, and
-# the small classes of the lower-bound experiments score a batch in one pass
+# class size times samples per `_softmax` pass of the class scorer
+# (`_class_probs`): its (class size, samples) arrays stay near 8 MB for any
+# class and batch
 SCORE_BUDGET = 2 ** 20
 
 
-def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disagreement counts (m, trials) of every hypothesis with every sample
-    of a batch, and each sample's row count (trials,). `histograms[t, i, 0]`
-    and `histograms[t, i, 1]` count the rows of sample t reading (i, +1) and
-    (i, -1); points past the second axis, which may not exceed the class
-    domain, count 0. A hypothesis disagrees with the (i, -1) rows where it
-    reads +1 and with the (i, +1) rows where it reads -1."""
+def _checked_histograms(hclass: HypothesisClass,
+                        histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of histograms as int64 counts, and each sample's row count
+    (trials,). `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows
+    of sample t reading (i, +1) and (i, -1); points past the second axis,
+    which may not exceed the class domain, count 0."""
     if (histograms.ndim != 3 or histograms.shape[2] != 2
             or not np.issubdtype(histograms.dtype, np.integer)):
         raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
@@ -85,9 +87,19 @@ def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.nd
         raise DomainMismatchError(
             f"histograms over {d} points exceed the class domain {hclass.domain_size}")
     hist = histograms.astype(np.int64, copy=False)
-    n = hist.sum(axis=(1, 2))
+    n = np.einsum("tij->t", hist)  # sum(axis=(1, 2)), which is slow over so few counts
     if n.size and (n.min() < 1 or hist.min() < 0):
         raise ValueError("histogram counts must be nonnegative with at least one row")
+    return hist, n
+
+
+def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disagreement counts (m, trials) of every hypothesis with every sample
+    of a batch (`_checked_histograms`), and each sample's row count. A
+    hypothesis disagrees with the (i, -1) rows where it reads +1 and with the
+    (i, +1) rows where it reads -1."""
+    hist, n = _checked_histograms(hclass, histograms)
+    d = hist.shape[1]
     plus_votes = (hclass.values[:, :d] == PLUS).astype(np.int64)  # (m, d)
     counts = plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T
     return counts, n
@@ -113,6 +125,43 @@ def _softmax(hclass: HypothesisClass, histograms: np.ndarray,
     shifted = scores - scores.max(axis=0, keepdims=True)
     w = np.exp(shifted)
     return shifted, w, _sum_rows(w)
+
+
+def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
+                 config: ExpMechanismConfig) -> np.ndarray:
+    """The class scorer: the mechanism's +1 probability at x (one point, or
+    an array of one point per sample), summing the selection probabilities
+    of the hypotheses reading +1 there. The batch is scored in passes of at
+    most SCORE_BUDGET // class size samples, which give the values of one
+    pass to the bit, since each sample's sum is its own column
+    (`_sum_rows`). It is the reference of `_count_law`."""
+    per_trial = isinstance(x, np.ndarray)
+    step = max(1, SCORE_BUDGET // hclass.size)
+    parts = []
+    for lo in range(0, max(len(histograms), 1), step):
+        _, w, total = _softmax(hclass, histograms[lo:lo + step], config)
+        plus = hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
+        parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
+    return np.concatenate(parts)
+
+
+def _count_law(hclass: HypothesisClass, histograms: np.ndarray, x,
+               config: ExpMechanismConfig) -> np.ndarray:
+    """`_class_probs` on the full class, from each sample's counts a =
+    #(x, +1) and b = #(x, -1) and its size n alone. The loss is a sum over
+    points, so the mechanism picks h(x) by a softmax over two scores,
+    s- = -t a / n for h(x) = -1 and s+ = -t b / n for h(x) = +1, computed in
+    `_softmax`'s order: both shifted by their maximum and exponentiated, and
+    p = w+ / (w- + w+). At d = 1, where the class is those two hypotheses,
+    this is the class scorer to the bit; p never exceeds 1, since the sum
+    holds w+."""
+    hist, n = _checked_histograms(hclass, histograms)
+    if hist.shape[1] < hclass.domain_size:  # points past the histogram count 0
+        hist = np.pad(hist, ((0, 0), (0, hclass.domain_size - hist.shape[1]), (0, 0)))
+    at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
+    scores = (-config.temperature(hclass.size) / n) * at_x.T.astype(np.float64, order="C")
+    w = np.exp(scores - np.maximum(scores[0], scores[1]))
+    return w[1] / (w[0] + w[1])
 
 
 def _one_sample(*samples: Sample) -> None:
@@ -282,7 +331,8 @@ class ExpMechanismLearner(Learner):
     def per_point(self) -> bool:
         """On the full class the loss is a sum over points, so the mechanism
         picks each coordinate of h independently and P(h(x) = +1) reads only
-        the counts of (x, +1) and (x, -1)."""
+        the counts of (x, +1) and (x, -1); `batch_prediction_probs` computes
+        it from them (`_count_law`)."""
         return self.hclass.is_full
 
     # exact already; the alias lets attackers ask for the averaged oracle
@@ -291,20 +341,18 @@ class ExpMechanismLearner(Learner):
 
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
         """prediction_prob at x for a batch of samples given as (trials,
-        points, 2) histograms (see `_loss_counts`); x is one point for every
-        sample or a (trials,) array of one point each.
+        points, 2) histograms (see `_checked_histograms`); x is one point for
+        every sample or a (trials,) array of one point each.
 
         The mechanism is exchangeable: it sees a sample only through this
         histogram, so a learner exposing this method promises that row order
         never matters. The +1 probability is the exact partial sum of the
-        selection probabilities of the hypotheses reading +1 at x. The batch
-        is scored in passes of at most SCORE_BUDGET // class size samples,
-        which give the values of one pass to the bit, since each sample's
-        sum is its own column (`_sum_rows`).
+        selection probabilities of the hypotheses reading +1 at x. On the
+        full class that sum reads only the counts at x (`_count_law`); any
+        other class is scored hypothesis by hypothesis (`_class_probs`).
         """
-        per_trial = not isinstance(x, (int, np.integer))
         lo = hi = x
-        if per_trial:
+        if not isinstance(x, (int, np.integer)):
             x = np.asarray(x)
             if x.shape != histograms.shape[:1]:
                 raise ValueError("give one point, or one point per histogram")
@@ -312,13 +360,8 @@ class ExpMechanismLearner(Learner):
         if not 0 <= lo <= hi < self.hclass.domain_size:
             raise DomainMismatchError(
                 f"point {x} outside domain of size {self.hclass.domain_size}")
-        step = max(1, SCORE_BUDGET // self.hclass.size)
-        parts = []
-        for lo in range(0, max(len(histograms), 1), step):
-            _, w, total = _softmax(self.hclass, histograms[lo:lo + step], self.config)
-            plus = self.hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
-            parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
-        return np.concatenate(parts)
+        law = _count_law if self.hclass.is_full else _class_probs
+        return law(self.hclass, histograms, x, self.config)
 
 
 class CoupledExpMechanismLearner(ExpMechanismLearner):

@@ -277,6 +277,31 @@ def check_subsample_law(rng: RandomSource):
     return ok, f"max |count - {expect:.0f}| = {worst:.0f} over {total} subsets (4.5 sigma = {4.5*sigma:.0f})"
 
 
+def check_count_law(rng: RandomSource):
+    """Exp-mech on a full class reads the counts at x (`learners._count_law`);
+    on 60 random full(d), d <= 6, with n <= 512, eta in [2^-12, 1/2] and one
+    point per sample, it is the class scorer (`learners._class_probs`) to the
+    bit at d = 1, within 1e-13 past it, and never above 1."""
+    gen = rng.generator()
+    ones, worst, top = 0, 0.0, 0.0
+    for _ in range(60):
+        d, n = int(gen.integers(1, 7)), int(gen.integers(1, 513))
+        hclass = HypothesisClass.full(d)
+        config = ExpMechanismConfig(2.0 ** float(gen.uniform(-12, -1)))
+        hists = gen.multinomial(n, gen.dirichlet([1.0] * (2 * d)), size=200).reshape(200, d, 2)
+        xs = gen.integers(0, d, size=200)
+        law = learners._count_law(hclass, hists, xs, config)
+        scored = learners._class_probs(hclass, hists, xs, config)
+        if d == 1:
+            if not np.array_equal(law, scored):
+                return False, f"d=1, n={n}: closed form is not the class scorer to the bit"
+            ones += 1
+        worst, top = max(worst, float(np.abs(law - scored).max())), max(top, float(law.max()))
+    return worst <= 1e-13 and top <= 1.0, (
+        f"d=1: {ones} instances bit-identical; d<=6: max gap {worst:.1e} (<= 1e-13 required), "
+        f"max p {top!r}")
+
+
 # ---------------------------------------------------------------------------
 # adversary invariants
 
@@ -778,6 +803,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("learners.flip-bound", acceptance_flip_bound),
     ("learners.flip-chain", check_flip_chain),
     ("learners.subsample-law", check_subsample_law),
+    ("learners.count-law", check_count_law),
     ("adversaries.attack-membership", check_attack_membership),
     ("adversaries.brute-dominates", check_brute_dominates),
     ("adversaries.scheme-budget", check_scheme_budget),

@@ -278,8 +278,8 @@ def test_estimate_f_rejects_a_bias_outside_the_class_domain():
 
 # estimate_F of the full 2-point class at u = (1/8, -1/4), n = 64, 1003
 # trials, every histogram drawn by one multinomial call from one generator
-ESTIMATE_F_PIN = ("(0.07113580643283285, -0.14306113584707583)",
-                  "(0.0015411041578597027, 0.001363557227809297)")
+ESTIMATE_F_PIN = ("(0.07113580643283283, -0.14306113584707583)",
+                  "(0.0015411041578597027, 0.0013635572278092973)")
 
 
 def _scalar_moments(vals: list) -> tuple[float, float]:
@@ -320,10 +320,14 @@ def _record_calls(monkeypatch, cls, name) -> list:
     return calls
 
 
-def _full_class_f(size: int, rng: RandomSource) -> FTable:
-    learner = ExpMechanismLearner(HypothesisClass.full(size), ExpMechanismConfig(Fraction(1, 4)))
+def _class_f(hclass: HypothesisClass, rng: RandomSource) -> FTable:
+    learner = ExpMechanismLearner(hclass, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
     return estimate_F(learner, u, 64, 1003, rng)
+
+
+def _full_class_f(size: int, rng: RandomSource) -> FTable:
+    return _class_f(HypothesisClass.full(size), rng)
 
 
 def test_estimate_f_histogram_path_pin():
@@ -339,8 +343,8 @@ def test_estimate_f_scores_all_histograms_in_one_call_per_point(monkeypatch):
 
 
 def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
-    # 2^11 hypotheses: 2^20 // 2^11 = 512 trials a scoring pass, so one call
-    # and two passes per point
+    # full(11) less one row: 2^20 // 2047 = 512 trials a scoring pass, so one
+    # call and two passes per point
     calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
     passes = []
     softmax = learners._softmax
@@ -350,13 +354,18 @@ def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
         return softmax(hclass, histograms, config)
 
     monkeypatch.setattr(learners, "_softmax", recorded)
-    sliced = _full_class_f(11, RandomSource(SEED, 10))
+    short = HypothesisClass(HypothesisClass.full(11).values[:-1])
+    sliced = _class_f(short, RandomSource(SEED, 10))
     assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
     assert passes == [512, 491, 512, 491]
     passes.clear()
     monkeypatch.setattr(learners, "SCORE_BUDGET", 2 ** 40)
-    assert _full_class_f(11, RandomSource(SEED, 10)) == sliced
+    assert _class_f(short, RandomSource(SEED, 10)) == sliced
     assert passes == [1003, 1003]
+    # the full class reads each sample's counts at x and makes no pass
+    passes.clear()
+    _full_class_f(11, RandomSource(SEED, 10))
+    assert passes == []
 
 
 class _CountingGenerator:

@@ -78,6 +78,7 @@ from poisonlab.learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
+    _class_probs,
     _softmax,
 )
 from poisonlab.verify import (
@@ -613,9 +614,11 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
 
 
 def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
-    # full(3) has 8 hypotheses, so a budget of 72 scores 9 of the 55 states
-    # of n = 9 a pass, the last pass one state; p is the one-pass table's
-    learner = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
+    # full(3) less one row has 7 hypotheses, so a budget of 63 scores 9 of
+    # the 55 states of n = 9 a pass, the last pass one state; p is the
+    # one-pass table's
+    short = HypothesisClass(HypothesisClass.full(3).values[:-1])
+    learner = ExpMechanismLearner(short, ExpMechanismConfig(Fraction(1, 8)))
     whole = experiments._CountTable(learner, 3, 9)
     passes = []
 
@@ -624,10 +627,15 @@ def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
         return _softmax(hclass, histograms, config)
 
     monkeypatch.setattr("poisonlab.learners._softmax", recorded)
-    monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 72)
+    monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 63)
     sliced = experiments._CountTable(learner, 3, 9)
-    assert passes == ([72] * 6 + [8]) * 3
+    assert passes == ([63] * 6 + [7]) * 3
     assert sliced.p.tobytes() == whole.p.tobytes() and sliced.p.shape == (55, 3)
+    # the full class reads each state's counts at x and makes no pass
+    passes.clear()
+    full = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
+    assert experiments._CountTable(full, 3, 9).p.shape == (55, 3)
+    assert passes == []
 
 
 @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
@@ -662,6 +670,17 @@ def test_a_count_table_over_the_cap_raises_on_every_call():
     assert (after.misses - before.misses, after.currsize) == (3, before.currsize)
 
 
+class _ClassScoredRule(ExpMechanismLearner):
+    """Exp-mech on a full class scored hypothesis by hypothesis
+    (`learners._class_probs`), the reference of its closed form, which can
+    score a hair above 1; it still declares `per_point`."""
+
+    name = "class-scored"
+
+    def batch_prediction_probs(self, histograms, x):
+        return _class_probs(self.hclass, histograms, x, self.config)
+
+
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
     # fl(1 - p) is monotone, so 1 - min p over a ball is max (1 - p) over it:
     # criterion 9's two sides are equal floats, on the count engine and on
@@ -674,9 +693,9 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
                     == exhaustive_adversarial_loss(oracle, dist, eta, n)), (n, eta, u)
         cells += 1
     assert cells == 66
-    # at eta = 1/4096 exp-mech scores one ulp above 1, and all three risks
-    # still floor the error there at 0
-    tiny = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4096)))
+    # at eta = 1/4096 the class scorer puts exp-mech one ulp above 1, and all
+    # three risks still floor the error there at 0
+    tiny = _ClassScoredRule(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4096)))
     assert tiny.prediction_prob(Sample([0] * 9 + [1] * 2, [PLUS] * 11), 0) > 1.0
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(1, 2)]))
     for n in (11, 24):
@@ -879,7 +898,7 @@ def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
 @pytest.mark.parametrize("learner_id,want", [
     # exp-mech on full(2): per-point, F estimated on histograms
     ("exp-mech", (("0.10882911236814863", "0.10878190995915515"),
-                  ("0.006408604547513503", "0.004946272103295026"))),
+                  ("0.006408604547513503", "0.004946272103295028"))),
     # majority at d = 2: not per-point, F estimated on rows
     ("majority", (("0.11234374999999996", "0.09859374999999992"),
                   ("0.012135651412076861", "0.010493177675443386"))),
@@ -1315,7 +1334,7 @@ def test_run_cell_raises_plain_value_errors_from_the_estimate(monkeypatch):
 STREAM_LOCK = {
     ("exp-mech", "identity"): ("0.35906834400032966", "0.285943962631292", "0.4321927253693673"),
     ("exp-mech", "greedy"): ("0.4943235464095671", "0.4236309616665242", "0.5650161311526101"),
-    ("coupled", "identity"): ("0.35768733738026065", "0.2937625979730464", "0.4216120767874749"),
+    ("coupled", "identity"): ("0.3576873373802607", "0.2937625979730464", "0.42161207678747503"),
     ("coupled", "greedy"): ("0.5325257095863464", "0.45921522204818777", "0.605836197124505"),
     ("vc", "identity"): ("0.41982854658258206", "0.318244305525659", "0.5214127876395052"),
     ("vc", "greedy"): ("0.38785348674718045", "0.30211736281424717", "0.47358961068011374"),

@@ -30,6 +30,8 @@ from poisonlab.learners import (
     MajorityVoteLearner,
     VcLearnerConfig,
     VcSubsampleLearner,
+    _class_probs,
+    _count_law,
     empirical_loss_counts,
     empirical_losses,
     exp_mechanism_dist,
@@ -374,6 +376,95 @@ def test_batch_prediction_rejects_points_outside_the_domain():
     want = [wide.prediction_prob(Sample([0, 0, 0], [PLUS, PLUS, MINUS]), 1),
             wide.prediction_prob(Sample([0, 0, 0], [MINUS] * 3), 1)]
     assert got.tolist() == pytest.approx(want, abs=1e-12)
+
+
+COUNT_LAW_ETAS = (Fraction(1, 4096), Fraction(1, 64), Fraction(1, 4), 0.37)
+
+
+def test_count_law_is_the_class_scorer_to_the_bit_at_d1():
+    # full(1) is the two hypotheses the closed form weighs, in the class
+    # scorer's operation order: every count state of every n <= 600 ...
+    full = HypothesisClass.full(1)
+    a = np.concatenate([np.arange(n + 1) for n in range(1, 601)])
+    n = np.repeat(np.arange(1, 601), np.arange(2, 602))
+    states = np.stack([a, n - a], axis=-1)[:, None, :]
+    rng = np.random.default_rng(SEED + 31)
+    for eta in COUNT_LAW_ETAS:
+        config = ExpMechanismConfig(eta)
+        got = _count_law(full, states, 0, config)
+        assert np.array_equal(got, _class_probs(full, states, 0, config))
+        assert np.array_equal(ExpMechanismLearner(full, config).batch_prediction_probs(states, 0),
+                              got)
+        # ... and random batches, x one point or one per trial
+        hists = rng.multinomial(int(rng.integers(1, 300)), [0.3, 0.7], size=500)[:, None, :]
+        xs = np.zeros(500, dtype=np.int64)
+        for x in (0, xs):
+            assert np.array_equal(_count_law(full, hists, x, config),
+                                  _class_probs(full, hists, x, config))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_count_law_matches_the_class_scorer_past_d1(d):
+    full = HypothesisClass.full(d)
+    rng = np.random.default_rng(SEED + 32 + d)
+    for eta in COUNT_LAW_ETAS:
+        config = ExpMechanismConfig(eta)
+        for n in (1, 5, 64, 200):
+            hists = rng.multinomial(n, rng.dirichlet([1.0] * (2 * d)), size=400)
+            hists = hists.reshape(400, d, 2)
+            xs = rng.integers(0, d, size=400)
+            got = _count_law(full, hists, xs, config)
+            assert np.abs(got - _class_probs(full, hists, xs, config)).max() <= 1e-13
+            assert 0 <= got.min() and got.max() <= 1
+            assert np.array_equal(ExpMechanismLearner(full, config).batch_prediction_probs(
+                hists, xs), got)
+
+
+def test_count_law_never_scores_above_1():
+    # the class scorer adds the +1 half of four weights, one ulp above their
+    # total here; the closed form divides one weight by a sum holding it
+    config = ExpMechanismConfig(Fraction(1, 4096))
+    full = HypothesisClass.full(2)
+    sample = Sample([0] * 9 + [1] * 2, [PLUS] * 11)
+    assert _class_probs(full, sample.histograms(2), 0, config)[0] > 1.0
+    assert ExpMechanismLearner(full, config).prediction_prob(sample, 0) == 1.0
+
+
+def test_count_law_reads_a_point_past_the_histogram_as_empty():
+    # histograms over 2 points of a 4-point domain: points 2 and 3 count 0
+    full = HypothesisClass.full(4)
+    config = ExpMechanismConfig(Fraction(1, 32))
+    rng = np.random.default_rng(SEED + 41)
+    narrow = rng.multinomial(40, [0.25] * 4, size=300).reshape(300, 2, 2)
+    padded = np.concatenate([narrow, np.zeros((300, 2, 2), dtype=narrow.dtype)], axis=1)
+    xs = rng.integers(0, 4, size=300)
+    got = ExpMechanismLearner(full, config).batch_prediction_probs(narrow, xs)
+    assert np.array_equal(got, _count_law(full, padded, xs, config))
+    assert np.abs(got - _class_probs(full, narrow, xs, config)).max() <= 1e-13
+    assert np.all(got[xs >= 2] == 0.5)
+
+
+@pytest.mark.parametrize("hist, x", [
+    (np.array([[[2, 1]]]).astype(float), 0),
+    (-np.array([[[2, 1]]]), 0),
+    (np.zeros((1, 1, 2), dtype=int), 0),
+    (np.array([[[2, 1]]])[:, :, :1], 0),
+    (np.array([[2, 1]]), 0),
+    (np.array([[[2, 1], [1, 0], [0, 1]]]), 0),
+    (np.array([[[2, 1]]]), 2),
+    (np.array([[[2, 1]]]), -1),
+    (np.array([[[2, 1]], [[1, 1]]]), np.array([0, 2])),
+    (np.array([[[2, 1]], [[1, 1]]]), np.array([0])),
+])
+def test_both_scorers_raise_the_same_errors(hist, x):
+    # full(2) takes the closed form, full(2) less a row the class scorer
+    config = ExpMechanismConfig(Fraction(1, 8))
+    raised = []
+    for hclass in (HypothesisClass.full(2), HypothesisClass([[MINUS, MINUS], [PLUS, MINUS]])):
+        with pytest.raises((ValueError, DomainMismatchError)) as info:
+            ExpMechanismLearner(hclass, config).batch_prediction_probs(hist, x)
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_batched_prediction_prob_matches_each_row():
