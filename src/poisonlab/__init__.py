@@ -72,6 +72,7 @@ from .experiments import (
     exhaustive_clean_loss,
     exhaustive_public_loss,
     learning_curve_experiment,
+    lower_bound_exact,
     lower_bound_experiment,
     lower_bound_threshold,
     make_adversary,

@@ -58,26 +58,27 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     (1 - y * (2p - 1)) / 2. Ties keep the first maximizer in the ball's
     canonical enumeration order, so the clean sample itself wins when nothing
     strictly improves. A batch takes an Example of (trials,) point and label
-    arrays: each trial's ball is enumerated, every member of every ball is
-    scored by one oracle call at its trial's point, and each trial keeps its
-    own ball's first maximizer. Balls keep `ball_enumerate`'s default limits,
-    at most 3 corruptions and 10^7 members.
+    arrays: each trial's ball is enumerated as one (members, n) batch, the
+    balls are concatenated and scored by one oracle call at each member's
+    trial point, and each trial keeps its own ball's first maximizer, picked
+    out of the concatenated arrays. Balls keep `ball_enumerate`'s default
+    limits, at most 3 corruptions and 10^7 members.
     """
-    rows = list(sample.rows()) if sample.batched else [sample]
+    rows = sample.rows() if sample.batched else [sample]
     balls = [ball_enumerate(s, budget.eta, alphabet) for s in rows]
-    sizes = [len(ball) for ball in balls]
-    members = Sample(np.stack([m.points for ball in balls for m in ball]),
-                     np.stack([m.labels for ball in balls for m in ball]))
+    sizes = [len(ball.points) for ball in balls]
+    members = Sample(np.concatenate([ball.points for ball in balls]),
+                     np.concatenate([ball.labels for ball in balls]))
     p = one_per_trial(predictor, predictor(members, np.repeat(target.point, sizes)),
-                      sum(sizes))
+                      len(members.points))
     err = np.where(np.repeat(target.label, sizes) == PLUS, 1.0 - p, p)
     # an error at or below -1 never wins: member 0, the clean sample, stays
     err = np.where(err > -1.0, err, -np.inf)
-    best = [ball[int(np.argmax(e))]
-            for ball, e in zip(balls, np.split(err, np.cumsum(sizes)[:-1]))]
+    starts = np.cumsum(sizes) - sizes
+    best = starts + [int(np.argmax(e)) for e in np.split(err, starts[1:])]
     if not sample.batched:
-        return best[0]
-    return Sample(np.stack([b.points for b in best]), np.stack([b.labels for b in best]))
+        best = best[0]
+    return Sample(members.points[best], members.labels[best])
 
 
 def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) -> Sample:

@@ -9,6 +9,7 @@ forces a float.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -134,14 +135,6 @@ class Sample:
     def examples(self) -> Iterator[Example]:
         for p, l in zip(self.points.tolist(), self.labels.tolist()):
             yield Example(p, l)
-
-    def replace_many(self, positions: Sequence[int], replacements: Sequence[Example]) -> "Sample":
-        pts = self.points.copy()
-        labs = self.labels.copy()
-        for i, ex in zip(positions, replacements):
-            pts[i] = ex.point
-            labs[i] = ex.label
-        return Sample(pts, labs)
 
     def slice(self, index) -> "Sample":
         """The rows selected by `index`, in every trial of a batch."""
@@ -453,17 +446,43 @@ def corruption_limit(eta: Scalar, n: int) -> int:
     return min(k, n)
 
 
-def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
-                   cap: int = 10_000_000, max_corruptions: int | None = 3) -> list[Sample]:
-    """All samples within normalized Hamming distance eta of `sample`.
+@functools.lru_cache(maxsize=64)
+def _ball_grid(n: int, j: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (position subset, alphabet-index tuple) of a radius-j rewrite
+    of n rows from an alphabet of `size` entries, in itertools order: the
+    subsets of range(n) lexicographically, and for each the index tuples of
+    `product(range(size), repeat=j)`. Two read-only (entries, j) arrays."""
+    subsets = np.array(list(combinations(range(n), j)), dtype=np.intp).reshape(-1, j)
+    tuples = np.array(list(product(range(size), repeat=j)), dtype=np.intp).reshape(-1, j)
+    positions = np.repeat(subsets, len(tuples), axis=0)
+    indices = np.tile(tuples, (len(subsets), 1))
+    positions.setflags(write=False)
+    indices.setflags(write=False)
+    return positions, indices
 
-    Each neighbor is generated exactly once, keyed by the set of positions
-    where it differs, in a canonical order: corruption count ascending, then
-    lexicographic position subsets, then alphabet order per position. The
-    original sample is element 0. Intended as a brute-force oracle; `cap`
-    bounds the worst-case enumeration size and `max_corruptions` (overridable,
-    None to disable) keeps casual calls at oracle scale.
+
+def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
+                   cap: int = 10_000_000, max_corruptions: int | None = 3) -> Sample:
+    """All samples within normalized Hamming distance eta of `sample`, as
+    one (members, n) batch.
+
+    Each neighbor is generated once per set of positions where it differs
+    and alphabet entries written there, in a canonical order: corruption
+    count ascending, then lexicographic position subsets, then alphabet
+    order per position. The original sample is row 0. A repeated alphabet
+    entry gives repeated members. Intended as a brute-force oracle; `cap`
+    bounds the worst-case enumeration size and `max_corruptions`
+    (overridable, None to disable) keeps casual calls at oracle scale.
+
+    The alphabet is validated once, as a `Sample` of its entries, so a
+    non-integer or negative point or a label other than -1/+1 raises
+    `DomainMismatchError`. Each radius j takes the grid of (position
+    subset, alphabet-index tuple) pairs (`_ball_grid`), drops the pairs that
+    rewrite some row to its own example, and writes the rest into copies of
+    the sample with one fancy assignment; the batch is validated once.
     """
+    if sample.batched:
+        raise DimensionMismatchError("a ball is enumerated around one sample, not a batch")
     n = len(sample)
     k = corruption_limit(eta, n)
     if max_corruptions is not None and k > max_corruptions:
@@ -474,13 +493,25 @@ def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
         raise EnumerationTooLargeError(
             f"ball enumeration bound {size_bound} exceeds cap {cap}")
     alphabet = list(alphabet)
-    out = []
-    for j in range(k + 1):
-        for pos in combinations(range(n), j):
-            candidate_lists = [[a for a in alphabet if a != sample.example(p)] for p in pos]
-            for repl in product(*candidate_lists):
-                out.append(sample.replace_many(pos, repl))
-    return out
+    rewrites = []
+    if alphabet:
+        letters = Sample([a.point for a in alphabet], [a.label for a in alphabet])
+        for j in range(1, k + 1):
+            positions, indices = _ball_grid(n, j, len(alphabet))
+            own = ((letters.points[indices] == sample.points[positions])
+                   & (letters.labels[indices] == sample.labels[positions]))
+            keep = ~own.any(axis=1)
+            rewrites.append((positions[keep], indices[keep]))
+    members = 1 + sum(len(positions) for positions, _ in rewrites)
+    pts = np.repeat(sample.points[None], members, axis=0)
+    labs = np.repeat(sample.labels[None], members, axis=0)
+    start = 1
+    for positions, indices in rewrites:
+        rows = np.arange(start, start + len(positions))[:, None]
+        pts[rows, positions] = letters.points[indices]
+        labs[rows, positions] = letters.labels[indices]
+        start += len(positions)
+    return Sample(pts, labs)
 
 
 def full_alphabet(domain_size: int) -> tuple[Example, ...]:

@@ -771,6 +771,37 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
         passed=mean >= threshold - half, f_points=len(cache), seed=rng.seed)
 
 
+def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[float, float]:
+    """The exact mean oblivious excess of a per-point learner under lifted
+    grid poisoning, with every F exact (`exact_F`), and the threshold of
+    `lower_bound_experiment`; no CI, as nothing is sampled.
+
+    A per-point learner's row excess is a sum of per-slot terms, one per
+    coordinate value, and the hard law is a product, so the mean over all
+    |support|^d rows is the `hard.weights()`-weighted sum of the excesses
+    of the |support| diagonal rows [a] * d (`_excess_table`). A learner
+    that is not per-point raises PreconditionError, since its F keys read
+    whole rows; a size past the count engine's cap raises as `exact_F`
+    does.
+    """
+    if not learner.per_point:
+        raise PreconditionError(
+            f"learner {learner.name!r} is not per-point: its F keys read whole rows")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    eta = Fraction(eta)
+    if not d * eta < 1:
+        raise PreconditionError("requires eta < 1/d")
+    inner, hard = build_scheme_1d(d * eta)
+    scheme = PoisoningSchemeD(inner, d)
+    values = hard.values()
+    excesses, _ = _excess_table(
+        True, scheme, values, [[a] * d for a in range(len(values))], [1] * len(values),
+        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+    mean = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
+    return mean, lower_bound_threshold(scheme.eta, d)
+
+
 # ---------------------------------------------------------------------------
 # upper bound experiment
 

@@ -124,13 +124,13 @@ def check_ball_oracle(rng: RandomSource):
         eta = float(gen.uniform(0.0, 0.9))
         alphabet = full_alphabet(d)
         ball = ball_enumerate(s, eta, alphabet, max_corruptions=None)
-        got = {tuple(b.examples()) for b in ball}
-        if len(got) != len(ball):
+        got = {tuple(b.examples()) for b in ball.rows()}
+        if len(got) != len(ball.points):
             return False, "duplicate samples in ball"
         want = _ball_reference(s, math.floor(Fraction(eta) * n), alphabet)
         if got != want:
             return False, f"ball mismatch at n={n}, eta={eta:.3f}"
-        if ball[0] != s:
+        if next(ball.rows()) != s:
             return False, "ball does not start at the clean sample"
     return True, "matches recursive reference on 20 random balls (n <= 4)"
 
@@ -221,7 +221,7 @@ def acceptance_ratio_stability(rng: RandomSource):
         t = config.temperature(hclass.size)
         bound = 2.0 * t * float(config.eta)
         la = learners.exp_mechanism_log_dist(hclass, sample, config)
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)):
+        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
             lb = learners.exp_mechanism_log_dist(hclass, other, config)
             dev = float(np.max(np.abs(la - lb))) - bound
             worst = max(worst, dev)
@@ -236,7 +236,7 @@ def acceptance_flip_bound(rng: RandomSource):
     for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
         bound = learners.flip_bound(config, hclass.size)
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)):
+        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
             for x in range(hclass.domain_size):
                 flip = learners.flip_probability(hclass, sample, other, x, config)
                 worst = max(worst, flip - bound)
@@ -254,7 +254,7 @@ def check_flip_chain(rng: RandomSource):
         mid = 2.0 * (1.0 - math.exp(-2.0 * te))
         if mid > 4.0 * te + 1e-12:
             return False, "middle bound exceeds 4*t*eta"
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)):
+        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
             for x in range(hclass.domain_size):
                 flip = learners.flip_probability(hclass, sample, other, x, config)
                 if flip > mid + 1e-12:
@@ -484,7 +484,7 @@ def check_stability_certificate(rng: RandomSource):
     for _ in range(25):
         hclass, sample, config = _random_tiny_instance(gen)
         ball = ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size))
-        other = ball[int(gen.integers(0, len(ball)))]
+        other = list(ball.rows())[int(gen.integers(0, len(ball.points)))]
         report = analysis.stability_certificate(hclass, sample, other, config)
         if not (report.claim_ok and report.flip_ok):
             return False, "certificate failed on an in-ball pair"

@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 
 from poisonlab import cli, verify
-from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
 from poisonlab.core import (
     BiasVector,
@@ -27,9 +26,8 @@ from poisonlab.core import (
 )
 from poisonlab.experiments import (
     Z95,
-    _excess_table,
-    exact_F,
     exhaustive_adversarial_loss,
+    lower_bound_exact,
     lower_bound_experiment,
     make_adversary,
     mc_adversarial_loss,
@@ -108,13 +106,7 @@ def test_criterion_05_lower_bound_1d():
     rep = lower_bound_experiment(learner, eta, 1, 512, trials_outer=10_000,
                                  trials_f=20_000, rng=_rng("lower-1d"))
     elapsed = time.perf_counter() - start
-    inner, hard = build_scheme_1d(eta)
-    values = hard.values()
-    excesses, _ = _excess_table(
-        True, PoisoningSchemeD(inner, 1), values, [[a] for a in range(len(values))],
-        [1] * len(values),
-        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), 512, key[0]))
-    exact = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
+    exact, _ = lower_bound_exact(learner, eta, 1, 512)
     half = rep.ci_high - rep.mean
     ok = (rep.passed and rep.threshold == 0.0078125
           and half <= 0.002 and rep.trials_f >= 10_000 and rep.ci_low <= exact <= rep.ci_high)

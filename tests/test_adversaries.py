@@ -94,7 +94,7 @@ def test_brute_force_matches_exhaustive_argmax():
             return 1.0 - p if target.label == PLUS else p
 
         out = brute_force_attack(learner.prediction_prob, s, target, budget, full_alphabet(d))
-        best = max(err(b) for b in ball_enumerate(s, eta, full_alphabet(d)))
+        best = max(err(b) for b in ball_enumerate(s, eta, full_alphabet(d)).rows())
         assert err(out) == best
 
 

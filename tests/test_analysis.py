@@ -548,7 +548,7 @@ def test_stability_certificate_over_balls():
         hc = HypothesisClass.full(d)
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         config = ExpMechanismConfig(float(rng.uniform(0.1, 0.5)))
-        for other in ball_enumerate(s, config.eta, full_alphabet(d)):
+        for other in ball_enumerate(s, config.eta, full_alphabet(d)).rows():
             report = stability_certificate(hc, s, other, config)
             assert report.claim_ok and report.flip_ok
 

@@ -1,6 +1,7 @@
 import ast
 import math
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +99,6 @@ def test_sample_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a.key() == b.key() and a.key() != c.key()
-
-
-def test_sample_replace_many():
-    s = Sample([0, 1, 2], [PLUS, PLUS, PLUS])
-    t = s.replace_many([0, 2], [Example(5, MINUS), Example(7, MINUS)])
-    assert list(t.examples()) == [Example(5, MINUS), Example(1, PLUS), Example(7, MINUS)]
-    # original untouched
-    assert list(s.examples())[0] == Example(0, PLUS)
 
 
 def test_sample_is_positionally_ordered():
@@ -318,10 +311,54 @@ def test_ball_enumerate_matches_reference():
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         eta = float(rng.uniform(0, 0.99))
         ball = ball_enumerate(s, eta, full_alphabet(d), max_corruptions=None)
-        got = [tuple(b.examples()) for b in ball]
+        got = [tuple(b.examples()) for b in ball.rows()]
         assert len(set(got)) == len(got), "duplicates"
         assert got[0] == tuple(s.examples()), "clean sample must come first"
         assert set(got) == _reference_ball(s, math.floor(Fraction(eta) * n), full_alphabet(d))
+
+
+def _per_member_ball(sample, eta, alphabet):
+    """The ball built one member at a time: for each radius, each position
+    subset and each tuple of alphabet entries other than the rows' own
+    examples, a copy of the sample with those rows rewritten."""
+    n = len(sample)
+    out = []
+    for j in range(corruption_limit(eta, n) + 1):
+        for pos in combinations(range(n), j):
+            candidate_lists = [[a for a in alphabet if a != sample.example(p)] for p in pos]
+            for repl in product(*candidate_lists):
+                pts, labs = sample.points.copy(), sample.labels.copy()
+                for i, ex in zip(pos, repl):
+                    pts[i], labs[i] = ex.point, ex.label
+                out.append(Sample(pts, labs))
+    return out
+
+
+def test_ball_enumerate_rows_follow_the_per_member_order():
+    # full, reversed, truncated and duplicated alphabets at d <= 3, n <= 6, k <= 3
+    rng = np.random.default_rng(SEED + 9)
+    for case in range(120):
+        n, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
+        eta = Fraction(int(rng.integers(0, min(n, 3) + 1)), n)
+        full = list(full_alphabet(d))
+        alphabet = [full, full[::-1], full[:int(rng.integers(1, len(full) + 1))],
+                    full + [full[int(rng.integers(0, len(full)))]]][case % 4]
+        ball = ball_enumerate(s, eta, alphabet)
+        want = _per_member_ball(s, eta, alphabet)
+        assert ball.batched and len(ball.points) == len(want)
+        assert list(ball.rows()) == want, (case, n, d, eta)
+
+
+def test_ball_enumerate_validates_the_alphabet():
+    s = Sample([0, 1], [PLUS, MINUS])
+    # a float point is rejected, never truncated into a point index
+    for alphabet in ([Example(1.7, PLUS), Example(0, MINUS)], [Example(-1, PLUS)],
+                     [Example(0, 2)], [Example(0, 1.0)]):
+        with pytest.raises(DomainMismatchError):
+            ball_enumerate(s, 0.5, alphabet)
+    with pytest.raises(DimensionMismatchError):
+        ball_enumerate(Sample([[0, 1]], [[PLUS, MINUS]]), 0.5, full_alphabet(2))
 
 
 def test_corruption_limit_floors_exactly():
@@ -336,13 +373,14 @@ def test_ball_enumerate_size_formula():
     # d=1 alphabet has 1 alternative per row: |ball| = sum_{j<=k} C(n, j)
     s = Sample([0, 0, 0, 0], [PLUS] * 4)
     ball = ball_enumerate(s, 0.5, full_alphabet(1), max_corruptions=None)
-    assert len(ball) == 1 + 4 + 6
+    assert len(ball.points) == 1 + 4 + 6
 
 
 def test_ball_enumerate_zero_budget():
     s = Sample([0, 1], [PLUS, MINUS])
     ball = ball_enumerate(s, 0.49, full_alphabet(2))
-    assert ball == [s]
+    assert ball.points.shape == (1, 2)
+    assert list(ball.rows()) == [s]
 
 
 def test_ball_enumerate_is_deterministic():
@@ -358,6 +396,11 @@ def test_ball_enumerate_guards():
         ball_enumerate(s, 0.9, full_alphabet(2))  # k = 10 > default max_corruptions
     with pytest.raises(EnumerationTooLargeError):
         ball_enumerate(s, 0.9, full_alphabet(8), cap=1000, max_corruptions=None)
+    # the guards raise before the alphabet is read
+    with pytest.raises(PreconditionError):
+        ball_enumerate(s, 0.9, [Example(1.5, PLUS)])
+    with pytest.raises(EnumerationTooLargeError):
+        ball_enumerate(s, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3) - 1)
 
 
 def test_full_alphabet():

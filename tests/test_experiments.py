@@ -55,6 +55,7 @@ from poisonlab.experiments import (
     exhaustive_clean_loss,
     exhaustive_public_loss,
     learning_curve_experiment,
+    lower_bound_exact,
     lower_bound_experiment,
     lower_bound_threshold,
     make_adversary,
@@ -277,7 +278,7 @@ def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
         ball = ball_enumerate(Sample([a.point for a, _ in rows], [a.label for a, _ in rows]),
                               eta, alphabet, max_corruptions=None)
         for (x, y), q in atoms:
-            probs = [float(p_oracle(b, x)) for b in ball]
+            probs = [float(p_oracle(b, x)) for b in ball.rows()]
             if public:
                 value = 1.0 - min(probs) if y == PLUS else max(probs)
             else:
@@ -760,7 +761,7 @@ def test_ball_radius_is_the_exact_floor(eta, n):
     k = min(math.floor(Fraction(eta) * n), n)
     clean = Sample([0] * n, [MINUS] * n)
     ball = ball_enumerate(clean, eta, full_alphabet(1), max_corruptions=None)
-    assert max(int(hamming_distance(clean, b) * n) for b in ball) == k
+    assert max(int(hamming_distance(clean, b) * n) for b in ball.rows()) == k
     # the engine's ball around the all -1 sample holds at most k +1 rows
     plus_share = lambda sample, x: (sample.labels == PLUS).sum(axis=-1) / n  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(-1, 2)]))
@@ -875,13 +876,7 @@ def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
     # well outside the gates: 95% +- 3.2 binomial sd and sd(z) within 15% of 1
     eta, n = Fraction(1, 64), 512
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
-    inner, hard = build_scheme_1d(eta)
-    values = hard.values()
-    excesses, _ = experiments._excess_table(
-        True, PoisoningSchemeD(inner, 1), values, [[a] for a in range(len(values))],
-        [1] * len(values),
-        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
-    exact = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
+    exact, _ = lower_bound_exact(learner, eta, 1, n)
     assert exact == pytest.approx(0.05823780657579342, rel=1e-12)
     stream = stable_stream_id("calibration")
     covered, zs = 0, []
@@ -893,6 +888,36 @@ def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
         zs.append((rep.mean - exact) / (half / experiments.Z95))
     assert 366 <= covered <= 394, covered
     assert 0.85 <= statistics.stdev(zs) <= 1.15, statistics.stdev(zs)
+
+
+@pytest.mark.parametrize("d,n", [(2, 300), (3, 200)])
+def test_lower_bound_exact_sums_the_diagonal_rows_of_the_full_product(d, n):
+    # the |support| diagonal rows [a] * d against every one of the
+    # |support|^d rows, each weighted by its product of hard weights
+    eta = Fraction(1, 64 * d)
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    mean, threshold = lower_bound_exact(learner, eta, d, n)
+    inner, hard = build_scheme_1d(d * eta)
+    values, weights = hard.values(), hard.weights()
+    rows = list(product(range(len(values)), repeat=d))
+    excesses, _ = experiments._excess_table(
+        True, PoisoningSchemeD(inner, d), values, rows, [1] * len(rows),
+        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+    full = math.fsum(float(math.prod(weights[a] for a in row)) * e
+                     for row, e in zip(rows, excesses))
+    assert abs(mean - full) <= 1e-15, (mean, full)
+    assert threshold == lower_bound_threshold(eta, d)
+
+
+def test_lower_bound_exact_needs_a_per_point_learner_within_the_count_cap():
+    eta = Fraction(1, 128)
+    with pytest.raises(PreconditionError, match="not per-point"):
+        lower_bound_exact(MajorityVoteLearner(3), eta, 2, 16)
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    with pytest.raises(EnumerationTooLargeError, match="count states"):
+        lower_bound_exact(learner, eta, 2, 512)
+    with pytest.raises(PreconditionError):
+        lower_bound_exact(learner, Fraction(1, 2), 2, 16)
 
 
 @pytest.mark.parametrize("learner_id,want", [

@@ -9,7 +9,6 @@ from poisonlab.core import (
     MINUS,
     DomainMismatchError,
     EnumerationTooLargeError,
-    Example,
     PLUS,
     BiasVector,
     HypothesisClass,
@@ -167,7 +166,7 @@ def test_predict_prob_is_plus_mass():
 
 def test_flip_probability_frozen_oracle():
     s = Sample([0] * 8, [PLUS] * 8)
-    s2 = s.replace_many([0, 1], [Example(0, MINUS), Example(0, MINUS)])
+    s2 = Sample([0] * 8, [MINUS] * 2 + [PLUS] * 6)
     config = ExpMechanismConfig(Fraction(1, 4))
     assert config.temperature(2) == pytest.approx(T_SQRT4LOG2, abs=1e-15)
     learner = ExpMechanismLearner(TWO_CONSTS, config)
@@ -192,7 +191,7 @@ def test_flip_bound_holds_over_balls():
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         config = ExpMechanismConfig(float(rng.uniform(0.05, 0.49)))
         bound = flip_bound(config, hc.size)
-        for other in ball_enumerate(s, config.eta, full_alphabet(d)):
+        for other in ball_enumerate(s, config.eta, full_alphabet(d)).rows():
             for x in range(d):
                 assert flip_probability(hc, s, other, x, config) <= bound + 1e-12
 
