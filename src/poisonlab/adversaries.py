@@ -90,7 +90,8 @@ def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) ->
     sample is a fixed point. Ascending index within each phase keeps the
     attack deterministic. A batch takes an Example of (trials,) point and
     label arrays and rewrites every trial at once, each phase's rows chosen
-    by a cumulative count against the budget.
+    by a cumulative count against the budget; the second phase runs only
+    when some trial has budget left after the first.
     """
     limit = budget.max_corruptions(len(sample))
     if limit == 0:
@@ -98,10 +99,11 @@ def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) ->
     x = np.expand_dims(target.point, -1)  # (1,) for one sample, (trials, 1) for a batch
     y = np.expand_dims(target.label, -1)
     matching = (sample.points == x) & (sample.labels == y)
-    elsewhere = sample.points != x
     chosen = matching & (matching.cumsum(axis=-1) <= limit)
     room = limit - chosen.sum(axis=-1, keepdims=True)
-    chosen |= elsewhere & (elsewhere.cumsum(axis=-1) <= room)
+    if room.any():
+        elsewhere = sample.points != x
+        chosen |= elsewhere & (elsewhere.cumsum(axis=-1) <= room)
     if not chosen.any():
         return sample
     return Sample(np.where(chosen, x, sample.points), np.where(chosen, -y, sample.labels))

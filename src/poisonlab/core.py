@@ -80,6 +80,13 @@ class Sample:
     A batch of equal-size samples is one `Sample` of (trials, n) arrays,
     validated once as a whole; `len` is then n, the size of each sample, and
     `rows()` yields the trials as one-sample `Sample`s.
+
+    `Sample(points, labels)` is the one public constructor, and it checks
+    its input: equal shapes, integer point indices >= 0, labels -1/+1. The
+    arrays that the library builds itself are valid by construction and are
+    not checked again: a drawn sample or batch (`draw_sample_with`), a
+    batch's rows (`rows`) and a selection of its columns (`slice`). Every
+    `Sample` holds read-only int64 points and int8 labels.
     """
 
     __slots__ = ("points", "labels")
@@ -102,6 +109,18 @@ class Sample:
         self.points = pts
         self.labels = _signs(labs, DomainMismatchError, "labels")
 
+    @classmethod
+    def _valid(cls, points: np.ndarray, labels: np.ndarray) -> "Sample":
+        """A `Sample` of arrays known to be valid: equal-shape int64 point
+        indices >= 0 and int8 -1/+1 labels. Both are made read-only; nothing
+        is checked."""
+        points.setflags(write=False)
+        labels.setflags(write=False)
+        out = cls.__new__(cls)
+        out.points = points
+        out.labels = labels
+        return out
+
     def __len__(self) -> int:
         return self.points.shape[-1]
 
@@ -113,7 +132,7 @@ class Sample:
     def rows(self) -> Iterator["Sample"]:
         """The samples of a batch, in trial order."""
         for pts, labs in zip(self.points, self.labels):
-            yield Sample(pts, labs)
+            yield Sample._valid(pts, labs)
 
     def histograms(self, domain_size: int) -> np.ndarray:
         """(trials, domain_size, 2) counts of a batch, a one-sample `Sample`
@@ -124,8 +143,10 @@ class Sample:
             raise DomainMismatchError(
                 f"sample contains points outside a domain of size {domain_size}")
         trials = pts.shape[0]
-        minus = np.atleast_2d(self.labels) == MINUS
-        cell = (np.arange(trials)[:, None] * domain_size + pts) * 2 + minus
+        # cell index (t * domain_size + point) * 2 + (label == MINUS), built in one buffer
+        cell = pts * 2
+        cell += np.arange(0, trials * domain_size * 2, domain_size * 2)[:, None]
+        cell += np.atleast_2d(self.labels) == MINUS
         return np.bincount(cell.ravel(), minlength=trials * domain_size * 2).reshape(
             trials, domain_size, 2)
 
@@ -137,8 +158,15 @@ class Sample:
             yield Example(p, l)
 
     def slice(self, index) -> "Sample":
-        """The rows selected by `index`, in every trial of a batch."""
-        return Sample(self.points[..., index], self.labels[..., index])
+        """The rows selected by `index`, a slice or an index array, in every
+        trial of a batch. The selected entries are valid already; only the
+        shape of the selection is checked."""
+        pts = self.points[..., index]
+        if pts.ndim != self.points.ndim:
+            raise DimensionMismatchError("a slice keeps every axis of the sample")
+        if pts.size == 0:
+            raise ValueError("a sample holds at least one example")
+        return Sample._valid(pts, self.labels[..., index])
 
     def key(self) -> bytes:
         """Hashable identity, used for caching per-sample computations."""
@@ -527,13 +555,14 @@ def draw_sample(dist: ProductBiasDistribution, n: int, rng: RandomSource) -> Sam
 def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Generator,
                      trials: int | None = None) -> Sample:
     """n i.i.d. examples from gen, or a (trials, n) batch of such samples:
-    every point index first, then every label coin, in row-major order."""
+    every point index first, then every label coin, in row-major order. The
+    points lie in [0, d) and the labels are -1/+1 by construction, so the
+    arrays are not checked again."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
     shape = n if trials is None else (trials, n)
-    pts = gen.integers(0, dist.dimension, size=shape)
-    labs = np.where(gen.random(shape) < dist._pplus[pts], PLUS, MINUS).astype(np.int8)
-    return Sample(pts, labs)
+    pts = gen.integers(0, dist.dimension, size=shape, dtype=np.int64)
+    return Sample._valid(pts, _coin_labels(gen.random(shape) < dist._pplus[pts]))
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
@@ -544,5 +573,17 @@ def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
         p = int(gen.integers(0, dist.dimension))
         y = PLUS if gen.random() < dist._pplus[p] else MINUS
         return Example(p, y)
-    pts = gen.integers(0, dist.dimension, size=trials)
-    return Example(pts, np.where(gen.random(trials) < dist._pplus[pts], PLUS, MINUS))
+    pts = gen.integers(0, dist.dimension, size=trials, dtype=np.int64)
+    labs = _coin_labels(gen.random(trials) < dist._pplus[pts])
+    pts.setflags(write=False)
+    labs.setflags(write=False)
+    return Example(pts, labs)
+
+
+def _coin_labels(coin: np.ndarray) -> np.ndarray:
+    """PLUS where the boolean coin is set and MINUS elsewhere, as int8,
+    computed in the coin's own buffer: 2 * coin - 1."""
+    labs = coin.view(np.int8)
+    labs *= np.int8(2)
+    labs -= np.int8(1)
+    return labs

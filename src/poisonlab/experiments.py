@@ -202,7 +202,8 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     sees the whole chunk in one call (`adversary.attack`,
     `learner.prediction_prob`), and scores are kept in trial order. A
     learner that does not return one probability per trial raises
-    ValueError.
+    ValueError. An adversary that returns the clean batch object itself
+    moved no row, so only another batch is measured against the budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -216,12 +217,13 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
         clean = draw_sample_with(dist, n, gen, trials=size)
         targets = draw_example(dist, gen, trials=size)
         corrupted = adversary.attack(clean, targets, gen)
-        moved = hamming_distance(clean, corrupted)
-        over = np.flatnonzero(moved > limit)
-        if over.size:
-            raise BudgetViolationError(
-                f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
-                f"allowed by eta={budget} on trial {start + int(over[0])}")
+        if corrupted is not clean:
+            moved = hamming_distance(clean, corrupted)
+            over = np.flatnonzero(moved > limit)
+            if over.size:
+                raise BudgetViolationError(
+                    f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
+                    f"allowed by eta={budget} on trial {start + int(over[0])}")
         p = one_per_trial(learner, learner.prediction_prob(corrupted, targets.point, gen), size)
         scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,

@@ -282,3 +282,33 @@ def test_batch_attack_matches_each_row():
         out = adversary.attack(batch, targets)
         assert out.points.shape == (5, 4)
         assert list(out.rows()) == [adversary.attack(s, Example(x, y)) for s, x, y in pairs]
+
+
+@pytest.mark.parametrize("room_trial", [None, 2])
+def test_batched_greedy_when_the_first_phase_fills_the_budget(room_trial):
+    # every trial holds at least `limit` rows matching its target, so the
+    # second phase chooses nothing, except in the one trial given room
+    rng = np.random.default_rng(SEED + 4)
+    trials, n, d = 5, 12, 3
+    budget = AttackBudget(Fraction(1, 4))
+    limit = budget.max_corruptions(n)
+    targets = Example(rng.integers(0, d, size=trials), rng.choice((-1, 1), size=trials))
+    pts = rng.integers(0, d, size=(trials, n))
+    labs = rng.choice((-1, 1), size=(trials, n))
+    for t in range(trials):
+        rows = rng.choice(n, size=limit, replace=False)
+        pts[t, rows], labs[t, rows] = targets.point[t], targets.label[t]
+    if room_trial is not None:
+        # one matching row left, and others at the target point with the opposite label
+        pts[room_trial] = targets.point[room_trial]
+        labs[room_trial] = -targets.label[room_trial]
+        labs[room_trial, 7] = targets.label[room_trial]
+        pts[room_trial, [3, 10]] = (targets.point[room_trial] + 1) % d
+    batch = Sample(pts, labs)
+    out = greedy_flip_attack(batch, targets, budget)
+    want = [greedy_flip_attack(s, Example(x, y), budget)
+            for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
+    assert list(out.rows()) == want
+    moved = hamming_distance(batch, out)
+    # in the trial given room: row 7, then rows 3 and 10 in the second phase
+    assert moved.tolist() == [limit] * trials

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import poisonlab
+from poisonlab.adversaries import AttackBudget, greedy_flip_attack
 from poisonlab.core import (
     MINUS,
     PLUS,
@@ -24,7 +25,9 @@ from poisonlab.core import (
     ball_enumerate,
     corruption_limit,
     bayes_loss,
+    draw_example,
     draw_sample,
+    draw_sample_with,
     full_alphabet,
     hamming_distance,
     population_loss,
@@ -453,3 +456,60 @@ def test_draw_sample_frequencies():
     m = (pts == 0).sum()
     k = ((pts == 0) & (labs == PLUS)).sum()
     assert abs(k - 0.75 * m) <= 4.5 * math.sqrt(m * 0.75 * 0.25)
+
+
+def _assert_valid(points, labels):
+    """The arrays a builder returned hold what the checking constructor
+    accepts, unchanged, as read-only int64 points and int8 labels."""
+    rebuilt = Sample(points, labels)
+    assert np.array_equal(rebuilt.points, points) and np.array_equal(rebuilt.labels, labels)
+    assert points.dtype == np.int64 and labels.dtype == np.int8
+    assert not points.flags.writeable and not labels.flags.writeable
+
+
+def test_internal_builders_return_valid_samples():
+    # these builders skip or shorten the checks, so each result is rebuilt
+    # through the checking constructor
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8), Fraction(0)]))
+    gen = RandomSource(SEED, 40).generator()
+    batch = draw_sample_with(dist, 9, gen, trials=6)
+    targets = draw_example(dist, gen, trials=6)
+    one = draw_sample_with(dist, 9, gen)
+    built = [batch, one, *batch.rows(),
+             batch.slice(slice(4, None)), batch.slice([8, 0, 3]), one.slice(slice(None, 2)),
+             greedy_flip_attack(batch, targets, AttackBudget(Fraction(1, 3))),
+             greedy_flip_attack(one, Example(0, PLUS), AttackBudget(Fraction(1, 3))),
+             ball_enumerate(one.slice(slice(None, 4)), Fraction(1, 2), full_alphabet(3))]
+    assert batch.points.shape == (6, 9) and one.points.shape == (9,)
+    for s in built:
+        _assert_valid(s.points, s.labels)
+    _assert_valid(targets.point, targets.label)
+    assert targets.point.shape == targets.label.shape == (6,)
+
+
+def test_slice_keeps_the_sample_shape():
+    batch = Sample([[0, 1, 2], [2, 1, 0]], [[PLUS, MINUS, PLUS], [MINUS, MINUS, PLUS]])
+    assert batch.slice([2, 0]) == Sample([[2, 0], [0, 2]], [[PLUS, PLUS], [PLUS, MINUS]])
+    # an integer index would turn a batch into one sample of `trials` rows
+    with pytest.raises(DimensionMismatchError):
+        batch.slice(1)
+    with pytest.raises(DimensionMismatchError):
+        next(batch.rows()).slice(0)
+    with pytest.raises(ValueError, match="at least one example"):
+        batch.slice(slice(3, None))
+
+
+def test_histograms_count_each_trial():
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(20):
+        trials, n, d = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        batch = Sample(rng.integers(0, d, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+        domain = d + int(rng.integers(0, 2))
+        want = np.zeros((trials, domain, 2), dtype=np.int64)
+        for t, row in enumerate(batch.rows()):
+            for ex in row.examples():
+                want[t, ex.point, int(ex.label == MINUS)] += 1
+        assert np.array_equal(batch.histograms(domain), want)
+        assert np.array_equal(next(batch.rows()).histograms(domain), want[:1])
+    with pytest.raises(DomainMismatchError):
+        Sample([0, 3], [PLUS, PLUS]).histograms(3)

@@ -211,6 +211,42 @@ def test_mc_loss_budget_violation_names_the_global_trial():
     assert violator.calls == 2  # one call per chunk, the second one fatal
 
 
+def test_mc_loss_measures_every_batch_but_the_clean_one(monkeypatch):
+    class OverOnTwo(IdentityAdversary):
+        """Flips every label of trials 3 and 6 in a new batch."""
+
+        def attack(self, sample, target, gen=None):
+            labels = sample.labels.copy()
+            labels[[3, 6]] = -labels[[3, 6]]
+            return Sample(sample.points, labels)
+
+    class Copier(IdentityAdversary):
+        """Returns an equal batch that is not the clean object."""
+
+        def attack(self, sample, target, gen=None):
+            return Sample(sample.points.copy(), sample.labels.copy())
+
+    measured = []
+
+    def counted(a, b):
+        measured.append(len(a.points))
+        return hamming_distance(a, b)
+
+    monkeypatch.setattr(experiments, "hamming_distance", counted)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 8)))
+    args = (dist, 8, Fraction(1, 8), 2 * experiments.TRIAL_CHUNK + 5, RandomSource(SEED, 4))
+    with pytest.raises(BudgetViolationError,
+                       match=r"moved 8 of 8 rows > 1 allowed by eta=1/8 on trial 3$"):
+        mc_adversarial_loss(learner, OverOnTwo(), *args)
+    assert measured == [experiments.TRIAL_CHUNK]
+    copied = mc_adversarial_loss(learner, Copier(), *args)
+    assert measured[1:] == [experiments.TRIAL_CHUNK] * 2 + [5]  # every chunk is measured
+    clean = mc_adversarial_loss(learner, IdentityAdversary(), *args)
+    assert len(measured) == 4  # the clean batch itself is not measured
+    assert copied == clean
+
+
 class _OneSampleLearner(Learner):
     """Written to a one-sample contract: one float, whatever the sample's shape."""
 
