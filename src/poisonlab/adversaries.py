@@ -33,6 +33,10 @@ from .core import (
 )
 from .learners import one_per_trial
 
+# the fewest trials in a Monte Carlo chunk (`experiments.chunk_trials`), and
+# the most trials whose balls one `BruteForceAdversary.attack` scores at once
+TRIAL_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class AttackBudget:
@@ -62,13 +66,14 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     balls are concatenated and scored by one oracle call at each member's
     trial point, and each trial keeps its own ball's first maximizer, picked
     out of the concatenated arrays. Balls keep `ball_enumerate`'s default
-    limits, at most 3 corruptions and 10^7 members.
+    limits, at most 3 corruptions and 10^7 members. The balls are valid, so
+    neither their concatenation nor the pick is checked again.
     """
     rows = sample.rows() if sample.batched else [sample]
     balls = [ball_enumerate(s, budget.eta, alphabet) for s in rows]
     sizes = [len(ball.points) for ball in balls]
-    members = Sample(np.concatenate([ball.points for ball in balls]),
-                     np.concatenate([ball.labels for ball in balls]))
+    members = Sample._valid(np.concatenate([ball.points for ball in balls]),
+                            np.concatenate([ball.labels for ball in balls]))
     p = one_per_trial(predictor, predictor(members, np.repeat(target.point, sizes)),
                       len(members.points))
     err = np.where(np.repeat(target.label, sizes) == PLUS, 1.0 - p, p)
@@ -78,7 +83,7 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     best = starts + [int(np.argmax(e)) for e in np.split(err, starts[1:])]
     if not sample.batched:
         best = best[0]
-    return Sample(members.points[best], members.labels[best])
+    return Sample._valid(members.points[best], members.labels[best])
 
 
 def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) -> Sample:
@@ -300,6 +305,18 @@ class BruteForceAdversary(Adversary):
         self.alphabet = list(alphabet)
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
-        """The worst sample of each ball; a batch is searched with one oracle
-        call over every member of every trial's ball (`brute_force_attack`)."""
-        return brute_force_attack(self.predictor, sample, target, self.budget, self.alphabet)
+        """The worst sample of each ball (`brute_force_attack`). A batch is
+        searched TRIAL_CHUNK trials at a time, one oracle call over every
+        member of those trials' balls, so that at most TRIAL_CHUNK trials'
+        balls are held at once; a sample scores the same in any batch, so
+        the result does not depend on the split."""
+        if not sample.batched:
+            return brute_force_attack(self.predictor, sample, target, self.budget, self.alphabet)
+        parts = []
+        for start in range(0, len(sample.points), TRIAL_CHUNK):
+            trials = slice(start, start + TRIAL_CHUNK)
+            parts.append(brute_force_attack(
+                self.predictor, Sample._valid(sample.points[trials], sample.labels[trials]),
+                Example(target.point[trials], target.label[trials]), self.budget, self.alphabet))
+        return Sample._valid(np.concatenate([part.points for part in parts]),
+                             np.concatenate([part.labels for part in parts]))

@@ -507,7 +507,8 @@ def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
     `DomainMismatchError`. Each radius j takes the grid of (position
     subset, alphabet-index tuple) pairs (`_ball_grid`), drops the pairs that
     rewrite some row to its own example, and writes the rest into copies of
-    the sample with one fancy assignment; the batch is validated once.
+    the sample with one fancy assignment. Every entry of the batch comes from
+    the sample or the checked alphabet, so the batch is not checked again.
     """
     if sample.batched:
         raise DimensionMismatchError("a ball is enumerated around one sample, not a batch")
@@ -539,7 +540,7 @@ def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
         pts[rows, positions] = letters.points[indices]
         labs[rows, positions] = letters.labels[indices]
         start += len(positions)
-    return Sample(pts, labs)
+    return Sample._valid(pts, labs)
 
 
 def full_alphabet(domain_size: int) -> tuple[Example, ...]:

@@ -41,10 +41,16 @@ sets of exact state weights (`_count_weights`) about S * (n log2(D) / 8 + 130)
 bytes for S states and D the atoms' common denominator: 29 MB at D = 8,
 47 MB at D = 128 and 70 MB at D = 2000, so the cache can reach 8 times that.
 
-The Monte Carlo evaluator runs its trials in chunks of TRIAL_CHUNK, each on
-its own child stream: one (chunk, n) batch of samples is drawn, corrupted,
-budget-checked and scored by one call per layer, `Adversary.attack` and
-`Learner.prediction_prob` each taking the whole batch.
+The Monte Carlo evaluator runs its trials in chunks, each on its own child
+stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
+and scored by one call per layer, `Adversary.attack` and
+`Learner.prediction_prob` each taking the whole batch. A chunk holds
+`chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
+entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
+child stream, its generator and each layer's numpy calls) is paid once per
+2^14 entries at small n, and a chunk at n >= 256 is 64 trials. Every layer's
+working set is then O(chunk * n), except the ball-search attacker's, which
+scores at most TRIAL_CHUNK trials' balls per call.
 
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
@@ -103,6 +109,7 @@ from .adversaries import (
     GreedyFlipAdversary,
     IdentityAdversary,
     PoisoningSchemeD,
+    TRIAL_CHUNK,
     _scheme_1d,
     build_scheme_1d,
 )
@@ -115,10 +122,20 @@ from .analysis import (
 
 Z95 = 1.959963984540054
 
-# trials per chunk of mc_adversarial_loss: large enough that a chunk's numpy
-# calls outweigh their fixed cost, small enough that a chunk's arrays stay a
-# small share of the process's memory at the sample sizes of the sweeps
-TRIAL_CHUNK = 64
+# sample entries (trials * n) that a chunk of mc_adversarial_loss fills: large
+# enough that a chunk's numpy calls outweigh their fixed cost, small enough
+# that a chunk's arrays stay a small share of the process's memory
+CHUNK_ENTRIES = 2 ** 14
+
+
+def chunk_trials(n: int) -> int:
+    """Trials per chunk of `mc_adversarial_loss` at sample size n: as many
+    as fill CHUNK_ENTRIES sample entries, and never fewer than TRIAL_CHUNK.
+    Above n = CHUNK_ENTRIES / TRIAL_CHUNK = 256 a chunk holds more entries,
+    as many as TRIAL_CHUNK samples do."""
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
+    return max(TRIAL_CHUNK, CHUNK_ENTRIES // n)
 
 
 def normal_ci(values: Sequence[float]) -> tuple[float, float, float]:
@@ -196,9 +213,10 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     eta-ball (a violation is a hard failure, not a warning), and scores the
     learner's conditional error probability at the test example.
 
-    Trials run in chunks of TRIAL_CHUNK; chunk c draws from
-    `rng.child("trials", c)`, first its (chunk, n) sample rows, then its test
-    examples, then whatever the adversary and the learner draw. Each layer
+    Trials run in chunks of `chunk_trials(n)`, the last one shorter; chunk
+    c draws from `rng.child("trials", c)`, first its (chunk, n) sample rows,
+    then its test examples, then whatever the adversary and the learner
+    draw. A sample size below 1 raises ValueError. Each layer
     sees the whole chunk in one call (`adversary.attack`,
     `learner.prediction_prob`), and scores are kept in trial order. A
     learner that does not return one probability per trial raises
@@ -207,13 +225,14 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    chunk = chunk_trials(n)
     budget = Fraction(eta)
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
     scores: list[float] = []
-    for c, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+    for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
-        size = min(TRIAL_CHUNK, trials - start)
+        size = min(chunk, trials - start)
         clean = draw_sample_with(dist, n, gen, trials=size)
         targets = draw_example(dist, gen, trials=size)
         corrupted = adversary.attack(clean, targets, gen)

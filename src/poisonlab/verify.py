@@ -644,6 +644,7 @@ def check_batched_trials(rng: RandomSource):
     batched attack and scores against the one-sample path, row by row, with
     the learner's draws on generators in the same state."""
     eta, d, n = Fraction(1, 16), 2, 64
+    trials = experiments.chunk_trials(n)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
     worst = 0.0
     for learner_id in ("exp-mech", "coupled", "vc", "majority"):
@@ -653,8 +654,8 @@ def check_batched_trials(rng: RandomSource):
             adversary = experiments.make_adversary(adversary_id, eta, learner, d)
             source = rng.child(learner_id, adversary_id)
             gen = source.generator()
-            clean = core.draw_sample_with(dist, n, gen, trials=experiments.TRIAL_CHUNK)
-            targets = core.draw_example(dist, gen, trials=experiments.TRIAL_CHUNK)
+            clean = core.draw_sample_with(dist, n, gen, trials=trials)
+            targets = core.draw_example(dist, gen, trials=trials)
             batch = adversary.attack(clean, targets, gen)
             pairs = list(zip(clean.rows(), targets.point.tolist(), targets.label.tolist()))
             rows = [adversary.attack(s, Example(x, y), gen) for s, x, y in pairs]
@@ -667,7 +668,7 @@ def check_batched_trials(rng: RandomSource):
             worst = max(worst, float(np.max(np.abs(probs - one))))
     ok = worst <= 1e-12
     return ok, (f"attacks equal row by row; max |batched - one-sample score| = {worst:.1e} "
-                f"over 8 cells of {experiments.TRIAL_CHUNK} trials (<= 1e-12 required)")
+                f"over 8 cells of {trials} trials (<= 1e-12 required)")
 
 
 def check_sweep_deterministic(rng: RandomSource):

@@ -284,6 +284,34 @@ def test_batch_attack_matches_each_row():
         assert list(out.rows()) == [adversary.attack(s, Example(x, y)) for s, x, y in pairs]
 
 
+def test_brute_force_adversary_scores_64_trials_per_call(monkeypatch):
+    # a batch is searched 64 trials at a time; the result is the
+    # concatenation of the attacks on its 64-trial slices
+    import poisonlab.adversaries as adversaries
+
+    rng = np.random.default_rng(SEED + 5)
+    batch = Sample(rng.integers(0, 2, size=(130, 4)), rng.choice((-1, 1), size=(130, 4)))
+    targets = Example(rng.integers(0, 2, size=130), rng.choice((-1, 1), size=130))
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    adversary = BruteForceAdversary(learner.prediction_prob, AttackBudget(Fraction(1, 2)),
+                                    full_alphabet(2))
+    calls = []
+
+    def counted(predictor, sample, target, budget, alphabet):
+        calls.append(len(sample.points))
+        return brute_force_attack(predictor, sample, target, budget, alphabet)
+
+    monkeypatch.setattr(adversaries, "brute_force_attack", counted)
+    out = adversary.attack(batch, targets)
+    assert calls == [64, 64, 2]
+    slices = [adversary.attack(Sample(batch.points[t:t + 64], batch.labels[t:t + 64]),
+                               Example(targets.point[t:t + 64], targets.label[t:t + 64]))
+              for t in (0, 64, 128)]
+    assert out == Sample(np.concatenate([s.points for s in slices]),
+                         np.concatenate([s.labels for s in slices]))
+    assert out.points.shape == (130, 4)
+
+
 @pytest.mark.parametrize("room_trial", [None, 2])
 def test_batched_greedy_when_the_first_phase_fills_the_budget(room_trial):
     # every trial holds at least `limit` rows matching its target, so the

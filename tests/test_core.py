@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import poisonlab
-from poisonlab.adversaries import AttackBudget, greedy_flip_attack
+from poisonlab.adversaries import AttackBudget, brute_force_attack, greedy_flip_attack
 from poisonlab.core import (
     MINUS,
     PLUS,
@@ -34,6 +34,7 @@ from poisonlab.core import (
     sample_loss,
     stable_stream_id,
 )
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
 
 SEED = 20260825
 
@@ -475,12 +476,26 @@ def test_internal_builders_return_valid_samples():
     batch = draw_sample_with(dist, 9, gen, trials=6)
     targets = draw_example(dist, gen, trials=6)
     one = draw_sample_with(dist, 9, gen)
+    learner = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 4)))
+    scored = []
+
+    def oracle(sample, x):
+        scored.append(sample)  # the concatenated balls
+        return learner.prediction_prob(sample, x)
+
+    budget = AttackBudget(Fraction(1, 4))
     built = [batch, one, *batch.rows(),
              batch.slice(slice(4, None)), batch.slice([8, 0, 3]), one.slice(slice(None, 2)),
              greedy_flip_attack(batch, targets, AttackBudget(Fraction(1, 3))),
              greedy_flip_attack(one, Example(0, PLUS), AttackBudget(Fraction(1, 3))),
-             ball_enumerate(one.slice(slice(None, 4)), Fraction(1, 2), full_alphabet(3))]
+             ball_enumerate(one.slice(slice(None, 4)), Fraction(1, 2), full_alphabet(3)),
+             brute_force_attack(oracle, batch.slice(slice(None, 5)), targets, budget,
+                                full_alphabet(3)),
+             brute_force_attack(oracle, one.slice(slice(None, 5)), Example(1, MINUS), budget,
+                                full_alphabet(3))]
+    built += scored
     assert batch.points.shape == (6, 9) and one.points.shape == (9,)
+    assert [len(s.points) for s in scored] == [6 * 26, 26]  # 1 + 5 * 5 members a ball
     for s in built:
         _assert_valid(s.points, s.labels)
     _assert_valid(targets.point, targets.label)

@@ -204,10 +204,10 @@ def test_mc_loss_budget_violation_names_the_global_trial():
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     violator = LateViolator()
-    with pytest.raises(BudgetViolationError,
-                       match=rf"on trial {experiments.TRIAL_CHUNK + 5}$"):
+    chunk = experiments.chunk_trials(8)
+    with pytest.raises(BudgetViolationError, match=rf"on trial {chunk + 5}$"):
         mc_adversarial_loss(ConstantLearner(PLUS), violator, dist, 8,
-                            Fraction(1, 8), 3 * experiments.TRIAL_CHUNK, RandomSource(SEED, 3))
+                            Fraction(1, 8), 3 * chunk, RandomSource(SEED, 3))
     assert violator.calls == 2  # one call per chunk, the second one fatal
 
 
@@ -235,16 +235,47 @@ def test_mc_loss_measures_every_batch_but_the_clean_one(monkeypatch):
     monkeypatch.setattr(experiments, "hamming_distance", counted)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 8)))
-    args = (dist, 8, Fraction(1, 8), 2 * experiments.TRIAL_CHUNK + 5, RandomSource(SEED, 4))
+    chunk = experiments.chunk_trials(8)
+    args = (dist, 8, Fraction(1, 8), 2 * chunk + 5, RandomSource(SEED, 4))
     with pytest.raises(BudgetViolationError,
                        match=r"moved 8 of 8 rows > 1 allowed by eta=1/8 on trial 3$"):
         mc_adversarial_loss(learner, OverOnTwo(), *args)
-    assert measured == [experiments.TRIAL_CHUNK]
+    assert measured == [chunk]
     copied = mc_adversarial_loss(learner, Copier(), *args)
-    assert measured[1:] == [experiments.TRIAL_CHUNK] * 2 + [5]  # every chunk is measured
+    assert measured[1:] == [chunk] * 2 + [5]  # every chunk is measured
     clean = mc_adversarial_loss(learner, IdentityAdversary(), *args)
     assert len(measured) == 4  # the clean batch itself is not measured
     assert copied == clean
+
+
+def test_chunks_fill_the_entry_budget_with_at_least_64_trials():
+    assert experiments.CHUNK_ENTRIES == 64 * 256
+    assert [experiments.chunk_trials(n) for n in (1, 8, 64, 100, 256, 512, 4096)] == [
+        2 ** 14, 2048, 256, 163, 64, 64, 64]
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="sample size must be >= 1"):
+            experiments.chunk_trials(n)
+        with pytest.raises(ValueError, match="sample size must be >= 1"):
+            mc_adversarial_loss(ConstantLearner(PLUS), IdentityAdversary(), dist, n,
+                                Fraction(1, 8), 10, RandomSource(SEED, 3))
+
+
+@pytest.mark.parametrize("learner_id, n, trials, want", [
+    ("exp-mech", 256, 200, (0.4435849403636725, 0.39852686397031, 0.48864301675703503)),
+    ("vc", 512, 100, (0.36757855583878263, 0.2920393486191627, 0.44311776305840256)),
+])
+def test_mc_loss_at_n_256_and_above_keeps_the_64_trial_chunk_numbers(learner_id, n, trials,
+                                                                      want):
+    # chunks of 64 trials at n >= 256: these are the values of the 64-trial
+    # chunk layout, bit for bit
+    eta = Fraction(4, n)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    learner = experiments.make_learner(learner_id, HypothesisClass.full(2), eta, n,
+                                       dist.bias.coords)
+    adversary = experiments.make_adversary("greedy", eta, learner, 2)
+    est = mc_adversarial_loss(learner, adversary, dist, n, eta, trials, RandomSource(1729, 29))
+    assert repr((est.mean, est.ci_low, est.ci_high)) == repr(want)
 
 
 class _OneSampleLearner(Learner):
