@@ -62,28 +62,27 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     (1 - y * (2p - 1)) / 2. Ties keep the first maximizer in the ball's
     canonical enumeration order, so the clean sample itself wins when nothing
     strictly improves. A batch takes an Example of (trials,) point and label
-    arrays: each trial's ball is enumerated as one (members, n) batch, the
-    balls are concatenated and scored by one oracle call at each member's
-    trial point, and each trial keeps its own ball's first maximizer, picked
-    out of the concatenated arrays. Balls keep `ball_enumerate`'s default
-    limits, at most 3 corruptions and 10^7 members. The balls are valid, so
-    neither their concatenation nor the pick is checked again.
+    arrays: one `ball_enumerate` call builds every trial's ball as one
+    (trials * M, n) batch, one oracle call scores every member at its
+    trial's point, and each trial keeps the first maximizer of its row of
+    the (trials, M) errors. A ball padded with copies of its clean sample
+    scores them as its member 0, so a copy is never a first maximizer.
+    Balls keep `ball_enumerate`'s default limits, at most 3 corruptions
+    and 10^7 members a ball. The balls are valid, so the pick is not
+    checked again.
     """
-    rows = sample.rows() if sample.batched else [sample]
-    balls = [ball_enumerate(s, budget.eta, alphabet) for s in rows]
-    sizes = [len(ball.points) for ball in balls]
-    members = Sample._valid(np.concatenate([ball.points for ball in balls]),
-                            np.concatenate([ball.labels for ball in balls]))
-    p = one_per_trial(predictor, predictor(members, np.repeat(target.point, sizes)),
-                      len(members.points))
-    err = np.where(np.repeat(target.label, sizes) == PLUS, 1.0 - p, p)
+    ball = ball_enumerate(sample, budget.eta, alphabet)
+    trials = len(sample.points) if sample.batched else 1
+    members = len(ball.points) // trials
+    p = one_per_trial(predictor, predictor(ball, np.repeat(target.point, members)),
+                      len(ball.points))
+    err = np.where(np.repeat(target.label, members) == PLUS, 1.0 - p, p)
     # an error at or below -1 never wins: member 0, the clean sample, stays
     err = np.where(err > -1.0, err, -np.inf)
-    starts = np.cumsum(sizes) - sizes
-    best = starts + [int(np.argmax(e)) for e in np.split(err, starts[1:])]
+    best = np.arange(0, len(ball.points), members) + err.reshape(trials, members).argmax(axis=1)
     if not sample.batched:
         best = best[0]
-    return Sample._valid(members.points[best], members.labels[best])
+    return Sample._valid(ball.points[best], ball.labels[best])
 
 
 def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) -> Sample:
@@ -210,9 +209,11 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     return scheme, HardBiasDistribution(scheme)
 
 
+@functools.lru_cache(maxsize=64)
 def _scheme_1d(eta: Scalar) -> PoisoningScheme1D:
     """`build_scheme_1d`'s scheme alone, for callers with no use for the
-    hard distribution."""
+    hard distribution. A pure function of the exact budget, built once per
+    budget; the scheme is never modified, so callers share it."""
     requested = Fraction(eta)
     if requested <= 0:
         raise ValueError("eta must be positive")
@@ -306,10 +307,10 @@ class BruteForceAdversary(Adversary):
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         """The worst sample of each ball (`brute_force_attack`). A batch is
-        searched TRIAL_CHUNK trials at a time, one oracle call over every
-        member of those trials' balls, so that at most TRIAL_CHUNK trials'
-        balls are held at once; a sample scores the same in any batch, so
-        the result does not depend on the split."""
+        searched TRIAL_CHUNK trials at a time, one `ball_enumerate` call and
+        one oracle call over every member of those trials' balls, so that
+        at most TRIAL_CHUNK trials' balls are held at once; a sample scores
+        the same in any batch, so the result does not depend on the split."""
         if not sample.batched:
             return brute_force_attack(self.predictor, sample, target, self.budget, self.alphabet)
         parts = []

@@ -492,26 +492,32 @@ def _ball_grid(n: int, j: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
                    cap: int = 10_000_000, max_corruptions: int | None = 3) -> Sample:
     """All samples within normalized Hamming distance eta of `sample`, as
-    one (members, n) batch.
+    one (members, n) batch; for a (trials, n) batch of samples, every
+    trial's ball as one (trials * M, n) batch, M the largest ball's size.
 
     Each neighbor is generated once per set of positions where it differs
     and alphabet entries written there, in a canonical order: corruption
     count ascending, then lexicographic position subsets, then alphabet
     order per position. The original sample is row 0. A repeated alphabet
-    entry gives repeated members. Intended as a brute-force oracle; `cap`
-    bounds the worst-case enumeration size and `max_corruptions`
-    (overridable, None to disable) keeps casual calls at oracle scale.
+    entry gives repeated members. Trial t's ball fills rows t * M to
+    (t + 1) * M - 1 in that order, and a ball smaller than M is padded at
+    its end with copies of its own clean sample. With `full_alphabet(d)`
+    every row's own example appears once in the alphabet, so every ball
+    has sum_j C(n, j) (|alphabet| - 1)^j members and nothing is padded;
+    only a partial or repeated alphabet pads. Intended as a brute-force
+    oracle; `cap` bounds the worst-case size of one ball and
+    `max_corruptions` (overridable, None to disable) keeps casual calls at
+    oracle scale.
 
-    The alphabet is validated once, as a `Sample` of its entries, so a
-    non-integer or negative point or a label other than -1/+1 raises
+    The alphabet is validated once per call, as a `Sample` of its entries,
+    so a non-integer or negative point or a label other than -1/+1 raises
     `DomainMismatchError`. Each radius j takes the grid of (position
-    subset, alphabet-index tuple) pairs (`_ball_grid`), drops the pairs that
-    rewrite some row to its own example, and writes the rest into copies of
-    the sample with one fancy assignment. Every entry of the batch comes from
+    subset, alphabet-index tuple) pairs (`_ball_grid`), marks in one
+    (trials, pairs) mask the pairs that rewrite some row of a trial to its
+    own example, and writes every trial's other pairs into copies of its
+    sample with one fancy assignment. Every entry of the batch comes from
     the sample or the checked alphabet, so the batch is not checked again.
     """
-    if sample.batched:
-        raise DimensionMismatchError("a ball is enumerated around one sample, not a batch")
     n = len(sample)
     k = corruption_limit(eta, n)
     if max_corruptions is not None and k > max_corruptions:
@@ -521,25 +527,31 @@ def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
     if size_bound > cap:
         raise EnumerationTooLargeError(
             f"ball enumeration bound {size_bound} exceeds cap {cap}")
+    clean_pts, clean_labs = np.atleast_2d(sample.points), np.atleast_2d(sample.labels)
     alphabet = list(alphabet)
     rewrites = []
     if alphabet:
         letters = Sample([a.point for a in alphabet], [a.label for a in alphabet])
+        # own[t, i, a]: row i of trial t already reads alphabet entry a
+        own = ((clean_pts[:, :, None] == letters.points)
+               & (clean_labs[:, :, None] == letters.labels))
         for j in range(1, k + 1):
             positions, indices = _ball_grid(n, j, len(alphabet))
-            own = ((letters.points[indices] == sample.points[positions])
-                   & (letters.labels[indices] == sample.labels[positions]))
-            keep = ~own.any(axis=1)
-            rewrites.append((positions[keep], indices[keep]))
-    members = 1 + sum(len(positions) for positions, _ in rewrites)
-    pts = np.repeat(sample.points[None], members, axis=0)
-    labs = np.repeat(sample.labels[None], members, axis=0)
-    start = 1
-    for positions, indices in rewrites:
-        rows = np.arange(start, start + len(positions))[:, None]
+            keep = ~own[:, positions, indices].any(axis=2)
+            pair = np.nonzero(keep)[1]
+            rewrites.append((keep.sum(axis=1), positions[pair], indices[pair]))
+    members = 1 + int(np.max(sum(count for count, _, _ in rewrites)))
+    pts = np.repeat(clean_pts, members, axis=0)
+    labs = np.repeat(clean_labs, members, axis=0)
+    slot = np.arange(members)
+    start = np.ones((len(clean_pts), 1), dtype=np.intp)
+    for count, positions, indices in rewrites:
+        stop = start + count[:, None]
+        # trial t's kept pairs fill rows start[t] to stop[t] - 1 of its ball, in pair order
+        rows = np.flatnonzero((slot >= start) & (slot < stop))[:, None]
         pts[rows, positions] = letters.points[indices]
         labs[rows, positions] = letters.labels[indices]
-        start += len(positions)
+        start = stop
     return Sample._valid(pts, labs)
 
 

@@ -82,6 +82,7 @@ from .core import (
     RandomSource,
     Sample,
     Scalar,
+    _atom_ratios,
     ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
     bayes_loss,
     corruption_limit,
@@ -307,16 +308,17 @@ class _ExactTable:
             del self.maxima[next(iter(self.maxima))]
         return worst
 
-    def risk(self, dist: ProductBiasDistribution, eta: Scalar, atoms=None) -> float:
+    def risk(self, probs: dict[Example, Fraction], eta: Scalar, atoms=None) -> float:
         """Expected worst error over the radius-k balls, k = floor(eta n),
-        under `dist` and over the test atoms (example, q), by default those
-        of `dist`. The error at a state is 1 - p for a +1 target and p for a
-        -1 target; its maximum over the ball (`ball_maxima`) is floored at
-        0. The terms float(w * q) * maximum, one per live state and test
-        atom, times the state's number of sequences, are summed exactly in
-        integers, whatever their order, and rounded once."""
+        under the distribution whose exact atom probabilities are `probs`,
+        by example in `ProductBiasDistribution.atoms` order, and over the
+        test atoms (example, q), by default `probs.items()`. The error at a state is
+        1 - p for a +1 target and p for a -1 target; its maximum over the
+        ball (`ball_maxima`) is floored at 0. The terms float(w * q) *
+        maximum, one per live state and test atom, times the state's number
+        of sequences, are summed exactly in integers, whatever their order,
+        and rounded once."""
         worst = self.ball_maxima(corruption_limit(eta, self.n))
-        probs = dict(dist.atoms())
         terms, mults = [], []
         for (x, y), q in probs.items() if atoms is None else atoms:
             live, coef, m = self.weights(probs, x, q)
@@ -496,7 +498,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball, floored at 0
     (`_ExactTable.risk`)."""
-    return _engine(p_oracle, dist, n).risk(dist, eta)
+    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), eta)
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -509,20 +511,23 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
     monotone, 1 - min p is max (1 - p) for the same floats, so this is the
     private risk to the bit: a visible coupled coin costs the learner nothing.
     """
-    return _engine(p_oracle, dist, n).risk(dist, eta)
+    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), eta)
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                           n: int) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
     private, and so the public-coin, risk over radius-0 balls."""
-    return _engine(p_oracle, dist, n).risk(dist, 0)
+    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), 0)
 
 
 def _table_f(table: _ExactTable, u: BiasVector, x: int) -> float:
     """Exact F at point x under D_u^n, read off an engine's table: the
-    radius-0 risk of a -1 test label at x is E[p(S, x)], less 1/2."""
-    return table.risk(ProductBiasDistribution(u), 0, atoms=[(Example(x, MINUS), 1)]) - 0.5
+    radius-0 risk of a -1 test label at x is E[p(S, x)], less 1/2. The atom
+    probabilities come straight from `_atom_ratios`, with no distribution
+    built."""
+    probs = {ex: Fraction(num, den) for ex, num, den in _atom_ratios(u)}
+    return table.risk(probs, 0, atoms=[(Example(x, MINUS), 1)]) - 0.5
 
 
 def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
@@ -568,7 +573,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     uf = Fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
     table = _engine(p_oracle, dist, n)
-    left = table.risk(dist, 2 * eta)
+    left = table.risk(dict(dist.atoms()), 2 * eta)
     guard = math.exp(-n * float(eta) / 3.0)
     scheme = _scheme_1d(eta)
     candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}

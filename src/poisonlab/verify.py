@@ -118,6 +118,7 @@ def _ball_reference(sample: Sample, k: int, alphabet) -> set:
 
 def check_ball_oracle(rng: RandomSource):
     gen = rng.generator()
+    groups: dict[tuple[int, int, int], list[tuple[Sample, Sample]]] = {}
     for _ in range(20):
         d, n = int(gen.integers(1, 3)), int(gen.integers(1, 5))
         s = _random_sample(gen, d, n)
@@ -127,12 +128,22 @@ def check_ball_oracle(rng: RandomSource):
         got = {tuple(b.examples()) for b in ball.rows()}
         if len(got) != len(ball.points):
             return False, "duplicate samples in ball"
-        want = _ball_reference(s, math.floor(Fraction(eta) * n), alphabet)
-        if got != want:
+        k = math.floor(Fraction(eta) * n)
+        if got != _ball_reference(s, k, alphabet):
             return False, f"ball mismatch at n={n}, eta={eta:.3f}"
         if next(ball.rows()) != s:
             return False, "ball does not start at the clean sample"
-    return True, "matches recursive reference on 20 random balls (n <= 4)"
+        groups.setdefault((n, d, k), []).append((s, ball))
+    # the samples of each (n, d, radius) as one batch: on a full alphabet its
+    # balls are the samples' own, one after another, none padded
+    for (n, d, k), pairs in groups.items():
+        batch = Sample(np.stack([s.points for s, _ in pairs]), np.stack([s.labels for s, _ in pairs]))
+        own = Sample(np.concatenate([b.points for _, b in pairs]),
+                     np.concatenate([b.labels for _, b in pairs]))
+        if ball_enumerate(batch, Fraction(k, n), full_alphabet(d), max_corruptions=None) != own:
+            return False, f"batched balls differ from their samples' balls at n={n}, d={d}, k={k}"
+    return True, (f"matches recursive reference on 20 random balls (n <= 4); one batched call "
+                  f"per (n, d, radius) group ({len(groups)} groups) equals its samples' balls")
 
 
 def check_draw_reproducible(rng: RandomSource):

@@ -123,6 +123,26 @@ def test_batched_brute_force_keeps_each_clean_sample_under_ties():
     assert out == batch
 
 
+def test_brute_force_on_a_ragged_batch_keeps_each_clean_sample_and_matches_each_row():
+    # a partial alphabet gives balls of different sizes, padded with their
+    # clean samples; ties keep each trial's clean sample, and a real oracle
+    # picks each trial's own worst sample
+    rng = np.random.default_rng(SEED + 6)
+    batch = Sample(rng.integers(0, 2, size=(8, 5)), rng.choice((-1, 1), size=(8, 5)))
+    targets = Example(rng.integers(0, 2, size=8), rng.choice((-1, 1), size=8))
+    budget = AttackBudget(Fraction(2, 5))
+    alphabet = [Example(1, PLUS), Example(0, MINUS), Example(1, PLUS)]
+    sizes = {len(ball_enumerate(s, budget.eta, alphabet).points) for s in batch.rows()}
+    assert len(sizes) > 1
+    assert brute_force_attack(_tied, batch, targets, budget, alphabet) == batch
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    out = brute_force_attack(learner.prediction_prob, batch, targets, budget, alphabet)
+    assert list(out.rows()) == [
+        brute_force_attack(learner.prediction_prob, s, Example(x, y), budget, alphabet)
+        for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
+    assert out != batch
+
+
 def test_scheme_frozen_grid_at_eta_1_64():
     scheme, hard = build_scheme_1d(Fraction(1, 64))
     assert scheme.m == 3

@@ -361,8 +361,38 @@ def test_ball_enumerate_validates_the_alphabet():
                      [Example(0, 2)], [Example(0, 1.0)]):
         with pytest.raises(DomainMismatchError):
             ball_enumerate(s, 0.5, alphabet)
-    with pytest.raises(DimensionMismatchError):
-        ball_enumerate(Sample([[0, 1]], [[PLUS, MINUS]]), 0.5, full_alphabet(2))
+    # a batch is a batch of balls: a one-trial batch gives the sample's own ball
+    batch = Sample([[0, 1]], [[PLUS, MINUS]])
+    assert ball_enumerate(batch, 0.5, full_alphabet(2)) == ball_enumerate(s, 0.5, full_alphabet(2))
+    with pytest.raises(DomainMismatchError):
+        ball_enumerate(batch, 0.5, [Example(1.7, PLUS)])
+
+
+@pytest.mark.parametrize("alphabet_kind", ["full", "partial", "repeated", "zero-budget"])
+def test_batched_ball_is_each_rows_ball_padded_with_its_clean_sample(alphabet_kind):
+    rng = np.random.default_rng(SEED + 12)
+    for case in range(40):
+        trials, n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        batch = Sample(rng.integers(0, d, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+        full = list(full_alphabet(d))
+        alphabet = {"full": full, "zero-budget": full,
+                    "partial": full[:int(rng.integers(1, len(full) + 1))],
+                    "repeated": full + [full[int(rng.integers(0, len(full)))]]}[alphabet_kind]
+        k = 0 if alphabet_kind == "zero-budget" else int(rng.integers(1, min(n, 3) + 1))
+        eta = Fraction(k, n)
+        ball = ball_enumerate(batch, eta, alphabet)
+        own = [ball_enumerate(s, eta, alphabet) for s in batch.rows()]
+        members = max(len(b.points) for b in own)
+        assert ball.batched and ball.points.shape == (trials * members, n), case
+        everyone = list(ball.rows())
+        for t, (clean, mine) in enumerate(zip(batch.rows(), own)):
+            rows = everyone[t * members:(t + 1) * members]
+            assert rows[:len(mine.points)] == list(mine.rows()), case
+            assert rows[len(mine.points):] == [clean] * (members - len(mine.points)), case
+        if alphabet_kind in ("full", "zero-budget"):
+            # each row's own example is once in the alphabet: no ball is padded
+            assert {len(b.points) for b in own} == {members}
+            assert members == sum(math.comb(n, j) * (len(alphabet) - 1) ** j for j in range(k + 1))
 
 
 def test_corruption_limit_floors_exactly():
@@ -395,16 +425,22 @@ def test_ball_enumerate_is_deterministic():
 
 
 def test_ball_enumerate_guards():
-    s = Sample([0] * 12, [PLUS] * 12)
-    with pytest.raises(PreconditionError):
-        ball_enumerate(s, 0.9, full_alphabet(2))  # k = 10 > default max_corruptions
-    with pytest.raises(EnumerationTooLargeError):
-        ball_enumerate(s, 0.9, full_alphabet(8), cap=1000, max_corruptions=None)
-    # the guards raise before the alphabet is read
-    with pytest.raises(PreconditionError):
-        ball_enumerate(s, 0.9, [Example(1.5, PLUS)])
-    with pytest.raises(EnumerationTooLargeError):
-        ball_enumerate(s, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3) - 1)
+    one = Sample([0] * 12, [PLUS] * 12)
+    batch = Sample([one.points] * 3, [one.labels] * 3)
+    # a batch keeps the guards of each of its balls
+    for s in (one, batch):
+        with pytest.raises(PreconditionError):
+            ball_enumerate(s, 0.9, full_alphabet(2))  # k = 10 > default max_corruptions
+        with pytest.raises(EnumerationTooLargeError):
+            ball_enumerate(s, 0.9, full_alphabet(8), cap=1000, max_corruptions=None)
+        # the guards raise before the alphabet is read
+        with pytest.raises(PreconditionError):
+            ball_enumerate(s, 0.9, [Example(1.5, PLUS)])
+        with pytest.raises(EnumerationTooLargeError):
+            ball_enumerate(s, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3) - 1)
+    # the cap bounds one ball, not a batch of them
+    assert len(ball_enumerate(batch, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3)).points) \
+        == 3 * len(ball_enumerate(one, 0.25, full_alphabet(2)).points)
 
 
 def test_full_alphabet():

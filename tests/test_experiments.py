@@ -716,10 +716,11 @@ def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
     for build in (lambda: experiments._CountTable(rule, d, n),
                   lambda: experiments._SequenceTable(wrapped, dist, n)):
         table = build()
+        probs = dict(dist.atoms())
         for k in (2, 0, 1, 5, 3, 4, 2, 0):
             eta = Fraction(k, n)
             fresh = build()
-            assert table.risk(dist, eta) == fresh.risk(dist, eta), k
+            assert table.risk(probs, eta) == fresh.risk(probs, eta), k
             for y in (PLUS, MINUS):
                 assert np.array_equal(table.ball_maxima(k)[y], fresh.ball_maxima(k)[y])
             assert len(table.maxima) <= experiments._RADII
@@ -1442,6 +1443,30 @@ def test_run_cell_stream_lock():
     got = {(cell.learner, cell.adversary): run_cell(grid, cell) for cell in grid.cells()}
     assert {key: (repr(e.mean), repr(e.ci_low), repr(e.ci_high))
             for key, e in got.items()} == STREAM_LOCK
+
+
+# repr of (mean, ci_low, ci_high) per (learner, d, n) of the ball-search
+# sweep `poisonlab sweep --eta 1/8 --d 1,2 --n 8,16 --learner vc,exp-mech
+# --adversary brute-force --trials 200`; the subsample rule has no cell at
+# d = 2 (eta >= 1/(4 d)) and gives an error row of NaNs there
+BRUTE_FORCE_LOCK = {
+    ("vc", 1, 8): ("0.5776251411613029", "0.5401218200500839", "0.6151284622725219"),
+    ("exp-mech", 1, 8): ("0.4683698844528431", "0.4350583781543769", "0.5016813907513094"),
+    ("vc", 1, 16): ("0.5928460270687073", "0.5611270905768089", "0.6245649635606056"),
+    ("exp-mech", 1, 16): ("0.46828341439647764", "0.43773357488060494", "0.49883325391235034"),
+    ("vc", 2, 8): ("nan", "nan", "nan"),
+    ("exp-mech", 2, 8): ("0.5751649128853209", "0.5459763100496605", "0.6043535157209813"),
+    ("vc", 2, 16): ("nan", "nan", "nan"),
+    ("exp-mech", 2, 16): ("0.5826155329392766", "0.5575712107886667", "0.6076598550898865"),
+}
+
+
+def test_brute_force_sweep_stream_lock():
+    grid = SweepGrid(etas=(Fraction(1, 8),), dims=(1, 2), sizes=(8, 16),
+                     learners=("vc", "exp-mech"), adversaries=("brute-force",), trials=200)
+    got = {(cell.learner, cell.d, cell.n): run_cell(grid, cell) for cell in grid.cells()}
+    assert {key: (repr(e.mean), repr(e.ci_low), repr(e.ci_high))
+            for key, e in got.items()} == BRUTE_FORCE_LOCK
 
 
 def test_run_cell_stream_depends_only_on_cell():
