@@ -13,7 +13,7 @@ import functools
 import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -335,15 +335,31 @@ class ProductBiasDistribution:
     The exact atom table, (1/2 + y u_i) / d for the atoms (0, +1), (0, -1),
     (1, +1), ..., is built once with the distribution, from integers
     (`_atom_ratios`); `atoms` and `atom_probability` read it.
+
+    So is the sampler's table. With D the atoms' common denominator (the lcm
+    of 2 q_i d) and R = min(D, 2^64), `_thresholds` holds T_j =
+    floor(C_j R / D) for j = 1, ..., 2d - 1, C_j the integer weight of the
+    atoms before atom j, in the narrowest unsigned dtype that holds R - 1. A
+    draw v uniform on [0, R) falls in atom j, the number of thresholds at or
+    below v. Up to D = 2^64 (every small-denominator Fraction, and the float
+    0.1 up to d = 256) the law is exact; past it each atom is within 2^-64 of
+    its probability. An atom of probability 0 has width 0 and is never drawn.
+    A threshold T_j = R, before a run of such atoms at the end, is left out:
+    no draw reaches it, and R itself need not fit the dtype.
     """
 
-    __slots__ = ("bias", "_atoms", "_pplus")
+    __slots__ = ("bias", "_atoms", "_range", "_thresholds")
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
-        self._atoms = tuple((ex, Fraction(num, den)) for ex, num, den in _atom_ratios(bias))
-        # float view used only by the sampler: the correctly rounded 1/2 + u_i
-        self._pplus = np.array([float(Fraction(1, 2) + u) for u in bias.coords])
+        ratios = list(_atom_ratios(bias))
+        self._atoms = tuple((ex, Fraction(num, den)) for ex, num, den in ratios)
+        denominator = math.lcm(*(den for _, _, den in ratios))
+        self._range = min(denominator, 2 ** 64)
+        before = accumulate(num * (denominator // den) for _, num, den in ratios[:-1])
+        cuts = [c * self._range // denominator for c in before]
+        self._thresholds = np.array([t for t in cuts if t < self._range],
+                                    dtype=np.min_scalar_type(self._range - 1))
 
     @property
     def dimension(self) -> int:
@@ -568,35 +584,39 @@ def draw_sample(dist: ProductBiasDistribution, n: int, rng: RandomSource) -> Sam
 def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Generator,
                      trials: int | None = None) -> Sample:
     """n i.i.d. examples from gen, or a (trials, n) batch of such samples:
-    every point index first, then every label coin, in row-major order. The
-    points lie in [0, d) and the labels are -1/+1 by construction, so the
-    arrays are not checked again."""
+    one integer per entry, in row-major order, mapped to its atom by the
+    distribution's threshold table. The points lie in [0, d) and the labels
+    are -1/+1 by construction, so the arrays are not checked again."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    shape = n if trials is None else (trials, n)
-    pts = gen.integers(0, dist.dimension, size=shape, dtype=np.int64)
-    return Sample._valid(pts, _coin_labels(gen.random(shape) < dist._pplus[pts]))
+    return Sample._valid(*_draw_atoms(dist, gen, n if trials is None else (trials, n)))
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
                  trials: int | None = None) -> Example:
-    """One test example drawn from the distribution (same law as draw_sample
-    rows), or one per trial as an Example of (trials,) point and label arrays."""
+    """One test example drawn from the distribution (same law and draw as a
+    `draw_sample_with` entry), or one per trial as an Example of read-only
+    (trials,) point and label arrays."""
+    pts, labs = _draw_atoms(dist, gen, trials)
     if trials is None:
-        p = int(gen.integers(0, dist.dimension))
-        y = PLUS if gen.random() < dist._pplus[p] else MINUS
-        return Example(p, y)
-    pts = gen.integers(0, dist.dimension, size=trials, dtype=np.int64)
-    labs = _coin_labels(gen.random(trials) < dist._pplus[pts])
+        return Example(int(pts), int(labs))
     pts.setflags(write=False)
     labs.setflags(write=False)
     return Example(pts, labs)
 
 
-def _coin_labels(coin: np.ndarray) -> np.ndarray:
-    """PLUS where the boolean coin is set and MINUS elsewhere, as int8,
-    computed in the coin's own buffer: 2 * coin - 1."""
-    labs = coin.view(np.int8)
-    labs *= np.int8(2)
-    labs -= np.int8(1)
-    return labs
+def _draw_atoms(dist: ProductBiasDistribution, gen: np.random.Generator,
+                shape) -> tuple[np.ndarray, np.ndarray]:
+    """int64 points and int8 labels of i.i.d. atoms of `dist`, as arrays of
+    `shape` (0-d for None): one integer v uniform on [0, R) per entry, whose
+    atom j, the number of thresholds at or below v, is the point j >> 1
+    with the label 1 - 2 (j & 1)."""
+    cuts = dist._thresholds
+    v = np.asarray(gen.integers(0, dist._range, size=shape, dtype=cuts.dtype))
+    atom = np.zeros(v.shape, np.min_scalar_type(len(cuts)))
+    for cut in cuts:
+        atom += v >= cut
+    labs = (atom & 1).astype(np.int8)
+    labs *= np.int8(-2)
+    labs += np.int8(1)
+    return (atom >> 1).astype(np.int64), labs

@@ -216,8 +216,10 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 
     Trials run in chunks of `chunk_trials(n)`, the last one shorter; chunk
     c draws from `rng.child("trials", c)`, first its (chunk, n) sample rows,
-    then its test examples, then whatever the adversary and the learner
-    draw. A sample size below 1 raises ValueError. Each layer
+    then its test examples, one bounded integer per entry each
+    (`draw_sample_with`, `draw_example`), then whatever the adversary and
+    the learner draw, such as majority vote's one hypergeometric per
+    thinned trial. A sample size below 1 raises ValueError. Each layer
     sees the whole chunk in one call (`adversary.attack`,
     `learner.prediction_prob`), and scores are kept in trial order. A
     learner that does not return one probability per trial raises

@@ -482,21 +482,24 @@ class MajorityVoteLearner(Learner):
         """Votes with a uniform k-subset of the rows at x; tie and empty cases
         return 1/2 exactly.
 
-        A trial with more than k rows at x keeps the rows holding its k
-        smallest of n uniforms. Only such trials draw, in trial order, so a
-        batch agrees with one-sample calls on the same generator.
+        The vote reads only the counts (a, b) of the rows at x labelled +1
+        and -1. A trial with a + b > k keeps a hypergeometric(a, b, k) count
+        of +1 votes and k minus that of -1 votes, one draw per such trial.
+        Only those trials draw, in trial order, so a batch agrees with
+        one-sample calls on the same generator.
         """
         n = len(sample)
         if self.k > n:
             raise PreconditionError(f"need n >= {self.k} rows, got {n}")
         votes = np.atleast_2d(sample.points) == np.reshape(x, (-1, 1))
-        thin = np.count_nonzero(votes, axis=1) > self.k
+        count = np.count_nonzero(votes, axis=1)
+        tally = (votes * np.atleast_2d(sample.labels)).sum(axis=1)
+        thin = count > self.k
         if thin.any():
             if gen is None:
                 raise ValueError("majority vote needs a generator to thin its votes")
-            keys = np.where(votes[thin], gen.random((int(thin.sum()), n)), np.inf)
-            votes[thin] = keys <= np.partition(keys, self.k - 1, axis=1)[:, self.k - 1:self.k]
-        tally = np.where(votes, np.atleast_2d(sample.labels), 0).sum(axis=1)
+            plus = (count[thin] + tally[thin]) // 2
+            tally[thin] = 2 * gen.hypergeometric(plus, count[thin] - plus, self.k) - self.k
         probs = np.where(tally > 0, 1.0, np.where(tally < 0, 0.0, 0.5))
         return probs if sample.batched else float(probs[0])
 

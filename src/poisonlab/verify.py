@@ -167,6 +167,34 @@ def check_draw_reproducible(rng: RandomSource):
                   "above 2**63 and seeds 2**64 - 1 against 0")
 
 
+def check_sampler_law(rng: RandomSource):
+    """The sampler's integer table against the exact atoms at every bias
+    vector of criteria 8/9's biases at d = 1, 2, 3, and each atom's drawn
+    frequency at d = 3 within 4.5 sigma of its probability."""
+    values = [Fraction(-1, 2) + Fraction(j, 10) for j in range(11)]
+    tables = 0
+    for d in (1, 2, 3):
+        for coords in iproduct(values, repeat=d):
+            dist = ProductBiasDistribution(BiasVector(coords))
+            cuts = list(map(int, dist._thresholds))
+            edges = [0, *cuts, *[dist._range] * (2 * d - len(cuts))]
+            widths = [Fraction(hi - lo, dist._range) for lo, hi in zip(edges, edges[1:])]
+            if widths != [p for _, p in dist.atoms()]:
+                return False, f"table {widths} differs from the atoms at u={list(coords)}"
+            tables += 1
+    # R = 60: a threshold one unit off moves 500 of the 30,000 draws
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 10), Fraction(-1, 2), Fraction(2, 5)]))
+    drawn = core.draw_sample_with(dist, 500, rng.generator(), trials=60)
+    m = drawn.points.size
+    counts = drawn.histograms(3).sum(axis=0).ravel()
+    pairs = list(zip(counts.tolist(), (p for _, p in dist.atoms())))
+    if any(c > 0 for c, p in pairs if p == 0):
+        return False, f"an atom of probability 0 was drawn: counts {counts.tolist()}"
+    worst = max(abs(c - m * p) / math.sqrt(m * p * (1 - p)) for c, p in pairs if 0 < p < 1)
+    return worst <= 4.5, (f"{tables} tables exact at d = 1-3; {m} draws at d = 3: max |z| = "
+                          f"{worst:.2f} (<= 4.5 required), no atom of probability 0 drawn")
+
+
 # ---------------------------------------------------------------------------
 # learner invariants and exact acceptance checks
 
@@ -809,6 +837,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("core.hamming-metric", check_hamming_metric),
     ("core.ball-oracle", check_ball_oracle),
     ("core.draw-reproducible", check_draw_reproducible),
+    ("core.sampler-law", check_sampler_law),
     ("learners.dist-simplex", check_dist_simplex),
     ("learners.mechanism-loss-guarantee", acceptance_exp_loss_guarantee),
     ("learners.ratio-stability", acceptance_ratio_stability),

@@ -182,10 +182,11 @@ def test_bias_vector_stores_floats_exactly():
     assert u.coords == (Fraction(0.1), Fraction(0), Fraction(1, 3))
     assert all(type(c) is Fraction for c in u.coords)
     assert u.coords[0] != Fraction(1, 10)
-    # the sampler's probability is the correctly rounded 1/2 + u_i, which
-    # for a float coordinate is the float sum 0.5 + u_i bit for bit
-    pplus = ProductBiasDistribution(u)._pplus
-    assert pplus.tolist() == [0.5 + 0.1, 0.5, float(Fraction(5, 6))]
+    # the sampler draws (i, +1) with the exact (1/2 + u_i) / d: its integer
+    # table holds the binary value of 0.1, not the float sum 0.5 + 0.1
+    widths = _atom_widths(ProductBiasDistribution(u))
+    plus = [Fraction(int(w) * 3, int(widths.sum())) for w in widths[::2]]
+    assert plus == [Fraction(1, 2) + Fraction(0.1), Fraction(1, 2), Fraction(5, 6)]
 
 
 def test_float_bias_losses_are_exact():
@@ -493,6 +494,92 @@ def test_draw_sample_frequencies():
     m = (pts == 0).sum()
     k = ((pts == 0) & (labs == PLUS)).sum()
     assert abs(k - 0.75 * m) <= 4.5 * math.sqrt(m * 0.75 * 0.25)
+
+
+def _atom_widths(dist):
+    """The sampler's integer width of each atom, in `atoms()` order: the
+    gaps between its thresholds over [0, R), a left-out threshold at R
+    giving width 0."""
+    cuts = list(map(int, dist._thresholds))
+    return np.diff([0, *cuts, *[dist._range] * (2 * dist.dimension - len(cuts))])
+
+
+@pytest.mark.parametrize("coords, dtype", [
+    ([Fraction(1, 4)], np.uint8), ([Fraction(1, 3)], np.uint8), ([0.1], np.uint64),
+    ([Fraction(1, 3), Fraction(-1, 8), Fraction(0)], np.uint8),
+    ([0.1, Fraction(-2, 7), Fraction(1, 2)], np.uint64),
+])
+def test_sampler_table_holds_the_exact_atom_weights(coords, dtype):
+    # R = D, the atoms' common denominator, so each width over R is its
+    # probability exactly; the draw dtype is the narrowest holding R - 1
+    dist = ProductBiasDistribution(BiasVector(coords))
+    assert dist._range == math.lcm(*(2 * u.denominator * len(coords) for u in dist.bias.coords))
+    assert dist._thresholds.dtype == dtype == np.min_scalar_type(dist._range - 1)
+    assert [Fraction(int(w), dist._range) for w in _atom_widths(dist)] == [
+        p for _, p in dist.atoms()]
+
+
+@pytest.mark.parametrize("coords, widths", [
+    ([Fraction(1, 2), Fraction(-1, 2)], [4, 0, 0, 4]),
+    ([Fraction(1, 2)], [4, 0]),
+    # R = 256 and 2^64 fill the draw dtype: the threshold at R is left out
+    ([Fraction(1, 64), Fraction(1, 2)], [66, 62, 128, 0]),
+    ([Fraction(1, 3 ** 41), Fraction(1, 2)], [2 ** 62, 2 ** 62, 2 ** 63, 0]),
+])
+def test_sampler_never_draws_a_zero_probability_atom(coords, widths):
+    dist = ProductBiasDistribution(BiasVector(coords))
+    assert _atom_widths(dist).tolist() == widths
+    gen = RandomSource(SEED, 41).generator()
+    batch = draw_sample_with(dist, 500, gen, trials=40)
+    targets = draw_example(dist, gen, trials=2000)
+    ones = [draw_example(dist, gen) for _ in range(200)]
+    d = len(coords)
+    for drawn in (batch, Sample(targets.point, targets.label),
+                  Sample([e.point for e in ones], [e.label for e in ones])):
+        counts = drawn.histograms(d).sum(axis=0).ravel()
+        assert [c > 0 for c in counts] == [p > 0 for _, p in dist.atoms()]
+
+
+def test_sampler_past_2_to_the_64_is_within_one_unit_per_threshold():
+    u = Fraction(1, 3 ** 41)
+    dist = ProductBiasDistribution(BiasVector([u, -u]))
+    assert dist._range == 2 ** 64 and dist._thresholds.dtype == np.uint64
+    cumulative = np.cumsum([p for _, p in dist.atoms()])[:-1]
+    for t, c in zip(dist._thresholds.tolist(), cumulative):
+        assert 0 <= c * 2 ** 64 - t < 1
+    gen = RandomSource(SEED, 42).generator()
+    assert draw_sample_with(dist, 64, gen, trials=3).points.shape == (3, 64)
+
+
+@pytest.mark.parametrize("coords", [[Fraction(1, 3), Fraction(-1, 8), Fraction(0)],
+                                    [0.1, Fraction(-2, 7), Fraction(1, 4)]])
+def test_sampler_atom_frequencies_at_d_3(coords):
+    # rows and test examples alike, each atom's count within 4.5 sigma
+    dist = ProductBiasDistribution(BiasVector(coords))
+    gen = RandomSource(SEED, 43).generator()
+    rows = draw_sample_with(dist, 300, gen, trials=100)
+    targets = draw_example(dist, gen, trials=30_000)
+    for drawn in (rows, Sample(targets.point, targets.label)):
+        m = drawn.points.size
+        counts = drawn.histograms(3).sum(axis=0).ravel()
+        for count, (_, p) in zip(counts, dist.atoms()):
+            assert abs(count - m * p) <= 4.5 * math.sqrt(m * p * (1 - p)), (coords, count, p)
+
+
+def test_draws_are_one_integer_per_entry_in_row_major_order():
+    # each call draws one bounded integer per entry, in row-major order, and
+    # maps it to the atom counting the thresholds at or below it
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    gen, ref = RandomSource(SEED, 44).generator(), RandomSource(SEED, 44).generator()
+    batch = draw_sample_with(dist, 7, gen, trials=5)
+    drawn = [((5, 7), batch.points, batch.labels), (3, *draw_example(dist, gen, trials=3)),
+             (None, *draw_example(dist, gen))]
+    for shape, points, labels in drawn:
+        v = ref.integers(0, dist._range, size=shape, dtype=np.uint8)
+        atom = np.searchsorted(dist._thresholds, v, side="right")
+        assert np.array_equal(points, atom >> 1)
+        assert np.array_equal(labels, 1 - 2 * (atom & 1))
+    assert gen.random() == ref.random()
 
 
 def _assert_valid(points, labels):

@@ -515,11 +515,31 @@ def test_majority_thins_only_trials_with_more_than_k_votes():
     assert learner.prediction_prob(batch, np.array([0, 1])).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="generator"):
         learner.prediction_prob(batch, np.array([0, 0]))
-    # the generator draws one row of n uniforms per thinned trial only
+    # one hypergeometric(a, b, k) draw of the kept +1 votes per trial with
+    # a + b > k, in trial order, and none for any other trial
+    rng = np.random.default_rng(SEED + 12)
+    trials, n, k = 60, 9, 3
+    batch = Sample(rng.integers(0, 2, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+    xs = rng.integers(0, 2, size=trials)
     gen, ref = RandomSource(SEED, 9).generator(), RandomSource(SEED, 9).generator()
-    learner.prediction_prob(batch, np.array([0, 0]), gen)
-    ref.random((1, 4))
+    got = MajorityVoteLearner(k).prediction_prob(batch, xs, gen)
+    want, thinned = [], 0
+    for row, x in zip(batch.rows(), xs.tolist()):
+        a = int(np.count_nonzero((row.points == x) & (row.labels == PLUS)))
+        b = int(np.count_nonzero((row.points == x) & (row.labels == MINUS)))
+        if a + b > k:
+            thinned += 1
+            kept = int(ref.hypergeometric(a, b, k))
+            a, b = kept, k - kept
+        want.append(1.0 if a > b else 0.0 if a < b else 0.5)
+    assert 0 < thinned < trials
+    assert got.tolist() == want
     assert gen.random() == ref.random()
+    # one-sample calls on one generator read the same draws as the batch
+    gen = RandomSource(SEED, 9).generator()
+    one = [MajorityVoteLearner(k).prediction_prob(row, x, gen)
+           for row, x in zip(batch.rows(), xs.tolist())]
+    assert one == want
 
 
 def test_batched_subset_draws_average_to_the_exact_rules():
