@@ -49,6 +49,7 @@ from .core import (
     bayes_loss,
     corruption_limit,
     draw_sample,
+    exact_fraction,
     full_alphabet,
     hamming_distance,
     population_loss,

@@ -30,6 +30,7 @@ from .core import (
     Scalar,
     ball_enumerate,
     corruption_limit,
+    exact_fraction,
 )
 from .learners import one_per_trial
 
@@ -128,9 +129,9 @@ class PoisoningScheme1D:
     """
 
     def __init__(self, eta: Fraction, m: int, requested_eta: Fraction):
-        self.eta = Fraction(eta)
+        self.eta = exact_fraction(eta)
         self.m = int(m)
-        self.requested_eta = Fraction(requested_eta)
+        self.requested_eta = exact_fraction(requested_eta)
         self.capped = self.eta != self.requested_eta
         if self.m < 1:
             raise ValueError("grid needs m >= 1")
@@ -145,7 +146,7 @@ class PoisoningScheme1D:
     def apply(self, label: int, u: Scalar) -> Scalar:
         if label not in (MINUS, PLUS):
             raise ValueError("label must be -1 or +1")
-        q = Fraction(u) / self.eta
+        q = exact_fraction(u) / self.eta
         on_grid = q.denominator == 1 and q.numerator % 2 == 0 and abs(q.numerator) <= 2 * self.m
         if not on_grid:
             return u
@@ -205,7 +206,7 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     eta <= 1/16); the scheme records both budgets. m is the largest integer
     with (2m+1)^2 * eta <= 1, that is with 2m+1 <= isqrt(floor(1/eta)).
     """
-    scheme = _scheme_1d(eta)
+    scheme = _scheme_1d(exact_fraction(eta))
     return scheme, HardBiasDistribution(scheme)
 
 
@@ -214,7 +215,7 @@ def _scheme_1d(eta: Scalar) -> PoisoningScheme1D:
     """`build_scheme_1d`'s scheme alone, for callers with no use for the
     hard distribution. A pure function of the exact budget, built once per
     budget; the scheme is never modified, so callers share it."""
-    requested = Fraction(eta)
+    requested = exact_fraction(eta)
     if requested <= 0:
         raise ValueError("eta must be positive")
     effective = min(requested, Fraction(1, 16))

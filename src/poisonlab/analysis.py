@@ -29,6 +29,7 @@ from .core import (
     Scalar,
     _atom_ratios,
     draw_sample_with,
+    exact_fraction,
     hamming_distance,
     restrict_dedupe,  # noqa: F401  (kept bound as analysis.restrict_dedupe)
 )
@@ -90,12 +91,13 @@ def cover_radius(hclass: HypothesisClass, cover: HypothesisClass,
     minimal disagreement mass min_{h'} P_x[h(x) != h'(x)].
 
     Exact: the marginal (default uniform on the domain) is converted with
-    `Fraction`, which keeps a float's binary value, and must sum to 1 exactly.
+    `exact_fraction`, which keeps a float's binary value, and must sum to 1
+    exactly.
     """
     n = hclass.domain_size
     if cover.domain_size != n:
         raise DimensionMismatchError("class and cover must share a domain")
-    weights = [Fraction(1, n)] * n if marginal is None else [Fraction(w) for w in marginal]
+    weights = [Fraction(1, n)] * n if marginal is None else [exact_fraction(w) for w in marginal]
     if len(weights) != n:
         raise DimensionMismatchError("marginal length must match the domain size")
     if sum(weights) != 1:
@@ -177,7 +179,7 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     Python's int / int is correctly rounded, so it is float() of the exact
     weight (1/2 + y u_i) / d, the float of the distribution's atom. The histograms are
     scored by one call per query point; exp-mech reads each one's counts at
-    the point on a full class (`learners._count_law`) and otherwise bounds
+    the point on a full class (its `count_law`) and otherwise bounds
     its own memory (`learners.SCORE_BUDGET`). Every other learner draws its trials
     as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
     batches of rows, in sequence from the one generator, and scores each
@@ -193,12 +195,12 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     if not query or min(query) < 0 or max(query) >= d:
         raise DomainMismatchError("query points must lie inside the domain")
     gen = rng.child("estimate-F").generator()
-    per_point: list[list[np.ndarray]] = [[] for _ in query]
+    centred: list[list[np.ndarray]] = [[] for _ in query]
     if hasattr(learner, "batch_prediction_probs"):
         atom_probs = [num / den for _, num, den in _atom_ratios(u)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
         for qi, x in enumerate(query):
-            per_point[qi].append(learner.batch_prediction_probs(histograms, x) - 0.5)
+            centred[qi].append(learner.batch_prediction_probs(histograms, x) - 0.5)
     else:
         dist = ProductBiasDistribution(u)
         chunks = min(F_CHUNKS, trials)
@@ -208,8 +210,8 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
             for qi, x in enumerate(query):
                 probs = one_per_trial(
                     learner, learner.prediction_prob(samples, np.full(size, x), gen), size)
-                per_point[qi].append(probs - 0.5)
-    moments = [_mean_and_variance(np.concatenate(parts)) for parts in per_point]
+                centred[qi].append(probs - 0.5)
+    moments = [_mean_and_variance(np.concatenate(parts)) for parts in centred]
     return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
                   std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
 

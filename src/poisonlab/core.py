@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-Scalar = Union[int, float, Fraction]
+Scalar = Union[int, float, Fraction, np.integer, np.floating]
 
 MINUS = -1
 PLUS = 1
@@ -193,10 +193,10 @@ class Sample:
 # a point it returns a float; given a (trials, n) batch and one point, or a
 # (trials,) array of points, it returns one probability per row. The exact
 # evaluators score an oracle on one of two state spaces: a bound method of a
-# learner that declares `per_point` on the count states (a, b) of each point
-# x, one `batch_prediction_probs` histogram each; any other oracle (a plain
-# function, a wrapper, the subsample rule's averaged oracle, a class short of
-# full) on every one of the (2d)^n atom sequences.
+# learner with a `count_law` on the count states (a, b) of a point, by one
+# call of that law over all of them; any other oracle (a plain function, a
+# wrapper, the subsample rule's averaged oracle, a class short of full) on
+# every one of the (2d)^n atom sequences.
 PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 
@@ -266,20 +266,33 @@ def restrict_dedupe(hclass: HypothesisClass, points: Sequence[int]) -> Hypothesi
     return HypothesisClass(hclass.values[rows])
 
 
+def exact_fraction(value: Scalar) -> Fraction:
+    """The exact value of an int, float, Fraction, or numpy integer or
+    floating scalar, as a Fraction; a float by its `as_integer_ratio()`, so
+    np.float32(0.7), just below 7/10, stays below it. NaN and infinities
+    raise ValueError."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} has no exact value")
+        return Fraction(*value.as_integer_ratio())
+    return Fraction(value)
+
+
 def _bias_coordinate(c: Scalar) -> Fraction:
     """c as an exact Fraction, its bound checked exactly before the
-    conversion, so NaN, infinities and 0.5 + 1e-13 are rejected."""
-    if not abs(c) <= Fraction(1, 2):
+    conversion (0.5 is 1/2, and compares exactly with any numeric type), so
+    NaN, infinities and 0.5 + 1e-13 are rejected."""
+    if not abs(c) <= 0.5:
         raise ValueError(f"bias coordinate {c} outside [-1/2, 1/2]")
-    return Fraction(c)
+    return exact_fraction(c)
 
 
 class BiasVector:
     """Per-point label biases u with |u_i| <= 1/2, held as exact Fractions.
 
-    Each coordinate is converted once with `Fraction`, which is exact for
-    int, float and Fraction input: the float 0.1 is stored as Fraction(0.1),
-    its binary value, not 1/10. The bound is checked exactly before the
+    Each coordinate is converted once with `exact_fraction`, exact for any
+    numeric type: the float 0.1 is stored as Fraction(0.1), its binary
+    value, not 1/10. The bound is checked exactly before the
     conversion, so NaN, infinities and 0.5 + 1e-13 are rejected.
     """
 
@@ -484,7 +497,7 @@ def corruption_limit(eta: Scalar, n: int) -> int:
     Float budgets are converted exactly, so 0.7 (just below 7/10) allows 6 of
     10 rows, never the 7 that the rounded float product 0.7 * 10 == 7.0 would.
     """
-    k = math.floor(Fraction(eta) * n)
+    k = math.floor(exact_fraction(eta) * n)
     if k < 0:
         raise ValueError("eta must be nonnegative")
     return min(k, n)

@@ -8,16 +8,13 @@ floored at 0, and the weighted terms are summed exactly and rounded once.
 The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
 0) and F (a -1 target at radius 0) are the same rule.
 
-A bound method of a learner that declares `Learner.per_point` (the
-exponential mechanisms on a full class) is scored on count states: at each
-point x, every (a, b) = (#(x, +1), #(x, -1)) of a size-n sample, n + 1
-states at d = 1 and (n + 1)(n + 2) / 2 at d >= 2, by one
-`batch_prediction_probs` call on their histograms, which the mechanisms
-score from (a, b, n) in closed form (`learners._count_law`), at any d in
-the same time. A radius-1 ball is a state's unit row moves (2 at d = 1, 6
-at d >= 2), exact for any rule that reads only the counts at x. A state
-weighs w * its number of sequences, w the exact weight of one sequence in
-it (`_count_weights`), the other points' rows pooled. Both state spaces
+A bound method of a learner with a `Learner.count_law` (the exponential
+mechanisms on a full class) is scored on count states, every (a, b) =
+(#(x, +1), #(x, -1)) of a size-n sample (n + 1 at d = 1, (n + 1)(n + 2) / 2
+at d >= 2), by one law call that serves every point at any d. A radius-1
+ball is a state's unit row moves (2 at d = 1, 6 at d >= 2). A state weighs
+w * its number of sequences, w the exact weight of one sequence in it
+(`_count_weights`), the other points' rows pooled. Both state spaces
 read the same +1 probabilities, so at d = 1 every value is the sequence
 table's to the bit; at d >= 2 the pooled weights round apart from the
 table's per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify
@@ -35,8 +32,8 @@ neighbours), and a sequence weighs prod_a q_a ** c_a, its atom-count class c
 found once per table. Cost: d oracle calls over the batch plus k * n * (2d)^n
 array operations. Either table keeps the ball maxima of the last 4 radii
 it built (`_ExactTable.ball_maxima`), so calls at one budget share them. Both
-spaces stop at 100,000 states (`_TABLE_CAP`). At the cap (d = 2, n = 445) the
-kept count tables and their maxima hold under 60 MB, and each of the 8 kept
+spaces stop at 100,000 states (`_TABLE_CAP`). At the cap (d >= 2, n = 445) a
+count table holds 0.8 MB and each kept radius 1.6 MB, and each of the 8 kept
 sets of exact state weights (`_count_weights`) about S * (n log2(D) / 8 + 130)
 bytes for S states and D the atoms' common denominator: 29 MB at D = 8,
 47 MB at D = 128 and 70 MB at D = 2000, so the cache can reach 8 times that.
@@ -73,6 +70,7 @@ from .core import (
     BiasVector,
     BudgetViolationError,
     DimensionMismatchError,
+    DomainMismatchError,
     EnumerationTooLargeError,
     Example,
     HypothesisClass,
@@ -88,6 +86,7 @@ from .core import (
     corruption_limit,
     draw_example,
     draw_sample_with,
+    exact_fraction,
     full_alphabet,
     hamming_distance,
     stable_stream_id,
@@ -229,7 +228,7 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunk = chunk_trials(n)
-    budget = Fraction(eta)
+    budget = exact_fraction(eta)
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
     scores: list[float] = []
@@ -261,14 +260,13 @@ _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enu
 
 
 def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -> _ExactTable:
-    """The oracle scored on the count states of each point when it is a bound
-    method of a learner that declares `per_point`: that learner's table for
-    (dist.dimension, n), built once and kept (`_count_table`), since it reads
-    nothing else of the distribution. Any other oracle is scored anew on
-    every atom sequence of `dist` (`_SequenceTable`), as it makes no
-    per-point promise."""
+    """A bound method of a learner with a `count_law` is scored on count
+    states: that learner's table for (dist.dimension, n), built once and
+    kept (`_count_table`), as it reads nothing else of the distribution. Any
+    other oracle is scored anew on every atom sequence of `dist`
+    (`_SequenceTable`), as it makes no per-point promise."""
     learner = getattr(p_oracle, "__self__", None)
-    if isinstance(learner, Learner) and learner.per_point:
+    if isinstance(learner, Learner) and learner.count_law is not None:
         return _count_table(learner, dist.dimension, n)
     return _SequenceTable(p_oracle, dist, n)
 
@@ -278,13 +276,12 @@ _RADII = 4  # ball radii whose maxima a table keeps
 
 class _ExactTable:
     """The risk rule of both state spaces. A space holds the oracle's +1
-    probability at each of its states as an (S, d) array `p`, for samples of
-    size `n`, and gives its radius-1 ball maximum, `ball_step(values)` of an
-    (S, d) array, and its live (nonzero-weight) states under a distribution
-    with atom probabilities `probs` (by example), `weights(probs, x, q)`:
-    (state indices, float(w * q), numbers of sequences), w the exact weight
-    of one sequence in the state and q that of a test atom at x. It keeps
-    the ball maxima of the last `_RADII` radii built (`ball_maxima`)."""
+    probabilities at its states, `p`, for samples of size `n`, and gives its
+    radius-1 ball maximum, `ball_step(values)`, and its live states under
+    atom probabilities `probs` (by example), `weights(probs, x, q)`: (their
+    index into `p` at point x, float(w * q), numbers of sequences), w the
+    exact weight of one sequence in the state and q that of a test atom at
+    x. It keeps the ball maxima of the last `_RADII` radii (`ball_maxima`)."""
 
     def __init__(self, n: int, p: np.ndarray):
         self.n = n
@@ -323,8 +320,8 @@ class _ExactTable:
         worst = self.ball_maxima(corruption_limit(eta, self.n))
         terms, mults = [], []
         for (x, y), q in probs.items() if atoms is None else atoms:
-            live, coef, m = self.weights(probs, x, q)
-            terms.append(coef * np.maximum(worst[y][live, x], 0.0))
+            index, coef, m = self.weights(probs, x, q)
+            terms.append(coef * np.maximum(worst[y][index], 0.0))
             mults.extend(m)
         # each term is i * 2^(e - 53), i an integer: summed in units of 2^(low - 53)
         mantissas, exponents = np.frexp(np.concatenate(terms))
@@ -338,8 +335,8 @@ class _ExactTable:
 class _SequenceTable(_ExactTable):
     """The oracle at every atom sequence: state s is the s-th length-n
     sequence over `dist.atoms()` in row-major order, zero-weight ones
-    included, all scored as one batch by one call per point. Each sequence's
-    atom-count class, and each class's count of every atom, are found once."""
+    included, scored as one batch by one call per point x, column x of `p`.
+    Each sequence's atom-count class and its atom counts are found once."""
 
     def __init__(self, p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
         atoms = [ex for ex, _ in dist.atoms()]
@@ -365,39 +362,28 @@ class _SequenceTable(_ExactTable):
         return out.reshape(values.shape)
 
     def weights(self, probs: dict[Example, Fraction], x: int,
-                q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
-        """One sequence each, weighing prod_a q_a ** c_a for its class's atom
-        counts c, whatever x is; the class weights of each distribution are
-        built once."""
+                q: Fraction) -> tuple[tuple, np.ndarray, Sequence[int]]:
+        """Indexed (live, x), one sequence each, weighing prod_a q_a ** c_a
+        for its class's atom counts c, whatever x is; the class weights of
+        each distribution are built once."""
         key = tuple(probs.values())
         if key not in self.class_weights:
             self.class_weights[key] = [math.prod(map(pow, key, c)) for c in self.counts]
         ws = self.class_weights[key]
         live = np.flatnonzero(np.array([w != 0 for w in ws])[self.classes])
         coef = np.array([float(w * q) for w in ws])[self.classes[live]]
-        return live, coef, (1,) * len(live)
+        return (live, x), coef, (1,) * len(live)
 
 
 class _CountTable(_ExactTable):
-    """A per-point learner at every count state of every point: row s of `p`
-    is the +1 probability at x of a sample holding a rows of (x, +1) and b
-    rows of (x, -1), state s of `_count_states`. Point x's states are scored
-    by one `batch_prediction_probs` call on (S, d, 2) histograms, with the
-    r = n - a - b other rows at (x + 1, +1); a per-point rule reads only a,
-    b and n, so any placement of them gives its value (exp-mech on a full
-    class reads them in closed form, `learners._count_law`, in time
-    independent of d). The table depends on the learner, d and n alone
+    """A learner's `count_law` at every count state, one (S,) column from one
+    call on `_count_states`' arrays: the law does not read x, so the column
+    serves every point. It depends on the learner, d and n alone
     (`_count_table`)."""
 
     def __init__(self, learner: Learner, d: int, n: int):
         a, b, self.moves = _count_states(n, d == 1)
-        p = np.empty((len(a), d))
-        for x in range(d):
-            hist = np.zeros((len(a), d, 2), dtype=np.int64)
-            hist[:, x, 0], hist[:, x, 1] = a, b
-            hist[:, (x + 1) % d, 0] += n - a - b  # none at d = 1
-            p[:, x] = one_per_trial(learner, learner.batch_prediction_probs(hist, x), len(a))
-        super().__init__(n, p)
+        super().__init__(n, one_per_trial(learner, learner.count_law(a, b, n), len(a)))
 
     def ball_step(self, values: np.ndarray) -> np.ndarray:
         """The maximum over each state and its neighbours one unit row move
@@ -409,16 +395,14 @@ class _CountTable(_ExactTable):
 
     def weights(self, probs: dict[Example, Fraction], x: int,
                 q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
-        """`_count_coefficients` at point x's atom probabilities."""
+        """`_count_coefficients` at point x's atoms, indexed by state alone."""
         return _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
 
 
 # Keyed by the learner object, which the cache holds, with d and n: a
-# learner's prediction law must not change once it is scored. At
-# the state cap, p holds S * d floats (about 1.6 MB at d = 2) and each kept
-# radius two more arrays of that size (about 3.2 MB), so 4 tables of
-# `_RADII` radii stay under 60 MB at d = 2 and 29 MB * d in general. A table
-# over the cap raises on every call, as lru_cache keeps no exception.
+# learner's law must not change once it is scored. 4 tables of `_RADII`
+# radii stay under 30 MB (module docstring). A table over the cap raises on
+# every call, as lru_cache keeps no exception.
 _count_table = functools.lru_cache(maxsize=4)(_CountTable)
 
 
@@ -535,7 +519,10 @@ def _table_f(table: _ExactTable, u: BiasVector, x: int) -> float:
 def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
     """Exact F at point x: E[p(S, x)] - 1/2 over every size-n sample S of D_u,
     the exact engine's table weighted at radius 0 (`exhaustive_clean_loss`'s
-    weighting, at one test atom)."""
+    weighting, at one test atom). A point outside [0, d) raises
+    DomainMismatchError."""
+    if not 0 <= x < u.dimension:
+        raise DomainMismatchError(f"point {x} outside domain of size {u.dimension}")
     dist = ProductBiasDistribution(u)
     return _table_f(_engine(p_oracle, dist, n), u, x)
 
@@ -571,8 +558,8 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     the weights change. It holds when the slack left + guard - right is at
     least -1e-9.
     """
-    eta = Fraction(eta)
-    uf = Fraction(u)
+    eta = exact_fraction(eta)
+    uf = exact_fraction(u)
     dist = ProductBiasDistribution(BiasVector([uf]))
     table = _engine(p_oracle, dist, n)
     left = table.risk(dict(dist.atoms()), 2 * eta)
@@ -632,7 +619,7 @@ def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
     return f_value, cache
 
 
-def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fraction],
+def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fraction],
                   rows: Sequence[Sequence[int]], counts: Sequence[int],
                   f_value: Callable[[tuple], float]
                   ) -> tuple[list[float], dict[tuple, Fraction]]:
@@ -652,8 +639,8 @@ def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     Fractions and queries `f_value` once, and its coefficient is summed as
     an integer numerator, one Fraction over D at the end. A per-point
     learner's F at i reads u_i alone, so its key has every other coordinate
-    0, the key of every row with u_i at i; any other learner's key keeps
-    the row's other coordinates.
+    0, the key of every row with u_i at i (`pointwise`, a learner with a
+    `count_law`); any other learner's key keeps the row's other coordinates.
     """
     d = scheme.dimension
     values = BiasVector(values).coords
@@ -686,9 +673,9 @@ def _excess_table(per_point: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     for row, count, bayes in zip(rows, counts, _bayes_losses(values, rows)):
         terms: list[float] = []
         for i, a in enumerate(row):
-            slot = (i, a) if per_point else (i, tuple(row))
+            slot = (i, a) if pointwise else (i, tuple(row))
             if slot not in table:
-                base = [zero] * d if per_point else [support[b] for b in row]
+                base = [zero] * d if pointwise else [support[b] for b in row]
                 keyed = [(key_id(i, base, shifted), y, m) for y, m, shifted in atoms[a]]
                 table[slot] = [m / denominator * (0.5 - y * fs[k]) for k, y, m in keyed], keyed
             terms += table[slot][0]
@@ -777,7 +764,7 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     for name, value in (("n", n), ("trials_outer", trials_outer), ("trials_f", trials_f)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
-    eta = Fraction(eta)
+    eta = exact_fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
     inner, hard = build_scheme_1d(d * eta)
@@ -787,8 +774,9 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = _distinct_rows(hard.sample_indices(gen, (trials_outer, d)))
-    excesses, coefficients = _excess_table(learner.per_point, scheme, hard.values(),
-                                           draws.tolist(), counts.tolist(), f_value)
+    excesses, coefficients = _excess_table(learner.count_law is not None, scheme,
+                                           hard.values(), draws.tolist(), counts.tolist(),
+                                           f_value)
     # fsum's mean and variance ignore the order of the draws
     mean, outer_var = _mean_and_variance(np.repeat(excesses, counts))
     f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
@@ -808,16 +796,16 @@ def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[fl
     coordinate value, and the hard law is a product, so the mean over all
     |support|^d rows is the `hard.weights()`-weighted sum of the excesses
     of the |support| diagonal rows [a] * d (`_excess_table`). A learner
-    that is not per-point raises PreconditionError, since its F keys read
+    without a `count_law` raises PreconditionError, since its F keys read
     whole rows; a size past the count engine's cap raises as `exact_F`
     does.
     """
-    if not learner.per_point:
+    if learner.count_law is None:
         raise PreconditionError(
             f"learner {learner.name!r} is not per-point: its F keys read whole rows")
     if n < 1:
         raise ValueError("n must be >= 1")
-    eta = Fraction(eta)
+    eta = exact_fraction(eta)
     if not d * eta < 1:
         raise PreconditionError("requires eta < 1/d")
     inner, hard = build_scheme_1d(d * eta)
@@ -858,7 +846,7 @@ def upper_bound_experiment(eta: Scalar, d: int, n: int, trials: int,
     run against the greedy attacker. Passes when every cell's excess CI
     upper end clears the rate bound 36 sqrt(eta d) log(e/(eta d)).
     """
-    eta = Fraction(eta)
+    eta = exact_fraction(eta)
     hclass = HypothesisClass.full(d)
     config = VcLearnerConfig(eta, d)
     learner = VcSubsampleLearner(hclass, config)
@@ -919,8 +907,8 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     excesses, std_errors = [], []
     for n in sizes:
         f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-        [excess], coefficients = _excess_table(learner.per_point, scheme, u.coords,
-                                               [range(u.dimension)], [1], f_value)
+        [excess], coefficients = _excess_table(learner.count_law is not None, scheme,
+                                               u.coords, [range(u.dimension)], [1], f_value)
         excesses.append(excess)
         std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
     return CurveReport(u=u, sizes=sizes, excesses=tuple(excesses),
@@ -991,7 +979,7 @@ class SweepGrid:
     def cells(self) -> list[SweepCell]:
         out = []
         for eta in self.etas:
-            eta = Fraction(eta)
+            eta = exact_fraction(eta)
             ns = self.sizes if self.sizes else (math.ceil(4 / eta),)
             for d in self.dims:
                 for n in ns:

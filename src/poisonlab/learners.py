@@ -15,10 +15,10 @@ one-sample call is a one-row batch. Every number of the mechanism, its loss
 counts, selection law, log-probabilities, +1 and flip probabilities, comes
 from one histogram scorer (`_loss_counts`, `_softmax`), so a sample scores
 the same alone as in any batch. On the full class the +1 probability at x
-reads only the counts at x, and is computed from them in closed form
-(`_count_law`), 2 weights a sample instead of 2^d; the class scorer stays
-its reference. The split-and-subsample rule restricts its class with
-`core.restrict_dedupe`; this module imports from `core` alone.
+reads only n and the counts at x, a law exposed in closed form, `count_law`:
+2 weights a sample instead of 2^d; the class scorer stays its reference.
+The subsample rule restricts its class with `core.restrict_dedupe`; this
+module imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     PreconditionError,
     Sample,
     Scalar,
+    exact_fraction,
     restrict_dedupe,
 )
 
@@ -134,7 +135,7 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
     of the hypotheses reading +1 there. The batch is scored in passes of at
     most SCORE_BUDGET // class size samples, which give the values of one
     pass to the bit, since each sample's sum is its own column
-    (`_sum_rows`). It is the reference of `_count_law`."""
+    (`_sum_rows`). It is the reference of `ExpMechanismLearner.count_law`."""
     per_trial = isinstance(x, np.ndarray)
     step = max(1, SCORE_BUDGET // hclass.size)
     parts = []
@@ -143,25 +144,6 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
         plus = hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
         parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
     return np.concatenate(parts)
-
-
-def _count_law(hclass: HypothesisClass, histograms: np.ndarray, x,
-               config: ExpMechanismConfig) -> np.ndarray:
-    """`_class_probs` on the full class, from each sample's counts a =
-    #(x, +1) and b = #(x, -1) and its size n alone. The loss is a sum over
-    points, so the mechanism picks h(x) by a softmax over two scores,
-    s- = -t a / n for h(x) = -1 and s+ = -t b / n for h(x) = +1, computed in
-    `_softmax`'s order: both shifted by their maximum and exponentiated, and
-    p = w+ / (w- + w+). At d = 1, where the class is those two hypotheses,
-    this is the class scorer to the bit; p never exceeds 1, since the sum
-    holds w+."""
-    hist, n = _checked_histograms(hclass, histograms)
-    if hist.shape[1] < hclass.domain_size:  # points past the histogram count 0
-        hist = np.pad(hist, ((0, 0), (0, hclass.domain_size - hist.shape[1]), (0, 0)))
-    at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
-    scores = (-config.temperature(hclass.size) / n) * at_x.T.astype(np.float64, order="C")
-    w = np.exp(scores - np.maximum(scores[0], scores[1]))
-    return w[1] / (w[0] + w[1])
 
 
 def _one_sample(*samples: Sample) -> None:
@@ -237,11 +219,11 @@ class VcLearnerConfig:
 
     @property
     def subsample_size(self) -> int:
-        ratio = Fraction(self.vc_dim) / (4 * Fraction(self.eta))
+        ratio = Fraction(self.vc_dim) / (4 * exact_fraction(self.eta))
         return math.isqrt(math.floor(ratio))
 
     def min_sample_size(self) -> int:
-        return math.ceil(1 / Fraction(self.eta))
+        return math.ceil(1 / exact_fraction(self.eta))
 
 
 # most first-half subsets VcSubsampleLearner.mean_prediction_prob enumerates
@@ -280,18 +262,16 @@ class Learner:
     batch returned as a float, so the batch agrees with one-sample calls on
     a generator in the same state.
 
-    `per_point` declares that the +1 probability at a point x reads only the
-    sample size n and the counts of (x, +1) and (x, -1), so that F at x under
-    D_u depends on u_x alone. A learner that declares it also has
-    `batch_prediction_probs(histograms, x)`, which scores (trials, points, 2)
-    histograms, the function its `prediction_prob` calls. The exact
-    evaluators score such a learner's bound methods on those counts alone
-    (`experiments._CountTable`). No caller sets it; a learner derives it
+    `count_law(a, b, n)`, unless None, is the +1 probability at any point x
+    of a size-n sample holding a rows of (x, +1) and b of (x, -1), on arrays
+    of one shape: the prediction reads nothing else, so F at x under D_u
+    depends on u_x alone, and the exact evaluators score the learner's bound
+    methods on the counts (`experiments._CountTable`). A learner derives it
     from its class.
     """
 
     name = "learner"
-    per_point = False
+    count_law = None
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         raise NotImplementedError
@@ -328,12 +308,20 @@ class ExpMechanismLearner(Learner):
         return probs if sample.batched else float(probs[0])
 
     @property
-    def per_point(self) -> bool:
-        """On the full class the loss is a sum over points, so the mechanism
-        picks each coordinate of h independently and P(h(x) = +1) reads only
-        the counts of (x, +1) and (x, -1); `batch_prediction_probs` computes
-        it from them (`_count_law`)."""
-        return self.hclass.is_full
+    def count_law(self):
+        return self._law if self.hclass.is_full else None
+
+    def _law(self, a, b, n) -> np.ndarray:
+        """`_class_probs` on the full class, from a = #(x, +1), b = #(x, -1)
+        and n alone. The loss is a sum over points, so the mechanism picks
+        h(x) by a softmax over two scores, s- = -t a / n for h(x) = -1 and
+        s+ = -t b / n for h(x) = +1, in `_softmax`'s order: shifted by their
+        maximum, exponentiated, p = w+ / (w- + w+). At d = 1 this is the class
+        scorer to the bit; p never exceeds 1, since the sum holds w+."""
+        scores = (-self.config.temperature(self.hclass.size) / n) * np.array(
+            (a, b), dtype=np.float64)
+        w = np.exp(scores - np.maximum(scores[0], scores[1]))
+        return w[1] / (w[0] + w[1])
 
     # exact already; the alias lets attackers ask for the averaged oracle
     def mean_prediction_prob(self, sample: Sample, x):
@@ -348,7 +336,7 @@ class ExpMechanismLearner(Learner):
         histogram, so a learner exposing this method promises that row order
         never matters. The +1 probability is the exact partial sum of the
         selection probabilities of the hypotheses reading +1 at x. On the
-        full class that sum reads only the counts at x (`_count_law`); any
+        full class that sum reads only the counts at x (`count_law`); any
         other class is scored hypothesis by hypothesis (`_class_probs`).
         """
         lo = hi = x
@@ -360,8 +348,13 @@ class ExpMechanismLearner(Learner):
         if not 0 <= lo <= hi < self.hclass.domain_size:
             raise DomainMismatchError(
                 f"point {x} outside domain of size {self.hclass.domain_size}")
-        law = _count_law if self.hclass.is_full else _class_probs
-        return law(self.hclass, histograms, x, self.config)
+        if not self.hclass.is_full:
+            return _class_probs(self.hclass, histograms, x, self.config)
+        hist, n = _checked_histograms(self.hclass, histograms)
+        if hist.shape[1] < self.hclass.domain_size:  # points past the histogram count 0
+            hist = np.pad(hist, ((0, 0), (0, self.hclass.domain_size - hist.shape[1]), (0, 0)))
+        at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
+        return self._law(at_x[:, 0], at_x[:, 1], n)
 
 
 class CoupledExpMechanismLearner(ExpMechanismLearner):

@@ -128,7 +128,7 @@ def check_ball_oracle(rng: RandomSource):
         got = {tuple(b.examples()) for b in ball.rows()}
         if len(got) != len(ball.points):
             return False, "duplicate samples in ball"
-        k = math.floor(Fraction(eta) * n)
+        k = math.floor(core.exact_fraction(eta) * n)
         if got != _ball_reference(s, k, alphabet):
             return False, f"ball mismatch at n={n}, eta={eta:.3f}"
         if next(ball.rows()) != s:
@@ -317,7 +317,7 @@ def check_subsample_law(rng: RandomSource):
 
 
 def check_count_law(rng: RandomSource):
-    """Exp-mech on a full class reads the counts at x (`learners._count_law`);
+    """Exp-mech on a full class reads the counts at x (its `count_law`);
     on 60 random full(d), d <= 6, with n <= 512, eta in [2^-12, 1/2] and one
     point per sample, it is the class scorer (`learners._class_probs`) to the
     bit at d = 1, within 1e-13 past it, and never above 1."""
@@ -329,7 +329,7 @@ def check_count_law(rng: RandomSource):
         config = ExpMechanismConfig(2.0 ** float(gen.uniform(-12, -1)))
         hists = gen.multinomial(n, gen.dirichlet([1.0] * (2 * d)), size=200).reshape(200, d, 2)
         xs = gen.integers(0, d, size=200)
-        law = learners._count_law(hclass, hists, xs, config)
+        law = ExpMechanismLearner(hclass, config).batch_prediction_probs(hists, xs)
         scored = learners._class_probs(hclass, hists, xs, config)
         if d == 1:
             if not np.array_equal(law, scored):
@@ -480,11 +480,11 @@ def check_estimate_f_range(rng: RandomSource):
     return True, f"reproducible, F = {a.values[0]:+.4f} within range"
 
 
-def check_per_point_f(rng: RandomSource):
-    """Exact F of exp-mech on full(2), which declares `per_point`, is the same
+def check_pointwise_f(rng: RandomSource):
+    """Exact F of exp-mech on full(2), which has a `count_law`, is the same
     on the count engine, which reads only the counts at the point, as on the
     sequence table of the same learner behind an undeclared wrapper; a
-    3-hypothesis class on 2 points is not declared per-point, and its F at
+    3-hypothesis class on 2 points has no law, and its F at
     point 0 moves with u_1."""
     eta = Fraction(1, 16)
     config = ExpMechanismConfig(eta)
@@ -500,7 +500,8 @@ def check_per_point_f(rng: RandomSource):
     three = ExpMechanismLearner(HypothesisClass([[1, 1], [1, -1], [-1, -1]]), config)
     moved = abs(experiments.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
                 - experiments.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
-    ok = full.per_point and worst <= 1e-15 and not three.per_point and moved > 1e-3
+    ok = (full.count_law is not None and worst <= 1e-15 and three.count_law is None
+          and moved > 1e-3)
     return ok, (f"full(2): |F_table(u) - F_count(u)| <= {worst:.1e} (n 2-5, 6 biases); "
                 f"3-hypothesis class not per-point, F_0 moves {moved:.3f} with u_1")
 
@@ -720,18 +721,18 @@ def check_sweep_deterministic(rng: RandomSource):
     return True, "repeated sweep bit-identical"
 
 
-def _per_draw_excess(per_point: bool, u: BiasVector, scheme,
+def _per_draw_excess(pointwise: bool, u: BiasVector, scheme,
                      f_value) -> tuple[float, dict[tuple, Fraction]]:
     """The oblivious excess at u and each F key's coefficient, without a
-    table: every term is built at u, and a per-point learner's key (i, u') has
-    its other coordinates set to 0."""
+    table: every term is built at u, and a `pointwise` learner's key (i, u')
+    (one with a `count_law`) has its other coordinates set to 0."""
     d = u.dimension
     terms = []
     coefficients: dict[tuple, Fraction] = {}
     for i in range(d):
         for y in (PLUS, MINUS):
             shifted = scheme.apply(i, y, u).coords
-            if per_point:
+            if pointwise:
                 shifted = tuple(c if j == i else Fraction(0) for j, c in enumerate(shifted))
             key = (i, shifted)
             mass = (Fraction(1, 2) + y * u.coords[i]) / d
@@ -746,7 +747,7 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     per-draw reference loop without its term table: the same outer draw on
     the ("outer",) stream, then `_per_draw_excess` at each distinct drawn u
     with one cached F oracle, its coefficients weighted by the draw's count."""
-    inner, hard = adversaries.build_scheme_1d(d * Fraction(eta))
+    inner, hard = adversaries.build_scheme_1d(d * core.exact_fraction(eta))
     scheme = adversaries.PoisoningSchemeD(inner, d)
     f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
@@ -757,7 +758,7 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     coefficients: dict[tuple, Fraction] = {}
     for row, count in zip(draws.tolist(), counts.tolist()):
         excess, per_key = _per_draw_excess(
-            learner.per_point, BiasVector([values[a] for a in row]), scheme, f_value)
+            learner.count_law is not None, BiasVector([values[a] for a in row]), scheme, f_value)
         excesses += [excess] * count
         for key, c in per_key.items():
             coefficients[key] = coefficients.get(key, 0) + count * c
@@ -773,7 +774,7 @@ def _per_draw_curve(learner, u: BiasVector, scheme, n: int, trials_f: int,
     """`learning_curve_experiment`'s (excess, std error) at one size n by
     `_per_draw_excess` at u, on the curve's ("curve", n) F streams."""
     f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-    excess, coefficients = _per_draw_excess(learner.per_point, u, scheme, f_value)
+    excess, coefficients = _per_draw_excess(learner.count_law is not None, u, scheme, f_value)
     return excess, math.sqrt(experiments._f_variance(coefficients, cache))
 
 
@@ -853,7 +854,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("analysis.vc-known", check_vc_known),
     ("analysis.cover-basics", check_cover_basics),
     ("analysis.estimate-f", check_estimate_f_range),
-    ("analysis.per-point-f", check_per_point_f),
+    ("analysis.per-point-f", check_pointwise_f),
     ("analysis.oblivious-zero", check_oblivious_zero),
     ("analysis.stability-certificate", check_stability_certificate),
     ("experiments.budget-guard", check_budget_guard),

@@ -556,9 +556,9 @@ def test_stability_certificate_over_balls():
 def test_per_point_f_depends_on_its_own_coordinate_only():
     # exp-mech on the full class: F_i at u on the sequence table (4^n <= 1024
     # sequences, through an undeclared wrapper) equals F_i at u on the count
-    # engine, which reads only the counts at i and so holds the declaration
+    # engine, which reads only the counts at i through the learner's law
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
-    assert learner.per_point
+    assert learner.count_law is not None
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     grid = build_scheme_1d(Fraction(1, 16))[1].values()  # -3/16, -1/8, 0, 1/8, 3/16
     for n in (2, 3, 4, 5):
@@ -572,7 +572,7 @@ def test_per_point_f_depends_on_its_own_coordinate_only():
 def test_a_class_short_of_full_is_not_per_point():
     three = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
     learner = ExpMechanismLearner(three, ExpMechanismConfig(Fraction(1, 16)))
-    assert not three.is_full and not learner.per_point
+    assert not three.is_full and learner.count_law is None
     eta = Fraction(1, 16)
     at = [exact_F(learner.prediction_prob, BiasVector([eta, v]), 4, 0) for v in (-eta, eta)]
     assert abs(at[0] - at[1]) > 1e-3

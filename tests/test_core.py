@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import poisonlab
-from poisonlab.adversaries import AttackBudget, brute_force_attack, greedy_flip_attack
+from poisonlab.adversaries import (
+    AttackBudget,
+    brute_force_attack,
+    build_scheme_1d,
+    greedy_flip_attack,
+)
 from poisonlab.core import (
     MINUS,
     PLUS,
@@ -27,6 +32,7 @@ from poisonlab.core import (
     bayes_loss,
     draw_example,
     draw_sample,
+    exact_fraction,
     draw_sample_with,
     full_alphabet,
     hamming_distance,
@@ -34,7 +40,7 @@ from poisonlab.core import (
     sample_loss,
     stable_stream_id,
 )
-from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, VcLearnerConfig
 
 SEED = 20260825
 
@@ -394,6 +400,47 @@ def test_batched_ball_is_each_rows_ball_padded_with_its_clean_sample(alphabet_ki
             # each row's own example is once in the alphabet: no ball is padded
             assert {len(b.points) for b in own} == {members}
             assert members == sum(math.comb(n, j) * (len(alphabet) - 1) ** j for j in range(k + 1))
+
+
+@pytest.mark.parametrize("value, want", [
+    (0, Fraction(0)),
+    (0.3, Fraction(0.3)),
+    (Fraction(3, 10), Fraction(3, 10)),
+    (np.int64(0), Fraction(0)),
+    (np.uint8(0), Fraction(0)),
+    (np.float64(0.3), Fraction(0.3)),
+    (np.float32(0.3), Fraction(5033165, 16777216)),  # just above 3/10
+    (np.float16(0.25), Fraction(1, 4)),
+    (np.longdouble(0.5), Fraction(1, 2)),
+])
+def test_exact_fraction_keeps_the_exact_value_of_every_numeric_type(value, want):
+    got = exact_fraction(value)
+    assert type(got) is Fraction and got == want
+    # a budget or a bias of any of these types is floored or stored exactly
+    assert corruption_limit(value, 10) == math.floor(want * 10)
+    assert AttackBudget(value).max_corruptions(10) == math.floor(want * 10)
+    assert BiasVector([value, -value]).coords == (want, -want)
+
+
+def test_exact_fraction_floors_a_float32_budget_below_its_decimal():
+    # np.float32(0.7) is just below 7/10, so it floors to 6 of 10 rows
+    eta = np.float32(0.7)
+    assert exact_fraction(eta) < Fraction(7, 10)
+    assert corruption_limit(eta, 10) == AttackBudget(eta).max_corruptions(10) == 6
+    assert BiasVector([np.float32(0.25), np.float32(-0.5)]).coords == (Fraction(1, 4),
+                                                                         Fraction(-1, 2))
+    scheme, _ = build_scheme_1d(np.float32(1 / 64))
+    assert scheme.eta == Fraction(1, 64) and scheme.apply(-1, np.float32(0)) == Fraction(1, 64)
+    assert VcLearnerConfig(np.float32(1 / 64), 1).subsample_size == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan"),
+                                 np.float32("inf"), np.float64("-inf")])
+def test_exact_fraction_rejects_nan_and_infinities(bad):
+    with pytest.raises(ValueError, match="no exact value"):
+        exact_fraction(bad)
+    with pytest.raises(ValueError):
+        corruption_limit(bad, 10)
 
 
 def test_corruption_limit_floors_exactly():

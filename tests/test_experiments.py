@@ -29,6 +29,7 @@ from poisonlab.core import (
     BiasVector,
     BudgetViolationError,
     DimensionMismatchError,
+    DomainMismatchError,
     EnumerationTooLargeError,
     Example,
     HypothesisClass,
@@ -522,23 +523,24 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
 
 
 class _ScrambledCountRule(Learner):
-    """A per-point rule that is not monotone in anything: its +1
+    """A rule with a count law that is not monotone in anything: its +1
     probability at x is a scrambled function of n and the counts of (x, +1)
-    and (x, -1), so a ball's extremum may sit at any state it reaches."""
+    and (x, -1), so a ball's extremum may sit at any state it reaches. x may
+    be one point or one per row."""
 
     name = "scrambled"
-    per_point = True
 
     def __init__(self, d: int):
         self.d = d
 
     def prediction_prob(self, sample, x, gen=None):
-        probs = self.batch_prediction_probs(sample.histograms(self.d), x)
+        hist = sample.histograms(self.d)
+        at_x = hist[np.arange(len(hist)), x]
+        probs = self.count_law(at_x[:, 0], at_x[:, 1], hist.sum(axis=(1, 2)))
         return probs if sample.batched else float(probs[0])
 
-    def batch_prediction_probs(self, histograms, x):
-        a, b = histograms[:, x, 0], histograms[:, x, 1]
-        return ((3 * a + 5 * b + a * b + histograms.sum(axis=(1, 2))) % 7) / 6
+    def count_law(self, a, b, n):
+        return ((3 * a + 5 * b + a * b + n) % 7) / 6
 
 
 @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
@@ -626,16 +628,27 @@ def test_count_weights_are_built_once_per_point():
     assert experiments._count_weights.cache_info().misses == 2
 
 
+@pytest.mark.parametrize("x", [-1, 2])
+def test_exact_f_rejects_a_point_outside_the_domain(x):
+    # on the count engine (a bound method with a law) and on the sequence
+    # table (an undeclared wrapper), as estimate_F does
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
+    for oracle in (learner.prediction_prob, lambda s, x: learner.prediction_prob(s, x)):
+        with pytest.raises(DomainMismatchError, match="outside domain of size 2"):
+            exact_F(oracle, u, 3, x)
+
+
 class _CountingRule(_ScrambledCountRule):
-    """The scrambled rule, counting its `batch_prediction_probs` calls by point."""
+    """The scrambled rule, counting its `count_law` calls."""
 
     def __init__(self, d: int):
         super().__init__(d)
-        self.calls = Counter()
+        self.calls = 0
 
-    def batch_prediction_probs(self, histograms, x):
-        self.calls[x] += 1
-        return super().batch_prediction_probs(histograms, x)
+    def count_law(self, a, b, n):
+        self.calls += 1
+        return super().count_law(a, b, n)
 
 
 def test_count_table_is_scored_once_per_learner_dimension_and_size():
@@ -648,17 +661,17 @@ def test_count_table_is_scored_once_per_learner_dimension_and_size():
         exhaustive_public_loss(one.prediction_prob, dist, Fraction(1, 2), 6)
         exhaustive_clean_loss(one.prediction_prob, dist, 6)
         exact_F(one.prediction_prob, dist.bias, 6, 0)
-    assert one.calls == {0: 1}
+    assert one.calls == 1
     two = _CountingRule(2)
     for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.3, Fraction(1, 2)]):
         dist = ProductBiasDistribution(BiasVector(coords))
         exhaustive_adversarial_loss(two.prediction_prob, dist, Fraction(1, 4), 5)
         exhaustive_clean_loss(two.prediction_prob, dist, 5)
         exact_F(two.prediction_prob, dist.bias, 5, 1)
-    assert two.calls == {0: 1, 1: 1}
+    assert two.calls == 1
     # another n, another table
     exhaustive_clean_loss(two.prediction_prob, dist, 4)
-    assert two.calls == {0: 2, 1: 2}
+    assert two.calls == 2
 
 
 def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
@@ -671,23 +684,19 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     assert experiments._engine(learners[0].mean_prediction_prob, dist, 4) is tables[0, 4]
     for (i, n), table in tables.items():
         fresh = experiments._CountTable(learners[i], 1, n)
-        assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1, 1)
+        assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
     assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
     # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
     rule = _ScrambledCountRule(2)
     flat = experiments._engine(rule.prediction_prob, dist, 3)
     wide = experiments._engine(rule.prediction_prob,
                                ProductBiasDistribution(BiasVector([Fraction(1, 8), 0])), 3)
-    assert flat is not wide and flat.p.shape == (4, 1) and wide.p.shape == (10, 2)
+    assert flat is not wide and flat.p.shape == (4,) and wide.p.shape == (10,)
 
 
 def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
-    # full(3) less one row has 7 hypotheses, so a budget of 63 scores 9 of
-    # the 55 states of n = 9 a pass, the last pass one state; p is the
-    # one-pass table's
-    short = HypothesisClass(HypothesisClass.full(3).values[:-1])
-    learner = ExpMechanismLearner(short, ExpMechanismConfig(Fraction(1, 8)))
-    whole = experiments._CountTable(learner, 3, 9)
+    # the full class's law reads each state's counts and makes no pass of
+    # the class scorer, whatever its budget
     passes = []
 
     def recorded(hclass, histograms, config):
@@ -696,14 +705,27 @@ def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
 
     monkeypatch.setattr("poisonlab.learners._softmax", recorded)
     monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 63)
-    sliced = experiments._CountTable(learner, 3, 9)
-    assert passes == ([63] * 6 + [7]) * 3
-    assert sliced.p.tobytes() == whole.p.tobytes() and sliced.p.shape == (55, 3)
-    # the full class reads each state's counts at x and makes no pass
-    passes.clear()
     full = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
-    assert experiments._CountTable(full, 3, 9).p.shape == (55, 3)
+    assert experiments._CountTable(full, 3, 9).p.shape == (55,)
     assert passes == []
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
+    # the law on `_count_states`' arrays against `batch_prediction_probs` on
+    # histograms of the same states at each x, the r = n - a - b other rows
+    # all at (x + 1, +1) or all at (x - 1, -1): the same floats to the bit
+    for eta in (Fraction(1, 64), Fraction(1, 4), 0.37):
+        learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+        for n in (1, 7, 40):
+            a, b, _ = experiments._count_states(n, d == 1)
+            law = learner.count_law(a, b, n)
+            for x in range(d):
+                for point, column in (((x + 1) % d, 0), ((x - 1) % d, 1)):
+                    hist = np.zeros((len(a), d, 2), dtype=np.int64)
+                    hist[:, x, 0], hist[:, x, 1] = a, b
+                    hist[:, point, column] += n - a - b  # none at d = 1
+                    assert learner.batch_prediction_probs(hist, x).tobytes() == law.tobytes()
 
 
 @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
@@ -740,14 +762,20 @@ def test_a_count_table_over_the_cap_raises_on_every_call():
 
 
 class _ClassScoredRule(ExpMechanismLearner):
-    """Exp-mech on a full class scored hypothesis by hypothesis
+    """Exp-mech on full(2) scored hypothesis by hypothesis
     (`learners._class_probs`), the reference of its closed form, which can
-    score a hair above 1; it still declares `per_point`."""
+    score a hair above 1. Its count law scores its own (S, 2, 2)
+    histograms: (a, b) at point 0 and the other rows at (1, +1)."""
 
     name = "class-scored"
 
     def batch_prediction_probs(self, histograms, x):
         return _class_probs(self.hclass, histograms, x, self.config)
+
+    def count_law(self, a, b, n):
+        hist = np.zeros((len(a), 2, 2), dtype=np.int64)
+        hist[:, 0, 0], hist[:, 0, 1], hist[:, 1, 0] = a, b, n - a - b
+        return _class_probs(self.hclass, hist, 0, self.config)
 
 
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
@@ -772,17 +800,17 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
         assert exhaustive_public_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n) == private
         assert exhaustive_clean_loss(tiny.prediction_prob, dist, n) == private
         assert 0 < private < 1e-3
+        assert experiments._engine(tiny.prediction_prob, dist, n).p.max() > 1.0
 
 
 class _NanCountRule(_ScrambledCountRule):
-    """A per-point rule of +1 probability 1/2, but NaN at every sample
-    holding exactly one (x, +1) row; x may be one point or one per row."""
+    """A count law of +1 probability 1/2, but NaN at every sample holding
+    exactly one (x, +1) row."""
 
     name = "nan-rule"
 
-    def batch_prediction_probs(self, histograms, x):
-        plus = histograms[np.arange(len(histograms)), x, 0]
-        return np.where(plus == 1, np.nan, 0.5)
+    def count_law(self, a, b, n):
+        return np.where(a == 1, np.nan, 0.5)
 
 
 def test_a_nan_probability_raises_naming_its_oracle():
@@ -977,6 +1005,16 @@ def test_lower_bound_exact_sums_the_diagonal_rows_of_the_full_product(d, n):
     assert threshold == lower_bound_threshold(eta, d)
 
 
+@pytest.mark.parametrize("d,want", [(3, "0.06326039696331817"), (16, "0.07042220334773")])
+def test_lower_bound_exact_count_engine_pin_past_d2(d, want):
+    # the count engine's values at d >= 3, at n = 64 and eta = 1/(64 d)
+    eta = Fraction(1, 64 * d)
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    mean, threshold = lower_bound_exact(learner, eta, d, 64)
+    assert repr(mean) == want
+    assert threshold == lower_bound_threshold(eta, d)
+
+
 def test_lower_bound_exact_needs_a_per_point_learner_within_the_count_cap():
     eta = Fraction(1, 128)
     with pytest.raises(PreconditionError, match="not per-point"):
@@ -1074,7 +1112,7 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
     scheme = identity_scheme(2)
 
     def keys(learner) -> set:
-        _, coefficients = experiments._excess_table(learner.per_point, scheme, coords,
+        _, coefficients = experiments._excess_table(learner.count_law is not None, scheme, coords,
                                                     [range(2)], [1], lambda key: 0.0)
         return set(coefficients)
 
@@ -1132,7 +1170,8 @@ def test_f_variance_rejects_a_key_with_no_estimate_of_its_own():
     inner, _ = build_scheme_1d(d * eta)
     u = BiasVector([inner.endpoint, -inner.endpoint])
     f_value, cache = experiments._cached_f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
-    _, coefficients = experiments._excess_table(learner.per_point, PoisoningSchemeD(inner, d),
+    pointwise = learner.count_law is not None
+    _, coefficients = experiments._excess_table(pointwise, PoisoningSchemeD(inner, d),
                                                 u.coords, [range(d)], [1], f_value)
     assert len(cache) == 2 and set(coefficients) == set(cache)
     experiments._f_variance(coefficients, cache)
@@ -1180,8 +1219,8 @@ NON_DYADIC = (Fraction(1, 7), Fraction(-3, 10), Fraction(0.1), Fraction(1, 2), F
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("per_point", [True, False])
-def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, per_point):
+@pytest.mark.parametrize("pointwise", [True, False])
+def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, pointwise):
     def f_value(key):  # a distinct value per key, so no two keys can be swapped
         i, coords = key
         return float(sum(c * (j + 2) for j, c in enumerate(coords))) / 3 - i / 11
@@ -1191,12 +1230,12 @@ def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, per_po
     for scheme in (PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 28), 2, Fraction(1, 28)), d),
                    PoisoningSchemeD(PoisoningScheme1D(Fraction(3, 40), 2, Fraction(3, 40)), d),
                    identity_scheme(d)):
-        excesses, coefficients = experiments._excess_table(per_point, scheme, NON_DYADIC, rows,
+        excesses, coefficients = experiments._excess_table(pointwise, scheme, NON_DYADIC, rows,
                                                            counts, f_value)
         want_excesses, want_coefficients = [], {}
         for row, count in zip(rows, counts):
             u = BiasVector([NON_DYADIC[a] for a in row])
-            excess, per_key = _per_draw_excess(per_point, u, scheme, f_value)
+            excess, per_key = _per_draw_excess(pointwise, u, scheme, f_value)
             want_excesses.append(excess)
             for key, c in per_key.items():
                 want_coefficients[key] = want_coefficients.get(key, 0) + count * c

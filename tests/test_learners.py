@@ -30,7 +30,6 @@ from poisonlab.learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
     _class_probs,
-    _count_law,
     empirical_loss_counts,
     empirical_losses,
     exp_mechanism_dist,
@@ -390,15 +389,15 @@ def test_count_law_is_the_class_scorer_to_the_bit_at_d1():
     rng = np.random.default_rng(SEED + 31)
     for eta in COUNT_LAW_ETAS:
         config = ExpMechanismConfig(eta)
-        got = _count_law(full, states, 0, config)
+        learner = ExpMechanismLearner(full, config)
+        got = learner.count_law(a, n - a, n)
         assert np.array_equal(got, _class_probs(full, states, 0, config))
-        assert np.array_equal(ExpMechanismLearner(full, config).batch_prediction_probs(states, 0),
-                              got)
+        assert np.array_equal(learner.batch_prediction_probs(states, 0), got)
         # ... and random batches, x one point or one per trial
         hists = rng.multinomial(int(rng.integers(1, 300)), [0.3, 0.7], size=500)[:, None, :]
         xs = np.zeros(500, dtype=np.int64)
         for x in (0, xs):
-            assert np.array_equal(_count_law(full, hists, x, config),
+            assert np.array_equal(learner.batch_prediction_probs(hists, x),
                                   _class_probs(full, hists, x, config))
 
 
@@ -412,11 +411,12 @@ def test_count_law_matches_the_class_scorer_past_d1(d):
             hists = rng.multinomial(n, rng.dirichlet([1.0] * (2 * d)), size=400)
             hists = hists.reshape(400, d, 2)
             xs = rng.integers(0, d, size=400)
-            got = _count_law(full, hists, xs, config)
+            learner = ExpMechanismLearner(full, config)
+            at_x = hists[np.arange(400), xs]
+            got = learner.count_law(at_x[:, 0], at_x[:, 1], n)
             assert np.abs(got - _class_probs(full, hists, xs, config)).max() <= 1e-13
             assert 0 <= got.min() and got.max() <= 1
-            assert np.array_equal(ExpMechanismLearner(full, config).batch_prediction_probs(
-                hists, xs), got)
+            assert np.array_equal(learner.batch_prediction_probs(hists, xs), got)
 
 
 def test_count_law_never_scores_above_1():
@@ -426,7 +426,8 @@ def test_count_law_never_scores_above_1():
     full = HypothesisClass.full(2)
     sample = Sample([0] * 9 + [1] * 2, [PLUS] * 11)
     assert _class_probs(full, sample.histograms(2), 0, config)[0] > 1.0
-    assert ExpMechanismLearner(full, config).prediction_prob(sample, 0) == 1.0
+    learner = ExpMechanismLearner(full, config)
+    assert learner.prediction_prob(sample, 0) == learner.count_law(9, 0, 11) == 1.0
 
 
 def test_count_law_reads_a_point_past_the_histogram_as_empty():
@@ -437,8 +438,9 @@ def test_count_law_reads_a_point_past_the_histogram_as_empty():
     narrow = rng.multinomial(40, [0.25] * 4, size=300).reshape(300, 2, 2)
     padded = np.concatenate([narrow, np.zeros((300, 2, 2), dtype=narrow.dtype)], axis=1)
     xs = rng.integers(0, 4, size=300)
-    got = ExpMechanismLearner(full, config).batch_prediction_probs(narrow, xs)
-    assert np.array_equal(got, _count_law(full, padded, xs, config))
+    learner = ExpMechanismLearner(full, config)
+    got = learner.batch_prediction_probs(narrow, xs)
+    assert np.array_equal(got, learner.batch_prediction_probs(padded, xs))
     assert np.abs(got - _class_probs(full, narrow, xs, config)).max() <= 1e-13
     assert np.all(got[xs >= 2] == 0.5)
 
