@@ -117,7 +117,11 @@ OPTIONS = {
     "n": Option("sizes", lambda s: _parse_list(s, _parse_int), None,
                 "sample size(s), comma separated (default: ceil(4/eta))"),
     "trials": Option("trials", _parse_int, "10000",
-                     "Monte Carlo trials per cell (default 10000)"),
+                     "Monte Carlo trials per cell (default 10000); curve: trials per "
+                     "distinct F value, which exp-mech and coupled share across "
+                     "coordinates, so at the equal-coordinate bias they draw 1/d of "
+                     "the trials of one estimate per coordinate and their standard "
+                     "error is up to sqrt(d) larger"),
     "seed": Option("seed", _parse_seed, str(DEFAULT_SEED), f"base seed (default {DEFAULT_SEED})"),
     "learner": Option("learners", lambda s: _parse_list(s, str), "exp-mech",
                       f"learner id(s): {', '.join(LEARNER_IDS)}"),

@@ -606,7 +606,8 @@ def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
     """The F value of each F key (i, v) and the cache it fills: one
     `estimate_F` of `trials_f` size-n trials at point i per key, run at the
     bias v on the stream rng.child(*labels, i, repr(v)); the cache keeps its
-    table under the key."""
+    table under the key. A per-point learner's keys are (0, v e_0), one per
+    poisoned value (`_excess_table`), so its estimates all run at point 0."""
     cache: dict[tuple, FTable] = {}
 
     def f_value(key: tuple) -> float:
@@ -630,7 +631,7 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     (0, -1), (1, +1), ..., of float(m) * (1/2 - y F) at the poisoned bias
     u' = scheme(i, y, u), m = (1/2 + y u_i) / d, minus the Bayes loss at u
     (`_bayes_losses`); the atom adds count * -y m to the coefficient of its
-    F key (i, u'). The lifted scheme moves coordinate i alone, by the 1-D
+    F key. The lifted scheme moves coordinate i alone, by the 1-D
     map of (y, u_i), so the exact work is done once per (value, label):
     one `scheme.inner.apply`, and m as an integer numerator over the common
     denominator D of every value's mass, whose float is the correctly
@@ -638,9 +639,12 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     ids and F keys as tuples of them; each distinct key builds its tuple of
     Fractions and queries `f_value` once, and its coefficient is summed as
     an integer numerator, one Fraction over D at the end. A per-point
-    learner's F at i reads u_i alone, so its key has every other coordinate
-    0, the key of every row with u_i at i (`pointwise`, a learner with a
-    `count_law`); any other learner's key keeps the row's other coordinates.
+    learner (`pointwise`, one with a `count_law`) reads only the counts at
+    its point, so F at any i of a vector with u'_i = v has one law: its key
+    is (0, v e_0), the poisoned value v at point 0 and 0 elsewhere, shared
+    by every coordinate and every row, and its terms are built once per
+    support value. Any other learner's key is (i, u') and keeps the row's
+    other coordinates.
     """
     d = scheme.dimension
     values = BiasVector(values).coords
@@ -666,17 +670,17 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
         return key_ids[ident]
 
     # each slot's two terms and, per label, (key id, y, numerator of m); a
-    # per-point learner's slot is (i, a), any other learner's (i, row)
-    table: dict[tuple, tuple[list[float], list[tuple[int, int, int]]]] = {}
-    uses: dict[tuple, int] = {}
+    # per-point learner's slot is its support value a, any other's (i, row)
+    table: dict[int | tuple, tuple[list[float], list[tuple[int, int, int]]]] = {}
+    uses: dict[int | tuple, int] = {}
     excesses: list[float] = []
     for row, count, bayes in zip(rows, counts, _bayes_losses(values, rows)):
         terms: list[float] = []
         for i, a in enumerate(row):
-            slot = (i, a) if pointwise else (i, tuple(row))
+            slot = a if pointwise else (i, tuple(row))
             if slot not in table:
-                base = [zero] * d if pointwise else [support[b] for b in row]
-                keyed = [(key_id(i, base, shifted), y, m) for y, m, shifted in atoms[a]]
+                at, base = (0, [zero] * d) if pointwise else (i, [support[b] for b in row])
+                keyed = [(key_id(at, base, shifted), y, m) for y, m, shifted in atoms[a]]
                 table[slot] = [m / denominator * (0.5 - y * fs[k]) for k, y, m in keyed], keyed
             terms += table[slot][0]
             uses[slot] = uses.get(slot, 0) + count
@@ -753,10 +757,13 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     distinct ones (`_distinct_rows`) go through the term table
     (`_excess_table`) once, which maps each support value under each label
     once. Each F key is estimated once with `trials_f` trials on the stream
-    ("F", coordinate, key bias) and cached (`_cached_f_oracle`). The mean is
-    over the draws. The CI combines the outer sampling variance with the
-    propagated variance of the cached estimates (`_f_variance`), each key's
-    count-weighted coefficient over trials_outer. The threshold is taken at
+    ("F", key point, key bias) and cached (`_cached_f_oracle`): a per-point
+    learner has one key per distinct poisoned value v, (0, v e_0), whatever
+    coordinate reads it, and any other learner one per (coordinate, poisoned
+    row). The mean is over the draws. The CI combines the outer sampling
+    variance with the propagated variance of the cached estimates
+    (`_f_variance`), each key's coefficient summed over every draw and
+    coordinate that reads it, over trials_outer. The threshold is taken at
     the scheme's budget, d * eta capped at 1/16 and spread over the d
     coordinates. n, trials_outer or trials_f below 1 raises ValueError
     before anything is drawn.
@@ -795,7 +802,8 @@ def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[fl
     A per-point learner's row excess is a sum of per-slot terms, one per
     coordinate value, and the hard law is a product, so the mean over all
     |support|^d rows is the `hard.weights()`-weighted sum of the excesses
-    of the |support| diagonal rows [a] * d (`_excess_table`). A learner
+    of the |support| diagonal rows [a] * d (`_excess_table`), with one
+    `exact_F` call per distinct poisoned value, at point 0. A learner
     without a `count_law` raises PreconditionError, since its F keys read
     whole rows; a size past the count engine's cap raises as `exact_F`
     does.
@@ -887,9 +895,13 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     """Oblivious excess at a fixed bias across sample sizes.
 
     Each size runs the term table (`_excess_table`) on the one row u, whose
-    F keys are estimated once each on the stream ("curve", n, coordinate,
-    key bias) (`_cached_f_oracle`); a size's standard error propagates those
-    estimates' errors through the excess (`_f_variance`). The report records
+    F keys are estimated once each with `trials_f` trials on the stream
+    ("curve", n, key point, key bias) (`_cached_f_oracle`); a size's standard
+    error propagates those estimates' errors through the excess
+    (`_f_variance`). A per-point learner's keys are its distinct poisoned
+    values, so at an equal-coordinate bias it draws the trials of one
+    coordinate, not of d, and its standard error is up to sqrt(d) that of d
+    separate estimates. The report records
     the fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
     budget eta, the quantity the recurring-excess argument tracks. A size
     or trials_f below 1 raises ValueError before anything is drawn.

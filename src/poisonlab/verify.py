@@ -485,7 +485,9 @@ def check_pointwise_f(rng: RandomSource):
     on the count engine, which reads only the counts at the point, as on the
     sequence table of the same learner behind an undeclared wrapper; a
     3-hypothesis class on 2 points has no law, and its F at
-    point 0 moves with u_1."""
+    point 0 moves with u_1. And exact F of v e_i at point i is exactly (==)
+    F of v e_0 at point 0, for exp-mech and coupled on full(2), full(3) and
+    full(16): the one value behind a per-point learner's F key (0, v e_0)."""
     eta = Fraction(1, 16)
     config = ExpMechanismConfig(eta)
     grid = adversaries.build_scheme_1d(eta)[1].values()
@@ -500,10 +502,25 @@ def check_pointwise_f(rng: RandomSource):
     three = ExpMechanismLearner(HypothesisClass([[1, 1], [1, -1], [-1, -1]]), config)
     moved = abs(experiments.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
                 - experiments.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
+    # 0, both ends, two dyadic values and a float with denominator 2^55
+    values = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 64), Fraction(-5, 128),
+              Fraction(0.1))
+    differ = cases = 0
+    for d in (2, 3, 16):
+        hclass = HypothesisClass.full(d)
+        for learner_id, n in iproduct(("exp-mech", "coupled"), (5, 32)):
+            p = experiments.make_learner(learner_id, hclass, eta, n, (0,) * d).prediction_prob
+            for v in values:
+                at_0 = experiments.exact_F(p, BiasVector([v] + [0] * (d - 1)), n, 0)
+                for i in range(1, d):
+                    e_i = BiasVector([0] * i + [v] + [0] * (d - 1 - i))
+                    differ += experiments.exact_F(p, e_i, n, i) != at_0
+                    cases += 1
     ok = (full.count_law is not None and worst <= 1e-15 and three.count_law is None
-          and moved > 1e-3)
+          and moved > 1e-3 and differ == 0)
     return ok, (f"full(2): |F_table(u) - F_count(u)| <= {worst:.1e} (n 2-5, 6 biases); "
-                f"3-hypothesis class not per-point, F_0 moves {moved:.3f} with u_1")
+                f"3-hypothesis class not per-point, F_0 moves {moved:.3f} with u_1; "
+                f"F(v e_i) at i != F(v e_0) at 0 in {differ} of {cases} cases")
 
 
 def check_oblivious_zero(rng: RandomSource):
@@ -724,17 +741,16 @@ def check_sweep_deterministic(rng: RandomSource):
 def _per_draw_excess(pointwise: bool, u: BiasVector, scheme,
                      f_value) -> tuple[float, dict[tuple, Fraction]]:
     """The oblivious excess at u and each F key's coefficient, without a
-    table: every term is built at u, and a `pointwise` learner's key (i, u')
-    (one with a `count_law`) has its other coordinates set to 0."""
+    table: every term is built at u. A `pointwise` learner's (one with a
+    `count_law`) key of (i, u') is (0, u'_i e_0), its poisoned value at
+    point 0 and 0 elsewhere; any other learner's is (i, u')."""
     d = u.dimension
     terms = []
     coefficients: dict[tuple, Fraction] = {}
     for i in range(d):
         for y in (PLUS, MINUS):
             shifted = scheme.apply(i, y, u).coords
-            if pointwise:
-                shifted = tuple(c if j == i else Fraction(0) for j, c in enumerate(shifted))
-            key = (i, shifted)
+            key = (0, (shifted[i],) + (Fraction(0),) * (d - 1)) if pointwise else (i, shifted)
             mass = (Fraction(1, 2) + y * u.coords[i]) / d
             terms.append(float(mass) * (0.5 - y * f_value(key)))
             coefficients[key] = coefficients.get(key, 0) - y * mass

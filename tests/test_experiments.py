@@ -954,14 +954,14 @@ def test_lower_bound_experiment_stream_lock():
 
 def test_lower_bound_benchmark_cell_stream_lock():
     # the per-point d = 2 cell of the lower-bound benchmark at full size:
-    # 400 outer draws, 400 trials per F key, 16 F keys
+    # 400 outer draws, 400 trials per F key, 8 F keys (one per poisoned value)
     eta = Fraction(1, 128)
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
     report = lower_bound_experiment(learner, eta, 2, 512, trials_outer=400, trials_f=400,
                                     rng=RandomSource(SEED, 24))
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
-        "0.058872316393870854", "0.05766524675722737", "0.06007938603051434")
-    assert report.f_points == 16
+        "0.05884357990805055", "0.05757666053759565", "0.06011049927850545")
+    assert report.f_points == 8
 
 
 def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
@@ -1015,6 +1015,39 @@ def test_lower_bound_exact_count_engine_pin_past_d2(d, want):
     assert threshold == lower_bound_threshold(eta, d)
 
 
+@pytest.mark.parametrize("learner_id", ["exp-mech", "coupled"])
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_exact_f_is_the_same_at_every_coordinate(learner_id, d):
+    # a per-point learner's F of v e_i at point i reads only the counts at i,
+    # so it is exactly its F of v e_0 at point 0: the value that the F key
+    # (0, v e_0) of `_excess_table` stands for at every coordinate
+    eta = Fraction(1, 64)
+    values = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 64),
+              Fraction(-5, 128), Fraction(0.1))
+    for n in (1, 5, 64):
+        p = make_learner(learner_id, HypothesisClass.full(d), eta, n, (0,) * d).prediction_prob
+        for v in values:
+            at_0 = exact_F(p, BiasVector([v] + [0] * (d - 1)), n, 0)
+            for i in range(1, d):
+                assert exact_F(p, BiasVector([0] * i + [v] + [0] * (d - 1 - i)), n, i) == at_0
+
+
+def test_lower_bound_exact_makes_one_exact_f_call_per_distinct_value(monkeypatch):
+    # d = 16, eta = 1/1024, n = 256: 8 poisoned values of the hard support
+    # under both labels, each read by all 16 coordinates, and one exact F
+    # each, at point 0 of the vector with 0 elsewhere
+    eta, d = Fraction(1, 1024), 16
+    inner, hard = build_scheme_1d(d * eta)
+    poisoned = {inner.apply(y, v) for v in hard.values() for y in (PLUS, MINUS)}
+    assert len(poisoned) == 8
+    calls = []
+    monkeypatch.setattr(experiments, "exact_F",
+                        lambda p_oracle, u, n, x: calls.append((x, u.coords)) or 0.0)
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+    lower_bound_exact(learner, eta, d, 256)
+    assert sorted(calls) == sorted((0, (v,) + (Fraction(0),) * (d - 1)) for v in poisoned)
+
+
 def test_lower_bound_exact_needs_a_per_point_learner_within_the_count_cap():
     eta = Fraction(1, 128)
     with pytest.raises(PreconditionError, match="not per-point"):
@@ -1028,8 +1061,8 @@ def test_lower_bound_exact_needs_a_per_point_learner_within_the_count_cap():
 
 @pytest.mark.parametrize("learner_id,want", [
     # exp-mech on full(2): per-point, F estimated on histograms
-    ("exp-mech", (("0.10882911236814863", "0.10878190995915515"),
-                  ("0.006408604547513503", "0.004946272103295028"))),
+    ("exp-mech", (("0.10419688803672555", "0.10446897052983928"),
+                  ("0.006305410445245851", "0.004871420260165554"))),
     # majority at d = 2: not per-point, F estimated on rows
     ("majority", (("0.09406249999999994", "0.1121875"),
                   ("0.01172491824844388", "0.01064665455951508"))),
@@ -1092,12 +1125,11 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 8)
     report = learning_curve_experiment(learner, u, scheme, (n,), trials, rng)
-    # the full class is per-point: F_i is estimated at u with every other
-    # coordinate set to 0, on that canonical vector's stream
-    canonical = [tuple(c if j == i else Fraction(0) for j, c in enumerate(u.coords))
-                 for i in range(d)]
-    se = [estimate_F(learner, BiasVector(v), n, trials, rng.child("curve", n, i, repr(v)),
-                     points=[i]).std_errors[0] for i, v in enumerate(canonical)]
+    # the full class is per-point: F_i is estimated at point 0 of the vector
+    # (u_i, 0), on that vector's stream
+    keyed = [(c, Fraction(0)) for c in u.coords]
+    se = [estimate_F(learner, BiasVector(v), n, trials, rng.child("curve", n, 0, repr(v)),
+                     points=[0]).std_errors[0] for v in keyed]
     coords = [float(c) for c in u.coords]
     summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
     per_atom = math.sqrt(math.fsum(((0.5 + c) ** 2 + (0.5 - c) ** 2) / d ** 2 * s ** 2
@@ -1119,7 +1151,7 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
     for lid in ("exp-mech", "coupled"):
         learner = make_learner(lid, hc, eta, 64, coords)
         assert keys(learner) == {(0, (Fraction(1, 8), Fraction(0))),
-                                 (1, (Fraction(0), Fraction(-3, 16)))}
+                                 (0, (Fraction(-3, 16), Fraction(0)))}
     three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
                                 ExpMechanismConfig(eta))
     others = [make_learner(lid, hc, eta, 64, coords) for lid in ("vc", "majority", "bayes")]
@@ -1128,9 +1160,9 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
 
 
 def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
-    # d = 2, per-point: the F variance is sum over canonical keys (i, u_i) of
-    # (summed coefficient * se)^2, each se that of estimate_F at the canonical
-    # vector on its own stream
+    # d = 2, per-point: the F variance is sum over value keys (0, v e_0) of
+    # (coefficient summed over both coordinates * se)^2, each se that of
+    # estimate_F at point 0 of v e_0 on its own stream
     eta, d, n, outer, trials = Fraction(1, 128), 2, 32, 200, 100
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 14)
@@ -1151,12 +1183,12 @@ def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
         _, per_key = experiments._excess_table(False, scheme, u, [range(d)], [1],
                                                lambda key: 0.0)
         for (i, coords), c in per_key.items():
-            key = (i, tuple(v if j == i else Fraction(0) for j, v in enumerate(coords)))
+            key = (0, (coords[i], Fraction(0)))
             expected[key] = expected.get(key, 0) + c / outer
     [(coefficients, cache)] = seen
-    assert coefficients == expected and len(expected) == report.f_points == 16
-    se = {(i, v): estimate_F(learner, BiasVector(v), n, trials, rng.child("F", i, repr(v)),
-                             points=[i]).std_errors[0] for i, v in expected}
+    assert coefficients == expected and len(expected) == report.f_points == 8
+    se = {(0, v): estimate_F(learner, BiasVector(v), n, trials, rng.child("F", 0, repr(v)),
+                             points=[0]).std_errors[0] for _, v in expected}
     assert {key: table.std_errors[0] for key, table in cache.items()} == se
     variance = math.fsum((float(c) * se[key]) ** 2 for key, c in expected.items())
     assert original(coefficients, cache) == variance
@@ -1294,7 +1326,7 @@ def _count_maps_and_estimates(monkeypatch) -> tuple[list, list]:
 def test_lower_bound_builds_each_per_point_term_once(monkeypatch, outer):
     # d = 2 at eta = 1/128: 9 atoms per coordinate, so 2 labels x 9 atoms =
     # 18 scheme maps however many biases are drawn, and one F estimate per
-    # distinct key, (coordinate, poisoned value) with the other coordinate 0
+    # distinct poisoned value, at point 0 of the vector with 0 elsewhere
     eta, d = Fraction(1, 128), 2
     values = build_scheme_1d(d * eta)[1].values()
     assert len(values) == 9
@@ -1303,7 +1335,8 @@ def test_lower_bound_builds_each_per_point_term_once(monkeypatch, outer):
     report = lower_bound_experiment(learner, eta, d, 16, outer, 10, RandomSource(SEED, 17))
     assert Counter(maps) == Counter((y, v) for v in values for y in (PLUS, MINUS))
     assert len(maps) == 2 * 9 == 18
-    assert len(estimates) == len(set(estimates)) == report.f_points == 16
+    assert len(estimates) == len(set(estimates)) == report.f_points == 8
+    assert all(point == 0 and u.coords[1] == 0 for point, u in estimates)
 
 
 def test_lower_bound_builds_the_terms_of_each_distinct_draw_otherwise(monkeypatch):
