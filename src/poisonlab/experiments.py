@@ -6,37 +6,41 @@ one risk rule (`_ExactTable.risk`) over two state spaces, chosen by the
 oracle: the error at each state is maximized over the radius-k ball and
 floored at 0, and the weighted terms are summed exactly and rounded once.
 The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
-0) and F (a -1 target at radius 0) are the same rule.
+0) and F (a -1 target at radius 0) are the same rule. A sequence weighs the
+integer prod_k (D base_k) ** c_k over D ** n for its counts c in cells of
+weights base_k, D their common denominator (`_power_weights`), and a
+term's float(w * q) is one correctly rounded integer quotient.
 
 A bound method of a learner with a `Learner.count_law` (the exponential
 mechanisms on a full class) is scored on count states, every (a, b) =
 (#(x, +1), #(x, -1)) of a size-n sample (n + 1 at d = 1, (n + 1)(n + 2) / 2
 at d >= 2), by one law call that serves every point at any d. A radius-1
-ball is a state's unit row moves (2 at d = 1, 6 at d >= 2). A state weighs
-w * its number of sequences, w the exact weight of one sequence in it
-(`_count_weights`), the other points' rows pooled. Both state spaces
+ball is a state's unit row moves (2 at d = 1, 6 at d >= 2). Its cells are
+(x, +1), (x, -1) and the other points' rows pooled, and its n! / (a! b! r!)
+sequences are counted once per n (`_count_states`). Both state spaces
 read the same +1 probabilities, so at d = 1 every value is the sequence
 table's to the bit; at d >= 2 the pooled weights round apart from the
 table's per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify
 check `experiments.count-engine` grades (2 ulp allowed). The scores read the
 learner, d and n alone, so a count table is built once per (learner, d, n)
 and kept for every distribution, budget and test atom weighed on it
-(`_count_table`, the 4 most recent tables).
+(`_count_table`, the 8 most recent: an exact-ball benchmark pass reads 5).
 
 Every other oracle is scored on the sequence table, built anew per call:
 every atom sequence, zero-weight ones included, is one row of a single
 (2d)^n-row batch, scored once per point. A radius-1 ball's maximum is an
 elementwise maximum over the per-axis reductions of the table's (2d,)*n view
 (a radius-(j+1) ball is the union of radius-j balls around radius-1
-neighbours), and a sequence weighs prod_a q_a ** c_a, its atom-count class c
-found once per table. Cost: d oracle calls over the batch plus k * n * (2d)^n
-array operations. Either table keeps the ball maxima of the last 4 radii
-it built (`_ExactTable.ball_maxima`), so calls at one budget share them. Both
-spaces stop at 100,000 states (`_TABLE_CAP`). At the cap (d >= 2, n = 445) a
-count table holds 0.8 MB and each kept radius 1.6 MB, and each of the 8 kept
-sets of exact state weights (`_count_weights`) about S * (n log2(D) / 8 + 130)
-bytes for S states and D the atoms' common denominator: 29 MB at D = 8,
-47 MB at D = 128 and 70 MB at D = 2000, so the cache can reach 8 times that.
+neighbours), and a sequence's cells are the 2d atoms. Cost: d oracle calls
+over the batch plus k * n * (2d)^n array operations. Either table keeps the
+ball maxima of the last 4 radii it built (`_ExactTable.ball_maxima`), so
+calls at one budget share them. Both spaces stop at 100,000 states
+(`_TABLE_CAP`). At the cap (d >= 2, n = 445; tracemalloc) a count table
+holds 0.8 MB and each kept radius 1.6 MB, a state space 18.6 MB (10.6 MB of
+it multiplicities), and a set of exact weights 11.5, 36.0 or 59.4 MB at
+common denominators D = 8, 128 or 2000: at most 16 * 18.6 + 8 * 59.4 =
+773 MB in the two caches. On a 2-vCPU Xeon a cold weight set takes 0.04-0.07,
+0.25-0.34 or 0.65-0.93 s at those D, and a state space 1.0-1.1 s once per n.
 
 The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
@@ -57,7 +61,9 @@ a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -350,8 +356,7 @@ class _SequenceTable(_ExactTable):
                                       for x in range(dist.dimension)], axis=-1))
         classes, self.classes = np.unique(
             np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), self.axes), return_inverse=True)
-        self.counts = (seqs[classes][:, :, None] == np.arange(len(atoms))).sum(axis=1).tolist()
-        self.class_weights: dict[tuple[Fraction, ...], list[Fraction]] = {}
+        self.counts = (seqs[classes][:, :, None] == np.arange(len(atoms))).sum(axis=1).T
 
     def ball_step(self, values: np.ndarray) -> np.ndarray:
         """An elementwise maximum over the reductions along each row's axis
@@ -363,15 +368,10 @@ class _SequenceTable(_ExactTable):
 
     def weights(self, probs: dict[Example, Fraction], x: int,
                 q: Fraction) -> tuple[tuple, np.ndarray, Sequence[int]]:
-        """Indexed (live, x), one sequence each, weighing prod_a q_a ** c_a
-        for its class's atom counts c, whatever x is; the class weights of
-        each distribution are built once."""
-        key = tuple(probs.values())
-        if key not in self.class_weights:
-            self.class_weights[key] = [math.prod(map(pow, key, c)) for c in self.counts]
-        ws = self.class_weights[key]
-        live = np.flatnonzero(np.array([w != 0 for w in ws])[self.classes])
-        coef = np.array([float(w * q) for w in ws])[self.classes[live]]
+        """Indexed (live, x), one sequence each, whatever x is."""
+        numerators, denominator = _power_weights(list(probs.values()), self.counts, self.n)
+        live = np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
+        coef = _float_weights(numerators, denominator, q)[self.classes[live]]
         return (live, x), coef, (1,) * len(live)
 
 
@@ -382,7 +382,7 @@ class _CountTable(_ExactTable):
     (`_count_table`)."""
 
     def __init__(self, learner: Learner, d: int, n: int):
-        a, b, self.moves = _count_states(n, d == 1)
+        (a, b, _), self.moves, self.mults = _count_states(n, d == 1)
         super().__init__(n, one_per_trial(learner, learner.count_law(a, b, n), len(a)))
 
     def ball_step(self, values: np.ndarray) -> np.ndarray:
@@ -396,25 +396,26 @@ class _CountTable(_ExactTable):
     def weights(self, probs: dict[Example, Fraction], x: int,
                 q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
         """`_count_coefficients` at point x's atoms, indexed by state alone."""
-        return _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
+        live, coef = _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
+        mults = self.mults if len(live) == len(self.mults) else [self.mults[s] for s in live]
+        return live, coef, mults
 
 
-# Keyed by the learner object, which the cache holds, with d and n: a
-# learner's law must not change once it is scored. 4 tables of `_RADII`
-# radii stay under 30 MB (module docstring). A table over the cap raises on
-# every call, as lru_cache keeps no exception.
-_count_table = functools.lru_cache(maxsize=4)(_CountTable)
+# Keyed by the learner object, which the cache holds, with d and n: a learner's
+# law must not change once it is scored. A table over the cap raises on every
+# call, as lru_cache keeps no exception.
+_count_table = functools.lru_cache(maxsize=8)(_CountTable)
 
 
-@functools.lru_cache(maxsize=32)
-def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The count states (a, b) of one point in a size-n sample, a then b
-    ascending: (a, n - a) when the point is the whole domain (`single`), else
-    every a + b <= n. Also, per state, its own index and its neighbours' one
-    unit row move away, a (S, moves + 1) array: a row goes (x, +1) <-> (x, -1),
-    and unless `single`, also to or from another point. A move off the state
-    space stands for the state itself. The number of states is bounded by
-    `_TABLE_CAP`, as the sequences of the table engine are."""
+@functools.lru_cache(maxsize=16)  # 18.6 MB an entry at the cap (module docstring)
+def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The count states (a, b, r = n - a - b) of one point in a size-n sample
+    as a (3, S) array, a then b ascending: (a, n - a, 0) when the point is the
+    whole domain (`single`), else every a + b <= n. Also, per state, its own
+    index and its neighbours' one unit row move away, (S, moves + 1): a row
+    goes (x, +1) <-> (x, -1), and unless `single`, to or from another point; a
+    move off the state space stands for the state itself. Last, each state's
+    n! / (a! b! r!) sequences. States are capped as sequences (`_TABLE_CAP`)."""
     size = n + 1 if single else (n + 1) * (n + 2) // 2
     if size > _TABLE_CAP:
         raise EnumerationTooLargeError(f"{size} count states exceed cap {_TABLE_CAP}")
@@ -426,49 +427,51 @@ def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, np.ndar
     index[a + 1, b + 1] = own
     near = [index[a + 1 + da, b + 1 + db] for da, db in steps]
     moves = np.stack([own] + [np.where(s >= 0, s, own) for s in near], axis=1)
-    return _read_only(a, b, moves)
+    mults = tuple(math.comb(n, i) * math.comb(n - i, j) for i, j in zip(a.tolist(), b.tolist()))
+    return *_read_only(np.array([a, b, n - a - b]), moves), mults
 
 
 @functools.lru_cache(maxsize=256)
 def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
-                        n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The live (nonzero-weight) count states of one point whose atoms weigh
-    p_plus and p_minus, each with float(w * q) and its number of sequences,
-    as (state indices, floats, integers). With w an integer over one
-    denominator (`_count_weights`), w * q is a quotient of integers, and
-    Python's int / int rounds it correctly to the float of the exact
-    product. A pure function of exact values, so each is built once."""
-    live, numerators, denominator, mults = _count_weights(p_plus, p_minus, n)
-    scale = denominator * q.denominator
-    return live, *_read_only(np.array([w * q.numerator / scale for w in numerators])), mults
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The live count states of one point with atoms p_plus and p_minus and
+    float(w * q) of each one's exact weight w (`_count_weights`), built once."""
+    live, numerators, denominator = _count_weights(p_plus, p_minus, n)
+    return live, *_read_only(_float_weights(numerators, denominator, q))
 
 
-# at the state cap (d >= 2, n = 445) an entry holds 29-70 MB of integers for
-# common denominators 8-2000, as the module docstring states
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)  # 12-59 MB an entry at the cap (module docstring)
 def _count_weights(p_plus: Fraction, p_minus: Fraction, n: int
-                   ) -> tuple[np.ndarray, tuple[int, ...], int, tuple[int, ...]]:
-    """The live count states of one point whose atoms weigh p_plus and
-    p_minus, each with the exact weight w of one sequence in it,
-    p_plus^a p_minus^b (1 - p_plus - p_minus)^r with the r other rows
-    pooled, and its number of sequences n! / (a! b! r!), as (state indices,
-    numerators of w, their common denominator D^n, integers); D is the
-    least common denominator of the three atom weights. Of
-    `_count_coefficients`' arguments only q is left out, so the exact
-    weights are built once for every test atom at the point."""
-    single = p_plus + p_minus == 1
-    a, b, _ = _count_states(n, single)
-    bases = (p_plus, p_minus, 1 - p_plus - p_minus)
-    den = math.lcm(*(c.denominator for c in bases))
-    powers = [[(c.numerator * (den // c.denominator)) ** j for j in range(n + 1)] for c in bases]
-    live, numerators, mults = [], [], []
-    for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
-        w = powers[0][i] * powers[1][j] * powers[2][n - i - j]
-        if w:
-            live.append(s)
-            numerators.append(w)
-            mults.append(math.comb(n, i) * math.comb(n - i, j))
-    return _read_only(np.array(live, dtype=np.intp))[0], tuple(numerators), den ** n, tuple(mults)
+                   ) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The live (nonzero-weight) count states of one point with atoms p_plus
+    and p_minus, the numerators of their exact weights p_plus^a p_minus^b
+    (1 - p_plus - p_minus)^r and their denominator, for any test atom."""
+    rest = 1 - p_plus - p_minus
+    cells, _, _ = _count_states(n, not rest)
+    numerators, denominator = _power_weights((p_plus, p_minus, rest), cells, n)
+    live = np.array(numerators, dtype=bool).nonzero()[0]
+    return _read_only(live)[0], tuple(itertools.compress(numerators, numerators)), denominator
+
+
+def _power_weights(bases: Sequence[Fraction], counts: np.ndarray,
+                   n: int) -> tuple[tuple[int, ...], int]:
+    """The exact weight prod_k bases[k] ** counts[k][s] of each state s of
+    n rows, as the integer prod_k (D bases[k]) ** counts[k][s] over D ** n,
+    D the bases' least common denominator: one lookup per cell per state."""
+    den = math.lcm(*(base.denominator for base in bases))
+    columns = []
+    for base, cells in zip(bases, counts.tolist()):
+        scaled = base.numerator * (den // base.denominator)
+        powers = list(itertools.accumulate(itertools.repeat(scaled, n), operator.mul, initial=1))
+        columns.append(map(powers.__getitem__, cells))
+    return tuple(functools.reduce(functools.partial(map, operator.mul), columns)), den ** n
+
+
+def _float_weights(numerators: Sequence[int], denominator: int, q: Fraction) -> np.ndarray:
+    """float(w * q) for each exact weight w = numerator / denominator: a
+    quotient of integers, which Python's int / int rounds correctly."""
+    num, scale = q.numerator, denominator * q.denominator
+    return np.array([w * num / scale for w in numerators])
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -1030,10 +1033,6 @@ def run_cell(grid: SweepGrid, cell: SweepCell) -> ExcessEstimate:
                               seed=grid.seed, metadata=meta)
 
 
-def _run_cell_star(args: tuple[SweepGrid, SweepCell]) -> ExcessEstimate:
-    return run_cell(*args)
-
-
 def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ExcessEstimate]:
     """Run every cell; output order is the canonical grid order regardless of
     scheduling, and per-cell streams make the values worker-count invariant."""
@@ -1043,4 +1042,4 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ExcessEstimate]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell_star, [(grid, cell) for cell in cells]))
+        return list(pool.map(run_cell, [grid] * len(cells), cells))

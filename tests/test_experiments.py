@@ -602,23 +602,29 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
     (Fraction(1, 2), Fraction(0), 10),  # u = 1/2 at d = 2: states with b > 0 weigh 0
 ])
 def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_minus, n):
-    a, b, _ = experiments._count_states(n, p_plus + p_minus == 1)
+    # the count states' power products and their multiplicities, built once
+    # with the state space, against Fraction products and math.comb pairs
+    (a, b, _), _, mults = experiments._count_states(n, p_plus + p_minus == 1)
     for q in (p_plus, p_minus, 1):
-        live, coef, mults = experiments._count_coefficients(p_plus, p_minus, q, n)
+        live, coef = experiments._count_coefficients(p_plus, p_minus, q, n)
         want = []
         for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
             w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
             if w:
                 want.append((s, float(w * q), math.comb(n, i) * math.comb(n - i, j)))
-        assert list(zip(live.tolist(), coef.tolist(), mults)) == want
+        assert list(zip(live.tolist(), coef.tolist(), [mults[s] for s in live])) == want
+    assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
+                           for i, j in zip(a.tolist(), b.tolist())]
 
 
 def test_count_weights_are_built_once_per_point():
     # an exact cell's risks and F read q = p+, p- and 1 at each point; the
-    # weights depend on the point alone, so d = 2 builds two tables
+    # weights depend on the point alone, so d = 2 builds two tables, and
+    # both read the one state space of n
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
     u = BiasVector([Fraction(5, 32), Fraction(-7, 32)])
     dist = ProductBiasDistribution(u)
+    experiments._count_states.cache_clear()
     experiments._count_weights.cache_clear()
     experiments._count_coefficients.cache_clear()
     exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 16), 20)
@@ -626,6 +632,63 @@ def test_count_weights_are_built_once_per_point():
     exact_F(learner.prediction_prob, u, 20, 1)
     assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 1
     assert experiments._count_weights.cache_info().misses == 2
+    assert experiments._count_states.cache_info().misses == 1
+
+
+def test_multiplicities_are_built_once_per_state_space(monkeypatch):
+    # a second and third bias at one n, on a table kept for every bias and a
+    # fresh sequence table alike, build no multiplicity: the count table and
+    # every bias's weights read the ones built with the states
+    combs = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda m, k: combs.append(m) or comb(m, k))
+    experiments._count_states.cache_clear()
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
+    for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.1, Fraction(1, 2)],
+                   [Fraction(1, 3 ** 40), Fraction(-1, 3)]):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 8), 13)
+        exact_F(learner.prediction_prob, dist.bias, 13, 0)
+        exhaustive_clean_loss(wrapped, dist, 3)
+        assert len(combs) == 2 * 14 * 15 // 2
+        assert experiments._count_states.cache_info().misses == 1
+    table = experiments._engine(learner.prediction_prob, dist, 13)
+    assert table.mults is experiments._count_states(13, False)[2]
+
+
+def _sequence_weights_reference(probs: dict, n: int, q) -> tuple[list[int], list[float]]:
+    """The live sequences of `probs`' atoms in row-major order and float(w *
+    q) of each, w = prod_a q_a ** c_a a product of `Fraction`s over its atom
+    counts c."""
+    live, coefs = [], []
+    for s, seq in enumerate(product(range(len(probs)), repeat=n)):
+        w = math.prod(q_a ** seq.count(a) for a, q_a in enumerate(probs.values()))
+        if w:
+            live.append(s)
+            coefs.append(float(w * q))
+    return live, coefs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 7), (2, 4), (3, 3)]),
+       st.lists(st.sampled_from([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2), Fraction(-1, 2),
+                                 Fraction(0), 0.1, -0.3, Fraction(1, 3 ** 40),
+                                 Fraction(1, 2) - Fraction(1, 3 ** 40), Fraction(5, 11)]),
+                min_size=3, max_size=3))
+@example((2, 4), [0.1, Fraction(1, 3 ** 40), 0])
+def test_sequence_table_coefficients_are_the_floats_of_exact_fraction_products(shape, coords):
+    # the integer power products over one denominator give every sequence
+    # the float of its exact Fraction weight, at q = 1 and at every atom's q
+    d, n = shape
+    dist = ProductBiasDistribution(BiasVector(coords[:d]))
+    table = experiments._SequenceTable(lambda s, x: np.full(len(s.points), 0.5), dist, n)
+    probs = dict(dist.atoms())
+    for (x, _), q in [((0, PLUS), 1), *probs.items()]:
+        (live, at), coef, mults = table.weights(probs, x, q)
+        want_live, want_coef = _sequence_weights_reference(probs, n, q)
+        assert at == x and live.tolist() == want_live
+        assert coef.tolist() == want_coef and list(mults) == [1] * len(want_live)
 
 
 @pytest.mark.parametrize("x", [-1, 2])
@@ -694,6 +757,17 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     assert flat is not wide and flat.p.shape == (4,) and wide.p.shape == (10,)
 
 
+def test_five_count_tables_read_in_turn_are_each_built_once():
+    # an exact-ball benchmark pass reads 5 tables in turn (n = 2 and 4 at
+    # two budgets, n = 8 at one); repeated in one process, every one is kept
+    rules = [_CountingRule(1) for _ in range(5)]
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    for _ in range(3):
+        for rule, n in zip(rules, (2, 2, 4, 4, 8)):
+            exhaustive_adversarial_loss(rule.prediction_prob, dist, Fraction(1, 4), n)
+    assert [rule.calls for rule in rules] == [1] * 5
+
+
 def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
     # the full class's law reads each state's counts and makes no pass of
     # the class scorer, whatever its budget
@@ -718,7 +792,7 @@ def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
     for eta in (Fraction(1, 64), Fraction(1, 4), 0.37):
         learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
         for n in (1, 7, 40):
-            a, b, _ = experiments._count_states(n, d == 1)
+            (a, b, _), _, _ = experiments._count_states(n, d == 1)
             law = learner.count_law(a, b, n)
             for x in range(d):
                 for point, column in (((x + 1) % d, 0), ((x - 1) % d, 1)):
