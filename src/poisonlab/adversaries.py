@@ -271,9 +271,25 @@ def identity_scheme(dimension: int) -> PoisoningSchemeD:
 class Adversary:
     """Corrupts a sample knowing the test example: given one `Sample` and an
     Example, or a (trials, n) `Sample` and an Example of (trials,) point and
-    label arrays, it returns the corrupted sample or batch of the same shape."""
+    label arrays, it returns the corrupted sample or batch of the same shape.
+
+    `count_move(a, b, n, labels)`, unless None, is the same attack seen from
+    the counts at each trial's target point: given the (trials,) counts a of
+    (x, +1) rows and b of (x, -1) rows of size-n samples and the target
+    labels, it returns the counts after the attack and the rows it moved,
+    drawing nothing. Against a learner with a `Learner.count_law`, the Monte
+    Carlo evaluator runs such an attacker on the counts alone and never
+    builds the rows (`experiments.mc_adversarial_loss`). A subclass that
+    rewrites `attack` and not `count_move` has no count move.
+    """
 
     name = "adversary"
+    count_move = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "attack" in cls.__dict__ and "count_move" not in cls.__dict__:
+            cls.count_move = None
 
     def attack(self, sample: Sample, target: Example,
                gen: np.random.Generator | None = None) -> Sample:
@@ -286,6 +302,9 @@ class IdentityAdversary(Adversary):
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return sample
 
+    def count_move(self, a, b, n, labels):
+        return a, b, np.zeros_like(a)
+
 
 class GreedyFlipAdversary(Adversary):
     name = "greedy"
@@ -295,6 +314,16 @@ class GreedyFlipAdversary(Adversary):
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         return greedy_flip_attack(sample, target, self.budget)
+
+    def count_move(self, a, b, n, labels):
+        """`greedy_flip_attack` in closed form: of the limit's rows it takes
+        m1 = min(limit, rows reading (x, y)) there, then m2 = min(limit - m1,
+        n - a - b) rows at other points, and writes all m1 + m2 to (x, -y)."""
+        limit = self.budget.max_corruptions(n)
+        plus = labels == PLUS
+        taken = np.minimum(limit, np.where(plus, a, b))
+        moved = taken + np.minimum(limit - taken, n - a - b)
+        return np.where(plus, a - taken, a + moved), np.where(plus, b + moved, b - taken), moved
 
 
 class BruteForceAdversary(Adversary):

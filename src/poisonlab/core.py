@@ -9,6 +9,7 @@ forces a float.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import math
@@ -358,10 +359,11 @@ class ProductBiasDistribution:
     0.1 up to d = 256) the law is exact; past it each atom is within 2^-64 of
     its probability. An atom of probability 0 has width 0 and is never drawn.
     A threshold T_j = R, before a run of such atoms at the end, is left out:
-    no draw reaches it, and R itself need not fit the dtype.
+    no draw reaches it, and R itself need not fit the dtype. `_cuts` holds
+    the same thresholds as Python ints, for one-example draws.
     """
 
-    __slots__ = ("bias", "_atoms", "_range", "_thresholds")
+    __slots__ = ("bias", "_atoms", "_range", "_thresholds", "_cuts")
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
@@ -371,8 +373,8 @@ class ProductBiasDistribution:
         self._range = min(denominator, 2 ** 64)
         before = accumulate(num * (denominator // den) for _, num, den in ratios[:-1])
         cuts = [c * self._range // denominator for c in before]
-        self._thresholds = np.array([t for t in cuts if t < self._range],
-                                    dtype=np.min_scalar_type(self._range - 1))
+        self._cuts = tuple(t for t in cuts if t < self._range)
+        self._thresholds = np.array(self._cuts, dtype=np.min_scalar_type(self._range - 1))
 
     @property
     def dimension(self) -> int:
@@ -602,34 +604,45 @@ def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Gener
     are -1/+1 by construction, so the arrays are not checked again."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return Sample._valid(*_draw_atoms(dist, gen, n if trials is None else (trials, n)))
+    return Sample._valid(*_decode_atoms(
+        _draw_codes(dist, gen, n if trials is None else (trials, n))))
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
                  trials: int | None = None) -> Example:
     """One test example drawn from the distribution (same law and draw as a
     `draw_sample_with` entry), or one per trial as an Example of read-only
-    (trials,) point and label arrays."""
-    pts, labs = _draw_atoms(dist, gen, trials)
+    (trials,) point and label arrays. One example takes the same generator
+    call as a batch entry, and finds its atom by bisecting the thresholds as
+    Python ints, with none of the array passes a batch needs."""
     if trials is None:
-        return Example(int(pts), int(labs))
+        v = gen.integers(0, dist._range, dtype=dist._thresholds.dtype)
+        atom = bisect.bisect_right(dist._cuts, int(v))
+        return Example(atom >> 1, 1 - 2 * (atom & 1))
+    pts, labs = _decode_atoms(_draw_codes(dist, gen, trials))
     pts.setflags(write=False)
     labs.setflags(write=False)
     return Example(pts, labs)
 
 
-def _draw_atoms(dist: ProductBiasDistribution, gen: np.random.Generator,
-                shape) -> tuple[np.ndarray, np.ndarray]:
-    """int64 points and int8 labels of i.i.d. atoms of `dist`, as arrays of
-    `shape` (0-d for None): one integer v uniform on [0, R) per entry, whose
-    atom j, the number of thresholds at or below v, is the point j >> 1
-    with the label 1 - 2 (j & 1)."""
+def _draw_codes(dist: ProductBiasDistribution, gen: np.random.Generator,
+                shape) -> np.ndarray:
+    """An array of `shape` of i.i.d. atom codes of `dist`: one integer v
+    uniform on [0, R) per entry, in row-major order, whose code j is the
+    number of thresholds at or below v, atom j in the order (0, +1),
+    (0, -1), (1, +1), ... Code 2x is (x, +1) and 2x + 1 is (x, -1)."""
     cuts = dist._thresholds
-    v = np.asarray(gen.integers(0, dist._range, size=shape, dtype=cuts.dtype))
+    v = gen.integers(0, dist._range, size=shape, dtype=cuts.dtype)
     atom = np.zeros(v.shape, np.min_scalar_type(len(cuts)))
     for cut in cuts:
         atom += v >= cut
-    labs = (atom & 1).astype(np.int8)
+    return atom
+
+
+def _decode_atoms(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 points and int8 labels of an array of atom codes: code j is the
+    point j >> 1 with the label 1 - 2 (j & 1)."""
+    labs = (codes & 1).astype(np.int8)
     labs *= np.int8(-2)
     labs += np.int8(1)
-    return (atom >> 1).astype(np.int64), labs
+    return (codes >> 1).astype(np.int64), labs

@@ -9,7 +9,11 @@ The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
 0) and F (a -1 target at radius 0) are the same rule. A sequence weighs the
 integer prod_k (D base_k) ** c_k over D ** n for its counts c in cells of
 weights base_k, D their common denominator (`_power_weights`), and a
-term's float(w * q) is one correctly rounded integer quotient.
+term's float(w * q) is one correctly rounded integer quotient. A term below
+the normal floats is rounded as float(w * q * 2^s) instead, s taken back
+out of the exact sum: a count state holds up to 2^n sequences, so at d = 1
+weights under 2^-1022 (every sequence at u = 0 from n = 1,023 on) still
+carry the risk.
 
 A bound method of a learner with a `Learner.count_law` (the exponential
 mechanisms on a full class) is scored on count states, every (a, b) =
@@ -37,15 +41,24 @@ ball maxima of the last 4 radii it built (`_ExactTable.ball_maxima`), so
 calls at one budget share them. Both spaces stop at 100,000 states
 (`_TABLE_CAP`). At the cap (d >= 2, n = 445; tracemalloc) a count table
 holds 0.8 MB and each kept radius 1.6 MB, a state space 18.6 MB (10.6 MB of
-it multiplicities), and a set of exact weights 11.5, 36.0 or 59.4 MB at
-common denominators D = 8, 128 or 2000: at most 16 * 18.6 + 8 * 59.4 =
-773 MB in the two caches. On a 2-vCPU Xeon a cold weight set takes 0.04-0.07,
-0.25-0.34 or 0.65-0.93 s at those D, and a state space 1.0-1.1 s once per n.
+it multiplicities), a set of exact weights 11.5, 36.0 or 59.4 MB at common
+denominators D = 8, 128 or 2000, and one test atom's coefficients 0.8 MB,
+which keep their weight set's 0.8 MB index of live states alive: at most
+16 * 18.6 + 8 * 59.4 = 773 MB in the state and weight caches, and 0.2-0.4 GB
+in the 256 coefficient sets (`_count_coefficients`). On a 2-vCPU Xeon a cold
+weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s at those D, and a state
+space 1.0-1.1 s once per n.
 
 The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
 and scored by one call per layer, `Adversary.attack` and
-`Learner.prediction_prob` each taking the whole batch. A chunk holds
+`Learner.prediction_prob` each taking the whole batch. A learner with a
+`count_law` against an attacker with a `count_move` (the exponential
+mechanisms on a full class against identity or greedy) runs its chunks on
+the counts at each trial's target instead: the same integers are drawn as
+atom codes, counted at the target, moved and scored, and no row is built.
+Both paths read the same draws and the same law, so their estimates are
+the same floats. A chunk holds
 `chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
 entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
 child stream, its generator and each layer's numpy calls) is paid once per
@@ -87,6 +100,7 @@ from .core import (
     Sample,
     Scalar,
     _atom_ratios,
+    _draw_codes,
     ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
     bayes_loss,
     corruption_limit,
@@ -230,6 +244,18 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     learner that does not return one probability per trial raises
     ValueError. An adversary that returns the clean batch object itself
     moved no row, so only another batch is measured against the budget.
+
+    A learner with a `Learner.count_law` against an attacker with an
+    `Adversary.count_move` (the exponential mechanisms on a full class
+    against identity or greedy) runs on counts instead: each chunk draws
+    the same integers as atom codes, never built into rows, counts each
+    trial's codes of (x, +1) and (x, -1) at its target x, moves the counts
+    as the attack moves the rows, checks the rows moved against the budget
+    and scores the law on the moved counts. Neither the law nor the move
+    draws anything, and the law is the learner's prediction on any sample
+    with those counts, so every score is the same float as on the rows. The
+    law is taken at its word at every point of `dist`, as the exact
+    engine takes it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -237,21 +263,32 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     budget = exact_fraction(eta)
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
+    on_counts = learner.count_law is not None and adversary.count_move is not None
     scores: list[float] = []
     for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
         size = min(chunk, trials - start)
-        clean = draw_sample_with(dist, n, gen, trials=size)
-        targets = draw_example(dist, gen, trials=size)
-        corrupted = adversary.attack(clean, targets, gen)
-        if corrupted is not clean:
-            moved = hamming_distance(clean, corrupted)
+        if on_counts:
+            codes = _draw_codes(dist, gen, (size, n))
+            targets = draw_example(dist, gen, trials=size)
+            plus_code = (2 * targets.point).astype(codes.dtype)[:, None]
+            a = np.count_nonzero(codes == plus_code, axis=1)
+            b = np.count_nonzero(codes == plus_code + 1, axis=1)
+            a, b, moved = adversary.count_move(a, b, n, targets.label)
+        else:
+            clean = draw_sample_with(dist, n, gen, trials=size)
+            targets = draw_example(dist, gen, trials=size)
+            corrupted = adversary.attack(clean, targets, gen)
+            moved = None if corrupted is clean else hamming_distance(clean, corrupted)
+        if moved is not None:
             over = np.flatnonzero(moved > limit)
             if over.size:
                 raise BudgetViolationError(
                     f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
                     f"allowed by eta={budget} on trial {start + int(over[0])}")
-        p = one_per_trial(learner, learner.prediction_prob(corrupted, targets.point, gen), size)
+        probs = (learner.count_law(a, b, n) if on_counts
+                 else learner.prediction_prob(corrupted, targets.point, gen))
+        p = one_per_trial(learner, probs, size)
         scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,
             "n": n, "eta": str(budget), "d": dist.dimension, "stream": rng.stream}
@@ -278,6 +315,7 @@ def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -
 
 
 _RADII = 4  # ball radii whose maxima a table keeps
+_NORMAL = 2.0 ** -1022  # the least normal float
 
 
 class _ExactTable:
@@ -322,20 +360,48 @@ class _ExactTable:
         ball (`ball_maxima`) is floored at 0. The terms float(w * q) *
         maximum, one per live state and test atom, times the state's number
         of sequences, are summed exactly in integers, whatever their order,
-        and rounded once."""
+        and rounded once. A positive term below the normal floats has lost
+        bits, or all of them, though its number of sequences may reach 2^n
+        (at d = 1 every sequence weighs under 2^-1022 from n = 1,023 on): it
+        is rebuilt from float(w * q * 2^s) (`_rebuild`), and s is taken back
+        out of its exponent in the sum. No other term changes."""
         worst = self.ball_maxima(corruption_limit(eta, self.n))
-        terms, mults = [], []
+        terms, kept, mults = [], [], []
         for (x, y), q in probs.items() if atoms is None else atoms:
+            if not q:  # a test atom of probability 0, such as (x, -1) at u_x = 1/2, adds nothing
+                continue
             index, coef, m = self.weights(probs, x, q)
-            terms.append(coef * np.maximum(worst[y][index], 0.0))
+            ball = np.maximum(worst[y][index], 0.0)
+            terms.append(coef * ball)
+            kept.append((x, q, ball))
             mults.extend(m)
         # each term is i * 2^(e - 53), i an integer: summed in units of 2^(low - 53)
         mantissas, exponents = np.frexp(np.concatenate(terms))
         exponents = exponents.tolist()
-        low = min(min(exponents), 0)
         ints = np.ldexp(mantissas, 53).astype(np.int64).tolist()
+        if min(exponents) < -1021 or 0 in ints:  # a term below the normal floats, or 0
+            ints, exponents = self._rebuild(probs, kept, terms)
+        low = min(min(exponents), 0)
         total = sum(m * (i << (e - low)) for m, i, e in zip(mults, ints, exponents))
         return total / (1 << (53 - low))
+
+    def _rebuild(self, probs: dict[Example, Fraction], kept: list[tuple],
+                 terms: list[np.ndarray]) -> tuple[list[int], list[int]]:
+        """`risk`'s terms as integers i and exponents e, each term i * 2^(e -
+        53), with every positive term below the normal floats rebuilt as
+        float(w * q * 2^s) times its ball maximum (`scaled_weights`) and s
+        taken out of its e."""
+        ints, exponents = [], []
+        for (x, q, ball), term in zip(kept, terms):
+            shift = np.zeros(len(term), dtype=np.int64)
+            at = np.flatnonzero((term < _NORMAL) & (ball > 0))
+            if at.size:
+                scaled, shift[at] = self.scaled_weights(probs, x, q, at)
+                term[at] = scaled * ball[at]
+            mantissas, exps = np.frexp(term)
+            ints += np.ldexp(mantissas, 53).astype(np.int64).tolist()
+            exponents += (exps - shift).tolist()
+        return ints, exponents
 
 
 class _SequenceTable(_ExactTable):
@@ -369,10 +435,22 @@ class _SequenceTable(_ExactTable):
     def weights(self, probs: dict[Example, Fraction], x: int,
                 q: Fraction) -> tuple[tuple, np.ndarray, Sequence[int]]:
         """Indexed (live, x), one sequence each, whatever x is."""
-        numerators, denominator = _power_weights(list(probs.values()), self.counts, self.n)
-        live = np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
+        numerators, denominator, live = self._live(probs)
         coef = _float_weights(numerators, denominator, q)[self.classes[live]]
         return (live, x), coef, (1,) * len(live)
+
+    def scaled_weights(self, probs: dict[Example, Fraction], x: int, q: Fraction,
+                       positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_scaled_weights` of the live sequences at `positions` of `weights`."""
+        numerators, denominator, live = self._live(probs)
+        return _scaled_weights([numerators[c] for c in self.classes[live[positions]].tolist()],
+                               denominator, q)
+
+    def _live(self, probs: dict[Example, Fraction]) -> tuple[tuple[int, ...], int, np.ndarray]:
+        """The exact weights of the atom-count classes, as numerators over
+        one denominator, and the live sequences, those of positive weight."""
+        numerators, denominator = _power_weights(list(probs.values()), self.counts, self.n)
+        return numerators, denominator, np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
 
 
 class _CountTable(_ExactTable):
@@ -399,6 +477,12 @@ class _CountTable(_ExactTable):
         live, coef = _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
         mults = self.mults if len(live) == len(self.mults) else [self.mults[s] for s in live]
         return live, coef, mults
+
+    def scaled_weights(self, probs: dict[Example, Fraction], x: int, q: Fraction,
+                       positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_scaled_weights` of the live states at `positions` of `weights`."""
+        _, numerators, denominator = _count_weights(probs[x, PLUS], probs[x, MINUS], self.n)
+        return _scaled_weights([numerators[k] for k in positions.tolist()], denominator, q)
 
 
 # Keyed by the learner object, which the cache holds, with d and n: a learner's
@@ -472,6 +556,22 @@ def _float_weights(numerators: Sequence[int], denominator: int, q: Fraction) -> 
     quotient of integers, which Python's int / int rounds correctly."""
     num, scale = q.numerator, denominator * q.denominator
     return np.array([w * num / scale for w in numerators])
+
+
+def _scaled_weights(numerators: Sequence[int], denominator: int,
+                    q: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """float(w * q * 2^s) and s for each exact weight w = numerator /
+    denominator, s >= 0 the shift that puts w * q * 2^s in [1/2, 2), so the
+    float is normal however small w * q is; an integer quotient, which
+    Python's int / int rounds correctly, as in `_float_weights`."""
+    num, scale = q.numerator, denominator * q.denominator
+    values, shifts = [], []
+    for w in numerators:
+        top = w * num
+        shift = scale.bit_length() - top.bit_length()
+        values.append((top << shift) / scale)
+        shifts.append(shift)
+    return np.array(values), np.array(shifts, dtype=np.int64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

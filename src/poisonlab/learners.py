@@ -265,9 +265,11 @@ class Learner:
     `count_law(a, b, n)`, unless None, is the +1 probability at any point x
     of a size-n sample holding a rows of (x, +1) and b of (x, -1), on arrays
     of one shape: the prediction reads nothing else, so F at x under D_u
-    depends on u_x alone, and the exact evaluators score the learner's bound
-    methods on the counts (`experiments._CountTable`). A learner derives it
-    from its class.
+    depends on u_x alone, the exact evaluators score the learner's bound
+    methods on the counts (`experiments._CountTable`), and the Monte Carlo
+    evaluator scores it on each trial's counts against an attacker with a
+    count move (`experiments.mc_adversarial_loss`). It draws nothing. A
+    learner derives it from its class.
     """
 
     name = "learner"

@@ -728,6 +728,43 @@ def check_batched_trials(rng: RandomSource):
                 f"over 8 cells of {trials} trials (<= 1e-12 required)")
 
 
+class _RowsOnly(learners.Learner):
+    """Forwards `prediction_prob` to a learner, with no count law of its own."""
+
+    def __init__(self, learner: learners.Learner):
+        self.learner = learner
+        self.name = learner.name
+
+    def prediction_prob(self, sample, x, gen=None):
+        return self.learner.prediction_prob(sample, x, gen)
+
+
+def check_count_path(rng: RandomSource):
+    """The Monte Carlo count path (a learner's `count_law` against an
+    attacker's `count_move`) against the row path (the same learner behind
+    a wrapper with no count law): exp-mech and coupled on full(1) and
+    full(2) against identity and greedy, at two biases, over a full chunk
+    and a short one, estimate for estimate."""
+    eta, n = Fraction(1, 16), 64
+    trials = experiments.chunk_trials(n) + 37
+    cells = 0
+    for d, bias, learner_id, adversary_id in iproduct(
+            (1, 2), (Fraction(1, 4), 0.1), ("exp-mech", "coupled"), ("identity", "greedy")):
+        dist = ProductBiasDistribution(BiasVector([bias] * d))
+        learner = experiments.make_learner(learner_id, HypothesisClass.full(d), eta, n,
+                                           dist.bias.coords)
+        adversary = experiments.make_adversary(adversary_id, eta, learner, d)
+        source = rng.child(d, repr(bias), learner_id, adversary_id)
+        counts = experiments.mc_adversarial_loss(learner, adversary, dist, n, eta, trials, source)
+        rows = experiments.mc_adversarial_loss(_RowsOnly(learner), adversary, dist, n, eta,
+                                               trials, source)
+        if counts != rows:
+            return False, (f"d={d}, bias={bias}, {learner_id}/{adversary_id}: counts "
+                           f"{counts.mean!r} != rows {rows.mean!r}")
+        cells += 1
+    return True, f"{cells} cells of {trials} trials: count path estimates equal the row path's"
+
+
 def check_sweep_deterministic(rng: RandomSource):
     grid = experiments.SweepGrid(etas=(Fraction(1, 8),), dims=(1,), sizes=(16,),
                                  trials=40, seed=rng.seed)
@@ -881,6 +918,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("experiments.public-domination", acceptance_public_domination),
     ("experiments.count-engine", check_count_engine),
     ("experiments.batched-trials", check_batched_trials),
+    ("experiments.count-path", check_count_path),
     ("experiments.sweep-deterministic", check_sweep_deterministic),
     ("experiments.lower-bound-table", check_lower_bound_table),
 ]

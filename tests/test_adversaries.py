@@ -6,8 +6,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonlab.adversaries import (
+    Adversary,
     AttackBudget,
     BruteForceAdversary,
     GreedyFlipAdversary,
@@ -21,6 +24,7 @@ from poisonlab.adversaries import (
     identity_scheme,
 )
 from poisonlab.core import (
+    LABELS,
     MINUS,
     PLUS,
     BiasVector,
@@ -360,3 +364,74 @@ def test_batched_greedy_when_the_first_phase_fills_the_budget(room_trial):
     moved = hamming_distance(batch, out)
     # in the trial given room: row 7, then rows 3 and 10 in the second phase
     assert moved.tolist() == [limit] * trials
+
+
+def _counts_at(sample: Sample, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's counts of (x, +1) and (x, -1) rows, x one point per trial."""
+    at = sample.points == x[:, None]
+    return (at & (sample.labels == PLUS)).sum(axis=1), (at & (sample.labels == MINUS)).sum(axis=1)
+
+
+def _assert_greedy_counts(points, labels, x, y, eta):
+    """Greedy's count move against the counts at x of greedy's rows."""
+    sample = Sample(points, labels)
+    target = Example(np.array(x), np.array(y, dtype=np.int8))
+    adversary = GreedyFlipAdversary(AttackBudget(eta))
+    attacked = adversary.attack(sample, target)
+    a, b, moved = adversary.count_move(*_counts_at(sample, target.point), len(sample),
+                                       target.label)
+    want_a, want_b = _counts_at(attacked, target.point)
+    assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+    assert moved.tolist() == hamming_distance(sample, attacked).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_greedy_count_move_is_the_counts_of_greedy_rows(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 12))
+    trials = data.draw(st.integers(1, 5))
+    x = data.draw(st.lists(st.integers(0, d - 1), min_size=trials, max_size=trials))
+    y = data.draw(st.lists(st.sampled_from(LABELS), min_size=trials, max_size=trials))
+    # rows at the target's poisoned atom are drawn often, so that whole
+    # trials are already poisoned
+    rows = [data.draw(st.lists(st.one_of(st.just((xt, -yt)),
+                                         st.tuples(st.integers(0, d - 1), st.sampled_from(LABELS))),
+                               min_size=n, max_size=n)) for xt, yt in zip(x, y)]
+    eta = data.draw(st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1))
+    _assert_greedy_counts([[p for p, _ in r] for r in rows], [[l for _, l in r] for r in rows],
+                          x, y, eta)
+
+
+@pytest.mark.parametrize("eta", [Fraction(0), Fraction(1, 4), Fraction(3, 4)])
+def test_greedy_count_move_on_poisoned_empty_and_single_point_trials(eta):
+    # trial 0 fully poisoned, trial 1 with no row at its target, trial 2 at
+    # d = 1 (every row at x), trial 3 with rows of both labels everywhere
+    points = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0], [0, 1, 0, 1]]
+    labels = [[MINUS] * 4, [PLUS, MINUS, PLUS, PLUS], [PLUS, MINUS, PLUS, PLUS],
+              [PLUS, PLUS, MINUS, MINUS]]
+    _assert_greedy_counts(points, labels, [0, 0, 0, 1], [PLUS, MINUS, PLUS, PLUS], eta)
+
+
+def test_a_subclass_that_rewrites_attack_has_no_count_move():
+    # a count move describes its own class's attack
+    class Rewritten(GreedyFlipAdversary):
+        def attack(self, sample, target, gen=None):
+            return sample
+
+    class Both(IdentityAdversary):
+        def attack(self, sample, target, gen=None):
+            return sample
+
+        def count_move(self, a, b, n, labels):
+            return a, b, np.zeros_like(a)
+
+    class Renamed(GreedyFlipAdversary):
+        name = "renamed"
+
+    assert Rewritten.count_move is None and Both.count_move is not None
+    assert Renamed.count_move is GreedyFlipAdversary.count_move
+    assert Adversary.count_move is None and BruteForceAdversary.count_move is None
+    a, b, moved = IdentityAdversary().count_move(np.array([2, 0]), np.array([1, 3]), 4,
+                                                 np.array([PLUS, MINUS]))
+    assert a.tolist() == [2, 0] and b.tolist() == [1, 3] and moved.tolist() == [0, 0]

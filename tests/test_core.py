@@ -629,6 +629,26 @@ def test_draws_are_one_integer_per_entry_in_row_major_order():
     assert gen.random() == ref.random()
 
 
+@pytest.mark.parametrize("coords", [
+    [Fraction(1, 4)], [Fraction(1, 2)], [0.1, Fraction(-2, 7), Fraction(1, 2)],
+    [Fraction(1, 64), Fraction(1, 2)], [Fraction(1, 3 ** 41), Fraction(1, 2)],
+    [Fraction(1, 3)] * 12,
+])
+def test_one_example_takes_the_batch_entry_of_the_same_integer(coords):
+    # one example bisects the thresholds as Python ints: the same generator
+    # call and the same atom as a batch entry, at every draw dtype, with
+    # zero-weight atoms and a left-out threshold at R
+    dist = ProductBiasDistribution(BiasVector(coords))
+    gen, ref = RandomSource(SEED, 45).generator(), RandomSource(SEED, 45).generator()
+    for _ in range(400):
+        drawn = draw_example(dist, gen)
+        v = ref.integers(0, dist._range, dtype=dist._thresholds.dtype)
+        atom = int(np.searchsorted(dist._thresholds, v, side="right"))
+        assert drawn == (atom >> 1, 1 - 2 * (atom & 1))
+        assert type(drawn.point) is int and type(drawn.label) is int
+    assert gen.random() == ref.random()
+
+
 def _assert_valid(points, labels):
     """The arrays a builder returned hold what the checking constructor
     accepts, unchanged, as read-only int64 points and int8 labels."""

@@ -2,7 +2,7 @@ import math
 import statistics
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -84,6 +84,7 @@ from poisonlab.learners import (
     _softmax,
 )
 from poisonlab.verify import (
+    _RowsOnly,
     _criteria_cells,
     _curve_biases,
     _per_draw_curve,
@@ -902,6 +903,128 @@ def test_a_nan_probability_raises_naming_its_oracle():
                 evaluate()
     with pytest.raises(ValueError, match="learner 'nan-rule' returned NaN for a batch"):
         mc_adversarial_loss(rule, IdentityAdversary(), dist, 3, 0, 64, RandomSource(SEED, 10))
+
+
+def test_a_nan_probability_on_the_rows_raises_naming_its_learner():
+    # the row-path twin of the test above: an attacker with no count move
+    # has the rows built and scored through prediction_prob
+    class RowIdentity(IdentityAdversary):
+        def attack(self, sample, target, gen=None):
+            return sample
+
+    rule = _NanCountRule(1)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    assert RowIdentity.count_move is None
+    with pytest.raises(ValueError, match="learner 'nan-rule' returned NaN for a batch"):
+        mc_adversarial_loss(rule, RowIdentity(), dist, 3, 0, 64, RandomSource(SEED, 10))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bias", [Fraction(1, 2), Fraction(-1, 2), 0.1, Fraction(1, 3)])
+def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
+    # exp-mech and coupled on full(d) against identity and greedy, at a
+    # budget of no row and at one past the rows at x (d >= 2), over a full
+    # chunk and a short one: field for field the estimates of the same
+    # learner behind a wrapper with no count law, whose rows are built
+    n = 64
+    trials = experiments.chunk_trials(n) + 37
+    dist = ProductBiasDistribution(BiasVector([bias] * d))
+    built = []
+    monkeypatch.setattr(experiments, "draw_sample_with",
+                        lambda *args, **kw: built.append(1) or draw_sample_with(*args, **kw))
+    for eta in (Fraction(1, 2 * n), Fraction(3, 4)):
+        for learner_id in ("exp-mech", "coupled"):
+            learner = make_learner(learner_id, HypothesisClass.full(d), eta, n, dist.bias.coords)
+            for adversary_id in ("identity", "greedy"):
+                adversary = make_adversary(adversary_id, eta, learner, d)
+                rng = RandomSource(SEED, 11).child(learner_id, adversary_id, str(eta))
+                built.clear()
+                counts = mc_adversarial_loss(learner, adversary, dist, n, eta, trials, rng)
+                assert built == []
+                rows = mc_adversarial_loss(_RowsOnly(learner), adversary, dist, n, eta, trials, rng)
+                assert built == [1, 1]
+                assert counts == rows, (eta, learner_id, adversary_id)
+
+
+def test_an_overspending_count_move_raises_naming_the_global_trial():
+    class LateCountViolator(IdentityAdversary):
+        """Moves every row of trial 5 of the second chunk it sees, on the counts."""
+
+        name = "count-violator"
+        calls = 0
+
+        def count_move(self, a, b, n, labels):
+            self.calls += 1
+            moved = np.zeros_like(a)
+            if self.calls == 2:
+                moved[5] = n
+            return a, b, moved
+
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
+    violator = LateCountViolator()
+    chunk = experiments.chunk_trials(8)
+    with pytest.raises(BudgetViolationError,
+                       match=rf"adversary count-violator moved 8 of 8 rows > 1 allowed by "
+                             rf"eta=1/8 on trial {chunk + 5}$"):
+        mc_adversarial_loss(learner, violator, dist, 8, Fraction(1, 8), 3 * chunk,
+                            RandomSource(SEED, 3))
+    assert violator.calls == 2
+
+
+@pytest.mark.parametrize("n", [1074, 1100, 2048, 4096])
+def test_exact_engine_at_d1_keeps_its_symmetry_past_subnormal_weights(n):
+    # at u = 0 every sequence of n rows weighs 2^-n, no normal float from
+    # n = 1,023 on and 0 as a float from n = 1,075; by symmetry F is 0 and
+    # the clean risk 1/2
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 64)))
+    u = BiasVector([Fraction(0)])
+    assert exact_F(learner.prediction_prob, u, n, 0) == 0.0
+    assert exhaustive_clean_loss(learner.prediction_prob, ProductBiasDistribution(u), n) == 0.5
+
+
+def test_sequence_table_rebuilds_its_subnormal_terms_as_the_count_engine_does(monkeypatch):
+    # at u = 1/2 - 3^-80 a (0, -1) row weighs about 2^-126.8, so the
+    # sequences heavy in them weigh under 2^-1022 at the (0, -1) test atom;
+    # both tables rebuild those terms, and at d = 1 they agree to the bit
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
+    wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
+    rebuilt = []
+    scaled = experiments._SequenceTable.scaled_weights
+    monkeypatch.setattr(experiments._SequenceTable, "scaled_weights",
+                        lambda self, *args: rebuilt.append(len(args[-1])) or scaled(self, *args))
+    for eta in (0, Fraction(1, 4)):
+        table = exhaustive_adversarial_loss(wrapped, dist, eta, 8)
+        assert table == exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 8)
+    assert rebuilt and min(rebuilt) > 0
+
+
+def _log_binomial_reference(learner: Learner, p: float, n: int) -> tuple[float, float]:
+    """F and the clean risk at d = 1, P(+1) = p, from the binomial law of a
+    = #(x, +1) in log space: log pmf(a) - log pmf(mode) summed outward from
+    the mode one ratio at a time, exponentiated and normalized by its fsum."""
+    mode = round(p * n)
+    step = [math.log((n - k) / (k + 1) * p / (1 - p)) for k in range(n)]  # pmf(k + 1) / pmf(k)
+    down = list(accumulate((-s for s in reversed(step[:mode])), initial=0.0))
+    logs = down[:0:-1] + list(accumulate(step[mode:], initial=0.0))
+    weights = np.exp(logs)
+    total = math.fsum(weights)
+    plus = learner.count_law(np.arange(n + 1), n - np.arange(n + 1), n)
+    f = math.fsum(weights * plus) / total - 0.5
+    clean = math.fsum(weights * (p * (1 - plus) + (1 - p) * plus)) / total
+    return f, clean
+
+
+@pytest.mark.parametrize("n", [1100, 2048, 4096])
+def test_exact_engine_at_d1_matches_a_log_space_binomial_reference(n):
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 64)))
+    u = BiasVector([Fraction(1, 4)])
+    f_ref, clean_ref = _log_binomial_reference(learner, 0.75, n)
+    f = exact_F(learner.prediction_prob, u, n, 0)
+    clean = exhaustive_clean_loss(learner.prediction_prob, ProductBiasDistribution(u), n)
+    assert abs(f - f_ref) <= 1e-12 * abs(f_ref), (f, f_ref)
+    assert abs(clean - clean_ref) <= 1e-12 * clean_ref, (clean, clean_ref)
 
 
 BUDGETS = st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),
