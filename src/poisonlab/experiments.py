@@ -9,11 +9,10 @@ The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
 0) and F (a -1 target at radius 0) are the same rule. A sequence weighs the
 integer prod_k (D base_k) ** c_k over D ** n for its counts c in cells of
 weights base_k, D their common denominator (`_power_weights`), and a
-term's float(w * q) is one correctly rounded integer quotient. A term below
-the normal floats is rounded as float(w * q * 2^s) instead, s taken back
-out of the exact sum: a count state holds up to 2^n sequences, so at d = 1
-weights under 2^-1022 (every sequence at u = 0 from n = 1,023 on) still
-carry the risk.
+term is rounded as float(w * q * 2^s), one correctly rounded integer
+quotient in [1/2, 2), s taken back out of the exact sum: a count state
+holds up to 2^n sequences, so at d = 1 weights under 2^-1022 (every
+sequence at u = 0 from n = 1,023 on) still carry the risk.
 
 A bound method of a learner with a `Learner.count_law` (the exponential
 mechanisms on a full class) is scored on count states, every (a, b) =
@@ -42,12 +41,12 @@ calls at one budget share them. Both spaces stop at 100,000 states
 (`_TABLE_CAP`). At the cap (d >= 2, n = 445; tracemalloc) a count table
 holds 0.8 MB and each kept radius 1.6 MB, a state space 18.6 MB (10.6 MB of
 it multiplicities), a set of exact weights 11.5, 36.0 or 59.4 MB at common
-denominators D = 8, 128 or 2000, and one test atom's coefficients 0.8 MB,
-which keep their weight set's 0.8 MB index of live states alive: at most
-16 * 18.6 + 8 * 59.4 = 773 MB in the state and weight caches, and 0.2-0.4 GB
-in the 256 coefficient sets (`_count_coefficients`). On a 2-vCPU Xeon a cold
-weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s at those D, and a state
-space 1.0-1.1 s once per n.
+denominators D = 8, 128 or 2000, and one test atom's coefficients 0.8 MB
+and their scales 0.4 MB, which keep their weight set's 0.8 MB index of live
+states alive: at most 16 * 18.6 + 8 * 59.4 = 773 MB in the state and weight
+caches, and 0.3-0.5 GB in the 256 coefficient sets (`_count_coefficients`).
+On a 2-vCPU Xeon a cold weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s
+at those D, and a state space 1.0-1.1 s once per n.
 
 The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
@@ -253,9 +252,9 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     as the attack moves the rows, checks the rows moved against the budget
     and scores the law on the moved counts. Neither the law nor the move
     draws anything, and the law is the learner's prediction on any sample
-    with those counts, so every score is the same float as on the rows. The
-    law is taken at its word at every point of `dist`, as the exact
-    engine takes it.
+    with those counts, so every score is the same float as on the rows. A
+    distribution over more points than the learner's `domain_size` runs on
+    rows, which raise DomainMismatchError there where the law would not.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -263,7 +262,9 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     budget = exact_fraction(eta)
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
-    on_counts = learner.count_law is not None and adversary.count_move is not None
+    domain = learner.domain_size
+    on_counts = (learner.count_law is not None and adversary.count_move is not None
+                 and (domain is None or dist.dimension <= domain))
     scores: list[float] = []
     for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
@@ -315,7 +316,6 @@ def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -
 
 
 _RADII = 4  # ball radii whose maxima a table keeps
-_NORMAL = 2.0 ** -1022  # the least normal float
 
 
 class _ExactTable:
@@ -323,9 +323,10 @@ class _ExactTable:
     probabilities at its states, `p`, for samples of size `n`, and gives its
     radius-1 ball maximum, `ball_step(values)`, and its live states under
     atom probabilities `probs` (by example), `weights(probs, x, q)`: (their
-    index into `p` at point x, float(w * q), numbers of sequences), w the
-    exact weight of one sequence in the state and q that of a test atom at
-    x. It keeps the ball maxima of the last `_RADII` radii (`ball_maxima`)."""
+    index into `p` at point x, float(w * q * 2^s) and s (`_scaled_weights`),
+    numbers of sequences), w the exact weight of one sequence in the state
+    and q that of a test atom at x. It keeps the ball maxima of the last
+    `_RADII` radii (`ball_maxima`)."""
 
     def __init__(self, n: int, p: np.ndarray):
         self.n = n
@@ -334,7 +335,8 @@ class _ExactTable:
 
     def ball_maxima(self, k: int) -> dict[int, np.ndarray]:
         """The error's maximum over each state's radius-k ball, by target
-        label: {+1: max (1 - p), -1: max p}, k rounds of `ball_step`. They
+        label: {+1: max (1 - p), -1: max p}, floored at 0 (a floor taken
+        before the maximum is the same), k rounds of `ball_step`. They
         depend on the table and k alone, so those of the last `_RADII` radii
         built are kept, and a new radius takes its rounds from the largest
         kept radius below it; a maximum is exact, so the arrays are the same
@@ -342,7 +344,8 @@ class _ExactTable:
         if k in self.maxima:
             return self.maxima[k]
         start = max((r for r in self.maxima if r < k), default=0)
-        worst = self.maxima[start] if start in self.maxima else {PLUS: 1.0 - self.p, MINUS: self.p}
+        worst = self.maxima[start] if start in self.maxima else {
+            PLUS: np.maximum(1.0 - self.p, 0.0), MINUS: np.maximum(self.p, 0.0)}
         for _ in range(k - start):
             worst = {y: self.ball_step(v) for y, v in worst.items()}
         _read_only(*worst.values())
@@ -357,51 +360,30 @@ class _ExactTable:
         by example in `ProductBiasDistribution.atoms` order, and over the
         test atoms (example, q), by default `probs.items()`. The error at a state is
         1 - p for a +1 target and p for a -1 target; its maximum over the
-        ball (`ball_maxima`) is floored at 0. The terms float(w * q) *
-        maximum, one per live state and test atom, times the state's number
-        of sequences, are summed exactly in integers, whatever their order,
-        and rounded once. A positive term below the normal floats has lost
-        bits, or all of them, though its number of sequences may reach 2^n
-        (at d = 1 every sequence weighs under 2^-1022 from n = 1,023 on): it
-        is rebuilt from float(w * q * 2^s) (`_rebuild`), and s is taken back
-        out of its exponent in the sum. No other term changes."""
+        ball (`ball_maxima`) is floored at 0. The terms float(w * q * 2^s) *
+        maximum * 2^-s, one per live state and test atom, times the state's
+        number of sequences, are summed exactly in integers, whatever their
+        order, and rounded once. The scaled float is normal however small w
+        * q is, though a state's number of sequences may reach 2^n (at d = 1
+        every sequence weighs under 2^-1022 from n = 1,023 on); wherever
+        float(w * q) * maximum is normal the term is that product, bit for
+        bit, as scaling by 2^s commutes with rounding there."""
         worst = self.ball_maxima(corruption_limit(eta, self.n))
-        terms, kept, mults = [], [], []
+        terms, shifts, mults = [], [], []
         for (x, y), q in probs.items() if atoms is None else atoms:
             if not q:  # a test atom of probability 0, such as (x, -1) at u_x = 1/2, adds nothing
                 continue
-            index, coef, m = self.weights(probs, x, q)
-            ball = np.maximum(worst[y][index], 0.0)
-            terms.append(coef * ball)
-            kept.append((x, q, ball))
+            index, coef, shift, m = self.weights(probs, x, q)
+            terms.append(coef * worst[y][index])
+            shifts.append(shift)
             mults.extend(m)
         # each term is i * 2^(e - 53), i an integer: summed in units of 2^(low - 53)
         mantissas, exponents = np.frexp(np.concatenate(terms))
-        exponents = exponents.tolist()
-        ints = np.ldexp(mantissas, 53).astype(np.int64).tolist()
-        if min(exponents) < -1021 or 0 in ints:  # a term below the normal floats, or 0
-            ints, exponents = self._rebuild(probs, kept, terms)
+        exponents = (exponents - np.concatenate(shifts)).tolist()
         low = min(min(exponents), 0)
+        ints = np.ldexp(mantissas, 53).astype(np.int64).tolist()
         total = sum(m * (i << (e - low)) for m, i, e in zip(mults, ints, exponents))
         return total / (1 << (53 - low))
-
-    def _rebuild(self, probs: dict[Example, Fraction], kept: list[tuple],
-                 terms: list[np.ndarray]) -> tuple[list[int], list[int]]:
-        """`risk`'s terms as integers i and exponents e, each term i * 2^(e -
-        53), with every positive term below the normal floats rebuilt as
-        float(w * q * 2^s) times its ball maximum (`scaled_weights`) and s
-        taken out of its e."""
-        ints, exponents = [], []
-        for (x, q, ball), term in zip(kept, terms):
-            shift = np.zeros(len(term), dtype=np.int64)
-            at = np.flatnonzero((term < _NORMAL) & (ball > 0))
-            if at.size:
-                scaled, shift[at] = self.scaled_weights(probs, x, q, at)
-                term[at] = scaled * ball[at]
-            mantissas, exps = np.frexp(term)
-            ints += np.ldexp(mantissas, 53).astype(np.int64).tolist()
-            exponents += (exps - shift).tolist()
-        return ints, exponents
 
 
 class _SequenceTable(_ExactTable):
@@ -433,24 +415,12 @@ class _SequenceTable(_ExactTable):
         return out.reshape(values.shape)
 
     def weights(self, probs: dict[Example, Fraction], x: int,
-                q: Fraction) -> tuple[tuple, np.ndarray, Sequence[int]]:
+                q: Fraction) -> tuple[tuple, np.ndarray, np.ndarray, Sequence[int]]:
         """Indexed (live, x), one sequence each, whatever x is."""
-        numerators, denominator, live = self._live(probs)
-        coef = _float_weights(numerators, denominator, q)[self.classes[live]]
-        return (live, x), coef, (1,) * len(live)
-
-    def scaled_weights(self, probs: dict[Example, Fraction], x: int, q: Fraction,
-                       positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_scaled_weights` of the live sequences at `positions` of `weights`."""
-        numerators, denominator, live = self._live(probs)
-        return _scaled_weights([numerators[c] for c in self.classes[live[positions]].tolist()],
-                               denominator, q)
-
-    def _live(self, probs: dict[Example, Fraction]) -> tuple[tuple[int, ...], int, np.ndarray]:
-        """The exact weights of the atom-count classes, as numerators over
-        one denominator, and the live sequences, those of positive weight."""
         numerators, denominator = _power_weights(list(probs.values()), self.counts, self.n)
-        return numerators, denominator, np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
+        live = np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
+        coef, shift = _scaled_weights(numerators, denominator, q)
+        return (live, x), coef[self.classes[live]], shift[self.classes[live]], (1,) * len(live)
 
 
 class _CountTable(_ExactTable):
@@ -472,17 +442,11 @@ class _CountTable(_ExactTable):
         return values[self.moves].max(axis=1)
 
     def weights(self, probs: dict[Example, Fraction], x: int,
-                q: Fraction) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+                q: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
         """`_count_coefficients` at point x's atoms, indexed by state alone."""
-        live, coef = _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
+        live, coef, shift = _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
         mults = self.mults if len(live) == len(self.mults) else [self.mults[s] for s in live]
-        return live, coef, mults
-
-    def scaled_weights(self, probs: dict[Example, Fraction], x: int, q: Fraction,
-                       positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_scaled_weights` of the live states at `positions` of `weights`."""
-        _, numerators, denominator = _count_weights(probs[x, PLUS], probs[x, MINUS], self.n)
-        return _scaled_weights([numerators[k] for k in positions.tolist()], denominator, q)
+        return live, coef, shift, mults
 
 
 # Keyed by the learner object, which the cache holds, with d and n: a learner's
@@ -517,11 +481,12 @@ def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, tuple[i
 
 @functools.lru_cache(maxsize=256)
 def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
+                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live count states of one point with atoms p_plus and p_minus and
-    float(w * q) of each one's exact weight w (`_count_weights`), built once."""
+    float(w * q * 2^s) and s of each one's exact weight w (`_count_weights`,
+    `_scaled_weights`), built once."""
     live, numerators, denominator = _count_weights(p_plus, p_minus, n)
-    return live, *_read_only(_float_weights(numerators, denominator, q))
+    return live, *_read_only(*_scaled_weights(numerators, denominator, q))
 
 
 @functools.lru_cache(maxsize=8)  # 12-59 MB an entry at the cap (module docstring)
@@ -551,27 +516,21 @@ def _power_weights(bases: Sequence[Fraction], counts: np.ndarray,
     return tuple(functools.reduce(functools.partial(map, operator.mul), columns)), den ** n
 
 
-def _float_weights(numerators: Sequence[int], denominator: int, q: Fraction) -> np.ndarray:
-    """float(w * q) for each exact weight w = numerator / denominator: a
-    quotient of integers, which Python's int / int rounds correctly."""
-    num, scale = q.numerator, denominator * q.denominator
-    return np.array([w * num / scale for w in numerators])
-
-
 def _scaled_weights(numerators: Sequence[int], denominator: int,
                     q: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """float(w * q * 2^s) and s for each exact weight w = numerator /
     denominator, s >= 0 the shift that puts w * q * 2^s in [1/2, 2), so the
-    float is normal however small w * q is; an integer quotient, which
-    Python's int / int rounds correctly, as in `_float_weights`."""
+    float is normal however small w * q is (a zero weight gets 0): a
+    quotient of integers, which Python's int / int rounds correctly."""
     num, scale = q.numerator, denominator * q.denominator
+    bits = scale.bit_length()
     values, shifts = [], []
     for w in numerators:
         top = w * num
-        shift = scale.bit_length() - top.bit_length()
+        shift = bits - top.bit_length()
         values.append((top << shift) / scale)
         shifts.append(shift)
-    return np.array(values), np.array(shifts, dtype=np.int64)
+    return np.array(values), np.array(shifts, dtype=np.int32)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

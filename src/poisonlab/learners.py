@@ -268,12 +268,20 @@ class Learner:
     depends on u_x alone, the exact evaluators score the learner's bound
     methods on the counts (`experiments._CountTable`), and the Monte Carlo
     evaluator scores it on each trial's counts against an attacker with a
-    count move (`experiments.mc_adversarial_loss`). It draws nothing. A
-    learner derives it from its class.
+    count move (`experiments.mc_adversarial_loss`). It holds at the points
+    below `domain_size`, or at every point if that is None, and draws
+    nothing. A learner derives it from its class. A subclass that
+    rewrites `prediction_prob` and not `count_law` has no count law.
     """
 
     name = "learner"
     count_law = None
+    domain_size: int | None = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "prediction_prob" in cls.__dict__ and "count_law" not in cls.__dict__:
+            cls.count_law = None
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         raise NotImplementedError
@@ -312,6 +320,10 @@ class ExpMechanismLearner(Learner):
     @property
     def count_law(self):
         return self._law if self.hclass.is_full else None
+
+    @property
+    def domain_size(self) -> int:
+        return self.hclass.domain_size
 
     def _law(self, a, b, n) -> np.ndarray:
         """`_class_probs` on the full class, from a = #(x, +1), b = #(x, -1)

@@ -607,13 +607,16 @@ def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_m
     # with the state space, against Fraction products and math.comb pairs
     (a, b, _), _, mults = experiments._count_states(n, p_plus + p_minus == 1)
     for q in (p_plus, p_minus, 1):
-        live, coef = experiments._count_coefficients(p_plus, p_minus, q, n)
-        want = []
+        live, coef, shift = experiments._count_coefficients(p_plus, p_minus, q, n)
+        want, scaled = [], []
         for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
             w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
             if w:
                 want.append((s, float(w * q), math.comb(n, i) * math.comb(n - i, j)))
-        assert list(zip(live.tolist(), coef.tolist(), [mults[s] for s in live])) == want
+                scaled.append(w * q)
+        assert list(zip(live.tolist(), np.ldexp(coef, -shift).tolist(),
+                        [mults[s] for s in live])) == want
+        assert all(Fraction(1, 2) <= v * 2 ** k < 2 for v, k in zip(scaled, shift.tolist()) if v)
     assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
                            for i, j in zip(a.tolist(), b.tolist())]
 
@@ -686,10 +689,11 @@ def test_sequence_table_coefficients_are_the_floats_of_exact_fraction_products(s
     table = experiments._SequenceTable(lambda s, x: np.full(len(s.points), 0.5), dist, n)
     probs = dict(dist.atoms())
     for (x, _), q in [((0, PLUS), 1), *probs.items()]:
-        (live, at), coef, mults = table.weights(probs, x, q)
+        (live, at), coef, shift, mults = table.weights(probs, x, q)
         want_live, want_coef = _sequence_weights_reference(probs, n, q)
         assert at == x and live.tolist() == want_live
-        assert coef.tolist() == want_coef and list(mults) == [1] * len(want_live)
+        assert np.ldexp(coef, -shift).tolist() == want_coef and list(mults) == [1] * len(want_live)
+        assert ((coef >= 0.5) & (coef <= 2) | (coef == 0)).all()
 
 
 @pytest.mark.parametrize("x", [-1, 2])
@@ -972,6 +976,39 @@ def test_an_overspending_count_move_raises_naming_the_global_trial():
     assert violator.calls == 2
 
 
+@pytest.mark.parametrize("learner_id", ["exp-mech", "coupled"])
+@pytest.mark.parametrize("adversary_id", ["identity", "greedy"])
+def test_a_distribution_past_the_learners_domain_raises_on_the_rows(learner_id, adversary_id):
+    # full(2) against a d = 3 distribution: the count law would give a
+    # number, but the chunk runs on rows, which hold points past the domain
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)] * 3))
+    eta, n = Fraction(1, 8), 16
+    learner = make_learner(learner_id, HypothesisClass.full(2), eta, n, dist.bias.coords[:2])
+    assert learner.count_law is not None and learner.domain_size == 2
+    with pytest.raises(DomainMismatchError, match="outside (a )?domain of size 2"):
+        mc_adversarial_loss(learner, make_adversary(adversary_id, eta, learner, 3), dist, n,
+                            eta, 100, RandomSource(SEED, 12))
+
+
+def test_a_learner_subclass_rewriting_prediction_prob_is_scored_by_it():
+    # an inherited count law would score the parent's prediction instead
+    class Halved(ExpMechanismLearner):
+        name = "halved"
+
+        def prediction_prob(self, sample, x, gen=None):
+            return super().prediction_prob(sample, x, gen) / 2
+
+    hclass, config = HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8))
+    assert Halved(hclass, config).count_law is None
+    assert CoupledExpMechanismLearner(hclass, config).count_law is not None
+    assert _ClassScoredRule(hclass, config).count_law is not None
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    halved, full = (mc_adversarial_loss(learner, IdentityAdversary(), dist, 16, 0, 100,
+                                        RandomSource(SEED, 13)).mean
+                    for learner in (Halved(hclass, config), ExpMechanismLearner(hclass, config)))
+    assert halved != full
+
+
 @pytest.mark.parametrize("n", [1074, 1100, 2048, 4096])
 def test_exact_engine_at_d1_keeps_its_symmetry_past_subnormal_weights(n):
     # at u = 0 every sequence of n rows weighs 2^-n, no normal float from
@@ -983,21 +1020,19 @@ def test_exact_engine_at_d1_keeps_its_symmetry_past_subnormal_weights(n):
     assert exhaustive_clean_loss(learner.prediction_prob, ProductBiasDistribution(u), n) == 0.5
 
 
-def test_sequence_table_rebuilds_its_subnormal_terms_as_the_count_engine_does(monkeypatch):
+def test_sequence_table_scores_its_subnormal_terms_as_the_count_engine_does():
     # at u = 1/2 - 3^-80 a (0, -1) row weighs about 2^-126.8, so the
     # sequences heavy in them weigh under 2^-1022 at the (0, -1) test atom;
-    # both tables rebuild those terms, and at d = 1 they agree to the bit
+    # both tables scale those terms, and at d = 1 they agree to the bit
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
-    rebuilt = []
-    scaled = experiments._SequenceTable.scaled_weights
-    monkeypatch.setattr(experiments._SequenceTable, "scaled_weights",
-                        lambda self, *args: rebuilt.append(len(args[-1])) or scaled(self, *args))
+    probs = dict(dist.atoms())
+    _, _, shift, _ = experiments._SequenceTable(wrapped, dist, 8).weights(probs, 0, probs[0, MINUS])
+    assert shift.max() > 1022
     for eta in (0, Fraction(1, 4)):
         table = exhaustive_adversarial_loss(wrapped, dist, eta, 8)
         assert table == exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 8)
-    assert rebuilt and min(rebuilt) > 0
 
 
 def _log_binomial_reference(learner: Learner, p: float, n: int) -> tuple[float, float]:
