@@ -87,7 +87,6 @@ from .experiments import (
 from .learners import (
     BayesLearner,
     ConstantLearner,
-    CoupledExpMechanismLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,

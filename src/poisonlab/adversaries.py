@@ -32,7 +32,7 @@ from .core import (
     corruption_limit,
     exact_fraction,
 )
-from .learners import one_per_trial
+from .learners import one_per_trial, speaks
 
 # the fewest trials in a Monte Carlo chunk (`experiments.chunk_trials`), and
 # the most trials whose balls one `BruteForceAdversary.attack` scores at once
@@ -279,8 +279,8 @@ class Adversary:
     labels, it returns the counts after the attack and the rows it moved,
     drawing nothing. Against a learner with a `Learner.count_law`, the Monte
     Carlo evaluator runs such an attacker on the counts alone and never
-    builds the rows (`experiments.mc_adversarial_loss`). A subclass that
-    rewrites `attack` and not `count_move` has no count move.
+    builds the rows (`experiments.mc_adversarial_loss`). By the learners'
+    hook rule (`learners.speaks`), a subclass rewriting `attack` alone has none.
     """
 
     name = "adversary"
@@ -288,7 +288,7 @@ class Adversary:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "attack" in cls.__dict__ and "count_move" not in cls.__dict__:
+        if not speaks(cls, "count_move", "attack"):
             cls.count_move = None
 
     def attack(self, sample: Sample, target: Example,

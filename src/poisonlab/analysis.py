@@ -39,6 +39,7 @@ from .learners import (
     flip_bound,
     flip_probability,
     one_per_trial,
+    scoring_hook,
 )
 
 
@@ -169,24 +170,18 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     child stream ("estimate-F",). Each point's mean and std error are taken
     over its trials in trial order with fsum.
 
-    A learner exposing `batch_prediction_probs` declares itself exchangeable:
-    it depends on a sample only through its (point, label) histogram. For
-    such a learner every trial's histogram is drawn at once, by one
-    `multinomial(n, ., size=trials)` call over the 2d atoms in the order
-    (0, +1), (0, -1), (1, +1), ...; no rows are drawn. Each atom's float
-    weight is read off the bias, with no distribution built, as the quotient
-    of the integers (q + 2 y p) / (2 q d) at u_i = p/q (`_atom_ratios`):
-    Python's int / int is correctly rounded, so it is float() of the exact
-    weight (1/2 + y u_i) / d, the float of the distribution's atom. The histograms are
-    scored by one call per query point; exp-mech reads each one's counts at
-    the point on a full class (its `count_law`) and otherwise bounds
-    its own memory (`learners.SCORE_BUDGET`). Every other learner draws its trials
-    as F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
-    batches of rows, in sequence from the one generator, and scores each
-    batch with one `prediction_prob` call per query point, which must return
-    one probability per trial; order-dependent rules such as the subsample
-    rule see the rows. The two paths consume the generator differently, with
-    the same law.
+    A learner whose `batch_prediction_probs` speaks for it
+    (`learners.scoring_hook`) reads a sample only through its (point, label)
+    histogram: every trial's histogram is drawn by one `multinomial(n, .,
+    size=trials)` call over the 2d atoms (0, +1), (0, -1), (1, +1), ..., at
+    the correctly rounded quotients (q + 2 y p) / (2 q d) at u_i = p/q
+    (`_atom_ratios`), and scored by one call per query point. Every other
+    learner draws F_CHUNKS (fewer if there are fewer trials) trial-ordered
+    (size, n) batches of rows from the one generator, each scored by one
+    `prediction_prob` call per query point, which must return one
+    probability per trial. The two paths consume the generator differently,
+    with the same law. A bias past the learner's domain raises
+    DomainMismatchError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -196,11 +191,11 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
         raise DomainMismatchError("query points must lie inside the domain")
     gen = rng.child("estimate-F").generator()
     centred: list[list[np.ndarray]] = [[] for _ in query]
-    if hasattr(learner, "batch_prediction_probs"):
+    if (batch := scoring_hook(learner, "batch_prediction_probs", d)) is not None:
         atom_probs = [num / den for _, num, den in _atom_ratios(u)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
         for qi, x in enumerate(query):
-            centred[qi].append(learner.batch_prediction_probs(histograms, x) - 0.5)
+            centred[qi].append(batch(histograms, x) - 0.5)
     else:
         dist = ProductBiasDistribution(u)
         chunks = min(F_CHUNKS, trials)

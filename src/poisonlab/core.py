@@ -193,11 +193,7 @@ class Sample:
 # `Learner.prediction_prob` takes, minus the generator. Given one `Sample` and
 # a point it returns a float; given a (trials, n) batch and one point, or a
 # (trials,) array of points, it returns one probability per row. The exact
-# evaluators score an oracle on one of two state spaces: a bound method of a
-# learner with a `count_law` on the count states (a, b) of a point, by one
-# call of that law over all of them; any other oracle (a plain function, a
-# wrapper, the subsample rule's averaged oracle, a class short of full) on
-# every one of the (2d)^n atom sequences.
+# evaluators pick their state space from the oracle (`experiments._engine`).
 PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 

@@ -14,20 +14,21 @@ quotient in [1/2, 2), s taken back out of the exact sum: a count state
 holds up to 2^n sequences, so at d = 1 weights under 2^-1022 (every
 sequence at u = 0 from n = 1,023 on) still carry the risk.
 
-A bound method of a learner with a `Learner.count_law` (the exponential
-mechanisms on a full class) is scored on count states, every (a, b) =
-(#(x, +1), #(x, -1)) of a size-n sample (n + 1 at d = 1, (n + 1)(n + 2) / 2
-at d >= 2), by one law call that serves every point at any d. A radius-1
-ball is a state's unit row moves (2 at d = 1, 6 at d >= 2). Its cells are
-(x, +1), (x, -1) and the other points' rows pooled, and its n! / (a! b! r!)
-sequences are counted once per n (`_count_states`). Both state spaces
-read the same +1 probabilities, so at d = 1 every value is the sequence
-table's to the bit; at d >= 2 the pooled weights round apart from the
-table's per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify
-check `experiments.count-engine` grades (2 ulp allowed). The scores read the
-learner, d and n alone, so a count table is built once per (learner, d, n)
-and kept for every distribution, budget and test atom weighed on it
-(`_count_table`, the 8 most recent: an exact-ball benchmark pass reads 5).
+A bound method of a learner whose `Learner.count_law` speaks for it
+(`learners.scoring_hook`; the exponential mechanism on a full class) is
+scored on count states, every (a, b) = (#(x, +1), #(x, -1)) of a size-n
+sample (n + 1 at d = 1, (n + 1)(n + 2) / 2 at d >= 2), by one law call that
+serves every point at any d. A radius-1 ball is a state's unit row moves (2
+at d = 1, 6 at d >= 2). Its cells are (x, +1), (x, -1) and the other points'
+rows pooled, and its n! / (a! b! r!) sequences are counted once per n
+(`_count_states`). Both state spaces read the same +1 probabilities, so at
+d = 1 every value is the sequence table's to the bit; at d >= 2 the pooled
+weights round apart from the table's per-sequence ones, by 1 ulp in 4 of the
+90 risks that the verify check `experiments.count-engine` grades (2 ulp
+allowed). The scores read the learner, d and n alone, so a count table is
+built once per (learner, d, n) and kept for every distribution, budget and
+test atom weighed on it (`_count_table`, the 8 most recent: an exact-ball
+benchmark pass reads 5).
 
 Every other oracle is scored on the sequence table, built anew per call:
 every atom sequence, zero-weight ones included, is one row of a single
@@ -52,18 +53,18 @@ The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
 and scored by one call per layer, `Adversary.attack` and
 `Learner.prediction_prob` each taking the whole batch. A learner with a
-`count_law` against an attacker with a `count_move` (the exponential
-mechanisms on a full class against identity or greedy) runs its chunks on
-the counts at each trial's target instead: the same integers are drawn as
-atom codes, counted at the target, moved and scored, and no row is built.
-Both paths read the same draws and the same law, so their estimates are
-the same floats. A chunk holds
-`chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
-entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
-child stream, its generator and each layer's numpy calls) is paid once per
-2^14 entries at small n, and a chunk at n >= 256 is 64 trials. Every layer's
-working set is then O(chunk * n), except the ball-search attacker's, which
-scores at most TRIAL_CHUNK trials' balls per call.
+`count_law` against an attacker with a `count_move` (exp-mech and coupled on
+a full class against identity or greedy) runs its chunks on the counts at
+each trial's target instead: the same integers are drawn as atom codes,
+counted at the target, moved and scored, and no row is built. Both paths
+read the same draws and the same law, so their estimates are the same
+floats. A chunk holds `chunk_trials(n)` trials, as many as fill
+CHUNK_ENTRIES = 2^14 sample entries but at least TRIAL_CHUNK = 64, so the
+fixed cost of a chunk (its child stream, its generator and each layer's
+numpy calls) is paid once per 2^14 entries at small n, and a chunk at
+n >= 256 is 64 trials. Every layer's working set is then O(chunk * n),
+except the ball-search attacker's, which scores at most TRIAL_CHUNK trials'
+balls per call.
 
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
@@ -112,7 +113,6 @@ from .core import (
 )
 from .learners import (
     BayesLearner,
-    CoupledExpMechanismLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,
@@ -120,6 +120,7 @@ from .learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
     one_per_trial,
+    scoring_hook,
 )
 from .adversaries import (
     Adversary,
@@ -245,16 +246,14 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     moved no row, so only another batch is measured against the budget.
 
     A learner with a `Learner.count_law` against an attacker with an
-    `Adversary.count_move` (the exponential mechanisms on a full class
-    against identity or greedy) runs on counts instead: each chunk draws
-    the same integers as atom codes, never built into rows, counts each
-    trial's codes of (x, +1) and (x, -1) at its target x, moves the counts
-    as the attack moves the rows, checks the rows moved against the budget
-    and scores the law on the moved counts. Neither the law nor the move
-    draws anything, and the law is the learner's prediction on any sample
-    with those counts, so every score is the same float as on the rows. A
-    distribution over more points than the learner's `domain_size` runs on
-    rows, which raise DomainMismatchError there where the law would not.
+    `Adversary.count_move` runs on counts instead: each chunk draws the same
+    integers as atom codes, never built into rows, counts each trial's codes
+    of (x, +1) and (x, -1) at its target x, moves the counts as the attack
+    moves the rows, checks the rows moved against the budget and scores the
+    law on the moved counts. Neither draws anything, and the law is the
+    prediction on any sample with those counts, so every score is the same
+    float as on the rows. A distribution over more points than the
+    learner's `domain_size` raises DomainMismatchError (`scoring_hook`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -262,9 +261,8 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     budget = exact_fraction(eta)
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
-    domain = learner.domain_size
-    on_counts = (learner.count_law is not None and adversary.count_move is not None
-                 and (domain is None or dist.dimension <= domain))
+    law = scoring_hook(learner, "count_law", dist.dimension)
+    on_counts = law is not None and adversary.count_move is not None
     scores: list[float] = []
     for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
@@ -287,8 +285,7 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
                 raise BudgetViolationError(
                     f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
                     f"allowed by eta={budget} on trial {start + int(over[0])}")
-        probs = (learner.count_law(a, b, n) if on_counts
-                 else learner.prediction_prob(corrupted, targets.point, gen))
+        probs = law(a, b, n) if on_counts else learner.prediction_prob(corrupted, targets.point, gen)
         p = one_per_trial(learner, probs, size)
         scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,
@@ -304,13 +301,13 @@ _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enu
 
 
 def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -> _ExactTable:
-    """A bound method of a learner with a `count_law` is scored on count
-    states: that learner's table for (dist.dimension, n), built once and
-    kept (`_count_table`), as it reads nothing else of the distribution. Any
+    """A bound method of a learner with a `count_law` (`scoring_hook`, which
+    refuses a distribution past its domain) is scored on count states: its
+    table for (dist.dimension, n), built once and kept (`_count_table`). Any
     other oracle is scored anew on every atom sequence of `dist`
     (`_SequenceTable`), as it makes no per-point promise."""
     learner = getattr(p_oracle, "__self__", None)
-    if isinstance(learner, Learner) and learner.count_law is not None:
+    if scoring_hook(learner, "count_law", dist.dimension) is not None:
         return _count_table(learner, dist.dimension, n)
     return _SequenceTable(p_oracle, dist, n)
 
@@ -843,9 +840,9 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = _distinct_rows(hard.sample_indices(gen, (trials_outer, d)))
-    excesses, coefficients = _excess_table(learner.count_law is not None, scheme,
-                                           hard.values(), draws.tolist(), counts.tolist(),
-                                           f_value)
+    excesses, coefficients = _excess_table(scoring_hook(learner, "count_law", d) is not None,
+                                           scheme, hard.values(), draws.tolist(),
+                                           counts.tolist(), f_value)
     # fsum's mean and variance ignore the order of the draws
     mean, outer_var = _mean_and_variance(np.repeat(excesses, counts))
     f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
@@ -867,10 +864,10 @@ def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[fl
     of the |support| diagonal rows [a] * d (`_excess_table`), with one
     `exact_F` call per distinct poisoned value, at point 0. A learner
     without a `count_law` raises PreconditionError, since its F keys read
-    whole rows; a size past the count engine's cap raises as `exact_F`
-    does.
+    whole rows, and one whose domain is short of d DomainMismatchError; a
+    size past the count engine's cap raises as `exact_F` does.
     """
-    if learner.count_law is None:
+    if scoring_hook(learner, "count_law", d) is None:
         raise PreconditionError(
             f"learner {learner.name!r} is not per-point: its F keys read whole rows")
     if n < 1:
@@ -963,10 +960,10 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     (`_f_variance`). A per-point learner's keys are its distinct poisoned
     values, so at an equal-coordinate bias it draws the trials of one
     coordinate, not of d, and its standard error is up to sqrt(d) that of d
-    separate estimates. The report records
-    the fraction of sizes whose excess clears sqrt(d eta)/36 at the scheme's
-    budget eta, the quantity the recurring-excess argument tracks. A size
-    or trials_f below 1 raises ValueError before anything is drawn.
+    separate estimates. The report records the fraction of sizes whose
+    excess clears sqrt(d eta)/36 at the scheme's budget eta, the quantity
+    the recurring-excess argument tracks. A size or trials_f below 1 raises
+    ValueError before anything is drawn.
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -979,10 +976,11 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
     threshold = curve_threshold(scheme.eta, scheme.dimension)
     excesses, std_errors = [], []
+    pointwise = scoring_hook(learner, "count_law", u.dimension) is not None
     for n in sizes:
         f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-        [excess], coefficients = _excess_table(learner.count_law is not None, scheme,
-                                               u.coords, [range(u.dimension)], [1], f_value)
+        [excess], coefficients = _excess_table(pointwise, scheme, u.coords,
+                                               [range(u.dimension)], [1], f_value)
         excesses.append(excess)
         std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
     return CurveReport(u=u, sizes=sizes, excesses=tuple(excesses),
@@ -999,10 +997,11 @@ ADVERSARY_IDS = ("identity", "greedy", "brute-force")
 
 def make_learner(learner_id: str, hclass: HypothesisClass, eta: Fraction, n: int,
                  bias: Sequence[Scalar]) -> Learner:
-    if learner_id == "exp-mech":
-        return ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
-    if learner_id == "coupled":
-        return CoupledExpMechanismLearner(hclass, ExpMechanismConfig(eta))
+    if learner_id in ("exp-mech", "coupled"):
+        # coupled: +1 iff a shared uniform r <= p, the same law under its own name
+        learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
+        learner.name = learner_id
+        return learner
     if learner_id == "vc":
         vc_dim = hclass.domain_size if hclass.is_full else vc_dimension(hclass)
         return VcSubsampleLearner(hclass, VcLearnerConfig(eta, vc_dim))
@@ -1019,7 +1018,11 @@ def make_adversary(adversary_id: str, eta: Fraction, learner: Learner, d: int) -
     if adversary_id == "greedy":
         return GreedyFlipAdversary(AttackBudget(eta))
     if adversary_id == "brute-force":
-        oracle = getattr(learner, "mean_prediction_prob", None)
+        # averaged over the learner's coins: a count or histogram law draws none
+        oracle = scoring_hook(learner, "mean_prediction_prob", d)
+        if oracle is None and any(scoring_hook(learner, hook, d) is not None
+                                  for hook in ("count_law", "batch_prediction_probs")):
+            oracle = learner.prediction_prob
         if oracle is None:
             raise PreconditionError(
                 f"brute-force attack needs an averaged prediction oracle; "

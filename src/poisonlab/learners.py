@@ -4,21 +4,21 @@ The central rule is the exponential mechanism: pick hypothesis h with
 probability proportional to exp(-t * empirical_loss(h)). Its prediction at a
 point is Rao-Blackwellizable (the +1 probability mass is an exact partial
 sum), which the harness exploits everywhere. The other rules here are the
-coupled thresholding variant (the same prediction law under its own name),
-the split-and-subsample rule for classes of bounded VC dimension, a
-subsampled majority vote, and Bayes and constant baselines.
+split-and-subsample rule for classes of bounded VC dimension, a subsampled
+majority vote, and Bayes and constant baselines.
 
 Every learner speaks one protocol, `Learner.prediction_prob`: the +1
 probability given one `Sample` at one point, or given a (trials, n) batch at
 one point per trial, with the learner's coins drawn from the generator. A
-one-sample call is a one-row batch. Every number of the mechanism, its loss
-counts, selection law, log-probabilities, +1 and flip probabilities, comes
-from one histogram scorer (`_loss_counts`, `_softmax`), so a sample scores
-the same alone as in any batch. On the full class the +1 probability at x
-reads only n and the counts at x, a law exposed in closed form, `count_law`:
-2 weights a sample instead of 2^d; the class scorer stays its reference.
-The subsample rule restricts its class with `core.restrict_dedupe`; this
-module imports from `core` alone.
+one-sample call is a one-row batch; evaluators read the optional hooks that
+score it from less through one rule (`scoring_hook`). Every number of the
+mechanism, its loss counts, selection law, log-probabilities, +1 and flip
+probabilities, comes from one histogram scorer (`_loss_counts`, `_softmax`),
+so a sample scores the same alone as in any batch. On the full class the +1
+probability at x reads only n and the counts at x, a law exposed in closed
+form, `count_law`: 2 weights a sample instead of 2^d; the class scorer stays
+its reference. The subsample rule restricts its class with
+`core.restrict_dedupe`; this module imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -250,6 +250,15 @@ def _one_row(sample: Sample) -> Sample:
 # learner adapters used by the estimation and experiment layers
 
 
+def speaks(cls: type, hook: str, method: str) -> bool:
+    """The one rule of a scoring hook: `cls`'s `hook` speaks for its `method`
+    only when the class that gives `cls` its `method`, or a subclass of that
+    class, gives it `hook`; a subclass rewriting `method` alone has none."""
+    hook_giver, method_giver = (next((c for c in cls.__mro__ if name in c.__dict__), object)
+                                for name in (hook, method))
+    return issubclass(hook_giver, method_giver)
+
+
 class Learner:
     """The one interface the harness consumes.
 
@@ -262,29 +271,43 @@ class Learner:
     batch returned as a float, so the batch agrees with one-sample calls on
     a generator in the same state.
 
-    `count_law(a, b, n)`, unless None, is the +1 probability at any point x
-    of a size-n sample holding a rows of (x, +1) and b of (x, -1), on arrays
-    of one shape: the prediction reads nothing else, so F at x under D_u
-    depends on u_x alone, the exact evaluators score the learner's bound
-    methods on the counts (`experiments._CountTable`), and the Monte Carlo
-    evaluator scores it on each trial's counts against an attacker with a
-    count move (`experiments.mc_adversarial_loss`). It holds at the points
-    below `domain_size`, or at every point if that is None, and draws
-    nothing. A learner derives it from its class. A subclass that
-    rewrites `prediction_prob` and not `count_law` has no count law.
+    Optional scoring hooks give the same numbers from less: `count_law(a,
+    b, n)`, unless None, the +1 probability at any point x of a size-n
+    sample with a rows of (x, +1) and b of (x, -1), on arrays of one shape,
+    drawing nothing; `batch_prediction_probs(histograms, x)`, the prediction
+    on (trials, points, 2) histograms, a promise that row order never
+    matters; and `mean_prediction_prob(sample, x)`, the prediction averaged
+    over the learner's coins. `speaks` decides once per class which hooks
+    speak (`_hooks`; a silent `count_law` reads None); evaluators read them
+    through `scoring_hook` alone, which checks `domain_size` (None: any).
     """
 
     name = "learner"
     count_law = None
     domain_size: int | None = None
+    _hooks: frozenset[str] = frozenset()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "prediction_prob" in cls.__dict__ and "count_law" not in cls.__dict__:
+        hooks = ("count_law", "batch_prediction_probs", "mean_prediction_prob")
+        cls._hooks = frozenset(h for h in hooks if speaks(cls, h, "prediction_prob"))
+        if "count_law" not in cls._hooks:
             cls.count_law = None
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
         raise NotImplementedError
+
+
+def scoring_hook(learner, hook: str, d: int):
+    """The learner's `hook`, bound, where it speaks for the learner, else None,
+    as for anything but a `Learner`. A distribution over d points, more than
+    the learner's `domain_size` (None: any), raises DomainMismatchError."""
+    if not isinstance(learner, Learner):
+        return None
+    if learner.domain_size is not None and d > learner.domain_size:
+        raise DomainMismatchError(f"a distribution over {d} points lies outside a domain "
+                                  f"of size {learner.domain_size}")
+    return getattr(learner, hook) if hook in learner._hooks else None
 
 
 def one_per_trial(source, probs, trials: int) -> np.ndarray:
@@ -310,6 +333,7 @@ class ExpMechanismLearner(Learner):
     def __init__(self, hclass: HypothesisClass, config: ExpMechanismConfig):
         self.hclass = hclass
         self.config = config
+        self.domain_size = hclass.domain_size
 
     def prediction_prob(self, sample: Sample, x, gen=None):
         """The sample's histograms are scored by `batch_prediction_probs`; one
@@ -320,10 +344,6 @@ class ExpMechanismLearner(Learner):
     @property
     def count_law(self):
         return self._law if self.hclass.is_full else None
-
-    @property
-    def domain_size(self) -> int:
-        return self.hclass.domain_size
 
     def _law(self, a, b, n) -> np.ndarray:
         """`_class_probs` on the full class, from a = #(x, +1), b = #(x, -1)
@@ -337,18 +357,12 @@ class ExpMechanismLearner(Learner):
         w = np.exp(scores - np.maximum(scores[0], scores[1]))
         return w[1] / (w[0] + w[1])
 
-    # exact already; the alias lets attackers ask for the averaged oracle
-    def mean_prediction_prob(self, sample: Sample, x):
-        return self.prediction_prob(sample, x)
-
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
         """prediction_prob at x for a batch of samples given as (trials,
         points, 2) histograms (see `_checked_histograms`); x is one point for
         every sample or a (trials,) array of one point each.
 
-        The mechanism is exchangeable: it sees a sample only through this
-        histogram, so a learner exposing this method promises that row order
-        never matters. The +1 probability is the exact partial sum of the
+        The +1 probability is the exact partial sum of the
         selection probabilities of the hypotheses reading +1 at x. On the
         full class that sum reads only the counts at x (`count_law`); any
         other class is scored hypothesis by hypothesis (`_class_probs`).
@@ -369,15 +383,6 @@ class ExpMechanismLearner(Learner):
             hist = np.pad(hist, ((0, 0), (0, self.hclass.domain_size - hist.shape[1]), (0, 0)))
         at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
         return self._law(at_x[:, 0], at_x[:, 1], n)
-
-
-class CoupledExpMechanismLearner(ExpMechanismLearner):
-    """The coupled rule: it predicts +1 iff a shared uniform falls at or
-    below the mechanism's +1 probability, so its prediction law, the only
-    thing the harness scores, is the mechanism's. It keeps its own name,
-    which selects it and enters the stream hash of its sweep cells."""
-
-    name = "coupled"
 
 
 class VcSubsampleLearner(Learner):

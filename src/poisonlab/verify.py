@@ -809,9 +809,10 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     values = hard.values()
     excesses: list[float] = []
     coefficients: dict[tuple, Fraction] = {}
+    pointwise = learners.scoring_hook(learner, "count_law", d) is not None
     for row, count in zip(draws.tolist(), counts.tolist()):
         excess, per_key = _per_draw_excess(
-            learner.count_law is not None, BiasVector([values[a] for a in row]), scheme, f_value)
+            pointwise, BiasVector([values[a] for a in row]), scheme, f_value)
         excesses += [excess] * count
         for key, c in per_key.items():
             coefficients[key] = coefficients.get(key, 0) + count * c
@@ -827,7 +828,8 @@ def _per_draw_curve(learner, u: BiasVector, scheme, n: int, trials_f: int,
     """`learning_curve_experiment`'s (excess, std error) at one size n by
     `_per_draw_excess` at u, on the curve's ("curve", n) F streams."""
     f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "curve", n)
-    excess, coefficients = _per_draw_excess(learner.count_law is not None, u, scheme, f_value)
+    excess, coefficients = _per_draw_excess(
+        learners.scoring_hook(learner, "count_law", u.dimension) is not None, u, scheme, f_value)
     return excess, math.sqrt(experiments._f_variance(coefficients, cache))
 
 

@@ -73,7 +73,6 @@ from poisonlab.experiments import (
 from poisonlab.learners import (
     BayesLearner,
     ConstantLearner,
-    CoupledExpMechanismLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,
@@ -507,10 +506,11 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
     eta = Fraction(1, 8)
     full = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
-    coupled = CoupledExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    coupled = make_learner("coupled", HypothesisClass.full(2), eta, 2, (0, 0))
     three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
                                 ExpMechanismConfig(eta))
-    for oracle, counted in ((full.prediction_prob, True), (full.mean_prediction_prob, True),
+    brute = make_adversary("brute-force", eta, full, 2)
+    for oracle, counted in ((full.prediction_prob, True), (brute.predictor, True),
                             (coupled.prediction_prob, True),
                             (lambda s, x: full.prediction_prob(s, x), False),
                             (three.prediction_prob, False)):
@@ -749,7 +749,8 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     tables = {(i, n): experiments._engine(learner.prediction_prob, dist, n)
               for i, learner in enumerate(learners) for n in (4, 5)}
     assert len({id(t) for t in tables.values()}) == 4
-    assert experiments._engine(learners[0].mean_prediction_prob, dist, 4) is tables[0, 4]
+    # another bound method object of the same learner reads the same table
+    assert experiments._engine(learners[0].prediction_prob, dist, 4) is tables[0, 4]
     for (i, n), table in tables.items():
         fresh = experiments._CountTable(learners[i], 1, n)
         assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
@@ -980,7 +981,8 @@ def test_an_overspending_count_move_raises_naming_the_global_trial():
 @pytest.mark.parametrize("adversary_id", ["identity", "greedy"])
 def test_a_distribution_past_the_learners_domain_raises_on_the_rows(learner_id, adversary_id):
     # full(2) against a d = 3 distribution: the count law would give a
-    # number, but the chunk runs on rows, which hold points past the domain
+    # number, but the learner's hooks refuse a distribution past its domain,
+    # as its rows would
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)] * 3))
     eta, n = Fraction(1, 8), 16
     learner = make_learner(learner_id, HypothesisClass.full(2), eta, n, dist.bias.coords[:2])
@@ -1000,13 +1002,75 @@ def test_a_learner_subclass_rewriting_prediction_prob_is_scored_by_it():
 
     hclass, config = HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8))
     assert Halved(hclass, config).count_law is None
-    assert CoupledExpMechanismLearner(hclass, config).count_law is not None
+    assert make_learner("coupled", hclass, config.eta, 16, (0,)).count_law is not None
     assert _ClassScoredRule(hclass, config).count_law is not None
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     halved, full = (mc_adversarial_loss(learner, IdentityAdversary(), dist, 16, 0, 100,
                                         RandomSource(SEED, 13)).mean
                     for learner in (Halved(hclass, config), ExpMechanismLearner(hclass, config)))
     assert halved != full
+
+
+class _Flipped(ExpMechanismLearner):
+    """Exp-mech's prediction turned over, 1 - p: a subclass whose inherited
+    hooks would score its parent's prediction instead of its own."""
+
+    name = "flipped"
+
+    def prediction_prob(self, sample, x, gen=None):
+        return 1 - super().prediction_prob(sample, x, gen)
+
+
+def test_estimate_f_of_a_subclass_rewriting_prediction_prob_draws_its_rows():
+    # the inherited histogram scorer would give exp-mech's F, of the other
+    # sign; the subclass takes the row path, as behind a wrapper with no hooks
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
+    flipped = _Flipped(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
+    got = estimate_F(flipped, u, 32, 2000, RandomSource(1, 1))
+    rows = estimate_F(_RowsOnly(flipped), u, 32, 2000, RandomSource(1, 1))
+    assert (got.values, got.std_errors) == (rows.values, rows.std_errors)
+    assert got.values[0] < -0.2 and got.values[1] > 0.1
+
+
+def test_exact_evaluators_refuse_a_distribution_past_the_learners_domain():
+    # the count law reads the counts at any point, so only the learner's
+    # domain keeps it off points its class does not hold, as on the rows
+    eta = Fraction(1, 8)
+    two = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)] * 3))
+    for evaluate in (lambda: exhaustive_adversarial_loss(two.prediction_prob, dist, eta, 8),
+                     lambda: exact_F(two.prediction_prob, dist.bias, 8, 0)):
+        with pytest.raises(DomainMismatchError, match="3 points lies outside a domain of size 2"):
+            evaluate()
+    one = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 64)))
+    with pytest.raises(DomainMismatchError, match="2 points lies outside a domain of size 1"):
+        lower_bound_exact(one, Fraction(1, 64), 2, 64)
+
+
+@pytest.mark.parametrize("case", [*experiments.LEARNER_IDS, "three", "flipped"])
+def test_brute_force_takes_the_averaged_oracle_the_hooks_give(case):
+    # vc averages its subset draws; the mechanisms draw nothing, as their
+    # count or histogram law says, so their prediction is its own average;
+    # a rule with neither, or a subclass rewriting the prediction without
+    # an averaged oracle of its own, is refused
+    eta, config = Fraction(1, 16), ExpMechanismConfig(Fraction(1, 16))
+    full = HypothesisClass.full(2)
+    if case == "three":
+        learner = ExpMechanismLearner(
+            HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]), config)
+    elif case == "flipped":
+        learner = _Flipped(full, config)
+    else:
+        learner = make_learner(case, full, eta, 16, (Fraction(1, 4),) * 2)
+    oracle = {"vc": "mean_prediction_prob", "exp-mech": "prediction_prob",
+              "coupled": "prediction_prob", "three": "prediction_prob"}.get(case)
+    if oracle is None:
+        with pytest.raises(PreconditionError,
+                           match=rf"^brute-force attack needs an averaged prediction oracle; "
+                                 rf"learner '{learner.name}' has none$"):
+            make_adversary("brute-force", eta, learner, 2)
+    else:
+        assert make_adversary("brute-force", eta, learner, 2).predictor == getattr(learner, oracle)
 
 
 @pytest.mark.parametrize("n", [1074, 1100, 2048, 4096])

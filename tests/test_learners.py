@@ -23,7 +23,6 @@ from poisonlab.learners import (
     SUBSET_LIMIT,
     BayesLearner,
     ConstantLearner,
-    CoupledExpMechanismLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     MajorityVoteLearner,
@@ -37,6 +36,7 @@ from poisonlab.learners import (
     flip_bound,
     flip_probability,
 )
+from poisonlab.experiments import make_learner
 
 SEED = 8251
 
@@ -480,7 +480,7 @@ def test_batched_prediction_prob_matches_each_row():
     for d in (1, 2, 3):
         hc = HypothesisClass.full(d)
         rules = [ExpMechanismLearner(hc, ExpMechanismConfig(eta)),
-                 CoupledExpMechanismLearner(hc, ExpMechanismConfig(eta)),
+                 make_learner("coupled", hc, eta, 16, (0,) * d),
                  MajorityVoteLearner(5),
                  ConstantLearner(MINUS),
                  BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0))[:d])]
