@@ -47,24 +47,25 @@ and their scales 0.4 MB, which keep their weight set's 0.8 MB index of live
 states alive: at most 16 * 18.6 + 8 * 59.4 = 773 MB in the state and weight
 caches, and 0.3-0.5 GB in the 256 coefficient sets (`_count_coefficients`).
 On a 2-vCPU Xeon a cold weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s
-at those D, and a state space 1.0-1.1 s once per n.
+at those D, and a state space 0.05-0.15 s once per n (`_binomial_row`).
 
 The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
 and scored by one call per layer, `Adversary.attack` and
 `Learner.prediction_prob` each taking the whole batch. A learner with a
-`count_law` against an attacker with a `count_move` (exp-mech and coupled on
-a full class against identity or greedy) runs its chunks on the counts at
-each trial's target instead: the same integers are drawn as atom codes,
-counted at the target, moved and scored, and no row is built. Both paths
-read the same draws and the same law, so their estimates are the same
-floats. A chunk holds `chunk_trials(n)` trials, as many as fill
-CHUNK_ENTRIES = 2^14 sample entries but at least TRIAL_CHUNK = 64, so the
-fixed cost of a chunk (its child stream, its generator and each layer's
-numpy calls) is paid once per 2^14 entries at small n, and a chunk at
-n >= 256 is 64 trials. Every layer's working set is then O(chunk * n),
-except the ball-search attacker's, which scores at most TRIAL_CHUNK trials'
-balls per call.
+`count_law` or a `count_prediction` against an attacker with a
+`count_move` (exp-mech and coupled on a full class, and majority vote,
+against identity or greedy) runs its chunks on the counts at each trial's
+target instead: the same integers are drawn as atom codes, counted at the
+target, moved and scored, and no row is built. Both paths read the same
+draws and the same law, and majority's coins come from the same generator
+state, so their estimates are the same floats. A chunk holds
+`chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
+entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
+child stream, its generator and each layer's numpy calls) is paid once per
+2^14 entries at small n, and a chunk at n >= 256 is 64 trials. Every
+layer's working set is then O(chunk * n), except the ball-search
+attacker's, which scores at most TRIAL_CHUNK trials' balls per call.
 
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
@@ -79,7 +80,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -245,15 +246,18 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     ValueError. An adversary that returns the clean batch object itself
     moved no row, so only another batch is measured against the budget.
 
-    A learner with a `Learner.count_law` against an attacker with an
-    `Adversary.count_move` runs on counts instead: each chunk draws the same
-    integers as atom codes, never built into rows, counts each trial's codes
-    of (x, +1) and (x, -1) at its target x, moves the counts as the attack
-    moves the rows, checks the rows moved against the budget and scores the
-    law on the moved counts. Neither draws anything, and the law is the
-    prediction on any sample with those counts, so every score is the same
-    float as on the rows. A distribution over more points than the
-    learner's `domain_size` raises DomainMismatchError (`scoring_hook`).
+    A learner with a `Learner.count_law` or a `Learner.count_prediction`
+    against an attacker with an `Adversary.count_move` runs on counts
+    instead: each chunk draws the same integers as atom codes, never built
+    into rows, counts each trial's codes of (x, +1) and (x, -1) at its
+    target x, moves the counts as the attack moves the rows, checks the rows
+    moved against the budget and scores the hook on the moved counts. The
+    move draws nothing, and a `count_prediction` (majority vote) draws its
+    coins from the chunk's generator where `prediction_prob` would, after
+    the attack, from the same counts. The hook is the prediction on any
+    sample with those counts, so every score is the same float as on the
+    rows. A distribution over more points than the learner's `domain_size`
+    raises DomainMismatchError (`scoring_hook`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -262,7 +266,9 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     limit = corruption_limit(budget, n)
     bayes = float(bayes_loss(dist))
     law = scoring_hook(learner, "count_law", dist.dimension)
-    on_counts = law is not None and adversary.count_move is not None
+    count_score = (scoring_hook(learner, "count_prediction", dist.dimension) if law is None
+                   else lambda a, b, n, gen: law(a, b, n))
+    on_counts = count_score is not None and adversary.count_move is not None
     scores: list[float] = []
     for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
@@ -285,7 +291,8 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
                 raise BudgetViolationError(
                     f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
                     f"allowed by eta={budget} on trial {start + int(over[0])}")
-        probs = law(a, b, n) if on_counts else learner.prediction_prob(corrupted, targets.point, gen)
+        probs = (count_score(a, b, n, gen) if on_counts
+                 else learner.prediction_prob(corrupted, targets.point, gen))
         p = one_per_trial(learner, probs, size)
         scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
     meta = {"learner": learner.name, "adversary": adversary.name,
@@ -464,16 +471,27 @@ def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, tuple[i
     size = n + 1 if single else (n + 1) * (n + 2) // 2
     if size > _TABLE_CAP:
         raise EnumerationTooLargeError(f"{size} count states exceed cap {_TABLE_CAP}")
-    grid = np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    a, b = np.nonzero(grid == n if single else grid <= n)
-    steps = [(1, -1), (-1, 1)] + ([] if single else [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    index = np.full((n + 3, n + 3), -1)  # offset by one, so a - 1 and b - 1 stay in range
     own = np.arange(size)
-    index[a + 1, b + 1] = own
-    near = [index[a + 1 + da, b + 1 + db] for da, db in steps]
-    moves = np.stack([own] + [np.where(s >= 0, s, own) for s in near], axis=1)
-    mults = tuple(math.comb(n, i) * math.comb(n - i, j) for i, j in zip(a.tolist(), b.tolist()))
-    return *_read_only(np.array([a, b, n - a - b]), moves), mults
+    # state (a, b) is number a when single, else a (2n + 3 - a) / 2 + b: the
+    # rows of a' < a hold n + 1 - a' states each
+    index = (lambda a, b: a) if single else (lambda a, b: a * (2 * n + 3 - a) // 2 + b)
+    a = own if single else np.repeat(own[:n + 1], np.arange(n + 1, 0, -1))
+    b = n - a if single else own - index(a, 0)
+    steps = [(1, -1), (-1, 1)] + ([] if single else [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    near = [np.where((a + da >= 0) & (b + db >= 0) & (a + da + b + db <= n),
+                     index(a + da, b + db), own) for da, db in steps]
+    moves = np.stack([own, *near], axis=1)
+    rows = [_binomial_row(n)] if single else map(_binomial_row, range(n, -1, -1), _binomial_row(n))
+    return *_read_only(np.array([a, b, n - a - b]), moves), tuple(itertools.chain(*rows))
+
+
+def _binomial_row(m: int, first: int = 1) -> Iterator[int]:
+    """first * C(m, j) for j = 0..m, by the running product C(m, j + 1) =
+    C(m, j) (m - j) / (j + 1), exact at every step. A state's n! / (a! b! r!)
+    is C(n, a) C(n - a, b), so the row of m = n - a from first = C(n, a)
+    lists the states of one a in b order: one product and one exact
+    quotient a state, where `math.comb` would build each from scratch."""
+    return itertools.accumulate(range(m), lambda c, j: c * (m - j) // (j + 1), initial=first)
 
 
 @functools.lru_cache(maxsize=256)

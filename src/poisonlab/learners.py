@@ -274,12 +274,15 @@ class Learner:
     Optional scoring hooks give the same numbers from less: `count_law(a,
     b, n)`, unless None, the +1 probability at any point x of a size-n
     sample with a rows of (x, +1) and b of (x, -1), on arrays of one shape,
-    drawing nothing; `batch_prediction_probs(histograms, x)`, the prediction
-    on (trials, points, 2) histograms, a promise that row order never
-    matters; and `mean_prediction_prob(sample, x)`, the prediction averaged
-    over the learner's coins. `speaks` decides once per class which hooks
-    speak (`_hooks`; a silent `count_law` reads None); evaluators read them
-    through `scoring_hook` alone, which checks `domain_size` (None: any).
+    drawing nothing; `count_prediction(a, b, n, gen)`, the same from (trials,)
+    counts for a learner that draws coins, drawn from `gen` as
+    `prediction_prob` draws them, in trial order; `batch_prediction_probs(
+    histograms, x)`, the prediction on (trials, points, 2) histograms, a
+    promise that row order never matters; and `mean_prediction_prob(sample,
+    x)`, the prediction averaged over the learner's coins. `speaks` decides
+    once per class which hooks speak (`_hooks`; a silent `count_law` reads
+    None); evaluators read them through `scoring_hook` alone, which checks
+    `domain_size` (None: any).
     """
 
     name = "learner"
@@ -289,7 +292,8 @@ class Learner:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        hooks = ("count_law", "batch_prediction_probs", "mean_prediction_prob")
+        hooks = ("count_law", "count_prediction", "batch_prediction_probs",
+                 "mean_prediction_prob")
         cls._hooks = frozenset(h for h in hooks if speaks(cls, h, "prediction_prob"))
         if "count_law" not in cls._hooks:
             cls.count_law = None
@@ -299,9 +303,11 @@ class Learner:
 
 
 def scoring_hook(learner, hook: str, d: int):
-    """The learner's `hook`, bound, where it speaks for the learner, else None,
-    as for anything but a `Learner`. A distribution over d points, more than
-    the learner's `domain_size` (None: any), raises DomainMismatchError."""
+    """The learner's `hook` (`count_law`, `count_prediction`,
+    `batch_prediction_probs` or `mean_prediction_prob`), bound, where it
+    speaks for the learner, else None, as for anything but a `Learner`. A
+    distribution over d points, more than the learner's `domain_size`
+    (None: any), raises DomainMismatchError."""
     if not isinstance(learner, Learner):
         return None
     if learner.domain_size is not None and d > learner.domain_size:
@@ -491,29 +497,29 @@ class MajorityVoteLearner(Learner):
         self.k = k
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
-        """Votes with a uniform k-subset of the rows at x; tie and empty cases
-        return 1/2 exactly.
+        """Counts the rows at x labelled +1 and -1 and votes on those counts
+        (`count_prediction`), so the rows and the counts draw the same coins."""
+        at_x = np.atleast_2d(sample.points) == np.reshape(x, (-1, 1))
+        a = np.count_nonzero(at_x & (np.atleast_2d(sample.labels) == PLUS), axis=1)
+        probs = self.count_prediction(a, np.count_nonzero(at_x, axis=1) - a, len(sample), gen)
+        return probs if sample.batched else float(probs[0])
 
-        The vote reads only the counts (a, b) of the rows at x labelled +1
-        and -1. A trial with a + b > k keeps a hypergeometric(a, b, k) count
-        of +1 votes and k minus that of -1 votes, one draw per such trial.
-        Only those trials draw, in trial order, so a batch agrees with
-        one-sample calls on the same generator.
-        """
-        n = len(sample)
+    def count_prediction(self, a, b, n, gen: np.random.Generator | None = None) -> np.ndarray:
+        """Votes with a uniform k-subset of the a rows of (x, +1) and b of (x,
+        -1) of size-n samples, (trials,) arrays; tie and empty cases return
+        1/2 exactly. A trial with a + b > k keeps a hypergeometric(a, b, k)
+        count of +1 votes and k minus that of -1 votes, one draw per such
+        trial. Only those trials draw, in trial order, so a batch agrees with
+        one-sample calls on the same generator, and k >= n draws nothing."""
         if self.k > n:
             raise PreconditionError(f"need n >= {self.k} rows, got {n}")
-        votes = np.atleast_2d(sample.points) == np.reshape(x, (-1, 1))
-        count = np.count_nonzero(votes, axis=1)
-        tally = (votes * np.atleast_2d(sample.labels)).sum(axis=1)
-        thin = count > self.k
+        tally = a - b
+        thin = a + b > self.k
         if thin.any():
             if gen is None:
                 raise ValueError("majority vote needs a generator to thin its votes")
-            plus = (count[thin] + tally[thin]) // 2
-            tally[thin] = 2 * gen.hypergeometric(plus, count[thin] - plus, self.k) - self.k
-        probs = np.where(tally > 0, 1.0, np.where(tally < 0, 0.0, 0.5))
-        return probs if sample.batched else float(probs[0])
+            tally[thin] = 2 * gen.hypergeometric(a[thin], b[thin], self.k) - self.k
+        return np.where(tally > 0, 1.0, np.where(tally < 0, 0.0, 0.5))
 
 
 class ConstantLearner(Learner):

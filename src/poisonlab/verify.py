@@ -729,7 +729,7 @@ def check_batched_trials(rng: RandomSource):
 
 
 class _RowsOnly(learners.Learner):
-    """Forwards `prediction_prob` to a learner, with no count law of its own."""
+    """Forwards `prediction_prob` to a learner, with no count hook of its own."""
 
     def __init__(self, learner: learners.Learner):
         self.learner = learner
@@ -740,16 +740,18 @@ class _RowsOnly(learners.Learner):
 
 
 def check_count_path(rng: RandomSource):
-    """The Monte Carlo count path (a learner's `count_law` against an
-    attacker's `count_move`) against the row path (the same learner behind
-    a wrapper with no count law): exp-mech and coupled on full(1) and
-    full(2) against identity and greedy, at two biases, over a full chunk
-    and a short one, estimate for estimate."""
+    """The Monte Carlo count path (a learner's `count_law` or
+    `count_prediction` against an attacker's `count_move`) against the row
+    path (the same learner behind a wrapper with no count hook): exp-mech,
+    coupled and majority vote (which draws its coins on either path) on
+    full(1) and full(2) against identity and greedy, at two biases, over a
+    full chunk and a short one, estimate for estimate."""
     eta, n = Fraction(1, 16), 64
     trials = experiments.chunk_trials(n) + 37
     cells = 0
     for d, bias, learner_id, adversary_id in iproduct(
-            (1, 2), (Fraction(1, 4), 0.1), ("exp-mech", "coupled"), ("identity", "greedy")):
+            (1, 2), (Fraction(1, 4), 0.1), ("exp-mech", "coupled", "majority"),
+            ("identity", "greedy")):
         dist = ProductBiasDistribution(BiasVector([bias] * d))
         learner = experiments.make_learner(learner_id, HypothesisClass.full(d), eta, n,
                                            dist.bias.coords)

@@ -1,3 +1,4 @@
+import copy
 import math
 import statistics
 from collections import Counter
@@ -521,6 +522,12 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
     one = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     assert isinstance(experiments._engine(vc.mean_prediction_prob, one, 5),
                       experiments._SequenceTable)
+    # majority's count hook draws coins: the exact engine keeps to count laws
+    majority = MajorityVoteLearner(4)
+    assert majority.count_law is None
+    for space in (one, dist):
+        assert isinstance(experiments._engine(majority.prediction_prob, space, 4),
+                          experiments._SequenceTable)
 
 
 class _ScrambledCountRule(Learner):
@@ -621,6 +628,23 @@ def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_m
                            for i, j in zip(a.tolist(), b.tolist())]
 
 
+@pytest.mark.parametrize("single", [True, False])
+def test_count_state_multiplicities_are_the_binomial_products(single):
+    # the running products against math.comb: every state up to n = 24,
+    # then spot states of the d = 1 space at n = 4096 and the d >= 2 one at
+    # the cap, n = 445
+    for n in range(25):
+        (a, b, _), _, mults = experiments._count_states(n, single)
+        assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
+                               for i, j in zip(a.tolist(), b.tolist())]
+    n = 4096 if single else 445
+    (a, b, _), _, mults = experiments._count_states(n, single)
+    spots = np.random.default_rng(SEED + 14).integers(0, len(mults), size=40).tolist()
+    for s in spots + [0, 1, len(mults) // 2, len(mults) - 2, len(mults) - 1]:
+        i, j = int(a[s]), int(b[s])
+        assert mults[s] == math.comb(n, i) * math.comb(n - i, j), (n, i, j)
+
+
 def test_count_weights_are_built_once_per_point():
     # an exact cell's risks and F read q = p+, p- and 1 at each point; the
     # weights depend on the point alone, so d = 2 builds two tables, and
@@ -643,9 +667,10 @@ def test_multiplicities_are_built_once_per_state_space(monkeypatch):
     # a second and third bias at one n, on a table kept for every bias and a
     # fresh sequence table alike, build no multiplicity: the count table and
     # every bias's weights read the ones built with the states
-    combs = []
-    comb = math.comb
-    monkeypatch.setattr(math, "comb", lambda m, k: combs.append(m) or comb(m, k))
+    rows = []
+    binomial_row = experiments._binomial_row
+    monkeypatch.setattr(experiments, "_binomial_row",
+                        lambda m, *first: rows.append(m) or binomial_row(m, *first))
     experiments._count_states.cache_clear()
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
@@ -655,7 +680,7 @@ def test_multiplicities_are_built_once_per_state_space(monkeypatch):
         exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 8), 13)
         exact_F(learner.prediction_prob, dist.bias, 13, 0)
         exhaustive_clean_loss(wrapped, dist, 3)
-        assert len(combs) == 2 * 14 * 15 // 2
+        assert rows == [13] + list(range(13, -1, -1))  # C(13, a), then C(13 - a, b) per a
         assert experiments._count_states.cache_info().misses == 1
     table = experiments._engine(learner.prediction_prob, dist, 13)
     assert table.mults is experiments._count_states(13, False)[2]
@@ -927,10 +952,12 @@ def test_a_nan_probability_on_the_rows_raises_naming_its_learner():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("bias", [Fraction(1, 2), Fraction(-1, 2), 0.1, Fraction(1, 3)])
 def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
-    # exp-mech and coupled on full(d) against identity and greedy, at a
-    # budget of no row and at one past the rows at x (d >= 2), over a full
-    # chunk and a short one: field for field the estimates of the same
-    # learner behind a wrapper with no count law, whose rows are built
+    # exp-mech, coupled and majority on full(d) against identity and
+    # greedy, at a budget of no row and at one past the rows at x (d >= 2),
+    # over a full chunk and a short one: field for field the estimates of
+    # the same learner behind a wrapper with no count hook, whose rows are
+    # built. Majority votes over all 64 rows at the first budget, drawing
+    # nothing, and thins to 2 at the second
     n = 64
     trials = experiments.chunk_trials(n) + 37
     dist = ProductBiasDistribution(BiasVector([bias] * d))
@@ -938,7 +965,7 @@ def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
     monkeypatch.setattr(experiments, "draw_sample_with",
                         lambda *args, **kw: built.append(1) or draw_sample_with(*args, **kw))
     for eta in (Fraction(1, 2 * n), Fraction(3, 4)):
-        for learner_id in ("exp-mech", "coupled"):
+        for learner_id in ("exp-mech", "coupled", "majority"):
             learner = make_learner(learner_id, HypothesisClass.full(d), eta, n, dist.bias.coords)
             for adversary_id in ("identity", "greedy"):
                 adversary = make_adversary(adversary_id, eta, learner, d)
@@ -949,6 +976,61 @@ def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
                 rows = mc_adversarial_loss(_RowsOnly(learner), adversary, dist, n, eta, trials, rng)
                 assert built == [1, 1]
                 assert counts == rows, (eta, learner_id, adversary_id)
+
+
+class _WatchedVote(MajorityVoteLearner):
+    """Majority vote, recording whether each `count_prediction` call drew
+    from its generator: a twin of the generator, copied before the call,
+    must give the same next draw."""
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self.drew: list[bool] = []
+
+    def count_prediction(self, a, b, n, gen=None):
+        twin = copy.deepcopy(gen)
+        probs = super().count_prediction(a, b, n, gen)
+        self.drew.append(bool(gen.random() != twin.random()))
+        return probs
+
+
+@pytest.mark.parametrize("adversary_id", ["identity", "greedy"])
+def test_deterministic_majority_draws_nothing_on_the_count_route(monkeypatch, adversary_id):
+    # k >= n votes with every row at x, so its chunks draw no coin; k < n
+    # thins and draws, in the same place as on the rows
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    eta, n = Fraction(1, 16), 32
+    trials = 2 * experiments.chunk_trials(n) + 5
+    adversary = make_adversary(adversary_id, eta, MajorityVoteLearner(n), 2)
+    built = []
+    monkeypatch.setattr(experiments, "draw_sample_with",
+                        lambda *args, **kw: built.append(1) or draw_sample_with(*args, **kw))
+    for k, drew in ((n, False), (4, True)):
+        learner = _WatchedVote(k)
+        rng = RandomSource(SEED, 15).child(k)
+        counts = mc_adversarial_loss(learner, adversary, dist, n, eta, trials, rng)
+        assert learner.drew == [drew] * 3 and built == []
+        assert counts == mc_adversarial_loss(_RowsOnly(learner), adversary, dist, n, eta,
+                                             trials, rng)
+        built.clear()
+
+
+def test_majority_past_its_sample_size_raises_on_the_count_route(monkeypatch):
+    # k > n raises PreconditionError from the count hook, so a sweep cell
+    # holding it is an error row, as on the rows
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    for learner in (MajorityVoteLearner(9), _RowsOnly(MajorityVoteLearner(9))):
+        with pytest.raises(PreconditionError, match="need n >= 9 rows, got 8"):
+            mc_adversarial_loss(learner, IdentityAdversary(), dist, 8, 0, 10,
+                                RandomSource(SEED, 16))
+    monkeypatch.setattr(experiments, "make_learner",
+                        lambda learner_id, hclass, eta, n, bias: MajorityVoteLearner(n + 1))
+    grid = SweepGrid(etas=(Fraction(1, 8),), dims=(1,), sizes=(8,), learners=("majority",),
+                     adversaries=("identity", "greedy"), trials=10)
+    for cell in grid.cells():
+        row = run_cell(grid, cell)
+        assert row.trials == 0 and math.isnan(row.mean)
+        assert row.metadata["error"] == "PreconditionError: need n >= 9 rows, got 8"
 
 
 def test_an_overspending_count_move_raises_naming_the_global_trial():

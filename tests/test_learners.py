@@ -544,6 +544,43 @@ def test_majority_thins_only_trials_with_more_than_k_votes():
     assert one == want
 
 
+def test_majority_count_prediction_draws_the_rows_hypergeometrics():
+    # the hook on (a, b) arrays draws what the rows draw: one
+    # hypergeometric(a, b, k) per trial with a + b > k, in trial order, and
+    # leaves its generator where a twin stands after the same draws
+    rng = np.random.default_rng(SEED + 13)
+    trials, n, k = 60, 9, 3
+    batch = Sample(rng.integers(0, 2, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+    xs = rng.integers(0, 2, size=trials)
+    at_x = batch.points == xs[:, None]
+    a = np.count_nonzero(at_x & (batch.labels == PLUS), axis=1)
+    b = np.count_nonzero(at_x, axis=1) - a
+    gen, ref = RandomSource(SEED, 14).generator(), RandomSource(SEED, 14).generator()
+    got = MajorityVoteLearner(k).count_prediction(a, b, n, gen)
+    want = []
+    for plus, minus in zip(a.tolist(), b.tolist()):
+        if plus + minus > k:
+            plus = int(ref.hypergeometric(plus, minus, k))
+            minus = k - plus
+        want.append(1.0 if plus > minus else 0.0 if plus < minus else 0.5)
+    assert 0 < np.count_nonzero(a + b > k) < trials
+    assert got.tolist() == want
+    assert gen.random() == ref.random()
+    rows = MajorityVoteLearner(k).prediction_prob(batch, xs, RandomSource(SEED, 14).generator())
+    assert rows.tolist() == want
+    # k >= n votes with every row: no draw, so no generator is needed
+    gen, ref = RandomSource(SEED, 14).generator(), RandomSource(SEED, 14).generator()
+    votes = [1.0 if plus > minus else 0.0 if plus < minus else 0.5
+             for plus, minus in zip(a.tolist(), b.tolist())]
+    assert MajorityVoteLearner(n).count_prediction(a, b, n, gen).tolist() == votes
+    assert MajorityVoteLearner(n).count_prediction(a, b, n).tolist() == votes
+    assert MajorityVoteLearner(n).prediction_prob(batch, xs).tolist() == votes
+    assert gen.random() == ref.random()
+    with pytest.raises(PreconditionError, match="need n >= 10 rows, got 9"):
+        MajorityVoteLearner(n + 1).count_prediction(a, b, n, gen)
+    assert MajorityVoteLearner.count_law is None
+
+
 def test_batched_subset_draws_average_to_the_exact_rules():
     # identical trials: the batch mean over drawn subsets against the exact
     # average over every subset (subsample rule) and a hypergeometric sum (vote)
