@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -54,9 +53,9 @@ class AttackBudget:
 
 
 def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Example,
-                       budget: AttackBudget, alphabet: Sequence[Example]) -> Sample:
+                       budget: AttackBudget, d: int) -> Sample:
     """Exact worst-case corruption: argmax of the learner's error probability
-    at the target over the whole budget ball.
+    at the target over the whole budget ball over a domain of d points.
 
     `predictor` is a `PredictionOracle` returning the +1-prediction
     probability; the error probability at target (x, y) is then
@@ -66,13 +65,11 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     arrays: one `ball_enumerate` call builds every trial's ball as one
     (trials * M, n) batch, one oracle call scores every member at its
     trial's point, and each trial keeps the first maximizer of its row of
-    the (trials, M) errors. A ball padded with copies of its clean sample
-    scores them as its member 0, so a copy is never a first maximizer.
-    Balls keep `ball_enumerate`'s default limits, at most 3 corruptions
-    and 10^7 members a ball. The balls are valid, so the pick is not
-    checked again.
+    the (trials, M) errors. Balls keep `ball_enumerate`'s default limits
+    and checks, at most 3 corruptions and `BALL_CAP` members a ball. The
+    balls are valid, so the pick is not checked again.
     """
-    ball = ball_enumerate(sample, budget.eta, alphabet)
+    ball = ball_enumerate(sample, budget.eta, d)
     trials = len(sample.points) if sample.batched else 1
     members = len(ball.points) // trials
     p = one_per_trial(predictor, predictor(ball, np.repeat(target.point, members)),
@@ -329,11 +326,10 @@ class GreedyFlipAdversary(Adversary):
 class BruteForceAdversary(Adversary):
     name = "brute-force"
 
-    def __init__(self, predictor: PredictionOracle, budget: AttackBudget,
-                 alphabet: Sequence[Example]):
+    def __init__(self, predictor: PredictionOracle, budget: AttackBudget, d: int):
         self.predictor = predictor
         self.budget = budget
-        self.alphabet = list(alphabet)
+        self.d = d
 
     def attack(self, sample: Sample, target: Example, gen=None) -> Sample:
         """The worst sample of each ball (`brute_force_attack`). A batch is
@@ -342,12 +338,12 @@ class BruteForceAdversary(Adversary):
         at most TRIAL_CHUNK trials' balls are held at once; a sample scores
         the same in any batch, so the result does not depend on the split."""
         if not sample.batched:
-            return brute_force_attack(self.predictor, sample, target, self.budget, self.alphabet)
+            return brute_force_attack(self.predictor, sample, target, self.budget, self.d)
         parts = []
         for start in range(0, len(sample.points), TRIAL_CHUNK):
             trials = slice(start, start + TRIAL_CHUNK)
             parts.append(brute_force_attack(
                 self.predictor, Sample._valid(sample.points[trials], sample.labels[trials]),
-                Example(target.point[trials], target.label[trials]), self.budget, self.alphabet))
+                Example(target.point[trials], target.label[trials]), self.budget, self.d))
         return Sample._valid(np.concatenate([part.points for part in parts]),
                              np.concatenate([part.labels for part in parts]))

@@ -59,18 +59,25 @@ def sauer_bound_growth(n: int, d: int) -> float:
     return (math.e * n / d) ** d
 
 
-def vc_dimension(hclass: HypothesisClass, max_domain: int = 20, max_size: int = 4096) -> int:
+# the largest domain and class `vc_dimension` searches by brute force
+VC_MAX_DOMAIN = 20
+VC_MAX_SIZE = 4096
+
+
+def vc_dimension(hclass: HypothesisClass) -> int:
     """Exact VC dimension by brute force over point subsets.
 
     Checks subset sizes in increasing order and stops at the first size with
     no shattered subset (shattering is monotone under taking subsets).
-    Intended for oracle-scale classes only, hence the guards.
+    Intended for oracle-scale classes only, hence the guards
+    (`VC_MAX_DOMAIN` points, `VC_MAX_SIZE` hypotheses).
     """
     n = hclass.domain_size
-    if n > max_domain:
-        raise PreconditionError(f"domain size {n} exceeds brute-force scope {max_domain}")
-    if hclass.size > max_size:
-        raise PreconditionError(f"class size {hclass.size} exceeds brute-force scope {max_size}")
+    if n > VC_MAX_DOMAIN:
+        raise PreconditionError(f"domain size {n} exceeds brute-force scope {VC_MAX_DOMAIN}")
+    if hclass.size > VC_MAX_SIZE:
+        raise PreconditionError(
+            f"class size {hclass.size} exceeds brute-force scope {VC_MAX_SIZE}")
     ceiling = min(n, int(math.log2(hclass.size)))
     vc = 0
     for s in range(1, ceiling + 1):

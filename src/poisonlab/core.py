@@ -501,11 +501,16 @@ def corruption_limit(eta: Scalar, n: int) -> int:
     return min(k, n)
 
 
+# the most members `ball_enumerate` builds for one ball, as bounded by
+# (2d)^k C(n, k) at radius k
+BALL_CAP = 10_000_000
+
+
 @functools.lru_cache(maxsize=64)
 def _ball_grid(n: int, j: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (position subset, alphabet-index tuple) of a radius-j rewrite
-    of n rows from an alphabet of `size` entries, in itertools order: the
-    subsets of range(n) lexicographically, and for each the index tuples of
+    """Every (position subset, rewrite-index tuple) of a radius-j rewrite
+    of n rows with `size` choices a row, in itertools order: the subsets of
+    range(n) lexicographically, and for each the index tuples of
     `product(range(size), repeat=j)`. Two read-only (entries, j) arrays."""
     subsets = np.array(list(combinations(range(n), j)), dtype=np.intp).reshape(-1, j)
     tuples = np.array(list(product(range(size), repeat=j)), dtype=np.intp).reshape(-1, j)
@@ -516,69 +521,54 @@ def _ball_grid(n: int, j: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, indices
 
 
-def ball_enumerate(sample: Sample, eta: Scalar, alphabet: Sequence[Example],
-                   cap: int = 10_000_000, max_corruptions: int | None = 3) -> Sample:
-    """All samples within normalized Hamming distance eta of `sample`, as
-    one (members, n) batch; for a (trials, n) batch of samples, every
-    trial's ball as one (trials * M, n) batch, M the largest ball's size.
+def ball_enumerate(sample: Sample, eta: Scalar, d: int, max_corruptions: int | None = 3) -> Sample:
+    """All samples within normalized Hamming distance eta of `sample` over a
+    domain of d points, as one (members, n) batch; for a (trials, n) batch
+    of samples, every trial's ball as one (trials * M, n) batch.
 
-    Each neighbor is generated once per set of positions where it differs
-    and alphabet entries written there, in a canonical order: corruption
-    count ascending, then lexicographic position subsets, then alphabet
-    order per position. The original sample is row 0. A repeated alphabet
-    entry gives repeated members. Trial t's ball fills rows t * M to
-    (t + 1) * M - 1 in that order, and a ball smaller than M is padded at
-    its end with copies of its own clean sample. With `full_alphabet(d)`
-    every row's own example appears once in the alphabet, so every ball
-    has sum_j C(n, j) (|alphabet| - 1)^j members and nothing is padded;
-    only a partial or repeated alphabet pads. Intended as a brute-force
-    oracle; `cap` bounds the worst-case size of one ball and
-    `max_corruptions` (overridable, None to disable) keeps casual calls at
-    oracle scale.
+    A row may be rewritten to any of the 2d - 1 labeled examples of the
+    domain other than its own, so every ball has M = sum_j C(n, j)
+    (2d - 1)^j members, and trial t's ball fills rows t * M to (t + 1) * M
+    - 1. Each neighbor is generated once, in a canonical order: corruption
+    count ascending, then lexicographic position subsets, then
+    `full_alphabet(d)` order per position, skipping the row's own example.
+    The original sample is row 0. Intended as a brute-force oracle:
+    `BALL_CAP` bounds the worst-case size of one ball and `max_corruptions`
+    (None to disable) keeps casual calls at oracle scale. A d that is not
+    an integer >= 1 raises ValueError, a sample point at or above d
+    `DomainMismatchError`.
 
-    The alphabet is validated once per call, as a `Sample` of its entries,
-    so a non-integer or negative point or a label other than -1/+1 raises
-    `DomainMismatchError`. Each radius j takes the grid of (position
-    subset, alphabet-index tuple) pairs (`_ball_grid`), marks in one
-    (trials, pairs) mask the pairs that rewrite some row of a trial to its
-    own example, and writes every trial's other pairs into copies of its
-    sample with one fancy assignment. Every entry of the batch comes from
-    the sample or the checked alphabet, so the batch is not checked again.
+    Radius j takes the grid of (position subset, rewrite-index tuple) pairs
+    (`_ball_grid`); at a row whose own example is `full_alphabet(d)` entry
+    o, rewrite i is entry i + (i >= o), a monotone map, and every trial's
+    pairs are written into copies of its sample with one fancy assignment.
     """
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"domain size must be an integer >= 1, got {d!r}")
+    if int(sample.points.max()) >= d:
+        raise DomainMismatchError(f"sample contains points outside a domain of size {d}")
     n = len(sample)
     k = corruption_limit(eta, n)
     if max_corruptions is not None and k > max_corruptions:
         raise PreconditionError(
             f"ball radius allows {k} corruptions > max_corruptions={max_corruptions}")
-    size_bound = len(alphabet) ** k * math.comb(n, k) if k > 0 else 1
-    if size_bound > cap:
+    size_bound = (2 * d) ** k * math.comb(n, k) if k > 0 else 1
+    if size_bound > BALL_CAP:
         raise EnumerationTooLargeError(
-            f"ball enumeration bound {size_bound} exceeds cap {cap}")
+            f"ball enumeration bound {size_bound} exceeds cap {BALL_CAP}")
     clean_pts, clean_labs = np.atleast_2d(sample.points), np.atleast_2d(sample.labels)
-    alphabet = list(alphabet)
-    rewrites = []
-    if alphabet:
-        letters = Sample([a.point for a in alphabet], [a.label for a in alphabet])
-        # own[t, i, a]: row i of trial t already reads alphabet entry a
-        own = ((clean_pts[:, :, None] == letters.points)
-               & (clean_labs[:, :, None] == letters.labels))
-        for j in range(1, k + 1):
-            positions, indices = _ball_grid(n, j, len(alphabet))
-            keep = ~own[:, positions, indices].any(axis=2)
-            pair = np.nonzero(keep)[1]
-            rewrites.append((keep.sum(axis=1), positions[pair], indices[pair]))
-    members = 1 + int(np.max(sum(count for count, _, _ in rewrites)))
+    own = 2 * clean_pts + (clean_labs == PLUS)  # each row's `full_alphabet(d)` index
+    members = sum(math.comb(n, j) * (2 * d - 1) ** j for j in range(k + 1))
     pts = np.repeat(clean_pts, members, axis=0)
     labs = np.repeat(clean_labs, members, axis=0)
-    slot = np.arange(members)
-    start = np.ones((len(clean_pts), 1), dtype=np.intp)
-    for count, positions, indices in rewrites:
-        stop = start + count[:, None]
-        # trial t's kept pairs fill rows start[t] to stop[t] - 1 of its ball, in pair order
-        rows = np.flatnonzero((slot >= start) & (slot < stop))[:, None]
-        pts[rows, positions] = letters.points[indices]
-        labs[rows, positions] = letters.labels[indices]
-        start = stop
+    start = np.arange(0, len(pts), members)[:, None, None] + 1
+    for j in range(1, k + 1):
+        positions, indices = _ball_grid(n, j, 2 * d - 1)
+        entry = indices + (indices >= own[:, positions])
+        rows = start + np.arange(len(positions))[:, None]
+        pts[rows, positions] = entry >> 1
+        labs[rows, positions] = 2 * (entry & 1) - 1
+        start += len(positions)
     return Sample._valid(pts, labs)
 
 

@@ -108,7 +108,6 @@ from .core import (
     draw_example,
     draw_sample_with,
     exact_fraction,
-    full_alphabet,
     hamming_distance,
     stable_stream_id,
 )
@@ -1045,7 +1044,7 @@ def make_adversary(adversary_id: str, eta: Fraction, learner: Learner, d: int) -
             raise PreconditionError(
                 f"brute-force attack needs an averaged prediction oracle; "
                 f"learner {learner.name!r} has none")
-        return BruteForceAdversary(oracle, AttackBudget(eta), full_alphabet(d))
+        return BruteForceAdversary(oracle, AttackBudget(eta), d)
     raise ValueError(f"unknown adversary {adversary_id!r}; known: {', '.join(ADVERSARY_IDS)}")
 
 

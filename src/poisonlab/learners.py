@@ -242,8 +242,9 @@ def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) ->
 
 
 def _one_row(sample: Sample) -> Sample:
-    """A one-sample `Sample` as a batch of one trial."""
-    return Sample(sample.points[None], sample.labels[None])
+    """A one-sample `Sample` as a batch of one trial; its arrays are valid
+    already, so they are not checked again."""
+    return Sample._valid(sample.points[None], sample.labels[None])
 
 
 # ---------------------------------------------------------------------------

@@ -120,30 +120,30 @@ def check_ball_oracle(rng: RandomSource):
     gen = rng.generator()
     groups: dict[tuple[int, int, int], list[tuple[Sample, Sample]]] = {}
     for _ in range(20):
-        d, n = int(gen.integers(1, 3)), int(gen.integers(1, 5))
+        d, n = int(gen.integers(1, 4)), int(gen.integers(1, 5))
         s = _random_sample(gen, d, n)
         eta = float(gen.uniform(0.0, 0.9))
-        alphabet = full_alphabet(d)
-        ball = ball_enumerate(s, eta, alphabet, max_corruptions=None)
+        ball = ball_enumerate(s, eta, d, max_corruptions=None)
         got = {tuple(b.examples()) for b in ball.rows()}
         if len(got) != len(ball.points):
             return False, "duplicate samples in ball"
         k = math.floor(core.exact_fraction(eta) * n)
-        if got != _ball_reference(s, k, alphabet):
+        if got != _ball_reference(s, k, full_alphabet(d)):
             return False, f"ball mismatch at n={n}, eta={eta:.3f}"
         if next(ball.rows()) != s:
             return False, "ball does not start at the clean sample"
         groups.setdefault((n, d, k), []).append((s, ball))
-    # the samples of each (n, d, radius) as one batch: on a full alphabet its
-    # balls are the samples' own, one after another, none padded
+    # the samples of each (n, d, radius) as one batch: its balls are the
+    # samples' own, one after another
     for (n, d, k), pairs in groups.items():
         batch = Sample(np.stack([s.points for s, _ in pairs]), np.stack([s.labels for s, _ in pairs]))
         own = Sample(np.concatenate([b.points for _, b in pairs]),
                      np.concatenate([b.labels for _, b in pairs]))
-        if ball_enumerate(batch, Fraction(k, n), full_alphabet(d), max_corruptions=None) != own:
+        if ball_enumerate(batch, Fraction(k, n), d, max_corruptions=None) != own:
             return False, f"batched balls differ from their samples' balls at n={n}, d={d}, k={k}"
-    return True, (f"matches recursive reference on 20 random balls (n <= 4); one batched call "
-                  f"per (n, d, radius) group ({len(groups)} groups) equals its samples' balls")
+    return True, (f"matches recursive reference on 20 random balls (d <= 3, n <= 4); one "
+                  f"batched call per (n, d, radius) group ({len(groups)} groups) equals its "
+                  f"samples' balls")
 
 
 def check_draw_reproducible(rng: RandomSource):
@@ -260,7 +260,7 @@ def acceptance_ratio_stability(rng: RandomSource):
         t = config.temperature(hclass.size)
         bound = 2.0 * t * float(config.eta)
         la = learners.exp_mechanism_log_dist(hclass, sample, config)
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
+        for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows():
             lb = learners.exp_mechanism_log_dist(hclass, other, config)
             dev = float(np.max(np.abs(la - lb))) - bound
             worst = max(worst, dev)
@@ -275,7 +275,7 @@ def acceptance_flip_bound(rng: RandomSource):
     for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
         bound = learners.flip_bound(config, hclass.size)
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
+        for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows():
             for x in range(hclass.domain_size):
                 flip = learners.flip_probability(hclass, sample, other, x, config)
                 worst = max(worst, flip - bound)
@@ -293,7 +293,7 @@ def check_flip_chain(rng: RandomSource):
         mid = 2.0 * (1.0 - math.exp(-2.0 * te))
         if mid > 4.0 * te + 1e-12:
             return False, "middle bound exceeds 4*t*eta"
-        for other in ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size)).rows():
+        for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows():
             for x in range(hclass.domain_size):
                 flip = learners.flip_probability(hclass, sample, other, x, config)
                 if flip > mid + 1e-12:
@@ -358,8 +358,7 @@ def check_attack_membership(rng: RandomSource):
             return False, "greedy attack left the budget ball"
         hclass = HypothesisClass.full(d)
         learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
-        brute = adversaries.brute_force_attack(learner.prediction_prob, s, target, budget,
-                                               full_alphabet(d))
+        brute = adversaries.brute_force_attack(learner.prediction_prob, s, target, budget, d)
         if hamming_distance(s, brute) > Fraction(budget.max_corruptions(n), n):
             return False, "brute-force attack left the budget ball"
     return True, "greedy and brute-force outputs stay within the ball (40 instances)"
@@ -380,8 +379,7 @@ def check_brute_dominates(rng: RandomSource):
             p = learner.prediction_prob(sample, target.point)
             return 1.0 - p if target.label == PLUS else p
 
-        brute = adversaries.brute_force_attack(learner.prediction_prob, s, target, budget,
-                                               full_alphabet(d))
+        brute = adversaries.brute_force_attack(learner.prediction_prob, s, target, budget, d)
         greedy = adversaries.greedy_flip_attack(s, target, budget)
         # on full(d) the mechanism reads only the counts at the target point:
         # rewriting a matching row moves its margin by 2 and any other row by
@@ -540,7 +538,7 @@ def check_stability_certificate(rng: RandomSource):
     gen = rng.generator()
     for _ in range(25):
         hclass, sample, config = _random_tiny_instance(gen)
-        ball = ball_enumerate(sample, config.eta, full_alphabet(hclass.domain_size))
+        ball = ball_enumerate(sample, config.eta, hclass.domain_size)
         other = list(ball.rows())[int(gen.integers(0, len(ball.points)))]
         report = analysis.stability_certificate(hclass, sample, other, config)
         if not (report.claim_ok and report.flip_ok):
@@ -598,7 +596,7 @@ def check_oracle_agreement(rng: RandomSource):
     learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
     exact = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 3)
     adversary = adversaries.BruteForceAdversary(learner.prediction_prob,
-                                                adversaries.AttackBudget(eta), full_alphabet(1))
+                                                adversaries.AttackBudget(eta), 1)
     est = experiments.mc_adversarial_loss(learner, adversary, dist, 3, eta, 4000,
                                           rng.child("agree"))
     half = est.ci_high - est.mean

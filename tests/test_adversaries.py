@@ -28,12 +28,12 @@ from poisonlab.core import (
     MINUS,
     PLUS,
     BiasVector,
+    DomainMismatchError,
     Example,
     HypothesisClass,
     RandomSource,
     Sample,
     ball_enumerate,
-    full_alphabet,
     hamming_distance,
 )
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
@@ -97,8 +97,8 @@ def test_brute_force_matches_exhaustive_argmax():
             p = learner.prediction_prob(sample, target.point)
             return 1.0 - p if target.label == PLUS else p
 
-        out = brute_force_attack(learner.prediction_prob, s, target, budget, full_alphabet(d))
-        best = max(err(b) for b in ball_enumerate(s, eta, full_alphabet(d)).rows())
+        out = brute_force_attack(learner.prediction_prob, s, target, budget, d)
+        best = max(err(b) for b in ball_enumerate(s, eta, d).rows())
         assert err(out) == best
 
 
@@ -111,7 +111,7 @@ def test_brute_force_prefers_first_maximizer():
     # all corruptions tie for a constant predictor: the clean sample must win
     s = Sample([0, 0], [PLUS, PLUS])
     out = brute_force_attack(_tied, s, Example(0, PLUS),
-                             AttackBudget(Fraction(1, 2)), full_alphabet(1))
+                             AttackBudget(Fraction(1, 2)), 1)
     assert out == s
 
 
@@ -120,31 +120,28 @@ def test_batched_brute_force_keeps_each_clean_sample_under_ties():
     batch = Sample(rng.integers(0, 2, size=(6, 4)), rng.choice((-1, 1), size=(6, 4)))
     targets = Example(rng.integers(0, 2, size=6), rng.choice((-1, 1), size=6))
     budget = AttackBudget(Fraction(1, 2))
-    out = brute_force_attack(_tied, batch, targets, budget, full_alphabet(2))
+    out = brute_force_attack(_tied, batch, targets, budget, 2)
     assert list(out.rows()) == [
-        brute_force_attack(_tied, s, Example(x, y), budget, full_alphabet(2))
+        brute_force_attack(_tied, s, Example(x, y), budget, 2)
         for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
     assert out == batch
 
 
-def test_brute_force_on_a_ragged_batch_keeps_each_clean_sample_and_matches_each_row():
-    # a partial alphabet gives balls of different sizes, padded with their
-    # clean samples; ties keep each trial's clean sample, and a real oracle
-    # picks each trial's own worst sample
-    rng = np.random.default_rng(SEED + 6)
-    batch = Sample(rng.integers(0, 2, size=(8, 5)), rng.choice((-1, 1), size=(8, 5)))
-    targets = Example(rng.integers(0, 2, size=8), rng.choice((-1, 1), size=8))
-    budget = AttackBudget(Fraction(2, 5))
-    alphabet = [Example(1, PLUS), Example(0, MINUS), Example(1, PLUS)]
-    sizes = {len(ball_enumerate(s, budget.eta, alphabet).points) for s in batch.rows()}
-    assert len(sizes) > 1
-    assert brute_force_attack(_tied, batch, targets, budget, alphabet) == batch
-    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
-    out = brute_force_attack(learner.prediction_prob, batch, targets, budget, alphabet)
-    assert list(out.rows()) == [
-        brute_force_attack(learner.prediction_prob, s, Example(x, y), budget, alphabet)
-        for s, x, y in zip(batch.rows(), targets.point.tolist(), targets.label.tolist())]
-    assert out != batch
+@pytest.mark.parametrize("d, error", [(1, DomainMismatchError), (0, ValueError),
+                                      (-1, ValueError), (1.0, ValueError)])
+def test_brute_force_checks_the_domain_size(d, error):
+    # a point at or above d, or a d that is not an integer >= 1, is refused
+    # by the attack and by the adversary, on one sample and on a batch
+    s = Sample([0, 1], [PLUS, MINUS])
+    batch = Sample([[0, 0], [0, 1]], [[PLUS, MINUS], [MINUS, MINUS]])
+    budget = AttackBudget(Fraction(1, 2))
+    adversary = BruteForceAdversary(_tied, budget, d)
+    targets = Example(np.zeros(2, dtype=int), np.ones(2, dtype=int))
+    for sample, target in ((s, Example(0, PLUS)), (batch, targets)):
+        with pytest.raises(error):
+            brute_force_attack(_tied, sample, target, budget, d)
+        with pytest.raises(error):
+            adversary.attack(sample, target)
 
 
 def test_scheme_frozen_grid_at_eta_1_64():
@@ -271,9 +268,9 @@ def test_adversary_adapters():
     assert GreedyFlipAdversary(budget).attack(s, target, gen) == \
         greedy_flip_attack(s, target, budget)
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
-    adversary = BruteForceAdversary(learner.prediction_prob, budget, full_alphabet(2))
+    adversary = BruteForceAdversary(learner.prediction_prob, budget, 2)
     assert adversary.attack(s, target, gen) == brute_force_attack(
-        learner.prediction_prob, s, target, budget, full_alphabet(2))
+        learner.prediction_prob, s, target, budget, 2)
 
 
 def test_batched_greedy_matches_each_row():
@@ -302,7 +299,7 @@ def test_batch_attack_matches_each_row():
     budget = AttackBudget(Fraction(1, 2))
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
     for adversary in (IdentityAdversary(), GreedyFlipAdversary(budget),
-                      BruteForceAdversary(learner.prediction_prob, budget, full_alphabet(2))):
+                      BruteForceAdversary(learner.prediction_prob, budget, 2)):
         out = adversary.attack(batch, targets)
         assert out.points.shape == (5, 4)
         assert list(out.rows()) == [adversary.attack(s, Example(x, y)) for s, x, y in pairs]
@@ -317,13 +314,12 @@ def test_brute_force_adversary_scores_64_trials_per_call(monkeypatch):
     batch = Sample(rng.integers(0, 2, size=(130, 4)), rng.choice((-1, 1), size=(130, 4)))
     targets = Example(rng.integers(0, 2, size=130), rng.choice((-1, 1), size=130))
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
-    adversary = BruteForceAdversary(learner.prediction_prob, AttackBudget(Fraction(1, 2)),
-                                    full_alphabet(2))
+    adversary = BruteForceAdversary(learner.prediction_prob, AttackBudget(Fraction(1, 2)), 2)
     calls = []
 
-    def counted(predictor, sample, target, budget, alphabet):
+    def counted(predictor, sample, target, budget, d):
         calls.append(len(sample.points))
-        return brute_force_attack(predictor, sample, target, budget, alphabet)
+        return brute_force_attack(predictor, sample, target, budget, d)
 
     monkeypatch.setattr(adversaries, "brute_force_attack", counted)
     out = adversary.attack(batch, targets)

@@ -31,7 +31,6 @@ from poisonlab.core import (
     Sample,
     ball_enumerate,
     draw_sample_with,
-    full_alphabet,
 )
 from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, Learner
@@ -129,6 +128,15 @@ def test_vc_dimension_matches_reference():
     for _ in range(25):
         hc = _random_class(rng, max_domain=6, max_size=16)
         assert vc_dimension(hc) == _vc_reference(hc)
+
+
+def test_vc_dimension_guards_its_brute_force_scope():
+    # 21 points, or 2^13 hypotheses, lie past the search's scope
+    with pytest.raises(PreconditionError, match="domain size 21 exceeds brute-force scope 20"):
+        vc_dimension(HypothesisClass([[PLUS] * 21]))
+    with pytest.raises(PreconditionError, match="class size 8192 exceeds brute-force scope 4096"):
+        vc_dimension(HypothesisClass.full(13))
+    assert vc_dimension(HypothesisClass.full(12)) == 12
 
 
 def test_cover_radius_hand_values():
@@ -548,7 +556,7 @@ def test_stability_certificate_over_balls():
         hc = HypothesisClass.full(d)
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         config = ExpMechanismConfig(float(rng.uniform(0.1, 0.5)))
-        for other in ball_enumerate(s, config.eta, full_alphabet(d)).rows():
+        for other in ball_enumerate(s, config.eta, d).rows():
             report = stability_certificate(hc, s, other, config)
             assert report.claim_ok and report.flip_ok
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import poisonlab
+from poisonlab import core
 from poisonlab.adversaries import (
     AttackBudget,
     brute_force_attack,
@@ -40,7 +41,7 @@ from poisonlab.core import (
     sample_loss,
     stable_stream_id,
 )
-from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, VcLearnerConfig
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, VcLearnerConfig, _one_row
 
 SEED = 20260825
 
@@ -321,22 +322,23 @@ def test_ball_enumerate_matches_reference():
         n, d = int(rng.integers(1, 5)), int(rng.integers(1, 3))
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         eta = float(rng.uniform(0, 0.99))
-        ball = ball_enumerate(s, eta, full_alphabet(d), max_corruptions=None)
+        ball = ball_enumerate(s, eta, d, max_corruptions=None)
         got = [tuple(b.examples()) for b in ball.rows()]
         assert len(set(got)) == len(got), "duplicates"
         assert got[0] == tuple(s.examples()), "clean sample must come first"
         assert set(got) == _reference_ball(s, math.floor(Fraction(eta) * n), full_alphabet(d))
 
 
-def _per_member_ball(sample, eta, alphabet):
+def _per_member_ball(sample, eta, d):
     """The ball built one member at a time: for each radius, each position
-    subset and each tuple of alphabet entries other than the rows' own
-    examples, a copy of the sample with those rows rewritten."""
+    subset and each tuple of `full_alphabet(d)` entries other than the rows'
+    own examples, a copy of the sample with those rows rewritten."""
     n = len(sample)
     out = []
     for j in range(corruption_limit(eta, n) + 1):
         for pos in combinations(range(n), j):
-            candidate_lists = [[a for a in alphabet if a != sample.example(p)] for p in pos]
+            candidate_lists = [[a for a in full_alphabet(d) if a != sample.example(p)]
+                               for p in pos]
             for repl in product(*candidate_lists):
                 pts, labs = sample.points.copy(), sample.labels.copy()
                 for i, ex in zip(pos, repl):
@@ -346,60 +348,48 @@ def _per_member_ball(sample, eta, alphabet):
 
 
 def test_ball_enumerate_rows_follow_the_per_member_order():
-    # full, reversed, truncated and duplicated alphabets at d <= 3, n <= 6, k <= 3
+    # d <= 3, n <= 6, k <= 3: up to 5 rewrites a row
     rng = np.random.default_rng(SEED + 9)
     for case in range(120):
         n, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         eta = Fraction(int(rng.integers(0, min(n, 3) + 1)), n)
-        full = list(full_alphabet(d))
-        alphabet = [full, full[::-1], full[:int(rng.integers(1, len(full) + 1))],
-                    full + [full[int(rng.integers(0, len(full)))]]][case % 4]
-        ball = ball_enumerate(s, eta, alphabet)
-        want = _per_member_ball(s, eta, alphabet)
+        ball = ball_enumerate(s, eta, d)
+        want = _per_member_ball(s, eta, d)
         assert ball.batched and len(ball.points) == len(want)
         assert list(ball.rows()) == want, (case, n, d, eta)
 
 
-def test_ball_enumerate_validates_the_alphabet():
+@pytest.mark.parametrize("d, error", [(1, DomainMismatchError), (0, ValueError),
+                                      (-2, ValueError), (2.0, ValueError), ("2", ValueError)])
+def test_ball_enumerate_checks_the_domain_size(d, error):
+    # a point at or above d, or a d that is not an integer >= 1, is refused,
+    # on one sample and on a batch
     s = Sample([0, 1], [PLUS, MINUS])
-    # a float point is rejected, never truncated into a point index
-    for alphabet in ([Example(1.7, PLUS), Example(0, MINUS)], [Example(-1, PLUS)],
-                     [Example(0, 2)], [Example(0, 1.0)]):
-        with pytest.raises(DomainMismatchError):
-            ball_enumerate(s, 0.5, alphabet)
+    batch = Sample([[0, 0], [0, 1]], [[PLUS, MINUS], [MINUS, MINUS]])
+    for sample in (s, batch):
+        with pytest.raises(error):
+            ball_enumerate(sample, 0.5, d)
     # a batch is a batch of balls: a one-trial batch gives the sample's own ball
-    batch = Sample([[0, 1]], [[PLUS, MINUS]])
-    assert ball_enumerate(batch, 0.5, full_alphabet(2)) == ball_enumerate(s, 0.5, full_alphabet(2))
-    with pytest.raises(DomainMismatchError):
-        ball_enumerate(batch, 0.5, [Example(1.7, PLUS)])
+    one = Sample([[0, 1]], [[PLUS, MINUS]])
+    assert ball_enumerate(one, 0.5, np.int64(2)) == ball_enumerate(s, 0.5, 2)
 
 
-@pytest.mark.parametrize("alphabet_kind", ["full", "partial", "repeated", "zero-budget"])
-def test_batched_ball_is_each_rows_ball_padded_with_its_clean_sample(alphabet_kind):
+@pytest.mark.parametrize("radius", ["positive", "zero"])
+def test_batched_ball_is_each_rows_ball(radius):
     rng = np.random.default_rng(SEED + 12)
     for case in range(40):
         trials, n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
         batch = Sample(rng.integers(0, d, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
-        full = list(full_alphabet(d))
-        alphabet = {"full": full, "zero-budget": full,
-                    "partial": full[:int(rng.integers(1, len(full) + 1))],
-                    "repeated": full + [full[int(rng.integers(0, len(full)))]]}[alphabet_kind]
-        k = 0 if alphabet_kind == "zero-budget" else int(rng.integers(1, min(n, 3) + 1))
+        k = 0 if radius == "zero" else int(rng.integers(1, min(n, 3) + 1))
         eta = Fraction(k, n)
-        ball = ball_enumerate(batch, eta, alphabet)
-        own = [ball_enumerate(s, eta, alphabet) for s in batch.rows()]
-        members = max(len(b.points) for b in own)
+        ball = ball_enumerate(batch, eta, d)
+        own = [ball_enumerate(s, eta, d) for s in batch.rows()]
+        # every row has the same 2d - 1 rewrites, so every ball has one size
+        members = sum(math.comb(n, j) * (2 * d - 1) ** j for j in range(k + 1))
+        assert {len(b.points) for b in own} == {members}
         assert ball.batched and ball.points.shape == (trials * members, n), case
-        everyone = list(ball.rows())
-        for t, (clean, mine) in enumerate(zip(batch.rows(), own)):
-            rows = everyone[t * members:(t + 1) * members]
-            assert rows[:len(mine.points)] == list(mine.rows()), case
-            assert rows[len(mine.points):] == [clean] * (members - len(mine.points)), case
-        if alphabet_kind in ("full", "zero-budget"):
-            # each row's own example is once in the alphabet: no ball is padded
-            assert {len(b.points) for b in own} == {members}
-            assert members == sum(math.comb(n, j) * (len(alphabet) - 1) ** j for j in range(k + 1))
+        assert list(ball.rows()) == [row for b in own for row in b.rows()], case
 
 
 @pytest.mark.parametrize("value, want", [
@@ -454,41 +444,41 @@ def test_corruption_limit_floors_exactly():
 def test_ball_enumerate_size_formula():
     # d=1 alphabet has 1 alternative per row: |ball| = sum_{j<=k} C(n, j)
     s = Sample([0, 0, 0, 0], [PLUS] * 4)
-    ball = ball_enumerate(s, 0.5, full_alphabet(1), max_corruptions=None)
+    ball = ball_enumerate(s, 0.5, 1, max_corruptions=None)
     assert len(ball.points) == 1 + 4 + 6
 
 
 def test_ball_enumerate_zero_budget():
     s = Sample([0, 1], [PLUS, MINUS])
-    ball = ball_enumerate(s, 0.49, full_alphabet(2))
+    ball = ball_enumerate(s, 0.49, 2)
     assert ball.points.shape == (1, 2)
     assert list(ball.rows()) == [s]
 
 
 def test_ball_enumerate_is_deterministic():
     s = Sample([0, 1, 0], [PLUS, MINUS, PLUS])
-    a = ball_enumerate(s, 0.4, full_alphabet(2))
-    b = ball_enumerate(s, 0.4, full_alphabet(2))
+    a = ball_enumerate(s, 0.4, 2)
+    b = ball_enumerate(s, 0.4, 2)
     assert a == b
 
 
-def test_ball_enumerate_guards():
+def test_ball_enumerate_guards(monkeypatch):
     one = Sample([0] * 12, [PLUS] * 12)
     batch = Sample([one.points] * 3, [one.labels] * 3)
+    bound = 4 ** 3 * math.comb(12, 3)  # (2d)^k C(n, k) at d = 2, k = 3
     # a batch keeps the guards of each of its balls
     for s in (one, batch):
         with pytest.raises(PreconditionError):
-            ball_enumerate(s, 0.9, full_alphabet(2))  # k = 10 > default max_corruptions
-        with pytest.raises(EnumerationTooLargeError):
-            ball_enumerate(s, 0.9, full_alphabet(8), cap=1000, max_corruptions=None)
-        # the guards raise before the alphabet is read
-        with pytest.raises(PreconditionError):
-            ball_enumerate(s, 0.9, [Example(1.5, PLUS)])
-        with pytest.raises(EnumerationTooLargeError):
-            ball_enumerate(s, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3) - 1)
+            ball_enumerate(s, 0.9, 2)  # k = 10 > default max_corruptions
+        with pytest.raises(EnumerationTooLargeError, match="exceeds cap 10000000"):
+            ball_enumerate(s, 0.9, 2, max_corruptions=None)
+    monkeypatch.setattr(core, "BALL_CAP", bound - 1)
+    for s in (one, batch):
+        with pytest.raises(EnumerationTooLargeError, match=f"bound {bound} exceeds cap {bound - 1}"):
+            ball_enumerate(s, 0.25, 2)
     # the cap bounds one ball, not a batch of them
-    assert len(ball_enumerate(batch, 0.25, full_alphabet(2), cap=4 ** 3 * math.comb(12, 3)).points) \
-        == 3 * len(ball_enumerate(one, 0.25, full_alphabet(2)).points)
+    monkeypatch.setattr(core, "BALL_CAP", bound)
+    assert len(ball_enumerate(batch, 0.25, 2).points) == 3 * len(ball_enumerate(one, 0.25, 2).points)
 
 
 def test_full_alphabet():
@@ -676,13 +666,12 @@ def test_internal_builders_return_valid_samples():
     budget = AttackBudget(Fraction(1, 4))
     built = [batch, one, *batch.rows(),
              batch.slice(slice(4, None)), batch.slice([8, 0, 3]), one.slice(slice(None, 2)),
+             _one_row(one),
              greedy_flip_attack(batch, targets, AttackBudget(Fraction(1, 3))),
              greedy_flip_attack(one, Example(0, PLUS), AttackBudget(Fraction(1, 3))),
-             ball_enumerate(one.slice(slice(None, 4)), Fraction(1, 2), full_alphabet(3)),
-             brute_force_attack(oracle, batch.slice(slice(None, 5)), targets, budget,
-                                full_alphabet(3)),
-             brute_force_attack(oracle, one.slice(slice(None, 5)), Example(1, MINUS), budget,
-                                full_alphabet(3))]
+             ball_enumerate(one.slice(slice(None, 4)), Fraction(1, 2), 3),
+             brute_force_attack(oracle, batch.slice(slice(None, 5)), targets, budget, 3),
+             brute_force_attack(oracle, one.slice(slice(None, 5)), Example(1, MINUS), budget, 3)]
     built += scored
     assert batch.points.shape == (6, 9) and one.points.shape == (9,)
     assert [len(s.points) for s in scored] == [6 * 26, 26]  # 1 + 5 * 5 members a ball

@@ -42,7 +42,6 @@ from poisonlab.core import (
     bayes_loss,
     draw_example,
     draw_sample_with,
-    full_alphabet,
     hamming_distance,
     stable_stream_id,
 )
@@ -334,7 +333,6 @@ def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
     """Independent evaluator: every sample of positive weight, every member of
     its `ball_enumerate` ball and every test atom, summed as the engine sums."""
     atoms = dist.atoms()
-    alphabet = full_alphabet(dist.dimension)
     total = 0
     acc = []
     for rows in product(atoms, repeat=n):
@@ -345,7 +343,7 @@ def _reference_adversarial_loss(p_oracle, dist, eta, n, public=False):
             continue
         total += w
         ball = ball_enumerate(Sample([a.point for a, _ in rows], [a.label for a, _ in rows]),
-                              eta, alphabet, max_corruptions=None)
+                              eta, dist.dimension, max_corruptions=None)
         for (x, y), q in atoms:
             probs = [float(p_oracle(b, x)) for b in ball.rows()]
             if public:
@@ -473,7 +471,7 @@ def test_exact_engine_and_ball_search_reject_a_scalar_oracle():
         equivalence_check(oracle, Fraction(1, 4), Fraction(1, 4), 2)
     with pytest.raises(ValueError, match="one probability per trial"):
         brute_force_attack(oracle, Sample([0, 0], [PLUS, MINUS]), Example(0, PLUS),
-                           AttackBudget(Fraction(1, 2)), full_alphabet(1))
+                           AttackBudget(Fraction(1, 2)), 1)
 
 
 def test_exhaustive_enumeration_cap():
@@ -1234,7 +1232,7 @@ def test_greedy_attack_never_trips_the_budget_check(eta, n):
 def test_ball_radius_is_the_exact_floor(eta, n):
     k = min(math.floor(Fraction(eta) * n), n)
     clean = Sample([0] * n, [MINUS] * n)
-    ball = ball_enumerate(clean, eta, full_alphabet(1), max_corruptions=None)
+    ball = ball_enumerate(clean, eta, 1, max_corruptions=None)
     assert max(int(hamming_distance(clean, b) * n) for b in ball.rows()) == k
     # the engine's ball around the all -1 sample holds at most k +1 rows
     plus_share = lambda sample, x: (sample.labels == PLUS).sum(axis=-1) / n  # noqa: E731

@@ -16,7 +16,6 @@ from poisonlab.core import (
     RandomSource,
     Sample,
     ball_enumerate,
-    full_alphabet,
     sample_loss,
 )
 from poisonlab.learners import (
@@ -190,7 +189,7 @@ def test_flip_bound_holds_over_balls():
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         config = ExpMechanismConfig(float(rng.uniform(0.05, 0.49)))
         bound = flip_bound(config, hc.size)
-        for other in ball_enumerate(s, config.eta, full_alphabet(d)).rows():
+        for other in ball_enumerate(s, config.eta, d).rows():
             for x in range(d):
                 assert flip_probability(hc, s, other, x, config) <= bound + 1e-12
 
