@@ -70,17 +70,13 @@ def brute_force_attack(predictor: PredictionOracle, sample: Sample, target: Exam
     balls are valid, so the pick is not checked again.
     """
     ball = ball_enumerate(sample, budget.eta, d)
-    trials = len(sample.points) if sample.batched else 1
-    members = len(ball.points) // trials
+    trials = len(sample.codes) if sample.batched else 1
+    members = len(ball.codes) // trials
     p = one_per_trial(predictor, predictor(ball, np.repeat(target.point, members)),
-                      len(ball.points))
+                      len(ball.codes))
     err = np.where(np.repeat(target.label, members) == PLUS, 1.0 - p, p)
-    # an error at or below -1 never wins: member 0, the clean sample, stays
-    err = np.where(err > -1.0, err, -np.inf)
-    best = np.arange(0, len(ball.points), members) + err.reshape(trials, members).argmax(axis=1)
-    if not sample.batched:
-        best = best[0]
-    return Sample._valid(ball.points[best], ball.labels[best])
+    best = np.arange(0, len(ball.codes), members) + err.reshape(trials, members).argmax(axis=1)
+    return Sample._valid(ball.codes[best if sample.batched else best[0]])
 
 
 def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) -> Sample:
@@ -93,22 +89,23 @@ def greedy_flip_attack(sample: Sample, target: Example, budget: AttackBudget) ->
     attack deterministic. A batch takes an Example of (trials,) point and
     label arrays and rewrites every trial at once, each phase's rows chosen
     by a cumulative count against the budget; the second phase runs only
-    when some trial has budget left after the first.
+    when some trial has budget left after the first. Only the target, the
+    one input not already a `Sample`, is checked (by `Sample`).
     """
     limit = budget.max_corruptions(len(sample))
     if limit == 0:
         return sample
-    x = np.expand_dims(target.point, -1)  # (1,) for one sample, (trials, 1) for a batch
-    y = np.expand_dims(target.label, -1)
-    matching = (sample.points == x) & (sample.labels == y)
+    # the target's code: (1,) for one sample, (trials, 1) for a batch
+    own = Sample(np.expand_dims(target.point, -1), np.expand_dims(target.label, -1)).codes
+    matching = sample.codes == own
     chosen = matching & (matching.cumsum(axis=-1) <= limit)
     room = limit - chosen.sum(axis=-1, keepdims=True)
     if room.any():
-        elsewhere = sample.points != x
+        elsewhere = (sample.codes ^ own) > 1  # codes that differ past the label bit
         chosen |= elsewhere & (elsewhere.cumsum(axis=-1) <= room)
     if not chosen.any():
         return sample
-    return Sample(np.where(chosen, x, sample.points), np.where(chosen, -y, sample.labels))
+    return Sample._valid(np.where(chosen, own ^ 1, sample.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +122,9 @@ class PoisoningScheme1D:
     +-(2m+1)*eta, the map is the identity. All arithmetic is exact.
     """
 
-    def __init__(self, eta: Fraction, m: int, requested_eta: Fraction):
+    def __init__(self, eta: Fraction, m: int):
         self.eta = exact_fraction(eta)
         self.m = int(m)
-        self.requested_eta = exact_fraction(requested_eta)
-        self.capped = self.eta != self.requested_eta
         if self.m < 1:
             raise ValueError("grid needs m >= 1")
 
@@ -200,8 +195,9 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
 
     Budgets above 1/16 are capped at 1/16 (the construction needs the grid
     span (2m+1)*eta to fit inside [sqrt(eta)/2, sqrt(eta)], which forces
-    eta <= 1/16); the scheme records both budgets. m is the largest integer
-    with (2m+1)^2 * eta <= 1, that is with 2m+1 <= isqrt(floor(1/eta)).
+    eta <= 1/16). m is the largest integer with (2m+1)^2 * eta <= 1, that
+    is with 2m+1 <= s = isqrt(floor(1/eta)); at eta <= 1/16, s >= 4, so
+    m >= 1 and (2m+1)^2 >= (s-1)^2 >= ((s+1)/2)^2 > 1/(4 eta).
     """
     scheme = _scheme_1d(exact_fraction(eta))
     return scheme, HardBiasDistribution(scheme)
@@ -212,14 +208,11 @@ def _scheme_1d(eta: Scalar) -> PoisoningScheme1D:
     """`build_scheme_1d`'s scheme alone, for callers with no use for the
     hard distribution. A pure function of the exact budget, built once per
     budget; the scheme is never modified, so callers share it."""
-    requested = exact_fraction(eta)
-    if requested <= 0:
+    eta = exact_fraction(eta)
+    if eta <= 0:
         raise ValueError("eta must be positive")
-    effective = min(requested, Fraction(1, 16))
-    m = (math.isqrt(math.floor(1 / effective)) - 1) // 2
-    if m < 1 or 4 * (2 * m + 1) ** 2 * effective < 1:
-        raise AssertionError(f"no valid grid size for eta={effective}")  # unreachable for eta <= 1/16
-    return PoisoningScheme1D(effective, m, requested)
+    eta = min(eta, Fraction(1, 16))
+    return PoisoningScheme1D(eta, (math.isqrt(math.floor(1 / eta)) - 1) // 2)
 
 
 class PoisoningSchemeD:
@@ -340,10 +333,9 @@ class BruteForceAdversary(Adversary):
         if not sample.batched:
             return brute_force_attack(self.predictor, sample, target, self.budget, self.d)
         parts = []
-        for start in range(0, len(sample.points), TRIAL_CHUNK):
+        for start in range(0, len(sample.codes), TRIAL_CHUNK):
             trials = slice(start, start + TRIAL_CHUNK)
             parts.append(brute_force_attack(
-                self.predictor, Sample._valid(sample.points[trials], sample.labels[trials]),
-                Example(target.point[trials], target.label[trials]), self.budget, self.d))
-        return Sample._valid(np.concatenate([part.points for part in parts]),
-                             np.concatenate([part.labels for part in parts]))
+                self.predictor, Sample._valid(sample.codes[trials]),
+                Example(target.point[trials], target.label[trials]), self.budget, self.d).codes)
+        return Sample._valid(np.concatenate(parts))

@@ -4,7 +4,9 @@ restriction, biased label distributions.
 Everything downstream (learners, attackers, experiments) speaks in terms of
 these types. Points are integers 0..N-1, labels are -1/+1, and losses are
 exact rationals (disagreement counts over n) until a reporting boundary
-forces a float.
+forces a float. A labeled example (x, y) is held as one atom code, 2x for
+(x, +1) and 2x + 1 for (x, -1): samples store, the sampler draws and
+`counts_at` counts codes, and `Example`, `points` and `labels` decode them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class PreconditionError(ValueError):
 
 
 def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray:
-    """`values` as a read-only int8 array of -1/+1, checked before the cast.
+    """`values` as an int8 array of -1/+1, checked before the cast.
 
     Any dtype but a signed or unsigned integer (float, complex, bool, object)
     raises `error`, as does any value other than MINUS or PLUS, so nothing
@@ -59,9 +61,7 @@ def _signs(values: np.ndarray, error: type[ValueError], what: str) -> np.ndarray
         raise error(f"{what} must be integers, got dtype {values.dtype}")
     if ((values != PLUS) & (values != MINUS)).any():
         raise error(f"{what} must be -1 or +1")
-    out = values.astype(np.int8, copy=False)
-    out.setflags(write=False)
-    return out
+    return values.astype(np.int8, copy=False)
 
 
 class Example(NamedTuple):
@@ -71,26 +71,38 @@ class Example(NamedTuple):
     label: int
 
 
+def _example(code: int) -> Example:
+    """The example of one atom code: code 2x is (x, +1) and 2x + 1 is (x, -1)."""
+    return Example(code >> 1, 1 - 2 * (code & 1))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a stored or cached array is shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 class Sample:
-    """An ordered sequence of examples, stored as parallel immutable arrays.
+    """An ordered sequence of examples, stored as one read-only int64 array
+    of atom codes, `codes`: code 2x is (x, +1) and 2x + 1 is (x, -1).
 
     Order matters: the Hamming distance between samples is positional, so two
     samples with the same multiset of examples in different orders are
     distinct objects at distance > 0.
 
-    A batch of equal-size samples is one `Sample` of (trials, n) arrays,
+    A batch of equal-size samples is one `Sample` of a (trials, n) array,
     validated once as a whole; `len` is then n, the size of each sample, and
     `rows()` yields the trials as one-sample `Sample`s.
 
     `Sample(points, labels)` is the one public constructor, and it checks
-    its input: equal shapes, integer point indices >= 0, labels -1/+1. The
-    arrays that the library builds itself are valid by construction and are
-    not checked again: a drawn sample or batch (`draw_sample_with`), a
-    batch's rows (`rows`) and a selection of its columns (`slice`). Every
-    `Sample` holds read-only int64 points and int8 labels.
+    its input: equal shapes, integer point indices in [0, 2^62), labels
+    -1/+1, and encodes them once. Codes that the library builds are valid
+    by construction and wrapped unchecked (`Sample._valid`). `points` and
+    `labels` decode the codes into new read-only int64 and int8 arrays.
     """
 
-    __slots__ = ("points", "labels")
+    __slots__ = ("codes",)
 
     def __init__(self, points: Sequence[int], labels: Sequence[int]):
         pts = np.asarray(points)
@@ -106,86 +118,98 @@ class Sample:
         pts = pts.astype(np.int64, copy=False)
         if pts.min() < 0:
             raise DomainMismatchError("negative point index")
-        pts.setflags(write=False)
-        self.points = pts
-        self.labels = _signs(labs, DomainMismatchError, "labels")
+        if pts.max() >= 1 << 62:  # its code would wrap past int64
+            raise DomainMismatchError("point index of 2^62 or more")
+        codes = pts << 1
+        codes += _signs(labs, DomainMismatchError, "labels") == MINUS
+        self.codes, = _read_only(codes)
 
     @classmethod
-    def _valid(cls, points: np.ndarray, labels: np.ndarray) -> "Sample":
-        """A `Sample` of arrays known to be valid: equal-shape int64 point
-        indices >= 0 and int8 -1/+1 labels. Both are made read-only; nothing
-        is checked."""
-        points.setflags(write=False)
-        labels.setflags(write=False)
+    def _valid(cls, codes: np.ndarray) -> "Sample":
+        """A `Sample` of an int64 array known to hold atom codes, made
+        read-only; nothing is checked."""
         out = cls.__new__(cls)
-        out.points = points
-        out.labels = labels
+        out.codes, = _read_only(codes)
         return out
 
+    @property
+    def points(self) -> np.ndarray:
+        """The point indices, as a new read-only int64 array."""
+        return _read_only(self.codes >> 1)[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The -1/+1 labels, as a new read-only int8 array."""
+        return _read_only((1 - 2 * (self.codes & 1)).astype(np.int8))[0]
+
     def __len__(self) -> int:
-        return self.points.shape[-1]
+        return self.codes.shape[-1]
 
     @property
     def batched(self) -> bool:
-        """True for a batch of samples held as (trials, n) arrays."""
-        return self.points.ndim == 2
+        """True for a batch of samples held as a (trials, n) array."""
+        return self.codes.ndim == 2
 
     def rows(self) -> Iterator["Sample"]:
         """The samples of a batch, in trial order."""
-        for pts, labs in zip(self.points, self.labels):
-            yield Sample._valid(pts, labs)
+        return map(Sample._valid, self.codes)
 
     def histograms(self, domain_size: int) -> np.ndarray:
         """(trials, domain_size, 2) counts of a batch, a one-sample `Sample`
         counting as one trial: [t, i, 0] counts the rows of trial t reading
         (i, +1) and [t, i, 1] those reading (i, -1)."""
-        pts = np.atleast_2d(self.points)
-        if int(pts.max()) >= domain_size:
+        codes = np.atleast_2d(self.codes)
+        if int(codes.max()) >> 1 >= domain_size:
             raise DomainMismatchError(
                 f"sample contains points outside a domain of size {domain_size}")
-        trials = pts.shape[0]
-        # cell index (t * domain_size + point) * 2 + (label == MINUS), built in one buffer
-        cell = pts * 2
-        cell += np.arange(0, trials * domain_size * 2, domain_size * 2)[:, None]
-        cell += np.atleast_2d(self.labels) == MINUS
+        trials = codes.shape[0]
+        # cell t * 2 * domain_size + code, trial t's histogram flattened
+        cell = codes + np.arange(0, trials * domain_size * 2, domain_size * 2)[:, None]
         return np.bincount(cell.ravel(), minlength=trials * domain_size * 2).reshape(
             trials, domain_size, 2)
 
     def example(self, i: int) -> Example:
-        return Example(int(self.points[i]), int(self.labels[i]))
+        return _example(int(self.codes[i]))
 
     def examples(self) -> Iterator[Example]:
-        for p, l in zip(self.points.tolist(), self.labels.tolist()):
-            yield Example(p, l)
+        return map(_example, self.codes.tolist())
 
     def slice(self, index) -> "Sample":
         """The rows selected by `index`, a slice or an index array, in every
         trial of a batch. The selected entries are valid already; only the
         shape of the selection is checked."""
-        pts = self.points[..., index]
-        if pts.ndim != self.points.ndim:
+        codes = self.codes[..., index]
+        if codes.ndim != self.codes.ndim:
             raise DimensionMismatchError("a slice keeps every axis of the sample")
-        if pts.size == 0:
+        if codes.size == 0:
             raise ValueError("a sample holds at least one example")
-        return Sample._valid(pts, self.labels[..., index])
+        return Sample._valid(codes)
 
     def key(self) -> bytes:
         """Hashable identity, used for caching per-sample computations."""
-        return self.points.tobytes() + b"|" + self.labels.tobytes()
+        return self.codes.tobytes()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
-        return np.array_equal(self.points, other.points) and np.array_equal(self.labels, other.labels)
+        return np.array_equal(self.codes, other.codes)
 
     def __hash__(self) -> int:
         return hash(self.key())
 
     def __repr__(self) -> str:
         if self.batched:
-            return f"Sample(trials={self.points.shape[0]}, n={len(self)})"
-        items = ", ".join(f"({p},{l:+d})" for p, l in zip(self.points, self.labels))
-        return f"Sample[{items}]"
+            return f"Sample(trials={self.codes.shape[0]}, n={len(self)})"
+        return f"Sample[{', '.join(f'({p},{l:+d})' for p, l in self.examples())}]"
+
+
+def counts_at(codes: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (x, +1) and of (x, -1) in each trial of one sample's (n,)
+    or a batch's (trials, n) atom codes, two (trials,) arrays; x is one point
+    or one per trial. Codes are compared in their own dtype, which x's fit."""
+    plus = np.reshape(2 * np.asarray(x), (-1, 1)).astype(codes.dtype, copy=False)
+    codes = np.atleast_2d(codes)
+    return np.count_nonzero(codes == plus, axis=1), np.count_nonzero(codes == plus + 1, axis=1)
 
 
 # a learner's +1 probability with its coins averaged out, as the exact
@@ -211,7 +235,7 @@ class HypothesisClass:
         v = np.asarray(rows)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("a hypothesis class is a nonempty 2-D table")
-        v = _signs(v, ValueError, "hypothesis values")
+        v, = _read_only(_signs(v, ValueError, "hypothesis values"))
         seen = set()
         for row in v:
             k = row.tobytes()
@@ -452,9 +476,10 @@ def sample_loss(h: Sequence[int], sample: Sample) -> Fraction:
     """Empirical 0/1 loss on the sample, as an exact rational, of the
     labeling h: one row of a class, h[i] the label of point i."""
     values = _labeling(h)
-    if sample.points.max() >= len(values):
+    points = sample.points
+    if points.max() >= len(values):
         raise DomainMismatchError("sample contains points outside the hypothesis domain")
-    disagreements = int(np.count_nonzero(values[sample.points] != sample.labels))
+    disagreements = int(np.count_nonzero(values[points] != sample.labels))
     return Fraction(disagreements, len(sample))
 
 
@@ -482,9 +507,9 @@ def hamming_distance(a: Sample, b: Sample) -> Fraction | np.ndarray:
     integer array of the rows each trial moved, to compare against
     `corruption_limit` without leaving integer arithmetic.
     """
-    if a.points.shape != b.points.shape:
+    if a.codes.shape != b.codes.shape:
         raise DimensionMismatchError("samples must have equal length")
-    diff = np.count_nonzero((a.points != b.points) | (a.labels != b.labels), axis=-1)
+    diff = np.count_nonzero(a.codes != b.codes, axis=-1)
     return diff if a.batched else Fraction(int(diff), len(a))
 
 
@@ -541,11 +566,13 @@ def ball_enumerate(sample: Sample, eta: Scalar, d: int, max_corruptions: int | N
     Radius j takes the grid of (position subset, rewrite-index tuple) pairs
     (`_ball_grid`); at a row whose own example is `full_alphabet(d)` entry
     o, rewrite i is entry i + (i >= o), a monotone map, and every trial's
-    pairs are written into copies of its sample with one fancy assignment.
+    pairs are written into copies of its codes with one fancy assignment.
+    Entry e of `full_alphabet(d)` is the atom code e ^ 1, so a row's own
+    entry is its code ^ 1 and rewrite i writes the code entry ^ 1.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"domain size must be an integer >= 1, got {d!r}")
-    if int(sample.points.max()) >= d:
+    if int(sample.codes.max()) >> 1 >= d:
         raise DomainMismatchError(f"sample contains points outside a domain of size {d}")
     n = len(sample)
     k = corruption_limit(eta, n)
@@ -556,20 +583,17 @@ def ball_enumerate(sample: Sample, eta: Scalar, d: int, max_corruptions: int | N
     if size_bound > BALL_CAP:
         raise EnumerationTooLargeError(
             f"ball enumeration bound {size_bound} exceeds cap {BALL_CAP}")
-    clean_pts, clean_labs = np.atleast_2d(sample.points), np.atleast_2d(sample.labels)
-    own = 2 * clean_pts + (clean_labs == PLUS)  # each row's `full_alphabet(d)` index
+    clean = np.atleast_2d(sample.codes)
+    own = clean ^ 1  # each row's `full_alphabet(d)` index
     members = sum(math.comb(n, j) * (2 * d - 1) ** j for j in range(k + 1))
-    pts = np.repeat(clean_pts, members, axis=0)
-    labs = np.repeat(clean_labs, members, axis=0)
-    start = np.arange(0, len(pts), members)[:, None, None] + 1
+    codes = np.repeat(clean, members, axis=0)
+    start = np.arange(0, len(codes), members)[:, None, None] + 1
     for j in range(1, k + 1):
         positions, indices = _ball_grid(n, j, 2 * d - 1)
         entry = indices + (indices >= own[:, positions])
-        rows = start + np.arange(len(positions))[:, None]
-        pts[rows, positions] = entry >> 1
-        labs[rows, positions] = 2 * (entry & 1) - 1
+        codes[start + np.arange(len(positions))[:, None], positions] = entry ^ 1
         start += len(positions)
-    return Sample._valid(pts, labs)
+    return Sample._valid(codes)
 
 
 def full_alphabet(domain_size: int) -> tuple[Example, ...]:
@@ -585,13 +609,13 @@ def draw_sample(dist: ProductBiasDistribution, n: int, rng: RandomSource) -> Sam
 def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Generator,
                      trials: int | None = None) -> Sample:
     """n i.i.d. examples from gen, or a (trials, n) batch of such samples:
-    one integer per entry, in row-major order, mapped to its atom by the
-    distribution's threshold table. The points lie in [0, d) and the labels
-    are -1/+1 by construction, so the arrays are not checked again."""
+    one integer per entry, in row-major order, mapped to its atom code by
+    the distribution's threshold table (`_draw_codes`). The codes are valid
+    by construction, so they are not checked again."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return Sample._valid(*_decode_atoms(
-        _draw_codes(dist, gen, n if trials is None else (trials, n))))
+    codes = _draw_codes(dist, gen, n if trials is None else (trials, n))
+    return Sample._valid(codes.astype(np.int64))
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
@@ -603,32 +627,21 @@ def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
     Python ints, with none of the array passes a batch needs."""
     if trials is None:
         v = gen.integers(0, dist._range, dtype=dist._thresholds.dtype)
-        atom = bisect.bisect_right(dist._cuts, int(v))
-        return Example(atom >> 1, 1 - 2 * (atom & 1))
-    pts, labs = _decode_atoms(_draw_codes(dist, gen, trials))
-    pts.setflags(write=False)
-    labs.setflags(write=False)
-    return Example(pts, labs)
+        return _example(bisect.bisect_right(dist._cuts, int(v)))
+    drawn = Sample._valid(_draw_codes(dist, gen, trials).astype(np.int64))
+    return Example(drawn.points, drawn.labels)
 
 
 def _draw_codes(dist: ProductBiasDistribution, gen: np.random.Generator,
                 shape) -> np.ndarray:
-    """An array of `shape` of i.i.d. atom codes of `dist`: one integer v
-    uniform on [0, R) per entry, in row-major order, whose code j is the
-    number of thresholds at or below v, atom j in the order (0, +1),
-    (0, -1), (1, +1), ... Code 2x is (x, +1) and 2x + 1 is (x, -1)."""
+    """An array of `shape` of i.i.d. atom codes of `dist`, in the narrowest
+    unsigned dtype that holds them: one integer v uniform on [0, R) per
+    entry, in row-major order, whose code j is the number of thresholds at
+    or below v, atom j in the order (0, +1), (0, -1), (1, +1), ... Code 2x
+    is (x, +1) and 2x + 1 is (x, -1)."""
     cuts = dist._thresholds
     v = gen.integers(0, dist._range, size=shape, dtype=cuts.dtype)
     atom = np.zeros(v.shape, np.min_scalar_type(len(cuts)))
     for cut in cuts:
         atom += v >= cut
     return atom
-
-
-def _decode_atoms(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 points and int8 labels of an array of atom codes: code j is the
-    point j >> 1 with the label 1 - 2 (j & 1)."""
-    labs = (codes & 1).astype(np.int8)
-    labs *= np.int8(-2)
-    labs += np.int8(1)
-    return (codes >> 1).astype(np.int64), labs

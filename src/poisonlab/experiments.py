@@ -52,14 +52,16 @@ at those D, and a state space 0.05-0.15 s once per n (`_binomial_row`).
 The Monte Carlo evaluator runs its trials in chunks, each on its own child
 stream: one (chunk, n) batch of samples is drawn, corrupted, budget-checked
 and scored by one call per layer, `Adversary.attack` and
-`Learner.prediction_prob` each taking the whole batch. A learner with a
+`Learner.prediction_prob` each taking the whole batch; a `Sample` is one
+array of atom codes, so every layer reads the drawn codes. A learner with a
 `count_law` or a `count_prediction` against an attacker with a
 `count_move` (exp-mech and coupled on a full class, and majority vote,
 against identity or greedy) runs its chunks on the counts at each trial's
-target instead: the same integers are drawn as atom codes, counted at the
-target, moved and scored, and no row is built. Both paths read the same
-draws and the same law, and majority's coins come from the same generator
-state, so their estimates are the same floats. A chunk holds
+target instead: the same codes, in the sampler's narrow dtype, are counted
+at the target (`core.counts_at`, which majority's rows read too), moved and
+scored, and no `Sample` is built. Both paths read the same draws and the
+same law, and majority's coins come from the same generator state, so their
+estimates are the same floats. A chunk holds
 `chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
 entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
 child stream, its generator and each layer's numpy calls) is paid once per
@@ -102,9 +104,11 @@ from .core import (
     Scalar,
     _atom_ratios,
     _draw_codes,
+    _read_only,
     ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
     bayes_loss,
     corruption_limit,
+    counts_at,
     draw_example,
     draw_sample_with,
     exact_fraction,
@@ -247,10 +251,11 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 
     A learner with a `Learner.count_law` or a `Learner.count_prediction`
     against an attacker with an `Adversary.count_move` runs on counts
-    instead: each chunk draws the same integers as atom codes, never built
-    into rows, counts each trial's codes of (x, +1) and (x, -1) at its
-    target x, moves the counts as the attack moves the rows, checks the rows
-    moved against the budget and scores the hook on the moved counts. The
+    instead: each chunk draws the same atom codes, never built into a
+    `Sample`, counts each trial's codes of (x, +1) and (x, -1) at its
+    target x (`core.counts_at`), moves the counts as the attack moves the
+    rows, checks the rows moved against the budget and scores the hook on
+    the moved counts. The
     move draws nothing, and a `count_prediction` (majority vote) draws its
     coins from the chunk's generator where `prediction_prob` would, after
     the attack, from the same counts. The hook is the prediction on any
@@ -275,10 +280,7 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
         if on_counts:
             codes = _draw_codes(dist, gen, (size, n))
             targets = draw_example(dist, gen, trials=size)
-            plus_code = (2 * targets.point).astype(codes.dtype)[:, None]
-            a = np.count_nonzero(codes == plus_code, axis=1)
-            b = np.count_nonzero(codes == plus_code + 1, axis=1)
-            a, b, moved = adversary.count_move(a, b, n, targets.label)
+            a, b, moved = adversary.count_move(*counts_at(codes, targets.point), n, targets.label)
         else:
             clean = draw_sample_with(dist, n, gen, trials=size)
             targets = draw_example(dist, gen, trials=size)
@@ -545,13 +547,6 @@ def _scaled_weights(numerators: Sequence[int], denominator: int,
         values.append((top << shift) / scale)
         shifts.append(shift)
     return np.array(values), np.array(shifts, dtype=np.int32)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a cached result is shared by every caller."""
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
 
 
 def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,

@@ -40,6 +40,7 @@ from .core import (
     PreconditionError,
     Sample,
     Scalar,
+    counts_at,
     exact_fraction,
     restrict_dedupe,
 )
@@ -234,7 +235,7 @@ def _split_sizes(n: int) -> tuple[int, int]:
     return n // 2, n - n // 2
 
 
-def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) -> np.ndarray:
+def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int) -> np.ndarray:
     """Each trial's uniform k-subset of range(n1), unordered: the positions of
     its k smallest of n1 uniforms, drawn in trial order, so trial t of a batch
     gets the subset that the t-th of `trials` one-trial draws would get."""
@@ -242,9 +243,9 @@ def _draw_subsets(n1: int, k: int, gen: np.random.Generator, trials: int = 1) ->
 
 
 def _one_row(sample: Sample) -> Sample:
-    """A one-sample `Sample` as a batch of one trial; its arrays are valid
+    """A one-sample `Sample` as a batch of one trial; its codes are valid
     already, so they are not checked again."""
-    return Sample._valid(sample.points[None], sample.labels[None])
+    return Sample._valid(sample.codes[None])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +461,7 @@ class VcSubsampleLearner(Learner):
         """A batch's first-half points, its second halves' histograms and one
         point per trial."""
         n1, _ = _split_sizes(len(sample))
-        head = sample.points[:, :n1]
+        head = sample.codes[:, :n1] >> 1
         domain = self.hclass.domain_size
         if int(head.max()) >= domain:
             raise DomainMismatchError("sample contains points outside the class domain")
@@ -498,11 +499,9 @@ class MajorityVoteLearner(Learner):
         self.k = k
 
     def prediction_prob(self, sample: Sample, x, gen: np.random.Generator | None = None):
-        """Counts the rows at x labelled +1 and -1 and votes on those counts
-        (`count_prediction`), so the rows and the counts draw the same coins."""
-        at_x = np.atleast_2d(sample.points) == np.reshape(x, (-1, 1))
-        a = np.count_nonzero(at_x & (np.atleast_2d(sample.labels) == PLUS), axis=1)
-        probs = self.count_prediction(a, np.count_nonzero(at_x, axis=1) - a, len(sample), gen)
+        """Votes (`count_prediction`) on the rows at x labelled +1 and -1
+        (`core.counts_at`), so the rows and the counts draw the same coins."""
+        probs = self.count_prediction(*counts_at(sample.codes, x), len(sample), gen)
         return probs if sample.batched else float(probs[0])
 
     def count_prediction(self, a, b, n, gen: np.random.Generator | None = None) -> np.ndarray:
@@ -534,7 +533,7 @@ class ConstantLearner(Learner):
 
     def prediction_prob(self, sample: Sample, x, gen=None):
         p = 1.0 if self.label == PLUS else 0.0
-        return np.full(sample.points.shape[0], p) if sample.batched else p
+        return np.full(len(sample.codes), p) if sample.batched else p
 
 
 class BayesLearner(Learner):

@@ -125,7 +125,7 @@ def check_ball_oracle(rng: RandomSource):
         eta = float(gen.uniform(0.0, 0.9))
         ball = ball_enumerate(s, eta, d, max_corruptions=None)
         got = {tuple(b.examples()) for b in ball.rows()}
-        if len(got) != len(ball.points):
+        if len(got) != len(ball.codes):
             return False, "duplicate samples in ball"
         k = math.floor(core.exact_fraction(eta) * n)
         if got != _ball_reference(s, k, full_alphabet(d)):
@@ -136,9 +136,8 @@ def check_ball_oracle(rng: RandomSource):
     # the samples of each (n, d, radius) as one batch: its balls are the
     # samples' own, one after another
     for (n, d, k), pairs in groups.items():
-        batch = Sample(np.stack([s.points for s, _ in pairs]), np.stack([s.labels for s, _ in pairs]))
-        own = Sample(np.concatenate([b.points for _, b in pairs]),
-                     np.concatenate([b.labels for _, b in pairs]))
+        batch = Sample._valid(np.stack([s.codes for s, _ in pairs]))
+        own = Sample._valid(np.concatenate([b.codes for _, b in pairs]))
         if ball_enumerate(batch, Fraction(k, n), d, max_corruptions=None) != own:
             return False, f"batched balls differ from their samples' balls at n={n}, d={d}, k={k}"
     return True, (f"matches recursive reference on 20 random balls (d <= 3, n <= 4); one "
@@ -185,7 +184,7 @@ def check_sampler_law(rng: RandomSource):
     # R = 60: a threshold one unit off moves 500 of the 30,000 draws
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 10), Fraction(-1, 2), Fraction(2, 5)]))
     drawn = core.draw_sample_with(dist, 500, rng.generator(), trials=60)
-    m = drawn.points.size
+    m = drawn.codes.size
     counts = drawn.histograms(3).sum(axis=0).ravel()
     pairs = list(zip(counts.tolist(), (p for _, p in dist.atoms())))
     if any(c > 0 for c, p in pairs if p == 0):
@@ -199,9 +198,9 @@ def check_sampler_law(rng: RandomSource):
 # learner invariants and exact acceptance checks
 
 
-def _random_mechanism_instance(gen, max_domain=10, max_size=64, max_n=50):
-    hclass = _random_class(gen, max_domain=max_domain, max_size=max_size)
-    n = int(gen.integers(1, max_n + 1))
+def _random_mechanism_instance(gen):
+    hclass = _random_class(gen)
+    n = int(gen.integers(1, 51))
     sample = _random_sample(gen, hclass.domain_size, n)
     eta = float(gen.uniform(0.02, 0.9))
     return hclass, sample, ExpMechanismConfig(eta)
@@ -539,7 +538,7 @@ def check_stability_certificate(rng: RandomSource):
     for _ in range(25):
         hclass, sample, config = _random_tiny_instance(gen)
         ball = ball_enumerate(sample, config.eta, hclass.domain_size)
-        other = list(ball.rows())[int(gen.integers(0, len(ball.points)))]
+        other = list(ball.rows())[int(gen.integers(0, len(ball.codes)))]
         report = analysis.stability_certificate(hclass, sample, other, config)
         if not (report.claim_ok and report.flip_ok):
             return False, "certificate failed on an in-ball pair"
@@ -558,8 +557,8 @@ def check_budget_guard(rng: RandomSource):
 
         def attack(self, sample, target, gen=None):
             x, y = np.expand_dims(target.point, -1), np.expand_dims(target.label, -1)
-            return Sample(np.broadcast_to(x, sample.points.shape),
-                          np.broadcast_to(-y, sample.labels.shape))
+            return Sample(np.broadcast_to(x, sample.codes.shape),
+                          np.broadcast_to(-y, sample.codes.shape))
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))

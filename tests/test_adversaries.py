@@ -31,6 +31,7 @@ from poisonlab.core import (
     DomainMismatchError,
     Example,
     HypothesisClass,
+    PreconditionError,
     RandomSource,
     Sample,
     ball_enumerate,
@@ -147,7 +148,6 @@ def test_brute_force_checks_the_domain_size(d, error):
 def test_scheme_frozen_grid_at_eta_1_64():
     scheme, hard = build_scheme_1d(Fraction(1, 64))
     assert scheme.m == 3
-    assert not scheme.capped
     assert scheme.eta == Fraction(1, 64)
     assert scheme.grid() == tuple(Fraction(2 * i, 64) for i in range(-3, 4))
     assert scheme.endpoint == Fraction(7, 64)
@@ -172,11 +172,8 @@ def test_scheme_span_brackets_sqrt_eta():
 
 def test_scheme_caps_large_eta():
     scheme, _ = build_scheme_1d(Fraction(1, 4))
-    assert scheme.capped
     assert scheme.eta == Fraction(1, 16)
-    assert scheme.requested_eta == Fraction(1, 4)
     uncapped, _ = build_scheme_1d(Fraction(1, 16))
-    assert not uncapped.capped
     assert uncapped.grid() == scheme.grid()
 
 
@@ -194,7 +191,7 @@ def test_hard_distribution_rejects_weights_not_summing_to_one():
             return super().grid()[1:]
 
     with pytest.raises(ValueError, match="sum to"):
-        HardBiasDistribution(ShortGrid(Fraction(1, 16), 1, Fraction(1, 16)))
+        HardBiasDistribution(ShortGrid(Fraction(1, 16), 1))
 
 
 def test_hard_distribution_sampling_law():
@@ -431,3 +428,20 @@ def test_a_subclass_that_rewrites_attack_has_no_count_move():
     a, b, moved = IdentityAdversary().count_move(np.array([2, 0]), np.array([1, 3]), 4,
                                                  np.array([PLUS, MINUS]))
     assert a.tolist() == [2, 0] and b.tolist() == [1, 3] and moved.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: PoisoningScheme1D(Fraction(1, 16), 0), ValueError),
+    (lambda: PoisoningScheme1D(Fraction(1, 16), 1).apply(0, Fraction(0)), ValueError),
+    (lambda: build_scheme_1d(0), ValueError),
+    (lambda: PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 16), 1), 0), ValueError),
+    (lambda: PoisoningSchemeD(PoisoningScheme1D(Fraction(1), 1), 1), PreconditionError),
+    (lambda: PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 16), 1), 2).apply(
+        0, PLUS, BiasVector([0])), ValueError),
+    (lambda: PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 16), 1), 2).apply(
+        2, PLUS, BiasVector([0, 0])), ValueError),
+], ids=["grid-m-0", "apply-label-0", "eta-0", "dimension-0", "inner-budget-1",
+        "bias-dimension", "coordinate-outside"])
+def test_adversaries_boundary_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -67,7 +67,9 @@ def test_sample_validates_before_the_integer_cast():
                            ([0.7], [PLUS]), ([0], [1.0]), ([0], [True]), ([0], [1 + 0j]),
                            ([0], np.array([1], dtype=object)), ([True], [PLUS]),
                            (np.array([2 ** 63], dtype=np.uint64), [PLUS]),
-                           ([0], np.array([255], dtype=np.uint8))]:
+                           ([0], np.array([255], dtype=np.uint8)),
+                           # its code 2x would wrap past int64
+                           ([2 ** 62 + 5], [PLUS])]:
         with pytest.raises(DomainMismatchError):
             Sample(points, labels)
     s = Sample(np.array([3], dtype=np.uint8), np.array([1], dtype=np.uint8))
@@ -75,12 +77,66 @@ def test_sample_validates_before_the_integer_cast():
     assert list(s.examples()) == [Example(3, PLUS)]
 
 
-def test_sample_keeps_integer_arrays_of_its_own_dtype_uncopied():
-    pts = np.array([0, 1], dtype=np.int64)
-    labs = np.array([PLUS, MINUS], dtype=np.int8)
+def test_sample_stores_read_only_codes_and_decodes_its_arrays():
+    pts = np.array([0, 1, 2 ** 62 - 1], dtype=np.int64)
+    labs = np.array([PLUS, MINUS, MINUS], dtype=np.int8)
     s = Sample(pts, labs)
-    assert s.points is pts and s.labels is labs
+    assert s.codes.dtype == np.int64 and not s.codes.flags.writeable
+    assert s.points.dtype == np.int64 and s.labels.dtype == np.int8
     assert not s.points.flags.writeable and not s.labels.flags.writeable
+    assert np.array_equal(s.points, pts) and np.array_equal(s.labels, labs)
+    # the caller's arrays are neither stored nor frozen
+    assert pts.flags.writeable and labs.flags.writeable and s.points is not pts
+
+
+def test_sample_code_layout():
+    # code 2x is (x, +1) and 2x + 1 is (x, -1), constructed or drawn
+    assert Sample.__slots__ == ("codes",)
+    s = Sample([[0, 0, 3], [2, 1, 1]], [[PLUS, MINUS, MINUS], [PLUS, PLUS, MINUS]])
+    assert s.codes.tolist() == [[0, 1, 7], [4, 2, 3]]
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8), Fraction(0)]))
+    gen, ref = RandomSource(SEED, 46).generator(), RandomSource(SEED, 46).generator()
+    drawn = draw_sample_with(dist, 7, gen, trials=5)
+    atom = np.searchsorted(dist._thresholds,
+                           ref.integers(0, dist._range, size=(5, 7), dtype=dist._thresholds.dtype),
+                           side="right")
+    assert drawn.codes.dtype == np.int64 and np.array_equal(drawn.codes, atom)
+    assert drawn == Sample(atom >> 1, 1 - 2 * (atom & 1))
+    assert [ex for row in drawn.rows() for ex in row.examples()] == [
+        (int(c) >> 1, 1 - 2 * (int(c) & 1)) for c in atom.ravel()]
+
+
+def test_sample_repr():
+    assert repr(Sample([0, 2], [PLUS, MINUS])) == "Sample[(0,+1), (2,-1)]"
+    assert repr(Sample([[0, 1, 1]] * 4, [[PLUS] * 3] * 4)) == "Sample(trials=4, n=3)"
+
+
+def _counts_by_rows(sample, xs):
+    """Each trial's rows of (x, +1) and of (x, -1), counted one row at a time."""
+    rows = list(sample.rows()) if sample.batched else [sample]
+    a = [sum(ex == (x, PLUS) for ex in row.examples()) for row, x in zip(rows, xs)]
+    b = [sum(ex == (x, MINUS) for ex in row.examples()) for row, x in zip(rows, xs)]
+    return a, b
+
+
+def test_counts_at_counts_each_trial_at_its_point():
+    rng = np.random.default_rng(SEED + 12)
+    for _ in range(20):
+        trials, n, d = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        batch = Sample(rng.integers(0, d, size=(trials, n)), rng.choice((-1, 1), size=(trials, n)))
+        one = next(batch.rows())
+        x = int(rng.integers(0, d))
+        xs = rng.integers(0, d, size=trials)
+        for sample, at, want in ((one, x, [x]), (batch, x, [x] * trials), (batch, xs, xs)):
+            a, b = core.counts_at(sample.codes, at)
+            assert (a.tolist(), b.tolist()) == _counts_by_rows(sample, want)
+    # the sampler's narrow codes are compared in their own dtype
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    codes = core._draw_codes(dist, RandomSource(SEED, 47).generator(), (6, 10))
+    assert codes.dtype == np.uint8
+    a, b = core.counts_at(codes, np.arange(6) % 2)
+    assert (a.tolist(), b.tolist()) == _counts_by_rows(
+        Sample._valid(codes.astype(np.int64)), np.arange(6) % 2)
 
 
 def test_hypotheses_validate_before_the_integer_cast():
@@ -707,3 +763,24 @@ def test_histograms_count_each_trial():
         assert np.array_equal(next(batch.rows()).histograms(domain), want[:1])
     with pytest.raises(DomainMismatchError):
         Sample([0, 3], [PLUS, PLUS]).histograms(3)
+
+
+_DIST_2 = ProductBiasDistribution(BiasVector([Fraction(1, 4), 0]))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Sample([0, 1], [PLUS]), DimensionMismatchError),
+    (lambda: HypothesisClass([]), ValueError),
+    (lambda: core.restrict_dedupe(HypothesisClass.full(2), []), ValueError),
+    (lambda: core.restrict_dedupe(HypothesisClass.full(2), [2]), DomainMismatchError),
+    (lambda: BiasVector([]), ValueError),
+    (lambda: _DIST_2.atom_probability(2, PLUS), DomainMismatchError),
+    (lambda: _DIST_2.atom_probability(0, 0), ValueError),
+    (lambda: sample_loss([PLUS, MINUS], Sample([2], [PLUS])), DomainMismatchError),
+    (lambda: population_loss([PLUS], _DIST_2), DimensionMismatchError),
+    (lambda: draw_sample_with(_DIST_2, 0, np.random.default_rng(0)), ValueError),
+], ids=["sample-shapes", "empty-class", "restrict-nothing", "restrict-outside",
+        "empty-bias", "atom-point", "atom-label", "loss-point", "labeling-length", "draw-n-0"])
+def test_core_boundary_errors(call, error):
+    with pytest.raises(error):
+        call()

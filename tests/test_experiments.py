@@ -1635,8 +1635,8 @@ def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, pointw
 
     rows = list(product(range(len(NON_DYADIC)), repeat=d))
     counts = [1 + r % 4 for r in range(len(rows))]
-    for scheme in (PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 28), 2, Fraction(1, 28)), d),
-                   PoisoningSchemeD(PoisoningScheme1D(Fraction(3, 40), 2, Fraction(3, 40)), d),
+    for scheme in (PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 28), 2), d),
+                   PoisoningSchemeD(PoisoningScheme1D(Fraction(3, 40), 2), d),
                    identity_scheme(d)):
         excesses, coefficients = experiments._excess_table(pointwise, scheme, NON_DYADIC, rows,
                                                            counts, f_value)
@@ -1939,3 +1939,24 @@ def test_run_sweep_trials_change_stream():
     a = run_sweep(grid_a)[0]
     b = run_sweep(grid_b)[0]
     assert a.metadata["stream"] != b.metadata["stream"]
+
+
+_FULL_1 = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 16)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: experiments.wilson_ci(0, 0), ValueError),
+    (lambda: experiments.mc_adversarial_loss(
+        _FULL_1, IdentityAdversary(), ProductBiasDistribution(BiasVector([0])), 8,
+        Fraction(1, 16), 0, RandomSource(1)), ValueError),
+    (lambda: lower_bound_experiment(_FULL_1, Fraction(1, 2), 2, 8, 4, 4, RandomSource(1)),
+     PreconditionError),
+    (lambda: lower_bound_exact(_FULL_1, Fraction(1, 16), 1, 0), ValueError),
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1)), ValueError),
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 4, RandomSource(1), points=[1]),
+     DomainMismatchError),
+], ids=["wilson-0-trials", "mc-0-trials", "lower-bound-d-eta-1", "lower-bound-exact-n-0",
+        "estimate-f-0-trials", "estimate-f-outside"])
+def test_experiments_and_analysis_boundary_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -598,3 +598,35 @@ def test_batched_subset_draws_average_to_the_exact_rules():
         se = probs.std(ddof=1) / math.sqrt(trials)
         assert se > 0
         assert abs(probs.mean() - exact) <= 4.5 * se, (learner.name, probs.mean(), exact)
+
+
+class _WideSubsample(VcLearnerConfig):
+    """A config whose subsample outgrows the first half, which
+    `VcLearnerConfig`'s own k = isqrt(vc_dim / (4 eta)) < 1/(4 eta) never does."""
+
+    @property
+    def subsample_size(self) -> int:
+        return 9
+
+
+_VC_1 = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 16), 1))
+_SIXTEEN = Sample([0] * 16, [PLUS] * 16)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ExpMechanismConfig(Fraction(1, 4)).temperature(0), ValueError),
+    (lambda: VcLearnerConfig(Fraction(1, 16), 0), ValueError),
+    (lambda: VcLearnerConfig(Fraction(0), 1), ValueError),
+    (lambda: VcLearnerConfig(Fraction(1), 1), ValueError),
+    (lambda: VcSubsampleLearner(HypothesisClass.full(1), _WideSubsample(Fraction(1, 16), 1))
+     .prediction_prob(_SIXTEEN, 0, np.random.default_rng(0)), PreconditionError),
+    (lambda: _VC_1.prediction_prob(_SIXTEEN, 0), ValueError),
+    (lambda: _VC_1.prediction_prob(Sample([1] + [0] * 15, [PLUS] * 16), 0,
+                                   np.random.default_rng(0)), DomainMismatchError),
+    (lambda: MajorityVoteLearner(0), ValueError),
+    (lambda: ConstantLearner(0), ValueError),
+], ids=["temperature-0", "vc-dim-0", "eta-0", "eta-1", "k-past-first-half", "no-generator",
+        "first-half-outside", "majority-k-0", "constant-label-0"])
+def test_learners_boundary_errors(call, error):
+    with pytest.raises(error):
+        call()
