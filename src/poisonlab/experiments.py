@@ -57,11 +57,11 @@ array of atom codes, so every layer reads the drawn codes. A learner with a
 `count_law` or a `count_prediction` against an attacker with a
 `count_move` (exp-mech and coupled on a full class, and majority vote,
 against identity or greedy) runs its chunks on the counts at each trial's
-target instead: the same codes, in the sampler's narrow dtype, are counted
-at the target (`core.counts_at`, which majority's rows read too), moved and
-scored, and no `Sample` is built. Both paths read the same draws and the
-same law, and majority's coins come from the same generator state, so their
-estimates are the same floats. A chunk holds
+target instead: the same drawn integers are counted against the target's
+atom edges (`core._draw_target_counts`), moved and scored, and no atom code
+or `Sample` is built. Both paths read the same draws and the same law, and
+majority's coins come from the same generator state, so their estimates
+are the same floats. A chunk holds
 `chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
 entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
 child stream, its generator and each layer's numpy calls) is paid once per
@@ -103,12 +103,11 @@ from .core import (
     Sample,
     Scalar,
     _atom_ratios,
-    _draw_codes,
+    _draw_target_counts,
     _read_only,
     ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
     bayes_loss,
     corruption_limit,
-    counts_at,
     draw_example,
     draw_sample_with,
     exact_fraction,
@@ -184,10 +183,11 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float, float]:
     return phat, lo, hi
 
 
-def score_ci(values: Sequence[float]) -> tuple[float, float, float]:
+def score_ci(values: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
     """Wilson for genuinely 0/1 scores, normal approximation otherwise."""
-    if all(v in (0.0, 1.0) for v in values):
-        return wilson_ci(sum(int(v) for v in values), len(values))
+    values = np.asarray(values, dtype=float)
+    if ((values == 0.0) | (values == 1.0)).all():
+        return wilson_ci(int(np.count_nonzero(values)), len(values))
     return normal_ci(values)
 
 
@@ -217,7 +217,7 @@ class ExcessEstimate:
             raise ValueError(f"mean {self.mean} or excess {self.excess} lies outside its CI")
 
 
-def _estimate_from_scores(scores: Sequence[float], bayes: float, trials: int,
+def _estimate_from_scores(scores: np.ndarray, bayes: float, trials: int,
                           seed: int, metadata: dict) -> ExcessEstimate:
     mean, lo, hi = score_ci(scores)
     return ExcessEstimate(mean=mean, ci_low=lo, ci_high=hi, bayes=bayes,
@@ -244,19 +244,20 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     the learner draw, such as majority vote's one hypergeometric per
     thinned trial. A sample size below 1 raises ValueError. Each layer
     sees the whole chunk in one call (`adversary.attack`,
-    `learner.prediction_prob`), and scores are kept in trial order. A
+    `learner.prediction_prob`), and scores are kept in trial order, one
+    float array per chunk, joined once for `score_ci`. A
     learner that does not return one probability per trial raises
     ValueError. An adversary that returns the clean batch object itself
     moved no row, so only another batch is measured against the budget.
 
     A learner with a `Learner.count_law` or a `Learner.count_prediction`
     against an attacker with an `Adversary.count_move` runs on counts
-    instead: each chunk draws the same atom codes, never built into a
-    `Sample`, counts each trial's codes of (x, +1) and (x, -1) at its
-    target x (`core.counts_at`), moves the counts as the attack moves the
-    rows, checks the rows moved against the budget and scores the hook on
-    the moved counts. The
-    move draws nothing, and a `count_prediction` (majority vote) draws its
+    instead: each chunk draws the same integers, never turned into atom
+    codes or a `Sample`, counts each trial's rows of (x, +1) and (x, -1)
+    at its target x straight off them (`core._draw_target_counts`), moves
+    the counts as the attack moves the rows, checks the rows moved against
+    the budget and scores the hook on the moved counts. The move draws
+    nothing, and a `count_prediction` (majority vote) draws its
     coins from the chunk's generator where `prediction_prob` would, after
     the attack, from the same counts. The hook is the prediction on any
     sample with those counts, so every score is the same float as on the
@@ -273,14 +274,13 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     count_score = (scoring_hook(learner, "count_prediction", dist.dimension) if law is None
                    else lambda a, b, n, gen: law(a, b, n))
     on_counts = count_score is not None and adversary.count_move is not None
-    scores: list[float] = []
+    scores: list[np.ndarray] = []
     for c, start in enumerate(range(0, trials, chunk)):
         gen = rng.child("trials", c).generator()
         size = min(chunk, trials - start)
         if on_counts:
-            codes = _draw_codes(dist, gen, (size, n))
-            targets = draw_example(dist, gen, trials=size)
-            a, b, moved = adversary.count_move(*counts_at(codes, targets.point), n, targets.label)
+            targets, a, b = _draw_target_counts(dist, gen, size, n)
+            a, b, moved = adversary.count_move(a, b, n, targets.label)
         else:
             clean = draw_sample_with(dist, n, gen, trials=size)
             targets = draw_example(dist, gen, trials=size)
@@ -295,11 +295,11 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
         probs = (count_score(a, b, n, gen) if on_counts
                  else learner.prediction_prob(corrupted, targets.point, gen))
         p = one_per_trial(learner, probs, size)
-        scores.extend(np.where(targets.label == PLUS, 1.0 - p, p).tolist())
+        scores.append(np.where(targets.label == PLUS, 1.0 - p, p))
     meta = {"learner": learner.name, "adversary": adversary.name,
             "n": n, "eta": str(budget), "d": dist.dimension, "stream": rng.stream}
     meta.update(metadata or {})
-    return _estimate_from_scores(scores, bayes, trials, rng.seed, meta)
+    return _estimate_from_scores(np.concatenate(scores), bayes, trials, rng.seed, meta)
 
 
 # ---------------------------------------------------------------------------

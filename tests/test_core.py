@@ -139,6 +139,41 @@ def test_counts_at_counts_each_trial_at_its_point():
         Sample._valid(codes.astype(np.int64)), np.arange(6) % 2)
 
 
+@pytest.mark.parametrize("coords, dtype", [
+    ([Fraction(1, 4)], np.uint8),
+    ([Fraction(1, 1000)], np.uint16),
+    ([Fraction(1, 100003)], np.uint32),
+    # R = 2^64: the d = 1 pair spans [0, 2^64), a width no uint64 holds
+    ([Fraction(1, 36472996377170786403)], np.uint64),
+    # zero-width atoms: repeated thresholds, and the threshold at R left out
+    ([Fraction(1, 2)], np.uint8), ([Fraction(-1, 2)], np.uint8),
+    ([Fraction(-1, 2), Fraction(1, 2)], np.uint8),
+    ([Fraction(1, 2), Fraction(1, 1000)], np.uint16),
+    ([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2)], np.uint8),
+    ([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)], np.uint8),
+    ([Fraction(1, 3 ** 41), Fraction(-1, 2), Fraction(1, 2)], np.uint64),
+])
+def test_target_counts_read_off_the_edges_are_the_counts_of_the_codes(coords, dtype):
+    # on one generator state: the targets and the counts at them that the
+    # count route reads off the raw integers, against the atom codes of the
+    # same draws and `counts_at` on them, and the generator left where
+    # those draws leave it; n = 255 and 256 sum in uint8 and uint16
+    dist = ProductBiasDistribution(BiasVector(coords))
+    assert dist._thresholds.dtype == dtype
+    for sizes in [(7, 1), (64, 255), (9, 256), (300, 5)]:
+        trials, n = sizes
+        gen = RandomSource(SEED, 48).child(*sizes).generator()
+        ref = RandomSource(SEED, 48).child(*sizes).generator()
+        targets, a, b = core._draw_target_counts(dist, gen, trials, n)
+        codes = core._draw_codes(dist, ref, (trials, n))
+        want = core._draw_codes(dist, ref, trials).astype(np.int64)
+        assert targets.point.tolist() == (want >> 1).tolist()
+        assert targets.label.tolist() == (1 - 2 * (want & 1)).tolist()
+        want_a, want_b = core.counts_at(codes, want >> 1)
+        assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+        assert gen.random() == ref.random()
+
+
 def test_hypotheses_validate_before_the_integer_cast():
     # the losses take a labeling as one class row, checked as a class row is
     sample = Sample([0, 1], [PLUS, PLUS])
@@ -168,6 +203,15 @@ def test_sample_equality_and_hash():
     assert a.key() == b.key() and a.key() != c.key()
 
 
+def test_sample_key_keeps_the_shape():
+    # the same codes as one sample of four rows and as a (2, 2) batch
+    one = Sample([0, 1, 2, 3], [PLUS] * 4)
+    batch = Sample([[0, 1], [2, 3]], [[PLUS, PLUS], [PLUS, PLUS]])
+    assert one.codes.tobytes() == batch.codes.tobytes()
+    assert one != batch and one.key() != batch.key() and hash(one) != hash(batch)
+    assert Sample([[0, 1, 2, 3]], [[PLUS] * 4]).key() not in (one.key(), batch.key())
+
+
 def test_sample_is_positionally_ordered():
     # positional Hamming distance distinguishes permuted multisets
     a = Sample([0, 1], [PLUS, PLUS])
@@ -179,6 +223,17 @@ def test_sample_is_positionally_ordered():
 def test_hypothesis_class_rejects_duplicates():
     with pytest.raises(ValueError):
         HypothesisClass([[PLUS, MINUS], [PLUS, MINUS]])
+
+
+def test_hypothesis_class_leaves_the_callers_array_writeable():
+    # the class stores a read-only table; a caller's int8 array is copied,
+    # not frozen, and other dtypes are cast into a new array anyway
+    for dtype in (np.int8, np.int64):
+        rows = np.array([[PLUS, MINUS], [MINUS, PLUS]], dtype=dtype)
+        hclass = HypothesisClass(rows)
+        assert rows.flags.writeable and not hclass.values.flags.writeable
+        rows[0, 0] = MINUS
+        assert hclass.values.tolist() == [[PLUS, MINUS], [MINUS, PLUS]]
 
 
 def test_hypothesis_class_full():

@@ -948,17 +948,20 @@ def test_a_nan_probability_on_the_rows_raises_naming_its_learner():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("bias", [Fraction(1, 2), Fraction(-1, 2), 0.1, Fraction(1, 3)])
+@pytest.mark.parametrize("bias", [Fraction(1, 2), Fraction(-1, 2), 0.1, Fraction(1, 3),
+                                  Fraction(1, 36472996377170786403),
+                                  (Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2))])
 def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
     # exp-mech, coupled and majority on full(d) against identity and
     # greedy, at a budget of no row and at one past the rows at x (d >= 2),
     # over a full chunk and a short one: field for field the estimates of
     # the same learner behind a wrapper with no count hook, whose rows are
     # built. Majority votes over all 64 rows at the first budget, drawing
-    # nothing, and thins to 2 at the second
+    # nothing, and thins to 2 at the second. A tuple of biases gives the
+    # first d coordinates, so they differ from point to point
     n = 64
     trials = experiments.chunk_trials(n) + 37
-    dist = ProductBiasDistribution(BiasVector([bias] * d))
+    dist = ProductBiasDistribution(BiasVector(bias[:d] if isinstance(bias, tuple) else [bias] * d))
     built = []
     monkeypatch.setattr(experiments, "draw_sample_with",
                         lambda *args, **kw: built.append(1) or draw_sample_with(*args, **kw))
