@@ -199,7 +199,7 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     gen = rng.child("estimate-F").generator()
     centred: list[list[np.ndarray]] = [[] for _ in query]
     if (batch := scoring_hook(learner, "batch_prediction_probs", d)) is not None:
-        atom_probs = [num / den for _, num, den in _atom_ratios(u)]
+        atom_probs = [num / den for _, num, den in _atom_ratios(u.coords)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
         for qi, x in enumerate(query):
             centred[qi].append(batch(histograms, x) - 0.5)

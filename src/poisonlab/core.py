@@ -305,9 +305,11 @@ def restrict_dedupe(hclass: HypothesisClass, points: Sequence[int]) -> Hypothesi
 
 def exact_fraction(value: Scalar) -> Fraction:
     """The exact value of an int, float, Fraction, or numpy integer or
-    floating scalar, as a Fraction; a float by its `as_integer_ratio()`, so
-    np.float32(0.7), just below 7/10, stays below it. NaN and infinities
-    raise ValueError."""
+    floating scalar, as a Fraction (a Fraction itself, which is immutable,
+    as it is); a float by its `as_integer_ratio()`, so np.float32(0.7), just
+    below 7/10, stays below it. NaN and infinities raise ValueError."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"{value} has no exact value")
@@ -317,9 +319,9 @@ def exact_fraction(value: Scalar) -> Fraction:
 
 def _bias_coordinate(c: Scalar) -> Fraction:
     """c as an exact Fraction, its bound checked exactly before the
-    conversion (0.5 is 1/2, and compares exactly with any numeric type), so
-    NaN, infinities and 0.5 + 1e-13 are rejected."""
-    if not abs(c) <= 0.5:
+    conversion (against 0.5, which compares exactly with any numeric type; a
+    Fraction p/q's as 2|p| <= q), so NaN, infinities and 0.5 + 1e-13 fail."""
+    if not (2 * abs(c.numerator) <= c.denominator if type(c) is Fraction else abs(c) <= 0.5):
         raise ValueError(f"bias coordinate {c} outside [-1/2, 1/2]")
     return exact_fraction(c)
 
@@ -366,14 +368,14 @@ class BiasVector:
         return f"BiasVector({list(self.coords)})"
 
 
-def _atom_ratios(bias: BiasVector) -> Iterator[tuple[Example, int, int]]:
-    """Each atom (i, y) of the product distribution at `bias`, in the order
-    (0, +1), (0, -1), (1, +1), ..., with the numerator and denominator of
-    its probability (1/2 + y u_i) / d: (q + 2 y p) / (2 q d) for u_i = p/q,
-    in integers. Python's int / int is correctly rounded, so their quotient
-    is the float of the exact probability."""
-    d = bias.dimension
-    for i, u in enumerate(bias.coords):
+def _atom_ratios(coords: Sequence[Fraction]) -> Iterator[tuple[Example, int, int]]:
+    """Each atom (i, y) of the product distribution at bias coordinates
+    `coords`, in the order (0, +1), (0, -1), (1, +1), ..., with the numerator
+    and denominator of its probability (1/2 + y u_i) / d: (q + 2 y p) / (2 q
+    d) for u_i = p/q, in integers. Python's int / int is correctly rounded,
+    so their quotient is the float of the exact probability."""
+    d = len(coords)
+    for i, u in enumerate(coords):
         p, q = u.numerator, u.denominator
         for y in (PLUS, MINUS):
             yield Example(i, y), q + 2 * y * p, 2 * q * d
@@ -410,7 +412,7 @@ class ProductBiasDistribution:
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
-        ratios = list(_atom_ratios(bias))
+        ratios = list(_atom_ratios(bias.coords))
         self._atoms = tuple((ex, Fraction(num, den)) for ex, num, den in ratios)
         denominator = math.lcm(*(den for _, _, den in ratios))
         self._range = min(denominator, 2 ** 64)

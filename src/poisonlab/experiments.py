@@ -6,10 +6,12 @@ one risk rule (`_ExactTable.risk`) over two state spaces, chosen by the
 oracle: the error at each state is maximized over the radius-k ball and
 floored at 0, and the weighted terms are summed exactly and rounded once.
 The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
-0) and F (a -1 target at radius 0) are the same rule. A sequence weighs the
-integer prod_k (D base_k) ** c_k over D ** n for its counts c in cells of
-weights base_k, D their common denominator (`_power_weights`), and a
-term is rounded as float(w * q * 2^s), one correctly rounded integer
+0) and F (a -1 target at radius 0) are the same rule, on integers alone: the
+atoms' numerators over one denominator (`core._atom_ratios`), divided by
+their gcd with it (per point on count states), and a radius floored once by
+`corruption_limit`. A sequence weighs the integer prod_k base_k ** c_k over
+D ** n for its counts c in cells of weights base_k / D (`_power_weights`),
+and a term is rounded as float(w * q * 2^s), one correctly rounded integer
 quotient in [1/2, 2), s taken back out of the exact sum: a count state
 holds up to 2^n sequences, so at d = 1 weights under 2^-1022 (every
 sequence at u = 0 from n = 1,023 on) still carry the risk.
@@ -44,8 +46,9 @@ holds 0.8 MB and each kept radius 1.6 MB, a state space 18.6 MB (10.6 MB of
 it multiplicities), a set of exact weights 11.5, 36.0 or 59.4 MB at common
 denominators D = 8, 128 or 2000, and one test atom's coefficients 0.8 MB
 and their scales 0.4 MB, which keep their weight set's 0.8 MB index of live
-states alive: at most 16 * 18.6 + 8 * 59.4 = 773 MB in the state and weight
-caches, and 0.3-0.5 GB in the 256 coefficient sets (`_count_coefficients`).
+states alive: with one weight set kept, as a point's test atoms are weighed
+in a row, at most 16 * 18.6 + 59.4 = 357 MB in the state and weight caches,
+and 0.3-0.5 GB in the 256 coefficient sets (`_count_coefficients`).
 On a 2-vCPU Xeon a cold weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s
 at those D, and a state space 0.05-0.15 s once per n (`_binomial_row`).
 
@@ -94,7 +97,6 @@ from .core import (
     DimensionMismatchError,
     DomainMismatchError,
     EnumerationTooLargeError,
-    Example,
     HypothesisClass,
     PredictionOracle,
     PreconditionError,
@@ -103,6 +105,7 @@ from .core import (
     Sample,
     Scalar,
     _atom_ratios,
+    _bias_coordinate,
     _draw_target_counts,
     _read_only,
     ball_enumerate,  # noqa: F401  (re-exported binding; perfbench/test_smoke.py wraps it)
@@ -308,16 +311,16 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
 _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enumerates
 
 
-def _engine(p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int) -> _ExactTable:
+def _engine(p_oracle: PredictionOracle, d: int, n: int) -> _ExactTable:
     """A bound method of a learner with a `count_law` (`scoring_hook`, which
     refuses a distribution past its domain) is scored on count states: its
-    table for (dist.dimension, n), built once and kept (`_count_table`). Any
-    other oracle is scored anew on every atom sequence of `dist`
-    (`_SequenceTable`), as it makes no per-point promise."""
+    table for (d, n), built once and kept (`_count_table`). Any other oracle
+    is scored anew on every atom sequence over d points (`_SequenceTable`),
+    as it makes no per-point promise."""
     learner = getattr(p_oracle, "__self__", None)
-    if scoring_hook(learner, "count_law", dist.dimension) is not None:
-        return _count_table(learner, dist.dimension, n)
-    return _SequenceTable(p_oracle, dist, n)
+    if scoring_hook(learner, "count_law", d) is not None:
+        return _count_table(learner, d, n)
+    return _SequenceTable(p_oracle, d, n)
 
 
 _RADII = 4  # ball radii whose maxima a table keeps
@@ -327,11 +330,11 @@ class _ExactTable:
     """The risk rule of both state spaces. A space holds the oracle's +1
     probabilities at its states, `p`, for samples of size `n`, and gives its
     radius-1 ball maximum, `ball_step(values)`, and its live states under
-    atom probabilities `probs` (by example), `weights(probs, x, q)`: (their
-    index into `p` at point x, float(w * q * 2^s) and s (`_scaled_weights`),
+    atoms nums[j] / den, `weights(nums, den, x, qnum, qden)`: (their index
+    into `p` at point x, float(w * q * 2^s) and s (`_scaled_weights`),
     numbers of sequences), w the exact weight of one sequence in the state
-    and q that of a test atom at x. It keeps the ball maxima of the last
-    `_RADII` radii (`ball_maxima`)."""
+    and q = qnum / qden, in lowest terms, that of a test atom at x. It keeps
+    the ball maxima of the last `_RADII` radii (`ball_maxima`)."""
 
     def __init__(self, n: int, p: np.ndarray):
         self.n = n
@@ -359,11 +362,11 @@ class _ExactTable:
             del self.maxima[next(iter(self.maxima))]
         return worst
 
-    def risk(self, probs: dict[Example, Fraction], eta: Scalar, atoms=None) -> float:
-        """Expected worst error over the radius-k balls, k = floor(eta n),
-        under the distribution whose exact atom probabilities are `probs`,
-        by example in `ProductBiasDistribution.atoms` order, and over the
-        test atoms (example, q), by default `probs.items()`. The error at a state is
+    def risk(self, coords: Sequence[Fraction], k: int, atoms=None) -> float:
+        """Expected worst error over the radius-k balls under D_u, u the bias
+        coordinates `coords`, and over the test atoms ((x, y), qnum, qden) of
+        probability qnum / qden, by default D_u's (`_atom_ratios`; one of
+        probability 0 adds nothing). The error at a state is
         1 - p for a +1 target and p for a -1 target; its maximum over the
         ball (`ball_maxima`) is floored at 0. The terms float(w * q * 2^s) *
         maximum * 2^-s, one per live state and test atom, times the state's
@@ -373,12 +376,14 @@ class _ExactTable:
         every sequence weighs under 2^-1022 from n = 1,023 on); wherever
         float(w * q) * maximum is normal the term is that product, bit for
         bit, as scaling by 2^s commutes with rounding there."""
-        worst = self.ball_maxima(corruption_limit(eta, self.n))
+        worst = self.ball_maxima(k)
+        ratios = list(_atom_ratios(coords))
+        den = math.lcm(*(r for _, _, r in ratios))
+        nums = [num * (den // r) for _, num, r in ratios]
         terms, shifts, mults = [], [], []
-        for (x, y), q in probs.items() if atoms is None else atoms:
-            if not q:  # a test atom of probability 0, such as (x, -1) at u_x = 1/2, adds nothing
-                continue
-            index, coef, shift, m = self.weights(probs, x, q)
+        for (x, y), qnum, qden in atoms or [ratio for ratio in ratios if ratio[1]]:
+            g = math.gcd(qnum, qden)
+            index, coef, shift, m = self.weights(nums, den, x, qnum // g, qden // g)
             terms.append(coef * worst[y][index])
             shifts.append(shift)
             mults.extend(m)
@@ -393,23 +398,21 @@ class _ExactTable:
 
 class _SequenceTable(_ExactTable):
     """The oracle at every atom sequence: state s is the s-th length-n
-    sequence over `dist.atoms()` in row-major order, zero-weight ones
+    sequence over the 2d atoms in row-major order, zero-weight ones
     included, scored as one batch by one call per point x, column x of `p`.
     Each sequence's atom-count class and its atom counts are found once."""
 
-    def __init__(self, p_oracle: PredictionOracle, dist: ProductBiasDistribution, n: int):
-        atoms = [ex for ex, _ in dist.atoms()]
-        if len(atoms) ** n > _TABLE_CAP:
-            raise EnumerationTooLargeError(f"{len(atoms) ** n} samples exceed cap {_TABLE_CAP}")
-        self.axes = (len(atoms),) * n
+    def __init__(self, p_oracle: PredictionOracle, d: int, n: int):
+        if (2 * d) ** n > _TABLE_CAP:
+            raise EnumerationTooLargeError(f"{(2 * d) ** n} samples exceed cap {_TABLE_CAP}")
+        self.axes = (2 * d,) * n
         seqs = np.indices(self.axes).reshape(n, -1).T
-        batch = Sample(np.array([ex.point for ex in atoms])[seqs],
-                       np.array([ex.label for ex in atoms])[seqs])
+        batch = Sample(np.repeat(np.arange(d), 2)[seqs], np.tile([PLUS, MINUS], d)[seqs])
         super().__init__(n, np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
-                                      for x in range(dist.dimension)], axis=-1))
+                                      for x in range(d)], axis=-1))
         classes, self.classes = np.unique(
             np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), self.axes), return_inverse=True)
-        self.counts = (seqs[classes][:, :, None] == np.arange(len(atoms))).sum(axis=1).T
+        self.counts = (seqs[classes][:, :, None] == np.arange(2 * d)).sum(axis=1).T
 
     def ball_step(self, values: np.ndarray) -> np.ndarray:
         """An elementwise maximum over the reductions along each row's axis
@@ -419,12 +422,13 @@ class _SequenceTable(_ExactTable):
             out = np.maximum(out, view.max(axis=axis, keepdims=True))
         return out.reshape(values.shape)
 
-    def weights(self, probs: dict[Example, Fraction], x: int,
-                q: Fraction) -> tuple[tuple, np.ndarray, np.ndarray, Sequence[int]]:
+    def weights(self, nums: Sequence[int], den: int, x: int, qnum: int,
+                qden: int) -> tuple[tuple, np.ndarray, np.ndarray, Sequence[int]]:
         """Indexed (live, x), one sequence each, whatever x is."""
-        numerators, denominator = _power_weights(list(probs.values()), self.counts, self.n)
+        g = math.gcd(*nums, den)
+        numerators = _power_weights([num // g for num in nums], self.counts, self.n)
         live = np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
-        coef, shift = _scaled_weights(numerators, denominator, q)
+        coef, shift = _scaled_weights(numerators, (den // g) ** self.n, qnum, qden)
         return (live, x), coef[self.classes[live]], shift[self.classes[live]], (1,) * len(live)
 
 
@@ -446,10 +450,12 @@ class _CountTable(_ExactTable):
         counts at x takes its maximum over them."""
         return values[self.moves].max(axis=1)
 
-    def weights(self, probs: dict[Example, Fraction], x: int,
-                q: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+    def weights(self, nums: Sequence[int], den: int, x: int, qnum: int,
+                qden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
         """`_count_coefficients` at point x's atoms, indexed by state alone."""
-        live, coef, shift = _count_coefficients(probs[x, PLUS], probs[x, MINUS], q, self.n)
+        g = math.gcd(nums[2 * x], nums[2 * x + 1], den)
+        live, coef, shift = _count_coefficients(
+            nums[2 * x] // g, nums[2 * x + 1] // g, den // g, qnum, qden, self.n)
         mults = self.mults if len(live) == len(self.mults) else [self.mults[s] for s in live]
         return live, coef, shift, mults
 
@@ -496,53 +502,50 @@ def _binomial_row(m: int, first: int = 1) -> Iterator[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _count_coefficients(p_plus: Fraction, p_minus: Fraction, q: Fraction,
+def _count_coefficients(plus: int, minus: int, den: int, qnum: int, qden: int,
                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The live count states of one point with atoms p_plus and p_minus and
-    float(w * q * 2^s) and s of each one's exact weight w (`_count_weights`,
-    `_scaled_weights`), built once."""
-    live, numerators, denominator = _count_weights(p_plus, p_minus, n)
-    return live, *_read_only(*_scaled_weights(numerators, denominator, q))
+    """The live count states of one point with atoms plus / den and minus /
+    den and float(w * q * 2^s) and s of each one's exact weight w
+    (`_count_weights`, `_scaled_weights`) at q = qnum / qden, built once."""
+    live, numerators, denominator = _count_weights(plus, minus, den, n)
+    return live, *_read_only(*_scaled_weights(numerators, denominator, qnum, qden))
 
 
-@functools.lru_cache(maxsize=8)  # 12-59 MB an entry at the cap (module docstring)
-def _count_weights(p_plus: Fraction, p_minus: Fraction, n: int
+@functools.lru_cache(maxsize=1)  # 12-59 MB at the cap; one is enough (module docstring)
+def _count_weights(plus: int, minus: int, den: int, n: int
                    ) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """The live (nonzero-weight) count states of one point with atoms p_plus
-    and p_minus, the numerators of their exact weights p_plus^a p_minus^b
-    (1 - p_plus - p_minus)^r and their denominator, for any test atom."""
-    rest = 1 - p_plus - p_minus
+    """The live (nonzero-weight) count states of one point with atoms plus /
+    den and minus / den, the numerators plus^a minus^b rest^r of their exact
+    weights (rest = den - plus - minus) and den^n, for any test atom."""
+    rest = den - plus - minus
     cells, _, _ = _count_states(n, not rest)
-    numerators, denominator = _power_weights((p_plus, p_minus, rest), cells, n)
+    numerators = _power_weights((plus, minus, rest), cells, n)
     live = np.array(numerators, dtype=bool).nonzero()[0]
-    return _read_only(live)[0], tuple(itertools.compress(numerators, numerators)), denominator
+    return _read_only(live)[0], tuple(itertools.compress(numerators, numerators)), den ** n
 
 
-def _power_weights(bases: Sequence[Fraction], counts: np.ndarray,
-                   n: int) -> tuple[tuple[int, ...], int]:
-    """The exact weight prod_k bases[k] ** counts[k][s] of each state s of
-    n rows, as the integer prod_k (D bases[k]) ** counts[k][s] over D ** n,
-    D the bases' least common denominator: one lookup per cell per state."""
-    den = math.lcm(*(base.denominator for base in bases))
+def _power_weights(bases: Sequence[int], counts: np.ndarray, n: int) -> tuple[int, ...]:
+    """prod_k bases[k] ** counts[k][s] for each state s of n rows: the
+    numerator of its exact weight over den ** n when each atom weighs
+    bases[k] / den. One lookup per cell per state."""
     columns = []
     for base, cells in zip(bases, counts.tolist()):
-        scaled = base.numerator * (den // base.denominator)
-        powers = list(itertools.accumulate(itertools.repeat(scaled, n), operator.mul, initial=1))
+        powers = list(itertools.accumulate(itertools.repeat(base, n), operator.mul, initial=1))
         columns.append(map(powers.__getitem__, cells))
-    return tuple(functools.reduce(functools.partial(map, operator.mul), columns)), den ** n
+    return tuple(functools.reduce(functools.partial(map, operator.mul), columns))
 
 
-def _scaled_weights(numerators: Sequence[int], denominator: int,
-                    q: Fraction) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_weights(numerators: Sequence[int], denominator: int, qnum: int,
+                    qden: int) -> tuple[np.ndarray, np.ndarray]:
     """float(w * q * 2^s) and s for each exact weight w = numerator /
-    denominator, s >= 0 the shift that puts w * q * 2^s in [1/2, 2), so the
-    float is normal however small w * q is (a zero weight gets 0): a
-    quotient of integers, which Python's int / int rounds correctly."""
-    num, scale = q.numerator, denominator * q.denominator
+    denominator, q = qnum / qden, s >= 0 the shift that puts w * q * 2^s in
+    [1/2, 2), so the float is normal however small w * q is (a zero weight
+    gets 0): an int / int quotient, which Python rounds correctly."""
+    scale = denominator * qden
     bits = scale.bit_length()
     values, shifts = [], []
     for w in numerators:
-        top = w * num
+        top = w * qnum
         shift = bits - top.bit_length()
         values.append((top << shift) / scale)
         shifts.append(shift)
@@ -555,7 +558,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
     +1-probability oracle: expectation over every sample and test atom of the
     supremum of the error probability over the corruption ball, floored at 0
     (`_ExactTable.risk`)."""
-    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), eta)
+    return _engine(p_oracle, dist.dimension, n).risk(dist.bias.coords, corruption_limit(eta, n))
 
 
 def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
@@ -568,23 +571,20 @@ def exhaustive_public_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribu
     monotone, 1 - min p is max (1 - p) for the same floats, so this is the
     private risk to the bit: a visible coupled coin costs the learner nothing.
     """
-    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), eta)
+    return _engine(p_oracle, dist.dimension, n).risk(dist.bias.coords, corruption_limit(eta, n))
 
 
 def exhaustive_clean_loss(p_oracle: PredictionOracle, dist: ProductBiasDistribution,
                           n: int) -> float:
     """Exact clean risk (no corruption) of the learner's prediction law: the
     private, and so the public-coin, risk over radius-0 balls."""
-    return _engine(p_oracle, dist, n).risk(dict(dist.atoms()), 0)
+    return _engine(p_oracle, dist.dimension, n).risk(dist.bias.coords, 0)
 
 
-def _table_f(table: _ExactTable, u: BiasVector, x: int) -> float:
-    """Exact F at point x under D_u^n, read off an engine's table: the
-    radius-0 risk of a -1 test label at x is E[p(S, x)], less 1/2. The atom
-    probabilities come straight from `_atom_ratios`, with no distribution
-    built."""
-    probs = {ex: Fraction(num, den) for ex, num, den in _atom_ratios(u)}
-    return table.risk(probs, 0, atoms=[(Example(x, MINUS), 1)]) - 0.5
+def _table_f(table: _ExactTable, coords: Sequence[Fraction], x: int) -> float:
+    """Exact F at point x under D_u^n, u the bias coordinates `coords`, off an
+    engine's table: E[p(S, x)], the radius-0 risk of a sure -1 at x, less 1/2."""
+    return table.risk(coords, 0, atoms=[((x, MINUS), 1, 1)]) - 0.5
 
 
 def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
@@ -594,8 +594,7 @@ def exact_F(p_oracle: PredictionOracle, u: BiasVector, n: int, x: int) -> float:
     DomainMismatchError."""
     if not 0 <= x < u.dimension:
         raise DomainMismatchError(f"point {x} outside domain of size {u.dimension}")
-    dist = ProductBiasDistribution(u)
-    return _table_f(_engine(p_oracle, dist, n), u, x)
+    return _table_f(_engine(p_oracle, u.dimension, n), u.coords, x)
 
 
 # ---------------------------------------------------------------------------
@@ -626,20 +625,19 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     c in {u, scheme(-1, u), scheme(+1, u)} (a subset of the eta-ball around u,
     so the restriction can only lower the right side), with each exact F_c a
     radius-0 weighting (`_table_f`). Both sides share one oracle table; only
-    the weights change. It holds when the slack left + guard - right is at
-    least -1e-9.
+    the weights change, each read off a coordinate as integers. It holds
+    when the slack left + guard - right is at least -1e-9.
     """
     eta = exact_fraction(eta)
-    uf = exact_fraction(u)
-    dist = ProductBiasDistribution(BiasVector([uf]))
-    table = _engine(p_oracle, dist, n)
-    left = table.risk(dict(dist.atoms()), 2 * eta)
+    uf = _bias_coordinate(exact_fraction(u))
+    table = _engine(p_oracle, 1, n)
+    left = table.risk((uf,), corruption_limit(2 * eta, n))
     guard = math.exp(-n * float(eta) / 3.0)
     scheme = _scheme_1d(eta)
-    candidates = {uf, Fraction(scheme.apply(MINUS, uf)), Fraction(scheme.apply(PLUS, uf))}
-    fs = [_table_f(table, BiasVector([c]), 0) for c in candidates]
-    right = math.fsum(float(Fraction(1, 2) + y * uf) * max(0.5 - y * f for f in fs)
-                      for y in (PLUS, MINUS))
+    candidates = {uf, scheme.apply(MINUS, uf), scheme.apply(PLUS, uf)}
+    fs = [_table_f(table, (_bias_coordinate(c),), 0) for c in candidates]
+    right = math.fsum(num / den * max(0.5 - ex.label * f for f in fs)
+                      for ex, num, den in _atom_ratios((uf,)))
     slack = left + guard - right
     return EquivalenceReport(u=uf, eta=eta, n=n, left_loss=left, guard=guard,
                              right_restricted=right, slack=slack, holds=slack >= -1e-9)

@@ -287,10 +287,12 @@ def test_bias_vector_bounds():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1e-13, -0.5 - 1e-13,
-                                 np.float64("nan")])
+                                 np.float64("nan"), Fraction(1, 2) + Fraction(1, 3 ** 40),
+                                 -Fraction(1, 2) - Fraction(1, 10 ** 30)])
 def test_bias_vector_rejects_non_finite_and_barely_out_of_range(bad):
     # the bound is checked exactly: no tolerance lets 0.5 + 1e-13 through
-    # with a negative atom probability, and NaN fails the comparison
+    # with a negative atom probability, NaN fails the comparison, and a
+    # Fraction's bound is compared in integers
     with pytest.raises(ValueError, match="outside"):
         BiasVector([Fraction(0), bad])
 

@@ -513,18 +513,18 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
                             (coupled.prediction_prob, True),
                             (lambda s, x: full.prediction_prob(s, x), False),
                             (three.prediction_prob, False)):
-        engine = experiments._engine(oracle, dist, 2)
+        engine = experiments._engine(oracle, dist.dimension, 2)
         assert isinstance(engine, experiments._CountTable) == counted
         assert isinstance(engine, experiments._SequenceTable) != counted
     vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 5), 1))
     one = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
-    assert isinstance(experiments._engine(vc.mean_prediction_prob, one, 5),
+    assert isinstance(experiments._engine(vc.mean_prediction_prob, one.dimension, 5),
                       experiments._SequenceTable)
     # majority's count hook draws coins: the exact engine keeps to count laws
     majority = MajorityVoteLearner(4)
     assert majority.count_law is None
     for space in (one, dist):
-        assert isinstance(experiments._engine(majority.prediction_prob, space, 4),
+        assert isinstance(experiments._engine(majority.prediction_prob, space.dimension, 4),
                           experiments._SequenceTable)
 
 
@@ -609,10 +609,13 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
 ])
 def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_minus, n):
     # the count states' power products and their multiplicities, built once
-    # with the state space, against Fraction products and math.comb pairs
+    # with the state space, against Fraction products and math.comb pairs;
+    # the atoms go in as integers over their least common denominator
     (a, b, _), _, mults = experiments._count_states(n, p_plus + p_minus == 1)
-    for q in (p_plus, p_minus, 1):
-        live, coef, shift = experiments._count_coefficients(p_plus, p_minus, q, n)
+    den = math.lcm(p_plus.denominator, p_minus.denominator)
+    for q in (p_plus, p_minus, Fraction(1)):
+        live, coef, shift = experiments._count_coefficients(
+            int(p_plus * den), int(p_minus * den), den, q.numerator, q.denominator, n)
         want, scaled = [], []
         for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
             w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
@@ -659,6 +662,12 @@ def test_count_weights_are_built_once_per_point():
     assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 1
     assert experiments._count_weights.cache_info().misses == 2
     assert experiments._count_states.cache_info().misses == 1
+    # point 0's atoms are the same beside any other coordinate, though the
+    # atoms' common denominator moves from 128 to 384: F at point 0 builds
+    # its coefficients once
+    exact_F(learner.prediction_prob, u, 20, 0)
+    exact_F(learner.prediction_prob, BiasVector([Fraction(5, 32), Fraction(1, 3)]), 20, 0)
+    assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 2
 
 
 def test_multiplicities_are_built_once_per_state_space(monkeypatch):
@@ -680,8 +689,15 @@ def test_multiplicities_are_built_once_per_state_space(monkeypatch):
         exhaustive_clean_loss(wrapped, dist, 3)
         assert rows == [13] + list(range(13, -1, -1))  # C(13, a), then C(13 - a, b) per a
         assert experiments._count_states.cache_info().misses == 1
-    table = experiments._engine(learner.prediction_prob, dist, 13)
+    table = experiments._engine(learner.prediction_prob, 2, 13)
     assert table.mults is experiments._count_states(13, False)[2]
+
+
+def _integer_atoms(dist: ProductBiasDistribution) -> tuple[list[int], int]:
+    """The atom probabilities of `dist` as numerators over their least
+    common denominator, and it: the integers the exact engine weighs."""
+    den = math.lcm(*(p.denominator for _, p in dist.atoms()))
+    return [int(p * den) for _, p in dist.atoms()], den
 
 
 def _sequence_weights_reference(probs: dict, n: int, q) -> tuple[list[int], list[float]]:
@@ -709,10 +725,11 @@ def test_sequence_table_coefficients_are_the_floats_of_exact_fraction_products(s
     # the float of its exact Fraction weight, at q = 1 and at every atom's q
     d, n = shape
     dist = ProductBiasDistribution(BiasVector(coords[:d]))
-    table = experiments._SequenceTable(lambda s, x: np.full(len(s.points), 0.5), dist, n)
+    table = experiments._SequenceTable(lambda s, x: np.full(len(s.points), 0.5), d, n)
     probs = dict(dist.atoms())
-    for (x, _), q in [((0, PLUS), 1), *probs.items()]:
-        (live, at), coef, shift, mults = table.weights(probs, x, q)
+    nums, den = _integer_atoms(dist)
+    for (x, _), q in [((0, PLUS), Fraction(1)), *probs.items()]:
+        (live, at), coef, shift, mults = table.weights(nums, den, x, q.numerator, q.denominator)
         want_live, want_coef = _sequence_weights_reference(probs, n, q)
         assert at == x and live.tolist() == want_live
         assert np.ldexp(coef, -shift).tolist() == want_coef and list(mults) == [1] * len(want_live)
@@ -769,20 +786,19 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
     learners = [ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
                 for eta in (Fraction(1, 4), Fraction(1, 16))]
-    tables = {(i, n): experiments._engine(learner.prediction_prob, dist, n)
+    tables = {(i, n): experiments._engine(learner.prediction_prob, 1, n)
               for i, learner in enumerate(learners) for n in (4, 5)}
     assert len({id(t) for t in tables.values()}) == 4
     # another bound method object of the same learner reads the same table
-    assert experiments._engine(learners[0].prediction_prob, dist, 4) is tables[0, 4]
+    assert experiments._engine(learners[0].prediction_prob, 1, 4) is tables[0, 4]
     for (i, n), table in tables.items():
         fresh = experiments._CountTable(learners[i], 1, n)
         assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
     assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
     # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
     rule = _ScrambledCountRule(2)
-    flat = experiments._engine(rule.prediction_prob, dist, 3)
-    wide = experiments._engine(rule.prediction_prob,
-                               ProductBiasDistribution(BiasVector([Fraction(1, 8), 0])), 3)
+    flat = experiments._engine(rule.prediction_prob, 1, 3)
+    wide = experiments._engine(rule.prediction_prob, 2, 3)
     assert flat is not wide and flat.p.shape == (4,) and wide.p.shape == (10,)
 
 
@@ -839,13 +855,11 @@ def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)][:d]))
     wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
     for build in (lambda: experiments._CountTable(rule, d, n),
-                  lambda: experiments._SequenceTable(wrapped, dist, n)):
+                  lambda: experiments._SequenceTable(wrapped, d, n)):
         table = build()
-        probs = dict(dist.atoms())
         for k in (2, 0, 1, 5, 3, 4, 2, 0):
-            eta = Fraction(k, n)
             fresh = build()
-            assert table.risk(probs, eta) == fresh.risk(probs, eta), k
+            assert table.risk(dist.bias.coords, k) == fresh.risk(dist.bias.coords, k), k
             for y in (PLUS, MINUS):
                 assert np.array_equal(table.ball_maxima(k)[y], fresh.ball_maxima(k)[y])
             assert len(table.maxima) <= experiments._RADII
@@ -903,7 +917,7 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
         assert exhaustive_public_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n) == private
         assert exhaustive_clean_loss(tiny.prediction_prob, dist, n) == private
         assert 0 < private < 1e-3
-        assert experiments._engine(tiny.prediction_prob, dist, n).p.max() > 1.0
+        assert experiments._engine(tiny.prediction_prob, 2, n).p.max() > 1.0
 
 
 class _NanCountRule(_ScrambledCountRule):
@@ -1174,8 +1188,10 @@ def test_sequence_table_scores_its_subnormal_terms_as_the_count_engine_does():
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
-    probs = dict(dist.atoms())
-    _, _, shift, _ = experiments._SequenceTable(wrapped, dist, 8).weights(probs, 0, probs[0, MINUS])
+    nums, den = _integer_atoms(dist)
+    q = dist.atom_probability(0, MINUS)
+    _, _, shift, _ = experiments._SequenceTable(wrapped, 1, 8).weights(
+        nums, den, 0, q.numerator, q.denominator)
     assert shift.max() > 1022
     for eta in (0, Fraction(1, 4)):
         table = exhaustive_adversarial_loss(wrapped, dist, eta, 8)
@@ -1918,6 +1934,124 @@ def test_brute_force_sweep_stream_lock():
     got = {(cell.learner, cell.d, cell.n): run_cell(grid, cell) for cell in grid.cells()}
     assert {key: (repr(e.mean), repr(e.ci_low), repr(e.ci_high))
             for key, e in got.items()} == BRUTE_FORCE_LOCK
+
+
+# repr of the exact values of the exact engine's entry points on both tables
+# (a bound method of exp-mech takes the count table, a plain wrapper of it
+# the sequence table), at d = 1-3, at biases with zero-weight atoms (+-1/2),
+# the float 0.1 and a denominator past 2^64
+_TINY = Fraction(1, 36472996377170786403)
+EXACT_LOCK = {
+    "count d1 u=1/2 adversarial": "0.17223349507549213",
+    "count d1 u=0.1 clean": "0.4793452729913987",
+    "count d1 u=0.1 F": "0.10327363504300657",
+    "count d1 u=tiny equivalence": (
+        "EquivalenceReport(u=Fraction(1, 36472996377170786403), eta=Fraction(1, 8), n=5, "
+        "left_loss=0.6811235703263568, guard=0.8119363461506349, right_restricted=0.5, "
+        "slack=0.9930599164769918, holds=True)"),
+    "count d1 u=-1/2 equivalence": (
+        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 4), n=4, left_loss=0.5, "
+        "guard=0.7165313105737893, right_restricted=0.08668341137773383, "
+        "slack=1.1298478991960552, holds=True)"),
+    "count d2 adversarial": "0.5036002535476265",
+    "count d2 F": "-0.38778767138763326",
+    "count d3 clean": "0.3888130695129292",
+    "count d1 lower_bound_exact n=1100": "(0.058065453147224916, 0.0078125)",
+    "sequence d1 u=0.1 adversarial": "0.7118224944567008",
+    "sequence d1 u=0.1 equivalence": (
+        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), eta=Fraction(1, 8), "
+        "n=8, left_loss=0.7118224944567008, guard=0.7165313105737893, "
+        "right_restricted=0.47957816074059983, slack=0.9487756442898903, holds=True)"),
+    "sequence d2 adversarial": "0.5916209152421834",
+    "sequence d3 clean": "0.36626993800020413",
+    "sequence d3 F": "0.15932309861133276",
+    "sequence d1 vc adversarial": "0.584795597482985",
+}
+
+
+def test_exact_engine_value_lock():
+    def exp(d, eta):
+        return ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+
+    def wrap(learner):
+        return lambda s, x: learner.prediction_prob(s, x)
+
+    def dist(*coords):
+        return ProductBiasDistribution(BiasVector(coords))
+
+    one, two, three = exp(1, Fraction(1, 8)), exp(2, Fraction(1, 16)), exp(3, Fraction(1, 16))
+    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 8), 1))
+    mixed = (Fraction(-1, 2), 0.1, Fraction(1, 4))
+    cells = {
+        "count d1 u=1/2 adversarial": lambda: exhaustive_adversarial_loss(
+            one.prediction_prob, dist(Fraction(1, 2)), Fraction(1, 4), 6),
+        "count d1 u=0.1 clean": lambda: exhaustive_clean_loss(one.prediction_prob, dist(0.1), 9),
+        "count d1 u=0.1 F": lambda: exact_F(one.prediction_prob, BiasVector([0.1]), 9, 0),
+        "count d1 u=tiny equivalence": lambda: equivalence_check(
+            one.prediction_prob, _TINY, Fraction(1, 8), 5),
+        "count d1 u=-1/2 equivalence": lambda: equivalence_check(
+            one.prediction_prob, Fraction(-1, 2), Fraction(1, 4), 4),
+        "count d2 adversarial": lambda: exhaustive_adversarial_loss(
+            two.prediction_prob, dist(0.1, Fraction(-1, 2)), Fraction(1, 7), 7),
+        "count d2 F": lambda: exact_F(
+            two.prediction_prob, BiasVector([0.1, Fraction(-1, 2)]), 7, 1),
+        "count d3 clean": lambda: exhaustive_clean_loss(
+            three.prediction_prob, dist(Fraction(1, 2), 0.1, _TINY), 5),
+        "count d1 lower_bound_exact n=1100": lambda: lower_bound_exact(
+            exp(1, Fraction(1, 64)), Fraction(1, 64), 1, 1100),
+        "sequence d1 u=0.1 adversarial": lambda: exhaustive_adversarial_loss(
+            wrap(one), dist(0.1), Fraction(1, 4), 8),
+        "sequence d1 u=0.1 equivalence": lambda: equivalence_check(
+            wrap(one), 0.1, Fraction(1, 8), 8),
+        "sequence d2 adversarial": lambda: exhaustive_adversarial_loss(
+            wrap(two), dist(Fraction(1, 2), _TINY), Fraction(1, 5), 5),
+        "sequence d3 clean": lambda: exhaustive_clean_loss(wrap(three), dist(*mixed), 4),
+        "sequence d3 F": lambda: exact_F(wrap(three), BiasVector(mixed), 4, 2),
+        "sequence d1 vc adversarial": lambda: exhaustive_adversarial_loss(
+            vc.mean_prediction_prob, dist(Fraction(1, 4)), Fraction(1, 8), 8),
+    }
+    assert {key: repr(cell()) for key, cell in cells.items()} == EXACT_LOCK
+
+
+@pytest.mark.parametrize("counted", [True, False])
+def test_exact_entry_points_reject_bad_biases_budgets_and_points(counted):
+    # on the count table and on the sequence table alike: a bias outside
+    # [-1/2, 1/2], NaN or inf, a negative, NaN or infinite budget, and a point
+    # or distribution outside the domain, each with its own error
+    one = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
+    oracle = one.prediction_prob if counted else lambda s, x: one.prediction_prob(s, x)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+    for u, outside in ((Fraction(3, 4), "3/4"), (-0.5000001, "-0.5000001")):
+        with pytest.raises(ValueError, match=f"^bias coordinate {outside} outside"):
+            exact_F(oracle, BiasVector([u]), 4, 0)
+    with pytest.raises(ValueError, match="^bias coordinate 3/4 outside"):
+        equivalence_check(oracle, Fraction(3, 4), eighth, 4)
+    with pytest.raises(ValueError,
+                       match="^bias coordinate -4503600528090421/9007199254740992 outside"):
+        equivalence_check(oracle, -0.5000001, eighth, 4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^bias coordinate {bad} outside"):
+            exact_F(oracle, BiasVector([bad]), 4, 0)
+        with pytest.raises(ValueError, match=f"^{bad} has no exact value$"):
+            equivalence_check(oracle, bad, eighth, 4)
+    for eta, why in ((-eighth, "eta must be nonnegative"), (-0.0001, "eta must be nonnegative"),
+                     (math.nan, "nan has no exact value"), (math.inf, "inf has no exact value")):
+        for call in (lambda: equivalence_check(oracle, quarter, eta, 4),
+                     lambda: exhaustive_adversarial_loss(oracle, dist, eta, 4),
+                     lambda: exhaustive_public_loss(oracle, dist, eta, 4)):
+            with pytest.raises(ValueError, match=f"^{why}$"):
+                call()
+    for x in (-1, 1):
+        with pytest.raises(DomainMismatchError, match=f"^point {x} outside domain of size 1$"):
+            exact_F(oracle, dist.bias, 4, x)
+    wide = ProductBiasDistribution(BiasVector([quarter, 0]))
+    why = ("a distribution over 2 points lies outside a domain of size 1" if counted
+           else "sample contains points outside a domain of size 1")
+    for call in (lambda: exhaustive_clean_loss(oracle, wide, 4),
+                 lambda: exact_F(oracle, wide.bias, 4, 1)):
+        with pytest.raises(DomainMismatchError, match=f"^{why}$"):
+            call()
 
 
 def test_run_cell_stream_depends_only_on_cell():
