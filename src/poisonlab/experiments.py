@@ -2,53 +2,51 @@
 evaluators, bound-verification experiments, and deterministic parameter sweeps.
 
 The exact evaluators (`exhaustive_*`, `exact_F`, `equivalence_check`) share
-one risk rule (`_ExactTable.risk`) over two state spaces, chosen by the
-oracle: the error at each state is maximized over the radius-k ball and
-floored at 0, and the weighted terms are summed exactly and rounded once.
-The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
-0) and F (a -1 target at radius 0) are the same rule, on integers alone: the
-atoms' numerators over one denominator (`core._atom_ratios`), divided by
-their gcd with it (per point on count states), and a radius floored once by
-`corruption_limit`. A sequence weighs the integer prod_k base_k ** c_k over
-D ** n for its counts c in cells of weights base_k / D (`_power_weights`),
-and a term is rounded as float(w * q * 2^s), one correctly rounded integer
-quotient in [1/2, 2), s taken back out of the exact sum: a count state
-holds up to 2^n sequences, so at d = 1 weights under 2^-1022 (every
-sequence at u = 0 from n = 1,023 on) still carry the risk.
+one table class, `_ExactTable`, over a state space (`_space`) of one of two
+layouts, chosen by the oracle: the error at each state is maximized over the
+radius-k ball and floored at 0, and the weighted terms are summed exactly and
+rounded once. The public-coin risk (see `exhaustive_public_loss`), the clean
+risk (radius 0) and F (a -1 target at radius 0) are the same rule, on integers
+alone: the atoms' numerators over one denominator (`core._atom_ratios`), a
+state's cell weights divided by their gcd with it, and a radius floored once
+by `corruption_limit`. A sequence weighs the integer prod_k base_k ** c_k over
+D ** n for its counts c in cells of weights base_k / D (`_power_weights`), and
+a term is rounded as float(w * q * 2^s), one correctly rounded integer
+quotient in [1/2, 2), s taken back out of the exact sum: a count state holds
+up to 2^n sequences, so at d = 1 weights under 2^-1022 (every sequence at
+u = 0 from n = 1,023 on) still carry the risk.
 
 A bound method of a learner whose `Learner.count_law` speaks for it
 (`learners.scoring_hook`; the exponential mechanism on a full class) is
 scored on count states, every (a, b) = (#(x, +1), #(x, -1)) of a size-n
 sample (n + 1 at d = 1, (n + 1)(n + 2) / 2 at d >= 2), by one law call that
-serves every point at any d. A radius-1 ball is a state's unit row moves (2
-at d = 1, 6 at d >= 2). Its cells are (x, +1), (x, -1) and the other points'
-rows pooled, and its n! / (a! b! r!) sequences are counted once per n
-(`_count_states`). Both state spaces read the same +1 probabilities, so at
-d = 1 every value is the sequence table's to the bit; at d >= 2 the pooled
-weights round apart from the table's per-sequence ones, by 1 ulp in 4 of the
-90 risks that the verify check `experiments.count-engine` grades (2 ulp
-allowed). The scores read the learner, d and n alone, so a count table is
-built once per (learner, d, n) and kept for every distribution, budget and
-test atom weighed on it (`_count_table`, the 8 most recent: an exact-ball
-benchmark pass reads 5).
+serves every point at any d. Its cells are (x, +1), (x, -1) and the other
+points' rows pooled, and a radius-1 ball is a state's unit row moves (2 at
+d = 1, 6 at d >= 2). The scores read the learner, d and n alone, so a count
+table is built once per (learner, d, n) and kept for every distribution,
+budget and test atom weighed on it (`_count_table`, the 8 most recent: an
+exact-ball benchmark pass reads 5). Every other oracle is scored anew per
+call on every atom sequence, zero-weight ones included, one (2d)^n-row
+batch scored once per point. A sequence's cells are the 2d atoms; a
+radius-1 ball's maximum is one over the per-axis reductions of the table's
+(2d,)*n view. Cost: d oracle calls plus k * n * (2d)^n array operations.
+Both layouts read the same +1 probabilities, so at d = 1 every value is
+the same to the bit; at d >= 2 the pooled weights round apart from the
+per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify check
+`experiments.count-engine` grades (2 ulp allowed).
 
-Every other oracle is scored on the sequence table, built anew per call:
-every atom sequence, zero-weight ones included, is one row of a single
-(2d)^n-row batch, scored once per point. A radius-1 ball's maximum is an
-elementwise maximum over the per-axis reductions of the table's (2d,)*n view
-(a radius-(j+1) ball is the union of radius-j balls around radius-1
-neighbours), and a sequence's cells are the 2d atoms. Cost: d oracle calls
-over the batch plus k * n * (2d)^n array operations. Either table keeps the
-ball maxima of the last 4 radii it built (`_ExactTable.ball_maxima`), so
-calls at one budget share them. Both spaces stop at 100,000 states
-(`_TABLE_CAP`). At the cap (d >= 2, n = 445; tracemalloc) a count table
-holds 0.8 MB and each kept radius 1.6 MB, a state space 18.6 MB (10.6 MB of
-it multiplicities), a set of exact weights 11.5, 36.0 or 59.4 MB at common
-denominators D = 8, 128 or 2000, and one test atom's coefficients 0.8 MB
-and their scales 0.4 MB, which keep their weight set's 0.8 MB index of live
-states alive: with one weight set kept, as a point's test atoms are weighed
-in a row, at most 16 * 18.6 + 59.4 = 357 MB in the state and weight caches,
-and 0.3-0.5 GB in the 256 coefficient sets (`_count_coefficients`).
+Kept, on both layouts: each table's ball maxima of its last 4 radii
+(`_ExactTable.ball_maxima`); the 16 most recent spaces; one set of exact
+weights (`_weights`: a point's test atoms are weighed in a row, and a
+sequence's cells serve every point); the 256 most recent coefficient sets,
+one per cell weights and test atom (`_coefficients`, keyed by ints). Both
+layouts stop at 100,000 states (`_TABLE_CAP`). At the cap (d >= 2, n = 445;
+tracemalloc) a count table holds 0.8 MB and each kept radius 1.6 MB, a
+space 18.6 MB (10.6 MB multiplicities; on sequences at most 9.0 MB, d = 1),
+a weight set 11.5, 36.0 or 59.4 MB at common denominators D = 8, 128 or
+2000 (under 1 MB on sequences), and a coefficient set 0.8 + 0.4 MB, keeping
+its weight set's 0.8 MB index of live states: at most 16 * 18.6 + 59.4 =
+357 MB in spaces and weights, 0.3-0.5 GB in the 256 coefficient sets.
 On a 2-vCPU Xeon a cold weight set takes 0.04-0.07, 0.25-0.34 or 0.65-0.93 s
 at those D, and a state space 0.05-0.15 s once per n (`_binomial_row`).
 
@@ -313,31 +311,47 @@ _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enu
 
 def _engine(p_oracle: PredictionOracle, d: int, n: int) -> _ExactTable:
     """A bound method of a learner with a `count_law` (`scoring_hook`, which
-    refuses a distribution past its domain) is scored on count states: its
-    table for (d, n), built once and kept (`_count_table`). Any other oracle
-    is scored anew on every atom sequence over d points (`_SequenceTable`),
-    as it makes no per-point promise."""
+    refuses a distribution past its domain) is scored on count states, its
+    table for (d, n) built once and kept (`_count_table`). Any other oracle
+    is scored anew on every atom sequence over d points, one batch of the
+    space's codes, by one call per point x, column x of `p`."""
     learner = getattr(p_oracle, "__self__", None)
     if scoring_hook(learner, "count_law", d) is not None:
         return _count_table(learner, d, n)
-    return _SequenceTable(p_oracle, d, n)
+    codes = _space(n, d, True).codes
+    batch = Sample(np.repeat(np.arange(d), 2)[codes], np.tile([PLUS, MINUS], d)[codes])
+    return _ExactTable(n, d, True, np.stack(
+        [one_per_trial(p_oracle, p_oracle(batch, x), len(codes)) for x in range(d)], axis=-1))
+
+
+@functools.lru_cache(maxsize=8)
+def _count_table(learner: Learner, d: int, n: int) -> _ExactTable:
+    """A learner's `count_law` at every count state (those of d = 2 at any d
+    >= 2), one (S,) column that serves every point, as the law does not read
+    x. Keyed by the learner object, which the cache holds: its law must not
+    change once scored. lru_cache keeps no exception: over the cap, every
+    call raises."""
+    d = min(d, 2)
+    a, b, _ = _space(n, d, False).cells
+    return _ExactTable(n, d, False, one_per_trial(learner, learner.count_law(a, b, n), len(a)))
 
 
 _RADII = 4  # ball radii whose maxima a table keeps
 
 
 class _ExactTable:
-    """The risk rule of both state spaces. A space holds the oracle's +1
-    probabilities at its states, `p`, for samples of size `n`, and gives its
-    radius-1 ball maximum, `ball_step(values)`, and its live states under
-    atoms nums[j] / den, `weights(nums, den, x, qnum, qden)`: (their index
-    into `p` at point x, float(w * q * 2^s) and s (`_scaled_weights`),
-    numbers of sequences), w the exact weight of one sequence in the state
-    and q = qnum / qden, in lowest terms, that of a test atom at x. It keeps
-    the ball maxima of the last `_RADII` radii (`ball_maxima`)."""
+    """The risk rule over one state space, `_space(n, d, per_row)`: the
+    oracle's +1 probabilities at its states, `p`, a (S,) column on count
+    states and (S, d) on sequences. It gives the radius-1 ball maximum,
+    `ball_step(values)`, and the live states under atoms nums[j] / den,
+    `weights(nums, den, x, qnum, qden)`: (their index into `p` at point x,
+    float(w * q * 2^s) and s (`_scaled_weights`), numbers of sequences), w
+    the exact weight of one sequence in the state and q = qnum / qden, in
+    lowest terms, that of a test atom at x. It keeps the ball maxima of the
+    last `_RADII` radii (`ball_maxima`)."""
 
-    def __init__(self, n: int, p: np.ndarray):
-        self.n = n
+    def __init__(self, n: int, d: int, per_row: bool, p: np.ndarray):
+        self.n, self.d, self.per_row, self.moves = n, d, per_row, _space(n, d, per_row).moves
         self.p, = _read_only(p)
         self.maxima: dict[int, dict[int, np.ndarray]] = {}
 
@@ -395,89 +409,69 @@ class _ExactTable:
         total = sum(m * (i << (e - low)) for m, i, e in zip(mults, ints, exponents))
         return total / (1 << (53 - low))
 
-
-class _SequenceTable(_ExactTable):
-    """The oracle at every atom sequence: state s is the s-th length-n
-    sequence over the 2d atoms in row-major order, zero-weight ones
-    included, scored as one batch by one call per point x, column x of `p`.
-    Each sequence's atom-count class and its atom counts are found once."""
-
-    def __init__(self, p_oracle: PredictionOracle, d: int, n: int):
-        if (2 * d) ** n > _TABLE_CAP:
-            raise EnumerationTooLargeError(f"{(2 * d) ** n} samples exceed cap {_TABLE_CAP}")
-        self.axes = (2 * d,) * n
-        seqs = np.indices(self.axes).reshape(n, -1).T
-        batch = Sample(np.repeat(np.arange(d), 2)[seqs], np.tile([PLUS, MINUS], d)[seqs])
-        super().__init__(n, np.stack([one_per_trial(p_oracle, p_oracle(batch, x), len(seqs))
-                                      for x in range(d)], axis=-1))
-        classes, self.classes = np.unique(
-            np.ravel_multi_index(tuple(np.sort(seqs, axis=1).T), self.axes), return_inverse=True)
-        self.counts = (seqs[classes][:, :, None] == np.arange(2 * d)).sum(axis=1).T
-
     def ball_step(self, values: np.ndarray) -> np.ndarray:
-        """An elementwise maximum over the reductions along each row's axis
-        of the (2d,)*n + (d,) view: row j rewritten to any atom."""
-        out = view = values.reshape(self.axes + values.shape[-1:])
+        """The maximum over each state's radius-1 ball. On count states, over
+        the state and its unit row moves: a rewritten row is at most one unit
+        move, and each unit move one rewritten row, so a rule that reads only
+        the counts at x has its ball maximum there. On sequences, over the
+        reductions along each row's axis of the (2d,)*n + (d,) view: row j
+        rewritten to any atom."""
+        if self.moves is not None:
+            return values[self.moves].max(axis=1)
+        out = view = values.reshape((2 * self.d,) * self.n + values.shape[-1:])
         for axis in range(self.n):
             out = np.maximum(out, view.max(axis=axis, keepdims=True))
         return out.reshape(values.shape)
 
     def weights(self, nums: Sequence[int], den: int, x: int, qnum: int,
-                qden: int) -> tuple[tuple, np.ndarray, np.ndarray, Sequence[int]]:
-        """Indexed (live, x), one sequence each, whatever x is."""
-        g = math.gcd(*nums, den)
-        numerators = _power_weights([num // g for num in nums], self.counts, self.n)
-        live = np.array(numerators, dtype=bool)[self.classes].nonzero()[0]
-        coef, shift = _scaled_weights(numerators, (den // g) ** self.n, qnum, qden)
-        return (live, x), coef[self.classes[live]], shift[self.classes[live]], (1,) * len(live)
+                qden: int) -> tuple[tuple | np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+        """`_coefficients` of the cells, divided by their gcd with den: a
+        sequence's are the 2d atoms whatever x is, indexed (live, x); a count
+        state's (x, +1), (x, -1) and the rest, indexed by state alone."""
+        if self.per_row:
+            g = math.gcd(*nums, den)
+            live, coef, shift, mults = _coefficients(
+                self.n, self.d, True, den // g, qnum, qden, *[num // g for num in nums])
+            return (live, x), coef, shift, mults
+        plus, minus = nums[2 * x], nums[2 * x + 1]
+        g = math.gcd(plus, minus, den)
+        return _coefficients(self.n, self.d, False, den // g, qnum, qden,
+                             plus // g, minus // g, (den - plus - minus) // g)
 
 
-class _CountTable(_ExactTable):
-    """A learner's `count_law` at every count state, one (S,) column from one
-    call on `_count_states`' arrays: the law does not read x, so the column
-    serves every point. It depends on the learner, d and n alone
-    (`_count_table`)."""
+class _Space(NamedTuple):
+    """A state space of size-n samples (`_space`)."""
 
-    def __init__(self, learner: Learner, d: int, n: int):
-        (a, b, _), self.moves, self.mults = _count_states(n, d == 1)
-        super().__init__(n, one_per_trial(learner, learner.count_law(a, b, n), len(a)))
-
-    def ball_step(self, values: np.ndarray) -> np.ndarray:
-        """The maximum over each state and its neighbours one unit row move
-        away. Rewriting one row moves a state by at most one unit row move,
-        and each unit move is one rewritten row, so the states k moves away
-        are those of the samples in the ball; a rule that reads only the
-        counts at x takes its maximum over them."""
-        return values[self.moves].max(axis=1)
-
-    def weights(self, nums: Sequence[int], den: int, x: int, qnum: int,
-                qden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
-        """`_count_coefficients` at point x's atoms, indexed by state alone."""
-        g = math.gcd(nums[2 * x], nums[2 * x + 1], den)
-        live, coef, shift = _count_coefficients(
-            nums[2 * x] // g, nums[2 * x + 1] // g, den // g, qnum, qden, self.n)
-        mults = self.mults if len(live) == len(self.mults) else [self.mults[s] for s in live]
-        return live, coef, shift, mults
-
-
-# Keyed by the learner object, which the cache holds, with d and n: a learner's
-# law must not change once it is scored. A table over the cap raises on every
-# call, as lru_cache keeps no exception.
-_count_table = functools.lru_cache(maxsize=8)(_CountTable)
+    classes: np.ndarray  # (S,) each state's weight class
+    cells: np.ndarray  # (cells, classes) each class's rows in each cell
+    mults: tuple[int, ...]  # each state's number of sequences
+    moves: np.ndarray | None  # count states: (S, moves + 1), each state and its neighbours
+    codes: np.ndarray | None  # sequences: (S, n) atom codes, the oracle's batch
 
 
 @functools.lru_cache(maxsize=16)  # 18.6 MB an entry at the cap (module docstring)
-def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The count states (a, b, r = n - a - b) of one point in a size-n sample
-    as a (3, S) array, a then b ascending: (a, n - a, 0) when the point is the
-    whole domain (`single`), else every a + b <= n. Also, per state, its own
-    index and its neighbours' one unit row move away, (S, moves + 1): a row
-    goes (x, +1) <-> (x, -1), and unless `single`, to or from another point; a
-    move off the state space stands for the state itself. Last, each state's
-    n! / (a! b! r!) sequences. States are capped as sequences (`_TABLE_CAP`)."""
-    size = n + 1 if single else (n + 1) * (n + 2) // 2
+def _space(n: int, d: int, per_row: bool) -> _Space:
+    """The states of size-n samples over d points, at most `_TABLE_CAP`.
+    Per row, state s is the s-th sequence over the 2d atoms in row-major
+    order; its cells are the atoms, and sequences with the same atom counts
+    share a weight class. Else, the count states (a, b, r = n - a - b) of
+    one point, a then b ascending: (a, n - a, 0) when the point is the whole
+    domain (d = 1), else every a + b <= n, each its own class with n! / (a!
+    b! r!) sequences. `moves` lists each state and its neighbours one unit
+    row move away: a row goes (x, +1) <-> (x, -1), and at d >= 2 to or from
+    another point; a move off the space stands for the state itself."""
+    single = d == 1
+    size = (2 * d) ** n if per_row else n + 1 if single else (n + 1) * (n + 2) // 2
     if size > _TABLE_CAP:
-        raise EnumerationTooLargeError(f"{size} count states exceed cap {_TABLE_CAP}")
+        states = "samples" if per_row else "count states"
+        raise EnumerationTooLargeError(f"{size} {states} exceed cap {_TABLE_CAP}")
+    if per_row:
+        axes = (2 * d,) * n
+        codes = np.indices(axes).reshape(n, -1).T
+        firsts, classes = np.unique(np.ravel_multi_index(tuple(np.sort(codes, axis=1).T), axes),
+                                    return_inverse=True)
+        cells = (codes[firsts][:, :, None] == np.arange(2 * d)).sum(axis=1).T
+        return _Space(*_read_only(classes, cells), (1,) * size, None, _read_only(codes)[0])
     own = np.arange(size)
     # state (a, b) is number a when single, else a (2n + 3 - a) / 2 + b: the
     # rows of a' < a hold n + 1 - a' states each
@@ -487,9 +481,9 @@ def _count_states(n: int, single: bool) -> tuple[np.ndarray, np.ndarray, tuple[i
     steps = [(1, -1), (-1, 1)] + ([] if single else [(1, 0), (-1, 0), (0, 1), (0, -1)])
     near = [np.where((a + da >= 0) & (b + db >= 0) & (a + da + b + db <= n),
                      index(a + da, b + db), own) for da, db in steps]
-    moves = np.stack([own, *near], axis=1)
     rows = [_binomial_row(n)] if single else map(_binomial_row, range(n, -1, -1), _binomial_row(n))
-    return *_read_only(np.array([a, b, n - a - b]), moves), tuple(itertools.chain(*rows))
+    return _Space(*_read_only(own, np.array([a, b, n - a - b])), tuple(itertools.chain(*rows)),
+                  *_read_only(np.stack([own, *near], axis=1)), None)
 
 
 def _binomial_row(m: int, first: int = 1) -> Iterator[int]:
@@ -502,26 +496,29 @@ def _binomial_row(m: int, first: int = 1) -> Iterator[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _count_coefficients(plus: int, minus: int, den: int, qnum: int, qden: int,
-                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The live count states of one point with atoms plus / den and minus /
-    den and float(w * q * 2^s) and s of each one's exact weight w
-    (`_count_weights`, `_scaled_weights`) at q = qnum / qden, built once."""
-    live, numerators, denominator = _count_weights(plus, minus, den, n)
-    return live, *_read_only(*_scaled_weights(numerators, denominator, qnum, qden))
+def _coefficients(n: int, d: int, per_row: bool, den: int, qnum: int, qden: int,
+                  *bases: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+    """The live states of `_space(n, d, per_row)` with cells of weights
+    bases[k] / den, float(w * q * 2^s) and s of each one's exact weight w at
+    q = qnum / qden (`_scaled_weights`, once per class), and its sequences."""
+    live, at, numerators, denominator, mults = _weights(n, d, per_row, den, *bases)
+    coef, shift = _scaled_weights(numerators, denominator, qnum, qden)
+    return live, *_read_only(coef[at], shift[at]), mults
 
 
 @functools.lru_cache(maxsize=1)  # 12-59 MB at the cap; one is enough (module docstring)
-def _count_weights(plus: int, minus: int, den: int, n: int
-                   ) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """The live (nonzero-weight) count states of one point with atoms plus /
-    den and minus / den, the numerators plus^a minus^b rest^r of their exact
-    weights (rest = den - plus - minus) and den^n, for any test atom."""
-    rest = den - plus - minus
-    cells, _, _ = _count_states(n, not rest)
-    numerators = _power_weights((plus, minus, rest), cells, n)
-    live = np.array(numerators, dtype=bool).nonzero()[0]
-    return _read_only(live)[0], tuple(itertools.compress(numerators, numerators)), den ** n
+def _weights(n: int, d: int, per_row: bool, den: int, *bases: int
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], int, Sequence[int]]:
+    """The live (nonzero-weight) states of `_space(n, d, per_row)` with cells
+    of weights bases[k] / den and each one's class, each class's numerator
+    prod_k bases[k] ** c_k over den ** n, c its cell counts, den ** n, and
+    each live state's number of sequences, for any test atom."""
+    space = _space(n, d, per_row)
+    numerators = _power_weights(bases, space.cells, n)
+    live, = _read_only(np.array(numerators, dtype=bool)[space.classes].nonzero()[0])
+    mults = space.mults if len(live) == len(space.mults) else tuple(
+        map(space.mults.__getitem__, live.tolist()))
+    return live, space.classes[live], numerators, den ** n, mults
 
 
 def _power_weights(bases: Sequence[int], counts: np.ndarray, n: int) -> tuple[int, ...]:

@@ -546,8 +546,9 @@ class BayesLearner(Learner):
         self._probs = np.array([1.0 if u > 0 else 0.0 if u < 0 else 0.5 for u in self.coords])
 
     def prediction_prob(self, sample: Sample, x, gen=None):
-        """The sign of the bias at x, read off a table built once; the sample is ignored."""
+        """The sign of the bias at x, read off a table built once; the sample
+        is ignored. A batch gets one value per row, at one x or at its own."""
         if not 0 <= np.min(x) <= np.max(x) < len(self.coords):
             raise DomainMismatchError(f"point {x} outside domain of size {len(self.coords)}")
         p = self._probs[x]
-        return p if sample.batched else float(p)
+        return np.full(len(sample.codes), p) if sample.batched else float(p)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import statistics
 from collections import Counter
@@ -513,19 +514,15 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
                             (coupled.prediction_prob, True),
                             (lambda s, x: full.prediction_prob(s, x), False),
                             (three.prediction_prob, False)):
-        engine = experiments._engine(oracle, dist.dimension, 2)
-        assert isinstance(engine, experiments._CountTable) == counted
-        assert isinstance(engine, experiments._SequenceTable) != counted
+        assert experiments._engine(oracle, dist.dimension, 2).per_row != counted
     vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 5), 1))
     one = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
-    assert isinstance(experiments._engine(vc.mean_prediction_prob, one.dimension, 5),
-                      experiments._SequenceTable)
+    assert experiments._engine(vc.mean_prediction_prob, one.dimension, 5).per_row
     # majority's count hook draws coins: the exact engine keeps to count laws
     majority = MajorityVoteLearner(4)
     assert majority.count_law is None
     for space in (one, dist):
-        assert isinstance(experiments._engine(majority.prediction_prob, space.dimension, 4),
-                          experiments._SequenceTable)
+        assert experiments._engine(majority.prediction_prob, space.dimension, 4).per_row
 
 
 class _ScrambledCountRule(Learner):
@@ -601,45 +598,19 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
     assert abs(f) > 0.01 and 0.3 < clean < 0.5
 
 
-@pytest.mark.parametrize("p_plus, p_minus, n", [
-    (Fraction(19, 32), Fraction(13, 32), 40),  # d = 1
-    (Fraction(19, 64), Fraction(13, 64), 12),  # d = 2
-    ((Fraction(1, 2) + Fraction(0.1)) / 3, (Fraction(1, 2) - Fraction(0.1)) / 3, 9),  # float bias
-    (Fraction(1, 2), Fraction(0), 10),  # u = 1/2 at d = 2: states with b > 0 weigh 0
-])
-def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_minus, n):
-    # the count states' power products and their multiplicities, built once
-    # with the state space, against Fraction products and math.comb pairs;
-    # the atoms go in as integers over their least common denominator
-    (a, b, _), _, mults = experiments._count_states(n, p_plus + p_minus == 1)
-    den = math.lcm(p_plus.denominator, p_minus.denominator)
-    for q in (p_plus, p_minus, Fraction(1)):
-        live, coef, shift = experiments._count_coefficients(
-            int(p_plus * den), int(p_minus * den), den, q.numerator, q.denominator, n)
-        want, scaled = [], []
-        for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
-            w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
-            if w:
-                want.append((s, float(w * q), math.comb(n, i) * math.comb(n - i, j)))
-                scaled.append(w * q)
-        assert list(zip(live.tolist(), np.ldexp(coef, -shift).tolist(),
-                        [mults[s] for s in live])) == want
-        assert all(Fraction(1, 2) <= v * 2 ** k < 2 for v, k in zip(scaled, shift.tolist()) if v)
-    assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
-                           for i, j in zip(a.tolist(), b.tolist())]
-
-
 @pytest.mark.parametrize("single", [True, False])
 def test_count_state_multiplicities_are_the_binomial_products(single):
     # the running products against math.comb: every state up to n = 24,
     # then spot states of the d = 1 space at n = 4096 and the d >= 2 one at
     # the cap, n = 445
     for n in range(25):
-        (a, b, _), _, mults = experiments._count_states(n, single)
+        space = experiments._space(n, 1 if single else 2, False)
+        (a, b, _), mults = space.cells, space.mults
         assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
                                for i, j in zip(a.tolist(), b.tolist())]
     n = 4096 if single else 445
-    (a, b, _), _, mults = experiments._count_states(n, single)
+    space = experiments._space(n, 1 if single else 2, False)
+    (a, b, _), mults = space.cells, space.mults
     spots = np.random.default_rng(SEED + 14).integers(0, len(mults), size=40).tolist()
     for s in spots + [0, 1, len(mults) // 2, len(mults) - 2, len(mults) - 1]:
         i, j = int(a[s]), int(b[s])
@@ -653,32 +624,33 @@ def test_count_weights_are_built_once_per_point():
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
     u = BiasVector([Fraction(5, 32), Fraction(-7, 32)])
     dist = ProductBiasDistribution(u)
-    experiments._count_states.cache_clear()
-    experiments._count_weights.cache_clear()
-    experiments._count_coefficients.cache_clear()
+    experiments._space.cache_clear()
+    experiments._weights.cache_clear()
+    experiments._coefficients.cache_clear()
     exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 16), 20)
     exhaustive_clean_loss(learner.prediction_prob, dist, 20)
     exact_F(learner.prediction_prob, u, 20, 1)
-    assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 1
-    assert experiments._count_weights.cache_info().misses == 2
-    assert experiments._count_states.cache_info().misses == 1
+    assert experiments._coefficients.cache_info().misses == 2 * 2 + 1
+    assert experiments._weights.cache_info().misses == 2
+    assert experiments._space.cache_info().misses == 1
     # point 0's atoms are the same beside any other coordinate, though the
     # atoms' common denominator moves from 128 to 384: F at point 0 builds
     # its coefficients once
     exact_F(learner.prediction_prob, u, 20, 0)
     exact_F(learner.prediction_prob, BiasVector([Fraction(5, 32), Fraction(1, 3)]), 20, 0)
-    assert experiments._count_coefficients.cache_info().misses == 2 * 2 + 2
+    assert experiments._coefficients.cache_info().misses == 2 * 2 + 2
 
 
 def test_multiplicities_are_built_once_per_state_space(monkeypatch):
     # a second and third bias at one n, on a table kept for every bias and a
-    # fresh sequence table alike, build no multiplicity: the count table and
-    # every bias's weights read the ones built with the states
+    # fresh sequence table alike, build no multiplicity and no state space:
+    # the count table and every bias's weights read the ones built with the
+    # states
     rows = []
     binomial_row = experiments._binomial_row
     monkeypatch.setattr(experiments, "_binomial_row",
                         lambda m, *first: rows.append(m) or binomial_row(m, *first))
-    experiments._count_states.cache_clear()
+    experiments._space.cache_clear()
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.1, Fraction(1, 2)],
@@ -688,9 +660,10 @@ def test_multiplicities_are_built_once_per_state_space(monkeypatch):
         exact_F(learner.prediction_prob, dist.bias, 13, 0)
         exhaustive_clean_loss(wrapped, dist, 3)
         assert rows == [13] + list(range(13, -1, -1))  # C(13, a), then C(13 - a, b) per a
-        assert experiments._count_states.cache_info().misses == 1
+        assert experiments._space.cache_info().misses == 2  # count states at 13, sequences at 3
     table = experiments._engine(learner.prediction_prob, 2, 13)
-    assert table.mults is experiments._count_states(13, False)[2]
+    nums, den = _integer_atoms(dist)
+    assert table.weights(nums, den, 0, 1, 1)[3] is experiments._space(13, 2, False).mults
 
 
 def _integer_atoms(dist: ProductBiasDistribution) -> tuple[list[int], int]:
@@ -700,40 +673,78 @@ def _integer_atoms(dist: ProductBiasDistribution) -> tuple[list[int], int]:
     return [int(p * den) for _, p in dist.atoms()], den
 
 
-def _sequence_weights_reference(probs: dict, n: int, q) -> tuple[list[int], list[float]]:
-    """The live sequences of `probs`' atoms in row-major order and float(w *
-    q) of each, w = prod_a q_a ** c_a a product of `Fraction`s over its atom
-    counts c."""
-    live, coefs = [], []
-    for s, seq in enumerate(product(range(len(probs)), repeat=n)):
-        w = math.prod(q_a ** seq.count(a) for a, q_a in enumerate(probs.values()))
-        if w:
-            live.append(s)
-            coefs.append(float(w * q))
-    return live, coefs
+def _state_weights_reference(probs: dict, d: int, n: int, x: int,
+                             per_row: bool) -> list[tuple[Fraction, int]]:
+    """Each state's exact weight of one sequence, a product of `Fraction`s,
+    and its number of sequences, in the table's state order: per row, every
+    sequence over `probs`' atoms in row-major order, one sequence each; else
+    the count states (a, b, r) of point x, a then b ascending, n! / (a! b!
+    r!) sequences each."""
+    if per_row:
+        atoms = list(probs.values())
+        return [(math.prod(q_a ** seq.count(a) for a, q_a in enumerate(atoms)), 1)
+                for seq in product(range(len(atoms)), repeat=n)]
+    plus, minus = probs[(x, PLUS)], probs[(x, MINUS)]
+    return [(plus ** a * minus ** b * (1 - plus - minus) ** (n - a - b),
+             math.comb(n, a) * math.comb(n - a, b))
+            for a in range(n + 1) for b in (range(n + 1 - a) if d > 1 else (n - a,))]
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([(1, 7), (2, 4), (3, 3)]),
-       st.lists(st.sampled_from([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2), Fraction(-1, 2),
-                                 Fraction(0), 0.1, -0.3, Fraction(1, 3 ** 40),
-                                 Fraction(1, 2) - Fraction(1, 3 ** 40), Fraction(5, 11)]),
-                min_size=3, max_size=3))
-@example((2, 4), [0.1, Fraction(1, 3 ** 40), 0])
-def test_sequence_table_coefficients_are_the_floats_of_exact_fraction_products(shape, coords):
-    # the integer power products over one denominator give every sequence
-    # the float of its exact Fraction weight, at q = 1 and at every atom's q
-    d, n = shape
+@given(d=st.sampled_from([1, 2, 3]),
+       coords=st.lists(st.sampled_from([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2),
+                                        Fraction(-1, 2), Fraction(0), 0.1, -0.3,
+                                        Fraction(1, 3 ** 40), Fraction(1, 2) - Fraction(1, 3 ** 40),
+                                        Fraction(5, 11)]),
+                       min_size=3, max_size=3))
+@example(d=2, coords=[0.1, Fraction(1, 3 ** 40), 0])
+@example(d=2, coords=[Fraction(1, 2), 0, 0])  # count states with b > 0 at point 0 weigh 0
+@example(d=1, coords=[Fraction(3, 32), 0, 0])
+@example(d=3, coords=[0.1, Fraction(-1, 8), Fraction(1, 4)])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_coefficients_are_the_floats_of_exact_fraction_weights(per_row, d, coords):
+    # on either layout the integer power products over one denominator give
+    # every live state the float of its exact Fraction weight, at q = 1 and
+    # at every atom's q, and its number of sequences; a count state holds
+    # many, so that layout is checked at larger n
+    n = (7, 4, 3)[d - 1] if per_row else (40, 12, 9)[d - 1]
     dist = ProductBiasDistribution(BiasVector(coords[:d]))
-    table = experiments._SequenceTable(lambda s, x: np.full(len(s.points), 0.5), d, n)
+    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(Fraction(1, 8)))
+    oracle = (lambda s, x: np.full(len(s.codes), 0.5)) if per_row else learner.prediction_prob
+    table = experiments._engine(oracle, d, n)
     probs = dict(dist.atoms())
     nums, den = _integer_atoms(dist)
     for (x, _), q in [((0, PLUS), Fraction(1)), *probs.items()]:
-        (live, at), coef, shift, mults = table.weights(nums, den, x, q.numerator, q.denominator)
-        want_live, want_coef = _sequence_weights_reference(probs, n, q)
-        assert at == x and live.tolist() == want_live
-        assert np.ldexp(coef, -shift).tolist() == want_coef and list(mults) == [1] * len(want_live)
-        assert ((coef >= 0.5) & (coef <= 2) | (coef == 0)).all()
+        index, coef, shift, mults = table.weights(nums, den, x, q.numerator, q.denominator)
+        live = index[0] if per_row else index
+        assert not per_row or index[1] == x
+        states = _state_weights_reference(probs, d, n, x, per_row)
+        want = [(s, float(w * q), m) for s, (w, m) in enumerate(states) if w]
+        assert len(live) == len(coef) == len(shift) == len(mults) == len(want)
+        assert list(zip(live.tolist(), np.ldexp(coef, -shift).tolist(), mults)) == want
+        assert not q or all(Fraction(1, 2) <= states[s][0] * q * 2 ** k < 2
+                            for s, k in zip(live.tolist(), shift.tolist()))
+
+
+def test_a_sequence_space_and_its_weights_are_built_once_per_size_and_dimension():
+    # the sequences, their classes and their weights read n and d alone: a
+    # second oracle at the same size and bias builds none of them, and every
+    # test atom reads the one weight set of all 2d atoms
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), 0.1]))
+    oracles = [lambda s, x: learner.prediction_prob(s, x), lambda s, x: np.full(len(s.codes), 0.5),
+               BayesLearner(dist.bias.coords).prediction_prob]
+    for cache in (experiments._space, experiments._weights, experiments._coefficients):
+        cache.cache_clear()
+    tables = []
+    for oracle in oracles:
+        tables.append(experiments._engine(oracle, 2, 4))
+        exhaustive_adversarial_loss(oracle, dist, Fraction(1, 4), 4)
+        exhaustive_clean_loss(oracle, dist, 4)
+        assert experiments._space.cache_info().misses == 1
+        assert experiments._weights.cache_info().misses == 1
+        assert experiments._coefficients.cache_info().misses == 4  # one per test atom
+    assert len({id(t) for t in tables}) == 3 and tables[0].p.shape == (4 ** 4, 2)
 
 
 @pytest.mark.parametrize("x", [-1, 2])
@@ -792,7 +803,7 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
     # another bound method object of the same learner reads the same table
     assert experiments._engine(learners[0].prediction_prob, 1, 4) is tables[0, 4]
     for (i, n), table in tables.items():
-        fresh = experiments._CountTable(learners[i], 1, n)
+        fresh = experiments._count_table.__wrapped__(learners[i], 1, n)
         assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
     assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
     # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
@@ -825,19 +836,19 @@ def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
     monkeypatch.setattr("poisonlab.learners._softmax", recorded)
     monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 63)
     full = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
-    assert experiments._CountTable(full, 3, 9).p.shape == (55,)
+    assert experiments._count_table(full, 3, 9).p.shape == (55,)
     assert passes == []
 
 
 @pytest.mark.parametrize("d", range(1, 5))
 def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
-    # the law on `_count_states`' arrays against `batch_prediction_probs` on
+    # the law on the count states' cells against `batch_prediction_probs` on
     # histograms of the same states at each x, the r = n - a - b other rows
     # all at (x + 1, +1) or all at (x - 1, -1): the same floats to the bit
     for eta in (Fraction(1, 64), Fraction(1, 4), 0.37):
         learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
         for n in (1, 7, 40):
-            (a, b, _), _, _ = experiments._count_states(n, d == 1)
+            a, b, _ = experiments._space(n, min(d, 2), False).cells
             law = learner.count_law(a, b, n)
             for x in range(d):
                 for point, column in (((x + 1) % d, 0), ((x - 1) % d, 1)):
@@ -854,8 +865,8 @@ def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
     rule = _ScrambledCountRule(d)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)][:d]))
     wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
-    for build in (lambda: experiments._CountTable(rule, d, n),
-                  lambda: experiments._SequenceTable(wrapped, d, n)):
+    for build in (lambda: experiments._count_table.__wrapped__(rule, d, n),
+                  lambda: experiments._engine(wrapped, d, n)):
         table = build()
         for k in (2, 0, 1, 5, 3, 4, 2, 0):
             fresh = build()
@@ -1170,6 +1181,26 @@ def test_brute_force_takes_the_averaged_oracle_the_hooks_give(case):
         assert make_adversary("brute-force", eta, learner, 2).predictor == getattr(learner, oracle)
 
 
+def test_bayes_rule_exact_clean_risk_is_the_bayes_loss():
+    # the rule is scored on every atom sequence; each term is rounded on its
+    # own before the exact sum, so the risk may sit an ulp off the exact
+    # Bayes loss (d = 3 here); at these biases d = 1 and 2 meet it exactly
+    for coords, n in (([Fraction(1, 4)], 3), ([0.1], 2), ([Fraction(-1, 2)], 4),
+                      ([Fraction(1, 4), Fraction(-1, 8)], 3), ([0.1, Fraction(1, 2)], 2)):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        assert exhaustive_clean_loss(BayesLearner(coords).prediction_prob, dist, n) == float(
+            bayes_loss(dist))
+    worst = 0.0
+    for coords in ([Fraction(1, 4), Fraction(-1, 8), Fraction(0)],
+                   [Fraction(1, 3), Fraction(1, 3), Fraction(-1, 4)], [0.1, -0.3, Fraction(1, 2)]):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        want = float(bayes_loss(dist))
+        for n in (1, 2, 3):
+            got = exhaustive_clean_loss(BayesLearner(coords).prediction_prob, dist, n)
+            worst = max(worst, abs(got - want) / math.ulp(want))
+    assert worst <= 2
+
+
 @pytest.mark.parametrize("n", [1074, 1100, 2048, 4096])
 def test_exact_engine_at_d1_keeps_its_symmetry_past_subnormal_weights(n):
     # at u = 0 every sequence of n rows weighs 2^-n, no normal float from
@@ -1190,7 +1221,7 @@ def test_sequence_table_scores_its_subnormal_terms_as_the_count_engine_does():
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
     nums, den = _integer_atoms(dist)
     q = dist.atom_probability(0, MINUS)
-    _, _, shift, _ = experiments._SequenceTable(wrapped, 1, 8).weights(
+    _, _, shift, _ = experiments._engine(wrapped, 1, 8).weights(
         nums, den, 0, q.numerator, q.denominator)
     assert shift.max() > 1022
     for eta in (0, Fraction(1, 4)):
@@ -2011,6 +2042,134 @@ def test_exact_engine_value_lock():
             vc.mean_prediction_prob, dist(Fraction(1, 4)), Fraction(1, 8), 8),
     }
     assert {key: repr(cell()) for key, cell in cells.items()} == EXACT_LOCK
+
+
+def _frozen_cells() -> dict:
+    """The exact values frozen over both layouts: count states (a bound
+    method of exp-mech), atom sequences (an undeclared wrapper of it), the
+    subsample rule's criterion-7 miniature, `equivalence_check` reports,
+    `exact_F` and `lower_bound_exact`."""
+    def exp(d, eta):
+        return ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+
+    def wrap(learner):
+        return lambda s, x: learner.prediction_prob(s, x)
+
+    coords = [Fraction(1, 4), 0.1, Fraction(1, 2), Fraction(-1, 7)]
+    cells = {}
+    for d, sizes, kind in ((1, (8, 512), "count"), (2, (20, 40), "count"), (4, (20, 40), "count"),
+                           (1, (8,), "sequence"), (2, (4,), "sequence"), (3, (3,), "sequence")):
+        learner = exp(d, Fraction(1, 16))
+        oracle = learner.prediction_prob if kind == "count" else wrap(learner)
+        dist = ProductBiasDistribution(BiasVector(coords[:d]))
+        for n in sizes:
+            name = f"{kind} d={d} n={n}"
+            cells[f"{name} adversarial"] = functools.partial(
+                exhaustive_adversarial_loss, oracle, dist, Fraction(1, 3), n)
+            cells[f"{name} public"] = functools.partial(
+                exhaustive_public_loss, oracle, dist, Fraction(1, 2), n)
+            cells[f"{name} clean"] = functools.partial(exhaustive_clean_loss, oracle, dist, n)
+            cells[f"{name} F"] = functools.partial(exact_F, oracle, dist.bias, n, d - 1)
+            if d == 1:
+                for u in (Fraction(1, 4), 0.1, Fraction(-1, 2)):
+                    cells[f"{name} equivalence u={u}"] = functools.partial(
+                        equivalence_check, oracle, u, Fraction(1, 8), n)
+    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 8), 1))
+    cells["vc miniature"] = functools.partial(
+        exhaustive_adversarial_loss, vc.mean_prediction_prob,
+        ProductBiasDistribution(BiasVector([Fraction(1, 4)])), Fraction(1, 8), 8)
+    for d, n in ((1, 256), (2, 32)):
+        cells[f"lower_bound_exact d={d} n={n}"] = functools.partial(
+            lower_bound_exact, exp(d, Fraction(1, 64)), Fraction(1, 64), d, n)
+    return cells
+
+
+# repr of every `_frozen_cells` value, computed before the two layouts
+# became one table class; every later engine change must keep each to the bit
+FROZEN_EXACT = {
+    "count d=1 n=8 adversarial": "0.6060309990918796",
+    "count d=1 n=8 public": "0.8407975307900818",
+    "count d=1 n=8 clean": "0.3495808324299245",
+    "count d=1 n=8 F": "0.300838335140151",
+    "count d=1 n=8 equivalence u=1/4": (
+        "EquivalenceReport(u=Fraction(1, 4), eta=Fraction(1, 8), n=8, "
+        "left_loss=0.6060309990918796, guard=0.7165313105737893, "
+        "right_restricted=0.3495808324299245, slack=0.9729814772357444, holds=True)"),
+    "count d=1 n=8 equivalence u=0.1": (
+        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), "
+        "eta=Fraction(1, 8), n=8, left_loss=0.7585316546332651, "
+        "guard=0.7165313105737893, right_restricted=0.47403469083374616, "
+        "slack=1.0010282743733083, holds=True)"),
+    "count d=1 n=8 equivalence u=-1/2": (
+        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 8), n=8, "
+        "left_loss=0.15907733631132953, guard=0.7165313105737893, "
+        "right_restricted=0.0345489432561919, slack=0.8410597036289269, holds=True)"),
+    "count d=1 n=512 adversarial": "0.7159558094998882",
+    "count d=1 n=512 public": "0.8715007955618218",
+    "count d=1 n=512 clean": "0.3299084276817356",
+    "count d=1 n=512 F": "0.34018314463652877",
+    "count d=1 n=512 equivalence u=1/4": (
+        "EquivalenceReport(u=Fraction(1, 4), eta=Fraction(1, 8), n=512, "
+        "left_loss=0.6159034893825128, guard=5.433141960916677e-10, "
+        "right_restricted=0.3299084276817356, slack=0.2859950622440914, holds=True)"),
+    "count d=1 n=512 equivalence u=0.1": (
+        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), "
+        "eta=Fraction(1, 8), n=512, left_loss=0.8022553973060942, "
+        "guard=5.433141960916677e-10, right_restricted=0.46802498421699956, "
+        "slack=0.3342304136324088, holds=True)"),
+    "count d=1 n=512 equivalence u=-1/2": (
+        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 8), n=512, "
+        "left_loss=0.15907733631132953, guard=5.433141960916677e-10, "
+        "right_restricted=0.0345489432561919, slack=0.12452839359845183, holds=True)"),
+    "count d=2 n=20 adversarial": "0.8767402837833659",
+    "count d=2 n=20 public": "0.9604714797816781",
+    "count d=2 n=20 clean": "0.4285585835433055",
+    "count d=2 n=20 F": "0.10367344279637392",
+    "count d=2 n=40 adversarial": "0.9033104161605651",
+    "count d=2 n=40 public": "0.962531041005737",
+    "count d=2 n=40 clean": "0.4256716645724743",
+    "count d=2 n=40 F": "0.10901368887874774",
+    "count d=4 n=20 adversarial": "0.9137208622336537",
+    "count d=4 n=20 public": "0.9770095369913053",
+    "count d=4 n=20 clean": "0.38572760863827954",
+    "count d=4 n=20 F": "-0.10444500205873963",
+    "count d=4 n=40 adversarial": "0.9310717923978222",
+    "count d=4 n=40 public": "0.9776036495069155",
+    "count d=4 n=40 clean": "0.38194269262490305",
+    "count d=4 n=40 F": "-0.11000767702172443",
+    "sequence d=1 n=8 adversarial": "0.6060309990918796",
+    "sequence d=1 n=8 public": "0.8407975307900818",
+    "sequence d=1 n=8 clean": "0.3495808324299245",
+    "sequence d=1 n=8 F": "0.300838335140151",
+    "sequence d=1 n=8 equivalence u=1/4": (
+        "EquivalenceReport(u=Fraction(1, 4), eta=Fraction(1, 8), n=8, "
+        "left_loss=0.6060309990918796, guard=0.7165313105737893, "
+        "right_restricted=0.3495808324299245, slack=0.9729814772357444, holds=True)"),
+    "sequence d=1 n=8 equivalence u=0.1": (
+        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), "
+        "eta=Fraction(1, 8), n=8, left_loss=0.7585316546332651, "
+        "guard=0.7165313105737893, right_restricted=0.47403469083374616, "
+        "slack=1.0010282743733083, holds=True)"),
+    "sequence d=1 n=8 equivalence u=-1/2": (
+        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 8), n=8, "
+        "left_loss=0.15907733631132953, guard=0.7165313105737893, "
+        "right_restricted=0.0345489432561919, slack=0.8410597036289269, holds=True)"),
+    "sequence d=2 n=4 adversarial": "0.7695173141408042",
+    "sequence d=2 n=4 public": "0.9377243552220625",
+    "sequence d=2 n=4 clean": "0.4429364114015764",
+    "sequence d=2 n=4 F": "0.07981640774987497",
+    "sequence d=3 n=3 adversarial": "0.8369153484403311",
+    "sequence d=3 n=3 public": "0.8369153484403311",
+    "sequence d=3 n=3 clean": "0.3746989829899929",
+    "sequence d=3 n=3 F": "0.29039171243562334",
+    "vc miniature": "0.584795597482985",
+    "lower_bound_exact d=1 n=256": "(0.058549394069613625, 0.0078125)",
+    "lower_bound_exact d=2 n=32": "(0.08710750073145113, 0.011048543456039806)",
+}
+
+
+def test_exact_values_are_frozen_over_both_layouts():
+    assert {key: repr(cell()) for key, cell in _frozen_cells().items()} == FROZEN_EXACT
 
 
 @pytest.mark.parametrize("counted", [True, False])

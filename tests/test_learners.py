@@ -315,6 +315,16 @@ def test_constant_and_bayes_learners():
     assert bayes.prediction_prob(s, 2) == 0.5
 
 
+def test_bayes_learner_gives_one_probability_per_row_of_a_batch():
+    # at one point for the whole batch, as at one point per row
+    bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4), Fraction(0)))
+    batch = Sample([[0, 1], [2, 2]], [[PLUS, MINUS], [PLUS, PLUS]])
+    for x, want in ((0, [1.0, 1.0]), (1, [0.0, 0.0]), (2, [0.5, 0.5]),
+                    (np.array([1, 2]), [0.0, 0.5])):
+        probs = bayes.prediction_prob(batch, x)
+        assert probs.shape == (2,) and probs.tolist() == want
+
+
 def test_bayes_learner_rejects_points_outside_its_domain():
     # a negative index must not wrap around to the last coordinate
     bayes = BayesLearner((Fraction(1, 4), Fraction(-1, 4)))
