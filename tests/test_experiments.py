@@ -598,6 +598,36 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
     assert abs(f) > 0.01 and 0.3 < clean < 0.5
 
 
+@pytest.mark.parametrize("p_plus, p_minus, n", [
+    (Fraction(19, 32), Fraction(13, 32), 40),  # d = 1
+    (Fraction(19, 64), Fraction(13, 64), 12),  # d = 2
+    ((Fraction(1, 2) + Fraction(0.1)) / 3, (Fraction(1, 2) - Fraction(0.1)) / 3, 9),  # float bias
+    (Fraction(1, 2), Fraction(0), 10),  # u = 1/2 at d = 2: states with b > 0 weigh 0
+])
+def test_count_coefficients_are_the_floats_of_exact_fraction_weights(p_plus, p_minus, n):
+    # the count states' power products and their multiplicities, built once
+    # with the state space, against Fraction products and math.comb pairs;
+    # the atoms go in as integers over their least common denominator
+    d = 1 if p_plus + p_minus == 1 else 2
+    space = experiments._space(n, d, False)
+    a, b, _ = space.cells
+    den = math.lcm(p_plus.denominator, p_minus.denominator)
+    plus, minus = int(p_plus * den), int(p_minus * den)
+    for q in (p_plus, p_minus, Fraction(1)):
+        live, coef, shift, mults = experiments._coefficients(
+            n, d, False, den, q.numerator, q.denominator, plus, minus, den - plus - minus)
+        want, scaled = [], []
+        for s, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+            w = p_plus ** i * p_minus ** j * (1 - p_plus - p_minus) ** (n - i - j)
+            if w:
+                want.append((s, float(w * q), math.comb(n, i) * math.comb(n - i, j)))
+                scaled.append(w * q)
+        assert list(zip(live.tolist(), np.ldexp(coef, -shift).tolist(), mults)) == want
+        assert all(Fraction(1, 2) <= v * 2 ** k < 2 for v, k in zip(scaled, shift.tolist()) if v)
+    assert list(space.mults) == [math.comb(n, i) * math.comb(n - i, j)
+                                 for i, j in zip(a.tolist(), b.tolist())]
+
+
 @pytest.mark.parametrize("single", [True, False])
 def test_count_state_multiplicities_are_the_binomial_products(single):
     # the running products against math.comb: every state up to n = 24,
