@@ -308,12 +308,17 @@ class GreedyFlipAdversary(Adversary):
     def count_move(self, a, b, n, labels):
         """`greedy_flip_attack` in closed form: of the limit's rows it takes
         m1 = min(limit, rows reading (x, y)) there, then m2 = min(limit - m1,
-        n - a - b) rows at other points, and writes all m1 + m2 to (x, -y)."""
+        n - a - b) rows at other points, and writes all m1 + m2 to (x, -y).
+        With `own` rows reading (x, y) and `opp` reading (x, -y), it moves
+        m1 + m2 = min(limit, n - opp) rows: every row but those at (x, -y)
+        is a candidate."""
         limit = self.budget.max_corruptions(n)
         plus = labels == PLUS
-        taken = np.minimum(limit, np.where(plus, a, b))
-        moved = taken + np.minimum(limit - taken, n - a - b)
-        return np.where(plus, a - taken, a + moved), np.where(plus, b + moved, b - taken), moved
+        own, opp = np.where(plus, a, b), np.where(plus, b, a)
+        moved = np.minimum(n - opp, limit)
+        own = own - np.minimum(own, limit)
+        opp = opp + moved
+        return np.where(plus, own, opp), np.where(plus, opp, own), moved
 
 
 class BruteForceAdversary(Adversary):

@@ -4,12 +4,12 @@ evaluators, bound-verification experiments, and deterministic parameter sweeps.
 The exact evaluators (`exhaustive_*`, `exact_F`, `equivalence_check`) share
 one table class, `_ExactTable`, over a state space (`_space`) of one of two
 layouts, chosen by the oracle: the error at each state is maximized over the
-radius-k ball and floored at 0, and the weighted terms are summed exactly and
-rounded once. The public-coin risk (see `exhaustive_public_loss`), the clean
-risk (radius 0) and F (a -1 target at radius 0) are the same rule, on integers
-alone: the atoms' numerators over one denominator (`core._atom_ratios`), a
-state's cell weights divided by their gcd with it, and a radius floored once
-by `corruption_limit`. A sequence weighs the integer prod_k base_k ** c_k over
+radius-k ball, and the weighted terms are summed exactly and rounded once.
+The public-coin risk (see `exhaustive_public_loss`), the clean risk (radius
+0) and F (a -1 target at radius 0) are the same rule, on integers alone: the
+atoms' numerators over one denominator (`core._atom_ratios`), a state's cell
+weights divided by their gcd with it, and a radius floored once by
+`corruption_limit`. A sequence weighs the integer prod_k base_k ** c_k over
 D ** n for its counts c in cells of weights base_k / D (`_power_weights`), and
 a term is rounded as float(w * q * 2^s), one correctly rounded integer
 quotient in [1/2, 2), s taken back out of the exact sum: a count state holds
@@ -64,9 +64,12 @@ or `Sample` is built. Both paths read the same draws and the same law, and
 majority's coins come from the same generator state, so their estimates
 are the same floats. A chunk holds
 `chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
-entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk (its
-child stream, its generator and each layer's numpy calls) is paid once per
-2^14 entries at small n, and a chunk at n >= 256 is 64 trials. Every
+entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk is paid
+once per 2^14 entries at small n, and a chunk at n >= 256 is 64 trials.
+That cost is the chunk's child stream, re-keying the cell's one generator
+to it (`RandomSource.rekey`, a quarter of a fresh Philox's cost), and each
+layer's numpy calls on (chunk,) arrays, where a Fraction budget is floored
+in integers (`corruption_limit`). Every
 layer's working set is then O(chunk * n), except the ball-search
 attacker's, which scores at most TRIAL_CHUNK trials' balls per call.
 
@@ -239,17 +242,21 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     learner's conditional error probability at the test example.
 
     Trials run in chunks of `chunk_trials(n)`, the last one shorter; chunk
-    c draws from `rng.child("trials", c)`, first its (chunk, n) sample rows,
+    c draws from `rng.child("trials", c)`, on one generator per call: chunk
+    0's is built by `generator()`, and each later chunk re-keys it to its
+    own stream (`RandomSource.rekey`), which draws exactly what a fresh
+    generator would. A chunk draws first its (chunk, n) sample rows,
     then its test examples, one bounded integer per entry each
     (`draw_sample_with`, `draw_example`), then whatever the adversary and
     the learner draw, such as majority vote's one hypergeometric per
     thinned trial. A sample size below 1 raises ValueError. Each layer
     sees the whole chunk in one call (`adversary.attack`,
-    `learner.prediction_prob`), and scores are kept in trial order, one
-    float array per chunk, joined once for `score_ci`. A
-    learner that does not return one probability per trial raises
-    ValueError. An adversary that returns the clean batch object itself
-    moved no row, so only another batch is measured against the budget.
+    `learner.prediction_prob`), and each trial's score, its error
+    probability |[y = +1] - p|, is written in trial order into one array
+    for `score_ci`. A learner that does not return one probability in
+    [0, 1] per trial raises ValueError. An adversary that returns the clean
+    batch object itself moved no row, so only another batch is measured
+    against the budget.
 
     A learner with a `Learner.count_law` or a `Learner.count_prediction`
     against an attacker with an `Adversary.count_move` runs on counts
@@ -275,9 +282,11 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     count_score = (scoring_hook(learner, "count_prediction", dist.dimension) if law is None
                    else lambda a, b, n, gen: law(a, b, n))
     on_counts = count_score is not None and adversary.count_move is not None
-    scores: list[np.ndarray] = []
+    scores = np.empty(trials)
+    gen = None
     for c, start in enumerate(range(0, trials, chunk)):
-        gen = rng.child("trials", c).generator()
+        source = rng.child("trials", c)
+        gen = source.generator() if gen is None else source.rekey(gen)
         size = min(chunk, trials - start)
         if on_counts:
             targets, a, b = _draw_target_counts(dist, gen, size, n)
@@ -287,20 +296,21 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
             targets = draw_example(dist, gen, trials=size)
             corrupted = adversary.attack(clean, targets, gen)
             moved = None if corrupted is clean else hamming_distance(clean, corrupted)
-        if moved is not None:
-            over = np.flatnonzero(moved > limit)
-            if over.size:
-                raise BudgetViolationError(
-                    f"adversary {adversary.name} moved {moved[over[0]]} of {n} rows > {limit} "
-                    f"allowed by eta={budget} on trial {start + int(over[0])}")
+        if moved is not None and moved.max() > limit:
+            over = int(np.argmax(moved > limit))
+            raise BudgetViolationError(
+                f"adversary {adversary.name} moved {moved[over]} of {n} rows > {limit} "
+                f"allowed by eta={budget} on trial {start + over}")
         probs = (count_score(a, b, n, gen) if on_counts
                  else learner.prediction_prob(corrupted, targets.point, gen))
-        p = one_per_trial(learner, probs, size)
-        scores.append(np.where(targets.label == PLUS, 1.0 - p, p))
+        # the error probability |[y = +1] - p|, p in [0, 1] (`one_per_trial`)
+        out = scores[start:start + size]
+        np.abs(np.subtract(targets.label == PLUS, one_per_trial(learner, probs, size), out=out),
+               out=out)
     meta = {"learner": learner.name, "adversary": adversary.name,
             "n": n, "eta": str(budget), "d": dist.dimension, "stream": rng.stream}
     meta.update(metadata or {})
-    return _estimate_from_scores(np.concatenate(scores), bayes, trials, rng.seed, meta)
+    return _estimate_from_scores(scores, bayes, trials, rng.seed, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +367,8 @@ class _ExactTable:
 
     def ball_maxima(self, k: int) -> dict[int, np.ndarray]:
         """The error's maximum over each state's radius-k ball, by target
-        label: {+1: max (1 - p), -1: max p}, floored at 0 (a floor taken
-        before the maximum is the same), k rounds of `ball_step`. They
+        label: {+1: max (1 - p), -1: max p}, k rounds of `ball_step`; p is
+        in [0, 1] (`learners.one_per_trial`), so neither is below 0. They
         depend on the table and k alone, so those of the last `_RADII` radii
         built are kept, and a new radius takes its rounds from the largest
         kept radius below it; a maximum is exact, so the arrays are the same
@@ -367,7 +377,7 @@ class _ExactTable:
             return self.maxima[k]
         start = max((r for r in self.maxima if r < k), default=0)
         worst = self.maxima[start] if start in self.maxima else {
-            PLUS: np.maximum(1.0 - self.p, 0.0), MINUS: np.maximum(self.p, 0.0)}
+            PLUS: 1.0 - self.p, MINUS: self.p}
         for _ in range(k - start):
             worst = {y: self.ball_step(v) for y, v in worst.items()}
         _read_only(*worst.values())
@@ -381,8 +391,8 @@ class _ExactTable:
         coordinates `coords`, and over the test atoms ((x, y), qnum, qden) of
         probability qnum / qden, by default D_u's (`_atom_ratios`; one of
         probability 0 adds nothing). The error at a state is
-        1 - p for a +1 target and p for a -1 target; its maximum over the
-        ball (`ball_maxima`) is floored at 0. The terms float(w * q * 2^s) *
+        1 - p for a +1 target and p for a -1 target, maximized over the
+        ball (`ball_maxima`). The terms float(w * q * 2^s) *
         maximum * 2^-s, one per live state and test atom, times the state's
         number of sequences, are summed exactly in integers, whatever their
         order, and rounded once. The scaled float is normal however small w
@@ -553,7 +563,7 @@ def exhaustive_adversarial_loss(p_oracle: PredictionOracle, dist: ProductBiasDis
                                 eta: Scalar, n: int) -> float:
     """Exact adversarial risk for a private-coin learner given by its
     +1-probability oracle: expectation over every sample and test atom of the
-    supremum of the error probability over the corruption ball, floored at 0
+    supremum of the error probability over the corruption ball
     (`_ExactTable.risk`)."""
     return _engine(p_oracle, dist.dimension, n).risk(dist.bias.coords, corruption_limit(eta, n))
 

@@ -136,7 +136,9 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
     of the hypotheses reading +1 there. The batch is scored in passes of at
     most SCORE_BUDGET // class size samples, which give the values of one
     pass to the bit, since each sample's sum is its own column
-    (`_sum_rows`). It is the reference of `ExpMechanismLearner.count_law`."""
+    (`_sum_rows`). It is the reference of `ExpMechanismLearner.count_law`.
+    A sum of rounded shares can exceed 1 by an ulp when every hypothesis
+    reads +1 at x; it is clipped at 1, which changes no other value."""
     per_trial = isinstance(x, np.ndarray)
     step = max(1, SCORE_BUDGET // hclass.size)
     parts = []
@@ -144,7 +146,7 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
         _, w, total = _softmax(hclass, histograms[lo:lo + step], config)
         plus = hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
         parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
-    return np.concatenate(parts)
+    return np.minimum(np.concatenate(parts), 1.0)
 
 
 def _one_sample(*samples: Sample) -> None:
@@ -318,21 +320,32 @@ def scoring_hook(learner, hook: str, d: int):
     return getattr(learner, hook) if hook in learner._hooks else None
 
 
+# the bits of 1.0 as a uint64: the bits of every float in [0, 1] but -0.0
+# read at most this, and those of NaN, infinities and negatives above it
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 def one_per_trial(source, probs, trials: int) -> np.ndarray:
     """`probs`, returned by a learner's `prediction_prob` or by a
     `PredictionOracle` for a batch of `trials` samples, as a float array;
     anything but one probability per trial (say, the scalar of a learner or
-    oracle written for one sample at a time), or a NaN among them, is an
-    error naming `source`."""
+    oracle written for one sample at a time), or a value outside [0, 1],
+    NaN included, is an error naming `source`. The range is one maximum
+    over the values' bits, and only an array that fails it (which -0.0
+    does) is compared as floats."""
     shape = np.shape(probs)
     if shape == (trials,):
         probs = np.asarray(probs, dtype=np.float64)
-        if not np.isnan(probs).any():
+        if (probs.view(np.uint64).max(initial=0) <= _ONE_BITS
+                or ((probs >= 0.0) & (probs <= 1.0)).all()):
             return probs
+        problem = "NaN" if np.isnan(probs).any() else "a probability outside [0, 1]"
+    else:
+        problem = f"shape {shape}"
     who = (f"learner {source.name!r}" if isinstance(source, Learner)
            else f"oracle {getattr(source, '__qualname__', source)!r}")
-    raise ValueError(f"{who} returned {'NaN' if shape == (trials,) else f'shape {shape}'} "
-                     f"for a batch of {trials} trials; give one probability per trial")
+    raise ValueError(f"{who} returned {problem} for a batch of {trials} trials; "
+                     f"give one probability per trial")
 
 
 class ExpMechanismLearner(Learner):
@@ -360,10 +373,11 @@ class ExpMechanismLearner(Learner):
         s+ = -t b / n for h(x) = +1, in `_softmax`'s order: shifted by their
         maximum, exponentiated, p = w+ / (w- + w+). At d = 1 this is the class
         scorer to the bit; p never exceeds 1, since the sum holds w+."""
-        scores = (-self.config.temperature(self.hclass.size) / n) * np.array(
-            (a, b), dtype=np.float64)
-        w = np.exp(scores - np.maximum(scores[0], scores[1]))
-        return w[1] / (w[0] + w[1])
+        scale = -self.config.temperature(self.hclass.size) / n
+        minus, plus = scale * a, scale * b  # float64, as the counts are integers
+        top = np.maximum(minus, plus)
+        w_plus = np.exp(plus - top)
+        return w_plus / (np.exp(minus - top) + w_plus)
 
     def batch_prediction_probs(self, histograms: np.ndarray, x) -> np.ndarray:
         """prediction_prob at x for a batch of samples given as (trials,

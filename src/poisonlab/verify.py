@@ -162,8 +162,17 @@ def check_draw_reproducible(rng: RandomSource):
         if (RandomSource(s1, t1).generator().random(4).tolist()
                 == RandomSource(s2, t2).generator().random(4).tolist()):
             return False, f"(seed, stream) ({s1}, {t1}) and ({s2}, {t2}) drew identically"
-    return True, ("same stream bit-identical, distinct streams differ, also adjacent streams "
-                  "above 2**63 and seeds 2**64 - 1 against 0")
+    # a generator of another stream left mid-buffer (a spare 32-bit half, a
+    # part-read block), re-keyed as Monte Carlo chunks re-key theirs, draws
+    # what a fresh one does
+    gen = rng.child("y").generator()
+    gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+    gen.random()
+    again = core.draw_sample_with(dist, 64, rng.child("x").rekey(gen))
+    if again != a:
+        return False, "a re-keyed generator drew other samples than a fresh one"
+    return True, ("same stream bit-identical, also on a re-keyed generator; distinct streams "
+                  "differ, also adjacent streams above 2**63 and seeds 2**64 - 1 against 0")
 
 
 def check_sampler_law(rng: RandomSource):

@@ -128,6 +128,19 @@ def test_batched_brute_force_keeps_each_clean_sample_under_ties():
     assert out == batch
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_brute_force_refuses_an_oracle_probability_outside_0_1(label):
+    # 3.0 on every ball member but the clean sample's 0.5: an error of -2 at
+    # a +1 target and of 3 at a -1 target, so both labels must fail alike
+    clean = Sample([0, 0], [PLUS, MINUS])
+
+    def oracle(sample, x):
+        return np.where((sample.codes == clean.codes).all(axis=-1), 0.5, 3.0)
+
+    with pytest.raises(ValueError, match=r"returned a probability outside \[0, 1\]"):
+        brute_force_attack(oracle, clean, Example(0, label), AttackBudget(Fraction(1, 2)), 1)
+
+
 @pytest.mark.parametrize("d, error", [(1, DomainMismatchError), (0, ValueError),
                                       (-1, ValueError), (1.0, ValueError)])
 def test_brute_force_checks_the_domain_size(d, error):

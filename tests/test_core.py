@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import poisonlab
 from poisonlab import core
@@ -554,6 +556,32 @@ def test_corruption_limit_floors_exactly():
         corruption_limit(-0.1, 5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.integers(0, 10 ** 6))
+@example(Fraction(1, 3), 0)
+@example(Fraction(-1, 3), 0)
+@example(Fraction(-1, 3), 5)
+@example(Fraction(1), 7)
+@example(Fraction(3, 2), 7)
+@example(Fraction(2 ** 70 + 1, 2 ** 70), 2 ** 40)
+def test_corruption_limit_floors_a_fraction_budget_in_integers(eta, n):
+    want = math.floor(eta * n)
+    if want < 0:
+        with pytest.raises(ValueError, match="nonnegative"):
+            corruption_limit(eta, n)
+    else:
+        got = corruption_limit(eta, n)
+        assert type(got) is int and got == min(want, n)
+
+
+def test_corruption_limit_keeps_the_exact_path_for_other_types():
+    assert corruption_limit(0.7, 10) == 6
+    # p * n in int64 would wrap here: 3 * 2^62 is past 2^63 - 1
+    assert corruption_limit(Fraction(3, 4), np.int64(2 ** 62)) == 3 * 2 ** 60
+    assert corruption_limit(np.float64(0.7), np.int32(10)) == 6
+    assert corruption_limit(Fraction(7, 10), True) == 0
+
+
 def test_ball_enumerate_size_formula():
     # d=1 alphabet has 1 alternative per row: |ball| = sum_{j<=k} C(n, j)
     s = Sample([0, 0, 0, 0], [PLUS] * 4)
@@ -613,6 +641,51 @@ def test_random_source_children_disjoint():
     assert base.child("a").stream == base.child("a").stream
     assert base.child("a", 1).stream != base.child("a", 2).stream
     assert base.child("a").seed == base.seed
+
+
+def _leave_mid_buffer(gen: np.random.Generator, bytes_: int, words: int) -> None:
+    """Odd-length uint8 and uint32 draws, a double and a hypergeometric."""
+    gen.integers(0, 256, size=2 * bytes_ + 1, dtype=np.uint8)
+    gen.random()
+    gen.hypergeometric(7, 5, 4)
+    gen.integers(0, 2 ** 32, size=2 * words + 1, dtype=np.uint32)
+
+
+def _draws(gen: np.random.Generator) -> list:
+    return [gen.integers(0, 256, size=(3, 257), dtype=np.uint8).tolist(),
+            gen.integers(0, 2 ** 32, size=5, dtype=np.uint32).tolist(),
+            gen.random(3).tolist(), gen.hypergeometric([9, 3], [4, 8], 5).tolist(),
+            gen.integers(0, 2 ** 64, size=3, dtype=np.uint64).tolist()]
+
+
+_WORDS = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_WORDS, _WORDS, _WORDS, _WORDS, st.integers(0, 40), st.integers(0, 6))
+@example(2 ** 63, 2 ** 63 + 1, 0, 2 ** 64 - 1, 0, 0)
+@example(1, 2, 2 ** 64 - 1, 2 ** 63, 5, 3)
+def test_a_rekeyed_generator_draws_what_a_fresh_one_draws(seed, stream, old_seed, old_stream,
+                                                          bytes_, words):
+    gen = RandomSource(old_seed, old_stream).generator()
+    _leave_mid_buffer(gen, bytes_, words)
+    source = RandomSource(seed, stream)
+    assert source.rekey(gen) is gen
+    assert _draws(gen) == _draws(source.generator())
+
+
+def test_rekey_clears_the_buffer_and_the_spare_half_word():
+    gen = RandomSource(SEED, 3).generator()
+    gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+    left = gen.bit_generator.state
+    assert left["has_uint32"] == 1 and left["buffer_pos"] < 4
+    state = RandomSource(SEED, 4).rekey(gen).bit_generator.state
+    fresh = RandomSource(SEED, 4).generator().bit_generator.state
+    assert state["has_uint32"] == 0 and state["buffer_pos"] == 4
+    assert state["state"]["counter"].tolist() == fresh["state"]["counter"].tolist() == [0] * 4
+    assert state["state"]["key"].tolist() == fresh["state"]["key"].tolist() == [SEED, 4]
+    with pytest.raises(ValueError):  # a generator of another bit generator is refused
+        RandomSource(SEED, 4).rekey(np.random.default_rng(0))
 
 
 def test_stable_stream_id_is_stable():

@@ -421,24 +421,31 @@ def test_exhaustive_losses_match_reference_on_float_and_mixed_biases():
             assert got == want, (coords, public)
 
 
-def test_exhaustive_losses_floor_every_error_at_zero():
-    # the next double above 1 makes 1 - p negative: the worst error is
-    # floored at 0.0 under one rule, so the private, public and clean risks
-    # are the private reference's floats
-    above_one = math.nextafter(1.0, 2.0)
-    oracle = lambda sample, x: np.full(sample.points.shape[:-1], above_one)  # noqa: E731
-    for u in (Fraction(1, 2), Fraction(1, 4), 0.5):
-        dist = ProductBiasDistribution(BiasVector([u]))
-        for eta in (Fraction(0), Fraction(1, 2)):
-            want = _reference_adversarial_loss(oracle, dist, eta, 2)
-            assert exhaustive_adversarial_loss(oracle, dist, eta, 2) == want
-            assert exhaustive_public_loss(oracle, dist, eta, 2) == want
-        assert exhaustive_clean_loss(oracle, dist, 2) == _reference_adversarial_loss(
-            oracle, dist, 0, 2)
+@pytest.mark.parametrize("value", [math.nextafter(1.0, 2.0), 3.0, math.inf,
+                                   -math.ulp(0.0), -1.0])
+def test_exact_evaluators_refuse_a_probability_outside_0_1(value):
+    # the next double above 1 would make 1 - p negative, and a negative p a
+    # negative error: every evaluator refuses either, naming its oracle
+    oracle = lambda sample, x: np.full(sample.points.shape[:-1], value)  # noqa: E731
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    for evaluate in (lambda: exhaustive_adversarial_loss(oracle, dist, Fraction(1, 2), 2),
+                     lambda: exhaustive_public_loss(oracle, dist, Fraction(1, 2), 2),
+                     lambda: exhaustive_clean_loss(oracle, dist, 2),
+                     lambda: exact_F(oracle, dist.bias, 2, 0)):
+        with pytest.raises(ValueError, match=r"oracle '.*<lambda>' returned a probability "
+                                             r"outside \[0, 1\] for a batch"):
+            evaluate()
+
+
+def test_exact_evaluators_take_the_ends_of_0_1_and_negative_zero():
+    # 0, 1 and -0.0 are probabilities: a sure +1 rule errs only on -1 atoms
     all_plus = ProductBiasDistribution(BiasVector([Fraction(1, 2)]))
-    assert exhaustive_adversarial_loss(oracle, all_plus, Fraction(1, 2), 2) == 0.0
-    assert exhaustive_public_loss(oracle, all_plus, Fraction(1, 2), 2) == 0.0
-    assert exhaustive_clean_loss(oracle, all_plus, 2) == 0.0
+    for value in (1.0, 0.0, -0.0):
+        oracle = lambda sample, x: np.full(sample.points.shape[:-1], value)  # noqa: E731
+        want = 0.0 if value == 1.0 else 1.0
+        assert exhaustive_adversarial_loss(oracle, all_plus, Fraction(1, 2), 2) == want
+        assert exhaustive_public_loss(oracle, all_plus, Fraction(1, 2), 2) == want
+        assert exhaustive_clean_loss(oracle, all_plus, 2) == want
 
 
 def test_exhaustive_engine_calls_oracle_once_per_sequence_and_point():
@@ -948,17 +955,17 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
                     == exhaustive_adversarial_loss(oracle, dist, eta, n)), (n, eta, u)
         cells += 1
     assert cells == 66
-    # at eta = 1/4096 the class scorer puts exp-mech one ulp above 1, and all
-    # three risks still floor the error there at 0
+    # at eta = 1/4096 the class scorer's shares sum one ulp above 1, which it
+    # clips to 1, and all three risks agree there
     tiny = _ClassScoredRule(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4096)))
-    assert tiny.prediction_prob(Sample([0] * 9 + [1] * 2, [PLUS] * 11), 0) > 1.0
+    assert tiny.prediction_prob(Sample([0] * 9 + [1] * 2, [PLUS] * 11), 0) == 1.0
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(1, 2)]))
     for n in (11, 24):
         private = exhaustive_adversarial_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n)
         assert exhaustive_public_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n) == private
         assert exhaustive_clean_loss(tiny.prediction_prob, dist, n) == private
         assert 0 < private < 1e-3
-        assert experiments._engine(tiny.prediction_prob, 2, n).p.max() > 1.0
+        assert experiments._engine(tiny.prediction_prob, 2, n).p.max() == 1.0
 
 
 class _NanCountRule(_ScrambledCountRule):

@@ -28,6 +28,8 @@ from poisonlab.learners import (
     VcLearnerConfig,
     VcSubsampleLearner,
     _class_probs,
+    _softmax,
+    _sum_rows,
     empirical_loss_counts,
     empirical_losses,
     exp_mechanism_dist,
@@ -430,13 +432,46 @@ def test_count_law_matches_the_class_scorer_past_d1(d):
 
 def test_count_law_never_scores_above_1():
     # the class scorer adds the +1 half of four weights, one ulp above their
-    # total here; the closed form divides one weight by a sum holding it
+    # total here, and clips the sum at 1; the closed form divides one weight
+    # by a sum holding it
     config = ExpMechanismConfig(Fraction(1, 4096))
     full = HypothesisClass.full(2)
     sample = Sample([0] * 9 + [1] * 2, [PLUS] * 11)
-    assert _class_probs(full, sample.histograms(2), 0, config)[0] > 1.0
+    assert _class_probs(full, sample.histograms(2), 0, config)[0] == 1.0
     learner = ExpMechanismLearner(full, config)
     assert learner.prediction_prob(sample, 0) == learner.count_law(9, 0, 11) == 1.0
+
+
+def test_the_class_scorer_clips_a_sum_above_1():
+    # every hypothesis reads +1 at point 0, and its three rounded shares
+    # add up to one ulp above 1
+    h = HypothesisClass([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    learner = ExpMechanismLearner(h, ExpMechanismConfig(Fraction(1, 8)))
+    assert learner.prediction_prob(Sample([1, 2, 2], [1, -1, 1]), 0) == 1.0
+
+
+def test_the_class_scorer_stays_in_0_1_and_changes_no_value_below_1():
+    # random classes with a constant +1 column: the clipped sum is at most
+    # 1, and a value below 1 is the plain sum of the +1 shares; the scan
+    # meets sums above 1
+    rng = np.random.default_rng(SEED + 44)
+    above = 0
+    for _ in range(80):
+        d = int(rng.integers(2, 6))
+        rows = rng.choice([MINUS, PLUS], size=(int(rng.integers(2, 12)), d))
+        rows[:, 0] = PLUS
+        h = HypothesisClass(np.unique(rows, axis=0))
+        config = ExpMechanismConfig(Fraction(1, int(rng.integers(2, 200))))
+        hists = rng.multinomial(int(rng.integers(1, 40)), [1 / (2 * d)] * (2 * d),
+                                size=50).reshape(50, d, 2)
+        xs = rng.integers(0, d, size=50)
+        got = _class_probs(h, hists, xs, config)
+        _, w, total = _softmax(h, hists, config)
+        plain = _sum_rows(np.where(h.values[:, xs] == PLUS, w / total, 0.0))
+        assert 0.0 <= got.min() and got.max() <= 1.0
+        assert np.array_equal(got, np.minimum(plain, 1.0))
+        above += int((plain > 1.0).sum())
+    assert above > 0
 
 
 def test_count_law_reads_a_point_past_the_histogram_as_empty():
