@@ -17,6 +17,7 @@ import bisect
 import functools
 import hashlib
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
@@ -570,13 +571,12 @@ def corruption_limit(eta: Scalar, n: int) -> int:
 
     Float budgets are converted exactly, so 0.7 (just below 7/10) allows 6 of
     10 rows, never the 7 that the rounded float product 0.7 * 10 == 7.0 would.
-    A `Fraction` budget and an `int` n are floored in integers, p * n // q
-    for eta = p/q; any other pair takes the exact `Fraction` product.
+    The floor is taken in Python integers, p * n // q for eta = p/q, so a
+    numpy-int n cannot wrap.
     """
-    if type(eta) is Fraction and type(n) is int:
-        k = eta.numerator * n // eta.denominator
-    else:
-        k = math.floor(exact_fraction(eta) * n)
+    f = exact_fraction(eta)
+    n = operator.index(n)
+    k = f.numerator * n // f.denominator
     if k < 0:
         raise ValueError("eta must be nonnegative")
     return min(k, n)

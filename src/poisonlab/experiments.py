@@ -68,8 +68,8 @@ entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk is paid
 once per 2^14 entries at small n, and a chunk at n >= 256 is 64 trials.
 That cost is the chunk's child stream, re-keying the cell's one generator
 to it (`RandomSource.rekey`, a quarter of a fresh Philox's cost), and each
-layer's numpy calls on (chunk,) arrays, where a Fraction budget is floored
-in integers (`corruption_limit`). Every
+layer's numpy calls on (chunk,) arrays, where the budget is floored in
+integers (`corruption_limit`). Every
 layer's working set is then O(chunk * n), except the ball-search
 attacker's, which scores at most TRIAL_CHUNK trials' balls per call.
 

@@ -320,24 +320,17 @@ def scoring_hook(learner, hook: str, d: int):
     return getattr(learner, hook) if hook in learner._hooks else None
 
 
-# the bits of 1.0 as a uint64: the bits of every float in [0, 1] but -0.0
-# read at most this, and those of NaN, infinities and negatives above it
-_ONE_BITS = np.float64(1.0).view(np.uint64)
-
-
 def one_per_trial(source, probs, trials: int) -> np.ndarray:
     """`probs`, returned by a learner's `prediction_prob` or by a
     `PredictionOracle` for a batch of `trials` samples, as a float array;
     anything but one probability per trial (say, the scalar of a learner or
     oracle written for one sample at a time), or a value outside [0, 1],
-    NaN included, is an error naming `source`. The range is one maximum
-    over the values' bits, and only an array that fails it (which -0.0
-    does) is compared as floats."""
+    NaN included, is an error naming `source`. NaN carries through the
+    minimum and the maximum and fails both comparisons."""
     shape = np.shape(probs)
     if shape == (trials,):
         probs = np.asarray(probs, dtype=np.float64)
-        if (probs.view(np.uint64).max(initial=0) <= _ONE_BITS
-                or ((probs >= 0.0) & (probs <= 1.0)).all()):
+        if probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) <= 1.0:
             return probs
         problem = "NaN" if np.isnan(probs).any() else "a probability outside [0, 1]"
     else:

@@ -574,9 +574,10 @@ def test_corruption_limit_floors_a_fraction_budget_in_integers(eta, n):
         assert type(got) is int and got == min(want, n)
 
 
-def test_corruption_limit_keeps_the_exact_path_for_other_types():
+def test_corruption_limit_floors_floats_and_numpy_ints_exactly():
     assert corruption_limit(0.7, 10) == 6
-    # p * n in int64 would wrap here: 3 * 2^62 is past 2^63 - 1
+    # p * n in int64 would wrap here (3 * 2^62 is past 2^63 - 1), so n is
+    # taken as a Python int
     assert corruption_limit(Fraction(3, 4), np.int64(2 ** 62)) == 3 * 2 ** 60
     assert corruption_limit(np.float64(0.7), np.int32(10)) == 6
     assert corruption_limit(Fraction(7, 10), True) == 0
