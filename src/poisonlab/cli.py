@@ -436,10 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return ns.func(ns)
-    except (ConfigError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

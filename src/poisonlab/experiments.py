@@ -22,14 +22,14 @@ scored on count states, every (a, b) = (#(x, +1), #(x, -1)) of a size-n
 sample (n + 1 at d = 1, (n + 1)(n + 2) / 2 at d >= 2), by one law call that
 serves every point at any d. Its cells are (x, +1), (x, -1) and the other
 points' rows pooled, and a radius-1 ball is a state's unit row moves (2 at
-d = 1, 6 at d >= 2). The scores read the learner, d and n alone, so a count
-table is built once per (learner, d, n) and kept for every distribution,
-budget and test atom weighed on it (`_count_table`, the 8 most recent: an
+d = 1, 6 at d >= 2). The scores read the learner, n and d only as 1 or >= 2,
+so one count table per (learner, n, d = 1 or d >= 2) is kept for every
+distribution, budget and test atom (`_count_table`, the 8 most recent: an
 exact-ball benchmark pass reads 5). Every other oracle is scored anew per
-call on every atom sequence, zero-weight ones included, one (2d)^n-row
-batch scored once per point. A sequence's cells are the 2d atoms; a
-radius-1 ball's maximum is one over the per-axis reductions of the table's
-(2d,)*n view. Cost: d oracle calls plus k * n * (2d)^n array operations.
+call on the space's one (2d)^n-row `Sample` of all atom sequences, validated
+once, by one call per point. A sequence's cells are the 2d atoms; a radius-1
+ball's maximum is one over the per-axis reductions of the table's (2d,)*n
+view. Cost: d oracle calls plus k * n * (2d)^n array operations.
 Both layouts read the same +1 probabilities, so at d = 1 every value is
 the same to the bit; at d >= 2 the pooled weights round apart from the
 per-sequence ones, by 1 ulp in 4 of the 90 risks that the verify check
@@ -322,26 +322,24 @@ _TABLE_CAP = 100_000  # the most sequences, or count states, an exact engine enu
 def _engine(p_oracle: PredictionOracle, d: int, n: int) -> _ExactTable:
     """A bound method of a learner with a `count_law` (`scoring_hook`, which
     refuses a distribution past its domain) is scored on count states, its
-    table for (d, n) built once and kept (`_count_table`). Any other oracle
-    is scored anew on every atom sequence over d points, one batch of the
-    space's codes, by one call per point x, column x of `p`."""
+    table built once per n for d = 1 and for all d >= 2 (`_count_table`). Any
+    other oracle is scored anew on the sequence space's `batch`, by one call
+    per point x, column x of `p`."""
     learner = getattr(p_oracle, "__self__", None)
     if scoring_hook(learner, "count_law", d) is not None:
-        return _count_table(learner, d, n)
-    codes = _space(n, d, True).codes
-    batch = Sample(np.repeat(np.arange(d), 2)[codes], np.tile([PLUS, MINUS], d)[codes])
+        return _count_table(learner, min(d, 2), n)
+    batch = _space(n, d, True).batch
     return _ExactTable(n, d, True, np.stack(
-        [one_per_trial(p_oracle, p_oracle(batch, x), len(codes)) for x in range(d)], axis=-1))
+        [one_per_trial(p_oracle, p_oracle(batch, x), len(batch.codes)) for x in range(d)], axis=-1))
 
 
 @functools.lru_cache(maxsize=8)
 def _count_table(learner: Learner, d: int, n: int) -> _ExactTable:
-    """A learner's `count_law` at every count state (those of d = 2 at any d
-    >= 2), one (S,) column that serves every point, as the law does not read
-    x. Keyed by the learner object, which the cache holds: its law must not
-    change once scored. lru_cache keeps no exception: over the cap, every
-    call raises."""
-    d = min(d, 2)
+    """A learner's `count_law` at every count state (`_engine` passes d = 2
+    for any d >= 2), one (S,) column that serves every point, as the law does
+    not read x. Keyed by the learner object, which the cache holds: its law
+    must not change once scored. lru_cache keeps no exception: over the cap,
+    every call raises."""
     a, b, _ = _space(n, d, False).cells
     return _ExactTable(n, d, False, one_per_trial(learner, learner.count_law(a, b, n), len(a)))
 
@@ -435,41 +433,39 @@ class _ExactTable:
 
     def weights(self, nums: Sequence[int], den: int, x: int, qnum: int,
                 qden: int) -> tuple[tuple | np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
-        """`_coefficients` of the cells, divided by their gcd with den: a
-        sequence's are the 2d atoms whatever x is, indexed (live, x); a count
-        state's (x, +1), (x, -1) and the rest, indexed by state alone."""
-        if self.per_row:
-            g = math.gcd(*nums, den)
-            live, coef, shift, mults = _coefficients(
-                self.n, self.d, True, den // g, qnum, qden, *[num // g for num in nums])
-            return (live, x), coef, shift, mults
+        """`_coefficients` of the cells the atoms pool into, over their gcd
+        with den: on sequences each atom, indexed (live, x); on count states
+        (x, +1), (x, -1) and the rest, indexed by state alone."""
         plus, minus = nums[2 * x], nums[2 * x + 1]
-        g = math.gcd(plus, minus, den)
-        return _coefficients(self.n, self.d, False, den // g, qnum, qden,
-                             plus // g, minus // g, (den - plus - minus) // g)
+        cells = nums if self.per_row else (plus, minus, den - plus - minus)
+        g = math.gcd(den, *cells)
+        live, coef, shift, mults = _coefficients(
+            self.n, self.d, self.per_row, den // g, qnum, qden, *[c // g for c in cells])
+        return ((live, x) if self.per_row else live), coef, shift, mults
 
 
 class _Space(NamedTuple):
-    """A state space of size-n samples (`_space`)."""
+    """A state space of size-n samples (`_space`) and what its table reads."""
 
     classes: np.ndarray  # (S,) each state's weight class
     cells: np.ndarray  # (cells, classes) each class's rows in each cell
     mults: tuple[int, ...]  # each state's number of sequences
     moves: np.ndarray | None  # count states: (S, moves + 1), each state and its neighbours
-    codes: np.ndarray | None  # sequences: (S, n) atom codes, the oracle's batch
+    batch: Sample | None  # sequences: all S of them, the oracle's batch
 
 
 @functools.lru_cache(maxsize=16)  # 18.6 MB an entry at the cap (module docstring)
 def _space(n: int, d: int, per_row: bool) -> _Space:
     """The states of size-n samples over d points, at most `_TABLE_CAP`.
     Per row, state s is the s-th sequence over the 2d atoms in row-major
-    order; its cells are the atoms, and sequences with the same atom counts
-    share a weight class. Else, the count states (a, b, r = n - a - b) of
-    one point, a then b ascending: (a, n - a, 0) when the point is the whole
-    domain (d = 1), else every a + b <= n, each its own class with n! / (a!
-    b! r!) sequences. `moves` lists each state and its neighbours one unit
-    row move away: a row goes (x, +1) <-> (x, -1), and at d >= 2 to or from
-    another point; a move off the space stands for the state itself."""
+    order, row s of `batch` (one `Sample`, so validated once); its cells are
+    the atoms, and sequences with the same atom counts share a weight class.
+    Else, the count states (a, b, r = n - a - b) of one point, a then b
+    ascending: (a, n - a, 0) when the point is the whole domain (d = 1), else
+    every a + b <= n, each its own class with n! / (a! b! r!) sequences.
+    `moves` lists each state and its neighbours one unit row move away: a row
+    goes (x, +1) <-> (x, -1), and at d >= 2 to or from another point; a move
+    off the space stands for the state itself."""
     single = d == 1
     size = (2 * d) ** n if per_row else n + 1 if single else (n + 1) * (n + 2) // 2
     if size > _TABLE_CAP:
@@ -481,7 +477,8 @@ def _space(n: int, d: int, per_row: bool) -> _Space:
         firsts, classes = np.unique(np.ravel_multi_index(tuple(np.sort(codes, axis=1).T), axes),
                                     return_inverse=True)
         cells = (codes[firsts][:, :, None] == np.arange(2 * d)).sum(axis=1).T
-        return _Space(*_read_only(classes, cells), (1,) * size, None, _read_only(codes)[0])
+        batch = Sample(np.repeat(np.arange(d), 2)[codes], np.tile([PLUS, MINUS], d)[codes])
+        return _Space(*_read_only(classes, cells), (1,) * size, None, batch)
     own = np.arange(size)
     # state (a, b) is number a when single, else a (2n + 3 - a) / 2 + b: the
     # rows of a' < a hold n + 1 - a' states each

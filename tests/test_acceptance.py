@@ -4,7 +4,8 @@ Each test prints a single PASS/FAIL line with the measured quantity and the
 tolerance it is held to (run `pytest -s tests/test_acceptance.py` to see the
 lines inline). The exact criteria reuse the registry probes from
 `poisonlab.verify` at their stated scale; the Monte Carlo criteria drive the
-experiment harness directly.
+experiment harness directly. A control runs a criterion's own probe on a
+changed input and asserts that it fails, so the gate is shown able to fail.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from poisonlab import cli, verify
+from poisonlab import cli, learners, verify
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
 from poisonlab.core import (
     BiasVector,
@@ -81,6 +82,34 @@ def test_criterion_03_coupled_flip_bound():
     ok, detail = verify.acceptance_flip_bound(_rng("flip-bound"))
     elapsed = time.perf_counter() - start
     _verdict(3, "coupled flip bound", ok, f"{detail}; {elapsed:.2f}s")
+
+
+def _off_temperature(monkeypatch, name: str, scale: float) -> None:
+    """Run the mechanism behind `learners.<name>` at `scale` times its
+    temperature, while the probe's bound keeps reading the original t."""
+    class Scaled(ExpMechanismConfig):
+        def temperature(self, m: int) -> float:
+            return scale * super().temperature(m)
+
+    original = getattr(learners, name)
+    monkeypatch.setattr(learners, name,
+                        lambda *args: original(*args[:-1], Scaled(args[-1].eta)))
+
+
+def test_criterion_01_control_fails_at_a_tenth_of_the_temperature(monkeypatch):
+    # a mechanism at t/10 pays up to 10 log(m)/t on the empirical loss, past
+    # the guarantee's log(m)/t: the gate sees it
+    _off_temperature(monkeypatch, "exp_mechanism_dist", 0.1)
+    ok, detail = verify.acceptance_exp_loss_guarantee(_rng("loss-guarantee"))
+    assert not ok and "= -7.797e-02 " in detail, detail
+
+
+def test_criterion_02_control_fails_at_twice_the_temperature(monkeypatch):
+    # a mechanism at 2t shifts its log-probabilities by up to 4 t eta across
+    # a ball, past the 2 t eta the gate allows
+    _off_temperature(monkeypatch, "exp_mechanism_log_dist", 2.0)
+    ok, detail = verify.acceptance_ratio_stability(_rng("ratio-stability"))
+    assert not ok and "= 9.340e-01 " in detail, detail
 
 
 def test_criterion_04_growth_bound():

@@ -763,16 +763,21 @@ def test_coefficients_are_the_floats_of_exact_fraction_weights(per_row, d, coord
                             for s, k in zip(live.tolist(), shift.tolist()))
 
 
-def test_a_sequence_space_and_its_weights_are_built_once_per_size_and_dimension():
+def test_a_sequence_space_and_its_weights_are_built_once_per_size_and_dimension(monkeypatch):
     # the sequences, their classes and their weights read n and d alone: a
     # second oracle at the same size and bias builds none of them, and every
-    # test atom reads the one weight set of all 2d atoms
+    # test atom reads the one weight set of all 2d atoms. The space's batch
+    # is the one Sample built, validated once: row s is the s-th atom
+    # sequence in row-major order, and no call decodes or checks it again
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), 0.1]))
     oracles = [lambda s, x: learner.prediction_prob(s, x), lambda s, x: np.full(len(s.codes), 0.5),
                BayesLearner(dist.bias.coords).prediction_prob]
     for cache in (experiments._space, experiments._weights, experiments._coefficients):
         cache.cache_clear()
+    built = []
+    init = Sample.__init__
+    monkeypatch.setattr(Sample, "__init__", lambda self, *args: built.append(1) or init(self, *args))
     tables = []
     for oracle in oracles:
         tables.append(experiments._engine(oracle, 2, 4))
@@ -781,7 +786,12 @@ def test_a_sequence_space_and_its_weights_are_built_once_per_size_and_dimension(
         assert experiments._space.cache_info().misses == 1
         assert experiments._weights.cache_info().misses == 1
         assert experiments._coefficients.cache_info().misses == 4  # one per test atom
+        assert len(built) == 1
     assert len({id(t) for t in tables}) == 3 and tables[0].p.shape == (4 ** 4, 2)
+    batch = experiments._space(4, 2, True).batch
+    atoms = [(x, y) for x in range(2) for y in (PLUS, MINUS)]
+    assert [list(zip(p, y)) for p, y in zip(batch.points.tolist(), batch.labels.tolist())] == [
+        [atoms[code] for code in seq] for seq in product(range(4), repeat=4)]
 
 
 @pytest.mark.parametrize("x", [-1, 2])
@@ -828,6 +838,11 @@ def test_count_table_is_scored_once_per_learner_dimension_and_size():
     # another n, another table
     exhaustive_clean_loss(two.prediction_prob, dist, 4)
     assert two.calls == 2
+    # the count states of every d >= 2 are the same: a law on three points
+    # read at d = 2 and at d = 3 scores one table
+    three = _CountingRule(3)
+    tables = {experiments._engine(three.prediction_prob, d, 6) for d in (2, 3, 3, 2)}
+    assert len(tables) == 1 and three.calls == 1
 
 
 def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
