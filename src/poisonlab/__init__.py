@@ -87,6 +87,7 @@ from .experiments import (
 from .learners import (
     BayesLearner,
     ConstantLearner,
+    CountLawLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,

@@ -439,7 +439,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,7 +17,7 @@ up to 2^n sequences, so at d = 1 weights under 2^-1022 (every sequence at
 u = 0 from n = 1,023 on) still carry the risk.
 
 A bound method of a learner whose `Learner.count_law` speaks for it
-(`learners.scoring_hook`; the exponential mechanism on a full class) is
+(`learners.scoring_hook`; exp-mech on a full class, a `CountLawLearner`) is
 scored on count states, every (a, b) = (#(x, +1), #(x, -1)) of a size-n
 sample (n + 1 at d = 1, (n + 1)(n + 2) / 2 at d >= 2), by one law call that
 serves every point at any d. Its cells are (x, +1), (x, -1) and the other
@@ -56,13 +56,13 @@ and scored by one call per layer, `Adversary.attack` and
 `Learner.prediction_prob` each taking the whole batch; a `Sample` is one
 array of atom codes, so every layer reads the drawn codes. A learner with a
 `count_law` or a `count_prediction` against an attacker with a
-`count_move` (exp-mech and coupled on a full class, and majority vote,
-against identity or greedy) runs its chunks on the counts at each trial's
-target instead: the same drawn integers are counted against the target's
-atom edges (`core._draw_target_counts`), moved and scored, and no atom code
-or `Sample` is built. Both paths read the same draws and the same law, and
-majority's coins come from the same generator state, so their estimates
-are the same floats. A chunk holds
+`count_move` (exp-mech and coupled on a full class, any `CountLawLearner`
+and majority vote, against identity or greedy) runs its chunks on the
+counts at each trial's target instead: the same drawn integers are counted
+against the target's atom edges (`core._draw_target_counts`), moved and
+scored, and no atom code or `Sample` is built. Both paths read the same
+draws and the same law, and majority's coins come from the same generator
+state, so their estimates are the same floats. A chunk holds
 `chunk_trials(n)` trials, as many as fill CHUNK_ENTRIES = 2^14 sample
 entries but at least TRIAL_CHUNK = 64, so the fixed cost of a chunk is paid
 once per 2^14 entries at small n, and a chunk at n >= 256 is 64 trials.
@@ -258,19 +258,19 @@ def mc_adversarial_loss(learner: Learner, adversary: Adversary,
     batch object itself moved no row, so only another batch is measured
     against the budget.
 
-    A learner with a `Learner.count_law` or a `Learner.count_prediction`
-    against an attacker with an `Adversary.count_move` runs on counts
-    instead: each chunk draws the same integers, never turned into atom
-    codes or a `Sample`, counts each trial's rows of (x, +1) and (x, -1)
-    at its target x straight off them (`core._draw_target_counts`), moves
-    the counts as the attack moves the rows, checks the rows moved against
-    the budget and scores the hook on the moved counts. The move draws
-    nothing, and a `count_prediction` (majority vote) draws its
-    coins from the chunk's generator where `prediction_prob` would, after
-    the attack, from the same counts. The hook is the prediction on any
-    sample with those counts, so every score is the same float as on the
-    rows. A distribution over more points than the learner's `domain_size`
-    raises DomainMismatchError (`scoring_hook`).
+    A learner with a `Learner.count_law` (exp-mech on a full class, a
+    `CountLawLearner`) or a `Learner.count_prediction` against an attacker
+    with an `Adversary.count_move` runs on counts instead: each chunk draws
+    the same integers, never turned into atom codes or a `Sample`, counts
+    each trial's rows of (x, +1) and (x, -1) at its target x straight off
+    them (`core._draw_target_counts`), moves the counts as the attack moves
+    the rows, checks the rows moved against the budget and scores the hook
+    on the moved counts. The move draws nothing, and a `count_prediction`
+    (majority vote) draws its coins from the chunk's generator where
+    `prediction_prob` would, after the attack, from the same counts. The
+    hook is the prediction on any sample with those counts, so every score
+    is the same float as on the rows. A distribution over more points than
+    the learner's `domain_size` raises DomainMismatchError (`scoring_hook`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

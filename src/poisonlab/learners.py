@@ -286,7 +286,8 @@ class Learner:
     x)`, the prediction averaged over the learner's coins. `speaks` decides
     once per class which hooks speak (`_hooks`; a silent `count_law` reads
     None); evaluators read them through `scoring_hook` alone, which checks
-    `domain_size` (None: any).
+    `domain_size` (None: any). A coin-free per-point rule, constant among
+    them, is written as `CountLawLearner(name, law)`.
     """
 
     name = "learner"
@@ -529,18 +530,26 @@ class MajorityVoteLearner(Learner):
         return np.where(tally > 0, 1.0, np.where(tally < 0, 0.0, 0.5))
 
 
-class ConstantLearner(Learner):
-    name = "constant"
+class CountLawLearner(Learner):
+    """A coin-free per-point rule given as its `count_law`, `law(a, b, n)`,
+    which `prediction_prob` also reads, on the rows at x (`core.counts_at`)."""
 
+    def __init__(self, name: str, law):
+        self.name, self.law = name, law
+
+    def count_law(self, a, b, n) -> np.ndarray:
+        return self.law(a, b, n)
+
+    def prediction_prob(self, sample: Sample, x, gen=None):
+        probs = self.count_law(*counts_at(sample.codes, x), len(sample))
+        return probs if sample.batched else float(probs[0])
+
+
+class ConstantLearner(CountLawLearner):
     def __init__(self, label: int):
         if label not in (MINUS, PLUS):
             raise ValueError("label must be -1 or +1")
-        self.label = label
-        self.name = f"constant{label:+d}"
-
-    def prediction_prob(self, sample: Sample, x, gen=None):
-        p = 1.0 if self.label == PLUS else 0.0
-        return np.full(len(sample.codes), p) if sample.batched else p
+        super().__init__(f"constant{label:+d}", lambda a, b, n: np.full_like(a, label > 0, float))
 
 
 class BayesLearner(Learner):

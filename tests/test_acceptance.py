@@ -15,7 +15,8 @@ import statistics
 import time
 from fractions import Fraction
 
-from poisonlab import cli, learners, verify
+from poisonlab import cli, experiments, learners, verify
+from poisonlab.adversaries import build_scheme_1d, identity_scheme
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
 from poisonlab.core import (
     BiasVector,
@@ -123,26 +124,49 @@ def test_criterion_04_growth_bound():
              f"{detail}; {elapsed:.2f}s of 10s budget")
 
 
+def _hard_law_excess(learner, eta: Fraction, n: int, scheme) -> float:
+    """`lower_bound_exact`'s mean excess at d = 1, every F exact, under
+    `scheme` in place of the grid scheme of its hard law."""
+    _, hard = build_scheme_1d(eta)
+    values = hard.values()
+    excesses, _ = experiments._excess_table(
+        True, scheme, values, [[a] for a in range(len(values))], [1] * len(values),
+        lambda key: experiments.exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+    return math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
+
+
 def test_criterion_05_lower_bound_1d():
     """Mean oblivious excess of the exponential mechanism under 1-d grid
     poisoning at eta=1/64, n=512 clears sqrt(d*eta)/16 = 1/128 within the
     95% CI; at least 1e4 F trials per point and CI half-width <= 0.002. The
     CI must also contain the exact mean excess: each support value's term
-    table with every F exact, weighted by the hard distribution."""
+    table with every F exact, weighted by the hard distribution. The line
+    also prints the exact increment over the identity scheme's excess."""
     start = time.perf_counter()
     eta = Fraction(1, 64)
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
     rep = lower_bound_experiment(learner, eta, 1, 512, trials_outer=10_000,
                                  trials_f=20_000, rng=_rng("lower-1d"))
     elapsed = time.perf_counter() - start
-    exact, _ = lower_bound_exact(learner, eta, 1, 512)
+    exact, threshold = lower_bound_exact(learner, eta, 1, 512)
+    clean = _hard_law_excess(learner, eta, 512, identity_scheme(1))
     half = rep.ci_high - rep.mean
     ok = (rep.passed and rep.threshold == 0.0078125
           and half <= 0.002 and rep.trials_f >= 10_000 and rep.ci_low <= exact <= rep.ci_high)
     _verdict(5, "1-d poisoning lower bound", ok,
              f"mean excess {rep.mean:.5f} >= {rep.threshold:.7f} - {half:.5f} (CI half), "
              f"exact {exact:.6f} within CI [{rep.ci_low:.6f}, {rep.ci_high:.6f}], "
-             f"{rep.f_points} F points x {rep.trials_f} trials; {elapsed:.1f}s")
+             f"exact increment {exact:.6f} - {clean:.6f} (identity) = {exact - clean:.6f} vs "
+             f"{threshold}, {rep.f_points} F points x {rep.trials_f} trials; {elapsed:.1f}s")
+
+
+def test_criterion_05_control_fails_with_no_poisoning():
+    # the increment check, identity scheme on both sides: 0 misses 1/128
+    eta = Fraction(1, 64)
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
+    poisoned, clean = (_hard_law_excess(learner, eta, 512, identity_scheme(1)) for _ in range(2))
+    increment = poisoned - clean
+    assert not increment >= experiments.lower_bound_threshold(eta, 1) and increment == 0.0
 
 
 def test_criterion_06_lower_bound_2d():

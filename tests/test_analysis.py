@@ -33,7 +33,8 @@ from poisonlab.core import (
     draw_sample_with,
 )
 from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
-from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, Learner
+from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
+from poisonlab.verify import _RowsOnly
 
 SEED = 77031
 
@@ -231,18 +232,6 @@ def test_estimate_f_reproducible_and_chunk_invariant():
     assert a.values == b.values and a.std_errors == b.std_errors
 
 
-class _Unbatched(Learner):
-    """The same learner without `batch_prediction_probs`: estimate_F's row
-    path, which scores each chunk's batch of rows through `prediction_prob`."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-
-    def prediction_prob(self, sample, x, gen=None):
-        return self.inner.prediction_prob(sample, x)
-
-
 def _exact_f_by_histograms(learner, u: BiasVector, n: int, x: int) -> float:
     """Exact F at x: every (point, label) histogram of n rows, weighted by its
     exact multinomial probability, scored by `prediction_prob` on one sample
@@ -268,7 +257,7 @@ def test_estimate_f_paths_match_exact_histogram_f():
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
     n = 4
     batched = estimate_F(learner, u, n, 4000, RandomSource(SEED, 4))
-    scalar = estimate_F(_Unbatched(learner), u, n, 4000, RandomSource(SEED, 4))
+    scalar = estimate_F(_RowsOnly(learner), u, n, 4000, RandomSource(SEED, 4))
     for x in range(2):
         exact = _exact_f_by_histograms(learner, u, n, x)
         assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
@@ -279,7 +268,7 @@ def test_estimate_f_paths_match_exact_histogram_f():
 def test_estimate_f_rejects_a_bias_outside_the_class_domain():
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(1, 8)])
-    for which in (learner, _Unbatched(learner)):
+    for which in (learner, _RowsOnly(learner)):
         with pytest.raises(DomainMismatchError):
             estimate_F(which, u, 8, 40, RandomSource(SEED, 8), points=[0])
 

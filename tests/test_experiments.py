@@ -74,6 +74,7 @@ from poisonlab.experiments import (
 from poisonlab.learners import (
     BayesLearner,
     ConstantLearner,
+    CountLawLearner,
     ExpMechanismConfig,
     ExpMechanismLearner,
     Learner,
@@ -532,40 +533,32 @@ def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
         assert experiments._engine(majority.prediction_prob, space.dimension, 4).per_row
 
 
-class _ScrambledCountRule(Learner):
-    """A rule with a count law that is not monotone in anything: its +1
-    probability at x is a scrambled function of n and the counts of (x, +1)
-    and (x, -1), so a ball's extremum may sit at any state it reaches. x may
-    be one point or one per row."""
+def _scrambled(a, b, n):
+    """A count law that is not monotone in anything: a scrambled function of
+    n and the counts of (x, +1) and (x, -1), so a ball's extremum may sit at
+    any state it reaches."""
+    return ((3 * a + 5 * b + a * b + n) % 7) / 6
 
-    name = "scrambled"
 
-    def __init__(self, d: int):
-        self.d = d
-
-    def prediction_prob(self, sample, x, gen=None):
-        hist = sample.histograms(self.d)
-        at_x = hist[np.arange(len(hist)), x]
-        probs = self.count_law(at_x[:, 0], at_x[:, 1], hist.sum(axis=(1, 2)))
-        return probs if sample.batched else float(probs[0])
-
-    def count_law(self, a, b, n):
-        return ((3 * a + 5 * b + a * b + n) % 7) / 6
+_SCRAMBLED = CountLawLearner("scrambled", _scrambled)
 
 
 @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
 def test_count_engine_takes_the_ball_extremum_of_any_per_point_rule(d, n):
     # every unit row move of a count state matters to some rule; the sequence
-    # table sees the same rule through an undeclared wrapper
-    rule = _ScrambledCountRule(d)
-    wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
-    for coords in ([Fraction(1, 4), Fraction(-1, 8), 0.3], [Fraction(1, 2), 0, Fraction(-1, 2)]):
-        dist = ProductBiasDistribution(BiasVector(coords[:d]))
-        for eta in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-            for loss in (exhaustive_adversarial_loss, exhaustive_public_loss):
-                count, table = loss(rule.prediction_prob, dist, eta, n), loss(wrapped, dist, eta, n)
-                assert abs(count - table) <= 2 * math.ulp(table), (coords, eta, loss)
-                assert count == table or d > 1
+    # table sees the same rule through an undeclared wrapper. Constant's
+    # extremum is its own value, at every radius
+    for rule in (_SCRAMBLED, ConstantLearner(PLUS), ConstantLearner(MINUS)):
+        wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
+        for coords in ([Fraction(1, 4), Fraction(-1, 8), 0.3],
+                       [Fraction(1, 2), 0, Fraction(-1, 2)]):
+            dist = ProductBiasDistribution(BiasVector(coords[:d]))
+            for eta in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                for loss in (exhaustive_adversarial_loss, exhaustive_public_loss):
+                    count = loss(rule.prediction_prob, dist, eta, n)
+                    table = loss(wrapped, dist, eta, n)
+                    assert abs(count - table) <= 2 * math.ulp(table), (rule.name, coords, eta)
+                    assert count == table or d > 1
 
 
 def _count_state_reference(learner, u: BiasVector, n: int) -> tuple[Fraction, Fraction]:
@@ -805,12 +798,10 @@ def test_exact_f_rejects_a_point_outside_the_domain(x):
             exact_F(oracle, u, 3, x)
 
 
-class _CountingRule(_ScrambledCountRule):
-    """The scrambled rule, counting its `count_law` calls."""
+class _CountingRule(CountLawLearner):
+    """A count law, counting its `count_law` calls."""
 
-    def __init__(self, d: int):
-        super().__init__(d)
-        self.calls = 0
+    calls = 0
 
     def count_law(self, a, b, n):
         self.calls += 1
@@ -819,7 +810,7 @@ class _CountingRule(_ScrambledCountRule):
 
 def test_count_table_is_scored_once_per_learner_dimension_and_size():
     # every exact evaluator at every bias reads one table per (learner, d, n)
-    one = _CountingRule(1)
+    one = _CountingRule("scrambled", _scrambled)
     for u in (Fraction(1, 4), Fraction(-3, 10), Fraction(0), 0.1):
         dist = ProductBiasDistribution(BiasVector([u]))
         equivalence_check(one.prediction_prob, u, Fraction(1, 4), 6)
@@ -828,7 +819,7 @@ def test_count_table_is_scored_once_per_learner_dimension_and_size():
         exhaustive_clean_loss(one.prediction_prob, dist, 6)
         exact_F(one.prediction_prob, dist.bias, 6, 0)
     assert one.calls == 1
-    two = _CountingRule(2)
+    two = _CountingRule("scrambled", _scrambled)
     for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.3, Fraction(1, 2)]):
         dist = ProductBiasDistribution(BiasVector(coords))
         exhaustive_adversarial_loss(two.prediction_prob, dist, Fraction(1, 4), 5)
@@ -840,7 +831,7 @@ def test_count_table_is_scored_once_per_learner_dimension_and_size():
     assert two.calls == 2
     # the count states of every d >= 2 are the same: a law on three points
     # read at d = 2 and at d = 3 scores one table
-    three = _CountingRule(3)
+    three = _CountingRule("scrambled", _scrambled)
     tables = {experiments._engine(three.prediction_prob, d, 6) for d in (2, 3, 3, 2)}
     assert len(tables) == 1 and three.calls == 1
 
@@ -859,16 +850,15 @@ def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
         assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
     assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
     # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
-    rule = _ScrambledCountRule(2)
-    flat = experiments._engine(rule.prediction_prob, 1, 3)
-    wide = experiments._engine(rule.prediction_prob, 2, 3)
+    flat = experiments._engine(_SCRAMBLED.prediction_prob, 1, 3)
+    wide = experiments._engine(_SCRAMBLED.prediction_prob, 2, 3)
     assert flat is not wide and flat.p.shape == (4,) and wide.p.shape == (10,)
 
 
 def test_five_count_tables_read_in_turn_are_each_built_once():
     # an exact-ball benchmark pass reads 5 tables in turn (n = 2 and 4 at
     # two budgets, n = 8 at one); repeated in one process, every one is kept
-    rules = [_CountingRule(1) for _ in range(5)]
+    rules = [_CountingRule("scrambled", _scrambled) for _ in range(5)]
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     for _ in range(3):
         for rule, n in zip(rules, (2, 2, 4, 4, 8)):
@@ -914,7 +904,7 @@ def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
 def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
     # a radius is built from the largest kept radius below it, and at most
     # _RADII are kept; every order gives the fresh table's arrays to the bit
-    rule = _ScrambledCountRule(d)
+    rule = _SCRAMBLED
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)][:d]))
     wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
     for build in (lambda: experiments._count_table.__wrapped__(rule, d, n),
@@ -983,19 +973,16 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
         assert experiments._engine(tiny.prediction_prob, 2, n).p.max() == 1.0
 
 
-class _NanCountRule(_ScrambledCountRule):
-    """A count law of +1 probability 1/2, but NaN at every sample holding
-    exactly one (x, +1) row."""
-
-    name = "nan-rule"
+class _NanCountRule(CountLawLearner):
+    """A count law, but NaN at every sample holding exactly one (x, +1) row."""
 
     def count_law(self, a, b, n):
-        return np.where(a == 1, np.nan, 0.5)
+        return np.where(a == 1, np.nan, super().count_law(a, b, n))
 
 
 def test_a_nan_probability_raises_naming_its_oracle():
     # a ball maximum over a NaN is NaN, which no floor or sum should pass on
-    rule = _NanCountRule(1)
+    rule = _NanCountRule("nan-rule", _scrambled)
     wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     for oracle, who in ((rule.prediction_prob, "learner 'nan-rule'"),
@@ -1017,7 +1004,7 @@ def test_a_nan_probability_on_the_rows_raises_naming_its_learner():
         def attack(self, sample, target, gen=None):
             return sample
 
-    rule = _NanCountRule(1)
+    rule = _NanCountRule("nan-rule", _scrambled)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     assert RowIdentity.count_move is None
     with pytest.raises(ValueError, match="learner 'nan-rule' returned NaN for a batch"):
@@ -1029,13 +1016,14 @@ def test_a_nan_probability_on_the_rows_raises_naming_its_learner():
                                   Fraction(1, 36472996377170786403),
                                   (Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2))])
 def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
-    # exp-mech, coupled and majority on full(d) against identity and
-    # greedy, at a budget of no row and at one past the rows at x (d >= 2),
-    # over a full chunk and a short one: field for field the estimates of
-    # the same learner behind a wrapper with no count hook, whose rows are
-    # built. Majority votes over all 64 rows at the first budget, drawing
-    # nothing, and thins to 2 at the second. A tuple of biases gives the
-    # first d coordinates, so they differ from point to point
+    # exp-mech, coupled and majority on full(d), constant and the scrambled
+    # law against identity and greedy, at a budget of no row and at one past
+    # the rows at x (d >= 2), over a full chunk and a short one: field for
+    # field the estimates of the same learner behind a wrapper with no count
+    # hook, whose rows are built. Majority votes over all 64 rows at the
+    # first budget, drawing nothing, and thins to 2 at the second. A tuple
+    # of biases gives the first d coordinates, so they differ from point to
+    # point
     n = 64
     trials = experiments.chunk_trials(n) + 37
     dist = ProductBiasDistribution(BiasVector(bias[:d] if isinstance(bias, tuple) else [bias] * d))
@@ -1043,17 +1031,18 @@ def test_count_path_estimates_are_the_row_path_estimates(monkeypatch, d, bias):
     monkeypatch.setattr(experiments, "draw_sample_with",
                         lambda *args, **kw: built.append(1) or draw_sample_with(*args, **kw))
     for eta in (Fraction(1, 2 * n), Fraction(3, 4)):
-        for learner_id in ("exp-mech", "coupled", "majority"):
-            learner = make_learner(learner_id, HypothesisClass.full(d), eta, n, dist.bias.coords)
+        rules = [make_learner(learner_id, HypothesisClass.full(d), eta, n, dist.bias.coords)
+                 for learner_id in ("exp-mech", "coupled", "majority")]
+        for learner in rules + [ConstantLearner(PLUS), _SCRAMBLED]:
             for adversary_id in ("identity", "greedy"):
                 adversary = make_adversary(adversary_id, eta, learner, d)
-                rng = RandomSource(SEED, 11).child(learner_id, adversary_id, str(eta))
+                rng = RandomSource(SEED, 11).child(learner.name, adversary_id, str(eta))
                 built.clear()
                 counts = mc_adversarial_loss(learner, adversary, dist, n, eta, trials, rng)
                 assert built == []
                 rows = mc_adversarial_loss(_RowsOnly(learner), adversary, dist, n, eta, trials, rng)
                 assert built == [1, 1]
-                assert counts == rows, (eta, learner_id, adversary_id)
+                assert counts == rows, (eta, learner.name, adversary_id)
 
 
 class _WatchedVote(MajorityVoteLearner):
@@ -1154,21 +1143,22 @@ def test_a_distribution_past_the_learners_domain_raises_on_the_rows(learner_id, 
 
 def test_a_learner_subclass_rewriting_prediction_prob_is_scored_by_it():
     # an inherited count law would score the parent's prediction instead
-    class Halved(ExpMechanismLearner):
-        name = "halved"
-
+    class Abstaining(CountLawLearner):
         def prediction_prob(self, sample, x, gen=None):
-            return super().prediction_prob(sample, x, gen) / 2
+            return np.full(len(sample.codes), 0.5)
 
     hclass, config = HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8))
-    assert Halved(hclass, config).count_law is None
+    plus = ConstantLearner(PLUS)
+    pairs = ((_Flipped(hclass, config), ExpMechanismLearner(hclass, config)),
+             (Abstaining("abstaining", plus.law), plus))
+    assert [rewritten.count_law for rewritten, _ in pairs] == [None, None]
     assert make_learner("coupled", hclass, config.eta, 16, (0,)).count_law is not None
     assert _ClassScoredRule(hclass, config).count_law is not None
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
-    halved, full = (mc_adversarial_loss(learner, IdentityAdversary(), dist, 16, 0, 100,
-                                        RandomSource(SEED, 13)).mean
-                    for learner in (Halved(hclass, config), ExpMechanismLearner(hclass, config)))
-    assert halved != full
+    for pair in pairs:
+        mine, theirs = (mc_adversarial_loss(learner, IdentityAdversary(), dist, 16, 0, 100,
+                                            RandomSource(SEED, 13)).mean for learner in pair)
+        assert mine != theirs
 
 
 class _Flipped(ExpMechanismLearner):
@@ -1207,12 +1197,12 @@ def test_exact_evaluators_refuse_a_distribution_past_the_learners_domain():
         lower_bound_exact(one, Fraction(1, 64), 2, 64)
 
 
-@pytest.mark.parametrize("case", [*experiments.LEARNER_IDS, "three", "flipped"])
+@pytest.mark.parametrize("case", [*experiments.LEARNER_IDS, "three", "flipped", "constant"])
 def test_brute_force_takes_the_averaged_oracle_the_hooks_give(case):
-    # vc averages its subset draws; the mechanisms draw nothing, as their
-    # count or histogram law says, so their prediction is its own average;
-    # a rule with neither, or a subclass rewriting the prediction without
-    # an averaged oracle of its own, is refused
+    # vc averages its subset draws; the mechanisms and constant draw
+    # nothing, as their count or histogram law says, so their prediction is
+    # its own average; a rule with neither, or a subclass rewriting the
+    # prediction without an averaged oracle of its own, is refused
     eta, config = Fraction(1, 16), ExpMechanismConfig(Fraction(1, 16))
     full = HypothesisClass.full(2)
     if case == "three":
@@ -1220,10 +1210,13 @@ def test_brute_force_takes_the_averaged_oracle_the_hooks_give(case):
             HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]), config)
     elif case == "flipped":
         learner = _Flipped(full, config)
+    elif case == "constant":
+        learner = ConstantLearner(PLUS)
     else:
         learner = make_learner(case, full, eta, 16, (Fraction(1, 4),) * 2)
     oracle = {"vc": "mean_prediction_prob", "exp-mech": "prediction_prob",
-              "coupled": "prediction_prob", "three": "prediction_prob"}.get(case)
+              "coupled": "prediction_prob", "three": "prediction_prob",
+              "constant": "prediction_prob"}.get(case)
     if oracle is None:
         with pytest.raises(PreconditionError,
                            match=rf"^brute-force attack needs an averaged prediction oracle; "
@@ -1626,14 +1619,15 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
                                                     [range(2)], [1], lambda key: 0.0)
         return set(coefficients)
 
-    for lid in ("exp-mech", "coupled"):
-        learner = make_learner(lid, hc, eta, 64, coords)
+    # constant's count law makes it per-point
+    per_point = [make_learner(lid, hc, eta, 64, coords) for lid in ("exp-mech", "coupled")]
+    for learner in per_point + [ConstantLearner(PLUS)]:
         assert keys(learner) == {(0, (Fraction(1, 8), Fraction(0))),
                                  (0, (Fraction(-3, 16), Fraction(0)))}
     three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
                                 ExpMechanismConfig(eta))
     others = [make_learner(lid, hc, eta, 64, coords) for lid in ("vc", "majority", "bayes")]
-    for learner in others + [three, ConstantLearner(PLUS)]:
+    for learner in others + [three]:
         assert keys(learner) == {(0, coords), (1, coords)}
 
 
