@@ -190,6 +190,7 @@ def _ceil_float(c: Fraction) -> float:
     return f if f >= c else math.nextafter(f, math.inf)
 
 
+@functools.lru_cache(maxsize=64)
 def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistribution]:
     """Construct the 1-D grid scheme and its hard distribution at budget eta.
 
@@ -198,21 +199,17 @@ def build_scheme_1d(eta: Scalar) -> tuple[PoisoningScheme1D, HardBiasDistributio
     eta <= 1/16). m is the largest integer with (2m+1)^2 * eta <= 1, that
     is with 2m+1 <= s = isqrt(floor(1/eta)); at eta <= 1/16, s >= 4, so
     m >= 1 and (2m+1)^2 >= (s-1)^2 >= ((s+1)/2)^2 > 1/(4 eta).
+
+    A pure function of the exact budget, built once per budget: equal
+    budgets of any numeric type share one (scheme, hard law) pair, which is
+    never modified.
     """
-    scheme = _scheme_1d(exact_fraction(eta))
-    return scheme, HardBiasDistribution(scheme)
-
-
-@functools.lru_cache(maxsize=64)
-def _scheme_1d(eta: Scalar) -> PoisoningScheme1D:
-    """`build_scheme_1d`'s scheme alone, for callers with no use for the
-    hard distribution. A pure function of the exact budget, built once per
-    budget; the scheme is never modified, so callers share it."""
     eta = exact_fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     eta = min(eta, Fraction(1, 16))
-    return PoisoningScheme1D(eta, (math.isqrt(math.floor(1 / eta)) - 1) // 2)
+    scheme = PoisoningScheme1D(eta, (math.isqrt(math.floor(1 / eta)) - 1) // 2)
+    return scheme, HardBiasDistribution(scheme)
 
 
 class PoisoningSchemeD:

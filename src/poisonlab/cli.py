@@ -229,31 +229,14 @@ def _require_single(cfg: RunConfig, keys: Sequence[str]) -> None:
 def estimate_to_row(est: ExcessEstimate, experiment: str, config_hash: str,
                     bound_name: str | None = None, bound_value: float | None = None,
                     passed: bool | None = None) -> dict:
-    meta = est.metadata
-    return {
-        "experiment": experiment or meta.get("experiment", ""),
-        "learner": meta.get("learner", ""),
-        "adversary": meta.get("adversary", ""),
-        "d": meta.get("d", ""),
-        "eta": meta.get("eta", ""),
-        "n": meta.get("n", ""),
-        "bias": meta.get("bias", ""),
-        "trials": est.trials,
-        "seed": est.seed,
-        "stream": meta.get("stream", ""),
-        "mean": est.mean,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "bayes": est.bayes,
-        "excess": est.excess,
-        "excess_ci_low": est.excess_ci_low,
-        "excess_ci_high": est.excess_ci_high,
-        "bound_name": bound_name,
-        "bound_value": bound_value,
-        "passed": passed,
-        "error": meta.get("error", ""),
-        "config_hash": config_hash,
-    }
+    """One value per `COLUMNS` entry: the estimate's field of that name, else
+    its metadata entry ("" if none); then the experiment, the bound and the
+    config hash the caller gives."""
+    fields = vars(est)
+    row = {c: fields[c] if c in fields else est.metadata.get(c, "") for c in COLUMNS}
+    row.update(experiment=experiment or row["experiment"], bound_name=bound_name,
+               bound_value=bound_value, passed=passed, config_hash=config_hash)
+    return row
 
 
 def _format_cell(value) -> str:

@@ -137,7 +137,6 @@ from .adversaries import (
     IdentityAdversary,
     PoisoningSchemeD,
     TRIAL_CHUNK,
-    _scheme_1d,
     build_scheme_1d,
 )
 from .analysis import (
@@ -637,7 +636,7 @@ def equivalence_check(p_oracle: PredictionOracle, u: Scalar, eta: Scalar,
     table = _engine(p_oracle, 1, n)
     left = table.risk((uf,), corruption_limit(2 * eta, n))
     guard = math.exp(-n * float(eta) / 3.0)
-    scheme = _scheme_1d(eta)
+    scheme = build_scheme_1d(eta)[0]
     candidates = {uf, scheme.apply(MINUS, uf), scheme.apply(PLUS, uf)}
     fs = [_table_f(table, (_bias_coordinate(c),), 0) for c in candidates]
     right = math.fsum(num / den * max(0.5 - ex.label * f for f in fs)
@@ -1090,7 +1089,9 @@ def run_cell(grid: SweepGrid, cell: SweepCell) -> ExcessEstimate:
     stream = stable_stream_id("sweep", str(cell.eta), cell.d, cell.n, cell.learner,
                               cell.adversary, grid.trials, str(grid.bias))
     rng = RandomSource(grid.seed, stream)
-    meta = {"experiment": "sweep", "bias": str(grid.bias)}
+    meta = {"experiment": "sweep", "bias": str(grid.bias), "stream": stream,
+            "learner": cell.learner, "adversary": cell.adversary, "n": cell.n,
+            "eta": str(cell.eta), "d": cell.d}
     try:
         hclass = HypothesisClass.full(cell.d)
         bias = BiasVector([Fraction(grid.bias)] * cell.d)
@@ -1101,9 +1102,7 @@ def run_cell(grid: SweepGrid, cell: SweepCell) -> ExcessEstimate:
                                    grid.trials, rng, metadata=meta)
     except (PreconditionError, EnumerationTooLargeError) as exc:
         nan = float("nan")
-        meta.update({"learner": cell.learner, "adversary": cell.adversary,
-                     "n": cell.n, "eta": str(cell.eta), "d": cell.d,
-                     "stream": stream, "error": f"{type(exc).__name__}: {exc}"})
+        meta["error"] = f"{type(exc).__name__}: {exc}"
         return ExcessEstimate(mean=nan, ci_low=nan, ci_high=nan, bayes=nan, excess=nan,
                               excess_ci_low=nan, excess_ci_high=nan, trials=0,
                               seed=grid.seed, metadata=meta)

@@ -532,7 +532,9 @@ class MajorityVoteLearner(Learner):
 
 class CountLawLearner(Learner):
     """A coin-free per-point rule given as its `count_law`, `law(a, b, n)`,
-    which `prediction_prob` also reads, on the rows at x (`core.counts_at`)."""
+    which `prediction_prob` also reads, on the rows at x (`core.counts_at`).
+    A subclass that rewrites `prediction_prob` alone has no `count_law`
+    (`Learner._hooks`), and its `super().prediction_prob` reads `law`."""
 
     def __init__(self, name: str, law):
         self.name, self.law = name, law
@@ -541,7 +543,7 @@ class CountLawLearner(Learner):
         return self.law(a, b, n)
 
     def prediction_prob(self, sample: Sample, x, gen=None):
-        probs = self.count_law(*counts_at(sample.codes, x), len(sample))
+        probs = (self.count_law or self.law)(*counts_at(sample.codes, x), len(sample))
         return probs if sample.batched else float(probs[0])
 
 

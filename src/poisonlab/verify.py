@@ -255,14 +255,9 @@ def _wide_extremum(values: list[tuple[int, float]], pick) -> str:
 
 
 def _random_tiny_instance(gen):
-    d = int(gen.integers(1, 3))
-    want = int(gen.integers(1, 2 ** d + 1))
-    rows = {}
-    while len(rows) < want:
-        rows[tuple(int(v) for v in gen.choice((-1, 1), size=d))] = None
-    hclass = HypothesisClass(list(rows))
+    hclass = _random_class(gen, max_domain=2, max_size=4)
     n = int(gen.integers(2, 7))
-    sample = _random_sample(gen, d, n)
+    sample = _random_sample(gen, hclass.domain_size, n)
     eta = float(gen.uniform(0.05, 0.5))
     return hclass, sample, ExpMechanismConfig(eta)
 

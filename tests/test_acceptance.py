@@ -15,6 +15,8 @@ import statistics
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from poisonlab import cli, experiments, learners, verify
 from poisonlab.adversaries import build_scheme_1d, identity_scheme
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
@@ -23,6 +25,8 @@ from poisonlab.core import (
     HypothesisClass,
     ProductBiasDistribution,
     RandomSource,
+    Sample,
+    ball_enumerate,
     bayes_loss,
     stable_stream_id,
 )
@@ -76,25 +80,66 @@ def test_criterion_02_ratio_stability():
              f"{detail}; {elapsed:.2f}s of 30s budget")
 
 
+def _scaled_config(eta, scale: float) -> ExpMechanismConfig:
+    """`ExpMechanismConfig(eta)` at `scale` times its temperature."""
+    class Scaled(ExpMechanismConfig):
+        def temperature(self, m: int) -> float:
+            return scale * super().temperature(m)
+
+    return Scaled(eta)
+
+
+def _worst_flip_ratio(scale: float = 1.0) -> float:
+    """The largest coupled flip probability over its bound 4 t eta, on 60
+    random classes of 2 to 2^d rows on d <= 3 points, each with a sample of
+    n in [16, 48] rows at eta = k/n, k = 1 or 2: every member of the sample's
+    ball is scored at every point in one batch, by the mechanism at `scale`
+    times its temperature t, while the bound reads t."""
+    gen = _rng("flip-ratio").generator()
+    worst = 0.0
+    for _ in range(60):
+        d = int(gen.integers(1, 4))
+        hclass = _random_small_class(gen, d, most=2 ** d)
+        n = int(gen.integers(16, 49))
+        eta = Fraction(int(gen.integers(1, 3)), n)
+        ball = ball_enumerate(Sample(gen.integers(0, d, size=n), gen.choice((-1, 1), size=n)),
+                              eta, d).histograms(d)
+        mechanism = ExpMechanismLearner(hclass, _scaled_config(eta, scale))
+        for x in range(d):
+            probs = mechanism.batch_prediction_probs(ball, x)
+            flip = float(np.abs(probs - probs[0]).max())  # the ball's row 0 is the sample
+            worst = max(worst, flip / learners.flip_bound(ExpMechanismConfig(eta), hclass.size))
+    return worst
+
+
 def test_criterion_03_coupled_flip_bound():
     """Coupled-threshold prediction flip probability across the corruption
-    ball stays within 4*t*eta = 4*sqrt(eta log m); slack floor -1e-12."""
+    ball stays within 4*t*eta = 4*sqrt(eta log m); slack floor -1e-12. The
+    tiny instances of the probe hold a second sample in a ball only where
+    the bound exceeds 1, so the same bound is also measured at n in [16, 48]
+    (`_worst_flip_ratio`), where it can fail: the worst ratio must be <= 1."""
     start = time.perf_counter()
     ok, detail = verify.acceptance_flip_bound(_rng("flip-bound"))
+    ratio = _worst_flip_ratio()
     elapsed = time.perf_counter() - start
-    _verdict(3, "coupled flip bound", ok, f"{detail}; {elapsed:.2f}s")
+    _verdict(3, "coupled flip bound", ok and ratio <= 1.0,
+             f"{detail}; worst flip/bound = {ratio:.4f} on 60 instances at n in [16, 48] "
+             f"(<= 1 required); {elapsed:.2f}s")
+
+
+def test_criterion_03_control_fails_at_sixteen_times_the_temperature():
+    # a mechanism at 16t flips up to 16 times as often across a ball, past
+    # the 4 t eta that the bound at t allows (the worst ratio is 0.125 at t)
+    ratio = _worst_flip_ratio(16.0)
+    assert not ratio <= 1.0 and f"{ratio:.4f}" == "1.5281", ratio
 
 
 def _off_temperature(monkeypatch, name: str, scale: float) -> None:
     """Run the mechanism behind `learners.<name>` at `scale` times its
     temperature, while the probe's bound keeps reading the original t."""
-    class Scaled(ExpMechanismConfig):
-        def temperature(self, m: int) -> float:
-            return scale * super().temperature(m)
-
     original = getattr(learners, name)
     monkeypatch.setattr(learners, name,
-                        lambda *args: original(*args[:-1], Scaled(args[-1].eta)))
+                        lambda *args: original(*args[:-1], _scaled_config(args[-1].eta, scale)))
 
 
 def test_criterion_01_control_fails_at_a_tenth_of_the_temperature(monkeypatch):
@@ -249,8 +294,8 @@ def test_criterion_09_public_domination():
     _verdict(9, "public-coin domination", ok, f"{detail}; {elapsed:.1f}s")
 
 
-def _random_small_class(gen, domain: int) -> HypothesisClass:
-    want = int(gen.integers(2, 5))
+def _random_small_class(gen, domain: int, most: int = 4) -> HypothesisClass:
+    want = int(gen.integers(2, most + 1))
     rows: dict[tuple, None] = {}
     while len(rows) < want:
         rows[tuple(int(v) for v in gen.choice((-1, 1), size=domain))] = None

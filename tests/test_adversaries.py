@@ -159,7 +159,13 @@ def test_brute_force_checks_the_domain_size(d, error):
 
 
 def test_scheme_frozen_grid_at_eta_1_64():
+    # one (scheme, hard law) per exact budget, whatever its numeric type; a
+    # budget at or below 0 is never kept, and raises on every call
     scheme, hard = build_scheme_1d(Fraction(1, 64))
+    assert all(a is b for a, b in zip(build_scheme_1d(0.015625), (scheme, hard)))
+    for bad in (0, 0, Fraction(-1, 8), Fraction(-1, 8)):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            build_scheme_1d(bad)
     assert scheme.m == 3
     assert scheme.eta == Fraction(1, 64)
     assert scheme.grid() == tuple(Fraction(2 * i, 64) for i in range(-3, 4))

@@ -34,7 +34,7 @@ from poisonlab.core import (
 )
 from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
-from poisonlab.verify import _RowsOnly
+from poisonlab.verify import _RowsOnly, _random_class
 
 SEED = 77031
 
@@ -42,15 +42,6 @@ TWO_CONSTS = HypothesisClass([[PLUS], [MINUS]])
 
 # frozen oracle: exact F of the two-constant mechanism, u=1/8, n=2, eta=1/4
 EXACT_F_2CONST = 0.085230665922167631
-
-
-def _random_class(gen, max_domain=8, max_size=16):
-    n = int(gen.integers(1, max_domain + 1))
-    want = int(gen.integers(1, min(max_size, 2 ** n) + 1))
-    rows = {}
-    while len(rows) < want:
-        rows[tuple(int(v) for v in gen.choice((-1, 1), size=n))] = None
-    return HypothesisClass(list(rows))
 
 
 def test_restrict_dedupe_hand_case():
@@ -70,7 +61,7 @@ def test_restrict_dedupe_hand_case():
 def test_restrict_dedupe_matches_reference():
     rng = np.random.default_rng(SEED)
     for _ in range(25):
-        hc = _random_class(rng)
+        hc = _random_class(rng, max_domain=8, max_size=16)
         size = int(rng.integers(1, hc.domain_size + 1))
         pts = tuple(sorted(set(int(p) for p in rng.integers(0, hc.domain_size, size=size))))
         r = restrict_dedupe(hc, pts)

@@ -136,7 +136,7 @@ def test_option_table_fills_every_grid_field_and_pins_the_hash():
 
 def _row(**kw):
     meta = {"learner": "exp-mech", "adversary": "greedy", "n": 8, "eta": "1/8",
-            "d": 1, "stream": 42, "bias": "1/4"}
+            "d": 1, "stream": 42, "bias": "1/4", "mean": "not the estimate's", "extra": 1}
     est = ExcessEstimate(mean=0.5, ci_low=0.4, ci_high=0.6, bayes=0.25, excess=0.25,
                          excess_ci_low=0.15, excess_ci_high=0.35, trials=100,
                          seed=1729, metadata=meta)
@@ -144,7 +144,9 @@ def _row(**kw):
 
 
 def test_estimate_to_row_mapping():
+    # a row holds the columns alone; an estimate field outranks a metadata key
     row = _row(bound_name="x", bound_value=1.5, passed=True)
+    assert tuple(row) == COLUMNS
     assert [row[c] for c in COLUMNS[:10]] == [
         "run", "exp-mech", "greedy", 1, "1/8", 8, "1/4", 100, 1729, 42]
     assert row["mean"] == 0.5 and row["bound_value"] == 1.5 and row["passed"] is True

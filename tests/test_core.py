@@ -44,6 +44,7 @@ from poisonlab.core import (
     stable_stream_id,
 )
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner, VcLearnerConfig, _one_row
+from poisonlab.verify import _ball_reference
 
 SEED = 20260825
 
@@ -415,22 +416,6 @@ def test_metric_axioms_random():
         assert (hamming_distance(a, b) == 0) == (a == b)
 
 
-def _reference_ball(sample, k, alphabet):
-    out = set()
-
-    def rec(i, changed, acc):
-        if changed > k:
-            return
-        if i == len(sample):
-            out.add(tuple(acc))
-            return
-        for a in alphabet:
-            rec(i + 1, changed + (a != sample.example(i)), acc + [a])
-
-    rec(0, 0, [])
-    return out
-
-
 def test_ball_enumerate_matches_reference():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(30):
@@ -441,7 +426,7 @@ def test_ball_enumerate_matches_reference():
         got = [tuple(b.examples()) for b in ball.rows()]
         assert len(set(got)) == len(got), "duplicates"
         assert got[0] == tuple(s.examples()), "clean sample must come first"
-        assert set(got) == _reference_ball(s, math.floor(Fraction(eta) * n), full_alphabet(d))
+        assert set(got) == _ball_reference(s, math.floor(Fraction(eta) * n), full_alphabet(d))
 
 
 def _per_member_ball(sample, eta, d):

@@ -1142,16 +1142,27 @@ def test_a_distribution_past_the_learners_domain_raises_on_the_rows(learner_id, 
 
 
 def test_a_learner_subclass_rewriting_prediction_prob_is_scored_by_it():
-    # an inherited count law would score the parent's prediction instead
+    # an inherited count law would score the parent's prediction instead;
+    # the parent's prediction_prob, which a rewrite may call, reads the law
     class Abstaining(CountLawLearner):
         def prediction_prob(self, sample, x, gen=None):
             return np.full(len(sample.codes), 0.5)
 
+    class Halved(CountLawLearner):
+        def prediction_prob(self, sample, x, gen=None):
+            return super().prediction_prob(sample, x, gen) / 2
+
+    halved = Halved("halved", _scrambled)
+    one = Sample([0, 0, 1, 0], [PLUS, MINUS, PLUS, PLUS])  # (a, b) = (2, 1) at 0
+    assert halved.prediction_prob(one, 0) == _scrambled(2, 1, 4) / 2
+    two = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    assert (exhaustive_clean_loss(halved.prediction_prob, two, 4)
+            == exhaustive_clean_loss(lambda s, x: halved.prediction_prob(s, x), two, 4))
     hclass, config = HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8))
     plus = ConstantLearner(PLUS)
     pairs = ((_Flipped(hclass, config), ExpMechanismLearner(hclass, config)),
-             (Abstaining("abstaining", plus.law), plus))
-    assert [rewritten.count_law for rewritten, _ in pairs] == [None, None]
+             (Abstaining("abstaining", plus.law), plus), (halved, _SCRAMBLED))
+    assert [rewritten.count_law for rewritten, _ in pairs] == [None, None, None]
     assert make_learner("coupled", hclass, config.eta, 16, (0,)).count_law is not None
     assert _ClassScoredRule(hclass, config).count_law is not None
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
