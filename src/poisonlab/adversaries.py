@@ -119,7 +119,9 @@ class PoisoningScheme1D:
     On the grid, a -1 test label pushes the coordinate up by eta and a +1
     label pushes it down (each poisons toward more mass on the wrong label);
     off the grid, including at the hard distribution's endpoints
-    +-(2m+1)*eta, the map is the identity. All arithmetic is exact.
+    +-(2m+1)*eta, the map is the identity. All arithmetic is exact, in
+    integers: u = a/b is the grid point k * eta, eta = e/f, when b e divides
+    a f, and k = a f / (b e) is even with |k| <= 2m.
     """
 
     def __init__(self, eta: Fraction, m: int):
@@ -138,12 +140,12 @@ class PoisoningScheme1D:
     def apply(self, label: int, u: Scalar) -> Scalar:
         if label not in (MINUS, PLUS):
             raise ValueError("label must be -1 or +1")
-        q = exact_fraction(u) / self.eta
-        on_grid = q.denominator == 1 and q.numerator % 2 == 0 and abs(q.numerator) <= 2 * self.m
-        if not on_grid:
+        v, e, f = exact_fraction(u), self.eta.numerator, self.eta.denominator
+        k, rest = divmod(v.numerator * f, v.denominator * e)
+        if rest or k % 2 or abs(k) > 2 * self.m:
             return u
         step = 1 if label == MINUS else -1
-        return (q.numerator + step) * self.eta
+        return Fraction((k + step) * e, f)
 
 
 class HardBiasDistribution:

@@ -548,8 +548,12 @@ def population_loss(h: Sequence[int], dist: ProductBiasDistribution) -> Fraction
 
 def bayes_loss(dist: ProductBiasDistribution) -> Fraction:
     """Best achievable loss over all labelings, exactly: the average of
-    min(1/2 - u_i, 1/2 + u_i) = 1/2 - |u_i|."""
-    return sum(Fraction(1, 2) - abs(u) for u in dist.bias.coords) / dist.dimension
+    min(1/2 - u_i, 1/2 + u_i) = 1/2 - |u_i|, in integers: (q - 2|p|) / (2q)
+    at u_i = p/q, each over one common denominator."""
+    coords = dist.bias.coords
+    den = math.lcm(*(u.denominator for u in coords))
+    return Fraction(sum((u.denominator - 2 * abs(u.numerator)) * (den // u.denominator)
+                        for u in coords), 2 * den * len(coords))
 
 
 def hamming_distance(a: Sample, b: Sample) -> Fraction | np.ndarray:

@@ -76,6 +76,13 @@ attacker's, which scores at most TRIAL_CHUNK trials' balls per call.
 Scores are Rao-Blackwellized wherever the learner admits it: a trial records
 the exact conditional error probability at the drawn test example rather than
 a sampled 0/1 outcome, which shrinks confidence intervals at no cost in bias.
+Every mean and variance is taken with math.fsum's correctly rounded sums
+(`analysis._mean_and_variance`): an array of `analysis.EXACT_SUM_MIN` values
+or more by two vector passes of error-free extraction (Rump, Ogita and
+Oishi, SIAM J. Sci. Comput. 31(1), 2008), which give the same float. By
+timeit on lower-bound F values (2-vCPU Xeon) the passes cost what fsum costs
+at about 400 values; the constant sits at 1,024, above a sweep cell's 600
+trials, and a lower bound's 1,600-trial F keys take the passes.
 """
 
 from __future__ import annotations
@@ -674,19 +681,22 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 
 
 def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
-                     *labels) -> tuple[Callable[[tuple], float], dict[tuple, FTable]]:
+                     *labels, gen: np.random.Generator | None = None
+                     ) -> tuple[Callable[[tuple], float], dict[tuple, FTable]]:
     """The F value of each F key (i, v) and the cache it fills: one
     `estimate_F` of `trials_f` size-n trials at point i per key, run at the
     bias v on the stream rng.child(*labels, i, repr(v)); the cache keeps its
     table under the key. A per-point learner's keys are (0, v e_0), one per
-    poisoned value (`_excess_table`), so its estimates all run at point 0."""
+    poisoned value (`_excess_table`), so its estimates all run at point 0.
+    Given `gen`, every estimate re-keys that one generator to its stream
+    rather than building its own; either way it draws the same values."""
     cache: dict[tuple, FTable] = {}
 
     def f_value(key: tuple) -> float:
         if key not in cache:
             i, v = key
             cache[key] = estimate_F(learner, BiasVector(v), n, trials_f,
-                                    rng.child(*labels, i, repr(v)), points=[i])
+                                    rng.child(*labels, i, repr(v)), points=[i], gen=gen)
         return cache[key].values[0]
 
     return f_value, cache
@@ -828,8 +838,13 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     distribution has finite support, so the draws are counted and the
     distinct ones (`_distinct_rows`) go through the term table
     (`_excess_table`) once, which maps each support value under each label
-    once. Each F key is estimated once with `trials_f` trials on the stream
-    ("F", key point, key bias) and cached (`_cached_f_oracle`): a per-point
+    once. A per-point learner's row excess reads its coordinates as a
+    multiset (fsum and the integer Bayes sum ignore their order), so its
+    draws are sorted within each row first, and each slot's use count is
+    unchanged. Each F key is estimated once with `trials_f` trials on the
+    stream ("F", key point, key bias) and cached (`_cached_f_oracle`), each
+    estimate re-keying the outer draw's generator, so a call builds one
+    Philox generator (`RandomSource.rekey`). A per-point
     learner has one key per distinct poisoned value v, (0, v e_0), whatever
     coordinate reads it, and any other learner one per (coordinate, poisoned
     row). The mean is over the draws. The CI combines the outer sampling
@@ -850,11 +865,14 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     scheme = PoisoningSchemeD(inner, d)
     threshold = lower_bound_threshold(scheme.eta, d)
 
-    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
-    draws, counts = _distinct_rows(hard.sample_indices(gen, (trials_outer, d)))
-    excesses, coefficients = _excess_table(scoring_hook(learner, "count_law", d) is not None,
-                                           scheme, hard.values(), draws.tolist(),
+    draws = hard.sample_indices(gen, (trials_outer, d))
+    pointwise = scoring_hook(learner, "count_law", d) is not None
+    if pointwise:
+        draws.sort(axis=1)
+    draws, counts = _distinct_rows(draws)
+    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F", gen=gen)
+    excesses, coefficients = _excess_table(pointwise, scheme, hard.values(), draws.tolist(),
                                            counts.tolist(), f_value)
     # fsum's mean and variance ignore the order of the draws
     mean, outer_var = _mean_and_variance(np.repeat(excesses, counts))
@@ -968,7 +986,8 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
 
     Each size runs the term table (`_excess_table`) on the one row u, whose
     F keys are estimated once each with `trials_f` trials on the stream
-    ("curve", n, key point, key bias) (`_cached_f_oracle`); a size's standard
+    ("curve", n, key point, key bias) (`_cached_f_oracle`), each re-keying
+    the call's one Philox generator; a size's standard
     error propagates those estimates' errors through the excess
     (`_f_variance`). A per-point learner's keys are its distinct poisoned
     values, so at an equal-coordinate bias it draws the trials of one
@@ -990,8 +1009,9 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     threshold = curve_threshold(scheme.eta, scheme.dimension)
     excesses, std_errors = [], []
     pointwise = scoring_hook(learner, "count_law", u.dimension) is not None
+    gen = rng.generator()
     for n in sizes:
-        f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n)
+        f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n, gen=gen)
         [excess], coefficients = _excess_table(pointwise, scheme, u.coords,
                                                [range(u.dimension)], [1], f_value)
         excesses.append(excess)

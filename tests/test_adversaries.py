@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisonlab.adversaries import (
@@ -178,6 +178,37 @@ def test_scheme_frozen_grid_at_eta_1_64():
     # endpoints and odd multiples sit off the grid and never move
     assert scheme.apply(MINUS, Fraction(7, 64)) == Fraction(7, 64)
     assert scheme.apply(PLUS, Fraction(1, 64)) == Fraction(1, 64)
+
+
+def _divided_scheme_map(scheme: PoisoningScheme1D, label: int, u):
+    """The 1-D map by Fraction division: the reference rule."""
+    q = Fraction(u) / scheme.eta
+    if q.denominator == 1 and q.numerator % 2 == 0 and abs(q.numerator) <= 2 * scheme.m:
+        return (q.numerator + (1 if label == MINUS else -1)) * scheme.eta
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Fraction(1, 64), Fraction(1, 128), Fraction(3, 1000), Fraction(1, 16)]),
+       st.sampled_from([PLUS, MINUS]),
+       st.one_of(st.integers(-80, 80), st.fractions(Fraction(-1, 2), Fraction(1, 2))),
+       st.booleans())
+@example(Fraction(1, 64), PLUS, 0, False)
+@example(Fraction(1, 64), MINUS, 0, True)
+@example(Fraction(1, 64), MINUS, 6, False)  # the grid's ends, +-2m eta
+@example(Fraction(1, 64), PLUS, -6, True)
+@example(Fraction(1, 64), MINUS, 7, False)  # the hard law's endpoints, +-(2m + 1) eta
+@example(Fraction(1, 64), PLUS, -7, True)
+@example(Fraction(1, 64), PLUS, Fraction(1, 2), False)
+@example(Fraction(1, 64), MINUS, Fraction(-1, 2), True)
+def test_scheme_map_in_integers_is_the_fraction_division_rule(eta, label, at, as_float):
+    # at: an integer k for the bias k * eta, on the grid for even |k| <= 2m,
+    # or a Fraction in [-1/2, 1/2]; as a float when as_float
+    scheme, _ = build_scheme_1d(eta)
+    u = at * scheme.eta if isinstance(at, int) else at
+    u = float(u) if as_float else u
+    got, want = scheme.apply(label, u), _divided_scheme_map(scheme, label, u)
+    assert got == want and type(got) is type(want)
 
 
 def test_scheme_span_brackets_sqrt_eta():

@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonlab import analysis, learners
 from poisonlab.adversaries import PoisoningSchemeD, build_scheme_1d, identity_scheme
@@ -280,11 +282,18 @@ def _scalar_moments(vals: list) -> tuple[float, float]:
     return mean, math.fsum((v - mean) ** 2 for v in vals) / (t - 1) / t
 
 
-def test_mean_and_variance_matches_the_scalar_rule_bit_for_bit():
+def test_mean_and_variance_matches_the_scalar_rule_bit_for_bit(monkeypatch):
     gen = np.random.default_rng(SEED + 14)
+    extracted = []
+    original = analysis._extracted_sum
+    monkeypatch.setattr(analysis, "_extracted_sum",
+                        lambda x: extracted.append(len(x)) or original(x))
     for scale in (1e-3, 1e-1, 1e1, 1e3, 1e5):
         vals = np.concatenate([gen.standard_normal(20000) * scale, [0.0, -0.0]])
         assert repr(analysis._mean_and_variance(vals)) == repr(_scalar_moments(vals.tolist()))
+        # the mean and the variance both take the vector passes
+        assert extracted == [20002, 20002]
+        extracted.clear()
         # the variance of (x, -x) is exactly the square of x, so any square
         # rounded apart from Python's x ** 2 shows; a numpy square (np.square,
         # x * x, x ** 2) does that for about 1 value in 1200
@@ -293,6 +302,82 @@ def test_mean_and_variance_matches_the_scalar_rule_bit_for_bit():
             assert repr(analysis._mean_and_variance(pair)) == repr(_scalar_moments([x, -x]))
     for vals in ([0.0, -0.0, -0.0], (gen.random(501) - 0.5).tolist(), [0.25], [-0.0]):
         assert repr(analysis._mean_and_variance(vals)) == repr(_scalar_moments(vals))
+    assert extracted == []
+
+
+_SUM_SIZES = (1, 2, 7, analysis.EXACT_SUM_MIN - 1, analysis.EXACT_SUM_MIN,
+              analysis.EXACT_SUM_MIN + 1, 3 * analysis.EXACT_SUM_MIN + 5)
+
+
+@st.composite
+def _summands(draw) -> np.ndarray:
+    """A float array on either side of EXACT_SUM_MIN: a repeated pattern of
+    floats from subnormals to near overflow, the pattern against its own
+    negation (heavy cancellation) plus one odd value, runs of +-0.0 around a
+    few values, or full-mantissa noise at one scale."""
+    n = draw(st.sampled_from(_SUM_SIZES))
+    pattern = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=1, max_size=24)))
+    form = draw(st.sampled_from(("repeat", "cancel", "zeros", "noise")))
+    if form == "noise":
+        noise = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
+        return noise * 2.0 ** draw(st.integers(-1070, 1000))
+    if form == "cancel":
+        half = np.resize(pattern, (n + 1) // 2)
+        x = np.concatenate([half, -half[::-1]])[:n]
+        x[draw(st.integers(0, n - 1))] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return x
+    x = np.resize(pattern, n)
+    if form == "zeros":
+        x = np.where(np.arange(n) % draw(st.integers(2, 50)) == 0, x,
+                     np.resize([0.0, -0.0, -0.0], n))
+    return x
+
+
+def _sum_outcome(total, x: np.ndarray):
+    """repr of total(x), or the type of the exception it raises."""
+    try:
+        return repr(total(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_sums_are_fsum(x: np.ndarray) -> None:
+    want = _sum_outcome(lambda v: math.fsum(v.tolist()), x)
+    assert _sum_outcome(analysis._fsum, x) == want
+    assert _sum_outcome(analysis._extracted_sum, x) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_summands())
+def test_exact_sum_is_fsum_to_the_bit(x):
+    _assert_sums_are_fsum(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_summands(), st.data())
+def test_exact_sum_returns_or_raises_what_fsum_does_on_non_finite_input(x, data):
+    # NaN, +-inf and values near overflow, whose sum can overflow in between
+    specials = data.draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308,
+                                                   -1.7e308, 2.0 ** 960]),
+                                  min_size=1, max_size=3))
+    for value in specials:
+        x[data.draw(st.integers(0, len(x) - 1))] = value
+    _assert_sums_are_fsum(x)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0], [0.0, -0.0], [1e308, 1e308, -1e308], [math.inf, -math.inf], [math.nan, 1.0],
+    [5e-324, -5e-324, 5e-324], [2.0 ** 959, 2.0 ** -1074], [1.0, 1e-100, -1.0],
+    [0.1, 0.2, 0.3], [2.0 ** 53, 1.0, -(2.0 ** 53)]])
+def test_exact_sum_at_the_edges(values):
+    # each pattern repeated past EXACT_SUM_MIN, so `_fsum` takes the vector
+    # passes whenever the magnitudes allow them; and the pattern over noise
+    # at 2^-40, whose first-pass residuals span more than 53 bits under a 1.0
+    noise = np.random.default_rng(SEED).standard_normal(analysis.EXACT_SUM_MIN) * 2.0 ** -40
+    for x in (np.array(values), np.resize(values, analysis.EXACT_SUM_MIN + 1),
+              np.concatenate([values, noise])):
+        _assert_sums_are_fsum(x)
 
 
 def _record_calls(monkeypatch, cls, name) -> list:

@@ -382,6 +382,24 @@ def test_bayes_loss_hand_value():
     assert bayes_loss(dist) == Fraction(5, 16)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=10 ** 9),
+                min_size=1, max_size=6),
+       st.sampled_from(["fraction", "float", "numpy"]))
+@example([Fraction(1, 2)], "fraction")
+@example([Fraction(-1, 2), Fraction(0)], "float")
+@example([Fraction(0)], "numpy")
+@example([Fraction(7, 64), Fraction(-7, 64), Fraction(6, 64), Fraction(-6, 64)], "fraction")
+def test_bayes_loss_in_integers_is_the_fraction_rule(coords, kind):
+    # the reference: the mean of 1/2 - |u_i| in Fraction arithmetic
+    biases = {"fraction": coords, "float": [float(c) for c in coords],
+              "numpy": list(np.array([float(c) for c in coords], dtype=np.float32))}[kind]
+    u = BiasVector(biases)
+    got = bayes_loss(ProductBiasDistribution(u))
+    assert type(got) is Fraction
+    assert got == sum(Fraction(1, 2) - abs(c) for c in u.coords) / len(u.coords)
+
+
 def test_bayes_loss_is_min_over_all_hypotheses():
     rng = np.random.default_rng(SEED)
     for _ in range(25):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poisonlab import experiments
+from poisonlab import analysis, experiments
 from poisonlab.analysis import estimate_F
 from poisonlab.adversaries import (
     AttackBudget,
@@ -1444,6 +1444,41 @@ def test_lower_bound_benchmark_cell_stream_lock():
     assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
         "0.05884357990805055", "0.05757666053759565", "0.06011049927850545")
     assert report.f_points == 8
+
+
+def test_lower_bound_d1_benchmark_cell_stream_lock():
+    # the d = 1 cell of the lower-bound benchmark at full size, pinned before
+    # the vector sums: 800 outer draws and 1,600 trials per F key, so each
+    # key's moments take the vector passes, where the d = 2 cell's 400 stay
+    # on math.fsum
+    assert 400 < analysis.EXACT_SUM_MIN <= 1600
+    eta = Fraction(1, 64)
+    learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
+    report = lower_bound_experiment(learner, eta, 1, 512, trials_outer=800, trials_f=1600,
+                                    rng=RandomSource(SEED, 25))
+    assert (repr(report.mean), repr(report.ci_low), repr(report.ci_high)) == (
+        "0.05836335906427191", "0.05712406645669698", "0.05960265167184684")
+    assert report.f_points == 8
+
+
+@pytest.mark.parametrize("learner_id", ["exp-mech", "majority"])
+def test_lower_bound_and_curve_calls_build_one_philox_each(monkeypatch, learner_id):
+    # every F key re-keys the call's one generator: exp-mech's histograms and
+    # majority's rows and coins alike
+    built = []
+    original = RandomSource.generator
+    monkeypatch.setattr(RandomSource, "generator",
+                        lambda self: built.append(self.stream) or original(self))
+    eta, d = Fraction(1, 128), 2
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 16)])
+    learner = make_learner(learner_id, HypothesisClass.full(d), eta, 16, u.coords)
+    report = lower_bound_experiment(learner, eta, d, 16, 200, 10, RandomSource(SEED, 26))
+    assert report.f_points > 1 and len(built) == 1
+    built.clear()
+    inner, _ = build_scheme_1d(d * eta)
+    learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), (16, 32), 10,
+                              RandomSource(SEED, 27))
+    assert len(built) == 1
 
 
 def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
