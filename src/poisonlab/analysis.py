@@ -238,10 +238,11 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     `prediction_prob` call per query point, which must return one
     probability per trial. The two paths consume the generator differently,
     with the same law. A bias past the learner's domain raises
-    DomainMismatchError.
+    DomainMismatchError, and an n or trials below 1 ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value in (("n", n), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     d = u.dimension
     query = tuple(points) if points is not None else tuple(range(d))
     if not query or min(query) < 0 or max(query) >= d:

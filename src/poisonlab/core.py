@@ -13,7 +13,6 @@ into the counts at each trial's target.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import math
@@ -264,6 +263,8 @@ class HypothesisClass:
     @classmethod
     def full(cls, domain_size: int) -> "HypothesisClass":
         """All 2^N sign patterns on a domain of N points (VC dimension N)."""
+        if domain_size < 1:
+            raise ValueError(f"full class needs a domain of >= 1 points, got {domain_size}")
         if domain_size > 16:
             raise EnumerationTooLargeError(
                 "full class only built for domains of <= 16 points")
@@ -385,42 +386,41 @@ def _atom_ratios(coords: Sequence[Fraction]) -> Iterator[tuple[Example, int, int
 class ProductBiasDistribution:
     """Joint law on (point, label): point uniform on [d], then P(y=+1|i) = 1/2 + u_i.
 
-    The exact atom table, (1/2 + y u_i) / d for the atoms (0, +1), (0, -1),
-    (1, +1), ..., is built once with the distribution, from integers
-    (`_atom_ratios`); `atoms` and `atom_probability` read it.
+    `atoms` and `atom_probability` build the exact atom probabilities from
+    integers when called (`_atom_ratios`).
 
-    So is the sampler's table. With D the atoms' common denominator (the lcm
-    of 2 q_i d) and R = min(D, 2^64), `_thresholds` holds T_j =
-    floor(C_j R / D) for j = 1, ..., 2d - 1, C_j the integer weight of the
-    atoms before atom j, in the narrowest unsigned dtype that holds R - 1. A
-    draw v uniform on [0, R) falls in atom j, the number of thresholds at or
-    below v. Up to D = 2^64 (every small-denominator Fraction, and the float
-    0.1 up to d = 256) the law is exact; past it each atom is within 2^-64 of
-    its probability. An atom of probability 0 has width 0 and is never drawn.
+    The sampler's one table serves sample rows and test examples alike
+    (`_draw_codes`). With D the atoms' common denominator (the lcm of 2 q_i
+    d) and R = min(D, 2^64), `_thresholds` holds T_j = floor(C_j R / D) for
+    j = 1, ..., 2d - 1, C_j the integer weight of the atoms before atom j,
+    in the narrowest unsigned dtype that holds R - 1. A draw v uniform on
+    [0, R) falls in atom j, the number of thresholds at or below v. Up to D
+    = 2^64 (every small-denominator Fraction, and the float 0.1 up to d =
+    256) the law is exact; past it each atom is within 2^-64 of its
+    probability. An atom of probability 0 has width 0 and is never drawn.
     A threshold T_j = R, before a run of such atoms at the end, is left out:
-    no draw reaches it, and R itself need not fit the dtype. `_cuts` holds
-    the same thresholds as Python ints, for one-example draws.
+    no draw reaches it, and R itself need not fit the dtype.
 
-    `_edges` reads the same table per point, in the same dtype: with T_0 = 0
-    and every T_j from 2d on equal to R, column x holds T_2x, the width
-    T_2x+1 - T_2x of (x, +1) and the width T_2x+2 - T_2x of both atoms at
-    x, so a draw v is at x when v - T_2x, wrapping in the unsigned dtype,
-    is below the last. At d = 1 the pair spans all of [0, R), whose width
-    2^64 fits no dtype, and only the first two rows are kept.
+    `_edges` reads the same table per point for the count route alone
+    (`_draw_target_counts`), in the same dtype: with T_0 = 0 and every T_j
+    from 2d on equal to R, column x holds T_2x, the width T_2x+1 - T_2x of
+    (x, +1) and the width T_2x+2 - T_2x of both atoms at x, so a draw v is
+    at x when v - T_2x, wrapping in the unsigned dtype, is below the last.
+    At d = 1 the pair spans all of [0, R), whose width 2^64 fits no dtype,
+    and only the first two rows are kept.
     """
 
-    __slots__ = ("bias", "_atoms", "_range", "_thresholds", "_cuts", "_edges")
+    __slots__ = ("bias", "_range", "_thresholds", "_edges")
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
         ratios = list(_atom_ratios(bias.coords))
-        self._atoms = tuple((ex, Fraction(num, den)) for ex, num, den in ratios)
         denominator = math.lcm(*(den for _, _, den in ratios))
         self._range = min(denominator, 2 ** 64)
         before = accumulate(num * (denominator // den) for _, num, den in ratios[:-1])
         cuts = [c * self._range // denominator for c in before]
-        self._cuts = tuple(t for t in cuts if t < self._range)
-        self._thresholds = np.array(self._cuts, dtype=np.min_scalar_type(self._range - 1))
+        self._thresholds = np.array([t for t in cuts if t < self._range],
+                                    dtype=np.min_scalar_type(self._range - 1))
         edges = [0, *cuts, self._range]
         low = edges[:-1:2]
         rows = [low, [hi - lo for lo, hi in zip(low, edges[1::2])]]
@@ -437,11 +437,11 @@ class ProductBiasDistribution:
             raise DomainMismatchError(f"point {point} outside domain of size {self.dimension}")
         if label not in LABELS:
             raise ValueError("label must be -1 or +1")
-        return self._atoms[2 * point + (label == MINUS)][1]
+        return self.atoms()[2 * point + (label == MINUS)][1]
 
     def atoms(self) -> list[tuple[Example, Fraction]]:
         """Every (atom, exact probability), as a new list."""
-        return list(self._atoms)
+        return [(ex, Fraction(num, den)) for ex, num, den in _atom_ratios(self.bias.coords)]
 
 
 class RandomSource:
@@ -674,27 +674,24 @@ def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Gener
     The codes are valid by construction, so they are not checked again."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
     codes = _draw_codes(dist, gen, n if trials is None else (trials, n))
     return Sample._valid(codes.astype(np.int64))
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
                  trials: int | None = None) -> Example:
-    """One test example drawn from the distribution (same law and draw as a
-    `draw_sample_with` entry), or one per trial as an Example of read-only
-    (trials,) int64 point and int8 label arrays. One example takes the same
-    generator call as a batch entry, and finds its atom by bisecting the
-    thresholds as Python ints, with none of the array passes a batch needs.
-    A batch reads each draw's point off the lower edges T_2x of the points
-    (`_edges`) and its label off the width of (x, +1)."""
+    """One test example drawn from the distribution, or one per trial as an
+    Example of read-only (trials,) int64 point and int8 label arrays, each a
+    `draw_sample_with` entry's generator call, atom code (`_draw_codes`)
+    and decoding. A trial count below 1 raises ValueError."""
     if trials is None:
-        v = _draw_integers(dist, gen, None)
-        return _example(bisect.bisect_right(dist._cuts, int(v)))
-    v = _draw_integers(dist, gen, trials)
-    low, plus = dist._edges[:2]
-    point = np.searchsorted(low[1:], v, side="right")
-    label = np.where(v - low[point] < plus[point], np.int8(PLUS), np.int8(MINUS))
-    return Example(*_read_only(point.astype(np.int64, copy=False), label))
+        return _example(int(_draw_codes(dist, gen, None)))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    drawn = Sample._valid(_draw_codes(dist, gen, trials).astype(np.int64))
+    return Example(drawn.points, drawn.labels)
 
 
 def _draw_integers(dist: ProductBiasDistribution, gen: np.random.Generator,
@@ -712,7 +709,7 @@ def _draw_codes(dist: ProductBiasDistribution, gen: np.random.Generator,
     unsigned dtype that holds them: for each drawn integer v
     (`_draw_integers`), code j is the number of thresholds at or below v,
     atom j in the order (0, +1), (0, -1), (1, +1), ... Code 2x is (x, +1)
-    and 2x + 1 is (x, -1)."""
+    and 2x + 1 is (x, -1). A `shape` of None gives one code, 0-d."""
     cuts = dist._thresholds
     v = _draw_integers(dist, gen, shape)
     atom = np.zeros(v.shape, np.min_scalar_type(len(cuts)))
@@ -731,9 +728,7 @@ def _draw_target_counts(dist: ProductBiasDistribution, gen: np.random.Generator,
     v = _draw_integers(dist, gen, (trials, n))
     targets = draw_example(dist, gen, trials)
     low, plus, *pair = dist._edges[:, targets.point, None]
-    if not pair:
-        a = _row_counts(v < plus)
-        return targets, a, n - a
-    v -= low
+    if pair:
+        v -= low
     a = _row_counts(v < plus)
-    return targets, a, _row_counts(v < pair[0]) - a
+    return targets, a, (_row_counts(v < pair[0]) if pair else n) - a

@@ -141,6 +141,7 @@ from .adversaries import (
     AttackBudget,
     BruteForceAdversary,
     GreedyFlipAdversary,
+    HardBiasDistribution,
     IdentityAdversary,
     PoisoningSchemeD,
     TRIAL_CHUNK,
@@ -330,7 +331,9 @@ def _engine(p_oracle: PredictionOracle, d: int, n: int) -> _ExactTable:
     refuses a distribution past its domain) is scored on count states, its
     table built once per n for d = 1 and for all d >= 2 (`_count_table`). Any
     other oracle is scored anew on the sequence space's `batch`, by one call
-    per point x, column x of `p`."""
+    per point x, column x of `p`. An n below 1 raises ValueError."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     learner = getattr(p_oracle, "__self__", None)
     if scoring_hook(learner, "count_law", d) is not None:
         return _count_table(learner, min(d, 2), n)
@@ -828,6 +831,17 @@ class LowerBoundReport:
     seed: int
 
 
+def _hard_scheme(eta: Scalar, d: int) -> tuple[Fraction, PoisoningSchemeD, HardBiasDistribution]:
+    """Exact eta, and the lifted grid scheme at budget d * eta with its hard law."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    eta = exact_fraction(eta)
+    if not d * eta < 1:
+        raise PreconditionError("requires eta < 1/d")
+    inner, hard = build_scheme_1d(d * eta)
+    return eta, PoisoningSchemeD(inner, d), hard
+
+
 def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
                            trials_outer: int, trials_f: int, rng: RandomSource) -> LowerBoundReport:
     """Mean oblivious excess of the learner under lifted grid poisoning.
@@ -852,17 +866,13 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     (`_f_variance`), each key's coefficient summed over every draw and
     coordinate that reads it, over trials_outer. The threshold is taken at
     the scheme's budget, d * eta capped at 1/16 and spread over the d
-    coordinates. n, trials_outer or trials_f below 1 raises ValueError
+    coordinates. n, trials_outer, trials_f or d below 1 raises ValueError
     before anything is drawn.
     """
     for name, value in (("n", n), ("trials_outer", trials_outer), ("trials_f", trials_f)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
-    eta = exact_fraction(eta)
-    if not d * eta < 1:
-        raise PreconditionError("requires eta < 1/d")
-    inner, hard = build_scheme_1d(d * eta)
-    scheme = PoisoningSchemeD(inner, d)
+    eta, scheme, hard = _hard_scheme(eta, d)
     threshold = lower_bound_threshold(scheme.eta, d)
 
     gen = rng.child("outer").generator()
@@ -895,19 +905,13 @@ def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[fl
     of the |support| diagonal rows [a] * d (`_excess_table`), with one
     `exact_F` call per distinct poisoned value, at point 0. A learner
     without a `count_law` raises PreconditionError, since its F keys read
-    whole rows, and one whose domain is short of d DomainMismatchError; a
-    size past the count engine's cap raises as `exact_F` does.
+    whole rows, and one whose domain is short of d DomainMismatchError. A d
+    or n below 1 raises ValueError, an n past the count cap as `exact_F` does.
     """
     if scoring_hook(learner, "count_law", d) is None:
         raise PreconditionError(
             f"learner {learner.name!r} is not per-point: its F keys read whole rows")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    eta = exact_fraction(eta)
-    if not d * eta < 1:
-        raise PreconditionError("requires eta < 1/d")
-    inner, hard = build_scheme_1d(d * eta)
-    scheme = PoisoningSchemeD(inner, d)
+    _, scheme, hard = _hard_scheme(eta, d)
     values = hard.values()
     excesses, _ = _excess_table(
         True, scheme, values, [[a] * d for a in range(len(values))], [1] * len(values),

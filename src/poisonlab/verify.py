@@ -812,8 +812,7 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
     per-draw reference loop without its term table: the same outer draw on
     the ("outer",) stream, then `_per_draw_excess` at each distinct drawn u
     with one cached F oracle, its coefficients weighted by the draw's count."""
-    inner, hard = adversaries.build_scheme_1d(d * core.exact_fraction(eta))
-    scheme = adversaries.PoisoningSchemeD(inner, d)
+    _, scheme, hard = experiments._hard_scheme(eta, d)
     f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,

@@ -273,6 +273,12 @@ def test_hypothesis_class_full_too_large():
         HypothesisClass.full(17)
 
 
+def test_hypothesis_class_full_needs_one_point():
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"domain of >= 1 points, got {size}$"):
+            HypothesisClass.full(size)
+
+
 def test_sample_loss_hand_values():
     s = Sample([0, 1, 0, 1], [PLUS, PLUS, MINUS, MINUS])
     assert sample_loss([PLUS, PLUS], s) == Fraction(1, 2)
@@ -793,31 +799,48 @@ def test_sampler_atom_frequencies_at_d_3(coords):
             assert abs(count - m * p) <= 4.5 * math.sqrt(m * p * (1 - p)), (coords, count, p)
 
 
-def test_draws_are_one_integer_per_entry_in_row_major_order():
+# every draw dtype, zero-width atoms, a threshold left out at R = 2^64 with
+# uint64 draws, and d = 12's 23 thresholds
+DRAW_EDGE_COORDS = [
+    [Fraction(1, 4)], [Fraction(1, 2)], [0.1, Fraction(-2, 7), Fraction(1, 2)],
+    [Fraction(1, 64), Fraction(1, 2)], [Fraction(1, 3 ** 41), Fraction(1, 2)],
+    [Fraction(1, 3)] * 12,
+]
+
+
+@pytest.mark.parametrize("coords", [[Fraction(1, 4), Fraction(-1, 8)], *DRAW_EDGE_COORDS])
+def test_draws_are_one_integer_per_entry_in_row_major_order(coords):
     # each call draws one bounded integer per entry, in row-major order, and
     # maps it to the atom counting the thresholds at or below it
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
+    dist = ProductBiasDistribution(BiasVector(coords))
     gen, ref = RandomSource(SEED, 44).generator(), RandomSource(SEED, 44).generator()
     batch = draw_sample_with(dist, 7, gen, trials=5)
-    drawn = [((5, 7), batch.points, batch.labels), (3, *draw_example(dist, gen, trials=3)),
+    drawn = [((5, 7), batch.points, batch.labels), (64, *draw_example(dist, gen, trials=64)),
              (None, *draw_example(dist, gen))]
     for shape, points, labels in drawn:
-        v = ref.integers(0, dist._range, size=shape, dtype=np.uint8)
+        v = ref.integers(0, dist._range, size=shape, dtype=dist._thresholds.dtype)
         atom = np.searchsorted(dist._thresholds, v, side="right")
         assert np.array_equal(points, atom >> 1)
         assert np.array_equal(labels, 1 - 2 * (atom & 1))
     assert gen.random() == ref.random()
 
 
-@pytest.mark.parametrize("coords", [
-    [Fraction(1, 4)], [Fraction(1, 2)], [0.1, Fraction(-2, 7), Fraction(1, 2)],
-    [Fraction(1, 64), Fraction(1, 2)], [Fraction(1, 3 ** 41), Fraction(1, 2)],
-    [Fraction(1, 3)] * 12,
-])
+def test_draws_reject_fewer_than_one_trial():
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
+    gen = RandomSource(SEED, 44).generator()
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            draw_sample_with(dist, 7, gen, trials=trials)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            draw_example(dist, gen, trials=trials)
+    assert gen.random() == RandomSource(SEED, 44).generator().random()
+
+
+@pytest.mark.parametrize("coords", DRAW_EDGE_COORDS)
 def test_one_example_takes_the_batch_entry_of_the_same_integer(coords):
-    # one example bisects the thresholds as Python ints: the same generator
-    # call and the same atom as a batch entry, at every draw dtype, with
-    # zero-weight atoms and a left-out threshold at R
+    # one example counts the thresholds as a batch entry does: the same
+    # generator call and the same atom, at every draw dtype, with zero-weight
+    # atoms and a left-out threshold at R
     dist = ProductBiasDistribution(BiasVector(coords))
     gen, ref = RandomSource(SEED, 45).generator(), RandomSource(SEED, 45).generator()
     for _ in range(400):

@@ -1899,6 +1899,21 @@ def test_lower_bound_rejects_fewer_than_one_row_or_f_trial(monkeypatch, n, trial
         lower_bound_experiment(learner, Fraction(1, 64), 1, n, 20, trials_f, RandomSource(SEED, 5))
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_lower_bounds_reject_fewer_than_one_point(monkeypatch, d):
+    # both lower bounds name d, before any bias or F is drawn or computed
+    for name in ("estimate_F", "exact_F"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+    monkeypatch.setattr(HardBiasDistribution, "sample_indices",
+                        lambda *args, **kwargs: pytest.fail("the outer biases were drawn"))
+    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 64)))
+    with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+        lower_bound_experiment(learner, Fraction(1, 64), d, 32, 20, 20, RandomSource(SEED, 5))
+    with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+        lower_bound_exact(learner, Fraction(1, 64), d, 32)
+
+
 @pytest.mark.parametrize("sizes,trials_f,message", [((16, 0), 20, "sizes must be >= 1"),
                                                     ((-3,), 20, "sizes must be >= 1"),
                                                     ((16,), 0, "trials_f must be >= 1")])
@@ -2268,7 +2283,8 @@ def test_exact_values_are_frozen_over_both_layouts():
 def test_exact_entry_points_reject_bad_biases_budgets_and_points(counted):
     # on the count table and on the sequence table alike: a bias outside
     # [-1/2, 1/2], NaN or inf, a negative, NaN or infinite budget, and a point
-    # or distribution outside the domain, each with its own error
+    # or distribution outside the domain, and a sample size below 1, each
+    # with its own error
     one = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
     oracle = one.prediction_prob if counted else lambda s, x: one.prediction_prob(s, x)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
@@ -2292,6 +2308,14 @@ def test_exact_entry_points_reject_bad_biases_budgets_and_points(counted):
                      lambda: exhaustive_adversarial_loss(oracle, dist, eta, 4),
                      lambda: exhaustive_public_loss(oracle, dist, eta, 4)):
             with pytest.raises(ValueError, match=f"^{why}$"):
+                call()
+    for n in (0, -1):
+        for call in (lambda: exact_F(oracle, dist.bias, n, 0),
+                     lambda: equivalence_check(oracle, quarter, eighth, n),
+                     lambda: exhaustive_adversarial_loss(oracle, dist, eighth, n),
+                     lambda: exhaustive_public_loss(oracle, dist, eighth, n),
+                     lambda: exhaustive_clean_loss(oracle, dist, n)):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
                 call()
     for x in (-1, 1):
         with pytest.raises(DomainMismatchError, match=f"^point {x} outside domain of size 1$"):
@@ -2332,19 +2356,22 @@ def test_run_sweep_trials_change_stream():
 _FULL_1 = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 16)))
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: experiments.wilson_ci(0, 0), ValueError),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: experiments.wilson_ci(0, 0), ValueError, "trials must be >= 1"),
     (lambda: experiments.mc_adversarial_loss(
         _FULL_1, IdentityAdversary(), ProductBiasDistribution(BiasVector([0])), 8,
-        Fraction(1, 16), 0, RandomSource(1)), ValueError),
+        Fraction(1, 16), 0, RandomSource(1)), ValueError, "trials must be >= 1"),
     (lambda: lower_bound_experiment(_FULL_1, Fraction(1, 2), 2, 8, 4, 4, RandomSource(1)),
-     PreconditionError),
-    (lambda: lower_bound_exact(_FULL_1, Fraction(1, 16), 1, 0), ValueError),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1)), ValueError),
+     PreconditionError, "requires eta < 1/d"),
+    (lambda: lower_bound_exact(_FULL_1, Fraction(1, 16), 1, 0), ValueError, "n must be >= 1"),
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1)), ValueError,
+     "trials must be >= 1"),
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 0, 4, RandomSource(1)), ValueError,
+     "n must be >= 1"),
     (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 4, RandomSource(1), points=[1]),
-     DomainMismatchError),
+     DomainMismatchError, "query points must lie inside the domain"),
 ], ids=["wilson-0-trials", "mc-0-trials", "lower-bound-d-eta-1", "lower-bound-exact-n-0",
-        "estimate-f-0-trials", "estimate-f-outside"])
-def test_experiments_and_analysis_boundary_errors(call, error):
-    with pytest.raises(error):
+        "estimate-f-0-trials", "estimate-f-n-0", "estimate-f-outside"])
+def test_experiments_and_analysis_boundary_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
