@@ -24,11 +24,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .adversaries import PoisoningSchemeD, build_scheme_1d
 from .core import (
     BiasVector,
     HypothesisClass,
@@ -44,6 +43,7 @@ from .experiments import (
     Z95,
     ExcessEstimate,
     SweepGrid,
+    _hard_scheme,
     learning_curve_experiment,
     make_learner,
     run_sweep,
@@ -333,14 +333,13 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     overrides = {"n": "16,32,64,128"}
     cfg = resolve_config(ns, overrides)
     _require_single(cfg, ("eta", "d", "learner"))
-    eta, d = cfg.grid.etas[0], cfg.grid.dims[0]
-    if not d * eta < 1:
-        raise ConfigError(f"curve requires d * eta < 1, got {d} * {eta}")
-    inner, _hard = build_scheme_1d(d * eta)
-    scheme = PoisoningSchemeD(inner, d)
+    d = cfg.grid.dims[0]
+    eta, scheme, _ = _hard_scheme(cfg.grid.etas[0], d)
     # a bias no flag or file sets is the largest grid point 2m eta, which the
-    # scheme moves; resolved again so that the config hash names it
-    cfg = resolve_config(ns, {**overrides, "bias": str(max(inner.grid()))})
+    # scheme moves; resolved again so that the config hash names it. The
+    # adversary, which curve never reads, is hashed at its default
+    cfg = resolve_config(ns, {**overrides, "bias": str(max(scheme.inner.grid()))})
+    cfg = replace(cfg, grid=replace(cfg.grid, adversaries=(OPTIONS["adversary"].default,)))
     grid = cfg.grid
     [name] = grid.learners
     u = BiasVector([grid.bias] * d)

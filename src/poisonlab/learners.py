@@ -11,14 +11,17 @@ Every learner speaks one protocol, `Learner.prediction_prob`: the +1
 probability given one `Sample` at one point, or given a (trials, n) batch at
 one point per trial, with the learner's coins drawn from the generator. A
 one-sample call is a one-row batch; evaluators read the optional hooks that
-score it from less through one rule (`scoring_hook`). Every number of the
-mechanism, its loss counts, selection law, log-probabilities, +1 and flip
-probabilities, comes from one histogram scorer (`_loss_counts`, `_softmax`),
-so a sample scores the same alone as in any batch. On the full class the +1
-probability at x reads only n and the counts at x, a law exposed in closed
-form, `count_law`: 2 weights a sample instead of 2^d; the class scorer stays
-its reference. The subsample rule restricts its class with
-`core.restrict_dedupe`; this module imports from `core` alone.
+score it from less through one rule (`scoring_hook`). The mechanism's helpers
+speak it too: for one sample and for a batch, `empirical_loss_counts`,
+`exp_mechanism_dist` and `exp_mechanism_log_dist` give (m,) and (trials, m)
+arrays, `empirical_losses` a list and one list per trial, `flip_probability`
+a float and a (trials,) array. Every number of the mechanism comes from one
+histogram scorer (`_loss_counts`, `_softmax`), so a sample scores the same to
+the bit alone as in any batch. On the full class the +1 probability at x
+reads only n and the counts at x, a law exposed in closed form, `count_law`:
+2 weights a sample instead of 2^d; the class scorer stays its reference. The
+subsample rule restricts its class with `core.restrict_dedupe`; this module
+imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -149,46 +152,45 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
     return np.minimum(np.concatenate(parts), 1.0)
 
 
-def _one_sample(*samples: Sample) -> None:
-    """The one-sample helpers below score one sample; a (trials, n) batch,
-    which would be scored as its first trial alone, raises ValueError."""
-    if any(s.batched for s in samples):
-        raise ValueError("give one sample, not a (trials, n) batch; "
-                         "score batches with batch_prediction_probs")
+def _per_sample(sample: Sample, columns: np.ndarray) -> np.ndarray:
+    """(m, trials) scores as (m,) for one sample, else as (trials, m)."""
+    return columns.T if sample.batched else columns[:, 0]
 
 
 def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray:
-    """Disagreement counts of every hypothesis on the sample (ints, length m)."""
-    _one_sample(sample)
-    return _loss_counts(hclass, sample.histograms(hclass.domain_size))[0][:, 0]
+    """Disagreement counts of every hypothesis on the sample: ints of shape
+    (m,), or (trials, m) for a batch."""
+    return _per_sample(sample, _loss_counts(hclass, sample.histograms(hclass.domain_size))[0])
 
 
-def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list[Fraction]:
-    n = len(sample)
-    return [Fraction(int(c), n) for c in empirical_loss_counts(hclass, sample)]
+def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list:
+    """The counts over n as Fractions: a list of m, or one per trial."""
+    rows = [[Fraction(c, len(sample)) for c in row]
+            for row in np.atleast_2d(empirical_loss_counts(hclass, sample)).tolist()]
+    return rows if sample.batched else rows[0]
 
 
 def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,
                        config: ExpMechanismConfig) -> np.ndarray:
-    """Selection probabilities of the mechanism, in class row order."""
-    _one_sample(sample)
+    """Selection probabilities of the mechanism, in class row order: (m,),
+    or (trials, m) for a batch."""
     _, w, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
-    return w[:, 0] / total[0]
+    return _per_sample(sample, w / total)
 
 
 def exp_mechanism_log_dist(hclass: HypothesisClass, sample: Sample,
                            config: ExpMechanismConfig) -> np.ndarray:
-    """log of exp_mechanism_dist, evaluated without leaving log space."""
-    _one_sample(sample)
+    """log of exp_mechanism_dist, of its shape, without leaving log space;
+    each sample's log total is `math.log`'s, which np.log may round apart."""
     shifted, _, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
-    return shifted[:, 0] - math.log(total[0])
+    return _per_sample(sample, shifted - [math.log(v) for v in total.tolist()])
 
 
 def flip_probability(hclass: HypothesisClass, a: Sample, b: Sample, x: int,
-                     config: ExpMechanismConfig) -> float:
+                     config: ExpMechanismConfig) -> float | np.ndarray:
     """P(coupled predictions at x differ) for samples a and b under a shared
-    uniform r, each predicting +1 iff r <= its +1 probability."""
-    _one_sample(a, b)
+    uniform r, each predicting +1 iff r <= its +1 probability: a float, or
+    a (trials,) array, broadcast, when a or b is a batch."""
     learner = ExpMechanismLearner(hclass, config)
     return abs(learner.prediction_prob(a, x) - learner.prediction_prob(b, x))
 

@@ -268,12 +268,10 @@ def acceptance_ratio_stability(rng: RandomSource):
     excursions = []
     for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
-        t = config.temperature(hclass.size)
-        bound = 2.0 * t * float(config.eta)
-        la = learners.exp_mechanism_log_dist(hclass, sample, config)
-        excursions.append((hclass.size, max(
-            float(np.max(np.abs(la - learners.exp_mechanism_log_dist(hclass, other, config))))
-            for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows()) - bound))
+        bound = 2.0 * config.temperature(hclass.size) * float(config.eta)
+        ld = learners.exp_mechanism_log_dist(  # the ball's row 0 is the sample
+            hclass, ball_enumerate(sample, config.eta, hclass.domain_size), config)
+        excursions.append((hclass.size, float(np.max(np.abs(ld - ld[0]))) - bound))
     worst = max(0.0, *(dev for _, dev in excursions))
     return worst <= 1e-9, (f"max log-ratio excursion past 2*t*eta = {worst:.3e} "
                            f"(<= 1e-9 required){_wide_extremum(excursions, max)}")
@@ -286,10 +284,10 @@ def acceptance_flip_bound(rng: RandomSource):
     for _ in range(100):
         hclass, sample, config = _random_tiny_instance(gen)
         bound = learners.flip_bound(config, hclass.size)
-        excesses.append((hclass.size, max(
-            learners.flip_probability(hclass, sample, other, x, config)
-            for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows()
-            for x in range(hclass.domain_size)) - bound))
+        ball = ball_enumerate(sample, config.eta, hclass.domain_size)
+        flips = [learners.flip_probability(hclass, sample, ball, x, config)
+                 for x in range(hclass.domain_size)]
+        excesses.append((hclass.size, float(np.max(flips)) - bound))
     worst = max(dev for _, dev in excesses)
     return worst <= 1e-12, (f"max flip excess over 4*t*eta = {worst:.3e} "
                             f"(<= 1e-12 required){_wide_extremum(excesses, max)}")
@@ -305,11 +303,11 @@ def check_flip_chain(rng: RandomSource):
         mid = 2.0 * (1.0 - math.exp(-2.0 * te))
         if mid > 4.0 * te + 1e-12:
             return False, "middle bound exceeds 4*t*eta"
-        for other in ball_enumerate(sample, config.eta, hclass.domain_size).rows():
-            for x in range(hclass.domain_size):
-                flip = learners.flip_probability(hclass, sample, other, x, config)
-                if flip > mid + 1e-12:
-                    return False, f"flip {flip} exceeds 2(1-exp(-2 t eta)) = {mid}"
+        ball = ball_enumerate(sample, config.eta, hclass.domain_size)
+        for x in range(hclass.domain_size):
+            flip = float(learners.flip_probability(hclass, sample, ball, x, config).max())
+            if flip > mid + 1e-12:
+                return False, f"flip {flip} exceeds 2(1-exp(-2 t eta)) = {mid}"
     return True, "flip <= 2(1-exp(-2*t*eta)) <= 4*t*eta on 40 random instances"
 
 

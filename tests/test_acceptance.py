@@ -15,8 +15,6 @@ import statistics
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from poisonlab import cli, experiments, learners, verify
 from poisonlab.adversaries import build_scheme_1d, identity_scheme
 from poisonlab.analysis import cover_radius, restrict_dedupe, uniform_cover_bound, vc_dimension
@@ -92,9 +90,9 @@ def _scaled_config(eta, scale: float) -> ExpMechanismConfig:
 def _worst_flip_ratio(scale: float = 1.0) -> float:
     """The largest coupled flip probability over its bound 4 t eta, on 60
     random classes of 2 to 2^d rows on d <= 3 points, each with a sample of
-    n in [16, 48] rows at eta = k/n, k = 1 or 2: every member of the sample's
-    ball is scored at every point in one batch, by the mechanism at `scale`
-    times its temperature t, while the bound reads t."""
+    n in [16, 48] rows at eta = k/n, k = 1 or 2: the sample's flip against
+    every member of its ball is scored at every point in one call, by the
+    mechanism at `scale` times its temperature t, while the bound reads t."""
     gen = _rng("flip-ratio").generator()
     worst = 0.0
     for _ in range(60):
@@ -102,13 +100,12 @@ def _worst_flip_ratio(scale: float = 1.0) -> float:
         hclass = _random_small_class(gen, d, most=2 ** d)
         n = int(gen.integers(16, 49))
         eta = Fraction(int(gen.integers(1, 3)), n)
-        ball = ball_enumerate(Sample(gen.integers(0, d, size=n), gen.choice((-1, 1), size=n)),
-                              eta, d).histograms(d)
-        mechanism = ExpMechanismLearner(hclass, _scaled_config(eta, scale))
+        sample = Sample(gen.integers(0, d, size=n), gen.choice((-1, 1), size=n))
+        ball = ball_enumerate(sample, eta, d)
+        bound = learners.flip_bound(ExpMechanismConfig(eta), hclass.size)
         for x in range(d):
-            probs = mechanism.batch_prediction_probs(ball, x)
-            flip = float(np.abs(probs - probs[0]).max())  # the ball's row 0 is the sample
-            worst = max(worst, flip / learners.flip_bound(ExpMechanismConfig(eta), hclass.size))
+            flip = learners.flip_probability(hclass, sample, ball, x, _scaled_config(eta, scale))
+            worst = max(worst, float(flip.max()) / bound)
     return worst
 
 

@@ -284,6 +284,23 @@ def test_main_curve_default_bias_is_poisoned(capsys):
         assert float(row["excess_ci_low"]) > excess + Z95 * se
 
 
+def test_main_curve_hashes_the_adversary_it_never_reads(tmp_path, capsys):
+    # curve's only attacker is its grid scheme: an adversary given as a flag
+    # or a config-file key leaves every byte of the default run, hash included
+    base = ["curve", "--eta", "1/16", "--d", "1", "--n", "16", "--trials", "50"]
+    path = tmp_path / "curve.cfg"
+    path.write_text("adversary = identity\n")
+    outputs = []
+    for extra in ([], ["--adversary", "identity"], ["--config", str(path)]):
+        assert main(base + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert next(csv.DictReader(io.StringIO(outputs[0])))["config_hash"] == "0207ef099465"
+    # a budget d * eta >= 1 is the lower bounds' error
+    assert main(["curve", "--eta", "1/2", "--d", "2", "--n", "16", "--trials", "50"]) == 2
+    assert capsys.readouterr().err == "error: requires eta < 1/d\n"
+
+
 def test_main_takes_a_negative_bias_as_two_words(capsys):
     base = ["curve", "--eta", "1/16", "--d", "2", "--n", "16", "--trials", "300"]
     outputs = []

@@ -84,24 +84,36 @@ def test_empirical_losses_match_sample_loss():
             assert losses[i] == Fraction(int(counts[i]), n)
 
 
-_ONE_SAMPLE_HELPERS = {
-    "empirical_loss_counts": lambda hc, s, c: empirical_loss_counts(hc, s),
-    "empirical_losses": lambda hc, s, c: empirical_losses(hc, s),
-    "exp_mechanism_dist": exp_mechanism_dist,
-    "exp_mechanism_log_dist": exp_mechanism_log_dist,
-    "flip_probability": lambda hc, s, c: flip_probability(hc, s, s, 0, c),
-}
-
-
-@pytest.mark.parametrize("helper", sorted(_ONE_SAMPLE_HELPERS))
-def test_one_sample_helpers_reject_a_batch(helper):
-    # scored as one sample, a batch would read as its first trial alone
-    hc = HypothesisClass.full(2)
-    config = ExpMechanismConfig(Fraction(1, 4))
-    batch = Sample([[0, 1, 1], [1, 1, 0]], [[1, -1, 1], [1, 1, 1]])
-    with pytest.raises(ValueError, match="not a \\(trials, n\\) batch"):
-        _ONE_SAMPLE_HELPERS[helper](hc, batch, config)
-    _ONE_SAMPLE_HELPERS[helper](hc, next(batch.rows()), config)
+@pytest.mark.parametrize("hc", [
+    HypothesisClass.full(3),  # flips read the count law
+    HypothesisClass([[int(v) for v in row] for row in np.unique(
+        np.random.default_rng(SEED + 5).choice((MINUS, PLUS), size=(14, 4)), axis=0)]),
+], ids=["full", "rows"])
+def test_helpers_on_a_batch_are_their_rows_one_sample_calls(hc):
+    # a (trials, n) batch gives one row per trial, each that trial's
+    # one-sample call to the bit; the classes hold 8 rows or more, past which
+    # numpy sums a lone column pairwise
+    rng = np.random.default_rng(SEED + 6)
+    d, trials = hc.domain_size, 30
+    batch = Sample(rng.integers(0, d, size=(trials, 9)), rng.choice((-1, 1), size=(trials, 9)))
+    rows = list(batch.rows())
+    config = ExpMechanismConfig(Fraction(1, 8))
+    counts = empirical_loss_counts(hc, batch)
+    assert counts.shape == (trials, hc.size)
+    assert counts.tolist() == [empirical_loss_counts(hc, s).tolist() for s in rows]
+    assert empirical_losses(hc, batch) == [empirical_losses(hc, s) for s in rows]
+    for helper in (exp_mechanism_dist, exp_mechanism_log_dist):
+        got = helper(hc, batch, config)
+        assert got.shape == (trials, hc.size)
+        assert got.tobytes() == np.array([helper(hc, s, config) for s in rows]).tobytes()
+    # a batch against one sample, on either side, and against a batch
+    other = Sample(batch.points[::-1], batch.labels[::-1])
+    for x in range(d):
+        for a, b in ((rows[0], batch), (batch, rows[0]), (batch, other)):
+            got = flip_probability(hc, a, b, x, config)
+            want = [flip_probability(hc, sa, sb, x, config) for sa, sb in zip(
+                a.rows() if a.batched else [a] * trials, b.rows() if b.batched else [b] * trials)]
+            assert got.shape == (trials,) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_mechanism_dist_frozen_oracle():
@@ -191,9 +203,9 @@ def test_flip_bound_holds_over_balls():
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         config = ExpMechanismConfig(float(rng.uniform(0.05, 0.49)))
         bound = flip_bound(config, hc.size)
-        for other in ball_enumerate(s, config.eta, d).rows():
-            for x in range(d):
-                assert flip_probability(hc, s, other, x, config) <= bound + 1e-12
+        ball = ball_enumerate(s, config.eta, d)
+        for x in range(d):
+            assert flip_probability(hc, s, ball, x, config).max() <= bound + 1e-12
 
 
 def test_vc_config_preconditions():
