@@ -22,12 +22,9 @@ from .adversaries import (
 )
 from .analysis import (
     FTable,
-    StabilityReport,
     cover_radius,
     estimate_F,
     sauer_bound,
-    sauer_bound_growth,
-    stability_certificate,
     uniform_cover_bound,
     vc_dimension,
 )

@@ -1,10 +1,10 @@
 """Class-structure analysis and the estimation layer of the harness.
 
 The binomial-sum growth bound, brute force VC dimension, exact covering
-radii, Monte Carlo estimation of the F-statistic (the learner's expected +-1
-output, halved; the oblivious excess that is linear in it is tabulated in
-`experiments`), and the mechanism stability certificate. Class restriction
-(`restrict_dedupe`) lives in `core`, beside the class, and is bound here too.
+radii, and Monte Carlo estimation of the F-statistic (the learner's expected
++-1 output, halved; the oblivious excess that is linear in it is tabulated in
+`experiments`). Class restriction (`restrict_dedupe`) lives in `core`, beside
+the class, and is bound here too.
 """
 
 from __future__ import annotations
@@ -25,22 +25,11 @@ from .core import (
     PreconditionError,
     ProductBiasDistribution,
     RandomSource,
-    Sample,
-    Scalar,
     _atom_ratios,
     draw_sample_with,
-    exact_fraction,
-    hamming_distance,
     restrict_dedupe,  # noqa: F401  (kept bound as analysis.restrict_dedupe)
 )
-from .learners import (
-    ExpMechanismConfig,
-    exp_mechanism_log_dist,
-    flip_bound,
-    flip_probability,
-    one_per_trial,
-    scoring_hook,
-)
+from .learners import one_per_trial, scoring_hook
 
 
 def sauer_bound(n: int, d: int) -> int:
@@ -48,15 +37,6 @@ def sauer_bound(n: int, d: int) -> int:
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
     return sum(math.comb(n, i) for i in range(min(n, d) + 1))
-
-
-def sauer_bound_growth(n: int, d: int) -> float:
-    """Real-valued form (e*n/d)^d, valid for n > d + 1."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n <= d + 1:
-        raise PreconditionError("growth form requires n > d + 1")
-    return (math.e * n / d) ** d
 
 
 # the largest domain and class `vc_dimension` searches by brute force
@@ -93,31 +73,15 @@ def vc_dimension(hclass: HypothesisClass) -> int:
     return vc
 
 
-def cover_radius(hclass: HypothesisClass, cover: HypothesisClass,
-                 marginal: Sequence[Scalar] | None = None) -> Fraction:
-    """Worst-case distance from the class to the cover: max over h of the
-    minimal disagreement mass min_{h'} P_x[h(x) != h'(x)].
-
-    Exact: the marginal (default uniform on the domain) is converted with
-    `exact_fraction`, which keeps a float's binary value, and must sum to 1
-    exactly.
-    """
+def cover_radius(hclass: HypothesisClass, cover: HypothesisClass) -> Fraction:
+    """Worst-case distance from the class to the cover under the uniform
+    marginal, exactly: max over h of min over h' of the share of the N
+    domain points where h and h' disagree."""
     n = hclass.domain_size
     if cover.domain_size != n:
         raise DimensionMismatchError("class and cover must share a domain")
-    weights = [Fraction(1, n)] * n if marginal is None else [exact_fraction(w) for w in marginal]
-    if len(weights) != n:
-        raise DimensionMismatchError("marginal length must match the domain size")
-    if sum(weights) != 1:
-        raise ValueError("marginal must sum to 1")
-    denom = math.lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (denom // w.denominator) for w in weights]
-    # int64 holds every disagreement sum unless the numerators' absolute sum
-    # overflows it (a common denominator of 2^63 or more); then they stay Python ints
-    fits = sum(abs(v) for v in ints) <= np.iinfo(np.int64).max
-    nums = np.array(ints, dtype=np.int64 if fits else object)
-    radius = max(int(((cover.values != row) @ nums).min()) for row in hclass.values)
-    return Fraction(radius, denom)
+    radius = max(int((cover.values != row).sum(axis=1).min()) for row in hclass.values)
+    return Fraction(radius, n)
 
 
 def uniform_cover_bound(d: int, n: int) -> float:
@@ -268,51 +232,3 @@ def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
     moments = [_mean_and_variance(np.concatenate(parts)) for parts in centred]
     return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
                   std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
-
-
-# ---------------------------------------------------------------------------
-# stability certificate for the exponential mechanism
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    eta: Scalar
-    temperature: float
-    distance: Fraction
-    log_ratio_bound: float
-    log_gaps: tuple[float, ...]
-    max_abs_log_gap: float
-    claim_ok: bool
-    flip_bound: float
-    flip_probs: tuple[float, ...]
-    max_flip: float
-    flip_ok: bool
-
-
-def stability_certificate(hclass: HypothesisClass, a: Sample, b: Sample,
-                          config: ExpMechanismConfig) -> StabilityReport:
-    """Check the mechanism's stability guarantees on a concrete sample pair.
-
-    Requires d_H(a, b) <= eta. Verifies the selection-probability ratio bound
-    |log p_a(h) - log p_b(h)| <= 2 t eta for every hypothesis and the coupled
-    flip bound |p_plus(a, x) - p_plus(b, x)| <= 4 t eta at every domain point,
-    each up to a float slack of 1e-9.
-    """
-    dist = hamming_distance(a, b)
-    if dist > config.eta:
-        raise PreconditionError(f"samples at distance {dist} exceed eta={config.eta}")
-    t = config.temperature(hclass.size)
-    ratio_bound = 2.0 * t * float(config.eta)
-    la = exp_mechanism_log_dist(hclass, a, config)
-    lb = exp_mechanism_log_dist(hclass, b, config)
-    gaps = tuple(float(g) for g in (la - lb))
-    max_gap = max(abs(g) for g in gaps)
-    flip_bound_value = flip_bound(config, hclass.size)
-    flips = tuple(flip_probability(hclass, a, b, x, config) for x in range(hclass.domain_size))
-    max_flip = max(flips)
-    return StabilityReport(
-        eta=config.eta, temperature=t, distance=dist,
-        log_ratio_bound=ratio_bound, log_gaps=gaps, max_abs_log_gap=max_gap,
-        claim_ok=max_gap <= ratio_bound + 1e-9,
-        flip_bound=flip_bound_value, flip_probs=flips, max_flip=max_flip,
-        flip_ok=max_flip <= flip_bound_value + 1e-9)

@@ -14,14 +14,13 @@ one-sample call is a one-row batch; evaluators read the optional hooks that
 score it from less through one rule (`scoring_hook`). The mechanism's helpers
 speak it too: for one sample and for a batch, `empirical_loss_counts`,
 `exp_mechanism_dist` and `exp_mechanism_log_dist` give (m,) and (trials, m)
-arrays, `empirical_losses` a list and one list per trial, `flip_probability`
-a float and a (trials,) array. Every number of the mechanism comes from one
-histogram scorer (`_loss_counts`, `_softmax`), so a sample scores the same to
-the bit alone as in any batch. On the full class the +1 probability at x
-reads only n and the counts at x, a law exposed in closed form, `count_law`:
-2 weights a sample instead of 2^d; the class scorer stays its reference. The
-subsample rule restricts its class with `core.restrict_dedupe`; this module
-imports from `core` alone.
+arrays, `flip_probability` a float and a (trials,) array. Every number of
+the mechanism comes from one histogram scorer (`_loss_counts`, `_softmax`),
+so a sample scores the same to the bit alone as in any batch. On the full
+class the +1 probability at x reads only n and the counts at x, a law exposed
+in closed form, `count_law`: 2 weights a sample instead of 2^d; the class
+scorer stays its reference. The subsample rule restricts its class with
+`core.restrict_dedupe`; this module imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -161,13 +160,6 @@ def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray
     """Disagreement counts of every hypothesis on the sample: ints of shape
     (m,), or (trials, m) for a batch."""
     return _per_sample(sample, _loss_counts(hclass, sample.histograms(hclass.domain_size))[0])
-
-
-def empirical_losses(hclass: HypothesisClass, sample: Sample) -> list:
-    """The counts over n as Fractions: a list of m, or one per trial."""
-    rows = [[Fraction(c, len(sample)) for c in row]
-            for row in np.atleast_2d(empirical_loss_counts(hclass, sample)).tolist()]
-    return rows if sample.batched else rows[0]
 
 
 def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,

@@ -65,6 +65,8 @@ def test_criterion_01_mechanism_loss_guarantee():
     elapsed = time.perf_counter() - start
     _verdict(1, "mechanism loss guarantee", ok and elapsed < 5.0,
              f"{detail}; {elapsed:.2f}s of 5s budget")
+    assert "min slack over 200 instances = 0.000e+00" in detail, detail
+    assert "; 0.1829 over the 179 with m >= 2" in detail, detail
 
 
 def test_criterion_02_ratio_stability():

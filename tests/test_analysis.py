@@ -15,8 +15,6 @@ from poisonlab.analysis import (
     estimate_F,
     restrict_dedupe,
     sauer_bound,
-    sauer_bound_growth,
-    stability_certificate,
     uniform_cover_bound,
     vc_dimension,
 )
@@ -24,6 +22,7 @@ from poisonlab.core import (
     MINUS,
     PLUS,
     BiasVector,
+    DimensionMismatchError,
     DomainMismatchError,
     EnumerationTooLargeError,
     HypothesisClass,
@@ -31,7 +30,6 @@ from poisonlab.core import (
     ProductBiasDistribution,
     RandomSource,
     Sample,
-    ball_enumerate,
     draw_sample_with,
 )
 from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
@@ -86,15 +84,6 @@ def test_sauer_bound_hand_values():
     assert sauer_bound(6, 0) == 1
 
 
-def test_sauer_bound_growth_form():
-    assert sauer_bound_growth(10, 2) == pytest.approx((math.e * 10 / 2) ** 2, abs=1e-12)
-    # binomial sum <= (en/d)^d whenever n > d + 1
-    for n, d in ((5, 1), (8, 2), (12, 3)):
-        assert sauer_bound(n, d) <= sauer_bound_growth(n, d)
-    with pytest.raises(ValueError):
-        sauer_bound_growth(3, 3)
-
-
 def _vc_reference(hc):
     """Independent shattering search, largest size first."""
     for size in range(min(hc.domain_size, int(math.log2(hc.size))), 0, -1):
@@ -142,21 +131,26 @@ def test_cover_radius_hand_values():
     assert cover_radius(full, full) == 0
 
 
-def test_cover_radius_weighted():
-    full = HypothesisClass.full(2)
-    single = HypothesisClass([[PLUS, PLUS]])
-    r = cover_radius(full, single, marginal=(Fraction(3, 4), Fraction(1, 4)))
-    assert r == 1  # the all-minus row disagrees everywhere
-    pair = HypothesisClass([[PLUS, PLUS], [MINUS, PLUS]])
-    r2 = cover_radius(full, pair, marginal=(Fraction(3, 4), Fraction(1, 4)))
-    assert r2 == Fraction(1, 4)  # worst rows differ only on the light point
+def _cover_radius_reference(hc, cover):
+    """max over h of min over h' of the share of points where they disagree,
+    one pair at a time."""
+    n = hc.domain_size
+    return max(min(Fraction(sum(a != b for a, b in zip(h, c)), n) for c in cover.values.tolist())
+               for h in hc.values.tolist())
 
 
-def test_cover_radius_with_a_common_denominator_past_int64():
-    tiny = Fraction(1, 3 ** 40)  # 3^40 > 2^63
-    pair = HypothesisClass([[PLUS, PLUS], [MINUS, MINUS]])
-    # each mixed row is tiny away from one constant and 1 - tiny from the other
-    assert cover_radius(HypothesisClass.full(2), pair, marginal=(tiny, 1 - tiny)) == tiny
+def test_cover_radius_matches_a_per_pair_reference():
+    rng = np.random.default_rng(SEED + 7)
+    for _ in range(40):
+        hc = _random_class(rng, max_domain=8, max_size=24)
+        rows = hc.values[rng.permutation(hc.size)]
+        full = HypothesisClass.full(hc.domain_size).values
+        other = HypothesisClass(full[rng.choice(len(full), size=min(len(full), 6), replace=False)])
+        for cover in (HypothesisClass(rows[:1]), HypothesisClass(rows[:(hc.size + 1) // 2]),
+                      other, hc):
+            assert cover_radius(hc, cover) == _cover_radius_reference(hc, cover)
+    with pytest.raises(DimensionMismatchError, match="share a domain"):
+        cover_radius(HypothesisClass.full(2), HypothesisClass.full(3))
 
 
 def test_uniform_cover_bound_formula():
@@ -590,40 +584,6 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
     for v in hard.values():
         value, _ = _one_row_excess(scheme, BiasVector([v]), bayes_f)
         assert value >= -1e-15
-
-
-def test_stability_certificate_fields():
-    hc = HypothesisClass.full(1)
-    config = ExpMechanismConfig(Fraction(1, 2))
-    a = Sample([0, 0], [PLUS, PLUS])
-    b = Sample([0, 0], [PLUS, MINUS])
-    report = stability_certificate(hc, a, b, config)
-    assert report.distance == Fraction(1, 2)
-    assert report.claim_ok and report.flip_ok
-    assert report.max_abs_log_gap <= report.log_ratio_bound + 1e-9
-    assert report.max_flip <= report.flip_bound + 1e-12
-    assert report.temperature == pytest.approx(config.temperature(hc.size))
-
-
-def test_stability_certificate_rejects_far_pairs():
-    hc = HypothesisClass.full(1)
-    config = ExpMechanismConfig(Fraction(1, 4))
-    a = Sample([0, 0], [PLUS, PLUS])
-    b = Sample([0, 0], [MINUS, MINUS])  # distance 1 > eta
-    with pytest.raises(PreconditionError):
-        stability_certificate(hc, a, b, config)
-
-
-def test_stability_certificate_over_balls():
-    rng = np.random.default_rng(SEED + 5)
-    for _ in range(10):
-        d, n = int(rng.integers(1, 3)), int(rng.integers(2, 6))
-        hc = HypothesisClass.full(d)
-        s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
-        config = ExpMechanismConfig(float(rng.uniform(0.1, 0.5)))
-        for other in ball_enumerate(s, config.eta, d).rows():
-            report = stability_certificate(hc, s, other, config)
-            assert report.claim_ok and report.flip_ok
 
 
 def test_per_point_f_depends_on_its_own_coordinate_only():

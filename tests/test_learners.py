@@ -31,7 +31,6 @@ from poisonlab.learners import (
     _softmax,
     _sum_rows,
     empirical_loss_counts,
-    empirical_losses,
     exp_mechanism_dist,
     exp_mechanism_log_dist,
     flip_bound,
@@ -71,17 +70,18 @@ def test_temperature_formula():
     assert config.temperature(1) == 0.0
 
 
-def test_empirical_losses_match_sample_loss():
+def test_loss_counts_over_n_are_the_sample_losses():
+    # a count over n as a Fraction is `sample_loss`, and as a float its
+    # correctly rounded value, which the loss guarantee's check reads
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 9))
         hc = HypothesisClass.full(d)
         s = Sample(rng.integers(0, d, size=n), rng.choice((-1, 1), size=n))
         counts = empirical_loss_counts(hc, s)
-        losses = empirical_losses(hc, s)
-        for i in range(hc.size):
-            assert losses[i] == sample_loss(hc.values[i], s)
-            assert losses[i] == Fraction(int(counts[i]), n)
+        for row, count in zip(hc.values, counts.tolist()):
+            assert Fraction(count, n) == sample_loss(row, s)
+            assert count / n == float(sample_loss(row, s))
 
 
 @pytest.mark.parametrize("hc", [
@@ -101,7 +101,6 @@ def test_helpers_on_a_batch_are_their_rows_one_sample_calls(hc):
     counts = empirical_loss_counts(hc, batch)
     assert counts.shape == (trials, hc.size)
     assert counts.tolist() == [empirical_loss_counts(hc, s).tolist() for s in rows]
-    assert empirical_losses(hc, batch) == [empirical_losses(hc, s) for s in rows]
     for helper in (exp_mechanism_dist, exp_mechanism_log_dist):
         got = helper(hc, batch, config)
         assert got.shape == (trials, hc.size)

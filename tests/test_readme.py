@@ -7,7 +7,8 @@ from pathlib import Path
 
 from poisonlab.verify import REGISTRY
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def test_library_quick_start_prints_its_documented_line():
@@ -26,3 +27,12 @@ def test_every_check_named_in_the_readme_exists():
              for name in arg.split(",")]
     assert named
     assert set(named) <= {name for name, _ in REGISTRY}
+
+
+def test_every_test_named_in_the_readme_exists():
+    # a module name such as test_acceptance.py is not a test function
+    named = set(re.findall(r"\b(test_\w+)\b(?!\.py)", README.read_text()))
+    defined = {name for path in TESTS.glob("test_*.py")
+               for name in re.findall(r"^def (test_\w+)", path.read_text(), re.M)}
+    assert named
+    assert named <= defined, sorted(named - defined)
