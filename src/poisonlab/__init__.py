@@ -56,7 +56,6 @@ from .core import (
 from .experiments import (
     ADVERSARY_IDS,
     LEARNER_IDS,
-    CurveReport,
     EquivalenceReport,
     ExcessEstimate,
     LowerBoundReport,

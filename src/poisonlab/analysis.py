@@ -1,10 +1,11 @@
 """Class-structure analysis and the estimation layer of the harness.
 
 The binomial-sum growth bound, brute force VC dimension, exact covering
-radii, and Monte Carlo estimation of the F-statistic (the learner's expected
-+-1 output, halved; the oblivious excess that is linear in it is tabulated in
-`experiments`). Class restriction (`restrict_dedupe`) lives in `core`, beside
-the class, and is bound here too.
+radii, and Monte Carlo estimation of the F-statistic at one point of one
+bias vector (the learner's expected +-1 output, halved; the oblivious excess
+that is linear in it is tabulated in `experiments`, one estimate per F key).
+Class restriction (`restrict_dedupe`) lives in `core`, beside the class, and
+is bound here too.
 """
 
 from __future__ import annotations
@@ -101,16 +102,15 @@ F_CHUNKS = 16
 
 @dataclass(frozen=True)
 class FTable:
-    """Estimated F values at one bias vector: F_i = E[prediction at x_i] / 2.
+    """Estimated F at one point of one bias vector: F_x = E[prediction at x] / 2.
 
-    `values[j]` estimates the coordinate `points[j]`; every value lies in
-    [-1/2, 1/2] because each per-trial contribution does.
+    `value` lies in [-1/2, 1/2] because each per-trial contribution does.
     """
 
     u: BiasVector
-    points: tuple[int, ...]
-    values: tuple[float, ...]
-    std_errors: tuple[float, ...]
+    point: int
+    value: float
+    std_error: float
     n: int
     trials: int
 
@@ -177,58 +177,54 @@ def _mean_and_variance(values: Sequence[float] | np.ndarray) -> tuple[float, flo
     return mean, _fsum(np.float_power(values - mean, 2.0)) / (t - 1) / t
 
 
-def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource,
-               points: Sequence[int] | None = None,
+def estimate_F(learner, u: BiasVector, n: int, trials: int, rng: RandomSource, x: int,
                gen: np.random.Generator | None = None) -> FTable:
-    """Monte Carlo estimate of the learner's F values at bias vector u.
+    """Monte Carlo estimate of the learner's F value at point x of bias vector u.
 
     Each trial draws one fresh size-n sample from D_u and records
-    prediction_prob - 1/2 at every queried point. Every draw, and the
-    learner's internal randomness, comes from one generator per call, on the
-    child stream ("estimate-F",): a fresh one, or `gen`, a generator built by
+    prediction_prob - 1/2 at x. Every draw, and the learner's internal
+    randomness, comes from one generator per call, on the child stream
+    ("estimate-F",): a fresh one, or `gen`, a generator built by
     `RandomSource.generator()`, re-keyed to that stream
-    (`RandomSource.rekey`), which draws exactly what a fresh one would. Each
-    point's mean and std error are taken over its trials with fsum's
-    correctly rounded sums (`_mean_and_variance`).
+    (`RandomSource.rekey`), which draws exactly what a fresh one would. The
+    mean and std error are taken over the trials with fsum's correctly
+    rounded sums (`_mean_and_variance`).
 
     A learner whose `batch_prediction_probs` speaks for it
     (`learners.scoring_hook`) reads a sample only through its (point, label)
     histogram: every trial's histogram is drawn by one `multinomial(n, .,
     size=trials)` call over the 2d atoms (0, +1), (0, -1), (1, +1), ..., at
     the correctly rounded quotients (q + 2 y p) / (2 q d) at u_i = p/q
-    (`_atom_ratios`), and scored by one call per query point. Every other
-    learner draws F_CHUNKS (fewer if there are fewer trials) trial-ordered
-    (size, n) batches of rows from the one generator, each scored by one
-    `prediction_prob` call per query point, which must return one
-    probability per trial. The two paths consume the generator differently,
-    with the same law. A bias past the learner's domain raises
+    (`_atom_ratios`), and scored by one call. Every other learner draws
+    F_CHUNKS (fewer if there are fewer trials) trial-ordered (size, n)
+    batches of rows from the one generator, each scored by one
+    `prediction_prob` call, which must return one probability per trial.
+    The two paths consume the generator differently, with the same law. A
+    bias past the learner's domain or an x outside [0, d) raises
     DomainMismatchError, and an n or trials below 1 ValueError.
     """
     for name, value in (("n", n), ("trials", trials)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
     d = u.dimension
-    query = tuple(points) if points is not None else tuple(range(d))
-    if not query or min(query) < 0 or max(query) >= d:
-        raise DomainMismatchError("query points must lie inside the domain")
+    if not 0 <= x < d:
+        raise DomainMismatchError("query point must lie inside the domain")
     source = rng.child("estimate-F")
     gen = source.generator() if gen is None else source.rekey(gen)
-    centred: list[list[np.ndarray]] = [[] for _ in query]
     if (batch := scoring_hook(learner, "batch_prediction_probs", d)) is not None:
         atom_probs = [num / den for _, num, den in _atom_ratios(u.coords)]
         histograms = gen.multinomial(n, atom_probs, size=trials).reshape(trials, d, 2)
-        for qi, x in enumerate(query):
-            centred[qi].append(batch(histograms, x) - 0.5)
+        centred = batch(histograms, x) - 0.5
     else:
         dist = ProductBiasDistribution(u)
         chunks = min(F_CHUNKS, trials)
         base, extra = divmod(trials, chunks)
+        parts = []
         for size in (base + (c < extra) for c in range(chunks)):
             samples = draw_sample_with(dist, n, gen, trials=size)
-            for qi, x in enumerate(query):
-                probs = one_per_trial(
-                    learner, learner.prediction_prob(samples, np.full(size, x), gen), size)
-                centred[qi].append(probs - 0.5)
-    moments = [_mean_and_variance(np.concatenate(parts)) for parts in centred]
-    return FTable(u=u, points=query, values=tuple(mean for mean, _ in moments),
-                  std_errors=tuple(math.sqrt(var) for _, var in moments), n=n, trials=trials)
+            probs = one_per_trial(
+                learner, learner.prediction_prob(samples, np.full(size, x), gen), size)
+            parts.append(probs - 0.5)
+        centred = np.concatenate(parts)
+    mean, var = _mean_and_variance(centred)
+    return FTable(u=u, point=x, value=mean, std_error=math.sqrt(var), n=n, trials=trials)

@@ -44,6 +44,7 @@ from .experiments import (
     ExcessEstimate,
     SweepGrid,
     _hard_scheme,
+    curve_threshold,
     learning_curve_experiment,
     make_learner,
     run_sweep,
@@ -347,13 +348,13 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     rng = RandomSource(grid.seed, stream)
     bayes = float(bayes_loss(ProductBiasDistribution(u)))
     hclass = HypothesisClass.full(d)
+    threshold = curve_threshold(scheme.eta, d)
     rows = []
     for n in grid.sizes:
         # built per size, as a sweep cell builds it: majority votes over
         # min(n, ceil(1/eta)) rows
         learner = make_learner(name, hclass, eta, n, u.coords)
-        report = learning_curve_experiment(learner, u, scheme, [n], grid.trials, rng)
-        [excess], [se] = report.excesses, report.std_errors
+        excess, se = learning_curve_experiment(learner, u, scheme, n, grid.trials, rng)
         half = Z95 * se
         est = ExcessEstimate(
             mean=excess + bayes, ci_low=excess + bayes - half, ci_high=excess + bayes + half,
@@ -364,8 +365,8 @@ def cmd_curve(ns: argparse.Namespace) -> int:
                       "d": d, "stream": stream, "bias": str(grid.bias)})
         rows.append(estimate_to_row(est, "curve", cfg.config_hash,
                                     bound_name="recurring-threshold",
-                                    bound_value=report.threshold,
-                                    passed=excess >= report.threshold))
+                                    bound_value=threshold,
+                                    passed=excess >= threshold))
     emit(rows, cfg)
     return 0
 

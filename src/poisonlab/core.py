@@ -187,19 +187,14 @@ class Sample:
             raise ValueError("a sample holds at least one example")
         return Sample._valid(codes)
 
-    def key(self) -> bytes:
-        """Hashable identity, used for caching per-sample computations: the
-        shape, then the codes, so a sample and a batch of the same codes
-        differ."""
-        return repr(self.codes.shape).encode() + self.codes.tobytes()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
         return np.array_equal(self.codes, other.codes)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        # the shape too, so a sample and a batch of the same codes differ
+        return hash((self.codes.shape, self.codes.tobytes()))
 
     def __repr__(self) -> str:
         if self.batched:
@@ -386,8 +381,8 @@ def _atom_ratios(coords: Sequence[Fraction]) -> Iterator[tuple[Example, int, int
 class ProductBiasDistribution:
     """Joint law on (point, label): point uniform on [d], then P(y=+1|i) = 1/2 + u_i.
 
-    `atoms` and `atom_probability` build the exact atom probabilities from
-    integers when called (`_atom_ratios`).
+    `atoms` builds the exact atom probabilities from integers when called
+    (`_atom_ratios`).
 
     The sampler's one table serves sample rows and test examples alike
     (`_draw_codes`). With D the atoms' common denominator (the lcm of 2 q_i
@@ -431,13 +426,6 @@ class ProductBiasDistribution:
     @property
     def dimension(self) -> int:
         return self.bias.dimension
-
-    def atom_probability(self, point: int, label: int) -> Fraction:
-        if not 0 <= point < self.dimension:
-            raise DomainMismatchError(f"point {point} outside domain of size {self.dimension}")
-        if label not in LABELS:
-            raise ValueError("label must be -1 or +1")
-        return self.atoms()[2 * point + (label == MINUS)][1]
 
     def atoms(self) -> list[tuple[Example, Fraction]]:
         """Every (atom, exact probability), as a new list."""
@@ -492,10 +480,7 @@ class RandomSource:
         h = hashlib.blake2b(digest_size=8)
         h.update(self.stream.to_bytes(8, "little"))
         for lab in labels:
-            if isinstance(lab, bytes):
-                h.update(b"b" + lab)
-            else:
-                h.update(b"s" + repr(lab).encode())
+            h.update(b"s" + repr(lab).encode())
         return RandomSource(self.seed, int.from_bytes(h.digest(), "little"))
 
     def __repr__(self) -> str:
@@ -681,13 +666,11 @@ def draw_sample_with(dist: ProductBiasDistribution, n: int, gen: np.random.Gener
 
 
 def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
-                 trials: int | None = None) -> Example:
-    """One test example drawn from the distribution, or one per trial as an
+                 trials: int) -> Example:
+    """One test example per trial, drawn from the distribution, as an
     Example of read-only (trials,) int64 point and int8 label arrays, each a
     `draw_sample_with` entry's generator call, atom code (`_draw_codes`)
     and decoding. A trial count below 1 raises ValueError."""
-    if trials is None:
-        return _example(int(_draw_codes(dist, gen, None)))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     drawn = Sample._valid(_draw_codes(dist, gen, trials).astype(np.int64))
@@ -695,11 +678,11 @@ def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
 
 
 def _draw_integers(dist: ProductBiasDistribution, gen: np.random.Generator,
-                   shape) -> np.ndarray | np.unsignedinteger:
+                   shape) -> np.ndarray:
     """The sampler's one raw draw: an integer v uniform on [0, R) per entry
-    of `shape`, in row-major order and in the thresholds' unsigned dtype
-    (one integer for a `shape` of None). `_draw_codes` reads it into atom
-    codes and `_draw_target_counts` into the counts at each target."""
+    of `shape`, in row-major order and in the thresholds' unsigned dtype.
+    `_draw_codes` reads it into atom codes and `_draw_target_counts` into
+    the counts at each target."""
     return gen.integers(0, dist._range, size=shape, dtype=dist._thresholds.dtype)
 
 
@@ -709,7 +692,7 @@ def _draw_codes(dist: ProductBiasDistribution, gen: np.random.Generator,
     unsigned dtype that holds them: for each drawn integer v
     (`_draw_integers`), code j is the number of thresholds at or below v,
     atom j in the order (0, +1), (0, -1), (1, +1), ... Code 2x is (x, +1)
-    and 2x + 1 is (x, -1). A `shape` of None gives one code, 0-d."""
+    and 2x + 1 is (x, -1)."""
     cuts = dist._thresholds
     v = _draw_integers(dist, gen, shape)
     atom = np.zeros(v.shape, np.min_scalar_type(len(cuts)))

@@ -699,8 +699,8 @@ def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
         if key not in cache:
             i, v = key
             cache[key] = estimate_F(learner, BiasVector(v), n, trials_f,
-                                    rng.child(*labels, i, repr(v)), points=[i], gen=gen)
-        return cache[key].values[0]
+                                    rng.child(*labels, i, repr(v)), i, gen=gen)
+        return cache[key].value
 
     return f_value, cache
 
@@ -811,7 +811,7 @@ def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable])
     estimate are summed into its c_k first (`_excess_table`), and a key with
     no estimate of its own raises KeyError rather than counting a shared
     estimate twice."""
-    return math.fsum((float(c) * cache[key].std_errors[0]) ** 2
+    return math.fsum((float(c) * cache[key].std_error) ** 2
                      for key, c in coefficients.items())
 
 
@@ -973,56 +973,29 @@ def upper_bound_experiment(eta: Scalar, d: int, n: int, trials: int,
 # learning curve experiment
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    u: BiasVector
-    sizes: tuple[int, ...]
-    excesses: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    threshold: float
-    fraction_at_least: float
-
-
 def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: PoisoningSchemeD,
-                              sizes: Sequence[int], trials_f: int,
-                              rng: RandomSource) -> CurveReport:
-    """Oblivious excess at a fixed bias across sample sizes.
+                              n: int, trials_f: int, rng: RandomSource) -> tuple[float, float]:
+    """Oblivious excess at bias u and sample size n, and its standard error.
 
-    Each size runs the term table (`_excess_table`) on the one row u, whose
-    F keys are estimated once each with `trials_f` trials on the stream
-    ("curve", n, key point, key bias) (`_cached_f_oracle`), each re-keying
-    the call's one Philox generator; a size's standard
-    error propagates those estimates' errors through the excess
-    (`_f_variance`). A per-point learner's keys are its distinct poisoned
-    values, so at an equal-coordinate bias it draws the trials of one
-    coordinate, not of d, and its standard error is up to sqrt(d) that of d
-    separate estimates. The report records the fraction of sizes whose
-    excess clears sqrt(d eta)/36 at the scheme's budget eta, the quantity
-    the recurring-excess argument tracks. A size or trials_f below 1 raises
-    ValueError before anything is drawn.
+    The term table (`_excess_table`) runs on the one row u, whose F keys
+    are estimated once each with `trials_f` trials on the stream ("curve",
+    n, key point, key bias) (`_cached_f_oracle`), each re-keying the call's
+    one Philox generator; the standard error propagates those estimates'
+    errors through the excess (`_f_variance`). A per-point learner's keys
+    are its distinct poisoned values, so at an equal-coordinate bias it
+    draws the trials of one coordinate, not of d, and its standard error is
+    up to sqrt(d) that of d separate estimates. A curve is one call per
+    size; each reads only its own streams. An n or trials_f below 1 raises
+    ValueError (`estimate_F`) before anything is drawn.
     """
-    sizes = tuple(sizes)
-    if not sizes:
-        raise ValueError("sizes must not be empty")
-    if min(sizes) < 1:
-        raise ValueError("sizes must be >= 1")
-    if trials_f < 1:
-        raise ValueError("trials_f must be >= 1")
     if u.dimension != scheme.dimension:
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
-    threshold = curve_threshold(scheme.eta, scheme.dimension)
-    excesses, std_errors = [], []
     pointwise = scoring_hook(learner, "count_law", u.dimension) is not None
-    gen = rng.generator()
-    for n in sizes:
-        f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n, gen=gen)
-        [excess], coefficients = _excess_table(pointwise, scheme, u.coords,
-                                               [range(u.dimension)], [1], f_value)
-        excesses.append(excess)
-        std_errors.append(math.sqrt(_f_variance(coefficients, cache)))
-    return CurveReport(u=u, sizes=sizes, excesses=tuple(excesses),
-                       std_errors=tuple(std_errors), threshold=threshold,
-                       fraction_at_least=sum(1 for e in excesses if e >= threshold) / len(excesses))
+    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n,
+                                      gen=rng.generator())
+    [excess], coefficients = _excess_table(pointwise, scheme, u.coords, [range(u.dimension)],
+                                           [1], f_value)
+    return excess, math.sqrt(_f_variance(coefficients, cache))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,9 +71,9 @@ class ExpMechanismConfig:
         return math.sqrt(math.log(m) / float(self.eta))
 
 
-# class size times samples per `_softmax` pass of the class scorer
-# (`_class_probs`): its (class size, samples) arrays stay near 8 MB for any
-# class and batch
+# class size times samples per `_softmax` pass (`_softmax_passes`): the
+# (class size, samples) arrays of the class scorer and of the mechanism laws
+# stay near 8 MB for any class and batch
 SCORE_BUDGET = 2 ** 20
 
 
@@ -131,22 +131,30 @@ def _softmax(hclass: HypothesisClass, histograms: np.ndarray,
     return shifted, w, _sum_rows(w)
 
 
+def _softmax_passes(hclass: HypothesisClass, histograms: np.ndarray, config: ExpMechanismConfig
+                    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """`_softmax` of a batch in passes of at most SCORE_BUDGET // class size
+    samples, each with the slice of the batch it scored (one empty pass for
+    an empty batch). Each sample's numbers are its own column (`_sum_rows`),
+    so the passes give the values of one pass to the bit."""
+    step = max(1, SCORE_BUDGET // hclass.size)
+    for lo in range(0, max(len(histograms), 1), step):
+        rows = slice(lo, lo + step)
+        yield (rows, *_softmax(hclass, histograms[rows], config))
+
+
 def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
                  config: ExpMechanismConfig) -> np.ndarray:
     """The class scorer: the mechanism's +1 probability at x (one point, or
     an array of one point per sample), summing the selection probabilities
-    of the hypotheses reading +1 there. The batch is scored in passes of at
-    most SCORE_BUDGET // class size samples, which give the values of one
-    pass to the bit, since each sample's sum is its own column
-    (`_sum_rows`). It is the reference of `ExpMechanismLearner.count_law`.
+    of the hypotheses reading +1 there, pass by pass (`_softmax_passes`).
+    It is the reference of `ExpMechanismLearner.count_law`.
     A sum of rounded shares can exceed 1 by an ulp when every hypothesis
     reads +1 at x; it is clipped at 1, which changes no other value."""
     per_trial = isinstance(x, np.ndarray)
-    step = max(1, SCORE_BUDGET // hclass.size)
     parts = []
-    for lo in range(0, max(len(histograms), 1), step):
-        _, w, total = _softmax(hclass, histograms[lo:lo + step], config)
-        plus = hclass.values[:, x[lo:lo + step] if per_trial else [x]] == PLUS
+    for rows, _, w, total in _softmax_passes(hclass, histograms, config):
+        plus = hclass.values[:, x[rows] if per_trial else [x]] == PLUS
         parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
     return np.minimum(np.concatenate(parts), 1.0)
 
@@ -162,20 +170,32 @@ def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray
     return _per_sample(sample, _loss_counts(hclass, sample.histograms(hclass.domain_size))[0])
 
 
+def _mechanism_rows(hclass: HypothesisClass, sample: Sample, config: ExpMechanismConfig,
+                    law: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+                    ) -> np.ndarray:
+    """`law(shifted, w, total)` of each `_softmax_passes` pass, (m,
+    samples), as rows of one preallocated (trials, m) array: (m,) for one
+    sample."""
+    histograms = sample.histograms(hclass.domain_size)
+    out = np.empty((len(histograms), hclass.size))
+    for rows, *scored in _softmax_passes(hclass, histograms, config):
+        out[rows] = law(*scored).T
+    return out if sample.batched else out[0]
+
+
 def exp_mechanism_dist(hclass: HypothesisClass, sample: Sample,
                        config: ExpMechanismConfig) -> np.ndarray:
     """Selection probabilities of the mechanism, in class row order: (m,),
     or (trials, m) for a batch."""
-    _, w, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
-    return _per_sample(sample, w / total)
+    return _mechanism_rows(hclass, sample, config, lambda shifted, w, total: w / total)
 
 
 def exp_mechanism_log_dist(hclass: HypothesisClass, sample: Sample,
                            config: ExpMechanismConfig) -> np.ndarray:
     """log of exp_mechanism_dist, of its shape, without leaving log space;
     each sample's log total is `math.log`'s, which np.log may round apart."""
-    shifted, _, total = _softmax(hclass, sample.histograms(hclass.domain_size), config)
-    return _per_sample(sample, shifted - [math.log(v) for v in total.tolist()])
+    return _mechanism_rows(hclass, sample, config, lambda shifted, w, total:
+                           shifted - [math.log(v) for v in total.tolist()])
 
 
 def flip_probability(hclass: HypothesisClass, a: Sample, b: Sample, x: int,

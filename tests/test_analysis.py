@@ -205,18 +205,18 @@ def test_exact_f_matches_the_histogram_reference_at_d2():
 def test_estimate_f_agrees_with_exact():
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8)])
-    table = estimate_F(learner, u, 2, 4000, RandomSource(SEED, 2))
-    assert abs(table.values[0] - EXACT_F_2CONST) <= 4.5 * table.std_errors[0]
-    assert table.std_errors[0] > 0
-    assert table.n == 2 and table.trials == 4000
+    table = estimate_F(learner, u, 2, 4000, RandomSource(SEED, 2), 0)
+    assert abs(table.value - EXACT_F_2CONST) <= 4.5 * table.std_error
+    assert table.std_error > 0
+    assert (table.point, table.n, table.trials) == (0, 2, 4000)
 
 
 def test_estimate_f_reproducible_and_chunk_invariant():
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8)])
-    a = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3))
-    b = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3))
-    assert a.values == b.values and a.std_errors == b.std_errors
+    a = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3), 0)
+    b = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3), 0)
+    assert a.value == b.value and a.std_error == b.std_error
 
 
 def _exact_f_by_histograms(learner, u: BiasVector, n: int, x: int) -> float:
@@ -243,13 +243,12 @@ def test_estimate_f_paths_match_exact_histogram_f():
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
     n = 4
-    batched = estimate_F(learner, u, n, 4000, RandomSource(SEED, 4))
-    scalar = estimate_F(_RowsOnly(learner), u, n, 4000, RandomSource(SEED, 4))
     for x in range(2):
         exact = _exact_f_by_histograms(learner, u, n, x)
         assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
-        for table in (batched, scalar):
-            assert abs(table.values[x] - exact) <= 4.5 * table.std_errors[x]
+        for which in (learner, _RowsOnly(learner)):
+            table = estimate_F(which, u, n, 4000, RandomSource(SEED, 4), x)
+            assert abs(table.value - exact) <= 4.5 * table.std_error
 
 
 def test_estimate_f_rejects_a_bias_outside_the_class_domain():
@@ -257,11 +256,12 @@ def test_estimate_f_rejects_a_bias_outside_the_class_domain():
     u = BiasVector([Fraction(1, 8), Fraction(1, 8)])
     for which in (learner, _RowsOnly(learner)):
         with pytest.raises(DomainMismatchError):
-            estimate_F(which, u, 8, 40, RandomSource(SEED, 8), points=[0])
+            estimate_F(which, u, 8, 40, RandomSource(SEED, 8), 0)
 
 
 # estimate_F of the full 2-point class at u = (1/8, -1/4), n = 64, 1003
-# trials, every histogram drawn by one multinomial call from one generator
+# trials, at points 0 and 1: each call draws every histogram by one
+# multinomial call from one generator on the same stream
 ESTIMATE_F_PIN = ("(0.07113580643283283, -0.14306113584707583)",
                   "(0.0015411041578597027, 0.0013635572278092973)")
 
@@ -387,26 +387,30 @@ def _record_calls(monkeypatch, cls, name) -> list:
     return calls
 
 
-def _class_f(hclass: HypothesisClass, rng: RandomSource) -> FTable:
+def _class_f(hclass: HypothesisClass, rng: RandomSource) -> tuple[FTable, FTable]:
+    """estimate_F at points 0 and 1, one call each on the same stream."""
     learner = ExpMechanismLearner(hclass, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
-    return estimate_F(learner, u, 64, 1003, rng)
+    return tuple(estimate_F(learner, u, 64, 1003, rng, x) for x in range(2))
 
 
-def _full_class_f(size: int, rng: RandomSource) -> FTable:
+def _full_class_f(size: int, rng: RandomSource) -> tuple[FTable, FTable]:
     return _class_f(HypothesisClass.full(size), rng)
 
 
+def _pin(tables: tuple[FTable, ...]) -> tuple[str, str]:
+    return (repr(tuple(t.value for t in tables)), repr(tuple(t.std_error for t in tables)))
+
+
 def test_estimate_f_histogram_path_pin():
-    table = _full_class_f(2, RandomSource(SEED, 9))
-    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+    assert _pin(_full_class_f(2, RandomSource(SEED, 9))) == ESTIMATE_F_PIN
 
 
 def test_estimate_f_scores_all_histograms_in_one_call_per_point(monkeypatch):
     calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
-    table = _full_class_f(2, RandomSource(SEED, 9))
+    tables = _full_class_f(2, RandomSource(SEED, 9))
     assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
-    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+    assert _pin(tables) == ESTIMATE_F_PIN
 
 
 def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
@@ -461,9 +465,10 @@ def _count_generators(monkeypatch) -> tuple[list, list]:
 
 def test_estimate_f_histogram_path_draws_every_trial_in_one_call(monkeypatch):
     built, draws = _count_generators(monkeypatch)
-    table = _full_class_f(2, RandomSource(SEED, 9))
-    assert len(built) == 1 and draws == ["multinomial"]
-    assert (repr(table.values), repr(table.std_errors)) == ESTIMATE_F_PIN
+    tables = _full_class_f(2, RandomSource(SEED, 9))
+    # one generator and one draw per call, on one stream
+    assert len(built) == 2 and len({r.stream for r in built}) == 1 and draws == ["multinomial"] * 2
+    assert _pin(tables) == ESTIMATE_F_PIN
 
 
 @pytest.mark.parametrize("coords", [
@@ -488,7 +493,7 @@ def test_estimate_f_histogram_weights_are_the_distributions_atom_floats(monkeypa
     u = BiasVector(coords)
     learner = ExpMechanismLearner(HypothesisClass.full(u.dimension),
                                   ExpMechanismConfig(Fraction(1, 4)))
-    estimate_F(learner, u, 8, 5, RandomSource(SEED, 19))
+    estimate_F(learner, u, 8, 5, RandomSource(SEED, 19), u.dimension - 1)
     want = [float(w) for _, w in ProductBiasDistribution(u).atoms()]
     assert len(weights) == 1 and [repr(w) for w in weights[0]] == [repr(w) for w in want]
 
@@ -502,10 +507,11 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     for learner in _row_learners(2, Fraction(1, 16), 32, u):
         calls = _record_calls(monkeypatch, type(learner), "prediction_prob")
-        estimate_F(learner, u, 32, 100, RandomSource(SEED, 11))
+        for x in (0, 1):
+            estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), x)
         sizes = [7] * 4 + [6] * 12
         assert [(len(s.points), x.tolist()) for s, x, _ in calls] == [
-            (size, [x] * size) for size in sizes for x in (0, 1)]
+            (size, [x] * size) for x in (0, 1) for size in sizes]
         assert all(s.points.shape[1] == 32 for s, _, _ in calls)
         monkeypatch.undo()
 
@@ -513,7 +519,7 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
 def test_estimate_f_row_path_draws_its_batches_from_one_generator(monkeypatch):
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     learner = make_learner("vc", HypothesisClass.full(2), Fraction(1, 16), 32, u.coords)
-    plain = estimate_F(learner, u, 32, 100, RandomSource(SEED, 11))
+    plain = estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), 1)
     built, _ = _count_generators(monkeypatch)
     batches = []
     original = analysis.draw_sample_with
@@ -523,7 +529,7 @@ def test_estimate_f_row_path_draws_its_batches_from_one_generator(monkeypatch):
         return original(dist, n, gen, trials=trials)
 
     monkeypatch.setattr(analysis, "draw_sample_with", recorded)
-    assert estimate_F(learner, u, 32, 100, RandomSource(SEED, 11)) == plain
+    assert estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), 1) == plain
     assert len(built) == 1
     assert [trials for _, trials in batches] == [7] * 4 + [6] * 12
     assert len({id(gen) for gen, _ in batches}) == 1
@@ -534,14 +540,14 @@ def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
     n = 32
     dist = ProductBiasDistribution(u)
     for learner in _row_learners(2, Fraction(1, 16), n, u):
-        table = estimate_F(learner, u, n, 3000, RandomSource(SEED, 12))
         gen = RandomSource(SEED, 13).generator()
         ref = np.array([[learner.prediction_prob(s, x, gen) - 0.5 for x in (0, 1)]
                         for s in (draw_sample_with(dist, n, gen) for _ in range(1500))])
         for x in (0, 1):
-            sigma = math.hypot(table.std_errors[x], ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
+            table = estimate_F(learner, u, n, 3000, RandomSource(SEED, 12), x)
+            sigma = math.hypot(table.std_error, ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
             assert abs(ref[:, x].mean()) > 2.25 * sigma  # a sign error lands beyond 4.5 sigma
-            assert abs(table.values[x] - ref[:, x].mean()) <= 4.5 * sigma
+            assert abs(table.value - ref[:, x].mean()) <= 4.5 * sigma
 
 
 def _one_row_excess(scheme, u: BiasVector, f_value):
@@ -565,7 +571,7 @@ def test_oblivious_excess_hand_value():
 def test_oblivious_excess_error_propagation():
     u = BiasVector([Fraction(1, 4)])
     _, coefficients = _one_row_excess(identity_scheme(1), u, lambda key: 0.3)
-    table = FTable(u=u, points=(0,), values=(0.3,), std_errors=(0.02,), n=4, trials=100)
+    table = FTable(u=u, point=0, value=0.3, std_error=0.02, n=4, trials=100)
     # both test atoms read one estimate: err = |-3/4 + 1/4| * 0.02, not 0.02 * sqrt(9/16 + 1/16)
     err = math.sqrt(_f_variance(coefficients, {(0, u.coords): table}))
     assert err == pytest.approx(0.01, abs=1e-15)

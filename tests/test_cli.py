@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -278,9 +279,9 @@ def test_main_curve_default_bias_is_poisoned(capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [r["bias"] for r in rows] == ["1/8", "1/8"]
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 32)))
-    clean = learning_curve_experiment(learner, BiasVector([Fraction(1, 8)] * 2),
-                                      identity_scheme(2), (32, 64), 400, RandomSource(1729, 0))
-    for row, excess, se in zip(rows, clean.excesses, clean.std_errors):
+    for row, n in zip(rows, (32, 64)):
+        excess, se = learning_curve_experiment(learner, BiasVector([Fraction(1, 8)] * 2),
+                                               identity_scheme(2), n, 400, RandomSource(1729, 0))
         assert float(row["excess_ci_low"]) > excess + Z95 * se
 
 
@@ -332,6 +333,23 @@ def test_main_curve_row_path_workers_byte_identical(tmp_path, learner):
     assert main(base + ["--out", str(b), "--workers", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert [row["learner"] for row in json.loads(a.read_text())] == [learner, learner]
+
+
+# sha256 of the stdout of `poisonlab curve --eta 1/16 --d 2 --n 16,32
+# --trials 200` per learner: exp-mech estimates F from histograms, majority
+# from rows, with coins
+CURVE_SHA256 = {
+    "exp-mech": "0641f4717553d4f32292d843fbaaee3da3c5e977e5da0ef4567408a5597427b0",
+    "majority": "0b12216edf67d2b22b5b10f9ba71b90c08d9b2cbcc020190f511d4792d9b775b",
+}
+
+
+@pytest.mark.parametrize("learner", sorted(CURVE_SHA256))
+def test_main_curve_bytes_are_pinned(capsys, learner):
+    assert main(["curve", "--eta", "1/16", "--d", "2", "--n", "16,32", "--trials", "200",
+                 "--learner", learner]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SHA256[learner]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "attack-eval"])

@@ -202,17 +202,19 @@ def test_sample_equality_and_hash():
     b = Sample([0, 1], [PLUS, MINUS])
     c = Sample([0, 1], [PLUS, PLUS])
     assert a == b and hash(a) == hash(b)
-    assert a != c
-    assert a.key() == b.key() and a.key() != c.key()
+    assert a != c and hash(a) != hash(c)
 
 
-def test_sample_key_keeps_the_shape():
-    # the same codes as one sample of four rows and as a (2, 2) batch
+def test_sample_hash_and_equality_keep_the_shape():
+    # the same codes as one sample of four rows, as a (2, 2) batch and as a
+    # (1, 4) batch
     one = Sample([0, 1, 2, 3], [PLUS] * 4)
     batch = Sample([[0, 1], [2, 3]], [[PLUS, PLUS], [PLUS, PLUS]])
-    assert one.codes.tobytes() == batch.codes.tobytes()
-    assert one != batch and one.key() != batch.key() and hash(one) != hash(batch)
-    assert Sample([[0, 1, 2, 3]], [[PLUS] * 4]).key() not in (one.key(), batch.key())
+    row = Sample([[0, 1, 2, 3]], [[PLUS] * 4])
+    assert one.codes.tobytes() == batch.codes.tobytes() == row.codes.tobytes()
+    assert one != batch and one != row and batch != row
+    assert len({hash(one), hash(batch), hash(row)}) == 3
+    assert hash(row) == hash(Sample([[0, 1, 2, 3]], [[PLUS] * 4]))
 
 
 def test_sample_is_positionally_ordered():
@@ -321,7 +323,7 @@ def test_bias_vector_stores_floats_exactly():
 def test_float_bias_losses_are_exact():
     dist = ProductBiasDistribution(BiasVector([0.1, -0.3]))
     q = Fraction(0.1)
-    assert dist.atom_probability(0, MINUS) == (Fraction(1, 2) - q) / 2
+    assert dist.atoms()[1] == (Example(0, MINUS), (Fraction(1, 2) - q) / 2)
     assert bayes_loss(dist) == (1 - q - Fraction(0.3)) / 2
     assert population_loss([PLUS, MINUS], dist) == bayes_loss(dist)
 
@@ -364,17 +366,16 @@ def test_atoms_returns_a_new_list():
     atoms.pop()
     assert dist.atoms() == [(Example(0, PLUS), Fraction(3, 8)), (Example(0, MINUS), Fraction(1, 8)),
                             (Example(1, PLUS), Fraction(3, 16)), (Example(1, MINUS), Fraction(5, 16))]
-    assert dist.atom_probability(0, PLUS) == Fraction(3, 8)
 
 
 def test_atom_probabilities_product_form():
-    # Pr[(i, y)] = (1/d)(1/2 + y u_i), hand-checked at d=2
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)]))
-    assert dist.atom_probability(0, PLUS) == Fraction(3, 8)
-    assert dist.atom_probability(0, MINUS) == Fraction(1, 8)
-    assert dist.atom_probability(1, PLUS) == Fraction(3, 16)
-    assert dist.atom_probability(1, MINUS) == Fraction(5, 16)
-    assert sum(w for _, w in dist.atoms()) == 1
+    # Pr[(i, y)] = (1/d)(1/2 + y u_i), in the order (0, +1), (0, -1), (1, +1), ...
+    u = BiasVector([Fraction(1, 4), Fraction(-1, 8), Fraction(0.1)])
+    atoms = ProductBiasDistribution(u).atoms()
+    assert [ex for ex, _ in atoms] == [Example(i, y) for i in range(3) for y in (PLUS, MINUS)]
+    assert [w for _, w in atoms] == [(Fraction(1, 2) + ex.label * u.coords[ex.point]) / 3
+                                     for ex, _ in atoms]
+    assert sum(w for _, w in atoms) == 1
 
 
 def test_population_loss_hand_value():
@@ -765,10 +766,8 @@ def test_sampler_never_draws_a_zero_probability_atom(coords, widths):
     gen = RandomSource(SEED, 41).generator()
     batch = draw_sample_with(dist, 500, gen, trials=40)
     targets = draw_example(dist, gen, trials=2000)
-    ones = [draw_example(dist, gen) for _ in range(200)]
     d = len(coords)
-    for drawn in (batch, Sample(targets.point, targets.label),
-                  Sample([e.point for e in ones], [e.label for e in ones])):
+    for drawn in (batch, Sample(targets.point, targets.label)):
         counts = drawn.histograms(d).sum(axis=0).ravel()
         assert [c > 0 for c in counts] == [p > 0 for _, p in dist.atoms()]
 
@@ -816,7 +815,7 @@ def test_draws_are_one_integer_per_entry_in_row_major_order(coords):
     gen, ref = RandomSource(SEED, 44).generator(), RandomSource(SEED, 44).generator()
     batch = draw_sample_with(dist, 7, gen, trials=5)
     drawn = [((5, 7), batch.points, batch.labels), (64, *draw_example(dist, gen, trials=64)),
-             (None, *draw_example(dist, gen))]
+             (1, *draw_example(dist, gen, trials=1))]
     for shape, points, labels in drawn:
         v = ref.integers(0, dist._range, size=shape, dtype=dist._thresholds.dtype)
         atom = np.searchsorted(dist._thresholds, v, side="right")
@@ -838,17 +837,16 @@ def test_draws_reject_fewer_than_one_trial():
 
 @pytest.mark.parametrize("coords", DRAW_EDGE_COORDS)
 def test_one_example_takes_the_batch_entry_of_the_same_integer(coords):
-    # one example counts the thresholds as a batch entry does: the same
-    # generator call and the same atom, at every draw dtype, with zero-weight
-    # atoms and a left-out threshold at R
+    # one example, a one-trial draw, counts the thresholds as a batch entry
+    # does: the same generator call and the same atom, at every draw dtype,
+    # with zero-weight atoms and a left-out threshold at R
     dist = ProductBiasDistribution(BiasVector(coords))
     gen, ref = RandomSource(SEED, 45).generator(), RandomSource(SEED, 45).generator()
     for _ in range(400):
-        drawn = draw_example(dist, gen)
-        v = ref.integers(0, dist._range, dtype=dist._thresholds.dtype)
-        atom = int(np.searchsorted(dist._thresholds, v, side="right"))
-        assert drawn == (atom >> 1, 1 - 2 * (atom & 1))
-        assert type(drawn.point) is int and type(drawn.label) is int
+        [point], [label] = draw_example(dist, gen, 1)
+        v = ref.integers(0, dist._range, size=1, dtype=dist._thresholds.dtype)
+        atom = int(np.searchsorted(dist._thresholds, v, side="right")[0])
+        assert (point, label) == (atom >> 1, 1 - 2 * (atom & 1))
     assert gen.random() == ref.random()
 
 
@@ -931,13 +929,11 @@ _DIST_2 = ProductBiasDistribution(BiasVector([Fraction(1, 4), 0]))
     (lambda: core.restrict_dedupe(HypothesisClass.full(2), []), ValueError),
     (lambda: core.restrict_dedupe(HypothesisClass.full(2), [2]), DomainMismatchError),
     (lambda: BiasVector([]), ValueError),
-    (lambda: _DIST_2.atom_probability(2, PLUS), DomainMismatchError),
-    (lambda: _DIST_2.atom_probability(0, 0), ValueError),
     (lambda: sample_loss([PLUS, MINUS], Sample([2], [PLUS])), DomainMismatchError),
     (lambda: population_loss([PLUS], _DIST_2), DimensionMismatchError),
     (lambda: draw_sample_with(_DIST_2, 0, np.random.default_rng(0)), ValueError),
 ], ids=["sample-shapes", "empty-class", "restrict-nothing", "restrict-outside",
-        "empty-bias", "atom-point", "atom-label", "loss-point", "labeling-length", "draw-n-0"])
+        "empty-bias", "loss-point", "labeling-length", "draw-n-0"])
 def test_core_boundary_errors(call, error):
     with pytest.raises(error):
         call()

@@ -297,7 +297,7 @@ def test_a_scalar_for_a_batch_is_rejected():
         mc_adversarial_loss(_OneSampleLearner(), IdentityAdversary(), dist, 8,
                             Fraction(1, 8), 10, RandomSource(SEED, 3))
     with pytest.raises(ValueError, match="one probability per trial"):
-        estimate_F(_OneSampleLearner(), dist.bias, 8, 10, RandomSource(SEED, 3))
+        estimate_F(_OneSampleLearner(), dist.bias, 8, 10, RandomSource(SEED, 3), 0)
 
 
 def _one_sample_loss(learner, adversary, dist, n, trials, rng):
@@ -308,7 +308,8 @@ def _one_sample_loss(learner, adversary, dist, n, trials, rng):
     for t in range(trials):
         gen = rng.child("reference", t).generator()
         clean = draw_sample_with(dist, n, gen)
-        target = draw_example(dist, gen)
+        [point], [label] = draw_example(dist, gen, 1)
+        target = Example(int(point), int(label))
         corrupted = adversary.attack(clean, target, gen)
         assert hamming_distance(clean, corrupted) <= Fraction(1, 16)
         p = learner.prediction_prob(corrupted, target.point, gen)
@@ -456,7 +457,7 @@ def test_exhaustive_engine_calls_oracle_once_per_sequence_and_point():
     def oracle(sample, x):
         batches.append(x)
         for row in sample.rows():
-            calls[(row.key(), x)] += 1
+            calls[(row, x)] += 1
         return np.full(sample.points.shape[0], 0.5)
 
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2), Fraction(0)]))
@@ -1158,10 +1159,10 @@ def test_estimate_f_of_a_subclass_rewriting_prediction_prob_draws_its_rows():
     # sign; the subclass takes the row path, as behind a wrapper with no hooks
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     flipped = _Flipped(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
-    got = estimate_F(flipped, u, 32, 2000, RandomSource(1, 1))
-    rows = estimate_F(_RowsOnly(flipped), u, 32, 2000, RandomSource(1, 1))
-    assert (got.values, got.std_errors) == (rows.values, rows.std_errors)
-    assert got.values[0] < -0.2 and got.values[1] > 0.1
+    got, rows = ([estimate_F(which, u, 32, 2000, RandomSource(1, 1), x) for x in range(2)]
+                 for which in (flipped, _RowsOnly(flipped)))
+    assert got == rows
+    assert got[0].value < -0.2 and got[1].value > 0.1
 
 
 def test_exact_evaluators_refuse_a_distribution_past_the_learners_domain():
@@ -1247,7 +1248,7 @@ def test_sequence_table_scores_its_subnormal_terms_as_the_count_engine_does():
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
     nums, den = _integer_atoms(dist)
-    q = dist.atom_probability(0, MINUS)
+    [_, (_, q)] = dist.atoms()
     _, _, shift, _ = experiments._engine(wrapped, 1, 8).weights(
         nums, den, 0, q.numerator, q.denominator)
     assert shift.max() > 1022
@@ -1447,9 +1448,11 @@ def test_lower_bound_and_curve_calls_build_one_philox_each(monkeypatch, learner_
     assert report.f_points > 1 and len(built) == 1
     built.clear()
     inner, _ = build_scheme_1d(d * eta)
-    learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), (16, 32), 10,
-                              RandomSource(SEED, 27))
-    assert len(built) == 1
+    for n in (16, 32):
+        built.clear()
+        learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), n, 10,
+                                  RandomSource(SEED, 27))
+        assert len(built) == 1
 
 
 def test_lower_bound_ci_covers_the_exact_mean_at_its_nominal_rate():
@@ -1561,9 +1564,10 @@ def test_learning_curve_experiment_stream_lock(learner_id, want):
     inner, _ = build_scheme_1d(d * eta)
     u = BiasVector([Fraction(1, 8), Fraction(-1, 16)])
     learner = make_learner(learner_id, HypothesisClass.full(d), eta, 32, u.coords)
-    report = learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), (32, 64), 300,
-                                       RandomSource(SEED, 18))
-    assert (tuple(map(repr, report.excesses)), tuple(map(repr, report.std_errors))) == want
+    # one call per size, each on the curve's one stream
+    cells = [learning_curve_experiment(learner, u, PoisoningSchemeD(inner, d), n, 300,
+                                       RandomSource(SEED, 18)) for n in (32, 64)]
+    assert (tuple(repr(e) for e, _ in cells), tuple(repr(se) for _, se in cells)) == want
 
 
 def test_learning_curve_rejects_a_bias_of_another_dimension():
@@ -1574,7 +1578,7 @@ def test_learning_curve_rejects_a_bias_of_another_dimension():
     learner = make_learner("exp-mech", HypothesisClass.full(2), eta, 32, (0, 0))
     with pytest.raises(DimensionMismatchError, match="dimensions differ"):
         learning_curve_experiment(learner, BiasVector([Fraction(1, 8)]),
-                                  PoisoningSchemeD(inner, 2), (32,), 50, RandomSource(SEED, 20))
+                                  PoisoningSchemeD(inner, 2), 32, 50, RandomSource(SEED, 20))
 
 
 def test_upper_bound_experiment_smoke():
@@ -1594,12 +1598,11 @@ def test_learning_curve_experiment_smoke():
     inner, _ = build_scheme_1d(eta)
     scheme = PoisoningSchemeD(inner, 1)
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
-    report = learning_curve_experiment(learner, BiasVector([inner.endpoint]),
-                                       scheme, (4, 8), 300, RandomSource(SEED, 7))
-    assert report.sizes == (4, 8)
-    assert report.threshold == pytest.approx(math.sqrt(1 / 16) / 36, abs=1e-15)
-    assert 0.0 <= report.fraction_at_least <= 1.0
-    assert all(abs(e) <= 1.0 for e in report.excesses)
+    assert curve_threshold(eta, 1) == pytest.approx(math.sqrt(1 / 16) / 36, abs=1e-15)
+    for n in (4, 8):
+        excess, std_error = learning_curve_experiment(learner, BiasVector([inner.endpoint]),
+                                                      scheme, n, 300, RandomSource(SEED, 7))
+        assert abs(excess) <= 1.0 and std_error > 0
 
 
 def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
@@ -1612,18 +1615,18 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
     assert all(scheme.apply(i, y, u) == u for i in range(d) for y in (PLUS, MINUS))
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 8)
-    report = learning_curve_experiment(learner, u, scheme, (n,), trials, rng)
+    _, std_error = learning_curve_experiment(learner, u, scheme, n, trials, rng)
     # the full class is per-point: F_i is estimated at point 0 of the vector
     # (u_i, 0), on that vector's stream
     keyed = [(c, Fraction(0)) for c in u.coords]
     se = [estimate_F(learner, BiasVector(v), n, trials, rng.child("curve", n, 0, repr(v)),
-                     points=[0]).std_errors[0] for v in keyed]
+                     0).std_error for v in keyed]
     coords = [float(c) for c in u.coords]
     summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
     per_atom = math.sqrt(math.fsum(((0.5 + c) ** 2 + (0.5 - c) ** 2) / d ** 2 * s ** 2
                                    for c, s in zip(coords, se)))
-    assert report.std_errors[0] == pytest.approx(summed, rel=1e-12)
-    assert report.std_errors[0] < per_atom / 2
+    assert std_error == pytest.approx(summed, rel=1e-12)
+    assert std_error < per_atom / 2
 
 
 def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
@@ -1677,8 +1680,8 @@ def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
     [(coefficients, cache)] = seen
     assert coefficients == expected and len(expected) == report.f_points == 8
     se = {(0, v): estimate_F(learner, BiasVector(v), n, trials, rng.child("F", 0, repr(v)),
-                             points=[0]).std_errors[0] for _, v in expected}
-    assert {key: table.std_errors[0] for key, table in cache.items()} == se
+                             0).std_error for _, v in expected}
+    assert {key: table.std_error for key, table in cache.items()} == se
     variance = math.fsum((float(c) * se[key]) ** 2 for key, c in expected.items())
     assert original(coefficients, cache) == variance
 
@@ -1724,12 +1727,9 @@ def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
     inner, _ = build_scheme_1d(d * eta)
     scheme = PoisoningSchemeD(inner, d)
     for u in _curve_biases(inner, d):
-        curve = learning_curve_experiment(learner, u, scheme, [n], trials,
-                                          RandomSource(SEED, 19))
-        excess, std_error = _per_draw_curve(learner, u, scheme, n, trials,
-                                            RandomSource(SEED, 19))
-        assert (repr(curve.excesses[0]), repr(curve.std_errors[0])) == (
-            repr(excess), repr(std_error))
+        curve = learning_curve_experiment(learner, u, scheme, n, trials, RandomSource(SEED, 19))
+        want = _per_draw_curve(learner, u, scheme, n, trials, RandomSource(SEED, 19))
+        assert repr(curve) == repr(want)
 
 
 # biases with denominators 7, 10, 2^55, 2 and 1, and 1-D schemes with
@@ -1806,7 +1806,7 @@ def _count_maps_and_estimates(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(PoisoningScheme1D, "apply",
                         lambda self, y, u: maps.append((y, u)) or original(self, y, u))
     monkeypatch.setattr(experiments, "estimate_F",
-                        lambda *args, **kwargs: estimates.append((*kwargs["points"], args[1]))
+                        lambda *args, **kwargs: estimates.append((args[5], args[1]))
                         or estimate_F(*args, **kwargs))
     return maps, estimates
 
@@ -1885,29 +1885,24 @@ def test_lower_bounds_reject_fewer_than_one_point(monkeypatch, d):
         lower_bound_exact(learner, Fraction(1, 64), d, 32)
 
 
-@pytest.mark.parametrize("sizes,trials_f,message", [((16, 0), 20, "sizes must be >= 1"),
-                                                    ((-3,), 20, "sizes must be >= 1"),
-                                                    ((16,), 0, "trials_f must be >= 1")])
-def test_learning_curve_rejects_fewer_than_one_row_or_f_trial(monkeypatch, sizes, trials_f,
+@pytest.mark.parametrize("n,trials_f,message", [(0, 20, "n must be >= 1"),
+                                                 (-3, 20, "n must be >= 1"),
+                                                 (16, 0, "trials must be >= 1")],
+                         ids=["n-0", "n-negative", "trials-f-0"])
+def test_learning_curve_rejects_fewer_than_one_row_or_f_trial(monkeypatch, n, trials_f,
                                                               message):
-    monkeypatch.setattr(experiments, "estimate_F",
-                        lambda *args, **kwargs: pytest.fail("estimate_F ran"))
+    # estimate_F names the bad count before it keys the call's generator to
+    # its first stream, for the histogram and the row path alike
+    monkeypatch.setattr(RandomSource, "rekey",
+                        lambda *args, **kwargs: pytest.fail("a stream was keyed"))
     eta = Fraction(1, 16)
     inner, _ = build_scheme_1d(eta)
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
-    with pytest.raises(ValueError, match=message):
-        learning_curve_experiment(learner, BiasVector([inner.endpoint]),
-                                  PoisoningSchemeD(inner, 1), sizes, trials_f,
-                                  RandomSource(SEED, 7))
-
-
-def test_learning_curve_rejects_empty_sizes():
-    eta = Fraction(1, 16)
-    inner, _ = build_scheme_1d(eta)
-    learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(eta))
-    with pytest.raises(ValueError, match="sizes"):
-        learning_curve_experiment(learner, BiasVector([inner.endpoint]),
-                                  PoisoningSchemeD(inner, 1), (), 20, RandomSource(SEED, 7))
+    for which in (learner, _RowsOnly(learner)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            learning_curve_experiment(which, BiasVector([inner.endpoint]),
+                                      PoisoningSchemeD(inner, 1), n, trials_f,
+                                      RandomSource(SEED, 7))
 
 
 def test_make_learner_vc_reads_the_class_vc_dimension():
@@ -1926,9 +1921,8 @@ def test_thresholds_read_the_capped_scheme_budget():
                                     trials_f=20, rng=RandomSource(SEED, 9))
     assert report.threshold == lower_bound_threshold(Fraction(1, 16), 1) == 1 / 64
     inner, _ = build_scheme_1d(Fraction(1, 8))
-    curve = learning_curve_experiment(learner, BiasVector([inner.endpoint]),
-                                      PoisoningSchemeD(inner, 1), (8,), 20, RandomSource(SEED, 9))
-    assert curve.threshold == curve_threshold(Fraction(1, 16), 1)
+    # `curve` takes its threshold at the scheme's capped budget
+    assert PoisoningSchemeD(inner, 1).eta == Fraction(1, 16)
 
 
 def test_make_learner_ids():
@@ -2335,12 +2329,12 @@ _FULL_1 = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fracti
     (lambda: lower_bound_experiment(_FULL_1, Fraction(1, 2), 2, 8, 4, 4, RandomSource(1)),
      PreconditionError, "requires eta < 1/d"),
     (lambda: lower_bound_exact(_FULL_1, Fraction(1, 16), 1, 0), ValueError, "n must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1)), ValueError,
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1), 0), ValueError,
      "trials must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 0, 4, RandomSource(1)), ValueError,
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 0, 4, RandomSource(1), 0), ValueError,
      "n must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 4, RandomSource(1), points=[1]),
-     DomainMismatchError, "query points must lie inside the domain"),
+    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 4, RandomSource(1), 1),
+     DomainMismatchError, "query point must lie inside the domain"),
 ], ids=["wilson-0-trials", "mc-0-trials", "lower-bound-d-eta-1", "lower-bound-exact-n-0",
         "estimate-f-0-trials", "estimate-f-n-0", "estimate-f-outside"])
 def test_experiments_and_analysis_boundary_errors(call, error, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -113,6 +114,25 @@ def test_helpers_on_a_batch_are_their_rows_one_sample_calls(hc):
             want = [flip_probability(hc, sa, sb, x, config) for sa, sb in zip(
                 a.rows() if a.batched else [a] * trials, b.rows() if b.batched else [b] * trials)]
             assert got.shape == (trials,) and got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("law", [exp_mechanism_dist, exp_mechanism_log_dist])
+def test_mechanism_laws_on_a_large_batch_stay_near_their_result(law):
+    # full(12) over 1,024 samples: a 32 MB result, scored in 4 passes of 256
+    # samples into it; one pass over the whole batch peaks at 4 times the result
+    rng = np.random.default_rng(SEED + 12)
+    batch = Sample(rng.integers(0, 12, size=(1024, 64)), rng.choice((-1, 1), size=(1024, 64)))
+    hc, config = HypothesisClass.full(12), ExpMechanismConfig(Fraction(1, 8))
+    tracemalloc.start()
+    try:
+        got = law(hc, batch, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (1024, 4096) and peak < 3 * got.nbytes
+    # the rows of the passes are those of one-sample calls, to the bit
+    for t in (0, 255, 256, 1023):
+        assert got[t].tobytes() == law(hc, Sample._valid(batch.codes[t]), config).tobytes()
 
 
 def test_mechanism_dist_frozen_oracle():

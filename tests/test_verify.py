@@ -2,10 +2,11 @@
 isolated, reruns deterministic."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
-from poisonlab import verify
+from poisonlab import analysis, verify
 from poisonlab.cli import main
 from poisonlab.verify import REGISTRY, run_checks
 
@@ -90,3 +91,12 @@ def test_every_verify_line_ends_in_its_checks_duration(monkeypatch, capsys):
         assert float(seconds) < 60
     assert lines[-2:] == [f"{len(FAST_SUBSET)} checks, {len(FAST_SUBSET) - 1} passed, 1 failed",
                           "failed: core.hamming-metric"]
+
+
+def test_cover_basics_fails_on_a_radius_that_shrinks_with_the_cover(monkeypatch):
+    # 0 for the self-cover, and a proper cover's radius growing with its
+    # size: the half cover then reads above its strict sub-cover
+    monkeypatch.setattr(analysis, "cover_radius", lambda hclass, cover: Fraction(
+        0 if cover.size == hclass.size else cover.size, hclass.size))
+    [result] = run_checks(names=["analysis.cover-basics"])
+    assert (result.passed, result.detail) == (False, "shrinking the cover reduced the radius")
