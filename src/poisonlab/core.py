@@ -403,12 +403,25 @@ class ProductBiasDistribution:
     at x when v - T_2x, wrapping in the unsigned dtype, is below the last.
     At d = 1 the pair spans all of [0, R), whose width 2^64 fits no dtype,
     and only the first two rows are kept.
+
+    The three are built on first use, so a distribution read only for its
+    bias (`bayes_loss`, `atoms`) builds none.
     """
 
     __slots__ = ("bias", "_range", "_thresholds", "_edges")
 
     def __init__(self, bias: BiasVector):
         self.bias = bias
+
+    def __getattr__(self, name: str):
+        # normal lookup failed: a sampler table not built yet, or no such name
+        if name not in ("_range", "_thresholds", "_edges"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_sampler()
+        return getattr(self, name)
+
+    def _build_sampler(self) -> None:
+        bias = self.bias
         ratios = list(_atom_ratios(bias.coords))
         denominator = math.lcm(*(den for _, _, den in ratios))
         self._range = min(denominator, 2 ** 64)

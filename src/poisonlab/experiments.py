@@ -93,7 +93,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -683,34 +683,36 @@ def vc_excess_bound(eta: Scalar, d: int) -> float:
 # lower bound experiment
 
 
-def _cached_f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
+def _f_oracle(learner: Learner, n: int, trials_f: int, rng: RandomSource,
                      *labels, gen: np.random.Generator | None = None
-                     ) -> tuple[Callable[[tuple], float], dict[tuple, FTable]]:
-    """The F value of each F key (i, v) and the cache it fills: one
-    `estimate_F` of `trials_f` size-n trials at point i per key, run at the
-    bias v on the stream rng.child(*labels, i, repr(v)); the cache keeps its
-    table under the key. A per-point learner's keys are (0, v e_0), one per
-    poisoned value (`_excess_table`), so its estimates all run at point 0.
-    Given `gen`, every estimate re-keys that one generator to its stream
-    rather than building its own; either way it draws the same values."""
-    cache: dict[tuple, FTable] = {}
+                     ) -> tuple[Callable[[list[tuple]], list[float]], list[FTable]]:
+    """The F oracle of `_excess_table`, and the list it fills with each
+    key's table at its key id. Given every F key (i, v) of a call, it makes
+    one `estimate_F` call over them all, `trials_f` size-n trials a key, key
+    (i, v) at point i of the bias v on the stream rng.child(*labels, i,
+    repr(v)), and returns their values in key order. A per-point learner's
+    keys are (0, v e_0), one per poisoned value (`_excess_table`), so its
+    estimates all run at point 0. Given `gen`, every key re-keys that one
+    generator to its stream rather than building its own; either way it
+    draws the same values."""
+    tables: list[FTable] = []
 
-    def f_value(key: tuple) -> float:
-        if key not in cache:
-            i, v = key
-            cache[key] = estimate_F(learner, BiasVector(v), n, trials_f,
-                                    rng.child(*labels, i, repr(v)), i, gen=gen)
-        return cache[key].value
+    def f_values(keys: list[tuple]) -> list[float]:
+        tables[:] = estimate_F(learner, [BiasVector(v) for _, v in keys], n, trials_f,
+                               [rng.child(*labels, i, repr(v)) for i, v in keys],
+                               [i for i, _ in keys], gen=gen)
+        return [table.value for table in tables]
 
-    return f_value, cache
+    return f_values, tables
 
 
 def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fraction],
                   rows: Sequence[Sequence[int]], counts: Sequence[int],
-                  f_value: Callable[[tuple], float]
+                  f_values: Callable[[list[tuple]], Sequence[float]]
                   ) -> tuple[list[float], dict[tuple, Fraction]]:
     """The oblivious excess of each bias row, u = (values[a] for a in row),
-    and the exact coefficient of each F key in their count-weighted sum.
+    and the exact coefficient of each F key in their count-weighted sum, in
+    key id order.
 
     A row's excess is the fsum over test atoms (i, y), in the order (0, +1),
     (0, -1), (1, +1), ..., of float(m) * (1/2 - y F) at the poisoned bias
@@ -721,9 +723,12 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     one `scheme.inner.apply`, and m as an integer numerator over the common
     denominator D of every value's mass, whose float is the correctly
     rounded quotient m_num / D. Coordinate values are interned as integer
-    ids and F keys as tuples of them; each distinct key builds its tuple of
-    Fractions and queries `f_value` once, and its coefficient is summed as
-    an integer numerator, one Fraction over D at the end. A per-point
+    ids and F keys as tuples of them, each with an integer key id. The
+    table first lists every row's slots and their keys; then each distinct
+    key builds its tuple of Fractions once, and `f_values` gets every key
+    in id order, in one call, and returns their F values. Terms and
+    coefficients read F by key id, and each coefficient is summed as an
+    integer numerator, one Fraction over D at the end. A per-point
     learner (`pointwise`, one with a `count_law`) reads only the counts at
     its point, so F at any i of a vector with u'_i = v has one law: its key
     is (0, v e_0), the poisoned value v at point 0 and 0 elsewhere, shared
@@ -741,37 +746,33 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
     atoms = [[(y, (v.denominator + 2 * y * v.numerator) * (denominator // (2 * d * v.denominator)),
                ids.setdefault(scheme.inner.apply(y, v), len(ids))) for y in (PLUS, MINUS)]
              for v in values]
-    coordinates = list(ids)
     key_ids: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    fs: list[float] = []
-
-    def key_id(i: int, base: list[int], shifted: int) -> int:
-        ident = (i, *base[:i], shifted, *base[i + 1:])
-        if ident not in key_ids:
-            key_ids[ident] = len(keys)
-            keys.append((i, tuple(coordinates[j] for j in ident[1:])))
-            fs.append(f_value(keys[-1]))
-        return key_ids[ident]
-
-    # each slot's two terms and, per label, (key id, y, numerator of m); a
-    # per-point learner's slot is its support value a, any other's (i, row)
-    table: dict[int | tuple, tuple[list[float], list[tuple[int, int, int]]]] = {}
+    # per slot, per label: (key id, y, numerator of m); a per-point learner's
+    # slot is its support value a, any other's (i, row)
+    slots: dict[int | tuple, list[tuple[int, int, int]]] = {}
     uses: dict[int | tuple, int] = {}
-    excesses: list[float] = []
-    for row, count, bayes in zip(rows, counts, _bayes_losses(values, rows)):
-        terms: list[float] = []
+    row_slots: list[list] = []
+    for row, count in zip(rows, counts):
+        mine = []
         for i, a in enumerate(row):
             slot = a if pointwise else (i, tuple(row))
-            if slot not in table:
+            if slot not in slots:
                 at, base = (0, [zero] * d) if pointwise else (i, [support[b] for b in row])
-                keyed = [(key_id(at, base, shifted), y, m) for y, m, shifted in atoms[a]]
-                table[slot] = [m / denominator * (0.5 - y * fs[k]) for k, y, m in keyed], keyed
-            terms += table[slot][0]
+                slots[slot] = [(key_ids.setdefault((at, *base[:at], shifted, *base[at + 1:]),
+                                                   len(key_ids)), y, m)
+                               for y, m, shifted in atoms[a]]
             uses[slot] = uses.get(slot, 0) + count
-        excesses.append(math.fsum(terms) - bayes)
+            mine.append(slot)
+        row_slots.append(mine)
+    coordinates = list(ids)
+    keys = [(i, tuple(coordinates[j] for j in ident)) for i, *ident in key_ids]
+    fs = f_values(keys)
+    terms = {slot: [m / denominator * (0.5 - y * fs[k]) for k, y, m in keyed]
+             for slot, keyed in slots.items()}
+    excesses = [math.fsum(t for slot in mine for t in terms[slot]) - bayes
+                for mine, bayes in zip(row_slots, _bayes_losses(values, rows))]
     weights = [0] * len(keys)
-    for slot, (_, keyed) in table.items():
+    for slot, keyed in slots.items():
         for k, y, m in keyed:
             weights[k] -= y * uses[slot] * m
     return excesses, {key: Fraction(w, denominator) for key, w in zip(keys, weights)}
@@ -780,9 +781,10 @@ def _excess_table(pointwise: bool, scheme: PoisoningSchemeD, values: Sequence[Fr
 def _bayes_losses(values: Sequence[Fraction], rows: Sequence[Sequence[int]]) -> list[float]:
     """float() of the exact Bayes loss at each row u = (values[a] for a in
     row), the mean of 1/2 - |u_i|, with no distribution built at u.
-    `bayes_loss` of the 1-D distribution at each value gives its term, held
-    as an integer numerator over one common denominator D; a row's Bayes
-    loss is the sum of its numerators over D times its length. Python's
+    `bayes_loss` of the 1-D distribution at each value, which builds no
+    sampler table, gives its term, held as an integer numerator over one
+    common denominator D; a row's Bayes loss is the sum of its numerators
+    over D times its length. Python's
     int / int is correctly rounded, so the quotient is the float of the
     exact Fraction that `bayes_loss` gives at u."""
     bayes = [bayes_loss(ProductBiasDistribution(BiasVector([v]))) for v in values]
@@ -804,15 +806,16 @@ def _distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], np.diff(first, append=len(ordered))
 
 
-def _f_variance(coefficients: dict[tuple, Fraction], cache: dict[tuple, FTable]) -> float:
-    """Variance of the linear form sum_k c_k F_k in the cached F estimates.
-    Each key is one estimate, independent of the others, so the variance is
-    sum_k (c_k se_k)^2; the coefficients of everything that reads one
-    estimate are summed into its c_k first (`_excess_table`), and a key with
-    no estimate of its own raises KeyError rather than counting a shared
-    estimate twice."""
-    return math.fsum((float(c) * cache[key].std_error) ** 2
-                     for key, c in coefficients.items())
+def _f_variance(coefficients: Iterable[Fraction | float], tables: Sequence[FTable]) -> float:
+    """Variance of the linear form sum_k c_k F_k in the F estimates, both
+    read by key id: coefficient k times the std error of tables[k]. Each key
+    is one estimate, independent of the others, so the variance is sum_k
+    (c_k se_k)^2; the coefficients of everything that reads one estimate
+    are summed into its c_k first (`_excess_table`), and coefficients and
+    tables of different lengths raise ValueError rather than pairing a
+    coefficient with another key's estimate."""
+    return math.fsum((float(c) * table.std_error) ** 2
+                     for c, table in zip(coefficients, tables, strict=True))
 
 
 @dataclass(frozen=True)
@@ -855,16 +858,17 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     once. A per-point learner's row excess reads its coordinates as a
     multiset (fsum and the integer Bayes sum ignore their order), so its
     draws are sorted within each row first, and each slot's use count is
-    unchanged. Each F key is estimated once with `trials_f` trials on the
-    stream ("F", key point, key bias) and cached (`_cached_f_oracle`), each
-    estimate re-keying the outer draw's generator, so a call builds one
-    Philox generator (`RandomSource.rekey`). A per-point
-    learner has one key per distinct poisoned value v, (0, v e_0), whatever
-    coordinate reads it, and any other learner one per (coordinate, poisoned
-    row). The mean is over the draws. The CI combines the outer sampling
-    variance with the propagated variance of the cached estimates
-    (`_f_variance`), each key's coefficient summed over every draw and
-    coordinate that reads it, over trials_outer. The threshold is taken at
+    unchanged. The table lists every F key first, and one `estimate_F`
+    call estimates them all (`_f_oracle`), each key once with `trials_f`
+    trials on the stream ("F", key point, key bias), re-keying the outer
+    draw's generator, so a call builds one Philox generator
+    (`RandomSource.rekey`). A per-point learner has one key per distinct
+    poisoned value v, (0, v e_0), whatever coordinate reads it, and any
+    other learner one per (coordinate, poisoned row). The mean is over the
+    draws. The CI combines the outer sampling variance with the propagated
+    variance of the F estimates (`_f_variance`, read by key id), each key's
+    coefficient summed over every draw and coordinate that reads it, over
+    trials_outer. The threshold is taken at
     the scheme's budget, d * eta capped at 1/16 and spread over the d
     coordinates. n, trials_outer, trials_f or d below 1 raises ValueError
     before anything is drawn.
@@ -881,17 +885,19 @@ def lower_bound_experiment(learner: Learner, eta: Scalar, d: int, n: int,
     if pointwise:
         draws.sort(axis=1)
     draws, counts = _distinct_rows(draws)
-    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "F", gen=gen)
+    f_values, tables = _f_oracle(learner, n, trials_f, rng, "F", gen=gen)
     excesses, coefficients = _excess_table(pointwise, scheme, hard.values(), draws.tolist(),
-                                           counts.tolist(), f_value)
+                                           counts.tolist(), f_values)
     # fsum's mean and variance ignore the order of the draws
     mean, outer_var = _mean_and_variance(np.repeat(excesses, counts))
-    f_var = _f_variance({key: c / trials_outer for key, c in coefficients.items()}, cache)
+    # float(c / trials_outer), by one correctly rounded integer quotient
+    f_var = _f_variance([c.numerator / (c.denominator * trials_outer)
+                         for c in coefficients.values()], tables)
     half = Z95 * math.sqrt(outer_var + f_var)
     return LowerBoundReport(
         eta=eta, dimension=d, n=n, trials_outer=trials_outer, trials_f=trials_f,
         mean=mean, ci_low=mean - half, ci_high=mean + half, threshold=threshold,
-        passed=mean >= threshold - half, f_points=len(cache), seed=rng.seed)
+        passed=mean >= threshold - half, f_points=len(tables), seed=rng.seed)
 
 
 def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[float, float]:
@@ -915,7 +921,7 @@ def lower_bound_exact(learner: Learner, eta: Scalar, d: int, n: int) -> tuple[fl
     values = hard.values()
     excesses, _ = _excess_table(
         True, scheme, values, [[a] * d for a in range(len(values))], [1] * len(values),
-        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+        lambda keys: [exact_F(learner.prediction_prob, BiasVector(v), n, i) for i, v in keys])
     mean = math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
     return mean, lower_bound_threshold(scheme.eta, d)
 
@@ -978,10 +984,11 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     """Oblivious excess at bias u and sample size n, and its standard error.
 
     The term table (`_excess_table`) runs on the one row u, whose F keys
-    are estimated once each with `trials_f` trials on the stream ("curve",
-    n, key point, key bias) (`_cached_f_oracle`), each re-keying the call's
-    one Philox generator; the standard error propagates those estimates'
-    errors through the excess (`_f_variance`). A per-point learner's keys
+    one `estimate_F` call estimates (`_f_oracle`), each once with
+    `trials_f` trials on the stream ("curve", n, key point, key bias),
+    re-keying the call's one Philox generator; the standard error
+    propagates those estimates' errors through the excess (`_f_variance`,
+    read by key id). A per-point learner's keys
     are its distinct poisoned values, so at an equal-coordinate bias it
     draws the trials of one coordinate, not of d, and its standard error is
     up to sqrt(d) that of d separate estimates. A curve is one call per
@@ -991,11 +998,10 @@ def learning_curve_experiment(learner: Learner, u: BiasVector, scheme: Poisoning
     if u.dimension != scheme.dimension:
         raise DimensionMismatchError("scheme and bias vector dimensions differ")
     pointwise = scoring_hook(learner, "count_law", u.dimension) is not None
-    f_value, cache = _cached_f_oracle(learner, n, trials_f, rng, "curve", n,
-                                      gen=rng.generator())
+    f_values, tables = _f_oracle(learner, n, trials_f, rng, "curve", n, gen=rng.generator())
     [excess], coefficients = _excess_table(pointwise, scheme, u.coords, [range(u.dimension)],
-                                           [1], f_value)
-    return excess, math.sqrt(_f_variance(coefficients, cache))
+                                           [1], f_values)
+    return excess, math.sqrt(_f_variance(coefficients.values(), tables))
 
 
 # ---------------------------------------------------------------------------

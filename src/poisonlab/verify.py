@@ -488,8 +488,8 @@ def check_estimate_f_range(rng: RandomSource):
     hclass = HypothesisClass([[1], [-1]])
     learner = ExpMechanismLearner(hclass, ExpMechanismConfig(Fraction(1, 64)))
     u = BiasVector([Fraction(1, 8)])
-    a = analysis.estimate_F(learner, u, 32, 400, rng.child("fa"), 0)
-    b = analysis.estimate_F(learner, u, 32, 400, rng.child("fa"), 0)
+    [a] = analysis.estimate_F(learner, [u], 32, 400, [rng.child("fa")], [0])
+    [b] = analysis.estimate_F(learner, [u], 32, 400, [rng.child("fa")], [0])
     if a.value != b.value:
         return False, "estimate_F not reproducible for a fixed stream"
     if abs(a.value) > 0.5:
@@ -544,9 +544,8 @@ def check_oblivious_zero(rng: RandomSource):
     u = BiasVector([Fraction(1, 4), Fraction(-3, 8)])
     scheme = adversaries.identity_scheme(2)
 
-    def bayes_f(key):
-        i, v = key
-        return 0.5 if v[i] > 0 else -0.5
+    def bayes_f(keys):
+        return [0.5 if v[i] > 0 else -0.5 for i, v in keys]
 
     [value], _ = experiments._excess_table(False, scheme, u.coords, [range(2)], [1], bayes_f)
     ok = abs(value) <= 1e-15
@@ -801,14 +800,32 @@ def _per_draw_excess(pointwise: bool, u: BiasVector, scheme,
     return math.fsum(terms) - float(bayes_loss(ProductBiasDistribution(u))), coefficients
 
 
+def _one_key_f(learner, n: int, trials_f: int, rng: RandomSource, *labels):
+    """The per-draw references' F oracle, key by key: F key (i, v) is one
+    one-key `estimate_F` call of `trials_f` size-n trials at point i of the
+    bias v, on the stream rng.child(*labels, i, repr(v)) and a generator of
+    its own, run once; the dict keeps its table under the key."""
+    cache: dict[tuple, analysis.FTable] = {}
+
+    def f_value(key: tuple) -> float:
+        if key not in cache:
+            i, v = key
+            [cache[key]] = analysis.estimate_F(learner, [BiasVector(v)], n, trials_f,
+                                               [rng.child(*labels, i, repr(v))], [i])
+        return cache[key].value
+
+    return f_value, cache
+
+
 def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trials_f: int,
                           rng: RandomSource) -> tuple[float, float, float, int]:
     """`lower_bound_experiment`'s (mean, ci_low, ci_high, f_points) by a
-    per-draw reference loop without its term table: the same outer draw on
-    the ("outer",) stream, then `_per_draw_excess` at each distinct drawn u
-    with one cached F oracle, its coefficients weighted by the draw's count."""
+    per-draw reference loop without its term table or its batch of F keys:
+    the same outer draw on the ("outer",) stream, then `_per_draw_excess` at
+    each distinct drawn u with one-key F estimates (`_one_key_f`), its
+    coefficients weighted by the draw's count."""
     _, scheme, hard = experiments._hard_scheme(eta, d)
-    f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "F")
+    f_value, cache = _one_key_f(learner, n, trials_f, rng, "F")
     gen = rng.child("outer").generator()
     draws, counts = np.unique(hard.sample_indices(gen, (trials_outer, d)), axis=0,
                               return_counts=True)
@@ -823,8 +840,8 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
         for key, c in per_key.items():
             coefficients[key] = coefficients.get(key, 0) + count * c
     mean, outer_var = analysis._mean_and_variance(excesses)
-    f_var = experiments._f_variance(
-        {key: c / trials_outer for key, c in coefficients.items()}, cache)
+    f_var = experiments._f_variance([c / trials_outer for c in coefficients.values()],
+                                    [cache[key] for key in coefficients])
     half = experiments.Z95 * math.sqrt(outer_var + f_var)
     return mean, mean - half, mean + half, len(cache)
 
@@ -832,11 +849,13 @@ def _per_draw_lower_bound(learner, eta, d: int, n: int, trials_outer: int, trial
 def _per_draw_curve(learner, u: BiasVector, scheme, n: int, trials_f: int,
                     rng: RandomSource) -> tuple[float, float]:
     """`learning_curve_experiment`'s (excess, std error) at one size n by
-    `_per_draw_excess` at u, on the curve's ("curve", n) F streams."""
-    f_value, cache = experiments._cached_f_oracle(learner, n, trials_f, rng, "curve", n)
+    `_per_draw_excess` at u, with one-key F estimates on the curve's
+    ("curve", n) streams (`_one_key_f`)."""
+    f_value, cache = _one_key_f(learner, n, trials_f, rng, "curve", n)
     excess, coefficients = _per_draw_excess(
         learners.scoring_hook(learner, "count_law", u.dimension) is not None, u, scheme, f_value)
-    return excess, math.sqrt(experiments._f_variance(coefficients, cache))
+    return excess, math.sqrt(experiments._f_variance(coefficients.values(),
+                                                     [cache[key] for key in coefficients]))
 
 
 def _curve_biases(inner, d: int) -> tuple[BiasVector, BiasVector]:
@@ -847,18 +866,22 @@ def _curve_biases(inner, d: int) -> tuple[BiasVector, BiasVector]:
 
 
 def check_lower_bound_table(rng: RandomSource):
-    """The lower bound's term table gives the per-draw loop's report to the
-    last bit, for a per-point learner (exp-mech on full(2)) and for one that
-    is not (exp-mech on a 3-hypothesis class), and so does the curve at the
-    two `_curve_biases`."""
-    eta, d, n, outer, trials = Fraction(1, 128), 2, 16, 60, 20
+    """The lower bound's term table, with every F key of a call estimated in
+    one `estimate_F` call, gives the per-draw loop's report, with one-key
+    estimates, to the last bit, for a per-point learner (exp-mech on
+    full(2)) and for one that is not (exp-mech on a 3-hypothesis class), and
+    so does the curve at the two `_curve_biases`. A d = 1 cell of
+    EXACT_SUM_MIN trials per key takes the moments' vector passes."""
+    eta, n, outer = Fraction(1, 128), 16, 60
     config = ExpMechanismConfig(eta)
-    inner, _ = adversaries.build_scheme_1d(d * eta)
-    scheme = adversaries.PoisoningSchemeD(inner, d)
     details = []
-    for name, hclass in (("full(2)", HypothesisClass.full(2)),
-                         ("3-hypothesis", HypothesisClass([[PLUS, PLUS], [PLUS, MINUS],
-                                                           [MINUS, MINUS]]))):
+    for name, hclass, trials in (
+            ("full(2)", HypothesisClass.full(2), 20),
+            ("3-hypothesis", HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]), 20),
+            ("full(1)", HypothesisClass.full(1), analysis.EXACT_SUM_MIN)):
+        d = hclass.domain_size
+        inner, _ = adversaries.build_scheme_1d(d * eta)
+        scheme = adversaries.PoisoningSchemeD(inner, d)
         learner = ExpMechanismLearner(hclass, config)
         report = experiments.lower_bound_experiment(learner, eta, d, n, outer, trials,
                                                     rng.child(name))
@@ -872,9 +895,9 @@ def check_lower_bound_table(rng: RandomSource):
             want = _per_draw_curve(learner, u, scheme, n, trials, rng.child(name, "curve"))
             if repr(got) != repr(want):
                 return False, f"{name}: curve at {u} {got} != per-draw {want}"
-        details.append(f"{name} {report.f_points} F keys")
+        details.append(f"{name} {report.f_points} F keys x {trials} trials")
     return True, (f"lower-bound mean and CI, and the curve at 2 biases, repr-equal to the "
-                  f"per-draw loop ({', '.join(details)})")
+                  f"per-draw loop of one-key F estimates ({', '.join(details)})")
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def _hard_law_excess(learner, eta: Fraction, n: int, scheme) -> float:
     values = hard.values()
     excesses, _ = experiments._excess_table(
         True, scheme, values, [[a] for a in range(len(values))], [1] * len(values),
-        lambda key: experiments.exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+        lambda keys: [experiments.exact_F(learner.prediction_prob, BiasVector(v), n, i)
+                      for i, v in keys])
     return math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
 
 

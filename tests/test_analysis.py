@@ -205,7 +205,7 @@ def test_exact_f_matches_the_histogram_reference_at_d2():
 def test_estimate_f_agrees_with_exact():
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8)])
-    table = estimate_F(learner, u, 2, 4000, RandomSource(SEED, 2), 0)
+    [table] = estimate_F(learner, [u], 2, 4000, [RandomSource(SEED, 2)], [0])
     assert abs(table.value - EXACT_F_2CONST) <= 4.5 * table.std_error
     assert table.std_error > 0
     assert (table.point, table.n, table.trials) == (0, 2, 4000)
@@ -214,8 +214,8 @@ def test_estimate_f_agrees_with_exact():
 def test_estimate_f_reproducible_and_chunk_invariant():
     learner = ExpMechanismLearner(TWO_CONSTS, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8)])
-    a = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3), 0)
-    b = estimate_F(learner, u, 4, 320, RandomSource(SEED, 3), 0)
+    [a] = estimate_F(learner, [u], 4, 320, [RandomSource(SEED, 3)], [0])
+    [b] = estimate_F(learner, [u], 4, 320, [RandomSource(SEED, 3)], [0])
     assert a.value == b.value and a.std_error == b.std_error
 
 
@@ -243,11 +243,11 @@ def test_estimate_f_paths_match_exact_histogram_f():
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
     n = 4
-    for x in range(2):
-        exact = _exact_f_by_histograms(learner, u, n, x)
-        assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
-        for which in (learner, _RowsOnly(learner)):
-            table = estimate_F(which, u, n, 4000, RandomSource(SEED, 4), x)
+    for which in (learner, _RowsOnly(learner)):
+        tables = estimate_F(which, [u, u], n, 4000, [RandomSource(SEED, 4)] * 2, [0, 1])
+        for x, table in enumerate(tables):
+            exact = _exact_f_by_histograms(learner, u, n, x)
+            assert abs(exact) > 0.05  # a label-swapped scorer, near -F, lands far outside 4.5 SE
             assert abs(table.value - exact) <= 4.5 * table.std_error
 
 
@@ -256,12 +256,13 @@ def test_estimate_f_rejects_a_bias_outside_the_class_domain():
     u = BiasVector([Fraction(1, 8), Fraction(1, 8)])
     for which in (learner, _RowsOnly(learner)):
         with pytest.raises(DomainMismatchError):
-            estimate_F(which, u, 8, 40, RandomSource(SEED, 8), 0)
+            estimate_F(which, [u], 8, 40, [RandomSource(SEED, 8)], [0])
 
 
 # estimate_F of the full 2-point class at u = (1/8, -1/4), n = 64, 1003
-# trials, at points 0 and 1: each call draws every histogram by one
-# multinomial call from one generator on the same stream
+# trials, at points 0 and 1: each key's histograms are drawn by one
+# multinomial call on the same stream (pinned when each point took a call of
+# its own)
 ESTIMATE_F_PIN = ("(0.07113580643283283, -0.14306113584707583)",
                   "(0.0015411041578597027, 0.0013635572278092973)")
 
@@ -374,6 +375,90 @@ def test_exact_sum_at_the_edges(values):
         _assert_sums_are_fsum(x)
 
 
+# row lengths on both sides of EXACT_SUM_MIN; up to 6 rows, so an array's
+# values in all fall short of it or reach it with rows shorter or longer
+_ROW_LENGTHS = (1, 2, 7, 400, analysis.EXACT_SUM_MIN - 1, analysis.EXACT_SUM_MIN,
+                analysis.EXACT_SUM_MIN + 3)
+
+
+@st.composite
+def _moment_rows(draw) -> np.ndarray:
+    """A (rows, t) float array of F-like rows: uniform noise at a magnitude
+    from 1e-300 to 0.5 (a row far below the array's largest keeps its
+    residuals, and an array wholly below 2^-960, about 1e-289, goes to
+    math.fsum), the noise against its own negation plus one odd value
+    (heavy cancellation), one value repeated, or all zero (an all-zero
+    array goes to math.fsum too)."""
+    t = draw(st.sampled_from(_ROW_LENGTHS))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        noise = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, t)
+        scale = 0.5 * 10.0 ** -draw(st.floats(0, 299.7))
+        form = draw(st.sampled_from(("noise", "cancel", "repeat", "zero")))
+        if form == "cancel":
+            half = noise[:(t + 1) // 2] * scale
+            row = np.concatenate([half, -half[::-1]])[:t]
+            row[draw(st.integers(0, t - 1))] = noise[-1] * 0.5
+        else:
+            row = {"noise": noise * scale, "repeat": np.full(t, noise[0] * scale),
+                   "zero": np.zeros(t)}[form]
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_rows())
+def test_row_moments_are_each_rows_moments_to_the_bit(x):
+    means, variances = analysis._mean_and_variance(x)
+    assert means.shape == variances.shape == (len(x),)
+    for row, mean, var in zip(x, means.tolist(), variances.tolist()):
+        want = analysis._mean_and_variance(row)
+        assert repr((mean, var)) == repr(want) == repr(_scalar_moments(row.tolist()))
+
+
+def test_row_moments_take_the_vector_passes_by_values_in_all(monkeypatch):
+    # 3 rows of 400 values reach EXACT_SUM_MIN in all, so both moments take
+    # the vector passes over the whole array, while each row alone stays on
+    # math.fsum; an all-zero row sums to 0.0, and a row at 1e-295, under the
+    # passes' grid, is summed from its residuals
+    extracted = []
+    original = analysis._extracted_sum
+    monkeypatch.setattr(analysis, "_extracted_sum",
+                        lambda x: extracted.append(x.shape) or original(x))
+    gen = np.random.default_rng(SEED + 15)
+    x = np.array([gen.uniform(-0.5, 0.5, 400), np.zeros(400), gen.uniform(-1, 1, 400) * 1e-295])
+    means, variances = analysis._mean_and_variance(x)
+    assert extracted == [(3, 400)] * 2
+    for row, mean, var in zip(x, means.tolist(), variances.tolist()):
+        assert repr((mean, var)) == repr(_scalar_moments(row.tolist()))
+    assert extracted == [(3, 400)] * 2
+    # one trial a row: the variance is 0.0, as for one value
+    assert [v.tolist() for v in analysis._mean_and_variance(x[:, :1])] == [
+        x[:, 0].tolist(), [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("special", [None, 0.0, 1e-300, 2.0 ** 960, math.inf, math.nan],
+                         ids=["noise", "zero", "tiny", "huge", "inf", "nan"])
+def test_row_sums_are_each_rows_fsum_or_raise_as_it_does(special):
+    # rows of noise at 0.5 and 2^-40 with one row of the special value: a
+    # huge or non-finite one sends the whole array to math.fsum row by row,
+    # a zero or tiny one keeps the vector passes; a row whose fsum raises
+    # makes the call raise the same error
+    gen = np.random.default_rng(SEED + 16)
+    rows = [gen.uniform(-0.5, 0.5, 600), gen.standard_normal(600) * 2.0 ** -40]
+    if special is not None:
+        rows.append(np.resize([special, -special, special / 3], 600))
+    x = np.array(rows)
+    want = [_sum_outcome(lambda v: math.fsum(v.tolist()), row) for row in x]
+    errors = [w for w in want if isinstance(w, type)]
+    for total in (analysis._fsum, analysis._extracted_sum):
+        if errors:
+            with pytest.raises(errors[0]):
+                total(x)
+        else:
+            assert [repr(v) for v in total(x).tolist()] == want
+
+
 def _record_calls(monkeypatch, cls, name) -> list:
     """Wrap cls.name so that every call appends its positional arguments."""
     calls = []
@@ -388,10 +473,11 @@ def _record_calls(monkeypatch, cls, name) -> list:
 
 
 def _class_f(hclass: HypothesisClass, rng: RandomSource) -> tuple[FTable, FTable]:
-    """estimate_F at points 0 and 1, one call each on the same stream."""
+    """estimate_F at points 0 and 1: one call, a key at each point, both on
+    the same stream."""
     learner = ExpMechanismLearner(hclass, ExpMechanismConfig(Fraction(1, 4)))
     u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
-    return tuple(estimate_F(learner, u, 64, 1003, rng, x) for x in range(2))
+    return tuple(estimate_F(learner, [u, u], 64, 1003, [rng, rng], [0, 1]))
 
 
 def _full_class_f(size: int, rng: RandomSource) -> tuple[FTable, FTable]:
@@ -406,16 +492,23 @@ def test_estimate_f_histogram_path_pin():
     assert _pin(_full_class_f(2, RandomSource(SEED, 9))) == ESTIMATE_F_PIN
 
 
-def test_estimate_f_scores_all_histograms_in_one_call_per_point(monkeypatch):
+def test_estimate_f_scores_every_keys_histograms_in_one_call(monkeypatch):
+    # keys at two points: one call, at an array of one point per row
     calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
     tables = _full_class_f(2, RandomSource(SEED, 9))
-    assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
+    [(hist, x)] = calls
+    assert hist.shape == (2006, 2, 2) and x.tolist() == [0] * 1003 + [1] * 1003
     assert _pin(tables) == ESTIMATE_F_PIN
+    # past F_GROUP_TRIALS in all, a group of one key a call, at its point
+    calls.clear()
+    monkeypatch.setattr(analysis, "F_GROUP_TRIALS", 2005)
+    assert _pin(_full_class_f(2, RandomSource(SEED, 9))) == ESTIMATE_F_PIN
+    assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
 
 
 def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
     # full(11) less one row: 2^20 // 2047 = 512 trials a scoring pass, so one
-    # call and two passes per point
+    # call for both points' 2006 histograms and four passes
     calls = _record_calls(monkeypatch, ExpMechanismLearner, "batch_prediction_probs")
     passes = []
     softmax = learners._softmax
@@ -427,12 +520,12 @@ def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
     monkeypatch.setattr(learners, "_softmax", recorded)
     short = HypothesisClass(HypothesisClass.full(11).values[:-1])
     sliced = _class_f(short, RandomSource(SEED, 10))
-    assert [(len(hist), x) for hist, x in calls] == [(1003, 0), (1003, 1)]
-    assert passes == [512, 491, 512, 491]
+    assert [len(hist) for hist, _ in calls] == [2006]
+    assert passes == [512, 512, 512, 470]
     passes.clear()
     monkeypatch.setattr(learners, "SCORE_BUDGET", 2 ** 40)
     assert _class_f(short, RandomSource(SEED, 10)) == sliced
-    assert passes == [1003, 1003]
+    assert passes == [2006]
     # the full class reads each sample's counts at x and makes no pass
     passes.clear()
     _full_class_f(11, RandomSource(SEED, 10))
@@ -466,8 +559,8 @@ def _count_generators(monkeypatch) -> tuple[list, list]:
 def test_estimate_f_histogram_path_draws_every_trial_in_one_call(monkeypatch):
     built, draws = _count_generators(monkeypatch)
     tables = _full_class_f(2, RandomSource(SEED, 9))
-    # one generator and one draw per call, on one stream
-    assert len(built) == 2 and len({r.stream for r in built}) == 1 and draws == ["multinomial"] * 2
+    # one generator per call; each key re-keys it to its stream and draws once
+    assert len(built) == 1 and draws == ["bit_generator", "multinomial"] * 2
     assert _pin(tables) == ESTIMATE_F_PIN
 
 
@@ -483,7 +576,7 @@ def test_estimate_f_histogram_weights_are_the_distributions_atom_floats(monkeypa
 
     class Recording:
         def __init__(self, gen):
-            self._gen = gen
+            self._gen, self.bit_generator = gen, gen.bit_generator
 
         def multinomial(self, n, pvals, size):
             weights.append(list(pvals))
@@ -493,9 +586,78 @@ def test_estimate_f_histogram_weights_are_the_distributions_atom_floats(monkeypa
     u = BiasVector(coords)
     learner = ExpMechanismLearner(HypothesisClass.full(u.dimension),
                                   ExpMechanismConfig(Fraction(1, 4)))
-    estimate_F(learner, u, 8, 5, RandomSource(SEED, 19), u.dimension - 1)
+    estimate_F(learner, [u], 8, 5, [RandomSource(SEED, 19)], [u.dimension - 1])
     want = [float(w) for _, w in ProductBiasDistribution(u).atoms()]
     assert len(weights) == 1 and [repr(w) for w in weights[0]] == [repr(w) for w in want]
+
+
+THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
+
+
+def _batch_cases():
+    """(learner, keys, trials, n) per scorer: exp-mech's count law on full(1)
+    (keys of EXACT_SUM_MIN / 2 trials, so the batch's moments take the
+    vector passes and a one-key call's stay on math.fsum) and on full(2) at
+    two points; the class scorer on a 3-hypothesis class, keys at points 0
+    and 1; majority and vc on rows. Each key is (bias, point)."""
+    eta = Fraction(1, 16)
+    mech = lambda hclass: ExpMechanismLearner(hclass, ExpMechanismConfig(eta))  # noqa: E731
+    two = [BiasVector(c) for c in ([Fraction(1, 8), Fraction(-1, 4)], [0.1, Fraction(1, 2)],
+                                   [Fraction(-3, 16), Fraction(0)])]
+    one = [BiasVector([v]) for v in (Fraction(1, 8), Fraction(-1, 2), 0.1, Fraction(0))]
+    return {
+        "full(1)": (mech(HypothesisClass.full(1)), [(u, 0) for u in one],
+                    analysis.EXACT_SUM_MIN // 2, 64),
+        "full(2)": (mech(HypothesisClass.full(2)), [(two[0], 0), (two[1], 1), (two[2], 0),
+                                                    (two[0], 1)], 300, 64),
+        "3-hypothesis": (mech(THREE), [(two[0], 0), (two[0], 1), (two[1], 1)], 300, 64),
+        "majority": (make_learner("majority", HypothesisClass.full(2), eta, 32, two[0].coords),
+                     [(two[0], 0), (two[1], 1), (two[2], 1)], 100, 32),
+        "vc": (make_learner("vc", HypothesisClass.full(2), eta, 32, two[0].coords),
+               [(two[0], 1), (two[1], 0)], 100, 32),
+    }
+
+
+@pytest.mark.parametrize("case", ["full(1)", "full(2)", "3-hypothesis", "majority", "vc"])
+def test_estimate_f_batch_gives_each_key_its_one_key_table(case, monkeypatch):
+    learner, keys, trials, n = _batch_cases()[case]
+    rng = RandomSource(SEED, 30)
+    # the last key shares the first key's stream at its own bias or point
+    streams = [rng.child(k) for k in range(len(keys) - 1)] + [rng.child(0)]
+    us, xs = [u for u, _ in keys], [x for _, x in keys]
+    one_key = [estimate_F(learner, [u], n, trials, [s], [x])[0]
+               for u, x, s in zip(us, xs, streams)]
+    assert estimate_F(learner, us, n, trials, streams, xs) == one_key
+    # a caller's generator, in any state, re-keyed to each key's stream
+    gen = RandomSource(SEED, 31).generator()
+    gen.random(5)
+    assert estimate_F(learner, us, n, trials, streams, xs, gen=gen) == one_key
+    assert [(t.u, t.point, t.n, t.trials) for t in one_key] == [(u, x, n, trials) for u, x in keys]
+    # keys in groups of two, the last group short when the count is odd
+    monkeypatch.setattr(analysis, "F_GROUP_TRIALS", 2 * trials + 1)
+    assert estimate_F(learner, us, n, trials, streams, xs) == one_key
+
+
+@pytest.mark.parametrize("us, streams, xs, error", [
+    ([BiasVector([0.1])] * 2, [RandomSource(1)], [0, 0], ValueError),
+    ([BiasVector([0.1])], [RandomSource(1)] * 2, [0], ValueError),
+    ([BiasVector([0.1])], [RandomSource(1)], [0, 0], ValueError),
+    ([], [], [], ValueError),
+    ([BiasVector([0.1]), BiasVector([0.1, 0.2])], [RandomSource(1)] * 2, [0, 0],
+     DimensionMismatchError),
+], ids=["biases", "streams", "points", "no-key", "dimensions"])
+def test_estimate_f_refuses_mismatched_keys_before_drawing(monkeypatch, us, streams, xs, error):
+    gen = RandomSource(SEED, 32).generator()
+    state = gen.bit_generator.state
+    monkeypatch.setattr(RandomSource, "generator",
+                        lambda self: pytest.fail("a generator was built"))
+    monkeypatch.setattr(RandomSource, "rekey", lambda *args: pytest.fail("a stream was keyed"))
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
+    for which in (learner, _RowsOnly(learner)):
+        for given_gen in (None, gen):
+            with pytest.raises(error):
+                estimate_F(which, us, 16, 10, streams, xs, gen=given_gen)
+    assert str(gen.bit_generator.state) == str(state)
 
 
 def _row_learners(d: int, eta: Fraction, n: int, u: BiasVector):
@@ -507,8 +669,7 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     for learner in _row_learners(2, Fraction(1, 16), 32, u):
         calls = _record_calls(monkeypatch, type(learner), "prediction_prob")
-        for x in (0, 1):
-            estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), x)
+        estimate_F(learner, [u, u], 32, 100, [RandomSource(SEED, 11)] * 2, [0, 1])
         sizes = [7] * 4 + [6] * 12
         assert [(len(s.points), x.tolist()) for s, x, _ in calls] == [
             (size, [x] * size) for x in (0, 1) for size in sizes]
@@ -519,7 +680,7 @@ def test_estimate_f_row_path_scores_each_chunk_in_one_call_per_point(monkeypatch
 def test_estimate_f_row_path_draws_its_batches_from_one_generator(monkeypatch):
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     learner = make_learner("vc", HypothesisClass.full(2), Fraction(1, 16), 32, u.coords)
-    plain = estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), 1)
+    [plain] = estimate_F(learner, [u], 32, 100, [RandomSource(SEED, 11)], [1])
     built, _ = _count_generators(monkeypatch)
     batches = []
     original = analysis.draw_sample_with
@@ -529,7 +690,7 @@ def test_estimate_f_row_path_draws_its_batches_from_one_generator(monkeypatch):
         return original(dist, n, gen, trials=trials)
 
     monkeypatch.setattr(analysis, "draw_sample_with", recorded)
-    assert estimate_F(learner, u, 32, 100, RandomSource(SEED, 11), 1) == plain
+    assert estimate_F(learner, [u], 32, 100, [RandomSource(SEED, 11)], [1]) == [plain]
     assert len(built) == 1
     assert [trials for _, trials in batches] == [7] * 4 + [6] * 12
     assert len({id(gen) for gen, _ in batches}) == 1
@@ -543,8 +704,8 @@ def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
         gen = RandomSource(SEED, 13).generator()
         ref = np.array([[learner.prediction_prob(s, x, gen) - 0.5 for x in (0, 1)]
                         for s in (draw_sample_with(dist, n, gen) for _ in range(1500))])
-        for x in (0, 1):
-            table = estimate_F(learner, u, n, 3000, RandomSource(SEED, 12), x)
+        tables = estimate_F(learner, [u, u], n, 3000, [RandomSource(SEED, 12)] * 2, [0, 1])
+        for x, table in enumerate(tables):
             sigma = math.hypot(table.std_error, ref[:, x].std(ddof=1) / math.sqrt(len(ref)))
             assert abs(ref[:, x].mean()) > 2.25 * sigma  # a sign error lands beyond 4.5 sigma
             assert abs(table.value - ref[:, x].mean()) <= 4.5 * sigma
@@ -552,9 +713,9 @@ def test_estimate_f_row_path_agrees_with_a_one_sample_reference():
 
 def _one_row_excess(scheme, u: BiasVector, f_value):
     """The term table's excess and coefficients at the one bias u, every term
-    built at u."""
+    built at u, with F key by key from `f_value`."""
     [value], coefficients = _excess_table(False, scheme, u.coords, [range(u.dimension)], [1],
-                                          f_value)
+                                          lambda keys: [f_value(key) for key in keys])
     return value, coefficients
 
 
@@ -573,7 +734,8 @@ def test_oblivious_excess_error_propagation():
     _, coefficients = _one_row_excess(identity_scheme(1), u, lambda key: 0.3)
     table = FTable(u=u, point=0, value=0.3, std_error=0.02, n=4, trials=100)
     # both test atoms read one estimate: err = |-3/4 + 1/4| * 0.02, not 0.02 * sqrt(9/16 + 1/16)
-    err = math.sqrt(_f_variance(coefficients, {(0, u.coords): table}))
+    assert list(coefficients) == [(0, u.coords)]
+    err = math.sqrt(_f_variance(coefficients.values(), [table]))
     assert err == pytest.approx(0.01, abs=1e-15)
 
 

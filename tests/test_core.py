@@ -753,6 +753,26 @@ def test_sampler_table_holds_the_exact_atom_weights(coords, dtype):
         p for _, p in dist.atoms()]
 
 
+def test_sampler_tables_are_built_on_first_draw(monkeypatch):
+    # a distribution read only for its bias or atoms builds no table; the
+    # first draw builds all three once, and the draws are a fresh one's
+    built = []
+    build = ProductBiasDistribution._build_sampler
+    monkeypatch.setattr(ProductBiasDistribution, "_build_sampler",
+                        lambda self: built.append(self) or build(self))
+    u = BiasVector([Fraction(1, 8), Fraction(-1, 4)])
+    dist = ProductBiasDistribution(u)
+    assert bayes_loss(dist) == Fraction(5, 16) and len(dist.atoms()) == 4 and built == []
+    first = draw_sample_with(dist, 16, RandomSource(SEED, 43).generator(), trials=3)
+    again = draw_sample_with(dist, 16, RandomSource(SEED, 43).generator(), trials=3)
+    assert built == [dist] and first == again
+    fresh = ProductBiasDistribution(u)
+    assert (fresh._range, fresh._thresholds.tolist(), fresh._edges.tolist()) == (
+        dist._range, dist._thresholds.tolist(), dist._edges.tolist())
+    with pytest.raises(AttributeError, match="no attribute 'range'"):
+        dist.range
+
+
 @pytest.mark.parametrize("coords, widths", [
     ([Fraction(1, 2), Fraction(-1, 2)], [4, 0, 0, 4]),
     ([Fraction(1, 2)], [4, 0]),

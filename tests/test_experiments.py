@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poisonlab import analysis, experiments
+from poisonlab import analysis, experiments, learners
 from poisonlab.analysis import estimate_F
 from poisonlab.adversaries import (
     AttackBudget,
@@ -297,7 +297,7 @@ def test_a_scalar_for_a_batch_is_rejected():
         mc_adversarial_loss(_OneSampleLearner(), IdentityAdversary(), dist, 8,
                             Fraction(1, 8), 10, RandomSource(SEED, 3))
     with pytest.raises(ValueError, match="one probability per trial"):
-        estimate_F(_OneSampleLearner(), dist.bias, 8, 10, RandomSource(SEED, 3), 0)
+        estimate_F(_OneSampleLearner(), [dist.bias], 8, 10, [RandomSource(SEED, 3)], [0])
 
 
 def _one_sample_loss(learner, adversary, dist, n, trials, rng):
@@ -1159,7 +1159,7 @@ def test_estimate_f_of_a_subclass_rewriting_prediction_prob_draws_its_rows():
     # sign; the subclass takes the row path, as behind a wrapper with no hooks
     u = BiasVector([Fraction(1, 4), Fraction(-1, 8)])
     flipped = _Flipped(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
-    got, rows = ([estimate_F(which, u, 32, 2000, RandomSource(1, 1), x) for x in range(2)]
+    got, rows = (estimate_F(which, [u, u], 32, 2000, [RandomSource(1, 1)] * 2, [0, 1])
                  for which in (flipped, _RowsOnly(flipped)))
     assert got == rows
     assert got[0].value < -0.2 and got[1].value > 0.1
@@ -1489,7 +1489,7 @@ def test_lower_bound_exact_sums_the_diagonal_rows_of_the_full_product(d, n):
     rows = list(product(range(len(values)), repeat=d))
     excesses, _ = experiments._excess_table(
         True, PoisoningSchemeD(inner, d), values, rows, [1] * len(rows),
-        lambda key: exact_F(learner.prediction_prob, BiasVector(key[1]), n, key[0]))
+        lambda keys: [exact_F(learner.prediction_prob, BiasVector(v), n, i) for i, v in keys])
     full = math.fsum(float(math.prod(weights[a] for a in row)) * e
                      for row, e in zip(rows, excesses))
     assert abs(mean - full) <= 1e-15, (mean, full)
@@ -1619,8 +1619,8 @@ def test_learning_curve_std_error_sums_the_coefficients_of_each_estimate():
     # the full class is per-point: F_i is estimated at point 0 of the vector
     # (u_i, 0), on that vector's stream
     keyed = [(c, Fraction(0)) for c in u.coords]
-    se = [estimate_F(learner, BiasVector(v), n, trials, rng.child("curve", n, 0, repr(v)),
-                     0).std_error for v in keyed]
+    se = [estimate_F(learner, [BiasVector(v)], n, trials, [rng.child("curve", n, 0, repr(v))],
+                     [0])[0].std_error for v in keyed]
     coords = [float(c) for c in u.coords]
     summed = math.sqrt(math.fsum((2 * abs(c) / d * s) ** 2 for c, s in zip(coords, se)))
     per_atom = math.sqrt(math.fsum(((0.5 + c) ** 2 + (0.5 - c) ** 2) / d ** 2 * s ** 2
@@ -1636,7 +1636,8 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
 
     def keys(learner) -> set:
         _, coefficients = experiments._excess_table(learner.count_law is not None, scheme, coords,
-                                                    [range(2)], [1], lambda key: 0.0)
+                                                    [range(2)], [1],
+                                                    lambda keys: [0.0] * len(keys))
         return set(coefficients)
 
     # constant's count law makes it per-point
@@ -1653,16 +1654,17 @@ def test_f_keys_drop_the_other_coordinates_only_for_a_per_point_learner():
 
 def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
     # d = 2, per-point: the F variance is sum over value keys (0, v e_0) of
-    # (coefficient summed over both coordinates * se)^2, each se that of
-    # estimate_F at point 0 of v e_0 on its own stream
+    # (coefficient summed over both coordinates * se)^2, each se that of a
+    # one-key estimate_F at point 0 of v e_0 on its own stream, both read by
+    # key id
     eta, d, n, outer, trials = Fraction(1, 128), 2, 32, 200, 100
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     rng = RandomSource(SEED, 14)
     seen = []
     original = experiments._f_variance
     monkeypatch.setattr(experiments, "_f_variance",
-                        lambda coefficients, cache: seen.append((coefficients, cache))
-                        or original(coefficients, cache))
+                        lambda coefficients, tables: seen.append((coefficients, tables))
+                        or original(coefficients, tables))
     report = lower_bound_experiment(learner, eta, d, n, outer, trials, rng)
 
     inner, hard = build_scheme_1d(d * eta)
@@ -1673,34 +1675,38 @@ def test_lower_bound_f_variance_sums_each_estimate_once(monkeypatch):
         u = [hard.sample(gen) for _ in range(d)]
         # every term built at u (not per-point), its keys folded here by hand
         _, per_key = experiments._excess_table(False, scheme, u, [range(d)], [1],
-                                               lambda key: 0.0)
+                                               lambda keys: [0.0] * len(keys))
         for (i, coords), c in per_key.items():
             key = (0, (coords[i], Fraction(0)))
             expected[key] = expected.get(key, 0) + c / outer
-    [(coefficients, cache)] = seen
-    assert coefficients == expected and len(expected) == report.f_points == 8
-    se = {(0, v): estimate_F(learner, BiasVector(v), n, trials, rng.child("F", 0, repr(v)),
-                             0).std_error for _, v in expected}
-    assert {key: table.std_error for key, table in cache.items()} == se
+    [(coefficients, tables)] = seen
+    keys = [(table.point, table.u.coords) for table in tables]
+    assert dict(zip(keys, coefficients, strict=True)) == {
+        key: float(c) for key, c in expected.items()}
+    assert len(set(keys)) == len(expected) == report.f_points == 8
+    se = {(0, v): estimate_F(learner, [BiasVector(v)], n, trials, [rng.child("F", 0, repr(v))],
+                             [0])[0].std_error for _, v in expected}
+    assert {key: table.std_error for key, table in zip(keys, tables)} == se
     variance = math.fsum((float(c) * se[key]) ** 2 for key, c in expected.items())
-    assert original(coefficients, cache) == variance
+    assert original(coefficients, tables) == variance
 
 
 def test_f_variance_rejects_a_key_with_no_estimate_of_its_own():
-    # the unfolded key of a bias whose other coordinate is not 0 reads no
-    # cached estimate: it raises instead of counting a shared one again
+    # coefficients and estimates pair by key id: a coefficient past the
+    # estimates, as for the unfolded key of a bias whose other coordinate is
+    # not 0, raises instead of counting another key's estimate
     eta, d = Fraction(1, 128), 2
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
     inner, _ = build_scheme_1d(d * eta)
     u = BiasVector([inner.endpoint, -inner.endpoint])
-    f_value, cache = experiments._cached_f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
+    f_values, tables = experiments._f_oracle(learner, 16, 20, RandomSource(SEED, 15), "F")
     pointwise = learner.count_law is not None
     _, coefficients = experiments._excess_table(pointwise, PoisoningSchemeD(inner, d),
-                                                u.coords, [range(d)], [1], f_value)
-    assert len(cache) == 2 and set(coefficients) == set(cache)
-    experiments._f_variance(coefficients, cache)
-    with pytest.raises(KeyError):
-        experiments._f_variance({(0, u.coords): Fraction(-1, 2)}, cache)
+                                                u.coords, [range(d)], [1], f_values)
+    assert len(tables) == 2 and list(coefficients) == [(t.point, t.u.coords) for t in tables]
+    experiments._f_variance(coefficients.values(), tables)
+    with pytest.raises(ValueError):
+        experiments._f_variance([*coefficients.values(), Fraction(-1, 2)], tables)
 
 
 THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
@@ -1710,7 +1716,7 @@ THREE = HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]])
                                           ("majority", 2), ("three", 2)])
 def test_lower_bound_table_matches_the_per_draw_loop(learner_id, d):
     # the term table against the per-draw loop at every distinct drawn u, with
-    # the same cached F oracle, weighted by count; and the curve, on the same
+    # one-key F estimates, weighted by count; and the curve, on the same
     # table, against the loop at an off-grid bias and at the endpoint bias
     eta, n, outer, trials = Fraction(1, 64 * d), 32, 300, 40
     if learner_id == "three":
@@ -1751,8 +1757,8 @@ def test_excess_table_matches_the_per_draw_excess_on_non_dyadic_biases(d, pointw
     for scheme in (PoisoningSchemeD(PoisoningScheme1D(Fraction(1, 28), 2), d),
                    PoisoningSchemeD(PoisoningScheme1D(Fraction(3, 40), 2), d),
                    identity_scheme(d)):
-        excesses, coefficients = experiments._excess_table(pointwise, scheme, NON_DYADIC, rows,
-                                                           counts, f_value)
+        excesses, coefficients = experiments._excess_table(
+            pointwise, scheme, NON_DYADIC, rows, counts, lambda keys: [f_value(k) for k in keys])
         want_excesses, want_coefficients = [], {}
         for row, count in zip(rows, counts):
             u = BiasVector([NON_DYADIC[a] for a in row])
@@ -1800,15 +1806,16 @@ def test_bayes_losses_are_the_floats_of_exact_bayes_losses(d):
 
 
 def _count_maps_and_estimates(monkeypatch) -> tuple[list, list]:
-    """Record every 1-D scheme map and every F estimate the experiment runs."""
-    maps, estimates = [], []
+    """Record every 1-D scheme map and, per `estimate_F` call, the (point,
+    bias) of each of its F keys."""
+    maps, calls = [], []
     original = PoisoningScheme1D.apply
     monkeypatch.setattr(PoisoningScheme1D, "apply",
                         lambda self, y, u: maps.append((y, u)) or original(self, y, u))
     monkeypatch.setattr(experiments, "estimate_F",
-                        lambda *args, **kwargs: estimates.append((args[5], args[1]))
+                        lambda *args, **kwargs: calls.append(list(zip(args[5], args[1])))
                         or estimate_F(*args, **kwargs))
-    return maps, estimates
+    return maps, calls
 
 
 @pytest.mark.parametrize("outer", [200, 2000])
@@ -1820,12 +1827,28 @@ def test_lower_bound_builds_each_per_point_term_once(monkeypatch, outer):
     values = build_scheme_1d(d * eta)[1].values()
     assert len(values) == 9
     learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
-    maps, estimates = _count_maps_and_estimates(monkeypatch)
+    maps, calls = _count_maps_and_estimates(monkeypatch)
     report = lower_bound_experiment(learner, eta, d, 16, outer, 10, RandomSource(SEED, 17))
     assert Counter(maps) == Counter((y, v) for v in values for y in (PLUS, MINUS))
     assert len(maps) == 2 * 9 == 18
+    # every key in one estimate_F call
+    [estimates] = calls
     assert len(estimates) == len(set(estimates)) == report.f_points == 8
     assert all(point == 0 and u.coords[1] == 0 for point, u in estimates)
+
+
+def test_lower_bound_validates_its_histograms_once(monkeypatch):
+    # exp-mech on full(2): every F key's histograms are scored, and so
+    # validated, by one batch_prediction_probs call
+    checked = []
+    original = learners._checked_histograms
+    monkeypatch.setattr(learners, "_checked_histograms",
+                        lambda hclass, histograms: checked.append(histograms.shape)
+                        or original(hclass, histograms))
+    eta = Fraction(1, 128)
+    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
+    report = lower_bound_experiment(learner, eta, 2, 32, 200, 50, RandomSource(SEED, 28))
+    assert report.f_points == 8 and checked == [(8 * 50, 2, 2)]
 
 
 def test_lower_bound_builds_the_terms_of_each_distinct_draw_otherwise(monkeypatch):
@@ -1833,9 +1856,10 @@ def test_lower_bound_builds_the_terms_of_each_distinct_draw_otherwise(monkeypatc
     # its F keys keep the drawn row's other coordinate, one estimate each
     eta, d, outer = Fraction(1, 128), 2, 200
     learner = ExpMechanismLearner(THREE, ExpMechanismConfig(eta))
-    maps, estimates = _count_maps_and_estimates(monkeypatch)
+    maps, calls = _count_maps_and_estimates(monkeypatch)
     rng = RandomSource(SEED, 18)
     report = lower_bound_experiment(learner, eta, d, 16, outer, 10, rng)
+    [estimates] = calls
     hard = build_scheme_1d(d * eta)[1]
     distinct = np.unique(hard.sample_indices(rng.child("outer").generator(), (outer, d)), axis=0)
     assert len(distinct) > 9
@@ -2329,11 +2353,11 @@ _FULL_1 = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fracti
     (lambda: lower_bound_experiment(_FULL_1, Fraction(1, 2), 2, 8, 4, 4, RandomSource(1)),
      PreconditionError, "requires eta < 1/d"),
     (lambda: lower_bound_exact(_FULL_1, Fraction(1, 16), 1, 0), ValueError, "n must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 0, RandomSource(1), 0), ValueError,
+    (lambda: estimate_F(_FULL_1, [BiasVector([0])], 8, 0, [RandomSource(1)], [0]), ValueError,
      "trials must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 0, 4, RandomSource(1), 0), ValueError,
+    (lambda: estimate_F(_FULL_1, [BiasVector([0])], 0, 4, [RandomSource(1)], [0]), ValueError,
      "n must be >= 1"),
-    (lambda: estimate_F(_FULL_1, BiasVector([0]), 8, 4, RandomSource(1), 1),
+    (lambda: estimate_F(_FULL_1, [BiasVector([0])], 8, 4, [RandomSource(1)], [1]),
      DomainMismatchError, "query point must lie inside the domain"),
 ], ids=["wilson-0-trials", "mc-0-trials", "lower-bound-d-eta-1", "lower-bound-exact-n-0",
         "estimate-f-0-trials", "estimate-f-n-0", "estimate-f-outside"])
