@@ -101,6 +101,7 @@ def test_brute_force_matches_exhaustive_argmax():
         out = brute_force_attack(learner.prediction_prob, s, target, budget, d)
         best = max(err(b) for b in ball_enumerate(s, eta, d).rows())
         assert err(out) == best
+        assert hamming_distance(s, out) <= Fraction(budget.max_corruptions(n), n)
 
 
 def _tied(sample, x):
@@ -175,6 +176,8 @@ def test_scheme_frozen_grid_at_eta_1_64():
     assert scheme.apply(PLUS, Fraction(0)) == Fraction(-1, 64)
     assert scheme.apply(MINUS, Fraction(6, 64)) == Fraction(7, 64)
     assert scheme.apply(PLUS, Fraction(-6, 64)) == Fraction(-7, 64)
+    assert [scheme.apply(y, v) - v for v in scheme.grid() for y in (MINUS, PLUS)] == [
+        scheme.eta, -scheme.eta] * 7
     # endpoints and odd multiples sit off the grid and never move
     assert scheme.apply(MINUS, Fraction(7, 64)) == Fraction(7, 64)
     assert scheme.apply(PLUS, Fraction(1, 64)) == Fraction(1, 64)

@@ -217,6 +217,7 @@ def test_estimate_f_reproducible_and_chunk_invariant():
     [a] = estimate_F(learner, [u], 4, 320, [RandomSource(SEED, 3)], [0])
     [b] = estimate_F(learner, [u], 4, 320, [RandomSource(SEED, 3)], [0])
     assert a.value == b.value and a.std_error == b.std_error
+    assert abs(a.value) <= 0.5
 
 
 def _exact_f_by_histograms(learner, u: BiasVector, n: int, x: int) -> float:
@@ -752,6 +753,10 @@ def test_oblivious_excess_nonnegative_for_bayes_f():
     for v in hard.values():
         value, _ = _one_row_excess(scheme, BiasVector([v]), bayes_f)
         assert value >= -1e-15
+    # the identity scheme poisons nothing: the excess is 0
+    value, _ = _one_row_excess(identity_scheme(2), BiasVector([Fraction(1, 4), Fraction(-3, 8)]),
+                               bayes_f)
+    assert abs(value) <= 1e-15
 
 
 def test_per_point_f_depends_on_its_own_coordinate_only():

@@ -98,7 +98,8 @@ def test_resolve_validation():
 @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
 def test_seeds_at_both_edges_are_accepted(seed, capsys):
     assert resolve_config(build_parser().parse_args(["run", "--seed", seed])).grid.seed == int(seed)
-    assert main(["verify", "--check", "core.atoms-sum", "--seed", seed]) == 0
+    # the probe draws from Philox generators keyed by the seed
+    assert main(["verify", "--check", "core.draw-reproducible", "--seed", seed]) == 0
     assert "1 passed" in capsys.readouterr().out
 
 
@@ -107,7 +108,7 @@ def test_seeds_beyond_either_edge_are_config_errors(seed, capsys):
     # RandomSource keys Philox with 64 bits: -1 would run as 2**64 - 1
     with pytest.raises(ConfigError, match="seed must lie in"):
         resolve_config(build_parser().parse_args(["run", "--seed", seed]))
-    assert main(["verify", "--check", "core.atoms-sum", "--seed", seed]) == 2
+    assert main(["verify", "--check", "core.draw-reproducible", "--seed", seed]) == 2
     assert "seed must lie in" in capsys.readouterr().err
 
 
@@ -364,15 +365,15 @@ def test_main_error_rows_from_infeasible_cells(capsys, command):
 
 
 def test_main_verify_subset_and_fault(monkeypatch, capsys):
-    assert main(["verify", "--check", "core.atoms-sum"]) == 0
+    assert main(["verify", "--check", "core.draw-reproducible"]) == 0
     out = capsys.readouterr().out
-    assert "PASS core.atoms-sum" in out and "1 passed" in out
+    assert "PASS core.draw-reproducible" in out and "1 passed" in out
     monkeypatch.setattr(verify, "REGISTRY", [
-        (name, (lambda rng: (False, "injected fault")) if name == "core.atoms-sum" else fn)
+        (name, (lambda rng: (False, "injected fault")) if name == "core.draw-reproducible" else fn)
         for name, fn in verify.REGISTRY])
-    assert main(["verify", "--check", "core.atoms-sum"]) == 1
+    assert main(["verify", "--check", "core.draw-reproducible"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL core.atoms-sum: injected fault" in out
+    assert "FAIL core.draw-reproducible: injected fault" in out
 
 
 @pytest.mark.parametrize("flag", ["--check"])

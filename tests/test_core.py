@@ -408,10 +408,12 @@ def test_bayes_loss_in_integers_is_the_fraction_rule(coords, kind):
 
 
 def test_bayes_loss_is_min_over_all_hypotheses():
+    # 25 biases of sixteenths at d <= 6, then 30 float biases at d <= 8
     rng = np.random.default_rng(SEED)
-    for _ in range(25):
-        d = int(rng.integers(1, 7))
-        u = BiasVector([Fraction(int(rng.integers(-8, 9)), 16) for _ in range(d)])
+    for sixteenths in [True] * 25 + [False] * 30:
+        d = int(rng.integers(1, 7 if sixteenths else 9))
+        u = BiasVector([Fraction(int(rng.integers(-8, 9)), 16) if sixteenths
+                        else float(rng.uniform(-0.5, 0.5)) for _ in range(d)])
         dist = ProductBiasDistribution(u)
         best = min(population_loss(signs, dist)
                    for signs in __import__("itertools").product((-1, 1), repeat=d))

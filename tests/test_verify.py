@@ -2,21 +2,50 @@
 isolated, reruns deterministic."""
 
 import re
-from fractions import Fraction
 
 import pytest
 
-from poisonlab import analysis, verify
+from poisonlab import verify
 from poisonlab.cli import main
 from poisonlab.verify import REGISTRY, run_checks
 
 FAST_SUBSET = [
-    "core.atoms-sum",
-    "core.hamming-metric",
+    "core.ball-oracle",
+    "core.draw-reproducible",
     "learners.dist-simplex",
-    "adversaries.scheme-budget",
-    "analysis.vc-known",
-    "experiments.budget-guard",
+    "learners.subsample-law",
+    "adversaries.brute-dominates",
+    "experiments.mc-extremes",
+]
+
+# the paper's acceptance criteria 1-4, 8 and 9, and criterion 3's chain
+CRITERIA = [
+    "learners.mechanism-loss-guarantee",
+    "learners.ratio-stability",
+    "learners.flip-bound",
+    "learners.flip-chain",
+    "analysis.growth-bound",
+    "experiments.equivalence",
+    "experiments.public-domination",
+]
+
+# results an installation can change (floating point, numpy's draws, a
+# vectorised or batched path), each against an independent reference
+CROSS_CHECKS = [
+    "core.ball-oracle",
+    "core.draw-reproducible",
+    "core.sampler-law",
+    "learners.dist-simplex",
+    "learners.subsample-law",
+    "learners.count-law",
+    "adversaries.brute-dominates",
+    "analysis.per-point-f",
+    "experiments.mc-extremes",
+    "experiments.oracle-agreement",
+    "experiments.count-engine",
+    "experiments.batched-trials",
+    "experiments.count-path",
+    "experiments.lower-bound-table",
 ]
 
 
@@ -25,6 +54,9 @@ def test_registry_names_unique_and_namespaced():
     assert len(names) == len(set(names))
     prefixes = {"core", "learners", "adversaries", "analysis", "experiments"}
     assert all(n.split(".", 1)[0] in prefixes for n in names)
+    # an exact Fraction or integer rule, an error path or same-process
+    # determinism belongs in a unit test, not in the shipped registry
+    assert sorted(names) == sorted(CRITERIA + CROSS_CHECKS)
 
 
 def test_all_checks_pass():
@@ -49,12 +81,12 @@ def _fault_in(monkeypatch, target: str) -> None:
 
 
 def test_injected_fault_marks_only_its_target(monkeypatch):
-    _fault_in(monkeypatch, "core.hamming-metric")
+    _fault_in(monkeypatch, "core.ball-oracle")
     results = run_checks(names=FAST_SUBSET)
     by_name = {r.name: r for r in results}
-    assert not by_name["core.hamming-metric"].passed
-    assert by_name["core.hamming-metric"].detail == "injected fault"
-    assert all(r.passed for r in results if r.name != "core.hamming-metric")
+    assert not by_name["core.ball-oracle"].passed
+    assert by_name["core.ball-oracle"].detail == "injected fault"
+    assert all(r.passed for r in results if r.name != "core.ball-oracle")
 
 
 def test_unknown_check_name_rejected():
@@ -79,7 +111,7 @@ def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
 
 
 def test_every_verify_line_ends_in_its_checks_duration(monkeypatch, capsys):
-    _fault_in(monkeypatch, "core.hamming-metric")
+    _fault_in(monkeypatch, "core.ball-oracle")
     results = run_checks(names=FAST_SUBSET)
     assert all(r.seconds > 0 for r in results)
     assert main(["verify", "--check", ",".join(FAST_SUBSET)]) == 1
@@ -90,13 +122,4 @@ def test_every_verify_line_ends_in_its_checks_duration(monkeypatch, capsys):
         assert text == f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
         assert float(seconds) < 60
     assert lines[-2:] == [f"{len(FAST_SUBSET)} checks, {len(FAST_SUBSET) - 1} passed, 1 failed",
-                          "failed: core.hamming-metric"]
-
-
-def test_cover_basics_fails_on_a_radius_that_shrinks_with_the_cover(monkeypatch):
-    # 0 for the self-cover, and a proper cover's radius growing with its
-    # size: the half cover then reads above its strict sub-cover
-    monkeypatch.setattr(analysis, "cover_radius", lambda hclass, cover: Fraction(
-        0 if cover.size == hclass.size else cover.size, hclass.size))
-    [result] = run_checks(names=["analysis.cover-basics"])
-    assert (result.passed, result.detail) == (False, "shrinking the cover reduced the radius")
+                          "failed: core.ball-oracle"]
