@@ -389,9 +389,10 @@ class ProductBiasDistribution:
     d) and R = min(D, 2^64), `_thresholds` holds T_j = floor(C_j R / D) for
     j = 1, ..., 2d - 1, C_j the integer weight of the atoms before atom j,
     in the narrowest unsigned dtype that holds R - 1. A draw v uniform on
-    [0, R) falls in atom j, the number of thresholds at or below v. Up to D
-    = 2^64 (every small-denominator Fraction, and the float 0.1 up to d =
-    256) the law is exact; past it each atom is within 2^-64 of its
+    [0, R) (`Generator.integers`'s, at R = 2^b read off Philox's words to
+    the same bits) falls in atom j, the number of thresholds at or below v.
+    Up to D = 2^64 (every small-denominator Fraction, and the float 0.1 up
+    to d = 256) the law is exact; past it each atom is within 2^-64 of its
     probability. An atom of probability 0 has width 0 and is never drawn.
     A threshold T_j = R, before a run of such atoms at the end, is left out:
     no draw reaches it, and R itself need not fit the dtype.
@@ -693,10 +694,29 @@ def draw_example(dist: ProductBiasDistribution, gen: np.random.Generator,
 def _draw_integers(dist: ProductBiasDistribution, gen: np.random.Generator,
                    shape) -> np.ndarray:
     """The sampler's one raw draw: an integer v uniform on [0, R) per entry
-    of `shape`, in row-major order and in the thresholds' unsigned dtype.
-    `_draw_codes` reads it into atom codes and `_draw_target_counts` into
-    the counts at each target."""
-    return gen.integers(0, dist._range, size=shape, dtype=dist._thresholds.dtype)
+    of `shape`, in row-major order and in the thresholds' unsigned dtype,
+    as `gen.integers(0, R)` draws it, leaving `gen` to draw next what that
+    call leaves it to draw. `_draw_codes` reads it into atom codes and
+    `_draw_target_counts` into the counts at each target. At R = 2^b that
+    call never rejects (Lemire's threshold (2^w - R) mod R is 0): an entry
+    is the top b bits of one w-bit unit, w the dtype's width, of Philox's
+    raw words, read here little-endian, low 32-bit half first, after any
+    spare half (uint64: one word each). Any other R stays with `gen.integers`."""
+    dtype = dist._thresholds.dtype
+    if dist._range & (dist._range - 1):
+        return gen.integers(0, dist._range, size=shape, dtype=dtype)
+    out, width, bits = np.empty(shape, dtype), 8 * dtype.itemsize, gen.bit_generator
+    state = bits.state if width < 64 else {"has_uint32": 0}  # a uint64 entry is one word
+    spare = state["has_uint32"]
+    halves = -(-out.size * width // 32) - spare  # 32-bit units read off new words
+    units = bits.random_raw(-(-halves // 2)).astype("<u8", copy=False).view("<u4")
+    if spare:
+        units = np.concatenate((np.array([state["uinteger"]], "<u4"), units))
+    if spare or halves % 2:  # the spare half used up, or a new one left
+        bits.state = {**bits.state, "has_uint32": halves % 2, "uinteger": int(units[-1])}
+    units = units.view(f"<u{width // 8}")[:out.size]
+    np.right_shift(units, width + 1 - dist._range.bit_length(), out=out.reshape(-1))
+    return out
 
 
 def _draw_codes(dist: ProductBiasDistribution, gen: np.random.Generator,

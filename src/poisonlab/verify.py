@@ -144,7 +144,8 @@ def check_draw_reproducible(rng: RandomSource):
 
 def check_sampler_law(rng: RandomSource):
     """The sampler's integer table against the exact atoms at every bias
-    vector of criteria 8/9's biases at d = 1, 2, 3, and each atom's drawn
+    vector of criteria 8/9's biases at d = 1, 2, 3, the raw draw against
+    `Generator.integers` on twin generators, and each atom's drawn
     frequency at d = 3 within 4.5 sigma of its probability."""
     values = [Fraction(-1, 2) + Fraction(j, 10) for j in range(11)]
     tables = 0
@@ -157,6 +158,21 @@ def check_sampler_law(rng: RandomSource):
             if widths != [p for _, p in dist.atoms()]:
                 return False, f"table {widths} differs from the atoms at u={list(coords)}"
             tables += 1
+    # R = 2^b in every dtype, and R = 18, with no spare 32-bit half and with
+    # one: nine entries below uint64 fill an odd number of halves
+    laws = [[Fraction(1, 4)], [Fraction(1, 64), Fraction(1, 2)], [Fraction(1, 2 ** 10)],
+            [Fraction(1, 2 ** 20)], [0.1], [Fraction(1, 3 ** 41)], [Fraction(1, 3)] * 3]
+    for coords, spare in iproduct(laws, (0, 1)):
+        dist = ProductBiasDistribution(BiasVector(coords))
+        gen, twin = rng.child(spare).generator(), rng.child(spare).generator()
+        for g in (gen, twin):
+            g.integers(2 ** 32, size=spare, dtype=np.uint32)
+        want = twin.integers(0, dist._range, size=(3, 3), dtype=dist._thresholds.dtype)
+        if not np.array_equal(core._draw_integers(dist, gen, (3, 3)), want):
+            return False, f"draw differs from Generator.integers at u={coords}"
+        after = [(int(g.integers(2 ** 32, dtype=np.uint32)), g.random()) for g in (gen, twin)]
+        if after[0] != after[1]:
+            return False, f"generator left elsewhere than Generator.integers at u={coords}"
     # R = 60: a threshold one unit off moves 500 of the 30,000 draws
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 10), Fraction(-1, 2), Fraction(2, 5)]))
     drawn = core.draw_sample_with(dist, 500, rng.generator(), trials=60)
@@ -166,7 +182,8 @@ def check_sampler_law(rng: RandomSource):
     if any(c > 0 for c, p in pairs if p == 0):
         return False, f"an atom of probability 0 was drawn: counts {counts.tolist()}"
     worst = max(abs(c - m * p) / math.sqrt(m * p * (1 - p)) for c, p in pairs if 0 < p < 1)
-    return worst <= 4.5, (f"{tables} tables exact at d = 1-3; {m} draws at d = 3: max |z| = "
+    return worst <= 4.5, (f"{tables} tables exact at d = 1-3; {len(laws)} laws x 2 drawn as "
+                          f"Generator.integers draws; {m} draws at d = 3: max |z| = "
                           f"{worst:.2f} (<= 4.5 required), no atom of probability 0 drawn")
 
 

@@ -353,6 +353,25 @@ def test_main_curve_bytes_are_pinned(capsys, learner):
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SHA256[learner]
 
 
+# sha256 of the stdout of `poisonlab sweep` on perfbench's mc-sweep grid,
+# whose laws draw at R = 8 and 16 off Philox's raw words, and at d = 3,
+# --bias 1/3, whose R = 18 draws through `Generator.integers`: the bytes
+# that `Generator.integers` gives on both
+SWEEP_SHA256 = {
+    "--eta 1/16,1/64 --d 1,2 --learner exp-mech,coupled,vc,majority "
+    "--adversary identity,greedy --trials 50":
+        "830c6344febccb87a44159fad7a0d8151407148f169d6581ddc8ac2d171f6d14",
+    "--d 3 --bias 1/3": "b4eca42692dd02ef850bdb244c93b48635b1b2515edc51d4d5cd53eddaf912bf",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SWEEP_SHA256))
+def test_main_sweep_bytes_are_pinned(capsys, flags):
+    assert main(["sweep", *flags.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[flags]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "attack-eval"])
 def test_main_error_rows_from_infeasible_cells(capsys, command):
     # vc learner cannot run at eta = 1/4, d = 2: each row records the error,

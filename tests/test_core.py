@@ -820,12 +820,13 @@ def test_sampler_atom_frequencies_at_d_3(coords):
             assert abs(count - m * p) <= 4.5 * math.sqrt(m * p * (1 - p)), (coords, count, p)
 
 
-# every draw dtype, zero-width atoms, a threshold left out at R = 2^64 with
-# uint64 draws, and d = 12's 23 thresholds
+# every draw dtype, at R = 2^b (read off Philox's raw words) and at other R
+# (`Generator.integers`), zero-width atoms, a threshold left out at R = 2^64
+# with uint64 draws, and d = 12's 23 thresholds
 DRAW_EDGE_COORDS = [
     [Fraction(1, 4)], [Fraction(1, 2)], [0.1, Fraction(-2, 7), Fraction(1, 2)],
     [Fraction(1, 64), Fraction(1, 2)], [Fraction(1, 3 ** 41), Fraction(1, 2)],
-    [Fraction(1, 3)] * 12,
+    [Fraction(1, 3)] * 12, [Fraction(1, 2 ** 10)], [Fraction(1, 2 ** 20)],
 ]
 
 
@@ -844,6 +845,69 @@ def test_draws_are_one_integer_per_entry_in_row_major_order(coords):
         assert np.array_equal(points, atom >> 1)
         assert np.array_equal(labels, 1 - 2 * (atom & 1))
     assert gen.random() == ref.random()
+
+
+@st.composite
+def _dyadic_laws(draw):
+    """A bias vector at d = 1, 2 or 4 of coordinates p / 2^k, k up to 66, so
+    R is a power of two in every draw dtype, 2^64 included."""
+    d = draw(st.sampled_from([1, 2, 4]))
+    ks = draw(st.lists(st.integers(1, 66), min_size=d, max_size=d))
+    return [Fraction(draw(st.integers(-2 ** (k - 1), 2 ** (k - 1))), 2 ** k) for k in ks]
+
+
+def _dyadic_mismatch(coords, shapes, mid_buffer):
+    """The first way `_draw_integers` at `coords` strays from
+    `Generator.integers` on twin generators, each left mid-buffer first
+    (`_leave_mid_buffer(gen, *mid_buffer)`) or fresh: a draw of one of
+    `shapes`, or the draws that follow (`_draws`); None if none does."""
+    dist = ProductBiasDistribution(BiasVector(coords))
+    gen, ref = RandomSource(SEED, 49).generator(), RandomSource(SEED, 49).generator()
+    if mid_buffer is not None:
+        _leave_mid_buffer(gen, *mid_buffer)
+        _leave_mid_buffer(ref, *mid_buffer)
+    for shape in shapes:
+        got = core._draw_integers(dist, gen, shape)
+        want = ref.integers(0, dist._range, size=shape, dtype=dist._thresholds.dtype)
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            return f"the draw of shape {shape}"
+    return None if _draws(gen) == _draws(ref) else "the draws that follow"
+
+
+_SHAPES = st.lists(st.one_of(st.integers(1, 40), st.tuples(st.integers(1, 5), st.integers(1, 9))),
+                   min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dyadic_laws(), _SHAPES, st.none() | st.tuples(st.integers(0, 6), st.integers(0, 3)))
+@example([Fraction(1, 4)], [1, 2, 3, 5, (3, 3)], (1, 0))  # uint8, R = 8
+@example([Fraction(1, 2 ** 10)], [(2, 3), 7], (0, 1))  # uint16, R = 2^11
+@example([Fraction(1, 2 ** 20)], [1, 4, (1, 3)], (2, 2))  # uint32, R = 2^21
+@example([Fraction(1, 2 ** 40), Fraction(-1, 2)], [3, (2, 2)], (3, 0))  # uint64, R = 2^42
+@example([Fraction(1, 2 ** 64)], [1, 2], None)  # uint64, R = 2^64
+def test_dyadic_draws_are_the_integers_numpy_draws(coords, shapes, mid_buffer):
+    # at R = 2^b, odd and even numbers of entries and of 32-bit halves, on a
+    # generator with or without a spare half: the integers, and every draw
+    # after them, are those of `Generator.integers` on the installed numpy
+    dist = ProductBiasDistribution(BiasVector(coords))
+    assert dist._range & (dist._range - 1) == 0
+    assert _dyadic_mismatch(coords, shapes, mid_buffer) is None
+
+
+def test_a_dyadic_draw_that_drops_the_spare_half_is_caught(monkeypatch):
+    # the fault: numpy's spare 32-bit half left as it was before the draw,
+    # neither used up nor newly left
+    draw = core._draw_integers
+
+    def spare_not_restored(dist, gen, shape):
+        before = gen.bit_generator.state["has_uint32"]
+        out = draw(dist, gen, shape)
+        gen.bit_generator.state = {**gen.bit_generator.state, "has_uint32": before}
+        return out
+
+    monkeypatch.setattr(core, "_draw_integers", spare_not_restored)
+    assert _dyadic_mismatch([Fraction(1, 4)], [3], None) == "the draws that follow"
+    assert _dyadic_mismatch([Fraction(1, 2 ** 20)], [1, 2], (0, 0)) == "the draw of shape 2"
 
 
 def test_draws_reject_fewer_than_one_trial():
