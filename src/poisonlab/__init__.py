@@ -53,21 +53,23 @@ from .core import (
     restrict_dedupe,
     stable_stream_id,
 )
+from .exact import (
+    EquivalenceReport,
+    equivalence_check,
+    exact_F,
+    exhaustive_adversarial_loss,
+    exhaustive_clean_loss,
+    exhaustive_public_loss,
+)
 from .experiments import (
     ADVERSARY_IDS,
     LEARNER_IDS,
-    EquivalenceReport,
     ExcessEstimate,
     LowerBoundReport,
     SweepCell,
     SweepGrid,
     UpperBoundReport,
     curve_threshold,
-    equivalence_check,
-    exact_F,
-    exhaustive_adversarial_loss,
-    exhaustive_clean_loss,
-    exhaustive_public_loss,
     learning_curve_experiment,
     lower_bound_exact,
     lower_bound_experiment,

@@ -226,7 +226,7 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
 # `Learner.prediction_prob` takes, minus the generator. Given one `Sample` and
 # a point it returns a float; given a (trials, n) batch and one point, or a
 # (trials,) array of points, it returns one probability per row. The exact
-# evaluators pick their state space from the oracle (`experiments._engine`).
+# evaluators pick their state space from the oracle (the engine of `exact`).
 PredictionOracle = Callable[[Sample, "int | np.ndarray"], "float | np.ndarray"]
 
 

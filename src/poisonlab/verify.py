@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import adversaries, analysis, core, experiments, learners
+from . import adversaries, analysis, core, exact, experiments, learners
 from .core import (
     MINUS,
     PLUS,
@@ -400,11 +400,11 @@ def check_pointwise_f(rng: RandomSource):
     for n in (2, 3, 4, 5):
         for u in (BiasVector(c) for c in iproduct(grid[::2], grid[1::2])):
             for i in range(2):
-                worst = max(worst, abs(experiments.exact_F(wrapped, u, n, i)
-                                       - experiments.exact_F(full.prediction_prob, u, n, i)))
+                worst = max(worst, abs(exact.exact_F(wrapped, u, n, i)
+                                       - exact.exact_F(full.prediction_prob, u, n, i)))
     three = ExpMechanismLearner(HypothesisClass([[1, 1], [1, -1], [-1, -1]]), config)
-    moved = abs(experiments.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
-                - experiments.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
+    moved = abs(exact.exact_F(three.prediction_prob, BiasVector([eta, -eta]), 4, 0)
+                - exact.exact_F(three.prediction_prob, BiasVector([eta, eta]), 4, 0))
     # 0, both ends, two dyadic values and a float with denominator 2^55
     values = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 64), Fraction(-5, 128),
               Fraction(0.1))
@@ -414,10 +414,10 @@ def check_pointwise_f(rng: RandomSource):
         for learner_id, n in iproduct(("exp-mech", "coupled"), (5, 32)):
             p = experiments.make_learner(learner_id, hclass, eta, n, (0,) * d).prediction_prob
             for v in values:
-                at_0 = experiments.exact_F(p, BiasVector([v] + [0] * (d - 1)), n, 0)
+                at_0 = exact.exact_F(p, BiasVector([v] + [0] * (d - 1)), n, 0)
                 for i in range(1, d):
                     e_i = BiasVector([0] * i + [v] + [0] * (d - 1 - i))
-                    differ += experiments.exact_F(p, e_i, n, i) != at_0
+                    differ += exact.exact_F(p, e_i, n, i) != at_0
                     cases += 1
     ok = (full.count_law is not None and worst <= 1e-15 and three.count_law is None
           and moved > 1e-3 and differ == 0)
@@ -453,15 +453,15 @@ def check_oracle_agreement(rng: RandomSource):
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
     hclass = HypothesisClass.full(1)
     learner = ExpMechanismLearner(hclass, ExpMechanismConfig(eta))
-    exact = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 3)
+    risk = exact.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 3)
     adversary = adversaries.BruteForceAdversary(learner.prediction_prob,
                                                 adversaries.AttackBudget(eta), 1)
     est = experiments.mc_adversarial_loss(learner, adversary, dist, 3, eta, 4000,
                                           rng.child("agree"))
     half = est.ci_high - est.mean
     # 3 sigma ~ 1.53 * the 95% half-width
-    ok = abs(est.mean - exact) <= 1.6 * half + 1e-9
-    return ok, f"MC {est.mean:.5f} vs exact {exact:.5f} (95% half-width {half:.5f})"
+    ok = abs(est.mean - risk) <= 1.6 * half + 1e-9
+    return ok, f"MC {est.mean:.5f} vs exact {risk:.5f} (95% half-width {half:.5f})"
 
 
 def _criteria_cells():
@@ -480,7 +480,7 @@ def acceptance_equivalence(rng: RandomSource):
     worst = math.inf
     cells = 0
     for n, eta, u, learner in _criteria_cells():
-        report = experiments.equivalence_check(learner.prediction_prob, u, eta, n)
+        report = exact.equivalence_check(learner.prediction_prob, u, eta, n)
         worst = min(worst, report.slack)
         cells += 1
         if not report.holds:
@@ -494,8 +494,8 @@ def acceptance_public_domination(rng: RandomSource):
     cells = 0
     for n, eta, u, learner in _criteria_cells():
         dist = ProductBiasDistribution(BiasVector([u]))
-        pub = experiments.exhaustive_public_loss(learner.prediction_prob, dist, eta, n)
-        priv = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
+        pub = exact.exhaustive_public_loss(learner.prediction_prob, dist, eta, n)
+        priv = exact.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
         worst = max(worst, pub - priv)
         cells += 1
         if pub > priv + 1e-9:
@@ -507,9 +507,9 @@ def _exact_cell(p_oracle, u: Fraction, eta: Fraction, n: int) -> tuple[float, ..
     """One criteria cell's exact values: private, public, and the
     equivalence check's left, right and slack."""
     dist = ProductBiasDistribution(BiasVector([u]))
-    report = experiments.equivalence_check(p_oracle, u, eta, n)
-    return (experiments.exhaustive_adversarial_loss(p_oracle, dist, eta, n),
-            experiments.exhaustive_public_loss(p_oracle, dist, eta, n),
+    report = exact.equivalence_check(p_oracle, u, eta, n)
+    return (exact.exhaustive_adversarial_loss(p_oracle, dist, eta, n),
+            exact.exhaustive_public_loss(p_oracle, dist, eta, n),
             report.left_loss, report.right_restricted, report.slack)
 
 
@@ -535,8 +535,8 @@ def check_count_engine(rng: RandomSource):
         wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
         for n, coords, eta in iproduct(sizes, biases, (0, Fraction(1, 4), Fraction(1, 2))):
             dist = ProductBiasDistribution(BiasVector(coords[:d]))
-            count = experiments.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
-            table = experiments.exhaustive_adversarial_loss(wrapped, dist, eta, n)
+            count = exact.exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, n)
+            table = exact.exhaustive_adversarial_loss(wrapped, dist, eta, n)
             ulps = abs(count - table) / math.ulp(max(count, table))
             worst, differ, graded = max(worst, ulps), differ + (count != table), graded + 1
     return worst <= 2, (f"d=1: {cells} cells bit-identical (private, public, left, right, slack); "

@@ -28,9 +28,9 @@ from poisonlab.core import (
     bayes_loss,
     stable_stream_id,
 )
+from poisonlab.exact import exact_F, exhaustive_adversarial_loss
 from poisonlab.experiments import (
     Z95,
-    exhaustive_adversarial_loss,
     lower_bound_exact,
     lower_bound_experiment,
     make_adversary,
@@ -175,7 +175,7 @@ def _hard_law_excess(learner, eta: Fraction, n: int, scheme) -> float:
     values = hard.values()
     excesses, _ = experiments._excess_table(
         True, scheme, values, [[a] for a in range(len(values))], [1] * len(values),
-        lambda keys: [experiments.exact_F(learner.prediction_prob, BiasVector(v), n, i)
+        lambda keys: [exact_F(learner.prediction_prob, BiasVector(v), n, i)
                       for i, v in keys])
     return math.fsum(float(w) * e for w, e in zip(hard.weights(), excesses))
 

@@ -32,7 +32,8 @@ from poisonlab.core import (
     Sample,
     draw_sample_with,
 )
-from poisonlab.experiments import _excess_table, _f_variance, exact_F, make_learner
+from poisonlab.exact import exact_F
+from poisonlab.experiments import _excess_table, _f_variance, make_learner
 from poisonlab.learners import ExpMechanismConfig, ExpMechanismLearner
 from poisonlab.verify import _RowsOnly, _random_class
 

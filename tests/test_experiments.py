@@ -46,16 +46,18 @@ from poisonlab.core import (
     hamming_distance,
     stable_stream_id,
 )
-from poisonlab.experiments import (
-    ExcessEstimate,
-    SweepCell,
-    SweepGrid,
-    curve_threshold,
+from poisonlab.exact import (
     equivalence_check,
     exact_F,
     exhaustive_adversarial_loss,
     exhaustive_clean_loss,
     exhaustive_public_loss,
+)
+from poisonlab.experiments import (
+    ExcessEstimate,
+    SweepCell,
+    SweepGrid,
+    curve_threshold,
     learning_curve_experiment,
     lower_bound_exact,
     lower_bound_experiment,
@@ -511,8 +513,7 @@ def test_count_engine_enumeration_cap():
     # and n + 1 at d = 1; the cap is checked before any state is scored
     learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
-    assert 446 * 447 // 2 <= experiments._TABLE_CAP < 447 * 448 // 2
-    with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
+    with pytest.raises(EnumerationTooLargeError, match="^100128 count states exceed cap 100000$"):
         exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 4), 446)
     with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
         exact_F(learner.prediction_prob, dist.bias, 446, 0)
@@ -522,26 +523,27 @@ def test_count_engine_enumeration_cap():
 
 
 def test_only_bound_methods_of_per_point_learners_take_the_count_engine():
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
+    # 18 and 55 count states, against 2^17 and 4^9 sequences past the cap:
+    # only an oracle on count states returns a risk
     eta = Fraction(1, 8)
     full = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(eta))
     coupled = make_learner("coupled", HypothesisClass.full(2), eta, 2, (0, 0))
     three = ExpMechanismLearner(HypothesisClass([[PLUS, PLUS], [PLUS, MINUS], [MINUS, MINUS]]),
                                 ExpMechanismConfig(eta))
     brute = make_adversary("brute-force", eta, full, 2)
-    for oracle, counted in ((full.prediction_prob, True), (brute.predictor, True),
-                            (coupled.prediction_prob, True),
-                            (lambda s, x: full.prediction_prob(s, x), False),
-                            (three.prediction_prob, False)):
-        assert experiments._engine(oracle, dist.dimension, 2).per_row != counted
-    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 5), 1))
-    one = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
-    assert experiments._engine(vc.mean_prediction_prob, one.dimension, 5).per_row
+    vc = VcSubsampleLearner(HypothesisClass.full(2), VcLearnerConfig(Fraction(1, 16), 2))
     # majority's count hook draws coins: the exact engine keeps to count laws
     majority = MajorityVoteLearner(4)
     assert majority.count_law is None
-    for space in (one, dist):
-        assert experiments._engine(majority.prediction_prob, space.dimension, 4).per_row
+    for d, n, sequences in ((1, 17, 131072), (2, 9, 262144)):
+        dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)][:d]))
+        for oracle in (full.prediction_prob, brute.predictor, coupled.prediction_prob):
+            assert 0 < exhaustive_clean_loss(oracle, dist, n) < 1
+        for oracle in (lambda s, x: full.prediction_prob(s, x), three.prediction_prob,
+                       vc.mean_prediction_prob, majority.prediction_prob):
+            with pytest.raises(EnumerationTooLargeError,
+                               match=f"^{sequences} samples exceed cap 100000$"):
+                exhaustive_clean_loss(oracle, dist, n)
 
 
 def _scrambled(a, b, n):
@@ -609,166 +611,6 @@ def test_count_engine_matches_an_exact_rational_sum_past_the_table_cap(d, n, coo
     assert abs(f) > 0.01 and 0.3 < clean < 0.5
 
 
-@pytest.mark.parametrize("single", [True, False])
-def test_count_state_multiplicities_are_the_binomial_products(single):
-    # the running products against math.comb: every state up to n = 24,
-    # then spot states of the d = 1 space at n = 4096 and the d >= 2 one at
-    # the cap, n = 445
-    for n in range(25):
-        space = experiments._space(n, 1 if single else 2, False)
-        (a, b, _), mults = space.cells, space.mults
-        assert list(mults) == [math.comb(n, i) * math.comb(n - i, j)
-                               for i, j in zip(a.tolist(), b.tolist())]
-    n = 4096 if single else 445
-    space = experiments._space(n, 1 if single else 2, False)
-    (a, b, _), mults = space.cells, space.mults
-    spots = np.random.default_rng(SEED + 14).integers(0, len(mults), size=40).tolist()
-    for s in spots + [0, 1, len(mults) // 2, len(mults) - 2, len(mults) - 1]:
-        i, j = int(a[s]), int(b[s])
-        assert mults[s] == math.comb(n, i) * math.comb(n - i, j), (n, i, j)
-
-
-def test_count_weights_are_built_once_per_point():
-    # an exact cell's risks and F read q = p+, p- and 1 at each point; the
-    # weights depend on the point alone, so d = 2 builds two tables, and
-    # both read the one state space of n
-    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 16)))
-    u = BiasVector([Fraction(5, 32), Fraction(-7, 32)])
-    dist = ProductBiasDistribution(u)
-    experiments._space.cache_clear()
-    experiments._weights.cache_clear()
-    experiments._coefficients.cache_clear()
-    exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 16), 20)
-    exhaustive_clean_loss(learner.prediction_prob, dist, 20)
-    exact_F(learner.prediction_prob, u, 20, 1)
-    assert experiments._coefficients.cache_info().misses == 2 * 2 + 1
-    assert experiments._weights.cache_info().misses == 2
-    assert experiments._space.cache_info().misses == 1
-    # point 0's atoms are the same beside any other coordinate, though the
-    # atoms' common denominator moves from 128 to 384: F at point 0 builds
-    # its coefficients once
-    exact_F(learner.prediction_prob, u, 20, 0)
-    exact_F(learner.prediction_prob, BiasVector([Fraction(5, 32), Fraction(1, 3)]), 20, 0)
-    assert experiments._coefficients.cache_info().misses == 2 * 2 + 2
-
-
-def test_multiplicities_are_built_once_per_state_space(monkeypatch):
-    # a second and third bias at one n, on a table kept for every bias and a
-    # fresh sequence table alike, build no multiplicity and no state space:
-    # the count table and every bias's weights read the ones built with the
-    # states
-    rows = []
-    binomial_row = experiments._binomial_row
-    monkeypatch.setattr(experiments, "_binomial_row",
-                        lambda m, *first: rows.append(m) or binomial_row(m, *first))
-    experiments._space.cache_clear()
-    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
-    wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
-    for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.1, Fraction(1, 2)],
-                   [Fraction(1, 3 ** 40), Fraction(-1, 3)]):
-        dist = ProductBiasDistribution(BiasVector(coords))
-        exhaustive_adversarial_loss(learner.prediction_prob, dist, Fraction(1, 8), 13)
-        exact_F(learner.prediction_prob, dist.bias, 13, 0)
-        exhaustive_clean_loss(wrapped, dist, 3)
-        assert rows == [13] + list(range(13, -1, -1))  # C(13, a), then C(13 - a, b) per a
-        assert experiments._space.cache_info().misses == 2  # count states at 13, sequences at 3
-    table = experiments._engine(learner.prediction_prob, 2, 13)
-    nums, den = _integer_atoms(dist)
-    assert table.weights(nums, den, 0, 1, 1)[3] is experiments._space(13, 2, False).mults
-
-
-def _integer_atoms(dist: ProductBiasDistribution) -> tuple[list[int], int]:
-    """The atom probabilities of `dist` as numerators over their least
-    common denominator, and it: the integers the exact engine weighs."""
-    den = math.lcm(*(p.denominator for _, p in dist.atoms()))
-    return [int(p * den) for _, p in dist.atoms()], den
-
-
-def _state_weights_reference(probs: dict, d: int, n: int, x: int,
-                             per_row: bool) -> list[tuple[Fraction, int]]:
-    """Each state's exact weight of one sequence, a product of `Fraction`s,
-    and its number of sequences, in the table's state order: per row, every
-    sequence over `probs`' atoms in row-major order, one sequence each; else
-    the count states (a, b, r) of point x, a then b ascending, n! / (a! b!
-    r!) sequences each."""
-    if per_row:
-        atoms = list(probs.values())
-        return [(math.prod(q_a ** seq.count(a) for a, q_a in enumerate(atoms)), 1)
-                for seq in product(range(len(atoms)), repeat=n)]
-    plus, minus = probs[(x, PLUS)], probs[(x, MINUS)]
-    return [(plus ** a * minus ** b * (1 - plus - minus) ** (n - a - b),
-             math.comb(n, a) * math.comb(n - a, b))
-            for a in range(n + 1) for b in (range(n + 1 - a) if d > 1 else (n - a,))]
-
-
-@settings(max_examples=25, deadline=None)
-@given(d=st.sampled_from([1, 2, 3]),
-       coords=st.lists(st.sampled_from([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 2),
-                                        Fraction(-1, 2), Fraction(0), 0.1, -0.3,
-                                        Fraction(1, 3 ** 40), Fraction(1, 2) - Fraction(1, 3 ** 40),
-                                        Fraction(5, 11)]),
-                       min_size=3, max_size=3))
-@example(d=2, coords=[0.1, Fraction(1, 3 ** 40), 0])
-@example(d=2, coords=[Fraction(1, 2), 0, 0])  # count states with b > 0 at point 0 weigh 0
-@example(d=1, coords=[Fraction(3, 32), 0, 0])
-@example(d=2, coords=[Fraction(3, 32), 0, 0])
-@example(d=3, coords=[0.1, Fraction(-1, 8), Fraction(1, 4)])
-@pytest.mark.parametrize("per_row", [False, True])
-def test_coefficients_are_the_floats_of_exact_fraction_weights(per_row, d, coords):
-    # on either layout the integer power products over one denominator give
-    # every live state the float of its exact Fraction weight, at q = 1 and
-    # at every atom's q, and its number of sequences; a count state holds
-    # many, so that layout is checked at larger n
-    n = (7, 4, 3)[d - 1] if per_row else (40, 12, 9)[d - 1]
-    dist = ProductBiasDistribution(BiasVector(coords[:d]))
-    learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(Fraction(1, 8)))
-    oracle = (lambda s, x: np.full(len(s.codes), 0.5)) if per_row else learner.prediction_prob
-    table = experiments._engine(oracle, d, n)
-    probs = dict(dist.atoms())
-    nums, den = _integer_atoms(dist)
-    for (x, _), q in [((0, PLUS), Fraction(1)), *probs.items()]:
-        index, coef, shift, mults = table.weights(nums, den, x, q.numerator, q.denominator)
-        live = index[0] if per_row else index
-        assert not per_row or index[1] == x
-        states = _state_weights_reference(probs, d, n, x, per_row)
-        want = [(s, float(w * q), m) for s, (w, m) in enumerate(states) if w]
-        assert len(live) == len(coef) == len(shift) == len(mults) == len(want)
-        assert list(zip(live.tolist(), np.ldexp(coef, -shift).tolist(), mults)) == want
-        assert not q or all(Fraction(1, 2) <= states[s][0] * q * 2 ** k < 2
-                            for s, k in zip(live.tolist(), shift.tolist()))
-
-
-def test_a_sequence_space_and_its_weights_are_built_once_per_size_and_dimension(monkeypatch):
-    # the sequences, their classes and their weights read n and d alone: a
-    # second oracle at the same size and bias builds none of them, and every
-    # test atom reads the one weight set of all 2d atoms. The space's batch
-    # is the one Sample built, validated once: row s is the s-th atom
-    # sequence in row-major order, and no call decodes or checks it again
-    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), 0.1]))
-    oracles = [lambda s, x: learner.prediction_prob(s, x), lambda s, x: np.full(len(s.codes), 0.5),
-               BayesLearner(dist.bias.coords).prediction_prob]
-    for cache in (experiments._space, experiments._weights, experiments._coefficients):
-        cache.cache_clear()
-    built = []
-    init = Sample.__init__
-    monkeypatch.setattr(Sample, "__init__", lambda self, *args: built.append(1) or init(self, *args))
-    tables = []
-    for oracle in oracles:
-        tables.append(experiments._engine(oracle, 2, 4))
-        exhaustive_adversarial_loss(oracle, dist, Fraction(1, 4), 4)
-        exhaustive_clean_loss(oracle, dist, 4)
-        assert experiments._space.cache_info().misses == 1
-        assert experiments._weights.cache_info().misses == 1
-        assert experiments._coefficients.cache_info().misses == 4  # one per test atom
-        assert len(built) == 1
-    assert len({id(t) for t in tables}) == 3 and tables[0].p.shape == (4 ** 4, 2)
-    batch = experiments._space(4, 2, True).batch
-    atoms = [(x, y) for x in range(2) for y in (PLUS, MINUS)]
-    assert [list(zip(p, y)) for p, y in zip(batch.points.tolist(), batch.labels.tolist())] == [
-        [atoms[code] for code in seq] for seq in product(range(4), repeat=4)]
-
-
 @pytest.mark.parametrize("x", [-1, 2])
 def test_exact_f_rejects_a_point_outside_the_domain(x):
     # on the count engine (a bound method with a law) and on the sequence
@@ -780,19 +622,18 @@ def test_exact_f_rejects_a_point_outside_the_domain(x):
             exact_F(oracle, u, 3, x)
 
 
-class _CountingRule(CountLawLearner):
-    """A count law, counting its `count_law` calls."""
-
-    calls = 0
-
-    def count_law(self, a, b, n):
-        self.calls += 1
-        return super().count_law(a, b, n)
+def _counting_rule() -> tuple[CountLawLearner, list[int]]:
+    """The scrambled law, and a list of the number of states of each call."""
+    sizes = []
+    law = lambda a, b, n: sizes.append(len(a)) or _scrambled(a, b, n)  # noqa: E731
+    return CountLawLearner("scrambled", law), sizes
 
 
 def test_count_table_is_scored_once_per_learner_dimension_and_size():
-    # every exact evaluator at every bias reads one table per (learner, d, n)
-    one = _CountingRule("scrambled", _scrambled)
+    # every exact evaluator at every bias reads one table per (learner, n,
+    # d = 1 or d >= 2), whichever bound method object it is handed, and
+    # scores it by one law call over its count states
+    one, one_sizes = _counting_rule()
     for u in (Fraction(1, 4), Fraction(-3, 10), Fraction(0), 0.1):
         dist = ProductBiasDistribution(BiasVector([u]))
         equivalence_check(one.prediction_prob, u, Fraction(1, 4), 6)
@@ -800,57 +641,79 @@ def test_count_table_is_scored_once_per_learner_dimension_and_size():
         exhaustive_public_loss(one.prediction_prob, dist, Fraction(1, 2), 6)
         exhaustive_clean_loss(one.prediction_prob, dist, 6)
         exact_F(one.prediction_prob, dist.bias, 6, 0)
-    assert one.calls == 1
-    two = _CountingRule("scrambled", _scrambled)
+    assert one_sizes == [7]
+    two, two_sizes = _counting_rule()
     for coords in ([Fraction(1, 4), Fraction(-1, 8)], [0.3, Fraction(1, 2)]):
         dist = ProductBiasDistribution(BiasVector(coords))
         exhaustive_adversarial_loss(two.prediction_prob, dist, Fraction(1, 4), 5)
         exhaustive_clean_loss(two.prediction_prob, dist, 5)
         exact_F(two.prediction_prob, dist.bias, 5, 1)
-    assert two.calls == 1
+    assert two_sizes == [21]
     # another n, another table
     exhaustive_clean_loss(two.prediction_prob, dist, 4)
-    assert two.calls == 2
-    # the count states of every d >= 2 are the same: a law on three points
-    # read at d = 2 and at d = 3 scores one table
-    three = _CountingRule("scrambled", _scrambled)
-    tables = {experiments._engine(three.prediction_prob, d, 6) for d in (2, 3, 3, 2)}
-    assert len(tables) == 1 and three.calls == 1
+    assert two_sizes == [21, 15]
+    # the count states of every d >= 2 are the same: a law read at d = 2
+    # and d = 3 scores one table, and at d = 1 one of its own
+    three, three_sizes = _counting_rule()
+    for d in (2, 3, 3, 2, 1, 1):
+        exhaustive_clean_loss(three.prediction_prob,
+                              ProductBiasDistribution(BiasVector([Fraction(1, 4)] * d)), 3)
+    assert three_sizes == [10, 4]
 
 
 def test_count_tables_are_not_shared_across_learners_sizes_or_dimensions():
+    # two learner objects of the same law, each read at two sizes: four
+    # tables, each scored once however often it is read
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
-    learners = [ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta))
-                for eta in (Fraction(1, 4), Fraction(1, 16))]
-    tables = {(i, n): experiments._engine(learner.prediction_prob, 1, n)
-              for i, learner in enumerate(learners) for n in (4, 5)}
-    assert len({id(t) for t in tables.values()}) == 4
-    # another bound method object of the same learner reads the same table
-    assert experiments._engine(learners[0].prediction_prob, 1, 4) is tables[0, 4]
-    for (i, n), table in tables.items():
-        fresh = experiments._count_table.__wrapped__(learners[i], 1, n)
-        assert np.array_equal(table.p, fresh.p) and table.p.shape == (n + 1,)
-    assert not np.array_equal(tables[0, 4].p, tables[1, 4].p)
-    # one scrambled rule read at d = 1 and d = 2: two tables of their own dimension
-    flat = experiments._engine(_SCRAMBLED.prediction_prob, 1, 3)
-    wide = experiments._engine(_SCRAMBLED.prediction_prob, 2, 3)
-    assert flat is not wide and flat.p.shape == (4,) and wide.p.shape == (10,)
+    rules = [_counting_rule() for _ in range(2)]
+    for _ in range(2):
+        for rule, _ in rules:
+            for n in (4, 5):
+                exhaustive_clean_loss(rule.prediction_prob, dist, n)
+    assert [sizes for _, sizes in rules] == [[5, 6], [5, 6]]
+    # learners of other laws read tables of their own, not a shared one
+    losses = {exhaustive_clean_loss(
+        ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(eta)).prediction_prob,
+        dist, 4) for eta in (Fraction(1, 4), Fraction(1, 16))}
+    assert len(losses) == 2
+    # one rule read at d = 1 and d = 2: two tables of their own dimension
+    flat, flat_sizes = _counting_rule()
+    for d in (1, 2, 1, 2):
+        exhaustive_clean_loss(flat.prediction_prob,
+                              ProductBiasDistribution(BiasVector([Fraction(1, 4)] * d)), 3)
+    assert flat_sizes == [4, 10]
 
 
 def test_five_count_tables_read_in_turn_are_each_built_once():
     # an exact-ball benchmark pass reads 5 tables in turn (n = 2 and 4 at
     # two budgets, n = 8 at one); repeated in one process, every one is kept
-    rules = [_CountingRule("scrambled", _scrambled) for _ in range(5)]
+    rules = [_counting_rule() for _ in range(5)]
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
     for _ in range(3):
-        for rule, n in zip(rules, (2, 2, 4, 4, 8)):
+        for (rule, _), n in zip(rules, (2, 2, 4, 4, 8)):
             exhaustive_adversarial_loss(rule.prediction_prob, dist, Fraction(1, 4), n)
-    assert [rule.calls for rule in rules] == [1] * 5
+    assert [len(sizes) for _, sizes in rules] == [1] * 5
+
+
+def test_a_count_table_over_the_cap_raises_on_every_call():
+    # a table over the cap raises before its law is read, on every call,
+    # and is never kept: the 8 most recent tables are not pushed out by it
+    rules = [_counting_rule() for _ in range(8)]
+    wide, wide_sizes = _counting_rule()
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 8)]))
+    pair = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
+    for _ in range(3):
+        for (rule, _), n in zip(rules, (2, 2, 4, 4, 8, 3, 5, 6)):
+            exhaustive_adversarial_loss(rule.prediction_prob, dist, Fraction(1, 4), n)
+        with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
+            exhaustive_clean_loss(wide.prediction_prob, pair, 446)
+    assert [len(sizes) for _, sizes in rules] == [1] * 8 and wide_sizes == []
 
 
 def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
     # the full class's law reads each state's counts and makes no pass of
-    # the class scorer, whatever its budget
+    # the class scorer, whatever its budget: 55 count states at n = 9, where
+    # 6^9 sequences are past the cap
     passes = []
 
     def recorded(hclass, histograms, config):
@@ -860,57 +723,9 @@ def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
     monkeypatch.setattr("poisonlab.learners._softmax", recorded)
     monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 63)
     full = ExpMechanismLearner(HypothesisClass.full(3), ExpMechanismConfig(Fraction(1, 8)))
-    assert experiments._count_table(full, 3, 9).p.shape == (55,)
+    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0), Fraction(-1, 8)]))
+    assert 0 < exhaustive_clean_loss(full.prediction_prob, dist, 9) < 1
     assert passes == []
-
-
-@pytest.mark.parametrize("d", range(1, 5))
-def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
-    # the law on the count states' cells against `batch_prediction_probs` on
-    # histograms of the same states at each x, the r = n - a - b other rows
-    # all at (x + 1, +1) or all at (x - 1, -1): the same floats to the bit
-    for eta in (Fraction(1, 64), Fraction(1, 4), 0.37):
-        learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
-        for n in (1, 7, 40):
-            a, b, _ = experiments._space(n, min(d, 2), False).cells
-            law = learner.count_law(a, b, n)
-            for x in range(d):
-                for point, column in (((x + 1) % d, 0), ((x - 1) % d, 1)):
-                    hist = np.zeros((len(a), d, 2), dtype=np.int64)
-                    hist[:, x, 0], hist[:, x, 1] = a, b
-                    hist[:, point, column] += n - a - b  # none at d = 1
-                    assert learner.batch_prediction_probs(hist, x).tobytes() == law.tobytes()
-
-
-@pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
-def test_ball_maxima_of_any_radius_order_match_a_fresh_table(d, n):
-    # a radius is built from the largest kept radius below it, and at most
-    # _RADII are kept; every order gives the fresh table's arrays to the bit
-    rule = _SCRAMBLED
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(-1, 8)][:d]))
-    wrapped = lambda s, x: rule.prediction_prob(s, x)  # noqa: E731
-    for build in (lambda: experiments._count_table.__wrapped__(rule, d, n),
-                  lambda: experiments._engine(wrapped, d, n)):
-        table = build()
-        for k in (2, 0, 1, 5, 3, 4, 2, 0):
-            fresh = build()
-            assert table.risk(dist.bias.coords, k) == fresh.risk(dist.bias.coords, k), k
-            for y in (PLUS, MINUS):
-                assert np.array_equal(table.ball_maxima(k)[y], fresh.ball_maxima(k)[y])
-            assert len(table.maxima) <= experiments._RADII
-        assert list(table.maxima) == [5, 3, 4, 2, 0][-experiments._RADII:]
-
-
-def test_a_count_table_over_the_cap_raises_on_every_call():
-    # lru_cache keeps no exception, so nothing over the cap is ever kept
-    learner = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 4)))
-    dist = ProductBiasDistribution(BiasVector([Fraction(1, 4), Fraction(0)]))
-    before = experiments._count_table.cache_info()
-    for _ in range(3):
-        with pytest.raises(EnumerationTooLargeError, match="100128 count states"):
-            exhaustive_clean_loss(learner.prediction_prob, dist, 446)
-    after = experiments._count_table.cache_info()
-    assert (after.misses - before.misses, after.currsize) == (3, before.currsize)
 
 
 class _ClassScoredRule(ExpMechanismLearner):
@@ -952,7 +767,9 @@ def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
         assert exhaustive_public_loss(tiny.prediction_prob, dist, Fraction(1, 4096), n) == private
         assert exhaustive_clean_loss(tiny.prediction_prob, dist, n) == private
         assert 0 < private < 1e-3
-        assert experiments._engine(tiny.prediction_prob, 2, n).p.max() == 1.0
+        # the law at every count state (a, b) of n rows at point 0
+        a, b = np.array([(a, b) for a in range(n + 1) for b in range(n + 1 - a)]).T
+        assert tiny.count_law(a, b, n).max() == 1.0
 
 
 class _NanCountRule(CountLawLearner):
@@ -1257,11 +1074,9 @@ def test_sequence_table_scores_its_subnormal_terms_as_the_count_engine_does():
     learner = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 4)))
     wrapped = lambda s, x: learner.prediction_prob(s, x)  # noqa: E731
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 2) - Fraction(1, 3 ** 80)]))
-    nums, den = _integer_atoms(dist)
     [_, (_, q)] = dist.atoms()
-    _, _, shift, _ = experiments._engine(wrapped, 1, 8).weights(
-        nums, den, 0, q.numerator, q.denominator)
-    assert shift.max() > 1022
+    # eight (0, -1) rows at the (0, -1) test atom
+    assert q ** 9 < Fraction(1, 2 ** 1022)
     for eta in (0, Fraction(1, 4)):
         table = exhaustive_adversarial_loss(wrapped, dist, eta, 8)
         assert table == exhaustive_adversarial_loss(learner.prediction_prob, dist, eta, 8)
@@ -2282,9 +2097,9 @@ def test_exact_values_are_frozen_over_both_layouts():
 @pytest.mark.parametrize("counted", [True, False])
 def test_exact_entry_points_reject_bad_biases_budgets_and_points(counted):
     # on the count table and on the sequence table alike: a bias outside
-    # [-1/2, 1/2], NaN or inf, a negative, NaN or infinite budget, and a point
-    # or distribution outside the domain, and a sample size below 1, each
-    # with its own error
+    # [-1/2, 1/2], NaN or inf, a negative, NaN or infinite budget, a point or
+    # distribution outside the domain, and a sample size below 1 or a size or
+    # point that is not an integer, each with its own error
     one = ExpMechanismLearner(HypothesisClass.full(1), ExpMechanismConfig(Fraction(1, 8)))
     oracle = one.prediction_prob if counted else lambda s, x: one.prediction_prob(s, x)
     dist = ProductBiasDistribution(BiasVector([Fraction(1, 4)]))
@@ -2309,14 +2124,23 @@ def test_exact_entry_points_reject_bad_biases_budgets_and_points(counted):
                      lambda: exhaustive_public_loss(oracle, dist, eta, 4)):
             with pytest.raises(ValueError, match=f"^{why}$"):
                 call()
-    for n in (0, -1):
-        for call in (lambda: exact_F(oracle, dist.bias, n, 0),
-                     lambda: equivalence_check(oracle, quarter, eighth, n),
-                     lambda: exhaustive_adversarial_loss(oracle, dist, eighth, n),
-                     lambda: exhaustive_public_loss(oracle, dist, eighth, n),
-                     lambda: exhaustive_clean_loss(oracle, dist, n)):
+    sized = (lambda n: exact_F(oracle, dist.bias, n, 0),
+             lambda n: equivalence_check(oracle, quarter, eighth, n),
+             lambda n: exhaustive_adversarial_loss(oracle, dist, eighth, n),
+             lambda n: exhaustive_public_loss(oracle, dist, eighth, n),
+             lambda n: exhaustive_clean_loss(oracle, dist, n))
+    for call in sized:
+        for n in (0, -1):
             with pytest.raises(ValueError, match="^n must be >= 1$"):
-                call()
+                call(n)
+        # a size or a point that is not an integer is one error on either
+        # layout; a numpy integer gives what the int gives
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            call(4.0)
+        assert call(np.int64(4)) == call(4)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        exact_F(oracle, dist.bias, 4, 0.5)
+    assert exact_F(oracle, dist.bias, 4, np.int64(0)) == exact_F(oracle, dist.bias, 4, 0)
     for x in (-1, 1):
         with pytest.raises(DomainMismatchError, match=f"^point {x} outside domain of size 1$"):
             exact_F(oracle, dist.bias, 4, x)

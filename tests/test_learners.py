@@ -461,6 +461,26 @@ def test_count_law_matches_the_class_scorer_past_d1(d):
             assert np.array_equal(learner.batch_prediction_probs(hists, xs), got)
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_count_law_on_the_count_states_is_the_histogram_score_at_every_point(d):
+    # the law at every count state (a, b) of n rows at x, a + b = n when x is
+    # the whole domain, against `batch_prediction_probs` on histograms of the
+    # same states at each x, the r = n - a - b other rows all at (x + 1, +1)
+    # or all at (x - 1, -1): the same floats to the bit
+    for eta in (Fraction(1, 64), Fraction(1, 4), 0.37):
+        learner = ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
+        for n in (1, 7, 40):
+            a, b = np.array([(a, b) for a in range(n + 1)
+                             for b in (range(n + 1 - a) if d > 1 else (n - a,))]).T
+            law = learner.count_law(a, b, n)
+            for x in range(d):
+                for point, column in (((x + 1) % d, 0), ((x - 1) % d, 1)):
+                    hist = np.zeros((len(a), d, 2), dtype=np.int64)
+                    hist[:, x, 0], hist[:, x, 1] = a, b
+                    hist[:, point, column] += n - a - b  # none at d = 1
+                    assert learner.batch_prediction_probs(hist, x).tobytes() == law.tobytes()
+
+
 def test_count_law_never_scores_above_1():
     # the class scorer adds the +1 half of four weights, one ulp above their
     # total here, and clips the sum at 1; the closed form divides one weight
