@@ -247,13 +247,17 @@ class HypothesisClass:
         v = _signs(v, ValueError, "hypothesis values")
         # the stored table is read-only, so a caller's own int8 array is copied first
         v, = _read_only(v.copy() if v is rows else v)
-        seen = set()
-        for row in v:
-            k = row.tobytes()
-            if k in seen:
-                raise ValueError("duplicate hypothesis in class")
-            seen.add(k)
+        if len({row.tobytes() for row in v}) < len(v):
+            raise ValueError("duplicate hypothesis in class")
         self.values = v
+
+    @classmethod
+    def _valid(cls, values: np.ndarray) -> "HypothesisClass":
+        """A class of an int8 table known to hold distinct -1/+1 rows, made
+        read-only; nothing is checked."""
+        out = cls.__new__(cls)
+        out.values, = _read_only(values)
+        return out
 
     @classmethod
     def full(cls, domain_size: int) -> "HypothesisClass":
@@ -284,20 +288,17 @@ class HypothesisClass:
 
 def restrict_dedupe(hclass: HypothesisClass, points: Sequence[int]) -> HypothesisClass:
     """The class deduplicated by its behavior on `points`: the first row of
-    each distinct labeling of the points, in row order."""
+    each distinct labeling of the points, in row order. The rows of a class
+    are valid already, so they are not checked again."""
     pts = tuple(points)
     if not pts:
         raise ValueError("restriction needs at least one point")
     if min(pts) < 0 or max(pts) >= hclass.domain_size:
         raise DomainMismatchError("restriction points outside the class domain")
-    seen: set[bytes] = set()
-    rows: list[int] = []
+    first: dict[bytes, int] = {}
     for j, labeling in enumerate(hclass.values[:, pts]):
-        key = labeling.tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(j)
-    return HypothesisClass(hclass.values[rows])
+        first.setdefault(labeling.tobytes(), j)
+    return HypothesisClass._valid(hclass.values[list(first.values())])
 
 
 def exact_fraction(value: Scalar) -> Fraction:

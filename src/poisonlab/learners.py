@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class ExpMechanismConfig:
 SCORE_BUDGET = 2 ** 20
 
 
-def _checked_histograms(hclass: HypothesisClass,
+def _checked_histograms(domain_size: int,
                         histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A batch of histograms as int64 counts, and each sample's row count
     (trials,). `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows
@@ -87,9 +87,9 @@ def _checked_histograms(hclass: HypothesisClass,
             or not np.issubdtype(histograms.dtype, np.integer)):
         raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
     d = histograms.shape[1]
-    if d > hclass.domain_size:
+    if d > domain_size:
         raise DomainMismatchError(
-            f"histograms over {d} points exceed the class domain {hclass.domain_size}")
+            f"histograms over {d} points exceed the class domain {domain_size}")
     hist = histograms.astype(np.int64, copy=False)
     n = np.einsum("tij->t", hist)  # sum(axis=(1, 2)), which is slow over so few counts
     if n.size and (n.min() < 1 or hist.min() < 0):
@@ -97,54 +97,72 @@ def _checked_histograms(hclass: HypothesisClass,
     return hist, n
 
 
-def _loss_counts(hclass: HypothesisClass, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disagreement counts (m, trials) of every hypothesis with every sample
-    of a batch (`_checked_histograms`), and each sample's row count. A
-    hypothesis disagrees with the (i, -1) rows where it reads +1 and with the
-    (i, +1) rows where it reads -1."""
-    hist, n = _checked_histograms(hclass, histograms)
+class _PerSample(NamedTuple):
+    """One class per sample, as the subsample rule scores its restrictions:
+    (samples, m, N) tables padded with rows of zeros, and (samples,) temperatures."""
+    values: np.ndarray
+    t: np.ndarray
+
+
+def _loss_counts(values: np.ndarray, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disagreement counts (m, trials) of every row of a class table (m, N), or
+    of each sample's own (trials, m, N), with every sample of a batch
+    (`_checked_histograms`), and each sample's row count. A hypothesis
+    disagrees with the (i, -1) rows where it reads +1 and with the (i, +1)
+    rows where it reads -1."""
+    hist, n = _checked_histograms(values.shape[-1], histograms)
     d = hist.shape[1]
-    plus_votes = (hclass.values[:, :d] == PLUS).astype(np.int64)  # (m, d)
-    counts = plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T
-    return counts, n
+    plus_votes = (values[..., :d] == PLUS).astype(np.int64)  # (m, d) or (trials, m, d)
+    if plus_votes.ndim == 3:  # (trials, m, 1) counts, taken to (m, trials)
+        return (plus_votes @ hist[:, :, 1:] + (1 - plus_votes) @ hist[:, :, :1])[:, :, 0].T, n
+    return plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T, n
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
     """Column sums of an (m, trials) array, each adding the rows one at a time
-    in row order. numpy reduces several columns so, but adds a lone column
-    pairwise from 8 rows on, so one column takes a cumulative sum instead."""
-    return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else a.sum(axis=0)
+    in row order. numpy reduces the columns of a C-contiguous array so, but
+    adds a lone column, or a column of an F-ordered array, pairwise from 8
+    rows on: one column takes a cumulative sum instead, and any other array
+    is read in C order."""
+    return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else np.ascontiguousarray(a).sum(axis=0)
 
 
-def _softmax(hclass: HypothesisClass, histograms: np.ndarray,
-             config: ExpMechanismConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _softmax(hclass: HypothesisClass | _PerSample, histograms: np.ndarray,
+             config: ExpMechanismConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mechanism on every sample of a batch given as histograms: the
     scores -t * loss shifted by their maximum, (m, trials), their
     exponentials, and each sample's total weight. The max shift keeps the
     weights finite for any temperature. A total adds the class's rows in row
     order (`_sum_rows`), so a sample's numbers do not depend on the batch it
-    is scored in."""
-    counts, n = _loss_counts(hclass, histograms)
-    scores = (-config.temperature(hclass.size) / n) * counts.astype(np.float64)
+    is scored in. One class per sample (`_PerSample`) reads its own
+    temperature; its padding rows score -inf, so they weigh exactly 0."""
+    per_sample = isinstance(hclass, _PerSample)
+    counts, n = _loss_counts(hclass.values, histograms)
+    t = hclass.t if per_sample else config.temperature(hclass.size)
+    scores = (-t / n) * counts.astype(np.float64)
+    if per_sample:
+        scores[hclass.values[:, :, 0].T == 0] = -np.inf
     shifted = scores - scores.max(axis=0, keepdims=True)
     w = np.exp(shifted)
     return shifted, w, _sum_rows(w)
 
 
-def _softmax_passes(hclass: HypothesisClass, histograms: np.ndarray, config: ExpMechanismConfig
+def _softmax_passes(hclass: HypothesisClass | _PerSample, histograms: np.ndarray,
+                    config: ExpMechanismConfig | None
                     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """`_softmax` of a batch in passes of at most SCORE_BUDGET // class size
     samples, each with the slice of the batch it scored (one empty pass for
     an empty batch). Each sample's numbers are its own column (`_sum_rows`),
     so the passes give the values of one pass to the bit."""
-    step = max(1, SCORE_BUDGET // hclass.size)
+    step = max(1, SCORE_BUDGET // hclass.values.shape[-2])
     for lo in range(0, max(len(histograms), 1), step):
         rows = slice(lo, lo + step)
-        yield (rows, *_softmax(hclass, histograms[rows], config))
+        part = _PerSample(*(a[rows] for a in hclass)) if isinstance(hclass, _PerSample) else hclass
+        yield (rows, *_softmax(part, histograms[rows], config))
 
 
-def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
-                 config: ExpMechanismConfig) -> np.ndarray:
+def _class_probs(hclass: HypothesisClass | _PerSample, histograms: np.ndarray, x,
+                 config: ExpMechanismConfig | None) -> np.ndarray:
     """The class scorer: the mechanism's +1 probability at x (one point, or
     an array of one point per sample), summing the selection probabilities
     of the hypotheses reading +1 there, pass by pass (`_softmax_passes`).
@@ -154,7 +172,10 @@ def _class_probs(hclass: HypothesisClass, histograms: np.ndarray, x,
     per_trial = isinstance(x, np.ndarray)
     parts = []
     for rows, _, w, total in _softmax_passes(hclass, histograms, config):
-        plus = hclass.values[:, x[rows] if per_trial else [x]] == PLUS
+        if isinstance(hclass, _PerSample):  # x[t] of sample t's own table
+            plus = hclass.values[rows][np.arange(len(total)), :, x[rows]].T == PLUS
+        else:
+            plus = hclass.values[:, x[rows] if per_trial else [x]] == PLUS
         parts.append(_sum_rows(np.where(plus, w / total, 0.0)))
     return np.minimum(np.concatenate(parts), 1.0)
 
@@ -167,7 +188,7 @@ def _per_sample(sample: Sample, columns: np.ndarray) -> np.ndarray:
 def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray:
     """Disagreement counts of every hypothesis on the sample: ints of shape
     (m,), or (trials, m) for a batch."""
-    return _per_sample(sample, _loss_counts(hclass, sample.histograms(hclass.domain_size))[0])
+    return _per_sample(sample, _loss_counts(hclass.values, sample.histograms(hclass.domain_size))[0])
 
 
 def _mechanism_rows(hclass: HypothesisClass, sample: Sample, config: ExpMechanismConfig,
@@ -408,7 +429,7 @@ class ExpMechanismLearner(Learner):
                 f"point {x} outside domain of size {self.hclass.domain_size}")
         if not self.hclass.is_full:
             return _class_probs(self.hclass, histograms, x, self.config)
-        hist, n = _checked_histograms(self.hclass, histograms)
+        hist, n = _checked_histograms(self.hclass.domain_size, histograms)
         if hist.shape[1] < self.hclass.domain_size:  # points past the histogram count 0
             hist = np.pad(hist, ((0, 0), (0, self.hclass.domain_size - hist.shape[1]), (0, 0)))
         at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
@@ -425,6 +446,8 @@ class VcSubsampleLearner(Learner):
         # both read exact fractions, so they are worked out once
         self._min_n = config.min_sample_size()
         self._k = config.subsample_size
+        # a restriction that keeps every row is the class itself, full
+        self._law = ExpMechanismLearner(hclass, self._mechanism).count_law
 
     def _check(self, sample: Sample) -> tuple[int, int]:
         n = len(sample)
@@ -440,10 +463,10 @@ class VcSubsampleLearner(Learner):
         """Draws each trial's subset from gen; the threshold coin is integrated out.
 
         A one-sample call is a one-row batch. The class is restricted once per
-        distinct point set the subsets cover, and the second halves of the
-        trials covering it are scored against that restriction as
-        histograms. A batch draws its subsets in trial order, so it agrees
-        with one-sample calls on the same generator.
+        distinct point set the subsets cover, and each trial's second half is
+        scored against its own restriction as a histogram (`_scores`). A batch
+        draws its subsets in trial order, so it agrees with one-sample calls
+        on the same generator.
         """
         if not sample.batched:
             return float(self.prediction_prob(_one_row(sample), x, gen)[0])
@@ -488,6 +511,8 @@ class VcSubsampleLearner(Learner):
         if int(head.max()) >= domain:
             raise DomainMismatchError("sample contains points outside the class domain")
         hist = sample.slice(slice(n1, None)).histograms(domain)
+        if not 0 <= np.min(x) <= np.max(x) < domain:
+            raise DomainMismatchError(f"point {x} outside domain of size {domain}")
         return head, hist, np.broadcast_to(np.asarray(x), (len(head),))
 
     def _scores(self, picked: np.ndarray, owner: np.ndarray, hist: np.ndarray,
@@ -495,21 +520,35 @@ class VcSubsampleLearner(Learner):
         """For each subset j, the +1 probability at xs[t] of the mechanism
         trained on hist[t], t = owner[j], over the class restricted to the
         points picked[j] holds. Each distinct point set is restricted once and
-        scores, in one call, every trial that meets it, once."""
+        each (point set, trial) pair scored once: by the count law where the
+        restriction is full, the rest in one `_PerSample` pass."""
         covered = np.zeros((len(picked), self.hclass.domain_size), dtype=bool)
         covered[np.arange(len(picked))[:, None], picked] = True
         # one byte string per subset, so that np.unique groups 1-D keys
         keys = np.packbits(covered, axis=1)
-        _, first, which = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1),
+        _, first, group = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1),
                                     return_index=True, return_inverse=True)
-        probs = np.empty(len(picked))
-        for g, j in enumerate(first.tolist()):
-            sel = which == g
-            owners, back = np.unique(owner[sel], return_inverse=True)
-            sub = restrict_dedupe(self.hclass, tuple(np.flatnonzero(covered[j]).tolist()))
-            probs[sel] = ExpMechanismLearner(sub, self._mechanism).batch_prediction_probs(
-                hist[owners], xs[owners])[back]
-        return probs
+        subs = [restrict_dedupe(self.hclass, tuple(np.flatnonzero(covered[j]).tolist()))
+                for j in first.tolist()]
+        back = slice(None)
+        if len(owner) > len(hist):  # several subsets a trial: one score per (set, trial) pair
+            pairs, back = np.unique(group * len(hist) + owner, return_inverse=True)
+            group, owner = np.divmod(pairs, len(hist))
+        full = np.array([sub.is_full for sub in subs])[group]
+        probs = np.empty(len(group))
+        if full.any():  # every second half holds n2 rows
+            at_x = hist[owner[full], xs[owner[full]]]
+            probs[full] = self._law(at_x[:, 0], at_x[:, 1], hist[0].sum())
+        if not full.all():
+            tables = np.zeros((len(subs), max(sub.size for sub in subs if not sub.is_full),
+                               self.hclass.domain_size), dtype=np.int8)
+            t = np.zeros(len(subs))
+            for g, sub in enumerate(subs):
+                if not sub.is_full:
+                    tables[g, :sub.size], t[g] = sub.values, self._mechanism.temperature(sub.size)
+            g, rest = group[~full], owner[~full]
+            probs[~full] = _class_probs(_PerSample(tables[g], t[g]), hist[rest], xs[rest], None)
+        return probs[back]
 
 
 class MajorityVoteLearner(Learner):

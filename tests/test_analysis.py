@@ -78,6 +78,22 @@ def test_restrict_dedupe_matches_reference():
             assert tuple(int(hc.values[j, p]) for p in pts) in kept
 
 
+def test_restrict_dedupe_wraps_its_rows_as_the_checked_constructor_would():
+    # the kept rows of a valid class are not checked again: the table is the
+    # one HypothesisClass gives them, int8, and read-only
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(10):
+        hc = _random_class(rng, max_domain=6, max_size=12)
+        pts = tuple(sorted(set(rng.integers(0, hc.domain_size, size=2).tolist())))
+        rows = np.sort(np.unique(hc.values[:, pts], axis=0, return_index=True)[1])
+        r = restrict_dedupe(hc, pts)
+        want = HypothesisClass(hc.values[rows]).values
+        assert r.values.dtype == want.dtype and np.array_equal(r.values, want)
+        assert not r.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r.values[0, 0] = PLUS
+
+
 def test_sauer_bound_hand_values():
     assert sauer_bound(10, 3) == 1 + 10 + 45 + 120
     assert sauer_bound(3, 5) == 8  # capped at 2^n

@@ -362,6 +362,10 @@ SWEEP_SHA256 = {
     "--adversary identity,greedy --trials 50":
         "830c6344febccb87a44159fad7a0d8151407148f169d6581ddc8ac2d171f6d14",
     "--d 3 --bias 1/3": "b4eca42692dd02ef850bdb244c93b48635b1b2515edc51d4d5cd53eddaf912bf",
+    # the subsample rule's tallest restrictions: a row-sum taken pairwise
+    # instead of in row order moves these bytes
+    "--eta 1/32,1/64 --d 3,4 --learner vc --adversary identity,greedy --trials 200":
+        "998ef37913aaff48c071b6339d1106f877d30f91747f675c7f491e87a0fb0779",
 }
 
 
@@ -370,6 +374,27 @@ def test_main_sweep_bytes_are_pinned(capsys, flags):
     assert main(["sweep", *flags.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[flags]
+
+
+def test_the_benchmark_sweep_grid_never_imports_numpy_ma():
+    # a bare np.unique(a) imports numpy.ma, about a megabyte of peak RSS;
+    # a fresh interpreter runs the grid of the pinned 50-trial sweep
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from poisonlab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--eta", "1/16,1/64", "--d", "1,2", "--learner",
+                         "exp-mech,coupled,vc,majority", "--adversary", "identity,greedy",
+                         "--trials", "50", "--workers", "1"]) == 0
+        loaded = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+        assert not loaded, loaded
+    """)
+    src = str(Path(poisonlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "attack-eval"])

@@ -17,6 +17,7 @@ from poisonlab.core import (
     RandomSource,
     Sample,
     ball_enumerate,
+    restrict_dedupe,
     sample_loss,
 )
 from poisonlab.learners import (
@@ -298,6 +299,55 @@ def test_vc_mean_prediction_prob_restricts_once_per_point_set(monkeypatch):
                 learner.prediction_prob(s, x, gen)
                 monkeypatch.undo()
                 assert len(calls) == 1
+
+
+def _scored_set_by_set(hc, eta, point_sets, hists, xs):
+    """The subsample rule's scores, one restriction and one mechanism call
+    per distinct point set, for every row meeting that set."""
+    out = np.empty(len(point_sets))
+    for pts in set(point_sets):
+        rows = [j for j, p in enumerate(point_sets) if p == pts]
+        mechanism = ExpMechanismLearner(restrict_dedupe(hc, pts), ExpMechanismConfig(eta))
+        out[rows] = mechanism.batch_prediction_probs(hists[rows], xs[rows])
+    return out
+
+
+@pytest.mark.parametrize("d, eta, n, classed", [
+    (1, Fraction(1, 8), 8, False), (1, Fraction(1, 64), 67, False),
+    (2, Fraction(1, 16), 16, False), (2, Fraction(1, 64), 64, False),
+    (3, Fraction(1, 16), 16, False), (3, Fraction(1, 64), 70, True),
+    (4, Fraction(1, 20), 20, False), (4, Fraction(1, 64), 64, True),
+    (3, Fraction(1, 16), 17, True), (4, Fraction(1, 20), 21, True),
+])
+def test_vc_scores_equal_the_rule_scored_set_by_set(d, eta, n, classed):
+    # both entry points give, to the bit, the rule scored one covered point
+    # set at a time; `classed` keeps 2^(d-1) + 2 of the 2^d rows, so no
+    # restriction is full and the restrictions differ in size
+    rng = np.random.default_rng(SEED + 100 * d + n)
+    hc = HypothesisClass.full(d)
+    if classed:
+        hc = HypothesisClass(hc.values[np.sort(rng.choice(2 ** d, 2 ** (d - 1) + 2, replace=False))])
+    learner = VcSubsampleLearner(hc, VcLearnerConfig(eta, d))
+    trials, n1, k = 48, n // 2, learner.config.subsample_size
+    batch = Sample(rng.integers(0, d, (trials, n)), rng.choice((MINUS, PLUS), (trials, n)))
+    head, hists = batch.points[:, :n1], batch.slice(slice(n1, None)).histograms(d)
+    xs = rng.integers(0, d, trials)
+    state = rng.bit_generator.state
+    got = learner.prediction_prob(batch, xs, rng)
+    rng.bit_generator.state = state
+    # each trial's subset: its first-half rows at its k smallest uniforms
+    picked = np.take_along_axis(head, np.argpartition(rng.random((trials, n1)), k - 1)[:, :k], 1)
+    sets = [tuple(sorted(set(row))) for row in picked.tolist()]
+    assert got.tolist() == _scored_set_by_set(hc, eta, sets, hists, xs).tolist()
+    if math.comb(n1, k) <= SUBSET_LIMIT:
+        subsets = list(combinations(range(n1), k))
+        few = Sample(batch.points[:6], batch.labels[:6])
+        x = int(xs[0])
+        sets = [tuple(sorted(set(row[list(c)].tolist()))) for row in head[:6] for c in subsets]
+        terms = _scored_set_by_set(hc, eta, sets, np.repeat(hists[:6], len(subsets), 0),
+                                   np.full(len(sets), x)).reshape(6, -1)
+        want = np.cumsum(terms, axis=1)[:, -1] / len(subsets)
+        assert learner.mean_prediction_prob(few, x).tolist() == want.tolist()
 
 
 def test_vc_mean_prediction_prob_refuses_more_subsets_than_its_limit():
