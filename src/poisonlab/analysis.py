@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -230,13 +231,13 @@ def estimate_F(learner, us: Sequence[BiasVector], n: int, trials: int,
     for keys at different points, at an array of one point per row. Every
     other learner draws, key by key, F_CHUNKS (fewer if there are fewer
     trials) trial-ordered (size, n) batches of rows, each scored by one
-    `prediction_prob` call, which must return one probability per trial.
-    The two paths consume the generator differently, with the same law. Key
-    lists of different lengths, or none, raise ValueError, biases of
-    different dimensions DimensionMismatchError, an x outside [0, d)
-    DomainMismatchError, and an n or trials below 1 ValueError, all before
-    anything is drawn; so does a bias past a `Learner`'s domain
-    (`scoring_hook`).
+    `prediction_prob` call, which must return one probability per trial. The
+    two paths consume the generator differently, with the same law. Key lists
+    of different lengths, or none, raise ValueError, biases of different
+    dimensions DimensionMismatchError, a non-integer x TypeError
+    (`operator.index`), one outside [0, d) DomainMismatchError, and an n or
+    trials below 1 ValueError, all before anything is drawn; so does a bias
+    past a `Learner`'s domain (`scoring_hook`).
     """
     for name, value in (("n", n), ("trials", trials)):
         if value < 1:
@@ -246,7 +247,7 @@ def estimate_F(learner, us: Sequence[BiasVector], n: int, trials: int,
     d = us[0].dimension
     if any(u.dimension != d for u in us):
         raise DimensionMismatchError("every F key's bias must have one dimension")
-    if not all(0 <= x < d for x in xs):
+    if not all(0 <= operator.index(x) < d for x in xs):
         raise DomainMismatchError("query point must lie inside the domain")
     batch = scoring_hook(learner, "batch_prediction_probs", d)
     sources = [rng.child("estimate-F") for rng in rngs]

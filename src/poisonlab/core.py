@@ -204,9 +204,12 @@ class Sample:
 
 def counts_at(codes: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     """The rows of (x, +1) and of (x, -1) in each trial of one sample's (n,)
-    or a batch's (trials, n) atom codes, two (trials,) arrays; x is one point
-    or one per trial. Codes are compared in their own dtype, which x's fit."""
-    plus = np.reshape(2 * np.asarray(x), (-1, 1)).astype(codes.dtype, copy=False)
+    or a batch's (trials, n) atom codes, two (trials,) arrays; x is one integer
+    point or one per trial (else TypeError), compared in the codes' dtype."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise TypeError(f"points must be integers, got dtype {x.dtype}")
+    plus = np.reshape(2 * x, (-1, 1)).astype(codes.dtype, copy=False)
     codes = np.atleast_2d(codes)
     return _row_counts(codes == plus), _row_counts(codes == plus + 1)
 

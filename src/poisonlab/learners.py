@@ -14,12 +14,14 @@ one-sample call is a one-row batch; evaluators read the optional hooks that
 score it from less through one rule (`scoring_hook`). The mechanism's helpers
 speak it too: for one sample and for a batch, `empirical_loss_counts`,
 `exp_mechanism_dist` and `exp_mechanism_log_dist` give (m,) and (trials, m)
-arrays, `flip_probability` a float and a (trials,) array. Every number of
-the mechanism comes from one histogram scorer (`_loss_counts`, `_softmax`),
-so a sample scores the same to the bit alone as in any batch. On the full
-class the +1 probability at x reads only n and the counts at x, a law exposed
-in closed form, `count_law`: 2 weights a sample instead of 2^d; the class
-scorer stays its reference. The subsample rule restricts its class with
+arrays, `flip_probability` a float and a (trials,) array. Every number of the
+mechanism comes from one histogram scorer (`_loss_counts`, `_softmax`), so a
+sample scores the same to the bit alone as in any batch. Histograms enter at
+one door, `ExpMechanismLearner.batch_prediction_probs`, and are checked there
+alone (`_checked_histograms`); points pass one rule (`_check_points`). On the
+full class the +1 probability at x reads only n and the counts at x, a law
+exposed in closed form, `count_law`: 2 weights a sample instead of 2^d; the
+class scorer stays its reference. The subsample rule restricts its class with
 `core.restrict_dedupe`; this module imports from `core` alone.
 """
 
@@ -79,10 +81,11 @@ SCORE_BUDGET = 2 ** 20
 
 def _checked_histograms(domain_size: int,
                         histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of histograms as int64 counts, and each sample's row count
-    (trials,). `histograms[t, i, 0]` and `histograms[t, i, 1]` count the rows
-    of sample t reading (i, +1) and (i, -1); points past the second axis,
-    which may not exceed the class domain, count 0."""
+    """The only check of caller-given histograms, made at their one door,
+    `ExpMechanismLearner.batch_prediction_probs`: [t, i, 0] and [t, i, 1]
+    count sample t's rows (i, +1) and (i, -1), i below the class domain.
+    Returns them zero-padded to `Sample.histograms`' form, int64 (trials,
+    domain_size, 2), and each sample's row count; the scorer reads both as is."""
     if (histograms.ndim != 3 or histograms.shape[2] != 2
             or not np.issubdtype(histograms.dtype, np.integer)):
         raise ValueError("histograms must be integer counts of shape (trials, points, 2)")
@@ -94,7 +97,15 @@ def _checked_histograms(domain_size: int,
     n = np.einsum("tij->t", hist)  # sum(axis=(1, 2)), which is slow over so few counts
     if n.size and (n.min() < 1 or hist.min() < 0):
         raise ValueError("histogram counts must be nonnegative with at least one row")
+    if d < domain_size:
+        hist = np.pad(hist, ((0, 0), (0, domain_size - d), (0, 0)))
     return hist, n
+
+
+def _check_points(x, domain_size: int) -> None:
+    """The learners' one point rule: x, a point or an array, in range(domain_size)."""
+    if not 0 <= np.min(x) <= np.max(x) < domain_size:
+        raise DomainMismatchError(f"point {x} outside domain of size {domain_size}")
 
 
 class _PerSample(NamedTuple):
@@ -104,18 +115,16 @@ class _PerSample(NamedTuple):
     t: np.ndarray
 
 
-def _loss_counts(values: np.ndarray, histograms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _loss_counts(values: np.ndarray, hist: np.ndarray) -> np.ndarray:
     """Disagreement counts (m, trials) of every row of a class table (m, N), or
-    of each sample's own (trials, m, N), with every sample of a batch
-    (`_checked_histograms`), and each sample's row count. A hypothesis
+    of each sample's own (trials, m, N), with every sample of a batch of
+    (trials, N, 2) histograms in `_checked_histograms`' form. A hypothesis
     disagrees with the (i, -1) rows where it reads +1 and with the (i, +1)
     rows where it reads -1."""
-    hist, n = _checked_histograms(values.shape[-1], histograms)
-    d = hist.shape[1]
-    plus_votes = (values[..., :d] == PLUS).astype(np.int64)  # (m, d) or (trials, m, d)
+    plus_votes = (values == PLUS).astype(np.int64)  # (m, N) or (trials, m, N)
     if plus_votes.ndim == 3:  # (trials, m, 1) counts, taken to (m, trials)
-        return (plus_votes @ hist[:, :, 1:] + (1 - plus_votes) @ hist[:, :, :1])[:, :, 0].T, n
-    return plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T, n
+        return (plus_votes @ hist[:, :, 1:] + (1 - plus_votes) @ hist[:, :, :1])[:, :, 0].T
+    return plus_votes @ hist[:, :, 1].T + (1 - plus_votes) @ hist[:, :, 0].T
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -127,17 +136,17 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else np.ascontiguousarray(a).sum(axis=0)
 
 
-def _softmax(hclass: HypothesisClass | _PerSample, histograms: np.ndarray,
+def _softmax(hclass: HypothesisClass | _PerSample, hist: np.ndarray, n,
              config: ExpMechanismConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mechanism on every sample of a batch given as histograms: the
-    scores -t * loss shifted by their maximum, (m, trials), their
-    exponentials, and each sample's total weight. The max shift keeps the
-    weights finite for any temperature. A total adds the class's rows in row
-    order (`_sum_rows`), so a sample's numbers do not depend on the batch it
-    is scored in. One class per sample (`_PerSample`) reads its own
-    temperature; its padding rows score -inf, so they weigh exactly 0."""
+    """The mechanism on a batch of checked histograms with row counts n (one,
+    or one a sample): the scores -t * loss shifted by their maximum, (m,
+    trials), their exponentials, and each sample's total weight. The max
+    shift keeps the weights finite for any temperature. A total adds the
+    class's rows in row order (`_sum_rows`), so a sample's numbers do not
+    depend on the batch it is scored in. One class per sample (`_PerSample`)
+    reads its own temperature; its padding rows score -inf and weigh 0."""
     per_sample = isinstance(hclass, _PerSample)
-    counts, n = _loss_counts(hclass.values, histograms)
+    counts = _loss_counts(hclass.values, hist)
     t = hclass.t if per_sample else config.temperature(hclass.size)
     scores = (-t / n) * counts.astype(np.float64)
     if per_sample:
@@ -147,7 +156,7 @@ def _softmax(hclass: HypothesisClass | _PerSample, histograms: np.ndarray,
     return shifted, w, _sum_rows(w)
 
 
-def _softmax_passes(hclass: HypothesisClass | _PerSample, histograms: np.ndarray,
+def _softmax_passes(hclass: HypothesisClass | _PerSample, hist: np.ndarray, n,
                     config: ExpMechanismConfig | None
                     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """`_softmax` of a batch in passes of at most SCORE_BUDGET // class size
@@ -155,13 +164,13 @@ def _softmax_passes(hclass: HypothesisClass | _PerSample, histograms: np.ndarray
     an empty batch). Each sample's numbers are its own column (`_sum_rows`),
     so the passes give the values of one pass to the bit."""
     step = max(1, SCORE_BUDGET // hclass.values.shape[-2])
-    for lo in range(0, max(len(histograms), 1), step):
+    for lo in range(0, max(len(hist), 1), step):
         rows = slice(lo, lo + step)
         part = _PerSample(*(a[rows] for a in hclass)) if isinstance(hclass, _PerSample) else hclass
-        yield (rows, *_softmax(part, histograms[rows], config))
+        yield (rows, *_softmax(part, hist[rows], n[rows] if np.ndim(n) else n, config))
 
 
-def _class_probs(hclass: HypothesisClass | _PerSample, histograms: np.ndarray, x,
+def _class_probs(hclass: HypothesisClass | _PerSample, hist: np.ndarray, n, x,
                  config: ExpMechanismConfig | None) -> np.ndarray:
     """The class scorer: the mechanism's +1 probability at x (one point, or
     an array of one point per sample), summing the selection probabilities
@@ -171,7 +180,7 @@ def _class_probs(hclass: HypothesisClass | _PerSample, histograms: np.ndarray, x
     reads +1 at x; it is clipped at 1, which changes no other value."""
     per_trial = isinstance(x, np.ndarray)
     parts = []
-    for rows, _, w, total in _softmax_passes(hclass, histograms, config):
+    for rows, _, w, total in _softmax_passes(hclass, hist, n, config):
         if isinstance(hclass, _PerSample):  # x[t] of sample t's own table
             plus = hclass.values[rows][np.arange(len(total)), :, x[rows]].T == PLUS
         else:
@@ -188,7 +197,7 @@ def _per_sample(sample: Sample, columns: np.ndarray) -> np.ndarray:
 def empirical_loss_counts(hclass: HypothesisClass, sample: Sample) -> np.ndarray:
     """Disagreement counts of every hypothesis on the sample: ints of shape
     (m,), or (trials, m) for a batch."""
-    return _per_sample(sample, _loss_counts(hclass.values, sample.histograms(hclass.domain_size))[0])
+    return _per_sample(sample, _loss_counts(hclass.values, sample.histograms(hclass.domain_size)))
 
 
 def _mechanism_rows(hclass: HypothesisClass, sample: Sample, config: ExpMechanismConfig,
@@ -199,7 +208,7 @@ def _mechanism_rows(hclass: HypothesisClass, sample: Sample, config: ExpMechanis
     sample."""
     histograms = sample.histograms(hclass.domain_size)
     out = np.empty((len(histograms), hclass.size))
-    for rows, *scored in _softmax_passes(hclass, histograms, config):
+    for rows, *scored in _softmax_passes(hclass, histograms, len(sample), config):
         out[rows] = law(*scored).T
     return out if sample.batched else out[0]
 
@@ -418,21 +427,14 @@ class ExpMechanismLearner(Learner):
         full class that sum reads only the counts at x (`count_law`); any
         other class is scored hypothesis by hypothesis (`_class_probs`).
         """
-        lo = hi = x
-        if not isinstance(x, (int, np.integer)):
-            x = np.asarray(x)
-            if x.shape != histograms.shape[:1]:
-                raise ValueError("give one point, or one point per histogram")
-            lo, hi = x.min(), x.max()
-        if not 0 <= lo <= hi < self.hclass.domain_size:
-            raise DomainMismatchError(
-                f"point {x} outside domain of size {self.hclass.domain_size}")
-        if not self.hclass.is_full:
-            return _class_probs(self.hclass, histograms, x, self.config)
+        x = x if isinstance(x, (int, np.integer)) else np.asarray(x)
+        if isinstance(x, np.ndarray) and x.shape != histograms.shape[:1]:
+            raise ValueError("give one point, or one point per histogram")
+        _check_points(x, self.hclass.domain_size)
         hist, n = _checked_histograms(self.hclass.domain_size, histograms)
-        if hist.shape[1] < self.hclass.domain_size:  # points past the histogram count 0
-            hist = np.pad(hist, ((0, 0), (0, self.hclass.domain_size - hist.shape[1]), (0, 0)))
-        at_x = hist[:, x] if isinstance(x, (int, np.integer)) else hist[np.arange(len(n)), x]
+        if not self.hclass.is_full:
+            return _class_probs(self.hclass, hist, n, x, self.config)
+        at_x = hist[np.arange(len(n)), x]  # one point, or one a sample
         return self._law(at_x[:, 0], at_x[:, 1], n)
 
 
@@ -473,10 +475,10 @@ class VcSubsampleLearner(Learner):
         n1, k = self._check(sample)
         if gen is None:
             raise ValueError("the subsample rule needs a generator for its subset draw")
-        head, hist, xs = self._split(sample, x)
+        head, hist, n2, xs = self._split(sample, x)
         trials = len(head)
         picked = np.take_along_axis(head, _draw_subsets(n1, k, gen, trials), axis=1)
-        return self._scores(picked, np.arange(trials), hist, xs)
+        return self._scores(picked, np.arange(trials), hist, n2, xs)
 
     def mean_prediction_prob(self, sample: Sample, x):
         """Exact +1 probability, averaged over every subset draw (small n only).
@@ -494,32 +496,31 @@ class VcSubsampleLearner(Learner):
         total = math.comb(n1, k)
         if total > SUBSET_LIMIT:
             raise EnumerationTooLargeError(f"{total} subsets exceed limit {SUBSET_LIMIT}")
-        head, hist, xs = self._split(sample, x)
+        head, hist, n2, xs = self._split(sample, x)
         trials = len(head)
         subsets = np.array(list(combinations(range(n1), k)))
         terms = self._scores(head[:, subsets].reshape(-1, k), np.repeat(np.arange(trials), total),
-                             hist, xs).reshape(trials, total)
+                             hist, n2, xs).reshape(trials, total)
         # cumsum adds a trial's terms one at a time, in subset order
         return np.cumsum(terms, axis=1)[:, -1] / total
 
-    def _split(self, sample: Sample, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A batch's first-half points, its second halves' histograms and one
-        point per trial."""
-        n1, _ = _split_sizes(len(sample))
+    def _split(self, sample: Sample, x) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """A batch's first-half points, its second halves' histograms and
+        size n2, and one point per trial."""
+        n1, n2 = _split_sizes(len(sample))
         head = sample.codes[:, :n1] >> 1
         domain = self.hclass.domain_size
         if int(head.max()) >= domain:
             raise DomainMismatchError("sample contains points outside the class domain")
         hist = sample.slice(slice(n1, None)).histograms(domain)
-        if not 0 <= np.min(x) <= np.max(x) < domain:
-            raise DomainMismatchError(f"point {x} outside domain of size {domain}")
-        return head, hist, np.broadcast_to(np.asarray(x), (len(head),))
+        _check_points(x, domain)
+        return head, hist, n2, np.broadcast_to(np.asarray(x), (len(head),))
 
-    def _scores(self, picked: np.ndarray, owner: np.ndarray, hist: np.ndarray,
+    def _scores(self, picked: np.ndarray, owner: np.ndarray, hist: np.ndarray, n2: int,
                 xs: np.ndarray) -> np.ndarray:
         """For each subset j, the +1 probability at xs[t] of the mechanism
-        trained on hist[t], t = owner[j], over the class restricted to the
-        points picked[j] holds. Each distinct point set is restricted once and
+        trained on hist[t], n2 rows, t = owner[j], over the class restricted to
+        the points picked[j] holds. Each distinct point set is restricted once and
         each (point set, trial) pair scored once: by the count law where the
         restriction is full, the rest in one `_PerSample` pass."""
         covered = np.zeros((len(picked), self.hclass.domain_size), dtype=bool)
@@ -536,9 +537,9 @@ class VcSubsampleLearner(Learner):
             group, owner = np.divmod(pairs, len(hist))
         full = np.array([sub.is_full for sub in subs])[group]
         probs = np.empty(len(group))
-        if full.any():  # every second half holds n2 rows
+        if full.any():
             at_x = hist[owner[full], xs[owner[full]]]
-            probs[full] = self._law(at_x[:, 0], at_x[:, 1], hist[0].sum())
+            probs[full] = self._law(at_x[:, 0], at_x[:, 1], n2)
         if not full.all():
             tables = np.zeros((len(subs), max(sub.size for sub in subs if not sub.is_full),
                                self.hclass.domain_size), dtype=np.int8)
@@ -547,7 +548,7 @@ class VcSubsampleLearner(Learner):
                 if not sub.is_full:
                     tables[g, :sub.size], t[g] = sub.values, self._mechanism.temperature(sub.size)
             g, rest = group[~full], owner[~full]
-            probs[~full] = _class_probs(_PerSample(tables[g], t[g]), hist[rest], xs[rest], None)
+            probs[~full] = _class_probs(_PerSample(tables[g], t[g]), hist[rest], n2, xs[rest], None)
         return probs[back]
 
 
@@ -619,7 +620,6 @@ class BayesLearner(Learner):
     def prediction_prob(self, sample: Sample, x, gen=None):
         """The sign of the bias at x, read off a table built once; the sample
         is ignored. A batch gets one value per row, at one x or at its own."""
-        if not 0 <= np.min(x) <= np.max(x) < len(self.coords):
-            raise DomainMismatchError(f"point {x} outside domain of size {len(self.coords)}")
+        _check_points(x, len(self.coords))
         p = self._probs[x]
         return np.full(len(sample.codes), p) if sample.batched else float(p)

@@ -324,7 +324,7 @@ def check_count_law(rng: RandomSource):
         hists = gen.multinomial(n, gen.dirichlet([1.0] * (2 * d)), size=200).reshape(200, d, 2)
         xs = gen.integers(0, d, size=200)
         law = ExpMechanismLearner(hclass, config).batch_prediction_probs(hists, xs)
-        scored = learners._class_probs(hclass, hists, xs, config)
+        scored = learners._class_probs(hclass, hists, n, xs, config)
         if d == 1:
             if not np.array_equal(law, scored):
                 return False, f"d=1, n={n}: closed form is not the class scorer to the bit"

@@ -531,9 +531,9 @@ def test_estimate_f_slices_the_histograms_of_a_large_class(monkeypatch):
     passes = []
     softmax = learners._softmax
 
-    def recorded(hclass, histograms, config):
+    def recorded(hclass, histograms, n, config):
         passes.append(len(histograms))
-        return softmax(hclass, histograms, config)
+        return softmax(hclass, histograms, n, config)
 
     monkeypatch.setattr(learners, "_softmax", recorded)
     short = HypothesisClass(HypothesisClass.full(11).values[:-1])
@@ -640,10 +640,11 @@ def _batch_cases():
 def test_estimate_f_batch_gives_each_key_its_one_key_table(case, monkeypatch):
     learner, keys, trials, n = _batch_cases()[case]
     rng = RandomSource(SEED, 30)
-    # the last key shares the first key's stream at its own bias or point
+    # the last key shares the first key's stream at its own bias or point;
+    # a point of any integer dtype keeps its value
     streams = [rng.child(k) for k in range(len(keys) - 1)] + [rng.child(0)]
     us, xs = [u for u, _ in keys], [x for _, x in keys]
-    one_key = [estimate_F(learner, [u], n, trials, [s], [x])[0]
+    one_key = [estimate_F(learner, [u], n, trials, [s], [np.int64(x)])[0]
                for u, x, s in zip(us, xs, streams)]
     assert estimate_F(learner, us, n, trials, streams, xs) == one_key
     # a caller's generator, in any state, re-keyed to each key's stream
@@ -663,7 +664,9 @@ def test_estimate_f_batch_gives_each_key_its_one_key_table(case, monkeypatch):
     ([], [], [], ValueError),
     ([BiasVector([0.1]), BiasVector([0.1, 0.2])], [RandomSource(1)] * 2, [0, 0],
      DimensionMismatchError),
-], ids=["biases", "streams", "points", "no-key", "dimensions"])
+    ([BiasVector([0.25, 0])], [RandomSource(1)], [0.5], TypeError),
+    ([BiasVector([0.25, 0])], [RandomSource(1)], [np.float64(1.0)], TypeError),
+], ids=["biases", "streams", "points", "no-key", "dimensions", "half-point", "float-point"])
 def test_estimate_f_refuses_mismatched_keys_before_drawing(monkeypatch, us, streams, xs, error):
     gen = RandomSource(SEED, 32).generator()
     state = gen.bit_generator.state

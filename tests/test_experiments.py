@@ -716,9 +716,9 @@ def test_a_count_table_scores_its_states_within_the_score_budget(monkeypatch):
     # 6^9 sequences are past the cap
     passes = []
 
-    def recorded(hclass, histograms, config):
+    def recorded(hclass, histograms, n, config):
         passes.append(hclass.size * len(histograms))
-        return _softmax(hclass, histograms, config)
+        return _softmax(hclass, histograms, n, config)
 
     monkeypatch.setattr("poisonlab.learners._softmax", recorded)
     monkeypatch.setattr("poisonlab.learners.SCORE_BUDGET", 63)
@@ -737,12 +737,12 @@ class _ClassScoredRule(ExpMechanismLearner):
     name = "class-scored"
 
     def batch_prediction_probs(self, histograms, x):
-        return _class_probs(self.hclass, histograms, x, self.config)
+        return _class_probs(self.hclass, histograms, histograms.sum(axis=(1, 2)), x, self.config)
 
     def count_law(self, a, b, n):
         hist = np.zeros((len(a), 2, 2), dtype=np.int64)
         hist[:, 0, 0], hist[:, 0, 1], hist[:, 1, 0] = a, b, n - a - b
-        return _class_probs(self.hclass, hist, 0, self.config)
+        return _class_probs(self.hclass, hist, n, 0, self.config)
 
 
 def test_public_and_private_risks_are_the_same_floats_on_the_criteria_cells():
@@ -1889,93 +1889,24 @@ def test_brute_force_sweep_stream_lock():
             for key, e in got.items()} == BRUTE_FORCE_LOCK
 
 
-# repr of the exact values of the exact engine's entry points on both tables
-# (a bound method of exp-mech takes the count table, a plain wrapper of it
-# the sequence table), at d = 1-3, at biases with zero-weight atoms (+-1/2),
-# the float 0.1 and a denominator past 2^64
+# a bias denominator past 2^64
 _TINY = Fraction(1, 36472996377170786403)
-EXACT_LOCK = {
-    "count d1 u=1/2 adversarial": "0.17223349507549213",
-    "count d1 u=0.1 clean": "0.4793452729913987",
-    "count d1 u=0.1 F": "0.10327363504300657",
-    "count d1 u=tiny equivalence": (
-        "EquivalenceReport(u=Fraction(1, 36472996377170786403), eta=Fraction(1, 8), n=5, "
-        "left_loss=0.6811235703263568, guard=0.8119363461506349, right_restricted=0.5, "
-        "slack=0.9930599164769918, holds=True)"),
-    "count d1 u=-1/2 equivalence": (
-        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 4), n=4, left_loss=0.5, "
-        "guard=0.7165313105737893, right_restricted=0.08668341137773383, "
-        "slack=1.1298478991960552, holds=True)"),
-    "count d2 adversarial": "0.5036002535476265",
-    "count d2 F": "-0.38778767138763326",
-    "count d3 clean": "0.3888130695129292",
-    "count d1 lower_bound_exact n=1100": "(0.058065453147224916, 0.0078125)",
-    "sequence d1 u=0.1 adversarial": "0.7118224944567008",
-    "sequence d1 u=0.1 equivalence": (
-        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), eta=Fraction(1, 8), "
-        "n=8, left_loss=0.7118224944567008, guard=0.7165313105737893, "
-        "right_restricted=0.47957816074059983, slack=0.9487756442898903, holds=True)"),
-    "sequence d2 adversarial": "0.5916209152421834",
-    "sequence d3 clean": "0.36626993800020413",
-    "sequence d3 F": "0.15932309861133276",
-    "sequence d1 vc adversarial": "0.584795597482985",
-}
-
-
-def test_exact_engine_value_lock():
-    def exp(d, eta):
-        return ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
-
-    def wrap(learner):
-        return lambda s, x: learner.prediction_prob(s, x)
-
-    def dist(*coords):
-        return ProductBiasDistribution(BiasVector(coords))
-
-    one, two, three = exp(1, Fraction(1, 8)), exp(2, Fraction(1, 16)), exp(3, Fraction(1, 16))
-    vc = VcSubsampleLearner(HypothesisClass.full(1), VcLearnerConfig(Fraction(1, 8), 1))
-    mixed = (Fraction(-1, 2), 0.1, Fraction(1, 4))
-    cells = {
-        "count d1 u=1/2 adversarial": lambda: exhaustive_adversarial_loss(
-            one.prediction_prob, dist(Fraction(1, 2)), Fraction(1, 4), 6),
-        "count d1 u=0.1 clean": lambda: exhaustive_clean_loss(one.prediction_prob, dist(0.1), 9),
-        "count d1 u=0.1 F": lambda: exact_F(one.prediction_prob, BiasVector([0.1]), 9, 0),
-        "count d1 u=tiny equivalence": lambda: equivalence_check(
-            one.prediction_prob, _TINY, Fraction(1, 8), 5),
-        "count d1 u=-1/2 equivalence": lambda: equivalence_check(
-            one.prediction_prob, Fraction(-1, 2), Fraction(1, 4), 4),
-        "count d2 adversarial": lambda: exhaustive_adversarial_loss(
-            two.prediction_prob, dist(0.1, Fraction(-1, 2)), Fraction(1, 7), 7),
-        "count d2 F": lambda: exact_F(
-            two.prediction_prob, BiasVector([0.1, Fraction(-1, 2)]), 7, 1),
-        "count d3 clean": lambda: exhaustive_clean_loss(
-            three.prediction_prob, dist(Fraction(1, 2), 0.1, _TINY), 5),
-        "count d1 lower_bound_exact n=1100": lambda: lower_bound_exact(
-            exp(1, Fraction(1, 64)), Fraction(1, 64), 1, 1100),
-        "sequence d1 u=0.1 adversarial": lambda: exhaustive_adversarial_loss(
-            wrap(one), dist(0.1), Fraction(1, 4), 8),
-        "sequence d1 u=0.1 equivalence": lambda: equivalence_check(
-            wrap(one), 0.1, Fraction(1, 8), 8),
-        "sequence d2 adversarial": lambda: exhaustive_adversarial_loss(
-            wrap(two), dist(Fraction(1, 2), _TINY), Fraction(1, 5), 5),
-        "sequence d3 clean": lambda: exhaustive_clean_loss(wrap(three), dist(*mixed), 4),
-        "sequence d3 F": lambda: exact_F(wrap(three), BiasVector(mixed), 4, 2),
-        "sequence d1 vc adversarial": lambda: exhaustive_adversarial_loss(
-            vc.mean_prediction_prob, dist(Fraction(1, 4)), Fraction(1, 8), 8),
-    }
-    assert {key: repr(cell()) for key, cell in cells.items()} == EXACT_LOCK
 
 
 def _frozen_cells() -> dict:
     """The exact values frozen over both layouts: count states (a bound
     method of exp-mech), atom sequences (an undeclared wrapper of it), the
     subsample rule's criterion-7 miniature, `equivalence_check` reports,
-    `exact_F` and `lower_bound_exact`."""
+    `exact_F` and `lower_bound_exact`, at d = 1-4, also at biases with
+    zero-weight atoms (+-1/2), the float 0.1 and `_TINY`."""
     def exp(d, eta):
         return ExpMechanismLearner(HypothesisClass.full(d), ExpMechanismConfig(eta))
 
     def wrap(learner):
         return lambda s, x: learner.prediction_prob(s, x)
+
+    def biased(*coords):
+        return ProductBiasDistribution(BiasVector(coords))
 
     coords = [Fraction(1, 4), 0.1, Fraction(1, 2), Fraction(-1, 7)]
     cells = {}
@@ -2000,14 +1931,34 @@ def _frozen_cells() -> dict:
     cells["vc miniature"] = functools.partial(
         exhaustive_adversarial_loss, vc.mean_prediction_prob,
         ProductBiasDistribution(BiasVector([Fraction(1, 4)])), Fraction(1, 8), 8)
-    for d, n in ((1, 256), (2, 32)):
-        cells[f"lower_bound_exact d={d} n={n}"] = functools.partial(
+    for key, d, n in (("lower_bound_exact d=1 n=256", 1, 256), ("lower_bound_exact d=2 n=32", 2, 32),
+                      ("count d1 lower_bound_exact n=1100", 1, 1100)):
+        cells[key] = functools.partial(
             lower_bound_exact, exp(d, Fraction(1, 64)), Fraction(1, 64), d, n)
+    one, two, three = exp(1, Fraction(1, 8)), exp(2, Fraction(1, 16)), exp(3, Fraction(1, 16))
+    half, quarter, mixed = Fraction(1, 2), Fraction(1, 4), (Fraction(-1, 2), 0.1, Fraction(1, 4))
+    adversarial, clean = exhaustive_adversarial_loss, exhaustive_clean_loss
+    for key, entry, learner, args in (
+            ("count d1 u=1/2 adversarial", adversarial, one, (biased(half), quarter, 6)),
+            ("count d1 u=0.1 clean", clean, one, (biased(0.1), 9)),
+            ("count d1 u=0.1 F", exact_F, one, (BiasVector([0.1]), 9, 0)),
+            ("count d1 u=tiny equivalence", equivalence_check, one, (_TINY, Fraction(1, 8), 5)),
+            ("count d1 u=-1/2 equivalence", equivalence_check, one, (-half, quarter, 4)),
+            ("count d2 adversarial", adversarial, two, (biased(0.1, -half), Fraction(1, 7), 7)),
+            ("count d2 F", exact_F, two, (BiasVector([0.1, -half]), 7, 1)),
+            ("count d3 clean", clean, three, (biased(half, 0.1, _TINY), 5)),
+            ("sequence d1 u=0.1 adversarial", adversarial, one, (biased(0.1), quarter, 8)),
+            ("sequence d1 u=0.1 equivalence", equivalence_check, one, (0.1, Fraction(1, 8), 8)),
+            ("sequence d2 adversarial", adversarial, two, (biased(half, _TINY), Fraction(1, 5), 5)),
+            ("sequence d3 clean", clean, three, (biased(*mixed), 4)),
+            ("sequence d3 F", exact_F, three, (BiasVector(mixed), 4, 2))):
+        oracle = learner.prediction_prob if key.startswith("count") else wrap(learner)
+        cells[key] = functools.partial(entry, oracle, *args)
     return cells
 
 
-# repr of every `_frozen_cells` value, computed before the two layouts
-# became one table class; every later engine change must keep each to the bit
+# repr of every `_frozen_cells` value, frozen when its cell was added; every
+# later engine change must keep each to the bit
 FROZEN_EXACT = {
     "count d=1 n=8 adversarial": "0.6060309990918796",
     "count d=1 n=8 public": "0.8407975307900818",
@@ -2087,11 +2038,52 @@ FROZEN_EXACT = {
     "vc miniature": "0.584795597482985",
     "lower_bound_exact d=1 n=256": "(0.058549394069613625, 0.0078125)",
     "lower_bound_exact d=2 n=32": "(0.08710750073145113, 0.011048543456039806)",
+    "count d1 u=1/2 adversarial": "0.17223349507549213",
+    "count d1 u=0.1 clean": "0.4793452729913987",
+    "count d1 u=0.1 F": "0.10327363504300657",
+    "count d1 u=tiny equivalence": (
+        "EquivalenceReport(u=Fraction(1, 36472996377170786403), eta=Fraction(1, 8), n=5, "
+        "left_loss=0.6811235703263568, guard=0.8119363461506349, right_restricted=0.5, "
+        "slack=0.9930599164769918, holds=True)"),
+    "count d1 u=-1/2 equivalence": (
+        "EquivalenceReport(u=Fraction(-1, 2), eta=Fraction(1, 4), n=4, left_loss=0.5, "
+        "guard=0.7165313105737893, right_restricted=0.08668341137773383, "
+        "slack=1.1298478991960552, holds=True)"),
+    "count d2 adversarial": "0.5036002535476265",
+    "count d2 F": "-0.38778767138763326",
+    "count d3 clean": "0.3888130695129292",
+    "count d1 lower_bound_exact n=1100": "(0.058065453147224916, 0.0078125)",
+    "sequence d1 u=0.1 adversarial": "0.7118224944567008",
+    "sequence d1 u=0.1 equivalence": (
+        "EquivalenceReport(u=Fraction(3602879701896397, 36028797018963968), eta=Fraction(1, 8), "
+        "n=8, left_loss=0.7118224944567008, guard=0.7165313105737893, "
+        "right_restricted=0.47957816074059983, slack=0.9487756442898903, holds=True)"),
+    "sequence d2 adversarial": "0.5916209152421834",
+    "sequence d3 clean": "0.36626993800020413",
+    "sequence d3 F": "0.15932309861133276",
 }
 
 
+def _entry_point_cell(key: str) -> bool:
+    """A cell frozen at an entry point of the engine at d = 1-3, keyed
+    "count d1 ..." or "sequence d3 ..." (the layout cells read "d=1")."""
+    kind, d = key.split()[:2]
+    return kind in ("count", "sequence") and d[1:].isdigit()
+
+
+def _assert_frozen(select) -> None:
+    cells = {key: cell for key, cell in _frozen_cells().items() if select(key)}
+    assert cells
+    assert {key: repr(cell()) for key, cell in cells.items()} == {key: FROZEN_EXACT[key] for key in cells}
+
+
 def test_exact_values_are_frozen_over_both_layouts():
-    assert {key: repr(cell()) for key, cell in _frozen_cells().items()} == FROZEN_EXACT
+    assert set(_frozen_cells()) == set(FROZEN_EXACT)
+    _assert_frozen(lambda key: not _entry_point_cell(key))
+
+
+def test_exact_engine_value_lock():
+    _assert_frozen(_entry_point_cell)
 
 
 @pytest.mark.parametrize("counted", [True, False])

@@ -20,6 +20,7 @@ from poisonlab.core import (
     restrict_dedupe,
     sample_loss,
 )
+from poisonlab import learners
 from poisonlab.learners import (
     SUBSET_LIMIT,
     BayesLearner,
@@ -422,6 +423,31 @@ def test_bayes_learner_rejects_points_outside_its_domain():
     assert bayes.prediction_prob(batch, np.array([1, 0])).tolist() == [0.0, 1.0]
 
 
+def test_the_learners_check_their_points_by_one_rule():
+    # exp-mech (on samples and at its histogram door), the subsample rule and
+    # Bayes raise one error for a point outside the domain, alone or one a
+    # trial: a negative point must not index the domain's last point; an
+    # integer point of any dtype keeps its value
+    exp = ExpMechanismLearner(HypothesisClass.full(2), ExpMechanismConfig(Fraction(1, 8)))
+    vc = VcSubsampleLearner(HypothesisClass.full(2), VcLearnerConfig(Fraction(1, 16), 2))
+    calls = (exp.prediction_prob, lambda s, x: exp.batch_prediction_probs(s.histograms(2), x),
+             lambda s, x: vc.prediction_prob(s, x, np.random.default_rng(0)),
+             vc.mean_prediction_prob, BayesLearner((Fraction(1, 4), Fraction(-1, 4))).prediction_prob)
+    one, batch = Sample([0] * 16, [PLUS] * 16), Sample(np.zeros((2, 16), int), [[PLUS] * 16] * 2)
+    for sample, x in ((one, -1), (one, 2), (batch, np.array([0, -1])), (batch, np.array([2, 0]))):
+        for call in calls:
+            with pytest.raises(DomainMismatchError, match="^point .* outside domain of size 2$"):
+                call(sample, x)
+    # the count rules refuse a point that is not an integer: cast into the
+    # codes' dtype, x = 0.5 would count the (0, -1) rows as its +1 rows
+    mixed = Sample([[0, 1, 1], [1, 1, 0]], [[MINUS, PLUS, PLUS], [PLUS, MINUS, PLUS]])
+    for rule in (MajorityVoteLearner(3), ConstantLearner(PLUS)):
+        for x in (0.5, np.float64(1.0), np.array([0.5, 1.0])):
+            pytest.raises(TypeError, rule.prediction_prob, mixed, x)
+        assert (rule.prediction_prob(mixed, np.int64(1)).tolist()
+                == rule.prediction_prob(mixed, 1).tolist())
+
+
 def _sample_from_histogram(hist, gen):
     """A Sample whose (point, label) counts are `hist` (shape (d, 2)), rows shuffled."""
     rows = [(i, label) for i in range(hist.shape[0])
@@ -483,14 +509,14 @@ def test_count_law_is_the_class_scorer_to_the_bit_at_d1():
         config = ExpMechanismConfig(eta)
         learner = ExpMechanismLearner(full, config)
         got = learner.count_law(a, n - a, n)
-        assert np.array_equal(got, _class_probs(full, states, 0, config))
+        assert np.array_equal(got, _class_probs(full, states, n, 0, config))
         assert np.array_equal(learner.batch_prediction_probs(states, 0), got)
         # ... and random batches, x one point or one per trial
         hists = rng.multinomial(int(rng.integers(1, 300)), [0.3, 0.7], size=500)[:, None, :]
         xs = np.zeros(500, dtype=np.int64)
         for x in (0, xs):
             assert np.array_equal(learner.batch_prediction_probs(hists, x),
-                                  _class_probs(full, hists, x, config))
+                                  _class_probs(full, hists, hists.sum((1, 2)), x, config))
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -506,7 +532,7 @@ def test_count_law_matches_the_class_scorer_past_d1(d):
             learner = ExpMechanismLearner(full, config)
             at_x = hists[np.arange(400), xs]
             got = learner.count_law(at_x[:, 0], at_x[:, 1], n)
-            assert np.abs(got - _class_probs(full, hists, xs, config)).max() <= 1e-13
+            assert np.abs(got - _class_probs(full, hists, n, xs, config)).max() <= 1e-13
             assert 0 <= got.min() and got.max() <= 1
             assert np.array_equal(learner.batch_prediction_probs(hists, xs), got)
 
@@ -538,7 +564,7 @@ def test_count_law_never_scores_above_1():
     config = ExpMechanismConfig(Fraction(1, 4096))
     full = HypothesisClass.full(2)
     sample = Sample([0] * 9 + [1] * 2, [PLUS] * 11)
-    assert _class_probs(full, sample.histograms(2), 0, config)[0] == 1.0
+    assert _class_probs(full, sample.histograms(2), len(sample), 0, config)[0] == 1.0
     learner = ExpMechanismLearner(full, config)
     assert learner.prediction_prob(sample, 0) == learner.count_law(9, 0, 11) == 1.0
 
@@ -563,11 +589,11 @@ def test_the_class_scorer_stays_in_0_1_and_changes_no_value_below_1():
         rows[:, 0] = PLUS
         h = HypothesisClass(np.unique(rows, axis=0))
         config = ExpMechanismConfig(Fraction(1, int(rng.integers(2, 200))))
-        hists = rng.multinomial(int(rng.integers(1, 40)), [1 / (2 * d)] * (2 * d),
-                                size=50).reshape(50, d, 2)
+        n = int(rng.integers(1, 40))
+        hists = rng.multinomial(n, [1 / (2 * d)] * (2 * d), size=50).reshape(50, d, 2)
         xs = rng.integers(0, d, size=50)
-        got = _class_probs(h, hists, xs, config)
-        _, w, total = _softmax(h, hists, config)
+        got = _class_probs(h, hists, n, xs, config)
+        _, w, total = _softmax(h, hists, n, config)
         plain = _sum_rows(np.where(h.values[:, xs] == PLUS, w / total, 0.0))
         assert 0.0 <= got.min() and got.max() <= 1.0
         assert np.array_equal(got, np.minimum(plain, 1.0))
@@ -586,7 +612,7 @@ def test_count_law_reads_a_point_past_the_histogram_as_empty():
     learner = ExpMechanismLearner(full, config)
     got = learner.batch_prediction_probs(narrow, xs)
     assert np.array_equal(got, learner.batch_prediction_probs(padded, xs))
-    assert np.abs(got - _class_probs(full, narrow, xs, config)).max() <= 1e-13
+    assert np.abs(got - _class_probs(full, padded, 40, xs, config)).max() <= 1e-13
     assert np.all(got[xs >= 2] == 0.5)
 
 
@@ -611,6 +637,31 @@ def test_both_scorers_raise_the_same_errors(hist, x):
             ExpMechanismLearner(hclass, config).batch_prediction_probs(hist, x)
         raised.append((info.type, str(info.value)))
     assert raised[0] == raised[1]
+
+
+def test_histograms_are_checked_once_at_their_door(monkeypatch):
+    # batch_prediction_probs checks a call's histograms once, however many
+    # passes score them; a Sample's histograms go to the scorer unchecked
+    checked, passes = [], []
+    check, softmax = learners._checked_histograms, learners._softmax
+    monkeypatch.setattr(learners, "_checked_histograms",
+                        lambda d, hist: checked.append(len(hist)) or check(d, hist))
+    monkeypatch.setattr(learners, "_softmax",
+                        lambda *args: passes.append(len(args[1])) or softmax(*args))
+    monkeypatch.setattr(learners, "SCORE_BUDGET", 16)
+    config = ExpMechanismConfig(Fraction(1, 16))
+    short = HypothesisClass(HypothesisClass.full(2).values[1:])
+    for hclass, scored in ((short, [5, 5, 2]), (HypothesisClass.full(2), [])):
+        ExpMechanismLearner(hclass, config).batch_prediction_probs(np.ones((12, 2, 2), int), 0)
+        assert checked == [12] and passes == scored
+        checked.clear(), passes.clear()
+    cells = np.arange(12 * 16).reshape(12, 16)
+    batch = Sample(cells % 2, np.where(cells % 3, PLUS, MINUS))
+    vc = VcSubsampleLearner(HypothesisClass.full(2), VcLearnerConfig(Fraction(1, 16), 2))
+    vc.prediction_prob(batch, cells[:, 0] % 2, RandomSource(SEED, 45).generator())
+    exp_mechanism_dist(short, batch, config)
+    empirical_loss_counts(short, batch)
+    assert checked == [] and len(passes) > 3
 
 
 def test_batched_prediction_prob_matches_each_row():
